@@ -402,123 +402,16 @@ def test_e13_indexed_apply_edge_chain_clique64(benchmark):
 # E19 — observability overhead: the tracing hooks on the end-to-end path
 # ----------------------------------------------------------------------
 #
-# PR 6 shipped this end-to-end path with no tracer hooks at all; the
-# observability PR threads `if self.tracer is not None` guards through
-# `_note_issue` / `_apply_ready` / `_apply_batch` (host) and `send` /
-# `_flush_channel` / `record_*_delivery` (transport).  The functions below
-# are frozen copies of those methods *without* the guards — the PR 6
-# baseline — rebound onto a live cluster, so the gate measures exactly
-# what the hooks cost: disabled tracing must stay within 3% of the
-# pre-hook code, enabled tracing within 2x.
+# Every hook is an `if self.tracer is not None` guard on the host
+# (`_note_issue` / `_apply_ready` / `_apply_batch`) and the transport
+# (`send` / `_flush_channel` / `record_*_delivery`).  The gate measures
+# what turning the tracer on costs on that path.  That the *untraced* path
+# does not get slower is the job of the sustained benchmark (`bench/`,
+# compared against the parent commit on every PR), not of a copy of old
+# code kept here.
 
-def _pre_obs_note_issue(self, update):
-    self._issue_times[update.uid] = self.now
-
-
-def _pre_obs_apply_ready(self, replica, force=False):
-    applied = replica.apply_ready(sim_time=self.now, force=force)
-    for update in applied:
-        self.metrics.applies += 1
-        self.metrics.apply_times.append(self.now)
-        issued_at = self._issue_times.get(update.uid)
-        if issued_at is not None:
-            self.metrics.apply_latencies.append(self.now - issued_at)
-    if applied and self.fault_injector is not None:
-        self.fault_injector.note_applies(replica.replica_id, applied, self.now)
-    if applied and self.reconfig_manager is not None:
-        self.reconfig_manager.note_applies(replica.replica_id, applied, self.now)
-    pending = replica.pending_count()
-    previous = self.metrics.max_pending.get(replica.replica_id, 0)
-    self.metrics.max_pending[replica.replica_id] = max(previous, pending)
-    return applied
-
-
-def _pre_obs_apply_batch(self, replica, messages):
-    applied = replica.apply_batch(messages, sim_time=self.now)
-    for update in applied:
-        self.metrics.applies += 1
-        self.metrics.apply_times.append(self.now)
-        issued_at = self._issue_times.get(update.uid)
-        if issued_at is not None:
-            self.metrics.apply_latencies.append(self.now - issued_at)
-    if applied and self.fault_injector is not None:
-        self.fault_injector.note_applies(replica.replica_id, applied, self.now)
-    if applied and self.reconfig_manager is not None:
-        self.reconfig_manager.note_applies(replica.replica_id, applied, self.now)
-    pending = replica.pending_count()
-    previous = self.metrics.max_pending.get(replica.replica_id, 0)
-    self.metrics.max_pending[replica.replica_id] = max(previous, pending)
-    return applied
-
-
-def _pre_obs_send(self, message, delay=None):
-    self.stats.messages_sent += 1
-    self.stats.metadata_counters_sent += message.metadata_size
-    if message.payload:
-        self.stats.payload_messages_sent += 1
-    else:
-        self.stats.metadata_only_messages_sent += 1
-    if self._sent_log is not None:
-        destination_log = self._sent_log.setdefault(message.destination, {})
-        destination_log[message.update.uid] = (self.kernel.now, message)
-    if self._batching is not None and delay is None:
-        self._enqueue_for_batch(message)
-        return
-    channel = (message.sender, message.destination)
-    self._account_single(message)
-    if self._blocked(channel):
-        self._held_messages.append((self.kernel.now, message))
-        return
-    self._transmit(message, sent_at=self.kernel.now, delay=delay)
-
-
-def _pre_obs_flush_channel(self, channel):
-    from repro.wire.batch import MessageBatch, encode_batch
-
-    window = self._open_batches.pop(channel, None)
-    if not window:
-        return
-    self._flush_generation[channel] = self._flush_generation.get(channel, 0) + 1
-    seq = self._batch_seq.get(channel, 0)
-    self._batch_seq[channel] = seq + 1
-    sent_times = tuple(sent_at for sent_at, _ in window)
-    batch = MessageBatch(
-        sender=channel[0],
-        destination=channel[1],
-        seq=seq,
-        messages=tuple(message for _, message in window),
-    )
-    epoch = self._channel_epoch.get(channel, 0)
-    _, sizes = encode_batch(
-        batch,
-        encoder=self._delta_encoder,
-        codec=self._codec_for(batch.messages[0]),
-    )
-    self.stats.batches_sent += 1
-    self.stats.batched_messages_sent += len(batch.messages)
-    self.stats.account_wire(channel, sizes, messages=len(batch.messages), batches=1)
-    if self._reliability is not None:
-        for sent_at, message in window:
-            self._track(message, sent_at)
-    if self._blocked(channel):
-        self._held_batches.append((self.kernel.now, sent_times, batch, epoch))
-        return
-    self._transmit_batch(batch, sent_times, sent_at=self.kernel.now, epoch=epoch)
-
-
-def _pre_obs_record_delivery(self, event, time):
-    self._note_message_delivered(event.message, event.sent_at, time)
-
-
-def _pre_obs_record_batch_delivery(self, event, time):
-    for message, sent_at in zip(event.batch.messages, event.sent_times):
-        self._note_message_delivered(message, sent_at, time)
-
-
-def _obs_overhead_cluster(variant: str):
-    """The E13 profile configuration with one of three observability modes."""
-    import types
-
+def _obs_overhead_cluster(tracing: bool):
+    """The E13 profile configuration, traced or not."""
     from repro.sim.cluster import Cluster
     from repro.sim.engine import BatchingConfig
 
@@ -531,35 +424,23 @@ def _obs_overhead_cluster(variant: str):
         batching=BatchingConfig(max_messages=32, max_delay=8.0),
         wire_accounting=True,
     )
-    if variant == "legacy":
-        cluster._note_issue = types.MethodType(_pre_obs_note_issue, cluster)
-        cluster._apply_ready = types.MethodType(_pre_obs_apply_ready, cluster)
-        cluster._apply_batch = types.MethodType(_pre_obs_apply_batch, cluster)
-        transport = cluster.transport
-        transport.send = types.MethodType(_pre_obs_send, transport)
-        transport._flush_channel = types.MethodType(
-            _pre_obs_flush_channel, transport)
-        transport.record_delivery = types.MethodType(
-            _pre_obs_record_delivery, transport)
-        transport.record_batch_delivery = types.MethodType(
-            _pre_obs_record_batch_delivery, transport)
-    elif variant == "enabled":
+    if tracing:
         cluster.enable_tracing()
     return cluster
 
 
-def _obs_overhead_time(variant: str, ops: int, repetitions: int = 5) -> float:
+def _obs_overhead_time(tracing: bool, ops: int, repetitions: int = 5) -> float:
     """Best-of-N wall time of the end-to-end clique workload."""
     best = None
     for _ in range(repetitions):
-        cluster = _obs_overhead_cluster(variant)
+        cluster = _obs_overhead_cluster(tracing)
         workload = uniform_workload(
             cluster.share_graph, ops, write_fraction=1.0, seed=5)
         started = time.perf_counter()
         run_workload(cluster, workload, interleave_steps=0, check=False)
         elapsed = time.perf_counter() - started
         assert cluster.metrics.applies > 0
-        if variant == "enabled":
+        if tracing:
             assert cluster.tracer is not None and cluster.tracer.events
         else:
             assert cluster.tracer is None
@@ -568,18 +449,15 @@ def _obs_overhead_time(variant: str, ops: int, repetitions: int = 5) -> float:
 
 
 def test_e19_observability_overhead(benchmark):
-    """Acceptance: hooks cost ≤3% disabled, ≤2x enabled, on the E13 path."""
+    """Acceptance: tracing on costs ≤2x tracing off, on the E13 path."""
     ops = 60 if TINY else 300
 
     def compare():
-        legacy = _obs_overhead_time("legacy", ops)
-        disabled = _obs_overhead_time("disabled", ops)
-        enabled = _obs_overhead_time("enabled", ops)
+        disabled = _obs_overhead_time(False, ops)
+        enabled = _obs_overhead_time(True, ops)
         return {
-            "legacy_s": legacy,
             "disabled_s": disabled,
             "enabled_s": enabled,
-            "disabled_ratio": disabled / legacy,
             "enabled_ratio": enabled / disabled,
         }
 
@@ -587,39 +465,30 @@ def test_e19_observability_overhead(benchmark):
     print()
     print(
         f"[E19] clique{CLIQUE_SIZE} end-to-end ({ops} writes): "
-        f"pre-hook {result['legacy_s'] * 1000:.1f} ms, "
-        f"tracing off {result['disabled_s'] * 1000:.1f} ms "
-        f"({result['disabled_ratio']:.3f}x), "
+        f"tracing off {result['disabled_s'] * 1000:.1f} ms, "
         f"tracing on {result['enabled_s'] * 1000:.1f} ms "
         f"({result['enabled_ratio']:.2f}x of off)"
     )
-    # 3% on a wall-clock ratio needs quiet hardware: shared CI runners get
-    # slack for scheduler noise, and the tiny smoke instance (fixed costs
-    # dominating a small run) only proves the gate executes.
+    # Shared CI runners get slack for scheduler noise, and the tiny smoke
+    # instance (fixed costs dominating a small run) only proves the gate
+    # executes.
     if TINY:
-        disabled_ceiling, enabled_ceiling = 2.0, 5.0
+        enabled_ceiling = 5.0
     elif os.environ.get("GITHUB_ACTIONS"):
-        disabled_ceiling, enabled_ceiling = 1.15, 2.5
+        enabled_ceiling = 2.5
     else:
-        disabled_ceiling, enabled_ceiling = 1.03, 2.0
+        enabled_ceiling = 2.0
     write_bench_json(
         "observability_overhead",
-        metric="pre_hook_speed_vs_tracing_disabled",
-        value=1.0 / result["disabled_ratio"],
-        threshold=1.0 / disabled_ceiling,
-        legacy_ms=result["legacy_s"] * 1000,
+        metric="tracing_disabled_speed_vs_enabled",
+        value=1.0 / result["enabled_ratio"],
+        threshold=1.0 / enabled_ceiling,
         disabled_ms=result["disabled_s"] * 1000,
         enabled_ms=result["enabled_s"] * 1000,
-        disabled_ratio=result["disabled_ratio"],
         enabled_ratio=result["enabled_ratio"],
-        disabled_ceiling=disabled_ceiling,
         enabled_ceiling=enabled_ceiling,
         ops=ops,
         clique=CLIQUE_SIZE,
-    )
-    assert result["disabled_ratio"] <= disabled_ceiling, (
-        f"tracing-disabled run must stay within {disabled_ceiling}x of the "
-        f"pre-hook baseline, got {result['disabled_ratio']:.3f}x"
     )
     assert result["enabled_ratio"] <= enabled_ceiling, (
         f"tracing-enabled run must stay within {enabled_ceiling}x of "

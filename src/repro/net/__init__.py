@@ -15,9 +15,9 @@ frames over localhost TCP:
 * :mod:`repro.net.node` — one live node: an asyncio TCP server hosting
   many replica *tenants*, one outbound stream per peer **node** (not per
   share-graph edge) multiplexing every channel between the two nodes with
-  per-channel FIFO queues, batching windows and delta chains, an ack +
-  resend reliability layer mirroring
-  :class:`~repro.sim.engine.ReliabilityConfig`, intra-node short-circuit
+  per-channel FIFO queues, the channels' sending half (batching windows,
+  delta chains, ack + resend) in the shared
+  :class:`~repro.wire.channel.ChannelSender`, intra-node short-circuit
   delivery, and log-structured durability (:mod:`repro.net.wal`) so a
   SIGKILLed process replays checkpoint + log tail exactly like a
   simulated crash;
@@ -39,12 +39,11 @@ per-channel delivery streams.
 
 from .client import OpenLoopClient
 from .framing import StreamDecoder, encode_frame
-from .node import BatchPolicy, LiveNode, LiveNodeHost, NodeConfig
+from .node import LiveNode, LiveNodeHost, NodeConfig
 from .runtime import LiveCluster, LiveRunResult
 from .wal import ReplicaWAL, WalCheckpoint
 
 __all__ = [
-    "BatchPolicy",
     "LiveCluster",
     "LiveNode",
     "LiveNodeHost",

@@ -14,10 +14,9 @@ this single connection):
 * ``SYNC`` — sent by the *accepting* side immediately after the hello, once
   per hosted replica with traffic from the connecting node: the destination
   replica plus the update ids it holds durably.  The sender answers by
-  re-sending every sent-log entry for that replica outside that set — the
-  live mirror of the simulator's anti-entropy
-  :meth:`~repro.sim.engine.Transport.resync`.  On a first connection the
-  sent-log is empty and the exchange is a no-op;
+  re-sending every sent-log entry for that replica outside that set
+  (:meth:`~repro.wire.channel.ChannelSender.missing`).  On a first
+  connection the sent-log is empty and the exchange is a no-op;
 * ``BATCH`` — an encoded :class:`~repro.wire.batch.MessageBatch`.  The batch
   envelope already names its channel ``(sender, destination)``, so frames
   from many channels interleave on one stream with no extra tag, and the

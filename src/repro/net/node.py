@@ -8,25 +8,22 @@ decouples the logical communication graph from the physical one:
   per directed share-graph edge, a node opens exactly one connection to
   each peer node it has traffic for and multiplexes every channel between
   replicas on the two nodes onto it.  A :class:`~repro.wire.batch.MessageBatch`
-  envelope already names its channel ``(sender, destination)``, so frames
-  from many channels interleave with no extra tag; the receiver
-  demultiplexes by destination replica.  FD count drops from O(|E|) to
-  O(hosts²);
-* **per-channel FIFO, batching and delta chains, preserved per tag**: each
-  channel keeps its own bounded send queue (backpressure), batching window
-  (flushed by count or wall-clock deadline) and outstanding set; the
-  per-stream :class:`~repro.wire.channel.ChannelDeltaEncoder` keys its
-  timestamp chains by channel, and a reconnect resets *all* chains on that
-  stream — the multiplexed reading of the simulator's channel epochs;
+  envelope already names its channel, so frames from many channels
+  interleave with no extra tag and the receiver demultiplexes by
+  destination replica.  FD count drops from O(|E|) to O(hosts²);
+* **per-channel FIFO, batching, delta chains and ack + resend, preserved
+  per tag**: each channel keeps its own bounded send queue
+  (backpressure); its window, sequence numbers, delta chain and
+  unacknowledged copies live in the stream's
+  :class:`~repro.wire.channel.ChannelSender` — the state machine the
+  simulator's transport drives too, here in seconds.  ACK/SYNC frames
+  ride the stream tagged with the replica they speak for, a reconnect
+  severs all of the stream's channels at once, and duplicate suppression
+  keeps delivery exactly-once;
 * **intra-node short-circuit**: a channel between two tenants of the same
   node never touches a socket or a codec — the copy goes straight through
   the in-process batch-apply path (:meth:`LiveNodeHost.deliver`) and acks
   synchronously;
-* **ack + resend reliability** mirroring
-  :class:`~repro.sim.engine.ReliabilityConfig`: ACK/SYNC frames ride the
-  peer stream tagged with the replica they speak for; unacknowledged
-  messages are re-offered after ``resend_timeout`` seconds and on every
-  reconnect, and duplicate suppression keeps delivery exactly-once;
 * **log-structured durability** (:mod:`repro.net.wal`): with a
   ``durable_dir`` configured every state change appends one O(delta)
   record to the tenant's write-ahead log — client writes and reads as
@@ -50,6 +47,7 @@ import asyncio
 import os
 import pickle
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -59,9 +57,14 @@ from ..core.protocol import CausalReplica, UpdateId, UpdateMessage
 from ..core.registers import Register, ReplicaId
 from ..core.replica import EdgeIndexedReplica
 from ..core.share_graph import ShareGraph
-from ..sim.engine import ChannelWireStats, ReliabilityConfig
-from ..wire.batch import MessageBatch, decode_batch, encode_batch
-from ..wire.channel import ChannelDeltaDecoder, ChannelDeltaEncoder
+from ..wire.batch import MessageBatch, decode_batch
+from ..wire.channel import (
+    BatchingConfig,
+    ChannelDeltaDecoder,
+    ChannelSender,
+    ChannelWireStats,
+    ReliabilityConfig,
+)
 from ..wire.primitives import WireFormatError
 from . import frames
 from . import wal as wal_records
@@ -84,23 +87,14 @@ def edge_indexed_factory(graph: ShareGraph, replica_id: ReplicaId) -> CausalRepl
     return EdgeIndexedReplica(graph, replica_id)
 
 
-@dataclass(frozen=True)
-class BatchPolicy:
-    """The live analogue of :class:`~repro.sim.engine.BatchingConfig`.
-
-    Same knobs, wall-clock units: a channel's window flushes at
-    ``max_messages`` or after ``max_delay`` *seconds*, whichever first.
-    """
-
-    max_messages: int = 16
-    max_delay: float = 0.002
-    delta_encoding: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_messages < 1:
-            raise ConfigurationError("batching max_messages must be at least 1")
-        if self.max_delay < 0:
-            raise ConfigurationError("batching max_delay must be non-negative")
+#: The live channel options, in seconds: 16 messages / 2 ms, 1 s / 8 retries.
+DEFAULT_BATCHING = BatchingConfig(max_messages=16, max_delay=0.002)
+DEFAULT_RELIABILITY = ReliabilityConfig(resend_timeout=1.0, max_retries=8)
+#: Bound of each per-channel send queue (the backpressure limit).
+SEND_QUEUE_LIMIT = 4096
+#: First and longest wait between connection attempts to a peer, seconds.
+RECONNECT_BACKOFF = 0.05
+RECONNECT_BACKOFF_MAX = 1.0
 
 
 @dataclass(frozen=True)
@@ -123,14 +117,9 @@ class NodeConfig:
     replica_factory: Callable[[ShareGraph, ReplicaId], CausalReplica] = (
         edge_indexed_factory
     )
-    batching: BatchPolicy = field(default_factory=BatchPolicy)
-    #: Ack + resend parameters, in seconds (the live reading of the same
-    #: contract the simulator's transport enforces in simulated units).
-    reliability: ReliabilityConfig = field(
-        default_factory=lambda: ReliabilityConfig(resend_timeout=1.0, max_retries=8)
-    )
-    #: Bound of each per-channel send queue (the backpressure limit).
-    send_queue_limit: int = 4096
+    #: Channel options, in seconds (see :mod:`repro.wire.channel`).
+    batching: BatchingConfig = DEFAULT_BATCHING
+    reliability: ReliabilityConfig = DEFAULT_RELIABILITY
     #: Directory for per-replica checkpoint + WAL files; ``None`` runs
     #: diskless (no crash recovery).
     durable_dir: Optional[str] = None
@@ -139,8 +128,6 @@ class NodeConfig:
     #: Wall-clock epoch all host times are measured from (the launcher's
     #: start time, shared by every node so latencies compose).
     clock_origin: float = 0.0
-    reconnect_backoff: float = 0.05
-    reconnect_backoff_max: float = 1.0
     #: Record the message-lifecycle trace (issue/send/wire/deliver/apply
     #: stamps, wall time relative to ``clock_origin``); off by default —
     #: the untraced hot path pays one ``is not None`` check per hook.
@@ -234,23 +221,20 @@ class LiveNodeHost(ReplicaHost):
 class _Tenant:
     """One hosted replica's complete per-replica state.
 
-    Everything that was per-node before multi-tenancy is per-tenant now:
-    the replica, its host (metrics/trace/issue books), the durable
-    sent-log + outbox totals, the first-receipt streams, counters, wire
-    books and the write-ahead log.
+    The replica, its host (metrics/trace/issue books), the outbox totals,
+    the first-receipt streams, counters and the write-ahead log.  The
+    sending half of its channels — windows, unacked copies, sent-log, byte
+    books — lives in the node's per-peer senders.
     """
 
     def __init__(self, node: "LiveNode", replica_id: ReplicaId) -> None:
         config = node.config
         graph = config.share_graph
+        self.node = node
         self.replica_id = replica_id
         self.replica = config.replica_factory(graph, replica_id)
         self.host = LiveNodeHost(graph, self.replica,
                                  clock_origin=node.clock_origin)
-        #: Durable per-destination outbox, mirrored from the simulator's
-        #: transport sent-log (PR 2); the SYNC exchange re-sends from it.
-        #: Pruned on ack — an acked update is durable at its receiver.
-        self.sent_log: Dict[ReplicaId, Dict[UpdateId, UpdateMessage]] = {}
         #: Total updates ever logged per destination (survives pruning and
         #: crashes; the launcher's drain books compare this against the
         #: receiver's first-receipt count).
@@ -265,11 +249,6 @@ class _Tenant:
             "retransmissions": 0, "resyncs": 0,
             "delta_frames": 0, "full_frames": 0,
         }
-        #: Byte-accurate per-channel outgoing wire books, fed by every
-        #: stream flush — the live mirror of the simulator's
-        #: ``NetworkStats.per_channel``.  Intra-node channels ship no
-        #: bytes and never appear here.
-        self.wire_stats: Dict[Channel, ChannelWireStats] = {}
         self.tracer: Optional[Any] = None
         if config.tracing:
             from ..obs.trace import TraceRecorder
@@ -285,39 +264,12 @@ class _Tenant:
         self.seen_uids: set = set()
 
     # ------------------------------------------------------------------
-    # Wire accounting
-    # ------------------------------------------------------------------
-    def account_wire(self, channel: Channel, sizes: Any, messages: int) -> None:
-        """Book one flushed batch into the per-channel wire statistics."""
-        book = self.wire_stats.setdefault(channel, ChannelWireStats())
-        book.messages += messages
-        book.batches += 1
-        book.header_bytes += sizes.header_bytes
-        book.timestamp_bytes += sizes.timestamp_bytes
-        book.payload_bytes += sizes.payload_bytes
-        self.counters["delta_frames"] += sizes.delta_frames
-        self.counters["full_frames"] += sizes.full_frames
-
-    # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
-    def note_acked(self, destination: ReplicaId, uids: List[UpdateId],
-                   log: bool = True) -> None:
-        """Prune acked updates from the sent-log (and make it durable)."""
-        book = self.sent_log.get(destination)
-        if not book:
-            return
-        pruned = [uid for uid in uids if book.pop(uid, None) is not None]
-        if pruned and log and self.wal is not None:
-            self.wal.append(
-                wal_records.W_ACK,
-                wal_records.encode_ack_record(destination, pruned),
-            )
-
     def checkpoint_state(self) -> WalCheckpoint:
         return WalCheckpoint(
             replica=self.replica.snapshot(),
-            sent_log=self.sent_log,
+            sent_log=self.node.unacked_log(self.replica_id),
             outbox_total=self.outbox_total,
             streams=self.streams,
             apply_times=self.apply_times,
@@ -340,20 +292,6 @@ class _Tenant:
         samples.append((
             "repro_node_pending_depth", me, float(self.replica.pending_count()),
         ))
-        for (src, dst), book in sorted(self.wire_stats.items()):
-            channel_labels = (("dst", str(dst)), ("src", str(src)))
-            samples.append((
-                "repro_node_wire_messages_total", channel_labels,
-                float(book.messages)))
-            samples.append((
-                "repro_node_wire_batches_total", channel_labels,
-                float(book.batches)))
-            samples.append((
-                "repro_node_wire_timestamp_bytes_total", channel_labels,
-                float(book.timestamp_bytes)))
-            samples.append((
-                "repro_node_wire_payload_bytes_total", channel_labels,
-                float(book.payload_bytes)))
         return samples
 
     def report(self) -> Dict[str, Any]:
@@ -372,86 +310,56 @@ class _Tenant:
             "metadata_size": self.replica.metadata_size(),
             "counters": dict(self.counters),
             "recovered": self.recovered,
-            "wire_stats": dict(self.wire_stats),
             "trace": list(self.tracer.events) if self.tracer is not None else [],
         }
-
-
-class _ChannelState:
-    """One channel's slice of a peer stream: FIFO queue, window, reliability."""
-
-    __slots__ = ("channel", "queue", "inflight", "outstanding", "window",
-                 "deadline", "seq")
-
-    def __init__(self, channel: Channel, queue_limit: int) -> None:
-        self.channel = channel
-        self.queue: "asyncio.Queue[UpdateMessage]" = asyncio.Queue(
-            maxsize=queue_limit
-        )
-        #: Uids somewhere between enqueue and ack (queue, open window, or
-        #: outstanding).  The SYNC resync skips these: a message already on
-        #: its way must not be re-offered just because the peer's known-set
-        #: predates it.
-        self.inflight: set = set()
-        #: uid -> (message, last send wall time, attempts).
-        self.outstanding: Dict[UpdateId, Tuple[UpdateMessage, float, int]] = {}
-        self.window: List[UpdateMessage] = []
-        self.deadline = 0.0
-        self.seq = 0
 
 
 class _PeerStream:
     """The sending half of one ordered node pair.
 
-    Owns the single TCP connection to ``peer``, the per-channel states
-    multiplexed onto it, the stream-wide delta encoder (keyed by channel
-    internally; ``reset()`` on a fresh connection restarts every chain —
-    the per-stream epoch), the reconnect loop and the ACK/SYNC reply
-    reader.  One send-loop task drains every channel — tasks scale with
-    node pairs, not share-graph edges.
+    Drives the :class:`~repro.wire.channel.ChannelSender` of every channel
+    into ``peer`` and keeps what only a socket needs: the one TCP
+    connection, a bounded FIFO queue per channel (backpressure), the
+    reconnect loop and the ACK/SYNC reply reader.  Which windows are open
+    and what is unacknowledged is the sender's to say, so nothing is lost
+    with a connection: a fresh one severs every channel and the send loop
+    picks the surviving windows up again.  One send-loop task drains every
+    channel — tasks scale with node pairs, not share-graph edges.
     """
 
     def __init__(self, node: "LiveNode", peer: NodeId) -> None:
         self.node = node
         self.peer = peer
-        self.channels: Dict[Channel, _ChannelState] = {}
-        policy = node.config.batching
-        self.encoder = ChannelDeltaEncoder() if policy.delta_encoding else None
+        self.sender = node.senders[peer]
+        self.queues: Dict[Channel, "asyncio.Queue[UpdateMessage]"] = defaultdict(
+            lambda: asyncio.Queue(maxsize=SEND_QUEUE_LIMIT))
         #: Channels with queued messages, in arrival order (dict-as-ordered-set).
         self._dirty: Dict[Channel, None] = {}
         self._wake = asyncio.Event()
         self.connected = False
 
-    def channel_state(self, channel: Channel) -> _ChannelState:
-        state = self.channels.get(channel)
-        if state is None:
-            state = _ChannelState(channel, self.node.config.send_queue_limit)
-            self.channels[channel] = state
-        return state
-
     async def enqueue(self, message: UpdateMessage) -> None:
         """Join the channel's FIFO stream (blocks when saturated)."""
         channel = (message.sender, message.destination)
-        state = self.channel_state(channel)
         tenant = self.node.tenants[message.sender]
         tenant.counters["enqueued"] += 1
-        state.inflight.add(message.update.uid)
+        # Staged before the put can block: a SYNC meanwhile must not re-offer it.
+        self.sender.stage(message)
         if tenant.tracer is not None:
             tenant.tracer.record("send", message.update.uid,
                                  channel[0], channel[1], self.node.now)
-        await state.queue.put(message)
+        await self.queues[channel].put(message)
         self._dirty[channel] = None
         self._wake.set()
 
     def offer(self, message: UpdateMessage) -> bool:
         """Non-blocking enqueue for retransmissions; ``False`` when full."""
         channel = (message.sender, message.destination)
-        state = self.channel_state(channel)
         try:
-            state.queue.put_nowait(message)
+            self.queues[channel].put_nowait(message)
         except asyncio.QueueFull:
             return False
-        state.inflight.add(message.update.uid)
+        self.sender.stage(message)
         self._dirty[channel] = None
         self._wake.set()
         return True
@@ -460,7 +368,7 @@ class _PeerStream:
     # The stream task
     # ------------------------------------------------------------------
     async def run(self) -> None:
-        backoff = self.node.config.reconnect_backoff
+        backoff = RECONNECT_BACKOFF
         while not self.node.stopping.is_set():
             address = self.node.addresses.get(self.peer)
             if address is None:
@@ -470,18 +378,12 @@ class _PeerStream:
                 reader, writer = await asyncio.open_connection(*address)
             except OSError:
                 await asyncio.sleep(backoff)
-                backoff = min(backoff * 2, self.node.config.reconnect_backoff_max)
+                backoff = min(backoff * 2, RECONNECT_BACKOFF_MAX)
                 continue
-            backoff = self.node.config.reconnect_backoff
+            backoff = RECONNECT_BACKOFF
             self.connected = True
-            # A fresh connection is a fresh byte stream: every channel's
-            # delta chain and batch sequence restart, exactly like a
-            # post-crash sim epoch — one reset covers all chains because
-            # the encoder keys them per channel.
-            if self.encoder is not None:
-                self.encoder.reset()
-            for state in self.channels.values():
-                state.seq = 0
+            # A fresh connection is a fresh byte stream for every channel.
+            self.sender.sever()
             reply_task = asyncio.create_task(self._read_replies(reader))
             try:
                 writer.write(encode_frame(
@@ -489,12 +391,9 @@ class _PeerStream:
                     frames.encode_hello(self.node.node_id, self.node.port),
                 ))
                 await writer.drain()
-                # Unacked survivors of the previous connection go first (the
-                # stream they rode died with that connection).
-                for state in self.channels.values():
-                    for uid in sorted(state.outstanding):
-                        message, _, _ = state.outstanding[uid]
-                        self.offer(message)
+                # Unacked survivors of the previous connection go first.
+                for copy in list(self.sender.outstanding.values()):
+                    self.offer(copy.message)
                 await self._send_loop(writer)
             except (OSError, ConnectionError, asyncio.IncompleteReadError):
                 pass
@@ -508,43 +407,39 @@ class _PeerStream:
                     pass
 
     async def _send_loop(self, writer: asyncio.StreamWriter) -> None:
-        policy = self.node.config.batching
-        open_windows: Dict[Channel, _ChannelState] = {}
+        sender = self.sender
         while True:
             stopping = self.node.stopping.is_set()
-            # Pull queued messages into their channel windows; a full
-            # window flushes immediately.
+            # Pull queued messages into their windows; a full one flushes.
+            now = time.monotonic()
             while self._dirty:
                 channel = next(iter(self._dirty))
-                del self._dirty[channel]
-                state = self.channels[channel]
+                queue = self.queues[channel]
                 while True:
                     try:
-                        message = state.queue.get_nowait()
+                        message = queue.get_nowait()
                     except asyncio.QueueEmpty:
                         break
-                    if not state.window:
-                        state.deadline = time.monotonic() + policy.max_delay
-                        open_windows[channel] = state
-                    state.window.append(message)
-                    if len(state.window) >= policy.max_messages:
-                        await self._flush(writer, state)
-                        open_windows.pop(channel, None)
-            # Flush expired (or closing) windows.
+                    if sender.add(message, now)[0]:
+                        await self._flush(writer, channel)
+                # Only a drained queue is clean: a write error above leaves
+                # the mark for the next connection's loop.
+                del self._dirty[channel]
+            # Flush expired (or closing) windows; the rest say how long to
+            # sleep.  The sender is asked every pass, so a window opened
+            # under an earlier connection is served like any other.
             now = time.monotonic()
-            for channel in list(open_windows):
-                state = open_windows[channel]
-                if stopping or state.deadline <= now:
-                    await self._flush(writer, state)
-                    del open_windows[channel]
-            if stopping and not self._dirty and not open_windows:
-                if all(state.queue.empty() for state in self.channels.values()):
-                    return
-                continue
+            soonest = None
+            for channel, window in list(sender.windows.items()):
+                if stopping or window.deadline <= now:
+                    await self._flush(writer, channel)
+                elif soonest is None or window.deadline < soonest:
+                    soonest = window.deadline
+            if stopping and not self._dirty and soonest is None:
+                return  # every queue drained, every window flushed
             # Sleep until new traffic or the earliest window deadline.
             timeout = None
-            if open_windows:
-                soonest = min(s.deadline for s in open_windows.values())
+            if soonest is not None:
                 timeout = max(0.0, soonest - time.monotonic())
             try:
                 await asyncio.wait_for(self._wake.wait(), timeout)
@@ -553,36 +448,26 @@ class _PeerStream:
             self._wake.clear()
 
     async def _flush(self, writer: asyncio.StreamWriter,
-                     state: _ChannelState) -> None:
-        window = state.window
-        if not window:
-            return
-        src, dst = state.channel
-        batch = MessageBatch(
-            sender=src, destination=dst, seq=state.seq, messages=tuple(window),
-        )
-        state.seq += 1
+                     channel: Channel) -> None:
+        src, dst = channel
         tenant = self.node.tenants[src]
-        data, sizes = encode_batch(
-            batch, encoder=self.encoder, codec=tenant.replica.wire_codec()
+        # Flushed before the write: on a mid-write connection error the
+        # copies are already outstanding and the reconnect re-offers them.
+        flushed = self.sender.flush(
+            channel, tenant.replica.wire_codec(), time.monotonic()
         )
-        tenant.account_wire(state.channel, sizes, messages=len(window))
-        now = time.time()
-        for message in window:
-            uid = message.update.uid
-            attempts = state.outstanding.get(uid, (None, 0.0, 0))[2]
-            state.outstanding[uid] = (message, now, attempts + 1)
-        tenant.counters["sent"] += len(window)
+        if flushed is None:
+            return
+        counters = tenant.counters
+        counters["sent"] += len(flushed.batch.messages)
+        counters["delta_frames"] += flushed.sizes.delta_frames
+        counters["full_frames"] += flushed.sizes.full_frames
         if tenant.tracer is not None:
             flushed_at = self.node.now
-            for message in window:
+            for message in flushed.batch.messages:
                 tenant.tracer.record("wire", message.update.uid, src, dst,
                                      flushed_at)
-        # The window empties before the write: on a mid-write connection
-        # error its messages are already in ``outstanding`` and will be
-        # re-offered by the reconnect path.
-        state.window = []
-        writer.write(encode_frame(frames.BATCH, data))
+        writer.write(encode_frame(frames.BATCH, flushed.data))
         await writer.drain()
 
     async def _read_replies(self, reader: asyncio.StreamReader) -> None:
@@ -596,7 +481,7 @@ class _PeerStream:
                 for kind, payload in decoder.feed(chunk):
                     if kind == frames.ACK:
                         destination, uids = frames.decode_tagged_uids(payload)
-                        self._handle_ack(destination, uids)
+                        self.node.note_acked(destination, uids)
                     elif kind == frames.SYNC:
                         destination, known = frames.decode_tagged_uids(payload)
                         await self.node.resync(destination, set(known), self)
@@ -604,49 +489,21 @@ class _PeerStream:
                 asyncio.CancelledError):
             return
 
-    def _handle_ack(self, destination: ReplicaId,
-                    uids: List[UpdateId]) -> None:
-        # An update's issuer is its sender (direct multicast, no
-        # forwarding), so the uid itself names the channel.
-        by_source: Dict[ReplicaId, List[UpdateId]] = {}
-        for uid in uids:
-            source = uid[0]
-            state = self.channels.get((source, destination))
-            if state is not None:
-                state.outstanding.pop(uid, None)
-                state.inflight.discard(uid)
-            by_source.setdefault(source, []).append(uid)
-        for source, acked in by_source.items():
-            tenant = self.node.tenants.get(source)
-            if tenant is not None:
-                # Acked ⇒ durable at the receiver: prune the sent-log copy
-                # (resync filters by the receiver's known set anyway, and
-                # the drain books ride outbox_total).
-                tenant.note_acked(destination, acked)
-
     def retransmit_due(self) -> None:
-        """Re-offer every outstanding message older than the resend timeout."""
-        config = self.node.config.reliability
-        now = time.time()
-        for state in self.channels.values():
-            for uid in list(state.outstanding):
-                message, sent_at, attempts = state.outstanding[uid]
-                if now - sent_at < config.resend_timeout:
-                    continue
-                if attempts > config.max_retries:
-                    # Resend timers give up; the SYNC exchange on the next
-                    # reconnect is the recovery of last resort.
-                    continue
-                if self.offer(message):
-                    source = state.channel[0]
-                    self.node.tenants[source].counters["retransmissions"] += 1
-                    state.outstanding[uid] = (message, now, attempts)
+        """Re-offer every outstanding copy older than the resend timeout
+        (retries spent: only the next reconnect re-sends it)."""
+        now = time.monotonic()
+        for key in self.sender.due(now):
+            message = self.sender.outstanding[key].message
+            if self.offer(message):
+                self.sender.retry(key, now)
+                self.node.tenants[message.sender].counters["retransmissions"] += 1
 
     def queued(self) -> int:
-        return sum(state.queue.qsize() for state in self.channels.values())
+        return sum(queue.qsize() for queue in self.queues.values())
 
     def unacked(self) -> int:
-        return sum(len(state.outstanding) for state in self.channels.values())
+        return len(self.sender.outstanding)
 
 
 class LiveNode:
@@ -661,6 +518,10 @@ class LiveNode:
         }
         self.addresses: Dict[NodeId, Address] = dict(config.peers)
         self.addresses.pop(self.node_id, None)
+        #: The sending half of every outgoing channel, one sender per
+        #: destination node; intra-node channels (this node's own entry)
+        #: ship no bytes and use only its sent-log.
+        self.senders: Dict[NodeId, ChannelSender] = defaultdict(self._new_sender)
         self.peer_streams: Dict[NodeId, _PeerStream] = {}
         self.stopping = asyncio.Event()
         self.port: int = 0
@@ -679,6 +540,53 @@ class LiveNode:
     def _hosting_node(self, replica_id: ReplicaId) -> NodeId:
         return self.config.replica_nodes.get(replica_id, replica_id)
 
+    def _new_sender(self) -> ChannelSender:
+        sender = ChannelSender(self.config.batching, self.config.reliability)
+        sender.sent_log = {}
+        return sender
+
+    def _log_outgoing(self, tenant: _Tenant,
+                      messages: List[UpdateMessage]) -> None:
+        """Enter a write's copies into the sent-log and the drain books."""
+        hosting, outbox = self.config.replica_nodes, tenant.outbox_total
+        for message in messages:
+            destination = message.destination
+            self.senders[hosting.get(destination, destination)].log(message)
+            outbox[destination] = outbox.get(destination, 0) + 1
+
+    def _prune(self, tenant: _Tenant, destination: ReplicaId,
+               uids: List[UpdateId], log: bool = True) -> None:
+        """Acked ⇒ durable at the receiver: drop a tenant's copies from the
+        sent-log (``log=False``: replaying a prune already in the WAL)."""
+        sender = self.senders[self._hosting_node(destination)]
+        pruned = sender.prune(destination, uids)
+        if pruned and log and tenant.wal is not None:
+            tenant.wal.append(wal_records.W_ACK,
+                              wal_records.encode_ack_record(destination, pruned))
+
+    def note_acked(self, destination: ReplicaId, uids: List[UpdateId]) -> None:
+        """An ACK frame: settle the copies, prune them per sending tenant."""
+        self.senders[self._hosting_node(destination)].ack(destination, uids)
+        # An update's issuer is its sender (no forwarding): uid[0] is the tenant.
+        by_source: Dict[ReplicaId, List[UpdateId]] = {}
+        for uid in uids:
+            by_source.setdefault(uid[0], []).append(uid)
+        for source, acked in by_source.items():
+            if source in self.tenants:
+                self._prune(self.tenants[source], destination, acked)
+
+    def unacked_log(self, source: ReplicaId
+                    ) -> Dict[ReplicaId, Dict[UpdateId, UpdateMessage]]:
+        """One tenant's slice of the sent-logs (what its checkpoint keeps)."""
+        out: Dict[ReplicaId, Dict[UpdateId, UpdateMessage]] = {}
+        for sender in self.senders.values():
+            for destination, book in sender.sent_log.items():
+                mine = {uid: message for uid, message in book.items()
+                        if message.sender == source}
+                if mine:
+                    out[destination] = mine
+        return out
+
     # ------------------------------------------------------------------
     # Recovery (checkpoint + WAL replay)
     # ------------------------------------------------------------------
@@ -691,26 +599,22 @@ class LiveNode:
             self._recover_tenant(self.tenants[rid])
         # Phase 2: re-deliver intra-node copies that never became durable
         # at their co-hosted destination (the crash window between the
-        # sender's WRITE record and the receiver's DELIVER record).  The
-        # wire path's analogue is the SYNC exchange on reconnect; the
-        # short-circuit path settles it here, at boot.  Copies already
-        # delivered are deduplicated and merely re-acked.
-        for src in sorted(self.tenants, key=_id_order):
-            tenant = self.tenants[src]
-            for destination in sorted(tenant.sent_log, key=_id_order):
-                if destination not in self.tenants:
-                    continue
-                book = tenant.sent_log[destination]
-                for uid in list(book):
-                    message = book.get(uid)
-                    if message is not None:
-                        self._deliver_intra(tenant, message)
+        # sender's WRITE record and the receiver's DELIVER record) — what
+        # the SYNC exchange does for the wire path on reconnect.  Copies
+        # already delivered are deduplicated and merely re-acked.
+        local = self.senders[self.node_id].sent_log
+        for destination in sorted(local, key=_id_order):
+            for message in list(local[destination].values()):
+                self._deliver_intra(self.tenants[message.sender], message)
 
     def _recover_tenant(self, tenant: _Tenant) -> None:
         checkpoint, records = tenant.wal.load()
         if checkpoint is not None:
             tenant.replica.restore(checkpoint.replica)
-            tenant.sent_log = checkpoint.sent_log
+            for destination, book in checkpoint.sent_log.items():
+                sender = self.senders[self._hosting_node(destination)]
+                for message in book.values():
+                    sender.log(message)
             tenant.outbox_total = checkpoint.outbox_total
             tenant.streams = checkpoint.streams
             tenant.apply_times = checkpoint.apply_times
@@ -730,12 +634,7 @@ class LiveNode:
                 tenant.counters["issued"] += 1
                 tenant.counters["ops_done"] += 1
                 tenant.apply_times[update.uid] = at
-                for message in messages:
-                    book = tenant.sent_log.setdefault(message.destination, {})
-                    book[message.update.uid] = message
-                    tenant.outbox_total[message.destination] = (
-                        tenant.outbox_total.get(message.destination, 0) + 1
-                    )
+                self._log_outgoing(tenant, messages)
             elif kind == wal_records.W_READ:
                 register, at = wal_records.decode_read_record(payload)
                 tenant.host.perform_read(register, at=at)
@@ -746,7 +645,7 @@ class LiveNode:
                               received_at=received_at, log=False)
             elif kind == wal_records.W_ACK:
                 destination, uids = wal_records.decode_ack_record(payload)
-                tenant.note_acked(destination, uids, log=False)
+                self._prune(tenant, destination, uids, log=False)
 
     # ------------------------------------------------------------------
     # Delivery (shared by the wire path, the short-circuit and replay)
@@ -819,7 +718,7 @@ class LiveNode:
         self._deliver(self.tenants[destination], (src, destination), [message])
         # The short-circuit acks synchronously: the copy is durable at its
         # receiver the moment _deliver returns.
-        src_tenant.note_acked(destination, [uid])
+        self._prune(src_tenant, destination, [uid])
 
     # ------------------------------------------------------------------
     # The process main loop
@@ -892,40 +791,25 @@ class LiveNode:
         samples: List[Tuple[str, tuple, float]] = []
         for rid in sorted(self.tenants, key=_id_order):
             samples.extend(self.tenants[rid].telemetry_samples())
+        for (src, dst), book in sorted(self.wire_books().items()):
+            channel = (("dst", str(dst)), ("src", str(src)))
+            for name in ("messages", "batches", "timestamp_bytes", "payload_bytes"):
+                samples.append((f"repro_node_wire_{name}_total", channel,
+                                float(getattr(book, name))))
         me = (("node", str(self.node_id)),)
         streams = self.peer_streams.values()
-        samples.append((
-            "repro_node_send_queue_depth", me,
-            float(sum(stream.queued() for stream in streams)),
-        ))
-        samples.append((
-            "repro_node_unacked", me,
-            float(sum(stream.unacked() for stream in streams)),
-        ))
-        samples.append((
-            "repro_node_peer_streams", me, float(len(self.peer_streams)),
-        ))
-        samples.append((
-            "repro_node_open_streams", me,
-            float(sum(1 for stream in streams if stream.connected)),
-        ))
-        samples.append((
-            "repro_node_inbound_connections", me,
-            float(self._inbound_connections),
-        ))
         wals = [t.wal for t in self.tenants.values() if t.wal is not None]
-        samples.append((
-            "repro_node_wal_bytes", me,
-            float(sum(w.wal_bytes for w in wals)),
-        ))
-        samples.append((
-            "repro_node_wal_records_total", me,
-            float(sum(w.records_appended for w in wals)),
-        ))
-        samples.append((
-            "repro_node_wal_compactions_total", me,
-            float(sum(w.compactions for w in wals)),
-        ))
+        for name, value in (
+            ("send_queue_depth", sum(stream.queued() for stream in streams)),
+            ("unacked", sum(stream.unacked() for stream in streams)),
+            ("peer_streams", len(self.peer_streams)),
+            ("open_streams", sum(1 for stream in streams if stream.connected)),
+            ("inbound_connections", self._inbound_connections),
+            ("wal_bytes", sum(w.wal_bytes for w in wals)),
+            ("wal_records_total", sum(w.records_appended for w in wals)),
+            ("wal_compactions_total", sum(w.compactions for w in wals)),
+        ):
+            samples.append((f"repro_node_{name}", me, float(value)))
         return samples
 
     async def _telemetry_loop(self) -> None:
@@ -961,26 +845,15 @@ class LiveNode:
         """Re-send every sent-log entry ``destination`` does not hold.
 
         Triggered by the peer node's ``SYNC`` frame (one per hosted
-        replica) on every (re)established stream; mirrors
-        :meth:`~repro.sim.engine.Transport.resync` exactly — same inputs
-        (the receiver's durable uid set), same source (the sender's durable
-        outbox), same delivery path (the channel's normal FIFO queue).
+        replica) on every (re)established stream: its durable uid set in;
+        the durable outbox minus that set, and minus what is already on
+        its way, out through the channels' normal FIFO queues.
         """
-        for src in sorted(self.tenants, key=_id_order):
-            tenant = self.tenants[src]
-            book = tenant.sent_log.get(destination)
-            if not book:
-                continue
-            state = stream.channels.get((src, destination))
-            inflight = state.inflight if state is not None else set()
-            missing = [
-                message for uid, message in book.items()
-                if uid not in known and uid not in inflight
-            ]
-            if missing:
-                tenant.counters["resyncs"] += 1
-            for message in missing:
-                await stream.enqueue(message)
+        missing = stream.sender.missing(destination, known, skip_inflight=True)
+        for source in {message.sender for message in missing}:
+            self.tenants[source].counters["resyncs"] += 1
+        for message in missing:
+            await stream.enqueue(message)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -1026,7 +899,7 @@ class LiveNode:
             peer, port = frames.decode_hello(payload)
             state["peer"] = peer
             # One decoder per inbound connection: its delta chains are
-            # keyed by channel, mirroring the sender's stream encoder.
+            # keyed by channel, like the sending stream's encoder.
             state["decoder"] = (
                 ChannelDeltaDecoder() if self.config.batching.delta_encoding
                 else None
@@ -1145,12 +1018,7 @@ class LiveNode:
         if status == frames.OP_OK and kind == "write":
             tenant.counters["issued"] += 1
             tenant.apply_times[update.uid] = issued_at
-            for message in messages:
-                book = tenant.sent_log.setdefault(message.destination, {})
-                book[message.update.uid] = message
-                tenant.outbox_total[message.destination] = (
-                    tenant.outbox_total.get(message.destination, 0) + 1
-                )
+            self._log_outgoing(tenant, messages)
             if tenant.wal is not None:
                 # One O(delta) record instead of a whole-state snapshot:
                 # replaying the write at its recorded time regenerates the
@@ -1207,14 +1075,20 @@ class LiveNode:
         # SIGKILLs and sent-log pruning alike.
         return frames.encode_stats_payload(stats, outbox, inbox)
 
+    def wire_books(self) -> Dict[Channel, ChannelWireStats]:
+        """Byte books of every channel that put bytes on a socket."""
+        return {channel: book for sender in self.senders.values()
+                for channel, book in sender.book.items()}
+
     def report(self) -> Dict[str, Any]:
-        """The end-of-run report: per-tenant reports + transport footprint."""
+        """The end-of-run report: per-tenant reports, byte books, footprint."""
         wals = [t.wal for t in self.tenants.values() if t.wal is not None]
         return {
             "node_id": self.node_id,
             "tenants": {
                 rid: tenant.report() for rid, tenant in self.tenants.items()
             },
+            "wire_stats": self.wire_books(),
             "transport": {
                 "peer_streams": len(self.peer_streams),
                 "open_streams": sum(

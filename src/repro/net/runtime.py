@@ -60,13 +60,14 @@ from ..core.host import LatencySummary, RunMetrics
 from ..core.protocol import ReplicaEvent, UpdateId
 from ..core.registers import Register, ReplicaId
 from ..core.share_graph import ShareGraph
-from ..sim.engine import ReliabilityConfig
+from ..wire.channel import BatchingConfig, ReliabilityConfig
 from ..wire.primitives import WireFormatError
 from . import frames
 from .framing import StreamDecoder, encode_frame
 from .node import (
+    DEFAULT_BATCHING,
+    DEFAULT_RELIABILITY,
     Address,
-    BatchPolicy,
     Channel,
     NodeConfig,
     NodeId,
@@ -309,16 +310,17 @@ class LiveRunResult:
         return events
 
     def channel_wire_stats(self) -> Dict[Channel, Any]:
-        """Per-channel outgoing wire books, merged across replicas.
+        """Per-channel outgoing wire books, merged across nodes.
 
-        Each directed channel is owned by exactly one sending replica, so
-        the merge is a plain union — the live counterpart of the
-        simulator's ``NetworkStats.per_channel``.  Channels between
+        Each directed channel is owned by exactly one sending node, so the
+        merge is a plain union — the same
+        :class:`~repro.wire.channel.ChannelWireStats` books the simulator
+        exposes as ``NetworkStats.per_channel``.  Channels between
         co-hosted replicas short-circuit in process and never appear: no
         bytes, no book.
         """
         out: Dict[Channel, Any] = {}
-        for report in self.reports.values():
+        for report in self.node_reports.values():
             out.update(report.get("wire_stats", {}))
         return out
 
@@ -456,8 +458,10 @@ class LiveCluster:
         algorithm).  Must be a picklable module-level callable (the spawn
         start method ships it to the child).
     batching, reliability:
-        Wire-layer knobs forwarded to every node (seconds, not simulated
-        units).
+        Channel options forwarded to every node, in seconds
+        (:class:`~repro.wire.channel.BatchingConfig`, default 16 messages
+        / 2 ms; :class:`~repro.wire.channel.ReliabilityConfig`, default
+        1 s / 8 retries).
     durable_dir:
         Directory for per-replica checkpoint + WAL files; required for
         :meth:`kill`/:meth:`restart` recovery.  ``None`` runs diskless.
@@ -484,7 +488,7 @@ class LiveCluster:
         self,
         share_graph: ShareGraph,
         replica_factory: Callable = edge_indexed_factory,
-        batching: Optional[BatchPolicy] = None,
+        batching: Optional[BatchingConfig] = None,
         reliability: Optional[ReliabilityConfig] = None,
         durable_dir: Optional[str] = None,
         listen_host: str = "127.0.0.1",
@@ -510,10 +514,6 @@ class LiveCluster:
         self._restarts = 0
         self._down_since: Dict[ReplicaId, float] = {}
         self._downtime: Dict[ReplicaId, List[Tuple[float, float]]] = {}
-        batching = batching or BatchPolicy()
-        reliability = reliability or ReliabilityConfig(
-            resend_timeout=1.0, max_retries=8
-        )
         if durable_dir is not None:
             os.makedirs(durable_dir, exist_ok=True)
         self.placement = self._resolve_placement(nodes, placement)
@@ -531,8 +531,8 @@ class LiveCluster:
                 replica_nodes=dict(self._replica_node),
                 listen_host=listen_host,
                 replica_factory=replica_factory,
-                batching=batching,
-                reliability=reliability,
+                batching=batching or DEFAULT_BATCHING,
+                reliability=reliability or DEFAULT_RELIABILITY,
                 durable_dir=durable_dir,
                 wal_compact_bytes=wal_compact_bytes,
                 clock_origin=self.clock_origin,

@@ -52,7 +52,7 @@ from typing import (
     Type,
 )
 
-from ..core.errors import ConfigurationError, SimulationError
+from ..core.errors import SimulationError
 from ..core.host import (
     FaultRecord,
     LatencySummary,
@@ -65,8 +65,15 @@ from ..core.host import (
 from ..core.protocol import UpdateId, UpdateMessage
 from ..core.registers import ReplicaId
 from ..core.share_graph import ShareGraph
-from ..wire.batch import MessageBatch, encode_batch
-from ..wire.channel import ChannelDeltaEncoder
+from ..wire.batch import MessageBatch
+from ..wire.channel import (
+    BatchingConfig,
+    ChannelSender,
+    ChannelWireStats,
+    CopyKey,
+    ReliabilityConfig,
+    Window,
+)
 from ..wire.frames import WireSizes, message_wire_sizes
 from .delays import Channel, DelayModel, UniformDelay
 
@@ -116,10 +123,9 @@ class BatchDeliveryEvent:
     ``sent_at`` is the flush (wire) time; ``sent_times`` records when each
     contained message entered the batching window, so per-message latency
     accounting includes the window wait.  ``epoch`` is the channel's stream
-    epoch at encode time: a crash severs the channel's byte stream (the
-    peer's decoder state dies with it), and a batch from a stale epoch is
-    discarded on arrival exactly as a broken TCP connection would drop its
-    in-flight data — its contents come back via retransmission/resync.
+    epoch at encode time: a batch from an epoch a crash has since severed
+    is discarded on arrival, as a broken TCP connection drops its in-flight
+    data — its contents come back via retransmission/resync.
     """
 
     batch: MessageBatch
@@ -305,22 +311,6 @@ class EventKernel:
 # ======================================================================
 
 @dataclass
-class ChannelWireStats:
-    """Byte-accurate per-channel traffic accounting (wire accounting on)."""
-
-    messages: int = 0
-    batches: int = 0
-    header_bytes: int = 0
-    timestamp_bytes: int = 0
-    payload_bytes: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        """All bytes put on this channel."""
-        return self.header_bytes + self.timestamp_bytes + self.payload_bytes
-
-
-@dataclass
 class NetworkStats:
     """Aggregate traffic statistics maintained by the transport."""
 
@@ -362,7 +352,8 @@ class NetworkStats:
     #: Timestamp frames shipped as per-channel deltas vs. in full.
     delta_frames_sent: int = 0
     full_frames_sent: int = 0
-    #: Per-channel byte breakdown, keyed by (sender, destination).
+    #: Per-channel byte breakdown, keyed by (sender, destination) — the
+    #: transport's :attr:`~repro.wire.channel.ChannelSender.book` itself.
     per_channel: Dict[Channel, ChannelWireStats] = field(default_factory=dict)
 
     @property
@@ -384,91 +375,37 @@ class NetworkStats:
             return 0.0
         return 1.0 - self.timestamp_bytes_sent / self.timestamp_bytes_full
 
-    def account_wire(self, channel: Channel, sizes: WireSizes,
-                     messages: int, batches: int = 0) -> None:
-        """Fold one encoded frame/envelope into the aggregate and per-channel books."""
+    def account_wire(self, sizes: WireSizes) -> None:
+        """Fold one encoded frame/envelope into the aggregate byte counters."""
         self.header_bytes_sent += sizes.header_bytes
         self.timestamp_bytes_sent += sizes.timestamp_bytes
         self.payload_bytes_sent += sizes.payload_bytes
         self.timestamp_bytes_full += sizes.timestamp_bytes_full
         self.delta_frames_sent += sizes.delta_frames
         self.full_frames_sent += sizes.full_frames
-        per_channel = self.per_channel.setdefault(channel, ChannelWireStats())
-        per_channel.messages += messages
-        per_channel.batches += batches
-        per_channel.header_bytes += sizes.header_bytes
-        per_channel.timestamp_bytes += sizes.timestamp_bytes
-        per_channel.payload_bytes += sizes.payload_bytes
-
-
-@dataclass(frozen=True)
-class BatchingConfig:
-    """Parameters of the transport's per-channel batching window.
-
-    With batching enabled, every message sent on a (sender, destination)
-    channel joins that channel's open window; the window is flushed as one
-    :class:`~repro.wire.batch.MessageBatch` — delivered as a *single*
-    kernel event — when it reaches ``max_messages`` or when its
-    ``max_delay`` kernel-time deadline (armed by the first message) fires,
-    whichever comes first.
-
-    Batched channels behave like one FIFO byte stream per channel (batches
-    on a channel never overtake each other), which is what makes the
-    cross-batch timestamp delta encoding (``delta_encoding=True``) sound.
-    Enabling batching implies wire accounting: every flush is encoded
-    through :mod:`repro.wire` and booked into :class:`NetworkStats` in real
-    bytes.
-    """
-
-    max_messages: int = 16
-    max_delay: float = 1.0
-    delta_encoding: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_messages < 1:
-            raise ConfigurationError("batching max_messages must be at least 1")
-        if self.max_delay < 0:
-            raise ConfigurationError("batching max_delay must be non-negative")
-
-
-@dataclass(frozen=True)
-class ReliabilityConfig:
-    """Parameters of the transport's ack + resend-timer reliability layer.
-
-    With the layer enabled, every non-parked send arms a resend timer; an
-    actual delivery acknowledges the message (after ``ack_delay``), and an
-    unacknowledged message is retransmitted up to ``max_retries`` times.
-    The final attempt bypasses the loss sampler (the channel is fair-lossy),
-    so a lossy/duplicating channel still delivers every message to a live
-    destination — the protocol layer's duplicate suppression then restores
-    the paper's exactly-once delivery assumption end to end.
-    """
-
-    resend_timeout: float = 30.0
-    max_retries: int = 8
-    ack_delay: float = 0.0
 
 
 class Transport:
     """Point-to-point channels over an event kernel.
 
-    Samples a delay for every message from the :class:`DelayModel` and
-    schedules the corresponding :class:`DeliveryEvent`.  Channels are
-    reliable and non-FIFO by default, with three fault-subsystem extensions
-    (all inert unless enabled):
+    The kernel-time driver of a :class:`~repro.wire.channel.ChannelSender`
+    (which owns windows, batch encoding, outstanding copies and the
+    sent-log): the transport samples each copy's fate and delay from the
+    :class:`DelayModel`, turns the sender's deadlines into timer events
+    and its batches into delivery events, and keeps the aggregate
+    :class:`NetworkStats`.  Channels are reliable and non-FIFO by default,
+    with three fault-subsystem extensions (all inert unless enabled):
 
     * channels can be held (parking all traffic) and released, as the
       adversarial schedules of the necessity experiments require, and the
       replica set can be *partitioned* into isolated groups — a parked
-      message flies once **both** its explicit hold is released and no
-      partition separates its endpoints;
-    * lossy/duplicating delay-model wrappers
-      (:class:`~repro.sim.delays.LossyDelay`,
-      :class:`~repro.sim.delays.DuplicatingDelay`) are honoured per send,
-      with an ack + resend-timer reliability layer
+      message flies once **both** its hold is released and no partition
+      separates its endpoints;
+    * lossy/duplicating delay-model wrappers (:mod:`repro.sim.delays`) are
+      honoured per send, with the ack + resend-timer layer
       (:meth:`enable_reliability`) restoring at-least-once delivery;
-    * a durable per-destination sent-log (:meth:`enable_sent_log`) supports
-      the crash-recovery anti-entropy exchange (:meth:`resync`).
+    * a per-destination sent-log (:meth:`enable_sent_log`) supports the
+      crash-recovery anti-entropy exchange (:meth:`resync`).
     """
 
     def __init__(
@@ -480,69 +417,55 @@ class Transport:
         self.kernel = kernel
         self.delay_model = delay_model or UniformDelay()
         self.rng = random.Random(seed)
-        self.stats = NetworkStats()
+        self.sender = ChannelSender()
+        self.stats = NetworkStats(per_channel=self.sender.book)
         #: Multiplier applied to every sampled latency (latency-spike faults).
         self.delay_factor: float = 1.0
         self._held_channels: Set[Channel] = set()
         self._held_messages: List[Tuple[float, UpdateMessage]] = []
-        #: Parked batches: (flush time, per-message send times, batch, epoch).
-        self._held_batches: List[Tuple[float, Tuple[float, ...], MessageBatch, int]] = []
+        #: Parked batches, as the delivery events they will become.
+        self._held_batches: List[BatchDeliveryEvent] = []
         self._partition_groups: Optional[Tuple[FrozenSet[ReplicaId], ...]] = None
         self._partition_lookup: Dict[ReplicaId, int] = {}
-        self._reliability: Optional[ReliabilityConfig] = None
-        #: Unacknowledged tracked messages: (uid, destination) -> (sent_at, message).
-        self._outstanding: Dict[Tuple[UpdateId, ReplicaId], Tuple[float, UpdateMessage]] = {}
-        self._acked: Set[Tuple[UpdateId, ReplicaId]] = set()
-        #: Messages already delivered whose (delayed) ack has not fired yet;
-        #: still in ``_outstanding``, but they need no re-delivery.
-        self._pending_acks: Set[Tuple[UpdateId, ReplicaId]] = set()
-        #: Per-destination durable outbox (crash resync); None = disabled.
-        self._sent_log: Optional[Dict[ReplicaId, Dict[UpdateId, Tuple[float, UpdateMessage]]]] = None
-        # -- wire layer ------------------------------------------------
-        self._batching: Optional[BatchingConfig] = None
+        #: Copies already delivered whose (delayed) ack has not fired yet;
+        #: still outstanding at the sender, but they need no re-delivery.
+        self._pending_acks: Set[CopyKey] = set()
         self._wire_accounting: bool = False
-        self._delta_encoder: Optional[ChannelDeltaEncoder] = None
         #: Resolves a message to its family codec via the sending replica;
         #: installed by the host once the replicas exist.
         self._codec_resolver: Optional[Callable[[UpdateMessage], Any]] = None
-        #: Open batching windows: channel -> [(send time, message), …].
-        self._open_batches: Dict[Channel, List[Tuple[float, UpdateMessage]]] = {}
-        #: Per-channel flush sequence numbers and deadline-timer generations.
-        self._batch_seq: Dict[Channel, int] = {}
-        self._flush_generation: Dict[Channel, int] = {}
         #: Last scheduled batch-arrival time per channel (the FIFO clamp).
         self._last_batch_arrival: Dict[Channel, float] = {}
-        #: Per-channel stream epoch, bumped when a crash severs the stream
-        #: (see :class:`BatchDeliveryEvent`).
-        self._channel_epoch: Dict[Channel, int] = {}
         #: The attached :class:`~repro.obs.trace.TraceRecorder`, if any;
         #: ``None`` on the untraced fast path.
         self.tracer: Optional[Any] = None
 
     # ------------------------------------------------------------------
-    # Fault-subsystem configuration
+    # Configuration
     # ------------------------------------------------------------------
     def enable_reliability(self, config: Optional[ReliabilityConfig] = None) -> None:
         """Turn on the ack + resend-timer layer (idempotent)."""
-        self._reliability = config or ReliabilityConfig()
+        self.sender.reliability = config or ReliabilityConfig()
 
-    # ------------------------------------------------------------------
-    # Wire-layer configuration
-    # ------------------------------------------------------------------
-    def enable_wire_accounting(self) -> None:
-        """Book every sent message/batch into the byte-accurate statistics.
+    def enable_sent_log(self) -> None:
+        """Start retaining every sent message per destination (idempotent).
 
-        Off by default: the fault-free fast path then never touches the
-        codecs.  Enabling batching turns this on implicitly.
+        Required by :meth:`resync`; off by default so fault-free runs keep
+        no per-message state.
         """
+        if self.sender.sent_log is None:
+            self.sender.sent_log = {}
+
+    def enable_wire_accounting(self) -> None:
+        """Book every sent message/batch into the byte-accurate statistics
+        (off by default, so the plain fast path never touches the codecs;
+        implied by batching)."""
         self._wire_accounting = True
 
     def enable_batching(self, config: Optional[BatchingConfig] = None) -> None:
         """Turn on per-channel batching windows (implies wire accounting)."""
-        self._batching = config or BatchingConfig()
+        self.sender.enable_batching(config or BatchingConfig())
         self._wire_accounting = True
-        if self._batching.delta_encoding and self._delta_encoder is None:
-            self._delta_encoder = ChannelDeltaEncoder()
 
     def set_codec_resolver(
         self, resolver: Optional[Callable[[UpdateMessage], Any]]
@@ -553,7 +476,7 @@ class Transport:
     @property
     def batching(self) -> Optional[BatchingConfig]:
         """The active batching configuration, or ``None``."""
-        return self._batching
+        return self.sender.batching
 
     def _codec_for(self, message: UpdateMessage) -> Any:
         if self._codec_resolver is None:
@@ -564,25 +487,14 @@ class Transport:
         """Book one standalone (full-frame) envelope, if accounting is on.
 
         Used by the unbatched send path and by every retransmission/resync
-        re-send, so ``NetworkStats`` byte totals cover *all* copies put on
-        the wire — per-channel message counts therefore include
-        retransmitted copies.
+        re-send, so the byte totals — and the per-channel message counts —
+        cover *all* copies put on the wire.
         """
         if not self._wire_accounting:
             return
         sizes = message_wire_sizes(message, codec=self._codec_for(message))
-        self.stats.account_wire(
-            (message.sender, message.destination), sizes, messages=1
-        )
-
-    def enable_sent_log(self) -> None:
-        """Start retaining every sent message per destination (idempotent).
-
-        Required by :meth:`resync`; off by default so fault-free runs keep
-        no per-message state.
-        """
-        if self._sent_log is None:
-            self._sent_log = {}
+        self.stats.account_wire(sizes)
+        self.sender.account((message.sender, message.destination), sizes, messages=1)
 
     # ------------------------------------------------------------------
     # Sending
@@ -601,19 +513,22 @@ class Transport:
         else:
             self.stats.metadata_only_messages_sent += 1
 
-        if self._sent_log is not None:
-            destination_log = self._sent_log.setdefault(message.destination, {})
-            destination_log[message.update.uid] = (self.kernel.now, message)
+        sender = self.sender
+        if sender.sent_log is not None:
+            sender.log(message)
 
         if self.tracer is not None:
             self.tracer.record("send", message.update.uid, message.sender,
                                message.destination, self.kernel.now)
 
-        if self._batching is not None and delay is None:
-            self._enqueue_for_batch(message)
+        if sender.batching is not None and delay is None:
+            full, opened = sender.add(message, self.kernel.now)
+            if full:
+                self._flush_channel((message.sender, message.destination))
+            elif opened is not None:
+                self._arm_flush((message.sender, message.destination), opened)
             return
 
-        channel = (message.sender, message.destination)
         # Unbatched messages ship as standalone envelopes with full
         # timestamp frames (delta frames need the per-channel FIFO stream
         # only the batching transport provides).  No window means the copy
@@ -621,11 +536,19 @@ class Transport:
         if self.tracer is not None:
             self.tracer.record("wire", message.update.uid, message.sender,
                                message.destination, self.kernel.now)
+        self._send_single(message, delay)
+
+    def _send_single(self, message: UpdateMessage,
+                     delay: Optional[float] = None) -> None:
+        """Put one standalone envelope on the wire now, or park it."""
         self._account_single(message)
-        if self._blocked(channel):
-            self._held_messages.append((self.kernel.now, message))
+        now = self.kernel.now
+        if self._blocked((message.sender, message.destination)):
+            self._held_messages.append((now, message))
             return
-        self._transmit(message, sent_at=self.kernel.now, delay=delay)
+        self._put_on_wire(message, sent_at=now, delay=delay)
+        if self.sender.reliability is not None and self.sender.track(message, now, now):
+            self._arm_retry((message.update.uid, message.destination))
 
     def send_all(self, messages: Iterable[UpdateMessage]) -> None:
         """Send a batch of messages."""
@@ -635,86 +558,55 @@ class Transport:
     # ------------------------------------------------------------------
     # Per-channel batching windows
     # ------------------------------------------------------------------
-    def _enqueue_for_batch(self, message: UpdateMessage) -> None:
-        """Add a message to its channel's open window, flushing when full."""
-        channel = (message.sender, message.destination)
-        window = self._open_batches.setdefault(channel, [])
-        window.append((self.kernel.now, message))
-        if len(window) >= self._batching.max_messages:
-            self._flush_channel(channel)
-            return
-        if len(window) == 1:
-            # First message arms the kernel-time flush deadline.  The
-            # generation guard makes a stale timer (window already flushed
-            # by count) a no-op without unscheduling anything.
-            generation = self._flush_generation.get(channel, 0)
+    def _arm_flush(self, channel: Channel, window: Window) -> None:
+        """Arm the flush deadline of a window just opened; the timer is a
+        no-op if the window is gone (flushed by count) when it fires."""
+        def fire(host: "SimulationHost", time: float) -> None:
+            if self.sender.windows.get(channel) is window:
+                self._flush_channel(channel)
 
-            def fire(host: "SimulationHost", time: float,
-                     channel=channel, generation=generation) -> None:
-                if self._flush_generation.get(channel, 0) == generation:
-                    self._flush_channel(channel)
-
-            self.kernel.schedule_after(
-                self._batching.max_delay, TimerEvent(callback=fire, tag="batch-flush")
-            )
+        self.kernel.schedule_at(
+            window.deadline, TimerEvent(callback=fire, tag="batch-flush")
+        )
 
     def _flush_channel(self, channel: Channel) -> None:
         """Close a channel's window and put the batch on the wire."""
-        window = self._open_batches.pop(channel, None)
-        if not window:
+        window = self.sender.windows.get(channel)
+        if window is None:
             return
-        self._flush_generation[channel] = self._flush_generation.get(channel, 0) + 1
-        seq = self._batch_seq.get(channel, 0)
-        self._batch_seq[channel] = seq + 1
-        sent_times = tuple(sent_at for sent_at, _ in window)
-        batch = MessageBatch(
-            sender=channel[0],
-            destination=channel[1],
-            seq=seq,
-            messages=tuple(message for _, message in window),
-        )
-        # Encoding happens exactly once, at flush, in send order — the
-        # sender side of the per-channel FIFO stream the delta frames
-        # assume.  A parked batch has already consumed its encoder state.
-        epoch = self._channel_epoch.get(channel, 0)
-        _, sizes = encode_batch(
-            batch,
-            encoder=self._delta_encoder,
-            codec=self._codec_for(batch.messages[0]),
+        now = self.kernel.now
+        batch, _, sizes, sent_times, epoch, tracked = self.sender.flush(
+            channel, self._codec_for(window.messages[0]), now
         )
         self.stats.batches_sent += 1
         self.stats.batched_messages_sent += len(batch.messages)
-        self.stats.account_wire(channel, sizes, messages=len(batch.messages), batches=1)
+        self.stats.account_wire(sizes)
         if self.tracer is not None:
             for message in batch.messages:
                 self.tracer.record("wire", message.update.uid, channel[0],
-                                   channel[1], self.kernel.now)
-        if self._reliability is not None:
-            for sent_at, message in window:
-                self._track(message, sent_at)
-        if self._blocked(channel):
-            self._held_batches.append((self.kernel.now, sent_times, batch, epoch))
-            return
-        self._transmit_batch(batch, sent_times, sent_at=self.kernel.now, epoch=epoch)
+                                   channel[1], now)
+        for key in tracked:
+            self._arm_retry(key)
+        event = BatchDeliveryEvent(batch, sent_at=now, sent_times=sent_times, epoch=epoch)
+        if self._blocked(channel):  # parked with its encoder state already consumed
+            self._held_batches.append(event)
+        else:
+            self._transmit_batch(event)
 
     def flush_open_batches(self) -> None:
         """Force-flush every open window (tests and explicit shutdown)."""
-        for channel in list(self._open_batches):
+        for channel in list(self.sender.windows):
             self._flush_channel(channel)
 
     @property
     def open_batch_messages(self) -> int:
         """Messages waiting in not-yet-flushed batching windows."""
-        return sum(len(window) for window in self._open_batches.values())
+        return sum(len(w.messages) for w in self.sender.windows.values())
 
-    def _transmit_batch(self, batch: MessageBatch, sent_times: Tuple[float, ...],
-                        sent_at: float, epoch: int = 0,
-                        force: bool = False) -> None:
+    def _transmit_batch(self, event: BatchDeliveryEvent) -> None:
         """Sample the channel fate for a flushed batch and schedule it."""
-        if force:
-            copies = 1
-        else:
-            copies = self.delay_model.fate(batch.messages[0], self.rng)
+        batch = event.batch
+        copies = self.delay_model.fate(batch.messages[0], self.rng)
         if copies <= 0:
             # The whole envelope is lost; with the reliability layer on the
             # per-message resend timers recover the contents as singles
@@ -723,22 +615,18 @@ class Transport:
             # cannot have — every delivered delta frame stays decodable.
             self.stats.batches_dropped += 1
             self.stats.messages_dropped += len(batch.messages)
-            if self._delta_encoder is not None:
-                self._delta_encoder.reset(batch.channel)
+            self.sender.restart_chain(batch.channel)
             return
         if copies > 1:
             self.stats.messages_duplicated += (copies - 1) * len(batch.messages)
         for _ in range(copies):
-            self._schedule_batch(batch, sent_times, sent_at=sent_at, epoch=epoch)
+            self._schedule_batch(event)
 
-    def _schedule_batch(self, batch: MessageBatch, sent_times: Tuple[float, ...],
-                        sent_at: float, epoch: int = 0) -> None:
-        """Schedule a batch delivery, clamped to per-channel FIFO order.
-
-        Batches on one channel model a single byte stream (one TCP
-        connection): a later batch never overtakes an earlier one, however
-        the delays are sampled.
-        """
+    def _schedule_batch(self, event: BatchDeliveryEvent) -> None:
+        """Schedule a batch delivery, clamped to per-channel FIFO order: a
+        channel is one byte stream, so a later batch never overtakes an
+        earlier one, however the delays are sampled."""
+        batch = event.batch
         latency = self.delay_model.delay(batch.messages[0], self.rng) * self.delay_factor
         if latency < 0:
             raise SimulationError(f"negative message delay: {latency}")
@@ -747,27 +635,12 @@ class Transport:
             self._last_batch_arrival.get(batch.channel, 0.0),
         )
         self._last_batch_arrival[batch.channel] = arrival
-        self.kernel.schedule_at(
-            arrival,
-            BatchDeliveryEvent(
-                batch=batch, sent_at=sent_at, sent_times=sent_times, epoch=epoch
-            ),
-        )
-
-    def _transmit(self, message: UpdateMessage, sent_at: float,
-                  delay: Optional[float] = None, force: bool = False) -> None:
-        """First wire attempt: put on the wire, arm the reliability layer."""
-        self._put_on_wire(message, sent_at=sent_at, delay=delay, force=force)
-        if self._reliability is not None:
-            self._track(message, sent_at)
+        self.kernel.schedule_at(arrival, event)
 
     def _put_on_wire(self, message: UpdateMessage, sent_at: float,
                      delay: Optional[float] = None, force: bool = False) -> None:
-        """Sample the channel fate and schedule the resulting copies.
-
-        ``force=True`` bypasses the loss/duplication sampler (used by the
-        final retransmission attempt and by scripted-delay sends).
-        """
+        """Sample the channel fate and schedule the resulting copies
+        (``force`` bypasses the sampler: a final retransmission attempt)."""
         if delay is not None or force:
             copies = 1
         else:
@@ -795,15 +668,16 @@ class Transport:
         """Per-message delivery bookkeeping shared by singles and batches."""
         self.stats.messages_delivered += 1
         self.stats.total_latency += time - sent_at
-        if self._reliability is not None:
+        reliability = self.sender.reliability
+        if reliability is not None:
             key = (message.update.uid, message.destination)
-            if self._reliability.ack_delay > 0 and key not in self._acked:
+            if reliability.ack_delay > 0 and key in self.sender.outstanding:
                 self._pending_acks.add(key)
 
                 def ack(host: "SimulationHost", ack_time: float, key=key) -> None:
                     self._acknowledge(key)
                 self.kernel.schedule_after(
-                    self._reliability.ack_delay, TimerEvent(callback=ack, tag="ack")
+                    reliability.ack_delay, TimerEvent(callback=ack, tag="ack")
                 )
             else:
                 self._acknowledge(key)
@@ -817,12 +691,9 @@ class Transport:
                                message.destination, time)
 
     def record_batch_delivery(self, event: BatchDeliveryEvent, time: float) -> None:
-        """Account for every message of a delivered batch.
-
-        Each message's latency runs from when it entered the batching
-        window, so the window wait is part of the measured delivery latency
-        (the cost side of the batching trade-off).
-        """
+        """Account for every message of a delivered batch.  Latency runs
+        from when a message entered the batching window: the window wait is
+        the cost side of the batching trade-off."""
         for message, sent_at in zip(event.batch.messages, event.sent_times):
             self._note_message_delivered(message, sent_at, time)
         if self.tracer is not None:
@@ -831,65 +702,48 @@ class Transport:
                                    message.sender, message.destination, time)
 
     def note_lost_delivery(self, event: DeliveryEvent) -> None:
-        """Account for a delivery discarded because its destination is down.
-
-        The message is deliberately *not* acknowledged: with the reliability
-        layer on it will be retransmitted, and the crash-recovery resync
-        covers it otherwise.
-        """
+        """Account for a delivery discarded because its destination is down
+        (deliberately *not* acknowledged: the reliability layer retransmits
+        it, and the crash-recovery resync covers it otherwise)."""
         self.stats.messages_lost_to_crash += 1
 
     def note_lost_batch(self, event: BatchDeliveryEvent) -> None:
         """Account for a whole batch discarded at a crashed destination.
 
-        The crash severs the channel's byte stream: the epoch bump makes
-        every batch still in flight on this channel stale (it dies on
-        arrival, like in-flight data of a broken TCP connection), and the
-        delta encoder restarts so frames flushed after this point go full
-        until a new chain builds up.  Content recovery is the
-        retransmission/resync layer's job — those paths re-send full-frame
-        singles — so every batch that *is* delivered chains only through
-        delivered predecessors.
+        The crash severs the channel's stream
+        (:meth:`~repro.wire.channel.ChannelSender.sever`).  Content
+        recovery is the retransmission/resync layer's job — those paths
+        re-send full-frame singles — so every batch that *is* delivered
+        chains only through delivered predecessors.
         """
         channel = event.batch.channel
         self.stats.messages_lost_to_crash += len(event.batch.messages)
-        if event.epoch == self._channel_epoch.get(channel, 0):
+        if not self.batch_is_stale(event):
             # A live-stream batch hit a crashed peer the fault layer had
             # not already severed (hosts without a FaultInjector); cut the
             # stream here.  A batch from an already-severed epoch must not
             # bump again — the successor stream is live.
-            self._sever_channel(channel)
-
-    def _sever_channel(self, channel: Channel) -> None:
-        self._channel_epoch[channel] = self._channel_epoch.get(channel, 0) + 1
-        if self._delta_encoder is not None:
-            self._delta_encoder.reset(channel)
+            self.sender.sever(channel)
 
     def sever_streams(self, replica_id: ReplicaId) -> None:
         """Sever the batched streams broken by a replica crash.
 
         Called by the fault layer at crash time.  Channels *into* the
-        crashed replica lose their receiver-side decoder state, so their
-        epoch is bumped: in-flight batches become stale (they die on
-        arrival, and resync/retransmission recover the contents) and
-        post-crash flushes start fresh delta chains.  Channels *out of*
-        the crashed replica only lose the sender-side encoder state —
-        batches already in flight to live peers remain decodable (the
-        receivers' state is intact and FIFO order holds), so only the
-        encoder chain restarts: the crashed sender's next post-restart
-        flush goes full.  A no-op without batching.
+        crashed replica lose their receiver-side decoder state: they are
+        severed, so in-flight batches die on arrival (resync and
+        retransmission recover the contents).  Channels *out of* it only
+        lose the encoder state — batches already in flight to live peers
+        stay decodable — so only their delta chains restart.
         """
-        if self._batching is None:
-            return
-        for channel in set(self._batch_seq) | set(self._open_batches):
+        for channel in self.sender.channels():
             if channel[1] == replica_id:
-                self._sever_channel(channel)
-            elif channel[0] == replica_id and self._delta_encoder is not None:
-                self._delta_encoder.reset(channel)
+                self.sender.sever(channel)
+            elif channel[0] == replica_id:
+                self.sender.restart_chain(channel)
 
     def batch_is_stale(self, event: BatchDeliveryEvent) -> bool:
         """``True`` when the batch's stream epoch predates a crash cut."""
-        return event.epoch != self._channel_epoch.get(event.batch.channel, 0)
+        return event.epoch != self.sender.epoch(event.batch.channel)
 
     # ------------------------------------------------------------------
     # Dynamic membership support
@@ -899,17 +753,18 @@ class Transport:
 
         The reconfiguration flush delivers these directly at the epoch
         boundary; they are acknowledged here (before delivery) so pending
-        retransmission timers become no-ops and no old-epoch copy survives
-        into the new configuration.  Messages already delivered and merely
-        awaiting a delayed ack are acknowledged without being returned —
-        re-delivering them would double-count delivery statistics.
+        retransmission timers become no-ops and no old-epoch copy survives.
+        Messages already delivered and merely awaiting a delayed ack are
+        acknowledged without being returned — re-delivering them would
+        double-count delivery statistics.
         """
+        outstanding = self.sender.outstanding
         out = [
-            self._outstanding[key]
-            for key in sorted(self._outstanding)
+            (outstanding[key].sent_at, outstanding[key].message)
+            for key in sorted(outstanding)
             if key not in self._pending_acks
         ]
-        for key in list(self._outstanding):
+        for key in list(outstanding):
             self._acknowledge(key)
         return out
 
@@ -922,105 +777,72 @@ class Transport:
     def take_held_batches(
         self,
     ) -> List[Tuple[float, Tuple[float, ...], MessageBatch, int]]:
-        """Claim every parked batch (epoch flush)."""
+        """Claim every parked batch (epoch flush), as
+        ``(flush time, per-message send times, batch, stream epoch)``."""
         held = self._held_batches
         self._held_batches = []
-        return held
+        return [(e.sent_at, e.sent_times, e.batch, e.epoch) for e in held]
 
     def restart_delta_streams(self) -> None:
-        """Reset every channel's timestamp delta chain (epoch boundary).
-
-        After a migration, the last-shipped timestamp on each channel is
-        indexed by the retired configuration's edges; the next frame on
-        every channel must go full.
-        """
-        if self._delta_encoder is not None:
-            self._delta_encoder.reset()
+        """Reset every channel's timestamp delta chain (epoch boundary):
+        the last-shipped timestamps are indexed by the retired
+        configuration's edges, so every next frame must go full."""
+        self.sender.restart_chain()
 
     def forget_replica(self, replica_id: ReplicaId) -> None:
-        """Garbage-collect all per-replica transport state (a *leave*).
-
-        Drops the leaver's sent-log outbox, reliability tracking, batching
-        stream state and delta chains; aggregate statistics are preserved
-        (they describe the past, which the leave does not rewrite).
-        """
-        if self._sent_log is not None:
-            self._sent_log.pop(replica_id, None)
-        for key in [k for k in self._outstanding if k[1] == replica_id]:
-            del self._outstanding[key]
-        self._acked = {k for k in self._acked if k[1] != replica_id}
+        """Garbage-collect all per-replica transport state (a *leave*):
+        sent-log, outstanding copies, stream state and delta chains.  The
+        statistics stay — they describe the past, which a leave does not
+        rewrite."""
+        self.sender.forget(replica_id)
         self._pending_acks = {k for k in self._pending_acks if k[1] != replica_id}
-        stale_channels = {
-            channel
-            for book in (self._batch_seq, self._open_batches)
-            for channel in book
-            if replica_id in channel
-        }
-        for book in (
-            self._batch_seq,
-            self._flush_generation,
-            self._last_batch_arrival,
-            self._channel_epoch,
-        ):
-            for channel in [c for c in book if replica_id in c]:
-                del book[channel]
-        if self._delta_encoder is not None:
-            for channel in stale_channels:
-                self._delta_encoder.reset(channel)
+        for channel in [c for c in self._last_batch_arrival if replica_id in c]:
+            del self._last_batch_arrival[channel]
 
     def note_stale_batch(self, event: BatchDeliveryEvent) -> None:
         """Discard a batch whose stream was severed while it was in flight.
 
         Counted with the crash losses (the crash is what killed it); the
-        epoch is *not* bumped again — batches flushed after the cut belong
-        to the new stream and must keep flowing.
+        stream is *not* severed again — batches flushed after the cut
+        belong to the new stream and must keep flowing.
         """
         self.stats.messages_lost_to_crash += len(event.batch.messages)
 
     # ------------------------------------------------------------------
     # Ack + resend-timer reliability layer
     # ------------------------------------------------------------------
-    def _acknowledge(self, key: Tuple[UpdateId, ReplicaId]) -> None:
-        self._acked.add(key)
-        self._outstanding.pop(key, None)
+    def _acknowledge(self, key: CopyKey) -> None:
+        self.sender.ack(key[1], (key[0],))
         self._pending_acks.discard(key)
 
-    def _track(self, message: UpdateMessage, sent_at: float) -> None:
-        key = (message.update.uid, message.destination)
-        if key in self._acked or key in self._outstanding:
-            return
-        self._outstanding[key] = (sent_at, message)
-        self._arm_retry(key, attempt=1)
-
-    def _arm_retry(self, key: Tuple[UpdateId, ReplicaId], attempt: int) -> None:
-        def fire(host: "SimulationHost", time: float,
-                 key=key, attempt=attempt) -> None:
-            self._retry(key, attempt)
+    def _arm_retry(self, key: CopyKey) -> None:
+        def fire(host: "SimulationHost", time: float) -> None:
+            self._retry(key)
 
         self.kernel.schedule_after(
-            self._reliability.resend_timeout,
+            self.sender.reliability.resend_timeout,
             TimerEvent(callback=fire, tag="retransmit"),
         )
 
-    def _retry(self, key: Tuple[UpdateId, ReplicaId], attempt: int) -> None:
-        if key in self._acked or key not in self._outstanding:
+    def _retry(self, key: CopyKey) -> None:
+        copy = self.sender.outstanding.get(key)
+        if copy is None:
             return
-        sent_at, message = self._outstanding[key]
-        channel = (message.sender, message.destination)
-        if self._blocked(channel):
+        message = copy.message
+        if self._blocked((message.sender, message.destination)):
             # Hand the copy to the partition/hold buffer: it is delivered
             # unconditionally on release/heal, so the timer chain can stop.
-            self._held_messages.append((sent_at, message))
-            del self._outstanding[key]
+            self._held_messages.append((copy.sent_at, message))
+            self.sender.abandon(key)
             return
         self.stats.retransmissions += 1
         self._account_single(message)
-        final = attempt >= self._reliability.max_retries
-        self._put_on_wire(message, sent_at=sent_at, force=final)
-        if final:
-            del self._outstanding[key]
+        final = self.sender.retry(key, self.kernel.now)
+        self._put_on_wire(message, sent_at=copy.sent_at, force=final)
+        if final:  # the forced copy cannot be lost: nothing to wait for
+            self.sender.abandon(key)
         else:
-            self._arm_retry(key, attempt + 1)
+            self._arm_retry(key)
 
     # ------------------------------------------------------------------
     # Crash-recovery anti-entropy
@@ -1031,28 +853,20 @@ class Transport:
 
         The anti-entropy half of crash recovery: the restarted replica
         reports the update ids it holds (applied + pending, from its durable
-        snapshot) and the transport re-sends the rest from its sent-log,
-        through the normal delay/partition path.  Requires
-        :meth:`enable_sent_log` to have been on while the messages were
-        originally sent.  Returns the re-sent update ids in send order.
+        snapshot) and the rest of the sent-log is re-sent through the normal
+        delay/partition path.  Requires :meth:`enable_sent_log` to have been
+        on at the original sends.  Returns the re-sent ids in send order.
         """
-        if self._sent_log is None:
+        if self.sender.sent_log is None:
             raise SimulationError(
                 "resync requires the transport sent-log; call enable_sent_log() "
                 "(the FaultInjector does this on construction)"
             )
         missing: List[UpdateId] = []
-        for uid, (sent_at, message) in self._sent_log.get(destination, {}).items():
-            if uid in known:
-                continue
-            missing.append(uid)
+        for message in self.sender.missing(destination, known):
+            missing.append(message.update.uid)
             self.stats.retransmissions += 1
-            self._account_single(message)
-            channel = (message.sender, message.destination)
-            if self._blocked(channel):
-                self._held_messages.append((self.kernel.now, message))
-            else:
-                self._transmit(message, sent_at=self.kernel.now)
+            self._send_single(message)
         return missing
 
     # ------------------------------------------------------------------
@@ -1126,19 +940,19 @@ class Transport:
             else:
                 self._schedule(message, sent_at=sent_at)
         self._held_messages = still_parked
-        still_parked_batches: List[Tuple[float, Tuple[float, ...], MessageBatch, int]] = []
-        for sent_at, sent_times, batch, epoch in self._held_batches:
-            if self._blocked(batch.channel):
-                still_parked_batches.append((sent_at, sent_times, batch, epoch))
+        still_parked_batches: List[BatchDeliveryEvent] = []
+        for event in self._held_batches:
+            if self._blocked(event.batch.channel):
+                still_parked_batches.append(event)
             else:
-                self._schedule_batch(batch, sent_times, sent_at=sent_at, epoch=epoch)
+                self._schedule_batch(event)
         self._held_batches = still_parked_batches
 
     @property
     def held_count(self) -> int:
         """Number of messages currently parked on held or partitioned channels."""
         return len(self._held_messages) + sum(
-            len(batch.messages) for _, _, batch, _ in self._held_batches
+            len(event.batch.messages) for event in self._held_batches
         )
 
 

@@ -20,11 +20,10 @@ of sender/destination is the header-byte win.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..core.protocol import UpdateMessage
 from ..core.registers import ReplicaId
-from .channel import ChannelDeltaDecoder, ChannelDeltaEncoder
 from .codecs import TimestampCodec
 from .frames import (
     WIRE_VERSION,
@@ -39,6 +38,9 @@ from .primitives import (
     encode_atom_into,
     encode_uvarint_into,
 )
+
+if TYPE_CHECKING:  # channel.py builds batches, so it imports this module
+    from .channel import ChannelDeltaDecoder, ChannelDeltaEncoder
 
 
 @dataclass(frozen=True, slots=True)

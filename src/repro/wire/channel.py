@@ -1,32 +1,99 @@
-"""Per-channel delta-encoding state: the sender/receiver halves of a stream.
+"""A directed channel's sending half, and the delta state of both halves.
+
+The paper assumes reliable point-to-point channels that hand every update,
+with its timestamp, to the destination exactly once (Section 2).  This
+module is the one implementation of the *sending* side of that contract:
+:class:`ChannelSender`, a clock-free, socket-free state machine, with its
+six options (:class:`BatchingConfig`, :class:`ReliabilityConfig`) and its
+byte book (:class:`ChannelWireStats`).  Two drivers feed it messages, acks
+and the current time and carry out what it hands back — an encoded batch,
+a deadline to arm, a copy to re-send: the simulator's
+:class:`~repro.sim.engine.Transport` (kernel timers, sampled delays) and the
+live node's peer streams (:mod:`repro.net.node`: sockets, asyncio queues).
+``docs/ARCHITECTURE.md`` ("Channels") has the division of labour.
 
 Delta timestamp frames (:mod:`repro.wire.codecs`) are defined against *the
-previous timestamp shipped on the same (sender, destination) channel* — the
-state a real deployment would keep per TCP connection.  The encoder lives at
-the sending transport; the decoder mirrors it at the receiver, consuming
-frames in stream order.
-
-The pairing contract is exactly a FIFO byte stream's: every frame the
-encoder produces for a channel must be decoded in that order.  The batching
-transport satisfies it by construction — batches are encoded at flush time
-in send order, and the wire-format tests replay the same stream through a
-:class:`ChannelDeltaDecoder` to prove ``decode ∘ encode = id``.
-
-A channel with no prior traffic (or one explicitly :meth:`reset`, e.g. after
-a crash loses the peer's stream state) falls back to full frames
-automatically — ``prev`` is simply absent.
+previous timestamp shipped on the same channel* — the state a real
+deployment keeps per TCP connection (:class:`ChannelDeltaEncoder` /
+:class:`ChannelDeltaDecoder`).  The pairing contract is a FIFO byte
+stream's: every frame encoded for a channel must be decoded in that order.
+A channel with no prior traffic, or one whose stream was severed, falls
+back to full frames automatically.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from ..core.protocol import UpdateMessage
+from ..core.errors import ConfigurationError
+from ..core.protocol import UpdateId, UpdateMessage
 from ..core.registers import ReplicaId
+from .batch import MessageBatch, encode_batch
 from .codecs import TimestampCodec
 from .frames import WireSizes, decode_message_frame, encode_message_frame_into
 
 Channel = Tuple[ReplicaId, ReplicaId]
+#: One copy of an update: ``(update id, destination)``.
+CopyKey = Tuple[UpdateId, ReplicaId]
+
+
+@dataclass(frozen=True)
+class BatchingConfig:
+    """Parameters of a channel's batching window.
+
+    Every message sent on a channel joins that channel's open window; the
+    window is flushed as one :class:`~repro.wire.batch.MessageBatch` when
+    it reaches ``max_messages`` or when its ``max_delay`` deadline (armed
+    by the first message) passes.  ``max_delay`` is in the driver's time
+    unit: kernel time in the simulator, seconds on a live node.  Batches
+    on a channel never overtake each other — one FIFO byte stream — which
+    is what makes cross-batch delta frames (``delta_encoding``) sound.
+    """
+
+    max_messages: int = 16
+    max_delay: float = 1.0
+    delta_encoding: bool = True
+
+    def __post_init__(self) -> None:
+        if self.max_messages < 1:
+            raise ConfigurationError("batching max_messages must be at least 1")
+        if self.max_delay < 0:
+            raise ConfigurationError("batching max_delay must be non-negative")
+
+
+@dataclass(frozen=True)
+class ReliabilityConfig:
+    """Parameters of a channel's ack + resend reliability layer.
+
+    Every copy put on the wire stays *outstanding* until acknowledged and
+    is re-sent every ``resend_timeout`` (driver time units), at most
+    ``max_retries`` times.  The simulator forces the final attempt past
+    its loss sampler (the channel is fair-lossy), so a lossy/duplicating
+    channel still delivers every message to a live destination; duplicate
+    suppression at the replica then restores exactly-once delivery.
+    ``ack_delay`` postpones the simulator's acknowledgement of a delivery.
+    """
+
+    resend_timeout: float = 30.0
+    max_retries: int = 8
+    ack_delay: float = 0.0
+
+
+@dataclass
+class ChannelWireStats:
+    """Byte-accurate accounting of one channel's outgoing traffic."""
+
+    messages: int = 0
+    batches: int = 0
+    header_bytes: int = 0
+    timestamp_bytes: int = 0
+    payload_bytes: int = 0
+
+    @property
+    def total_bytes(self) -> int:
+        """All bytes put on this channel."""
+        return self.header_bytes + self.timestamp_bytes + self.payload_bytes
 
 
 class ChannelDeltaEncoder:
@@ -34,14 +101,9 @@ class ChannelDeltaEncoder:
 
     def __init__(self) -> None:
         self._last: Dict[Channel, Any] = {}
-        #: Reusable output buffer for the standalone :meth:`encode_message`
-        #: form — cleared, not reallocated, per call, so repeated encodes
-        #: keep one grown-to-size backing allocation.
-        self._scratch = bytearray()
-        #: Optional frame observer ``(channel, sizes) -> None``; ``None``
-        #: by default so untraced encoding pays one ``is not None`` check.
-        #: The observability layer uses it to count delta-vs-full frames
-        #: live (:func:`repro.obs.publish.attach_encoder_observer`).
+        #: Optional frame observer ``(channel, sizes) -> None`` counting
+        #: delta-vs-full frames live (``obs.publish.attach_encoder_observer``);
+        #: ``None`` by default: untraced encoding pays one check.
         self.on_frame: Optional[Any] = None
 
     def encode_message_into(
@@ -64,10 +126,9 @@ class ChannelDeltaEncoder:
         self, message: UpdateMessage, codec: Optional[TimestampCodec] = None
     ) -> Tuple[bytes, WireSizes]:
         """Encode one message frame, delta-encoding against channel state."""
-        scratch = self._scratch
-        del scratch[:]
-        sizes = self.encode_message_into(scratch, message, codec=codec)
-        return bytes(scratch), sizes
+        out = bytearray()
+        sizes = self.encode_message_into(out, message, codec=codec)
+        return bytes(out), sizes
 
     def reset(self, channel: Optional[Channel] = None) -> None:
         """Forget channel state (one channel, or all): next frame goes full."""
@@ -75,10 +136,6 @@ class ChannelDeltaEncoder:
             self._last.clear()
         else:
             self._last.pop(channel, None)
-
-    def peek(self, channel: Channel) -> Optional[Any]:
-        """The last timestamp shipped on ``channel`` (for tests/inspection)."""
-        return self._last.get(channel)
 
 
 class ChannelDeltaDecoder:
@@ -113,3 +170,250 @@ class ChannelDeltaDecoder:
             self._last.clear()
         else:
             self._last.pop(channel, None)
+
+
+class Window:
+    """One channel's open batching window: the messages, when each joined
+    (driver time), and when the driver must flush at the latest."""
+
+    __slots__ = ("messages", "times", "deadline")
+
+    def __init__(self, deadline: float) -> None:
+        self.messages: List[UpdateMessage] = []
+        self.times: List[float] = []
+        self.deadline = deadline
+
+
+class Copy:
+    """One unacknowledged copy and what is left of its retry budget."""
+
+    __slots__ = ("message", "sent_at", "stamped", "retries")
+
+    def __init__(self, message: UpdateMessage, sent_at: float, now: float) -> None:
+        self.message = message
+        self.sent_at = sent_at  # when it first joined a window
+        self.stamped = now      # when it last went on the wire
+        self.retries = 0
+
+
+class Flushed(NamedTuple):
+    """What :meth:`ChannelSender.flush` hands the driver to put on the wire."""
+
+    batch: MessageBatch
+    data: bytes
+    sizes: WireSizes
+    times: Tuple[float, ...]  # when each message joined the window
+    epoch: int  # the channel's stream epoch the batch was encoded in
+    #: Copies that became outstanding with this flush (resend timers to arm).
+    tracked: Tuple[CopyKey, ...]
+
+
+class ChannelSender:
+    """The sending half of a set of directed channels, as a pure state machine.
+
+    A driver owns one sender per group of channels that share a fate: the
+    simulator's transport one for all of them, a live node one per peer
+    node (one TCP stream).  All state is keyed by channel or by copy; no
+    method reads a clock or draws a random number.
+    """
+
+    def __init__(self, batching: Optional[BatchingConfig] = None,
+                 reliability: Optional[ReliabilityConfig] = None) -> None:
+        self.batching: Optional[BatchingConfig] = None
+        self.reliability = reliability
+        self.encoder: Optional[ChannelDeltaEncoder] = None
+        #: Open batching windows, oldest first.
+        self.windows: Dict[Channel, Window] = {}
+        self._seq: Dict[Channel, int] = {}
+        self._epoch: Dict[Channel, int] = {}
+        self.outstanding: Dict[CopyKey, Copy] = {}
+        #: Copies a driver holds ahead of the window (a bounded send queue).
+        self._staged: Set[CopyKey] = set()
+        #: Every logged message per destination, in send order; ``None``
+        #: until a driver that needs :meth:`missing` sets it to ``{}``.
+        self.sent_log: Optional[Dict[ReplicaId, Dict[UpdateId, UpdateMessage]]] = None
+        self.book: Dict[Channel, ChannelWireStats] = {}
+        if batching is not None:
+            self.enable_batching(batching)
+
+    def enable_batching(self, config: BatchingConfig) -> None:
+        """Open batching windows from now on (delta chains if configured)."""
+        self.batching = config
+        if config.delta_encoding and self.encoder is None:
+            self.encoder = ChannelDeltaEncoder()
+
+    # -- windows -------------------------------------------------------
+    def add(self, message: UpdateMessage, now: float) -> Tuple[bool, Optional[Window]]:
+        """Join the channel's window; returns ``(full, opened)``.
+
+        ``full``: the window reached ``max_messages``, flush it now.
+        ``opened``: the window itself if this message opened it (its
+        ``deadline`` is the one the driver arms), else ``None``.
+        """
+        channel = (message.sender, message.destination)
+        opened = None
+        window = self.windows.get(channel)
+        if window is None:
+            window = opened = Window(now + self.batching.max_delay)
+            self.windows[channel] = window
+        window.messages.append(message)
+        window.times.append(now)
+        if self._staged:
+            self._staged.discard((message.update.uid, message.destination))
+        return len(window.messages) >= self.batching.max_messages, opened
+
+    def flush(self, channel: Channel, codec: Optional[TimestampCodec],
+              now: float) -> Optional[Flushed]:
+        """Close the channel's window into one sequenced, encoded batch.
+
+        Encoding happens exactly once, here, in send order — the FIFO
+        stream the delta frames assume.  The batch is booked, and with a
+        reliability layer its copies become outstanding.
+        """
+        window = self.windows.pop(channel, None)
+        if window is None:
+            return None
+        seq = self._seq.get(channel, 0)
+        self._seq[channel] = seq + 1
+        batch = MessageBatch(sender=channel[0], destination=channel[1],
+                             seq=seq, messages=tuple(window.messages))
+        data, sizes = encode_batch(batch, encoder=self.encoder, codec=codec)
+        self.account(channel, sizes, messages=len(batch.messages), batches=1)
+        tracked: Tuple[CopyKey, ...] = ()
+        if self.reliability is not None:
+            tracked = tuple(
+                (message.update.uid, channel[1])
+                for message, sent_at in zip(window.messages, window.times)
+                if self.track(message, sent_at, now)
+            )
+        return Flushed(batch, data, sizes, tuple(window.times),
+                       self._epoch.get(channel, 0), tracked)
+
+    def account(self, channel: Channel, sizes: WireSizes,
+                messages: int, batches: int = 0) -> None:
+        """Book one encoded envelope into the channel's byte book."""
+        book = self.book.get(channel)
+        if book is None:
+            book = self.book[channel] = ChannelWireStats()
+        book.messages += messages
+        book.batches += batches
+        book.header_bytes += sizes.header_bytes
+        book.timestamp_bytes += sizes.timestamp_bytes
+        book.payload_bytes += sizes.payload_bytes
+
+    # -- streams: sequence numbers, epochs, delta chains ----------------
+    def channels(self) -> Set[Channel]:
+        """Channels with stream state: a flushed batch or an open window."""
+        return set(self._seq) | set(self.windows)
+
+    def epoch(self, channel: Channel) -> int:
+        """The channel's stream epoch (bumped by every :meth:`sever`)."""
+        return self._epoch.get(channel, 0)
+
+    def sever(self, channel: Optional[Channel] = None) -> None:
+        """The channel's byte stream died (one channel, or all).
+
+        What was in flight is gone, and the receiver's decoder state with
+        it: the epoch moves on (old-epoch batches are stale), sequence
+        numbers restart and the next frame goes full.  An open window (not
+        encoded yet) and the outstanding copies survive.
+        """
+        for severed in (self.channels() if channel is None else (channel,)):
+            self._epoch[severed] = self._epoch.get(severed, 0) + 1
+            self._seq[severed] = 0
+        self.restart_chain(channel)
+
+    def restart_chain(self, channel: Optional[Channel] = None) -> None:
+        """Make the next frame on the channel (or on all) a full one."""
+        if self.encoder is not None:
+            self.encoder.reset(channel)
+
+    def forget(self, replica_id: ReplicaId) -> None:
+        """Drop all state of channels touching a replica that left."""
+        if self.sent_log is not None:
+            self.sent_log.pop(replica_id, None)
+        for key in [k for k in self.outstanding if k[1] == replica_id]:
+            del self.outstanding[key]
+        self._staged = {k for k in self._staged if k[1] != replica_id}
+        for channel in [c for c in self.channels() if replica_id in c]:
+            self._seq.pop(channel, None)
+            self._epoch.pop(channel, None)
+            self.restart_chain(channel)
+
+    # -- reliability: outstanding copies, acks, retries ------------------
+    def stage(self, message: UpdateMessage) -> None:
+        """Note a copy the driver queued ahead of the window as in flight."""
+        self._staged.add((message.update.uid, message.destination))
+
+    def track(self, message: UpdateMessage, sent_at: float, now: float) -> bool:
+        """A copy went on the wire; ``True`` when it is newly outstanding."""
+        key = (message.update.uid, message.destination)
+        copy = self.outstanding.get(key)
+        if copy is not None:
+            copy.stamped = now
+            return False
+        self.outstanding[key] = Copy(message, sent_at, now)
+        return True
+
+    def ack(self, destination: ReplicaId, uids: Iterable[UpdateId]) -> None:
+        """The destination holds these updates: their copies are settled."""
+        for uid in uids:
+            key = (uid, destination)
+            self.outstanding.pop(key, None)
+            self._staged.discard(key)
+
+    def due(self, now: float) -> List[CopyKey]:
+        """Copies with retries left, last sent ``resend_timeout`` or more ago."""
+        timeout, budget = self.reliability.resend_timeout, self.reliability.max_retries
+        return [key for key, copy in self.outstanding.items()
+                if copy.retries < budget and now - copy.stamped >= timeout]
+
+    def retry(self, key: CopyKey, now: float) -> bool:
+        """Spend one retry on an outstanding copy the driver is re-sending.
+
+        Returns whether it was the last (``max_retries`` reached): the copy
+        is never :meth:`due` again, and a driver whose final attempt cannot
+        be lost abandons it.
+        """
+        copy = self.outstanding[key]
+        copy.retries += 1
+        copy.stamped = now
+        return copy.retries >= self.reliability.max_retries
+
+    def abandon(self, key: CopyKey) -> None:
+        """Stop waiting for a copy's ack; the sent-log can still recover it."""
+        self.outstanding.pop(key, None)
+
+    # -- sent-log and anti-entropy ---------------------------------------
+    def log(self, message: UpdateMessage) -> None:
+        """Retain a message for its destination (needs a ``sent_log``)."""
+        self.sent_log.setdefault(message.destination, {})[message.update.uid] = message
+
+    def prune(self, destination: ReplicaId,
+              uids: Iterable[UpdateId]) -> List[UpdateId]:
+        """Drop logged messages the destination holds durably; returns them."""
+        book = self.sent_log.get(destination)
+        if not book:
+            return []
+        return [uid for uid in uids if book.pop(uid, None) is not None]
+
+    def inflight(self) -> Set[CopyKey]:
+        """Copies on their way: staged, in an open window, or outstanding."""
+        copies = set(self.outstanding) | self._staged
+        for (_, destination), window in self.windows.items():
+            copies.update((m.update.uid, destination) for m in window.messages)
+        return copies
+
+    def missing(self, destination: ReplicaId, known: Set[UpdateId],
+                skip_inflight: bool = False) -> List[UpdateMessage]:
+        """Logged messages to ``destination`` it does not know, in send order.
+
+        ``skip_inflight`` leaves out copies already on their way: a peer
+        whose known-set predates them must not be offered them twice.
+        """
+        skip: Set[UpdateId] = set()
+        if skip_inflight:
+            skip = {uid for uid, to in self.inflight() if to == destination}
+        return [message
+                for uid, message in self.sent_log.get(destination, {}).items()
+                if uid not in known and uid not in skip]

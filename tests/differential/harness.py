@@ -32,6 +32,7 @@ the simulator, which two PRs' worth of tests already pin to the paper.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -40,14 +41,18 @@ from repro.core.registers import Register, RegisterPlacement, ReplicaId
 from repro.core.share_graph import ShareGraph
 from repro.net.runtime import LiveCluster
 from repro.sim.cluster import Cluster
-from repro.sim.engine import BatchingConfig
 from repro.sim.workloads import (
     OpenLoopWorkload,
     run_open_loop,
     single_writer_workload,
 )
+from repro.wire.channel import BatchingConfig
 
 Channel = Tuple[ReplicaId, ReplicaId]
+
+#: The one batching window both executions run under, in simulated time
+#: units; the live side scales ``max_delay`` to seconds by its ``time_scale``.
+BATCHING = BatchingConfig(max_messages=16, max_delay=2.0)
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ def run_sim(
         graph, seed=seed,
         # Batching makes simulated channels FIFO byte streams — the
         # delivery contract the live runtime's TCP connections provide.
-        batching=BatchingConfig(max_messages=16, max_delay=2.0),
+        batching=BATCHING,
     )
     result = run_open_loop(cluster, workload)
     stats = cluster.network.stats
@@ -197,7 +202,9 @@ def run_live(
     """
     graph = ShareGraph.from_placement(placement)
     with LiveCluster(
-        graph, durable_dir=durable_dir, nodes=nodes, placement=node_placement
+        graph, durable_dir=durable_dir, nodes=nodes, placement=node_placement,
+        batching=dataclasses.replace(
+            BATCHING, max_delay=BATCHING.max_delay * time_scale),
     ) as cluster:
         result = cluster.run_open_loop(workload, time_scale=time_scale)
     report = result.check_consistency()

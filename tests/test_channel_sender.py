@@ -1,0 +1,276 @@
+"""The channel sending half as a state machine: no kernel, no socket.
+
+Every test feeds :class:`~repro.wire.channel.ChannelSender` messages, acks
+and times by hand and checks what it hands back — the contract both the
+simulator's transport and the live node's peer streams drive.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.protocol import Update, UpdateMessage
+from repro.core.timestamps import EdgeTimestamp
+from repro.wire.batch import decode_batch
+from repro.wire.channel import (
+    BatchingConfig,
+    ChannelDeltaDecoder,
+    ChannelSender,
+    ReliabilityConfig,
+)
+from repro.wire.frames import WireSizes
+
+A, B = (1, 2), (1, 3)
+
+
+def _message(seq: int, channel=A, counter: int = 0) -> UpdateMessage:
+    sender, destination = channel
+    ts = EdgeTimestamp({(sender, destination): counter or seq, (destination, sender): 1})
+    return UpdateMessage(
+        update=Update(issuer=sender, seq=seq, register="x", value=f"v{seq}"),
+        sender=sender, destination=destination,
+        metadata=ts, metadata_size=ts.size_counters(), payload=True,
+    )
+
+
+def _sender(max_messages=3, max_delay=5.0, **reliability) -> ChannelSender:
+    return ChannelSender(
+        BatchingConfig(max_messages=max_messages, max_delay=max_delay),
+        ReliabilityConfig(**reliability) if reliability else None,
+    )
+
+
+def _flush(sender: ChannelSender, channel=A, now: float = 0.0):
+    return sender.flush(channel, None, now)
+
+
+class TestWindows:
+    def test_closes_at_max_messages_and_only_the_first_message_opens(self):
+        sender = _sender(max_messages=3, max_delay=5.0)
+        full, opened = sender.add(_message(1), now=10.0)
+        assert not full and opened.deadline == 15.0
+        assert sender.add(_message(2), now=11.0) == (False, None)
+        assert sender.add(_message(3), now=12.0) == (True, None)
+        flushed = _flush(sender, now=12.0)
+        assert [m.update.seq for m in flushed.batch.messages] == [1, 2, 3]
+        assert flushed.times == (10.0, 11.0, 12.0)
+        assert A not in sender.windows and _flush(sender) is None
+        # The next message opens a fresh window with a deadline of its own.
+        assert sender.add(_message(4), now=20.0)[1].deadline == 25.0
+
+    def test_windows_are_per_channel(self):
+        sender = _sender(max_messages=2)
+        sender.add(_message(1, A), now=0.0)
+        full, opened = sender.add(_message(1, B), now=1.0)
+        assert not full and opened is sender.windows[B]
+        assert list(sender.windows) == [A, B]
+
+    def test_sequence_numbers_are_gap_free_and_restart_on_sever(self):
+        sender = _sender(max_messages=1)
+        seqs = []
+        for n in range(1, 4):
+            sender.add(_message(n), now=0.0)
+            seqs.append(_flush(sender).batch.seq)
+        sender.add(_message(1, B), now=0.0)
+        assert _flush(sender, B).batch.seq == 0
+        assert seqs == [0, 1, 2]
+        assert sender.epoch(A) == 0
+        sender.sever(A)
+        sender.add(_message(4), now=0.0)
+        flushed = _flush(sender)
+        assert (flushed.batch.seq, flushed.epoch, sender.epoch(B)) == (0, 1, 0)
+        sender.add(_message(2, B), now=0.0)
+        assert _flush(sender, B).batch.seq == 1
+
+    def test_sever_forces_a_full_frame_on_that_channel_only(self):
+        sender = _sender(max_messages=1)
+        for channel in (A, B):
+            sender.add(_message(1, channel), now=0.0)
+            assert _flush(sender, channel).sizes.full_frames == 1
+        sender.sever(A)
+        for channel, (delta, full) in ((A, (0, 1)), (B, (1, 0))):
+            sender.add(_message(2, channel), now=0.0)
+            sizes = _flush(sender, channel).sizes
+            assert (sizes.delta_frames, sizes.full_frames) == (delta, full)
+
+    def test_sever_all_keeps_open_windows_and_outstanding_copies(self):
+        sender = _sender(max_messages=2, resend_timeout=1.0)
+        sender.add(_message(1, A), now=0.0)
+        sender.add(_message(2, A), now=0.0)
+        _flush(sender, A)
+        sender.add(_message(1, B), now=0.5)
+        sender.sever()
+        assert list(sender.windows) == [B] and len(sender.outstanding) == 2
+        assert (sender.epoch(A), sender.epoch(B)) == (1, 1)
+        assert _flush(sender, B).batch.seq == 0
+
+    def test_book_is_the_sum_of_the_flushed_sizes(self):
+        sender = _sender(max_messages=2)
+        total = WireSizes()
+        for n in range(1, 7):
+            if sender.add(_message(n), now=float(n))[0]:
+                flushed = _flush(sender)
+                assert len(flushed.data) == flushed.sizes.total_bytes
+                total = total + flushed.sizes
+        book = sender.book[A]
+        assert (book.messages, book.batches) == (6, 3)
+        assert (book.header_bytes, book.timestamp_bytes, book.payload_bytes) == (
+            total.header_bytes, total.timestamp_bytes, total.payload_bytes)
+        assert book.total_bytes == total.total_bytes
+
+    def test_forget_drops_every_trace_of_a_replica(self):
+        sender = _sender(max_messages=1, resend_timeout=1.0)
+        sender.sent_log = {}
+        for channel in (A, B):
+            sender.log(_message(1, channel))
+            sender.add(_message(1, channel), now=0.0)
+            _flush(sender, channel)
+        sender.sever(B)
+        sender.forget(3)
+        assert list(sender.sent_log) == [2] and list(sender.outstanding) == [((1, 1), 2)]
+        assert sender.channels() == {A} and sender.epoch(B) == 0
+
+
+class TestReliability:
+    def test_flush_tracks_and_ack_clears_outstanding_and_inflight(self):
+        sender = _sender(max_messages=2, resend_timeout=10.0)
+        third = _message(3)
+        sender.stage(third)
+        sender.add(_message(1), now=0.0)
+        sender.add(_message(2), now=1.0)
+        flushed = _flush(sender, now=1.0)
+        assert flushed.tracked == (((1, 1), 2), ((1, 2), 2))
+        assert sender.inflight() == {((1, 1), 2), ((1, 2), 2), ((1, 3), 2)}
+        sender.add(third, now=2.0)          # leaves the stage for a window
+        assert sender.inflight() == {((1, 1), 2), ((1, 2), 2), ((1, 3), 2)}
+        sender.ack(2, [(1, 1), (1, 3), (9, 9)])
+        assert list(sender.outstanding) == [((1, 2), 2)]
+        # (1, 3) is acked but still sits in the open window: still in flight.
+        assert sender.inflight() == {((1, 2), 2), ((1, 3), 2)}
+        assert sender.outstanding[((1, 2), 2)].sent_at == 1.0
+
+    def test_without_a_reliability_layer_nothing_is_tracked(self):
+        sender = _sender(max_messages=1)
+        sender.add(_message(1), now=0.0)
+        assert _flush(sender).tracked == () and not sender.outstanding
+
+    def test_a_copy_flushed_twice_is_tracked_once_and_restamped(self):
+        sender = _sender(max_messages=1, resend_timeout=10.0)
+        message = _message(1)
+        sender.add(message, now=0.0)
+        assert _flush(sender, now=0.0).tracked == (((1, 1), 2),)
+        sender.add(message, now=8.0)
+        assert _flush(sender, now=8.0).tracked == ()
+        assert sender.due(12.0) == [] and sender.due(18.0) == [((1, 1), 2)]
+
+    def test_retry_spends_the_budget_marks_the_final_attempt_then_gives_up(self):
+        sender = _sender(max_messages=1, resend_timeout=10.0, max_retries=3)
+        sender.add(_message(1), now=0.0)
+        key, = _flush(sender, now=0.0).tracked
+        assert sender.due(9.0) == [] and sender.due(10.0) == [key]
+        finals = []
+        for attempt in range(3):
+            now = 10.0 * (attempt + 1)
+            assert sender.due(now) == [key]
+            finals.append(sender.retry(key, now))
+            assert sender.due(now + 9.0) == []      # restamped by the retry
+        assert finals == [False, False, True]
+        assert sender.due(1e9) == []                # budget spent: never due again
+        assert key in sender.outstanding            # … until the driver abandons it
+        sender.abandon(key)
+        assert not sender.outstanding and not sender.inflight()
+
+
+class TestSentLog:
+    def test_missing_is_log_minus_known_minus_inflight(self):
+        sender = _sender(max_messages=2, resend_timeout=10.0)
+        sender.sent_log = {}
+        messages = {n: _message(n) for n in range(1, 7)}
+        other = _message(1, B)
+        for message in (*messages.values(), other):
+            sender.log(message)
+        sender.add(messages[2], now=0.0)
+        sender.add(messages[3], now=0.0)
+        _flush(sender)                              # 2, 3 outstanding
+        sender.add(messages[4], now=1.0)            # 4 in an open window
+        sender.stage(messages[5])                   # 5 queued by the driver
+        known = {(1, 1)}
+        assert sender.missing(2, known) == [messages[n] for n in (2, 3, 4, 5, 6)]
+        assert sender.missing(2, known, skip_inflight=True) == [messages[6]]
+        assert sender.missing(3, known, skip_inflight=True) == []   # (1, 1) to 3
+        assert sender.missing(3, set()) == [other]
+        assert sender.missing(7, set()) == []
+
+    def test_prune_drops_only_what_was_logged(self):
+        sender = _sender()
+        sender.sent_log = {}
+        sender.log(_message(1))
+        sender.log(_message(2))
+        assert sender.prune(2, [(1, 2), (1, 9)]) == [(1, 2)]
+        assert sender.prune(5, [(1, 1)]) == []
+        assert sender.missing(2, set()) == [_message(1)]
+
+
+# One random interleaving of the sender's inputs on two channels of one
+# stream: add a message, flush a channel, sever a channel, sever all, ack.
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from((A, B)), st.integers(1, 2**30)),
+        st.tuples(st.just("flush"), st.sampled_from((A, B))),
+        st.tuples(st.just("sever"), st.sampled_from((A, B, None))),
+        st.tuples(st.just("ack"), st.sampled_from((A, B))),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=_steps, delta=st.booleans())
+def test_every_emitted_frame_stays_decodable(steps, delta):
+    """Feeding every emitted batch to a decoder that is reset at each sever
+    reproduces the original messages, per channel, in order."""
+    sender = ChannelSender(
+        BatchingConfig(max_messages=3, max_delay=1.0, delta_encoding=delta),
+        ReliabilityConfig(resend_timeout=5.0),
+    )
+    decoder = ChannelDeltaDecoder() if delta else None
+    sent = {A: [], B: []}
+    received = {A: [], B: []}
+    expected_seq = {A: 0, B: 0}
+    clock = 0.0
+
+    def flush(channel):
+        flushed = sender.flush(channel, None, clock)
+        if flushed is None:
+            return
+        assert flushed.batch.seq == expected_seq[channel]
+        expected_seq[channel] += 1
+        batch, end = decode_batch(flushed.data, decoder=decoder)
+        assert end == len(flushed.data) and batch == flushed.batch
+        received[channel].extend(batch.messages)
+
+    for step in steps:
+        clock += 1.0
+        if step[0] == "add":
+            _, channel, counter = step
+            message = _message(len(sent[channel]) + 1, channel, counter)
+            sent[channel].append(message)
+            if sender.add(message, clock)[0]:
+                flush(channel)
+        elif step[0] == "flush":
+            flush(step[1])
+        elif step[0] == "sever":
+            sender.sever(step[1])
+            for channel in ((A, B) if step[1] is None else (step[1],)):
+                expected_seq[channel] = 0
+                if decoder is not None:
+                    decoder.reset(channel)
+        else:
+            channel = step[1]
+            sender.ack(channel[1], [m.update.uid for m in received[channel]])
+            assert not any(to == channel[1] for _, to in sender.outstanding)
+    for channel in (A, B):
+        flush(channel)
+        assert received[channel] == sent[channel]
+    assert not sender.windows

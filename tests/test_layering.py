@@ -1,0 +1,52 @@
+"""Import layering: ``core`` and ``wire`` sit below both runtimes.
+
+``repro.net`` (the live runtime) and ``repro.sim`` (the simulator) are the
+two drivers of the shared layers and must not reach into each other; the
+shared layers must not reach up into either.  Checked on the parsed import
+statements, so a lazy import inside a function counts too.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+
+ROOT = Path(repro.__file__).parent
+FORBIDDEN = {
+    "net": ("sim",),
+    "wire": ("net", "sim"),
+    "core": ("net", "sim"),
+}
+
+
+def _imported_modules(path: Path):
+    """Absolute dotted names of everything ``path`` imports."""
+    package = ("repro",) + path.relative_to(ROOT).parts[:-1]
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else ()
+            module = ".".join(base + ((node.module,) if node.module else ()))
+            yield node.lineno, module
+            for alias in node.names:
+                yield node.lineno, f"{module}.{alias.name}"
+
+
+@pytest.mark.parametrize("layer", sorted(FORBIDDEN))
+def test_layer_does_not_import_a_runtime_above_it(layer):
+    files = sorted((ROOT / layer).rglob("*.py"))
+    assert files, f"no modules found under {ROOT / layer}"
+    offending = [
+        f"{path.relative_to(ROOT.parent)}:{lineno} imports {module}"
+        for path in files
+        for lineno, module in _imported_modules(path)
+        for banned in FORBIDDEN[layer]
+        if module == f"repro.{banned}" or module.startswith(f"repro.{banned}.")
+    ]
+    assert not offending, "\n".join(offending)

@@ -174,7 +174,8 @@ class TestPlacementScoring:
             assert score.counters_mean > 0.0
             assert score.algorithm_bits_mean > 0.0
             assert 0.0 <= score.region_survival_min <= 1.0
-            assert score.edge_latency_p99 >= score.edge_latency_mean >= 0.0
+            # The mean of equal latencies can land one ulp above them.
+            assert score.edge_latency_p99 >= score.edge_latency_mean * (1 - 1e-12) >= 0.0
 
     def test_availability_aware_survives_region_kill_on_geant(self):
         spec = PlacementSpec.make(
