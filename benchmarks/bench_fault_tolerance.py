@@ -16,7 +16,7 @@ from conftest import run_once
 
 from repro.analysis import exp_fault_tolerance, render_fault_tolerance
 from repro.core.share_graph import ShareGraph
-from repro.sim.cluster import build_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.delays import UniformDelay
 from repro.sim.faults import FaultInjector
 from repro.sim.topologies import figure5_placement
@@ -59,7 +59,7 @@ def _timed_open_loop(with_injector: bool, repetitions: int = 3) -> float:
     workload = poisson_workload(graph, rate=2.0, duration=200.0, seed=21)
     best = None
     for _ in range(repetitions):
-        cluster = build_cluster(graph, delay_model=UniformDelay(1, 10), seed=21)
+        cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=21)
         if with_injector:
             # Attached but idle: sent-log on, no faults scheduled — the
             # worst fault-free configuration a user can run.

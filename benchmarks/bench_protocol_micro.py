@@ -31,7 +31,7 @@ from repro.core.timestamps import (
     delivery_predicate,
     merge,
 )
-from repro.sim.cluster import build_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.delays import UniformDelay
 from repro.sim.topologies import (
     clique_placement,
@@ -85,7 +85,7 @@ def test_e13_end_to_end_throughput(benchmark):
     graph = ShareGraph.from_placement(figure5_placement())
 
     def run():
-        cluster = build_cluster(graph, delay_model=UniformDelay(1, 10), seed=3)
+        cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=3)
         return run_workload(cluster, uniform_workload(graph, 300, seed=3), check=False)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -403,8 +403,8 @@ def test_e13_indexed_apply_edge_chain_clique64(benchmark):
 # ----------------------------------------------------------------------
 #
 # Every hook is an `if self.tracer is not None` guard on the host
-# (`_note_issue` / `_apply_ready` / `_apply_batch`) and the transport
-# (`send` / `_flush_channel` / `record_*_delivery`).  The gate measures
+# (`_note_issue` / `_apply_ready`) and the transport
+# (`send` / `_flush_channel` / `record_delivery`).  The gate measures
 # what turning the tracer on costs on that path.  That the *untraced* path
 # does not get slower is the job of the sustained benchmark (`bench/`,
 # compared against the parent commit on every PR), not of a copy of old
@@ -412,7 +412,6 @@ def test_e13_indexed_apply_edge_chain_clique64(benchmark):
 
 def _obs_overhead_cluster(tracing: bool):
     """The E13 profile configuration, traced or not."""
-    from repro.sim.cluster import Cluster
     from repro.sim.engine import BatchingConfig
 
     graph = ShareGraph.from_placement(clique_placement(CLIQUE_SIZE))

@@ -135,7 +135,7 @@ def test_e17_acceptance_64_replica_churn(benchmark):
     runs = run_once(benchmark, both)
     print()
     for architecture, (host, manager, result) in runs.items():
-        stats = host.transport.stats
+        stats = host.network.stats
         print(
             f"[E17 acceptance] {architecture}: "
             f"{host.metrics.reconfigs} reconfigs to epoch {host.epoch}, "

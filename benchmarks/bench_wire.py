@@ -172,7 +172,7 @@ def test_slots_message_allocation_note(benchmark):
     for cls, args in (
         (Update, (1, 1, "x", "v")),
         (UpdateMessage, (Update(1, 1, "x", "v"), 1, 2, None, 0)),
-        (DeliveryEvent, (None, 0.0)),
+        (DeliveryEvent, ((), ())),
         (TimerEvent, (lambda host, t: None,)),
         (Firing, (0.0, None)),
     ):

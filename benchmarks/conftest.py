@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module regenerates one experiment from the DESIGN.md index
-(E1–E13).  The ``run_once`` helper wraps ``benchmark.pedantic`` so that heavy
+Every benchmark module regenerates one experiment from the EXPERIMENTS.md
+index.  The ``run_once`` helper wraps ``benchmark.pedantic`` so that heavy
 end-to-end experiments are executed exactly once (their value is the table
 they print, not a statistically tight timing), while micro-benchmarks use the
 normal ``benchmark(...)`` calibration.

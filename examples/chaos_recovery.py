@@ -23,7 +23,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import ShareGraph, build_cluster, figure5_placement
+from repro import Cluster, ShareGraph, figure5_placement
 from repro.sim import (
     DuplicatingDelay,
     FaultInjector,
@@ -49,7 +49,7 @@ def timeline(host) -> None:
 
 def crash_and_recover(graph) -> bool:
     print("--- Crash and recovery (replica 3 down from t=30 to t=70) ---")
-    cluster = build_cluster(graph, delay_model=UniformDelay(1, 10), seed=42)
+    cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=42)
     injector = FaultInjector(cluster)
     injector.install(FaultSchedule("crash-3", (crash(30.0, 3), restart(70.0, 3))))
 
@@ -75,7 +75,7 @@ def crash_and_recover(graph) -> bool:
 
 def partition_and_heal(graph) -> bool:
     print("--- Partition and heal ({1,2} | {3,4} from t=40 to t=90) ---")
-    cluster = build_cluster(graph, delay_model=UniformDelay(1, 10), seed=7)
+    cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=7)
     injector = FaultInjector(cluster)
     injector.install(FaultSchedule("split", (
         partition(40.0, {1, 2}, {3, 4}),
@@ -103,7 +103,7 @@ def lossy_network(graph) -> bool:
         inner=LossyDelay(inner=UniformDelay(1, 10), drop_probability=0.3),
         duplicate_probability=0.2,
     )
-    cluster = build_cluster(graph, delay_model=model, seed=11)
+    cluster = Cluster(graph, delay_model=model, seed=11)
     FaultInjector(
         cluster, reliability=ReliabilityConfig(resend_timeout=20.0, max_retries=6)
     )

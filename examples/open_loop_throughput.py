@@ -12,7 +12,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import ShareGraph, build_cluster, figure5_placement
+from repro import Cluster, ShareGraph, figure5_placement
 from repro.clientserver import ClientServerCluster
 from repro.sim import (
     UniformDelay,
@@ -53,7 +53,7 @@ def main() -> None:
 
     all_consistent = True
     for workload in (poisson, bursty):
-        cluster = build_cluster(graph, delay_model=UniformDelay(1, 10), seed=21)
+        cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=21)
         result = run_open_loop(
             cluster, workload, queue_sample_interval=5.0, throughput_bucket=20.0
         )

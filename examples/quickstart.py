@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import ShareGraph, build_cluster, figure5_placement
+from repro import Cluster, ShareGraph, figure5_placement
 from repro.analysis import edge_label, render_table
 from repro.core.timestamp_graph import build_all_timestamp_graphs
 from repro.sim.delays import UniformDelay
@@ -51,7 +51,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Run the protocol over an asynchronous (non-FIFO) network.
     # ------------------------------------------------------------------
-    cluster = build_cluster(graph, delay_model=UniformDelay(1, 10), seed=7)
+    cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=7)
 
     # A small causal chain: replica 4 posts, replica 1 reacts, replica 2 relays.
     cluster.write(4, "w", "photo uploaded by replica 4")

@@ -22,7 +22,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import ShareGraph, build_cluster
+from repro import Cluster, ShareGraph
 from repro.analysis import render_table
 from repro.core.registers import RegisterPlacement
 from repro.sim.delays import UniformDelay
@@ -71,7 +71,7 @@ def main() -> None:
     print(render_table(["scheme", "register copies", "mean counters", "max counters"], rows))
     print()
 
-    cluster = build_cluster(graph, delay_model=UniformDelay(1, 25), seed=42)
+    cluster = Cluster(graph, delay_model=UniformDelay(1, 25), seed=42)
 
     # ------------------------------------------------------------------
     # The anomaly causal consistency exists to prevent:

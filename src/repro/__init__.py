@@ -9,11 +9,11 @@ paper.
 
 Quickstart
 ----------
->>> from repro import RegisterPlacement, ShareGraph, build_cluster
+>>> from repro import Cluster, RegisterPlacement, ShareGraph
 >>> placement = RegisterPlacement.from_dict(
 ...     {1: {"x"}, 2: {"x", "y"}, 3: {"y", "z"}, 4: {"z"}})
 >>> graph = ShareGraph.from_placement(placement)
->>> cluster = build_cluster(graph, seed=7)
+>>> cluster = Cluster(graph, seed=7)
 >>> cluster.write(2, "x", "hello")
 >>> cluster.run_until_quiescent()
 >>> cluster.read(1, "x")
@@ -44,9 +44,7 @@ from .sim import (
     BatchingConfig,
     Cluster,
     EventKernel,
-    SimNetwork,
     SimulationHost,
-    build_cluster,
     poisson_workload,
     run_open_loop,
     run_workload,
@@ -80,7 +78,6 @@ __all__ = [
     "MessageBatch",
     "RegisterPlacement",
     "ShareGraph",
-    "SimNetwork",
     "TimestampGraph",
     "Update",
     "UpdateMessage",
@@ -88,7 +85,6 @@ __all__ = [
     "WireSizes",
     "__version__",
     "build_all_timestamp_graphs",
-    "build_cluster",
     "check_execution",
     "clique_placement",
     "counterexample1_placement",

@@ -211,7 +211,7 @@ class AdaptiveController:
 
     def deferred(self) -> Optional[str]:
         """Why acting is unsafe right now (``None`` = clear to act)."""
-        if self.host.transport.partitioned:
+        if self.host.network.partitioned:
             return "partition open"
         injector = self.host.fault_injector
         if injector is not None and injector.down_replicas:
@@ -292,7 +292,7 @@ class AdaptiveController:
         mean_bytes = sum(s.ts_bytes_per_msg for s in busy) / len(busy)
         if mean_bytes <= threshold:
             return
-        self.host.transport.enable_batching(
+        self.host.network.enable_batching(
             BatchingConfig(
                 max_messages=self.config.compress_max_messages,
                 max_delay=self.config.compress_max_delay,

@@ -20,25 +20,17 @@ of each replica's trace plus a dict diff of the wire books.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.protocol import EventKind
 from ..core.registers import Register, ReplicaId
 from ..lower_bounds import algorithm_counters
+from ..placement.score import _percentile
 
 __all__ = ["Sensor", "SignalSnapshot"]
 
 Channel = Tuple[ReplicaId, ReplicaId]
-
-
-def _percentile(values: List[float], fraction: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(math.ceil(fraction * len(ordered))) - 1)
-    return ordered[max(0, index)]
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,7 @@ class Sensor:
         messages = 0
         timestamp_bytes = 0
         weighted_bound = 0.0
-        for channel, stats in sorted(host.transport.stats.per_channel.items()):
+        for channel, stats in sorted(host.network.stats.per_channel.items()):
             seen_msgs, seen_bytes = self._wire_seen.get(channel, (0, 0))
             d_msgs = stats.messages - seen_msgs
             d_bytes = stats.timestamp_bytes - seen_bytes

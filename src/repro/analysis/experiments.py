@@ -1,4 +1,4 @@
-"""The evaluation harness: one function per experiment in DESIGN.md / EXPERIMENTS.md.
+"""The evaluation harness: one function per experiment in EXPERIMENTS.md.
 
 Every function is pure given its arguments (all randomness is seeded), returns
 a plain data structure, and has a matching ``render_*`` helper producing the

@@ -26,12 +26,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ConfigurationError, SimulationError
-from ..core.protocol import CausalReplica, Update, UpdateId, UpdateMessage
+from ..core.protocol import CausalReplica, Update, UpdateId
 from ..core.registers import Register, ReplicaId
 from ..core.share_graph import ShareGraph
 from ..sim.delays import DelayModel
-from ..sim.engine import BatchingConfig, SimulationHost
-from ..sim.network import SimNetwork
+from ..sim.engine import BatchingConfig, EventKernel, SimulationHost, Transport
 from .augmented import (
     AugmentedShareGraph,
     ClientAssignment,
@@ -54,21 +53,17 @@ class ClientServerCluster(SimulationHost):
         batching: Optional[BatchingConfig] = None,
         wire_accounting: bool = False,
     ) -> None:
-        super().__init__(
-            share_graph,
-            SimNetwork(
-                delay_model=delay_model,
-                seed=seed,
-                batching=batching,
-                wire_accounting=wire_accounting,
-            ),
-        )
+        network = Transport(EventKernel(), delay_model=delay_model, seed=seed)
+        if batching is not None:
+            network.enable_batching(batching)
+        elif wire_accounting:
+            network.enable_wire_accounting()
+        super().__init__(share_graph, network)
         self.augmented = AugmentedShareGraph(share_graph, clients)
         self.servers: Dict[ReplicaId, ClientServerReplica] = {
             rid: ClientServerReplica(self.augmented, rid)
             for rid in share_graph.replica_ids
         }
-        self.transport.set_codec_resolver(self._codec_for_message)
         # One shared Ê_i computation for every client's index set (each
         # ClientAgent would otherwise recompute all replicas' edge sets).
         edges_map = build_all_augmented_timestamp_edges(self.augmented)
@@ -129,10 +124,6 @@ class ClientServerCluster(SimulationHost):
 
     def _replica_map(self) -> Dict[ReplicaId, CausalReplica]:
         return self.servers
-
-    def _codec_for_message(self, message: UpdateMessage) -> Any:
-        server = self.servers.get(message.sender)
-        return server.wire_codec() if server is not None else None
 
     # ------------------------------------------------------------------
     # Membership hooks (dynamic reconfiguration)

@@ -9,8 +9,10 @@ wall clock, so the parts of the old ``SimulationHost`` that never actually
 depended on simulated time were extracted here:
 
 * :class:`ReplicaHost` — the protocol surface a deployment exposes: who owns
-  which replica, how a client operation is executed, the apply loop with its
-  metric recording, the event-trace collection and the
+  which replica, how a client operation is executed, the receive rule
+  (:meth:`~ReplicaHost.deliver`: every delivered message of either runtime
+  goes through it) and the apply loop with their metric recording, the
+  event-trace collection and the
   :meth:`~ReplicaHost.check_consistency` entry point.  The simulator's
   :class:`~repro.sim.engine.SimulationHost` and the live runtime's node host
   are both subclasses, which is what lets the differential harness
@@ -370,6 +372,10 @@ class ReplicaHost:
     def _after_delivery(self, replica: CausalReplica) -> None:
         """Architecture-specific work after a delivery (e.g. serving clients)."""
 
+    def _note_stale_epoch(self, rejected: int) -> None:
+        """Book frames rejected by epoch admission where the runtime keeps
+        its traffic statistics (only the simulator changes epochs so far)."""
+
     def _quiescent_hook(self, replica: CausalReplica) -> bool:
         """Extra per-replica pass at quiescence; returns ``True`` on progress."""
         return False
@@ -461,6 +467,36 @@ class ReplicaHost:
             self.tracer.record("issue", update.uid, update.uid[0],
                                update.uid[0], self.now)
 
+    def deliver(self, replica: CausalReplica,
+                messages: Sequence[UpdateMessage]) -> List[Update]:
+        """The receive rule (Section 2.1, steps 3–4), for both runtimes.
+
+        Epoch admission, then one
+        :meth:`~repro.core.protocol.CausalReplica.receive_many` pass
+        buffering every message, then one drain of the pending index with
+        the unified metrics — whether ``messages`` is a standalone envelope
+        or a whole batch, popped from the simulator's kernel, flushed at an
+        epoch boundary or read off a live socket.
+
+        Frames from a retired configuration are rejected: their metadata
+        indexes edges that no longer exist and must not reach the
+        predicate.  The commit flush completes the old epoch before the
+        new one installs, so in supported schedules no live frame ever
+        arrives stale — this is the wire contract's safety net.
+        Rejections are counted (:meth:`_note_stale_epoch`); content
+        recovery is the retransmission/resync layers' responsibility.
+        """
+        epoch = self.epoch
+        accepted = [message for message in messages if message.epoch == epoch]
+        if len(accepted) != len(messages):
+            self._note_stale_epoch(len(messages) - len(accepted))
+        if not accepted:
+            return []
+        replica.receive_many(accepted)
+        applied = self._apply_ready(replica)
+        self._after_delivery(replica)
+        return applied
+
     def _apply_ready(self, replica: CausalReplica, force: bool = False) -> List[Update]:
         """Run a replica's apply loop and record the unified metrics."""
         applied = replica.apply_ready(sim_time=self.now, force=force)
@@ -471,40 +507,6 @@ class ReplicaHost:
             issued_at = self._issue_times.get(update.uid)
             # State-transfer replays measure the history's age, not
             # propagation: they are applies but not latency samples.
-            if issued_at is not None and update.uid not in replayed:
-                self.metrics.apply_latencies.append(self.now - issued_at)
-        if self.tracer is not None:
-            for update in applied:
-                self.tracer.record("apply", update.uid, update.uid[0],
-                                   replica.replica_id, self.now)
-        if applied and self.fault_injector is not None:
-            self.fault_injector.note_applies(replica.replica_id, applied, self.now)
-        if applied and self.reconfig_manager is not None:
-            self.reconfig_manager.note_applies(replica.replica_id, applied, self.now)
-        pending = replica.pending_count()
-        previous = self.metrics.max_pending.get(replica.replica_id, 0)
-        self.metrics.max_pending[replica.replica_id] = max(previous, pending)
-        return applied
-
-    def _apply_batch(
-        self, replica: CausalReplica, messages: Sequence[UpdateMessage]
-    ) -> List[Update]:
-        """Buffer and drain a whole delivered batch, recording the unified
-        metrics.
-
-        The batched twin of ``receive()``-per-message followed by
-        :meth:`_apply_ready`: one
-        :meth:`~repro.core.protocol.CausalReplica.apply_batch` call replaces
-        the per-message receive churn, and the metric accounting below is
-        literally the same block, so ``RunMetrics`` cannot tell the two
-        delivery paths apart.
-        """
-        applied = replica.apply_batch(messages, sim_time=self.now)
-        replayed = replica.bootstrap_replayed
-        for update in applied:
-            self.metrics.applies += 1
-            self.metrics.apply_times.append(self.now)
-            issued_at = self._issue_times.get(update.uid)
             if issued_at is not None and update.uid not in replayed:
                 self.metrics.apply_latencies.append(self.now - issued_at)
         if self.tracer is not None:

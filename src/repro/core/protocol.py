@@ -931,6 +931,11 @@ class CausalReplica(abc.ABC):
         """``True`` iff the update with this id has been applied here."""
         return uid in self._applied_uids
 
+    def knows(self, uid: UpdateId) -> bool:
+        """``True`` iff the update is applied or buffered here — a further
+        copy of it would be a duplicate (cf. :meth:`known_update_ids`)."""
+        return uid in self._applied_uids or uid in self._pending_uids
+
     def pending_count(self) -> int:
         """Number of buffered, not-yet-applied update messages."""
         return len(self._pending_uids)

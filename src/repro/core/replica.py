@@ -190,3 +190,12 @@ class EdgeIndexedReplica(CausalReplica):
         )
         self._changed_incoming = []
         self._migrate_common(new_graph.registers_at(self.replica_id), epoch)
+
+
+def edge_indexed_factory(graph: ShareGraph, replica_id: ReplicaId) -> CausalReplica:
+    """The default replica factory of both runtimes: the paper's algorithm.
+
+    A module-level callable, so a live cluster can pickle it into its
+    spawned node processes.
+    """
+    return EdgeIndexedReplica(graph, replica_id)

@@ -49,13 +49,13 @@ import pickle
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError, ReproError
 from ..core.host import ReplicaHost
-from ..core.protocol import CausalReplica, UpdateId, UpdateMessage
+from ..core.protocol import CausalReplica, Update, UpdateId, UpdateMessage
 from ..core.registers import Register, ReplicaId
-from ..core.replica import EdgeIndexedReplica
+from ..core.replica import edge_indexed_factory
 from ..core.share_graph import ShareGraph
 from ..wire.batch import MessageBatch, decode_batch
 from ..wire.channel import (
@@ -80,11 +80,6 @@ NodeId = Any
 def _id_order(value: Any) -> Tuple[bool, Any]:
     """Deterministic sort key for mixed int/str atom identifiers."""
     return (isinstance(value, str), value)
-
-
-def edge_indexed_factory(graph: ShareGraph, replica_id: ReplicaId) -> CausalReplica:
-    """The default live factory: the paper's edge-indexed algorithm."""
-    return EdgeIndexedReplica(graph, replica_id)
 
 
 #: The live channel options, in seconds: 16 messages / 2 ms, 1 s / 8 retries.
@@ -208,12 +203,12 @@ class LiveNodeHost(ReplicaHost):
             return self.perform_read(operation.register)
         raise ConfigurationError(f"unknown operation kind {operation.kind!r}")
 
-    def deliver(self, messages: List[UpdateMessage],
-                at: Optional[float] = None):
-        """Buffer a received batch and run one apply pass (as the sim does)."""
+    def deliver(self, replica: CausalReplica, messages: Sequence[UpdateMessage],
+                at: Optional[float] = None) -> List[Update]:
+        """The shared receive rule; ``at`` pins it to a recorded time."""
         self._time_override = at
         try:
-            return self._apply_batch(self.replica, messages)
+            return super().deliver(replica, messages)
         finally:
             self._time_override = None
 
@@ -247,7 +242,6 @@ class _Tenant:
             "ops_done": 0, "issued": 0, "enqueued": 0, "sent": 0,
             "received": 0, "delivered": 0, "duplicates": 0,
             "retransmissions": 0, "resyncs": 0,
-            "delta_frames": 0, "full_frames": 0,
         }
         self.tracer: Optional[Any] = None
         if config.tracing:
@@ -259,9 +253,6 @@ class _Tenant:
             self.wal = ReplicaWAL(config.durable_dir, replica_id,
                                   compact_bytes=config.wal_compact_bytes)
         self.recovered = False
-        #: Uids this tenant has seen (applied + pending), for first-receipt
-        #: stream recording; rebuilt from the replica after recovery.
-        self.seen_uids: set = set()
 
     # ------------------------------------------------------------------
     # Durability
@@ -283,11 +274,22 @@ class _Tenant:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def reported_counters(self) -> Dict[str, int]:
+        """The counters plus the delta/full frame counts of this tenant's
+        outgoing channels, read off the senders' byte books."""
+        books = [book for (source, _), book in self.node.wire_books().items()
+                 if source == self.replica_id]
+        return dict(
+            self.counters,
+            delta_frames=sum(book.delta_frames for book in books),
+            full_frames=sum(book.full_frames for book in books),
+        )
+
     def telemetry_samples(self) -> List[Tuple[str, tuple, float]]:
         me = (("replica", str(self.replica_id)),)
         samples: List[Tuple[str, tuple, float]] = [
             (f"repro_node_{name}_total", me, float(value))
-            for name, value in sorted(self.counters.items())
+            for name, value in sorted(self.reported_counters().items())
         ]
         samples.append((
             "repro_node_pending_depth", me, float(self.replica.pending_count()),
@@ -308,7 +310,7 @@ class _Tenant:
             "apply_times": dict(self.apply_times),
             "duplicates_ignored": self.replica.duplicates_ignored,
             "metadata_size": self.replica.metadata_size(),
-            "counters": dict(self.counters),
+            "counters": self.reported_counters(),
             "recovered": self.recovered,
             "trace": list(self.tracer.events) if self.tracer is not None else [],
         }
@@ -458,10 +460,7 @@ class _PeerStream:
         )
         if flushed is None:
             return
-        counters = tenant.counters
-        counters["sent"] += len(flushed.batch.messages)
-        counters["delta_frames"] += flushed.sizes.delta_frames
-        counters["full_frames"] += flushed.sizes.full_frames
+        tenant.counters["sent"] += len(flushed.batch.messages)
         if tenant.tracer is not None:
             flushed_at = self.node.now
             for message in flushed.batch.messages:
@@ -592,8 +591,6 @@ class LiveNode:
     # ------------------------------------------------------------------
     def _recover(self) -> None:
         if not self.config.durable_dir:
-            for tenant in self.tenants.values():
-                tenant.seen_uids = set(tenant.replica.known_update_ids())
             return
         for rid in sorted(self.tenants, key=_id_order):
             self._recover_tenant(self.tenants[rid])
@@ -619,7 +616,6 @@ class LiveNode:
             tenant.streams = checkpoint.streams
             tenant.apply_times = checkpoint.apply_times
             tenant.host._issue_times.update(checkpoint.issue_times)
-        tenant.seen_uids = set(tenant.replica.known_update_ids())
         if checkpoint is not None or records:
             tenant.recovered = True
         for kind, payload in records:
@@ -653,7 +649,7 @@ class LiveNode:
     def _deliver(self, tenant: _Tenant, channel: Channel,
                  messages: List[UpdateMessage],
                  received_at: Optional[float] = None,
-                 log: bool = True) -> List[UpdateMessage]:
+                 log: bool = True) -> None:
         """First-receipt bookkeeping, WAL append, batch apply.
 
         ``log=False`` is the replay path: the record being replayed is
@@ -662,28 +658,31 @@ class LiveNode:
         if received_at is None:
             received_at = self.now
         counters = tenant.counters
-        fresh: List[UpdateMessage] = []
+        knows = tenant.replica.knows
+        first_receipts: Dict[UpdateId, UpdateMessage] = {}
         for message in messages:
             uid = message.update.uid
             counters["received"] += 1
-            if uid in tenant.seen_uids:
+            # A first receipt is a uid the replica neither holds nor is
+            # about to be handed by this very batch.
+            if knows(uid) or uid in first_receipts:
                 counters["duplicates"] += 1
                 continue
-            tenant.seen_uids.add(uid)
+            first_receipts[uid] = message
             tenant.streams.setdefault(channel, []).append(uid)
             counters["delivered"] += 1
-            fresh.append(message)
             if tenant.tracer is not None:
                 tenant.tracer.record("deliver", uid, channel[0], channel[1],
                                      received_at)
-        if not fresh:
-            return fresh
+        if not first_receipts:
+            return
+        fresh = tuple(first_receipts.values())
         if log and tenant.wal is not None:
             # Ack (and apply) only after the receipt is durable: the WAL
             # record carries the fresh messages as standalone wire frames.
             record_batch = MessageBatch(
                 sender=channel[0], destination=channel[1], seq=0,
-                messages=tuple(fresh),
+                messages=fresh,
             )
             tenant.wal.append(
                 wal_records.W_DELIVER,
@@ -692,16 +691,15 @@ class LiveNode:
                 ),
             )
         if log:
-            applied = tenant.host.deliver(fresh)
+            applied = tenant.host.deliver(tenant.replica, fresh)
             applied_at = self.now
         else:
-            applied = tenant.host.deliver(fresh, at=received_at)
+            applied = tenant.host.deliver(tenant.replica, fresh, at=received_at)
             applied_at = received_at
         for update in applied:
             tenant.apply_times[update.uid] = applied_at
         if log:
             tenant.maybe_compact()
-        return fresh
 
     def _deliver_intra(self, src_tenant: _Tenant,
                        message: UpdateMessage) -> None:

@@ -272,7 +272,7 @@ def registry_for_sim(host: Any, graph: Optional[ShareGraph] = None,
     registry = MetricsRegistry()
     publish_run_metrics(registry, host.metrics, **labels)
     publish_network_stats(
-        registry, host.transport.stats,
+        registry, host.network.stats,
         graph=graph if graph is not None else host.share_graph,
         bounds=bounds, **labels,
     )

@@ -22,24 +22,15 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from ..core.errors import ConfigurationError
-from ..core.protocol import CausalReplica, Update, UpdateMessage
+from ..core.protocol import CausalReplica, Update
 from ..core.registers import Register, ReplicaId
-from ..core.replica import EdgeIndexedReplica
+from ..core.replica import edge_indexed_factory
 from ..core.share_graph import ShareGraph
 from .delays import DelayModel
-from .engine import BatchingConfig, RunMetrics, SimulationHost
-from .network import SimNetwork
+from .engine import BatchingConfig, EventKernel, SimulationHost, Transport
 
 #: Signature of a factory building one replica of a protocol for a cluster.
 ReplicaFactory = Callable[[ShareGraph, ReplicaId], CausalReplica]
-
-#: Backwards-compatible name for the unified metrics structure.
-ClusterMetrics = RunMetrics
-
-
-def edge_indexed_factory(graph: ShareGraph, replica_id: ReplicaId) -> CausalReplica:
-    """The default factory: the paper's edge-indexed timestamp algorithm."""
-    return EdgeIndexedReplica(graph, replica_id)
 
 
 class Cluster(SimulationHost):
@@ -52,8 +43,18 @@ class Cluster(SimulationHost):
     replica_factory:
         Builds the protocol instance per replica; defaults to the paper's
         edge-indexed algorithm.
-    delay_model, seed, batching, wire_accounting:
-        Forwarded to the :class:`~repro.sim.network.SimNetwork`.
+    delay_model, seed:
+        The :class:`~repro.sim.engine.Transport`'s per-message delay model
+        (default ``UniformDelay(1, 10)``) and the seed of its private
+        random generator: two clusters built with the same seed and fed
+        the same operations behave identically.
+    batching:
+        Optionally a :class:`~repro.sim.engine.BatchingConfig`: messages
+        then ride per-channel batching windows delivered as single kernel
+        events, with the wire-format byte accounting implied.
+    wire_accounting:
+        Book every sent message into byte-accurate
+        :class:`~repro.sim.engine.NetworkStats` even without batching.
     """
 
     def __init__(
@@ -65,26 +66,16 @@ class Cluster(SimulationHost):
         batching: Optional[BatchingConfig] = None,
         wire_accounting: bool = False,
     ) -> None:
-        super().__init__(
-            share_graph,
-            SimNetwork(
-                delay_model=delay_model,
-                seed=seed,
-                batching=batching,
-                wire_accounting=wire_accounting,
-            ),
-        )
+        network = Transport(EventKernel(), delay_model=delay_model, seed=seed)
+        if batching is not None:
+            network.enable_batching(batching)
+        elif wire_accounting:
+            network.enable_wire_accounting()
+        super().__init__(share_graph, network)
         self.replica_factory = replica_factory
         self.replicas: Dict[ReplicaId, CausalReplica] = {
             rid: replica_factory(share_graph, rid) for rid in share_graph.replica_ids
         }
-        # Each replica family registers its timestamp codec; the transport's
-        # byte accounting resolves a message's codec through its sender.
-        self.transport.set_codec_resolver(self._codec_for_message)
-
-    def _codec_for_message(self, message: UpdateMessage) -> Any:
-        replica = self.replicas.get(message.sender)
-        return replica.wire_codec() if replica is not None else None
 
     def _replica_map(self) -> Dict[ReplicaId, CausalReplica]:
         return self.replicas
@@ -152,17 +143,3 @@ class Cluster(SimulationHost):
             return self.read(operation.replica_id, operation.register)
         raise ConfigurationError(f"unknown operation kind {operation.kind!r}")
 
-
-def build_cluster(
-    share_graph: ShareGraph,
-    replica_factory: ReplicaFactory = edge_indexed_factory,
-    delay_model: Optional[DelayModel] = None,
-    seed: int = 0,
-) -> Cluster:
-    """Convenience constructor mirroring :class:`Cluster`'s signature."""
-    return Cluster(
-        share_graph,
-        replica_factory=replica_factory,
-        delay_model=delay_model,
-        seed=seed,
-    )

@@ -65,7 +65,6 @@ from ..core.host import (
 from ..core.protocol import UpdateId, UpdateMessage
 from ..core.registers import ReplicaId
 from ..core.share_graph import ShareGraph
-from ..wire.batch import MessageBatch
 from ..wire.channel import (
     BatchingConfig,
     ChannelSender,
@@ -74,12 +73,11 @@ from ..wire.channel import (
     ReliabilityConfig,
     Window,
 )
-from ..wire.frames import WireSizes, message_wire_sizes
+from ..wire.frames import message_wire_sizes
 from .delays import Channel, DelayModel, UniformDelay
 
 __all__ = [
     "ArrivalEvent",
-    "BatchDeliveryEvent",
     "BatchingConfig",
     "ChannelWireStats",
     "DeliveryEvent",
@@ -110,28 +108,28 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class DeliveryEvent:
-    """A message arriving at its destination replica."""
+    """Messages arriving together at their destination replica.
 
-    message: UpdateMessage
-    sent_at: float
-
-
-@dataclass(frozen=True, slots=True)
-class BatchDeliveryEvent:
-    """A whole per-channel message batch arriving as one kernel event.
-
-    ``sent_at`` is the flush (wire) time; ``sent_times`` records when each
-    contained message entered the batching window, so per-message latency
-    accounting includes the window wait.  ``epoch`` is the channel's stream
-    epoch at encode time: a batch from an epoch a crash has since severed
-    is discarded on arrival, as a broken TCP connection drops its in-flight
-    data — its contents come back via retransmission/resync.
+    A standalone envelope is a delivery of one with ``epoch=None``: it
+    belongs to no stream, so it cannot go stale and no FIFO clamp orders
+    it.  A flushed batching window is a delivery of n carrying the
+    channel's stream epoch at encode time: a batch from an epoch a crash
+    has since severed is discarded on arrival, as a broken TCP connection
+    drops its in-flight data — its contents come back via
+    retransmission/resync.  ``sent_times`` records when each message was
+    first sent (entered its window), so per-message latency accounting
+    includes the window wait and every retransmission.
     """
 
-    batch: MessageBatch
-    sent_at: float
+    messages: Tuple[UpdateMessage, ...]
     sent_times: Tuple[float, ...]
-    epoch: int = 0
+    epoch: Optional[int] = None
+
+    @property
+    def channel(self) -> Channel:
+        """The directed channel every message of the delivery travelled."""
+        head = self.messages[0]
+        return (head.sender, head.destination)
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +186,7 @@ class ReconfigEvent:
     kind: str = ""
 
 
-Event = Any  # DeliveryEvent | BatchDeliveryEvent | TimerEvent | ArrivalEvent | FaultEvent | ReconfigEvent
+Event = Any  # DeliveryEvent | TimerEvent | ArrivalEvent | FaultEvent | ReconfigEvent
 
 #: Tie-break order for events scheduled at the same instant: faults first
 #: (a crash at time t suppresses a delivery at time t), then
@@ -199,7 +197,6 @@ _EVENT_PRIORITY: Dict[type, int] = {
     FaultEvent: 0,
     ReconfigEvent: 1,
     DeliveryEvent: 2,
-    BatchDeliveryEvent: 2,
     ArrivalEvent: 3,
     TimerEvent: 4,
 }
@@ -310,6 +307,14 @@ class EventKernel:
 # Transport
 # ======================================================================
 
+def _booked(column: str, doc: str) -> property:
+    """A read-only aggregate: one byte-book column summed over all channels."""
+    return property(
+        lambda stats: sum(getattr(book, column) for book in stats.per_channel.values()),
+        doc=doc,
+    )
+
+
 @dataclass
 class NetworkStats:
     """Aggregate traffic statistics maintained by the transport."""
@@ -341,20 +346,21 @@ class NetworkStats:
     batched_messages_sent: int = 0
     #: Whole batches discarded by a lossy channel fate.
     batches_dropped: int = 0
-    #: Byte-accurate split of the traffic (populated when wire accounting
-    #: is enabled): envelope/identity bytes vs. timestamp-frame bytes vs.
-    #: payload-value bytes.
-    header_bytes_sent: int = 0
-    timestamp_bytes_sent: int = 0
-    payload_bytes_sent: int = 0
-    #: What the timestamp frames would have cost without delta encoding.
-    timestamp_bytes_full: int = 0
-    #: Timestamp frames shipped as per-channel deltas vs. in full.
-    delta_frames_sent: int = 0
-    full_frames_sent: int = 0
     #: Per-channel byte breakdown, keyed by (sender, destination) — the
-    #: transport's :attr:`~repro.wire.channel.ChannelSender.book` itself.
+    #: transport's :attr:`~repro.wire.channel.ChannelSender.book` itself,
+    #: populated when wire accounting is enabled.  The aggregate byte and
+    #: frame counters below are sums over it: every envelope is booked
+    #: once, by :meth:`~repro.wire.channel.ChannelSender.account`.
     per_channel: Dict[Channel, ChannelWireStats] = field(default_factory=dict)
+
+    header_bytes_sent = _booked("header_bytes", "Envelope/identity bytes put on the wire.")
+    timestamp_bytes_sent = _booked("timestamp_bytes", "Timestamp-frame bytes put on the wire.")
+    payload_bytes_sent = _booked("payload_bytes", "Payload-value bytes put on the wire.")
+    timestamp_bytes_full = _booked(
+        "timestamp_bytes_full",
+        "What the timestamp frames would have cost without delta encoding.")
+    delta_frames_sent = _booked("delta_frames", "Timestamp frames shipped as per-channel deltas.")
+    full_frames_sent = _booked("full_frames", "Timestamp frames shipped in full.")
 
     @property
     def mean_latency(self) -> float:
@@ -374,15 +380,6 @@ class NetworkStats:
         if not self.timestamp_bytes_full:
             return 0.0
         return 1.0 - self.timestamp_bytes_sent / self.timestamp_bytes_full
-
-    def account_wire(self, sizes: WireSizes) -> None:
-        """Fold one encoded frame/envelope into the aggregate byte counters."""
-        self.header_bytes_sent += sizes.header_bytes
-        self.timestamp_bytes_sent += sizes.timestamp_bytes
-        self.payload_bytes_sent += sizes.payload_bytes
-        self.timestamp_bytes_full += sizes.timestamp_bytes_full
-        self.delta_frames_sent += sizes.delta_frames
-        self.full_frames_sent += sizes.full_frames
 
 
 class Transport:
@@ -422,9 +419,8 @@ class Transport:
         #: Multiplier applied to every sampled latency (latency-spike faults).
         self.delay_factor: float = 1.0
         self._held_channels: Set[Channel] = set()
-        self._held_messages: List[Tuple[float, UpdateMessage]] = []
-        #: Parked batches, as the delivery events they will become.
-        self._held_batches: List[BatchDeliveryEvent] = []
+        #: Parked traffic, as the delivery events it will become.
+        self._parked: List[DeliveryEvent] = []
         self._partition_groups: Optional[Tuple[FrozenSet[ReplicaId], ...]] = None
         self._partition_lookup: Dict[ReplicaId, int] = {}
         #: Copies already delivered whose (delayed) ack has not fired yet;
@@ -493,7 +489,6 @@ class Transport:
         if not self._wire_accounting:
             return
         sizes = message_wire_sizes(message, codec=self._codec_for(message))
-        self.stats.account_wire(sizes)
         self.sender.account((message.sender, message.destination), sizes, messages=1)
 
     # ------------------------------------------------------------------
@@ -543,10 +538,11 @@ class Transport:
         """Put one standalone envelope on the wire now, or park it."""
         self._account_single(message)
         now = self.kernel.now
-        if self._blocked((message.sender, message.destination)):
-            self._held_messages.append((now, message))
+        event = DeliveryEvent((message,), (now,))
+        if self._blocked(event.channel):
+            self._parked.append(event)
             return
-        self._put_on_wire(message, sent_at=now, delay=delay)
+        self._transmit(event, delay=delay)
         if self.sender.reliability is not None and self.sender.track(message, now, now):
             self._arm_retry((message.update.uid, message.destination))
 
@@ -575,23 +571,21 @@ class Transport:
         if window is None:
             return
         now = self.kernel.now
-        batch, _, sizes, sent_times, epoch, tracked = self.sender.flush(
-            channel, self._codec_for(window.messages[0]), now
-        )
+        flushed = self.sender.flush(channel, self._codec_for(window.messages[0]), now)
+        messages = flushed.batch.messages
         self.stats.batches_sent += 1
-        self.stats.batched_messages_sent += len(batch.messages)
-        self.stats.account_wire(sizes)
+        self.stats.batched_messages_sent += len(messages)
         if self.tracer is not None:
-            for message in batch.messages:
+            for message in messages:
                 self.tracer.record("wire", message.update.uid, channel[0],
                                    channel[1], now)
-        for key in tracked:
+        for key in flushed.tracked:
             self._arm_retry(key)
-        event = BatchDeliveryEvent(batch, sent_at=now, sent_times=sent_times, epoch=epoch)
+        event = DeliveryEvent(messages, flushed.times, flushed.epoch)
         if self._blocked(channel):  # parked with its encoder state already consumed
-            self._held_batches.append(event)
+            self._parked.append(event)
         else:
-            self._transmit_batch(event)
+            self._transmit(event)
 
     def flush_open_batches(self) -> None:
         """Force-flush every open window (tests and explicit shutdown)."""
@@ -603,73 +597,66 @@ class Transport:
         """Messages waiting in not-yet-flushed batching windows."""
         return sum(len(w.messages) for w in self.sender.windows.values())
 
-    def _transmit_batch(self, event: BatchDeliveryEvent) -> None:
-        """Sample the channel fate for a flushed batch and schedule it."""
-        batch = event.batch
-        copies = self.delay_model.fate(batch.messages[0], self.rng)
-        if copies <= 0:
-            # The whole envelope is lost; with the reliability layer on the
-            # per-message resend timers recover the contents as singles
-            # (full frames).  The channel's delta stream restarts so the
-            # next flushed frame never chains through bytes the receiver
-            # cannot have — every delivered delta frame stays decodable.
-            self.stats.batches_dropped += 1
-            self.stats.messages_dropped += len(batch.messages)
-            self.sender.restart_chain(batch.channel)
-            return
-        if copies > 1:
-            self.stats.messages_duplicated += (copies - 1) * len(batch.messages)
-        for _ in range(copies):
-            self._schedule_batch(event)
-
-    def _schedule_batch(self, event: BatchDeliveryEvent) -> None:
-        """Schedule a batch delivery, clamped to per-channel FIFO order: a
-        channel is one byte stream, so a later batch never overtakes an
-        earlier one, however the delays are sampled."""
-        batch = event.batch
-        latency = self.delay_model.delay(batch.messages[0], self.rng) * self.delay_factor
-        if latency < 0:
-            raise SimulationError(f"negative message delay: {latency}")
-        arrival = max(
-            self.kernel.now + latency,
-            self._last_batch_arrival.get(batch.channel, 0.0),
-        )
-        self._last_batch_arrival[batch.channel] = arrival
-        self.kernel.schedule_at(arrival, event)
-
-    def _put_on_wire(self, message: UpdateMessage, sent_at: float,
-                     delay: Optional[float] = None, force: bool = False) -> None:
-        """Sample the channel fate and schedule the resulting copies
-        (``force`` bypasses the sampler: a final retransmission attempt)."""
+    # ------------------------------------------------------------------
+    # Deliveries: onto the wire, and off it
+    # ------------------------------------------------------------------
+    def _transmit(self, event: DeliveryEvent, delay: Optional[float] = None,
+                  force: bool = False) -> None:
+        """Sample the channel fate of a delivery and schedule the resulting
+        copies (a scripted ``delay`` or ``force`` — a final retransmission
+        attempt — bypasses the sampler)."""
+        count = len(event.messages)
         if delay is not None or force:
             copies = 1
         else:
-            copies = self.delay_model.fate(message, self.rng)
+            copies = self.delay_model.fate(event.messages[0], self.rng)
         if copies <= 0:
-            self.stats.messages_dropped += 1
+            # The whole envelope is lost; with the reliability layer on the
+            # per-message resend timers recover the contents as singles
+            # (full frames).
+            self.stats.messages_dropped += count
+            if event.epoch is not None:
+                # The channel's delta stream restarts so the next flushed
+                # frame never chains through bytes the receiver cannot
+                # have — every delivered delta frame stays decodable.
+                self.stats.batches_dropped += 1
+                self.sender.restart_chain(event.channel)
             return
         if copies > 1:
-            self.stats.messages_duplicated += copies - 1
+            self.stats.messages_duplicated += (copies - 1) * count
         for _ in range(copies):
-            self._schedule(message, sent_at=sent_at, delay=delay)
+            self._schedule(event, delay)
 
-    def _schedule(self, message: UpdateMessage, sent_at: float,
-                  delay: Optional[float] = None) -> None:
+    def _schedule(self, event: DeliveryEvent, delay: Optional[float] = None) -> None:
+        """Schedule one copy of a delivery after its sampled latency.  A
+        stream batch is clamped to per-channel FIFO order: a channel is one
+        byte stream, so a later batch never overtakes an earlier one,
+        however the delays are sampled."""
         if delay is None:
-            latency = self.delay_model.delay(message, self.rng) * self.delay_factor
+            latency = self.delay_model.delay(event.messages[0], self.rng) * self.delay_factor
         else:
             latency = delay
         if latency < 0:
             raise SimulationError(f"negative message delay: {latency}")
-        self.kernel.schedule_after(latency, DeliveryEvent(message, sent_at=sent_at))
+        arrival = self.kernel.now + latency
+        if event.epoch is not None:
+            channel = event.channel
+            arrival = max(arrival, self._last_batch_arrival.get(channel, 0.0))
+            self._last_batch_arrival[channel] = arrival
+        self.kernel.schedule_at(arrival, event)
 
-    def _note_message_delivered(self, message: UpdateMessage, sent_at: float,
-                                time: float) -> None:
-        """Per-message delivery bookkeeping shared by singles and batches."""
-        self.stats.messages_delivered += 1
-        self.stats.total_latency += time - sent_at
+    def record_delivery(self, event: DeliveryEvent, time: float) -> None:
+        """Account for every message of a fired :class:`DeliveryEvent`.
+        Latency runs from when a message was first sent (entered the
+        batching window): the window wait is the cost side of the batching
+        trade-off."""
+        stats = self.stats
         reliability = self.sender.reliability
-        if reliability is not None:
+        for message, sent_at in zip(event.messages, event.sent_times):
+            stats.messages_delivered += 1
+            stats.total_latency += time - sent_at
+            if reliability is None:
+                continue
             key = (message.update.uid, message.destination)
             if reliability.ack_delay > 0 and key in self.sender.outstanding:
                 self._pending_acks.add(key)
@@ -681,49 +668,31 @@ class Transport:
                 )
             else:
                 self._acknowledge(key)
-
-    def record_delivery(self, event: DeliveryEvent, time: float) -> None:
-        """Account for one fired :class:`DeliveryEvent` in the statistics."""
-        self._note_message_delivered(event.message, event.sent_at, time)
         if self.tracer is not None:
-            message = event.message
-            self.tracer.record("deliver", message.update.uid, message.sender,
-                               message.destination, time)
-
-    def record_batch_delivery(self, event: BatchDeliveryEvent, time: float) -> None:
-        """Account for every message of a delivered batch.  Latency runs
-        from when a message entered the batching window: the window wait is
-        the cost side of the batching trade-off."""
-        for message, sent_at in zip(event.batch.messages, event.sent_times):
-            self._note_message_delivered(message, sent_at, time)
-        if self.tracer is not None:
-            for message in event.batch.messages:
+            for message in event.messages:
                 self.tracer.record("deliver", message.update.uid,
                                    message.sender, message.destination, time)
 
-    def note_lost_delivery(self, event: DeliveryEvent) -> None:
-        """Account for a delivery discarded because its destination is down
-        (deliberately *not* acknowledged: the reliability layer retransmits
-        it, and the crash-recovery resync covers it otherwise)."""
-        self.stats.messages_lost_to_crash += 1
+    def is_stale(self, event: DeliveryEvent) -> bool:
+        """``True`` when the delivery's stream epoch predates a crash cut."""
+        return event.epoch is not None and event.epoch != self.sender.epoch(event.channel)
 
-    def note_lost_batch(self, event: BatchDeliveryEvent) -> None:
-        """Account for a whole batch discarded at a crashed destination.
+    def note_lost(self, event: DeliveryEvent) -> None:
+        """Account for a delivery discarded on arrival: its destination is
+        down, or its stream was severed while it was in flight.
 
-        The crash severs the channel's stream
-        (:meth:`~repro.wire.channel.ChannelSender.sever`).  Content
-        recovery is the retransmission/resync layer's job — those paths
-        re-send full-frame singles — so every batch that *is* delivered
-        chains only through delivered predecessors.
+        Deliberately *not* acknowledged: content recovery is the
+        retransmission/resync layer's job — those paths re-send full-frame
+        singles — so every batch that *is* delivered chains only through
+        delivered predecessors.
         """
-        channel = event.batch.channel
-        self.stats.messages_lost_to_crash += len(event.batch.messages)
-        if not self.batch_is_stale(event):
+        self.stats.messages_lost_to_crash += len(event.messages)
+        if event.epoch is not None and not self.is_stale(event):
             # A live-stream batch hit a crashed peer the fault layer had
             # not already severed (hosts without a FaultInjector); cut the
             # stream here.  A batch from an already-severed epoch must not
             # bump again — the successor stream is live.
-            self.sender.sever(channel)
+            self.sender.sever(event.channel)
 
     def sever_streams(self, replica_id: ReplicaId) -> None:
         """Sever the batched streams broken by a replica crash.
@@ -741,14 +710,10 @@ class Transport:
             elif channel[0] == replica_id:
                 self.sender.restart_chain(channel)
 
-    def batch_is_stale(self, event: BatchDeliveryEvent) -> bool:
-        """``True`` when the batch's stream epoch predates a crash cut."""
-        return event.epoch != self.sender.epoch(event.batch.channel)
-
     # ------------------------------------------------------------------
     # Dynamic membership support
     # ------------------------------------------------------------------
-    def take_outstanding(self) -> List[Tuple[float, UpdateMessage]]:
+    def take_outstanding(self) -> List[DeliveryEvent]:
         """Claim every unacknowledged tracked message, in deterministic order.
 
         The reconfiguration flush delivers these directly at the epoch
@@ -760,7 +725,7 @@ class Transport:
         """
         outstanding = self.sender.outstanding
         out = [
-            (outstanding[key].sent_at, outstanding[key].message)
+            DeliveryEvent((outstanding[key].message,), (outstanding[key].sent_at,))
             for key in sorted(outstanding)
             if key not in self._pending_acks
         ]
@@ -768,20 +733,11 @@ class Transport:
             self._acknowledge(key)
         return out
 
-    def take_held_messages(self) -> List[Tuple[float, UpdateMessage]]:
-        """Claim every parked (held/partitioned) single message (epoch flush)."""
-        held = self._held_messages
-        self._held_messages = []
+    def take_held(self) -> List[DeliveryEvent]:
+        """Claim every parked (held/partitioned) delivery (epoch flush)."""
+        held = self._parked_in_release_order()
+        self._parked = []
         return held
-
-    def take_held_batches(
-        self,
-    ) -> List[Tuple[float, Tuple[float, ...], MessageBatch, int]]:
-        """Claim every parked batch (epoch flush), as
-        ``(flush time, per-message send times, batch, stream epoch)``."""
-        held = self._held_batches
-        self._held_batches = []
-        return [(e.sent_at, e.sent_times, e.batch, e.epoch) for e in held]
 
     def restart_delta_streams(self) -> None:
         """Reset every channel's timestamp delta chain (epoch boundary):
@@ -798,15 +754,6 @@ class Transport:
         self._pending_acks = {k for k in self._pending_acks if k[1] != replica_id}
         for channel in [c for c in self._last_batch_arrival if replica_id in c]:
             del self._last_batch_arrival[channel]
-
-    def note_stale_batch(self, event: BatchDeliveryEvent) -> None:
-        """Discard a batch whose stream was severed while it was in flight.
-
-        Counted with the crash losses (the crash is what killed it); the
-        stream is *not* severed again — batches flushed after the cut
-        belong to the new stream and must keep flowing.
-        """
-        self.stats.messages_lost_to_crash += len(event.batch.messages)
 
     # ------------------------------------------------------------------
     # Ack + resend-timer reliability layer
@@ -829,16 +776,17 @@ class Transport:
         if copy is None:
             return
         message = copy.message
-        if self._blocked((message.sender, message.destination)):
+        event = DeliveryEvent((message,), (copy.sent_at,))
+        if self._blocked(event.channel):
             # Hand the copy to the partition/hold buffer: it is delivered
             # unconditionally on release/heal, so the timer chain can stop.
-            self._held_messages.append((copy.sent_at, message))
+            self._parked.append(event)
             self.sender.abandon(key)
             return
         self.stats.retransmissions += 1
         self._account_single(message)
         final = self.sender.retry(key, self.kernel.now)
-        self._put_on_wire(message, sent_at=copy.sent_at, force=final)
+        self._transmit(event, force=final)
         if final:  # the forced copy cannot be lost: nothing to wait for
             self.sender.abandon(key)
         else:
@@ -931,29 +879,26 @@ class Transport:
         """``True`` while a partition is active."""
         return self._partition_groups is not None
 
+    def _parked_in_release_order(self) -> List[DeliveryEvent]:
+        # Standalone envelopes are released ahead of stream batches (one
+        # stable sort): the order the two parked lists this one replaced
+        # were flushed in, which keeps fixed-seed RNG draws bit-identical.
+        return sorted(self._parked, key=lambda event: event.epoch is not None)
+
     def _flush_parked(self) -> None:
-        """Re-schedule every parked message/batch whose channel is now unblocked."""
-        still_parked: List[Tuple[float, UpdateMessage]] = []
-        for sent_at, message in self._held_messages:
-            if self._blocked((message.sender, message.destination)):
-                still_parked.append((sent_at, message))
+        """Re-schedule every parked delivery whose channel is now unblocked."""
+        still_parked: List[DeliveryEvent] = []
+        for event in self._parked_in_release_order():
+            if self._blocked(event.channel):
+                still_parked.append(event)
             else:
-                self._schedule(message, sent_at=sent_at)
-        self._held_messages = still_parked
-        still_parked_batches: List[BatchDeliveryEvent] = []
-        for event in self._held_batches:
-            if self._blocked(event.batch.channel):
-                still_parked_batches.append(event)
-            else:
-                self._schedule_batch(event)
-        self._held_batches = still_parked_batches
+                self._schedule(event)
+        self._parked = still_parked
 
     @property
     def held_count(self) -> int:
         """Number of messages currently parked on held or partitioned channels."""
-        return len(self._held_messages) + sum(
-            len(event.batch.messages) for event in self._held_batches
-        )
+        return sum(len(event.messages) for event in self._parked)
 
 
 # ======================================================================
@@ -975,15 +920,17 @@ class SimulationHost(ReplicaHost):
     share_graph:
         The register placement / share graph of the system.
     network:
-        The :class:`~repro.sim.network.SimNetwork` facade bundling the
-        event kernel and the transport (built by the concrete cluster).
+        The :class:`Transport` over its :class:`EventKernel`, built by the
+        concrete cluster and exposed as ``host.network``.
     """
 
-    def __init__(self, share_graph: ShareGraph, network: "Any") -> None:
+    def __init__(self, share_graph: ShareGraph, network: Transport) -> None:
         super().__init__(share_graph)
         self.network = network
         self.kernel: EventKernel = network.kernel
-        self.transport: Transport = network.transport
+        # Each replica family registers its timestamp codec; the transport's
+        # byte accounting resolves a message's codec through its sender.
+        network.set_codec_resolver(self._codec_for_message)
         #: Time of the last delivery/arrival processed (timers excluded), so
         #: a trailing metrics sampler does not inflate reported makespans.
         self.last_activity_time: float = 0.0
@@ -1001,6 +948,10 @@ class SimulationHost(ReplicaHost):
         """Current simulated time."""
         return self.kernel.now
 
+    def _codec_for_message(self, message: UpdateMessage) -> Any:
+        replica = self._replica_map().get(message.sender)
+        return replica.wire_codec() if replica is not None else None
+
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -1016,7 +967,7 @@ class SimulationHost(ReplicaHost):
             from ..obs.trace import TraceRecorder
             recorder = TraceRecorder()
         self.tracer = recorder
-        self.transport.tracer = recorder
+        self.network.tracer = recorder
         return recorder
 
     # ------------------------------------------------------------------
@@ -1078,26 +1029,7 @@ class SimulationHost(ReplicaHost):
         event = firing.event
         if isinstance(event, DeliveryEvent):
             self.last_activity_time = firing.time
-            if self.replica_down(event.message.destination):
-                # The destination is crashed: the delivery is lost (it is
-                # re-sent by the retransmission layer or the restart resync).
-                self.transport.note_lost_delivery(event)
-            else:
-                self.transport.record_delivery(event, firing.time)
-                self._deliver(event.message)
-        elif isinstance(event, BatchDeliveryEvent):
-            self.last_activity_time = firing.time
-            if self.replica_down(event.batch.destination):
-                # The whole envelope is lost with its crashed destination;
-                # retransmission/resync recover the contents.
-                self.transport.note_lost_batch(event)
-            elif self.transport.batch_is_stale(event):
-                # The stream was severed (crash) while this batch was in
-                # flight; it dies like a broken connection's data.
-                self.transport.note_stale_batch(event)
-            else:
-                self.transport.record_batch_delivery(event, firing.time)
-                self._deliver_batch(event.batch)
+            self._fire_delivery(event, firing.time)
         elif isinstance(event, TimerEvent):
             event.callback(self, firing.time)
         elif isinstance(event, ArrivalEvent):
@@ -1111,44 +1043,21 @@ class SimulationHost(ReplicaHost):
             raise SimulationError(f"unknown event type {type(event).__name__}")
         return True
 
-    def _accepts_epoch(self, message: UpdateMessage) -> bool:
-        """Epoch admission control: reject frames from retired configurations.
+    def _fire_delivery(self, event: DeliveryEvent, time: float) -> None:
+        """Hand an arrived delivery to its destination — or lose it."""
+        destination = event.channel[1]
+        if self.replica_down(destination) or self.network.is_stale(event):
+            # The destination is crashed, or the stream was severed (by a
+            # crash) while this batch was in flight: the delivery dies like
+            # a broken connection's data, and retransmission or the restart
+            # resync recover the contents.
+            self.network.note_lost(event)
+        else:
+            self.network.record_delivery(event, time)
+            self.deliver(self._replica(destination), event.messages)
 
-        The commit flush completes the old epoch before the new one
-        installs, so in supported schedules no live frame ever arrives
-        stale — this check is the wire contract's safety net (a stale
-        frame's metadata indexes a configuration that no longer exists and
-        must not reach the predicate).  Rejections are counted, and content
-        recovery is the retransmission/resync layers' responsibility.
-        """
-        if message.epoch == self.epoch:
-            return True
-        self.transport.stats.messages_rejected_stale_epoch += 1
-        return False
-
-    def _deliver(self, message: UpdateMessage) -> None:
-        if not self._accepts_epoch(message):
-            return
-        replica = self._replica(message.destination)
-        replica.receive(message)
-        self._apply_ready(replica)
-        self._after_delivery(replica)
-
-    def _deliver_batch(self, batch: "MessageBatch") -> None:
-        """Hand a whole batch to its destination, then run one apply pass.
-
-        The vectorized delivery path: one kernel event per batch, one
-        :meth:`~repro.core.host.ReplicaHost._apply_batch` call buffering
-        every contained message and draining the pending index in a single
-        sweep — equivalent to per-message ``receive`` + ``apply_ready`` by
-        construction (they share the drain loop).
-        """
-        accepted = [m for m in batch.messages if self._accepts_epoch(m)]
-        if not accepted:
-            return
-        replica = self._replica(batch.destination)
-        self._apply_batch(replica, accepted)
-        self._after_delivery(replica)
+    def _note_stale_epoch(self, rejected: int) -> None:
+        self.network.stats.messages_rejected_stale_epoch += rejected
 
     def _handle_arrival(self, operation: "Any") -> None:
         self._arrival_backlog.append((self.now, operation))
@@ -1212,4 +1121,4 @@ class SimulationHost(ReplicaHost):
     # ------------------------------------------------------------------
     def total_metadata_counters_sent(self) -> int:
         """Total counters shipped inside update messages so far."""
-        return self.transport.stats.metadata_counters_sent
+        return self.network.stats.metadata_counters_sent

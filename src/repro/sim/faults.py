@@ -232,9 +232,9 @@ class FaultInjector:
             raise ConfigurationError("host already has a fault injector attached")
         self.host = host
         host.fault_injector = self
-        host.transport.enable_sent_log()
+        host.network.enable_sent_log()
         if reliability is not None:
-            host.transport.enable_reliability(reliability)
+            host.network.enable_reliability(reliability)
         self._snapshots: Dict[ReplicaId, ReplicaSnapshot] = {}
         self._down_since: Dict[ReplicaId, float] = {}
         #: Replicas catching up after a restart: restart time + missing uids.
@@ -291,7 +291,7 @@ class FaultInjector:
         # The replica's in-memory stream state dies with it: batched
         # channels touching it are severed (in-flight batches go stale,
         # post-crash flushes restart their delta chains).
-        self.host.transport.sever_streams(replica_id)
+        self.host.network.sever_streams(replica_id)
         metrics = self.host.metrics
         metrics.crashes += 1
         metrics.fault_timeline.append(
@@ -312,7 +312,7 @@ class FaultInjector:
         metrics.fault_timeline.append(
             FaultRecord(now, "restart", f"replica {replica_id}")
         )
-        missing = self.host.transport.resync(replica_id, replica.known_update_ids())
+        missing = self.host.network.resync(replica_id, replica.known_update_ids())
         if missing:
             self._recovering[replica_id] = (now, set(missing))
         else:
@@ -325,7 +325,7 @@ class FaultInjector:
 
     def partition_now(self, *groups: Iterable[ReplicaId]) -> None:
         """Isolate replica groups at the transport."""
-        self.host.transport.partition(*groups)
+        self.host.network.partition(*groups)
         action = FaultAction(
             time=self.host.now, kind="partition",
             groups=tuple(frozenset(g) for g in groups),
@@ -336,7 +336,7 @@ class FaultInjector:
 
     def heal_now(self) -> None:
         """Dissolve the partition; parked cross-island traffic flies."""
-        self.host.transport.heal()
+        self.host.network.heal()
         self.host.metrics.fault_timeline.append(
             FaultRecord(self.host.now, "heal", "")
         )
@@ -348,7 +348,7 @@ class FaultInjector:
         """Scale every sampled message delay (latency-spike faults)."""
         if factor <= 0:
             raise ConfigurationError("latency factor must be positive")
-        self.host.transport.delay_factor = factor
+        self.host.network.delay_factor = factor
         self.host.metrics.fault_timeline.append(
             FaultRecord(self.host.now, "slowdown", f"x{factor:g}")
         )

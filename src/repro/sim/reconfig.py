@@ -65,7 +65,7 @@ from ..core.protocol import BootstrapMetadata, ReplicaEvent, Update, UpdateId, U
 from ..core.registers import Register, RegisterPlacement, ReplicaId
 from ..core.share_graph import ShareGraph
 from ..wire.membership import MembershipChange, encode_membership_change
-from .engine import BatchDeliveryEvent, DeliveryEvent, FaultRecord, SimulationHost
+from .engine import DeliveryEvent, FaultRecord, SimulationHost
 
 __all__ = [
     "EpochMark",
@@ -442,7 +442,7 @@ class ReconfigManager:
             raise ReconfigurationError("migration window must be non-negative")
         self.host = host
         host.reconfig_manager = self
-        host.transport.enable_sent_log()
+        host.network.enable_sent_log()
         self.window = window
         self._queue: Deque[ReconfigAction] = deque()
         self._active: Optional[ReconfigAction] = None
@@ -575,7 +575,7 @@ class ReconfigManager:
     def _blocked(self) -> Optional[str]:
         """Why the active change cannot commit right now (``None`` = go)."""
         host = self.host
-        if host.transport.partitioned:
+        if host.network.partitioned:
             return "partition open"
         injector = host.fault_injector
         if injector is not None and injector.down_replicas:
@@ -660,7 +660,7 @@ class ReconfigManager:
         for rid in leavers:
             host._retire_trace(rid)
             host._remove_member(rid)
-            host.transport.forget_replica(rid)
+            host.network.forget_replica(rid)
             self._retired.add(rid)
         host._migrate_members(new_graph, epoch)
         for rid in joiners:
@@ -669,7 +669,7 @@ class ReconfigManager:
         host.epoch = epoch
         host.share_graph = new_graph
         host.epoch_history.append((now, new_graph))
-        host.transport.restart_delta_streams()
+        host.network.restart_delta_streams()
 
         # 3. Book-keeping: metrics, availability, announcement bytes.
         metrics = host.metrics
@@ -680,7 +680,7 @@ class ReconfigManager:
                 (self._window_opened_at, now)
             )
         frame = encode_membership_change(change)
-        host.transport.stats.reconfig_bytes_sent += len(frame) * len(new_ids)
+        host.network.stats.reconfig_bytes_sent += len(frame) * len(new_ids)
         metrics.reconfig_timeline.append(
             FaultRecord(now, "reconfig-commit", change.describe())
         )
@@ -709,7 +709,7 @@ class ReconfigManager:
         first already-assigned share-graph neighbor, so schedules that
         predate the knob (``random_churn_schedule``) keep working.
         """
-        model = self.host.transport.delay_model
+        model = self.host.network.delay_model
         while not hasattr(model, "assign") and hasattr(model, "inner"):
             model = model.inner
         if not hasattr(model, "assign"):
@@ -743,50 +743,27 @@ class ReconfigManager:
         apply/serve fixpoint folded in — until the old epoch is quiescent.
         """
         host = self.host
-        transport = host.transport
+        network = host.network
         progress = True
         while progress:
             progress = False
-            transport.flush_open_batches()
-            for event in host.kernel.extract(
-                lambda e: isinstance(e, (DeliveryEvent, BatchDeliveryEvent))
+            network.flush_open_batches()
+            # Each source is claimed only once the previous one's
+            # deliveries are done: a delivery acknowledges its copy, which
+            # is then no longer outstanding, and a serve it unblocks can
+            # multicast new old-epoch messages onto a still-held channel —
+            # left parked, they would be stranded as stale frames after the
+            # epoch bump, so parked traffic is claimed on *every* iteration.
+            for claim in (
+                lambda: host.kernel.extract(lambda e: isinstance(e, DeliveryEvent)),
+                network.take_held,
+                network.take_outstanding,
             ):
-                progress = True
-                self._deliver_flushed(event)
-            # Parked (held/partitioned) traffic is claimed on *every*
-            # iteration: a serve unblocked by the flush can multicast new
-            # old-epoch messages onto a still-held channel, and leaving
-            # them parked would strand them as stale frames after the
-            # epoch bump.
-            for sent_at, message in transport.take_held_messages():
-                progress = True
-                self._deliver_flushed(DeliveryEvent(message, sent_at=sent_at))
-            for sent_at, sent_times, batch, epoch in transport.take_held_batches():
-                progress = True
-                self._deliver_flushed(
-                    BatchDeliveryEvent(
-                        batch=batch, sent_at=sent_at,
-                        sent_times=sent_times, epoch=epoch,
-                    )
-                )
-            for sent_at, message in transport.take_outstanding():
-                progress = True
-                self._deliver_flushed(DeliveryEvent(message, sent_at=sent_at))
+                for event in claim():
+                    progress = True
+                    host._fire_delivery(event, host.now)
             if host._apply_fixpoint():
                 progress = True
-
-    def _deliver_flushed(self, event) -> None:
-        host = self.host
-        transport = host.transport
-        if isinstance(event, DeliveryEvent):
-            transport.record_delivery(event, host.now)
-            host._deliver(event.message)
-        else:
-            if transport.batch_is_stale(event):
-                transport.note_stale_batch(event)
-                return
-            transport.record_batch_delivery(event, host.now)
-            host._deliver_batch(event.batch)
 
     def _drain_residual(self, order: Sequence[UpdateId]) -> None:
         """Apply messages still pending after the flush, in coordinator order.
@@ -890,7 +867,7 @@ class ReconfigManager:
     # ------------------------------------------------------------------
     def _mark(self) -> EpochMark:
         host = self.host
-        stats = host.transport.stats
+        stats = host.network.stats
         return EpochMark(
             epoch=host.epoch,
             time=host.now,

@@ -89,6 +89,11 @@ class ChannelWireStats:
     header_bytes: int = 0
     timestamp_bytes: int = 0
     payload_bytes: int = 0
+    #: What the timestamp frames would have cost without delta encoding.
+    timestamp_bytes_full: int = 0
+    #: Timestamp frames shipped as per-channel deltas vs. in full.
+    delta_frames: int = 0
+    full_frames: int = 0
 
     @property
     def total_bytes(self) -> int:
@@ -300,6 +305,9 @@ class ChannelSender:
         book.header_bytes += sizes.header_bytes
         book.timestamp_bytes += sizes.timestamp_bytes
         book.payload_bytes += sizes.payload_bytes
+        book.timestamp_bytes_full += sizes.timestamp_bytes_full
+        book.delta_frames += sizes.delta_frames
+        book.full_frames += sizes.full_frames
 
     # -- streams: sequence numbers, epochs, delta chains ----------------
     def channels(self) -> Set[Channel]:

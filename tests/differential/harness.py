@@ -36,7 +36,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.protocol import UpdateId, UpdateMessage
+from repro.core.protocol import UpdateId
 from repro.core.registers import Register, RegisterPlacement, ReplicaId
 from repro.core.share_graph import ShareGraph
 from repro.net.runtime import LiveCluster
@@ -116,7 +116,7 @@ class RecordingCluster(Cluster):
         self._seen: set = set()
 
     def _note_receipt(self, channel: Channel, uid: UpdateId) -> None:
-        # Dedup per *destination*, matching the live node's seen_uids: a
+        # Dedup per *destination*, matching the live node's first receipts: a
         # multicast update (replication factor ≥ 3) is a first receipt at
         # every destination, but a retransmitted copy at one destination
         # is not.
@@ -125,16 +125,12 @@ class RecordingCluster(Cluster):
             self._seen.add(key)
             self.streams.setdefault(channel, []).append(uid)
 
-    def _deliver(self, message: UpdateMessage) -> None:
-        self._note_receipt(
-            (message.sender, message.destination), message.update.uid
-        )
-        super()._deliver(message)
-
-    def _deliver_batch(self, batch: Any) -> None:
-        for message in batch.messages:
-            self._note_receipt(batch.channel, message.update.uid)
-        super()._deliver_batch(batch)
+    def deliver(self, replica: Any, messages: Any) -> Any:
+        for message in messages:
+            self._note_receipt(
+                (message.sender, message.destination), message.update.uid
+            )
+        return super().deliver(replica, messages)
 
 
 def differential_workload(

@@ -19,7 +19,7 @@ from repro.baselines import (
 from repro.baselines.hoop_tracking import modified_hoop_tracking_factory
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp_graph import timestamp_edges
-from repro.sim.cluster import Cluster, build_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.delays import UniformDelay
 from repro.sim.topologies import (
     figure5_placement,
@@ -83,7 +83,7 @@ class TestMetadataSizes:
 class TestBehaviour:
     def test_full_replication_applies_everything_everywhere(self):
         graph = ShareGraph.from_placement(figure5_placement())
-        cluster = build_cluster(graph, replica_factory=full_replication_factory, seed=1)
+        cluster = Cluster(graph, replica_factory=full_replication_factory, seed=1)
         cluster.write(3, "c", "only-at-3-originally")
         cluster.run_until_quiescent()
         # Under full replication even replica 1 (which does not store c in the

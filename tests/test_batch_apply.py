@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 
 from repro.baselines.vector_clock_full import FullReplicationReplica
 from repro.clientserver import ClientServerCluster
+from repro.core.host import ReplicaHost
 from repro.core.replica import EdgeIndexedReplica
 from repro.core.share_graph import ShareGraph
 from repro.sim.cluster import Cluster
 from repro.sim.delays import UniformDelay
-from repro.sim.engine import BatchingConfig, SimulationHost
+from repro.sim.engine import BatchingConfig
 from repro.sim.topologies import clique_placement
 from repro.sim.workloads import run_workload, uniform_workload
 
@@ -160,16 +161,16 @@ def test_apply_batch_accepts_message_batch_envelope():
 # ----------------------------------------------------------------------
 
 
-def _per_message_deliver_batch(self, batch):
+def _per_message_deliver(self, replica, messages):
     """The pre-vectorization reference: per-message receive, one drain."""
-    accepted = [m for m in batch.messages if self._accepts_epoch(m)]
+    accepted = [m for m in messages if m.epoch == self.epoch]
     if not accepted:
-        return
-    replica = self._replica(batch.destination)
+        return []
     for message in accepted:
         replica.receive(message)
-    self._apply_ready(replica)
+    applied = self._apply_ready(replica)
     self._after_delivery(replica)
+    return applied
 
 
 def _metrics_fingerprint(cluster):
@@ -197,9 +198,7 @@ def test_run_metrics_identical_across_delivery_paths(
 
     def run(patched: bool):
         if patched:
-            monkeypatch.setattr(
-                SimulationHost, "_deliver_batch", _per_message_deliver_batch
-            )
+            monkeypatch.setattr(ReplicaHost, "deliver", _per_message_deliver)
         else:
             monkeypatch.undo()
         if architecture == "peer_to_peer":

@@ -7,7 +7,7 @@ import pytest
 from repro.baselines import full_replication_factory
 from repro.core.errors import UnknownReplicaError
 from repro.core.share_graph import ShareGraph
-from repro.sim.cluster import Cluster, build_cluster, edge_indexed_factory
+from repro.sim.cluster import Cluster, edge_indexed_factory
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.metrics import (
     all_edges_profile,
@@ -32,7 +32,7 @@ from repro.sim.workloads import (
 @pytest.fixture
 def tri_cluster():
     graph = ShareGraph.from_placement(triangle_placement())
-    return build_cluster(graph, delay_model=FixedDelay(1.0), seed=0)
+    return Cluster(graph, delay_model=FixedDelay(1.0), seed=0)
 
 
 class TestCluster:
@@ -131,7 +131,7 @@ class TestWorkloads:
 
     def test_run_workload_consistent(self):
         graph = self.make_graph()
-        cluster = build_cluster(graph, delay_model=UniformDelay(1, 10), seed=1)
+        cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=1)
         result = run_workload(cluster, uniform_workload(graph, 150, seed=1))
         assert result.consistent
         assert result.safety_violations == 0
@@ -140,7 +140,7 @@ class TestWorkloads:
 
     def test_run_workload_with_no_interleave(self):
         graph = self.make_graph()
-        cluster = build_cluster(graph, delay_model=UniformDelay(1, 10), seed=2)
+        cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=2)
         result = run_workload(cluster, uniform_workload(graph, 80, seed=2), interleave_steps=0)
         assert result.consistent
 
@@ -186,7 +186,7 @@ class TestMetadataProfiles:
 
     def test_measure_false_dependencies_runs(self):
         graph = ShareGraph.from_placement(ring_placement(5))
-        cluster = build_cluster(graph, delay_model=UniformDelay(1, 10), seed=4)
+        cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=4)
         run_workload(cluster, uniform_workload(graph, 60, seed=4))
         stats = measure_false_dependencies(cluster)
         assert stats.total_applies > 0

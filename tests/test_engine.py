@@ -14,7 +14,7 @@ from repro.clientserver import ClientServerCluster
 from repro.core.protocol import CausalReplica, Update, UpdateMessage
 from repro.core.replica import EdgeIndexedReplica
 from repro.core.share_graph import ShareGraph
-from repro.sim.cluster import Cluster, build_cluster, edge_indexed_factory
+from repro.sim.cluster import Cluster, edge_indexed_factory
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.engine import (
     ArrivalEvent,
@@ -56,7 +56,7 @@ class TestEventKernel:
         kernel = EventKernel()
         kernel.schedule_at(2.0, TimerEvent(callback=lambda h, t: None))
         kernel.schedule_at(2.0, ArrivalEvent(operation=None))
-        kernel.schedule_at(2.0, DeliveryEvent(message=_msg(), sent_at=0.0))
+        kernel.schedule_at(2.0, DeliveryEvent((_msg(),), (0.0,)))
         kinds = [type(kernel.next_event().event) for _ in range(3)]
         assert kinds == [DeliveryEvent, ArrivalEvent, TimerEvent]
 
@@ -77,7 +77,7 @@ class TestEventKernel:
 
     def test_pending_counts_by_type(self):
         kernel = EventKernel()
-        kernel.schedule_at(1.0, DeliveryEvent(message=_msg(), sent_at=0.0))
+        kernel.schedule_at(1.0, DeliveryEvent((_msg(),), (0.0,)))
         kernel.schedule_at(2.0, ArrivalEvent(operation=None))
         assert kernel.pending_events() == 2
         assert kernel.pending_of(DeliveryEvent) == 1
@@ -88,7 +88,7 @@ class TestEventKernel:
 class TestTimers:
     def test_timers_interleave_with_deliveries(self):
         graph = ShareGraph.from_placement(triangle_placement())
-        cluster = build_cluster(graph, delay_model=FixedDelay(2.0), seed=0)
+        cluster = Cluster(graph, delay_model=FixedDelay(2.0), seed=0)
         fired = []
         cluster.schedule_timer(1.0, lambda host, t: fired.append(("t1", t)))
         cluster.schedule_timer(3.0, lambda host, t: fired.append(("t3", t)))
@@ -99,7 +99,7 @@ class TestTimers:
 
     def test_queue_depth_sampling(self):
         graph = ShareGraph.from_placement(triangle_placement())
-        cluster = build_cluster(graph, delay_model=FixedDelay(5.0), seed=0)
+        cluster = Cluster(graph, delay_model=FixedDelay(5.0), seed=0)
         cluster.write(1, "x", "v")
         cluster.schedule_timer(1.0, lambda host, t: host.sample_queue_depths())
         cluster.run_until_quiescent()
@@ -128,7 +128,7 @@ class TestMetricsPipeline:
 
     def test_run_metrics_shared_by_both_architectures(self):
         graph = ShareGraph.from_placement(triangle_placement())
-        p2p = build_cluster(graph, delay_model=FixedDelay(1.0), seed=1)
+        p2p = Cluster(graph, delay_model=FixedDelay(1.0), seed=1)
         cs = ClientServerCluster.with_colocated_clients(
             graph, delay_model=FixedDelay(1.0), seed=1
         )
@@ -203,7 +203,7 @@ class TestOpenLoopGenerators:
 class TestOpenLoopRuns:
     def test_open_loop_on_peer_to_peer(self):
         graph = ShareGraph.from_placement(figure5_placement())
-        cluster = build_cluster(graph, delay_model=UniformDelay(1, 10), seed=7)
+        cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=7)
         workload = poisson_workload(graph, rate=1.0, duration=80.0, seed=7)
         result = run_open_loop(cluster, workload, queue_sample_interval=5.0)
         assert result.consistent
@@ -218,7 +218,7 @@ class TestOpenLoopRuns:
         graph = ShareGraph.from_placement(figure5_placement())
 
         def run():
-            cluster = build_cluster(graph, delay_model=UniformDelay(1, 10), seed=11)
+            cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=11)
             workload = poisson_workload(graph, rate=1.5, duration=60.0, seed=11)
             result = run_open_loop(cluster, workload)
             return cluster.events_by_replica(), result.makespan, result.messages_sent
@@ -232,7 +232,7 @@ class TestOpenLoopRuns:
     def test_open_loop_on_warmed_up_host(self):
         """Arrival spacing and makespan are relative to the run's start."""
         graph = ShareGraph.from_placement(triangle_placement())
-        cluster = build_cluster(graph, delay_model=FixedDelay(1.0), seed=5)
+        cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=5)
         workload = poisson_workload(graph, rate=1.0, duration=30.0, seed=5)
         first = run_open_loop(cluster, workload)
         assert cluster.now > 0
@@ -244,10 +244,10 @@ class TestOpenLoopRuns:
 
     def test_makespan_not_inflated_by_trailing_sampler(self):
         graph = ShareGraph.from_placement(triangle_placement())
-        baseline = build_cluster(graph, delay_model=FixedDelay(1.0), seed=6)
+        baseline = Cluster(graph, delay_model=FixedDelay(1.0), seed=6)
         workload = poisson_workload(graph, rate=0.5, duration=40.0, seed=6)
         no_sampler = run_open_loop(baseline, workload)
-        sampled_cluster = build_cluster(graph, delay_model=FixedDelay(1.0), seed=6)
+        sampled_cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=6)
         sampled = run_open_loop(sampled_cluster, workload, queue_sample_interval=7.0)
         assert sampled.makespan == pytest.approx(no_sampler.makespan)
 
@@ -295,7 +295,7 @@ class TestArchitectureParity:
     def _run_both(self, seed: int):
         graph = ShareGraph.from_placement(figure5_placement())
         workload = uniform_workload(graph, 80, seed=seed)
-        p2p = build_cluster(graph, delay_model=FixedDelay(2.0), seed=seed)
+        p2p = Cluster(graph, delay_model=FixedDelay(2.0), seed=seed)
         cs = ClientServerCluster.with_colocated_clients(
             graph, delay_model=FixedDelay(2.0), seed=seed
         )
@@ -339,7 +339,7 @@ class TestIndexedApplyPath:
             ring_placement(6) if placement_seed == 1 else figure5_placement()
         )
         workload = uniform_workload(graph, 120, seed=placement_seed)
-        indexed = build_cluster(graph, delay_model=UniformDelay(1, 20), seed=placement_seed)
+        indexed = Cluster(graph, delay_model=UniformDelay(1, 20), seed=placement_seed)
         rescan = Cluster(
             graph,
             replica_factory=self._rescan_factory,

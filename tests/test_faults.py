@@ -15,7 +15,7 @@ from repro.clientserver import ClientServerCluster
 from repro.core.errors import ConfigurationError, ProtocolError, SimulationError
 from repro.core.registers import RegisterPlacement
 from repro.core.share_graph import ShareGraph
-from repro.sim.cluster import Cluster, build_cluster
+from repro.sim.cluster import Cluster
 from repro.sim.delays import DuplicatingDelay, FixedDelay, LossyDelay, UniformDelay
 from repro.sim.engine import ReliabilityConfig
 from repro.sim.faults import (
@@ -92,7 +92,7 @@ class TestFaultSchedule:
 class TestSnapshotRestore:
     def test_roundtrip_restores_exact_state(self):
         graph = path_graph()
-        cluster = build_cluster(graph, delay_model=FixedDelay(1.0), seed=0)
+        cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=0)
         cluster.write(2, "x", "x1")
         cluster.run_until_quiescent()
         replica = cluster.replica(2)
@@ -109,7 +109,7 @@ class TestSnapshotRestore:
 
     def test_snapshot_shares_no_structure(self):
         graph = path_graph()
-        cluster = build_cluster(graph, delay_model=FixedDelay(1.0), seed=0)
+        cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=0)
         replica = cluster.replica(2)
         snapshot = replica.snapshot()
         replica.store["x"] = "mutated"
@@ -117,7 +117,7 @@ class TestSnapshotRestore:
 
     def test_restore_wrong_replica_rejected(self):
         graph = path_graph()
-        cluster = build_cluster(graph, delay_model=FixedDelay(1.0), seed=0)
+        cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=0)
         snapshot = cluster.replica(2).snapshot()
         with pytest.raises(ProtocolError):
             cluster.replica(3).restore(snapshot)
@@ -143,7 +143,7 @@ class TestSnapshotRestore:
 class TestCrashRecovery:
     def test_crash_restart_recover_peer_to_peer(self):
         graph = path_graph()
-        cluster = build_cluster(graph, delay_model=FixedDelay(2.0), seed=1)
+        cluster = Cluster(graph, delay_model=FixedDelay(2.0), seed=1)
         injector = FaultInjector(cluster)
         injector.install(
             FaultSchedule("crash3", (crash(5.0, 3), restart(30.0, 3)))
@@ -171,7 +171,7 @@ class TestCrashRecovery:
 
     def test_crash_rejects_operations_while_down(self):
         graph = path_graph()
-        cluster = build_cluster(graph, delay_model=FixedDelay(1.0), seed=1)
+        cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=1)
         injector = FaultInjector(cluster)
         injector.crash_now(3)
         assert cluster.write(3, "y", "nope") is None
@@ -246,7 +246,7 @@ class TestCrashRecovery:
 
     def test_injector_misuse_raises(self):
         graph = path_graph()
-        cluster = build_cluster(graph, seed=0)
+        cluster = Cluster(graph, seed=0)
         injector = FaultInjector(cluster)
         with pytest.raises(ConfigurationError):
             FaultInjector(cluster)  # double attach
@@ -258,13 +258,13 @@ class TestCrashRecovery:
 
     def test_resync_requires_sent_log(self):
         graph = path_graph()
-        cluster = build_cluster(graph, seed=0)  # no injector → no sent log
+        cluster = Cluster(graph, seed=0)  # no injector → no sent log
         with pytest.raises(SimulationError):
-            cluster.transport.resync(1, set())
+            cluster.network.resync(1, set())
 
     def test_finalize_downtime_and_availability(self):
         graph = path_graph()
-        cluster = build_cluster(graph, delay_model=FixedDelay(1.0), seed=0)
+        cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=0)
         injector = FaultInjector(cluster)
         injector.install(FaultSchedule("down", (crash(10.0, 4),)))
         cluster.schedule_arrival_at(50.0, Operation("write", 1, "x", "x1"))
@@ -284,7 +284,7 @@ class TestCrashRecovery:
 class TestPartitionHeal:
     def test_partition_heal_peer_to_peer(self):
         graph = path_graph()
-        cluster = build_cluster(graph, delay_model=FixedDelay(2.0), seed=1)
+        cluster = Cluster(graph, delay_model=FixedDelay(2.0), seed=1)
         injector = FaultInjector(cluster)
         injector.install(
             FaultSchedule("split", (partition(0.5, {1, 2}, {3, 4}), heal(40.0)))
@@ -327,7 +327,7 @@ class TestPartitionHeal:
 
     def test_unlisted_replicas_form_rest_island(self):
         graph = path_graph()
-        cluster = build_cluster(graph, delay_model=FixedDelay(1.0), seed=1)
+        cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=1)
         # Isolate {2} from everyone; 1, 3, 4 stay mutually connected.
         cluster.network.partition({2}, {1})
         cluster.write(3, "z", "z1")          # 3 -> 4 unaffected
@@ -352,7 +352,7 @@ class TestLossyChannels:
             inner=LossyDelay(inner=UniformDelay(1, 10), drop_probability=0.3),
             duplicate_probability=0.25,
         )
-        cluster = build_cluster(graph, delay_model=model, seed=seed)
+        cluster = Cluster(graph, delay_model=model, seed=seed)
         FaultInjector(
             cluster,
             reliability=ReliabilityConfig(resend_timeout=20.0, max_retries=5),
@@ -379,7 +379,7 @@ class TestLossyChannels:
     def test_loss_without_reliability_breaks_liveness(self):
         graph = path_graph()
         model = LossyDelay(inner=FixedDelay(1.0), drop_probability=1.0)
-        cluster = build_cluster(graph, delay_model=model, seed=0)
+        cluster = Cluster(graph, delay_model=model, seed=0)
         cluster.write(2, "y", "y1")
         cluster.run_until_quiescent()
         report = cluster.check_consistency()
@@ -390,7 +390,7 @@ class TestLossyChannels:
         # resend timer after the restart — the ack/resend layer alone
         # recovers it even though the resync also would.
         graph = path_graph()
-        cluster = build_cluster(graph, delay_model=FixedDelay(1.0), seed=0)
+        cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=0)
         injector = FaultInjector(
             cluster, reliability=ReliabilityConfig(resend_timeout=5.0, max_retries=10)
         )
@@ -408,7 +408,7 @@ class TestLossyChannels:
 class TestLatencySpike:
     def test_spike_scales_delays_then_recovers(self):
         graph = path_graph()
-        cluster = build_cluster(graph, delay_model=FixedDelay(2.0), seed=0)
+        cluster = Cluster(graph, delay_model=FixedDelay(2.0), seed=0)
         injector = FaultInjector(cluster)
         injector.install(FaultSchedule("spike", (latency_spike(5.0, 10.0, 10.0),)))
         cluster.schedule_arrival_at(6.0, Operation("write", 2, "y", "slow"))

@@ -50,3 +50,28 @@ def test_layer_does_not_import_a_runtime_above_it(layer):
         if module == f"repro.{banned}" or module.startswith(f"repro.{banned}.")
     ]
     assert not offending, "\n".join(offending)
+
+
+def test_no_module_imports_the_removed_network_facade():
+    assert not (ROOT / "sim" / "network.py").exists()
+    offending = [
+        f"{path.relative_to(ROOT.parent)}:{lineno}"
+        for path in sorted(ROOT.rglob("*.py"))
+        for lineno, module in _imported_modules(path)
+        if module == "repro.sim.network" or module.startswith("repro.sim.network.")
+    ]
+    assert not offending, "\n".join(offending)
+
+
+def test_fault_and_reconfig_layers_know_one_delivery_event_type():
+    """A delivery is one kernel event: the layers that intercept deliveries
+    import ``DeliveryEvent`` from ``sim.engine`` and no sibling of it."""
+    prefix = "repro.sim.engine."
+    delivery_events = {
+        str(path): {
+            module[len(prefix):] for _, module in _imported_modules(path)
+            if module.startswith(prefix) and module.endswith("DeliveryEvent")
+        }
+        for path in (ROOT / "sim" / "reconfig.py", ROOT / "sim" / "faults.py")
+    }
+    assert set().union(*delivery_events.values()) == {"DeliveryEvent"}, delivery_events

@@ -1,4 +1,4 @@
-"""Unit tests for repro.sim.network and repro.sim.delays."""
+"""Unit tests for the transport over its event kernel, and repro.sim.delays."""
 
 from __future__ import annotations
 
@@ -17,7 +17,30 @@ from repro.sim.delays import (
     SlowChannelDelay,
     UniformDelay,
 )
-from repro.sim.network import SimNetwork
+from repro.sim.engine import DeliveryEvent, EventKernel, Transport
+
+
+def transport(delay_model=None, seed=0):
+    return Transport(EventKernel(), delay_model=delay_model, seed=seed)
+
+
+def scheduled(network):
+    """Deliveries on their way: scheduled on the kernel, not parked."""
+    return network.kernel.pending_of(DeliveryEvent)
+
+
+def deliver_next(network):
+    """Fire the next delivery as a host would; ``None`` when idle."""
+    firing = network.kernel.next_event()
+    if firing is None:
+        return None
+    network.record_delivery(firing.event, firing.time)
+    (message,) = firing.event.messages
+    return message
+
+
+def drain(network):
+    return list(iter(lambda: deliver_next(network), None))
 
 
 def msg(sender=1, dest=2, seq=1, size=4, payload=True):
@@ -138,23 +161,22 @@ class TestHoldPartitionInteraction:
     """Held channels and partitions are independent blocking reasons."""
 
     def test_partition_parks_cross_traffic_and_heal_delivers_once(self):
-        network = SimNetwork(delay_model=FixedDelay(1.0), seed=0)
+        network = transport(FixedDelay(1.0))
         network.partition({1, 2}, {3, 4})
         assert network.partitioned
         network.send(msg(1, 3))          # crosses the cut: parked
         network.send(msg(1, 2, seq=2))   # intra-island: flies
         assert network.held_count == 1
-        assert network.pending_count() == 1
+        assert scheduled(network) == 1
         network.heal()
         assert not network.partitioned
         assert network.held_count == 0
-        deliveries = list(network.drain())
-        assert sorted(d.message.destination for d in deliveries) == [2, 3]
+        assert sorted(m.destination for m in drain(network)) == [2, 3]
 
     def test_held_message_survives_partition_heal(self):
         # Satellite acceptance: a hold placed before/under a partition keeps
         # its messages parked through the heal; release delivers exactly once.
-        network = SimNetwork(delay_model=FixedDelay(1.0), seed=0)
+        network = transport(FixedDelay(1.0))
         network.hold(1, 3)
         network.partition({1, 2}, {3, 4})
         network.send(msg(1, 3))
@@ -162,26 +184,24 @@ class TestHoldPartitionInteraction:
         network.heal()
         # Still held: the explicit hold is not dissolved by the heal.
         assert network.held_count == 1
-        assert network.deliver_next() is None
+        assert deliver_next(network) is None
         network.release(1, 3)
-        deliveries = list(network.drain())
-        assert [d.message.destination for d in deliveries] == [3]
+        assert [m.destination for m in drain(network)] == [3]
 
     def test_release_does_not_pierce_active_partition(self):
-        network = SimNetwork(delay_model=FixedDelay(1.0), seed=0)
+        network = transport(FixedDelay(1.0))
         network.hold(1, 3)
         network.partition({1, 2}, {3, 4})
         network.send(msg(1, 3))
         network.release(1, 3)
         # Released, but the partition still blocks the channel.
         assert network.held_count == 1
-        assert network.deliver_next() is None
+        assert deliver_next(network) is None
         network.heal()
-        deliveries = list(network.drain())
-        assert [d.message.destination for d in deliveries] == [3]
+        assert [m.destination for m in drain(network)] == [3]
 
     def test_release_all_does_not_pierce_active_partition(self):
-        network = SimNetwork(delay_model=FixedDelay(1.0), seed=0)
+        network = transport(FixedDelay(1.0))
         network.hold(1, 3)
         network.hold(2, 4)
         network.partition({1, 2}, {3, 4})
@@ -192,14 +212,14 @@ class TestHoldPartitionInteraction:
         assert network.held_count == 2
         network.heal()
         assert network.held_count == 0
-        deliveries = list(network.drain())
-        assert len(deliveries) == 3
+        delivered = drain(network)
+        assert len(delivered) == 3
         # Exactly once each, despite hold + partition + release_all + heal.
-        uids = [(d.message.update.uid, d.message.destination) for d in deliveries]
+        uids = [(m.update.uid, m.destination) for m in delivered]
         assert len(uids) == len(set(uids))
 
     def test_repartition_replaces_previous_groups(self):
-        network = SimNetwork(delay_model=FixedDelay(1.0), seed=0)
+        network = transport(FixedDelay(1.0))
         network.partition({1}, {2, 3, 4})
         network.send(msg(1, 2))
         assert network.held_count == 1
@@ -207,100 +227,85 @@ class TestHoldPartitionInteraction:
         # immediately; traffic across the new cut parks instead.
         network.partition({1, 2}, {3, 4})
         assert network.held_count == 0
-        assert network.pending_count() == 1
+        assert scheduled(network) == 1
         network.send(msg(1, 3, seq=2))
         assert network.held_count == 1
         network.heal()
-        deliveries = list(network.drain())
-        assert len(deliveries) == 2
-        uids = [(d.message.update.uid, d.message.destination) for d in deliveries]
+        delivered = drain(network)
+        assert len(delivered) == 2
+        uids = [(m.update.uid, m.destination) for m in delivered]
         assert len(uids) == len(set(uids))
 
 
 class TestSimNetwork:
     def test_send_and_deliver(self):
-        network = SimNetwork(delay_model=FixedDelay(2.0), seed=0)
+        network = transport(FixedDelay(2.0))
         network.send(msg())
-        assert network.pending_count() == 1
-        delivery = network.deliver_next()
-        assert delivery is not None
-        assert delivery.time == pytest.approx(2.0)
-        assert network.now == pytest.approx(2.0)
-        assert network.deliver_next() is None
+        assert scheduled(network) == 1
+        assert deliver_next(network) is not None
+        assert network.kernel.now == pytest.approx(2.0)
+        assert deliver_next(network) is None
 
     def test_delivery_order_follows_delays_not_send_order(self):
-        network = SimNetwork(delay_model=AdversarialDelay(
+        network = transport(AdversarialDelay(
             chooser=lambda m: 10.0 if m.update.seq == 1 else 1.0
-        ), seed=0)
+        ))
         network.send(msg(seq=1))
         network.send(msg(seq=2))
-        first = network.deliver_next()
-        second = network.deliver_next()
-        assert first.message.update.seq == 2
-        assert second.message.update.seq == 1
+        assert [m.update.seq for m in drain(network)] == [2, 1]
 
     def test_explicit_delay_override(self):
-        network = SimNetwork(delay_model=FixedDelay(100.0), seed=0)
+        network = transport(FixedDelay(100.0))
         network.send(msg(), delay=0.5)
-        assert network.deliver_next().time == pytest.approx(0.5)
+        deliver_next(network)
+        assert network.kernel.now == pytest.approx(0.5)
 
     def test_negative_delay_rejected(self):
-        network = SimNetwork(seed=0)
+        network = transport()
         with pytest.raises(SimulationError):
             network.send(msg(), delay=-1.0)
 
     def test_stats_accumulate(self):
-        network = SimNetwork(delay_model=FixedDelay(1.0), seed=0)
+        network = transport(FixedDelay(1.0))
         network.send(msg(size=5))
         network.send(msg(seq=2, size=7, payload=False))
         assert network.stats.messages_sent == 2
         assert network.stats.metadata_counters_sent == 12
         assert network.stats.payload_messages_sent == 1
         assert network.stats.metadata_only_messages_sent == 1
-        network.deliver_next()
-        network.deliver_next()
+        drain(network)
         assert network.stats.messages_delivered == 2
         assert network.stats.mean_latency == pytest.approx(1.0)
 
     def test_hold_and_release(self):
-        network = SimNetwork(delay_model=FixedDelay(1.0), seed=0)
+        network = transport(FixedDelay(1.0))
         network.hold(1, 2)
         network.send(msg(1, 2))
         network.send(msg(1, 3, seq=2))
-        assert network.pending_count() == 1
+        assert scheduled(network) == 1
         assert network.held_count == 1
-        assert network.in_flight() == 2
         # Only the unheld message is deliverable.
-        assert network.deliver_next().message.destination == 3
-        assert network.deliver_next() is None
+        assert deliver_next(network).destination == 3
+        assert deliver_next(network) is None
         network.release(1, 2)
         assert network.held_count == 0
-        assert network.deliver_next().message.destination == 2
+        assert deliver_next(network).destination == 2
 
     def test_release_all(self):
-        network = SimNetwork(delay_model=FixedDelay(1.0), seed=0)
+        network = transport(FixedDelay(1.0))
         network.hold(1, 2)
         network.hold(1, 3)
         network.send(msg(1, 2))
         network.send(msg(1, 3, seq=2))
         network.release_all()
         assert network.held_count == 0
-        assert network.pending_count() == 2
-
-    def test_drain(self):
-        network = SimNetwork(delay_model=FixedDelay(1.0), seed=0)
-        for seq in range(5):
-            network.send(msg(seq=seq + 1))
-        deliveries = list(network.drain())
-        assert len(deliveries) == 5
-        assert network.pending_count() == 0
+        assert scheduled(network) == 2
 
     def test_determinism_with_same_seed(self):
         def run(seed):
-            network = SimNetwork(delay_model=UniformDelay(1, 10), seed=seed)
+            network = transport(UniformDelay(1, 10), seed=seed)
             for seq in range(10):
                 network.send(msg(seq=seq + 1))
-            return [d.message.update.seq for d in network.drain()]
+            return [m.update.seq for m in drain(network)]
 
         assert run(7) == run(7)
-        assert run(7) != run(8) or run(7) == run(8)  # same-seed equality is the real check

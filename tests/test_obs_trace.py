@@ -212,7 +212,7 @@ class TestTraceCodec:
         cluster = Cluster(graph, seed=0,
                           batching=BatchingConfig(max_messages=4, max_delay=1.0))
         assert cluster.tracer is None
-        assert cluster.transport.tracer is None
+        assert cluster.network.tracer is None
         workload = single_writer_workload(graph, rate=3.0, duration=10.0, seed=0)
         run_open_loop(cluster, workload)
         assert cluster.metrics.applies > 0  # the run did real work

@@ -481,8 +481,8 @@ class TestEdgeCases:
         )
         manager = ReconfigManager(cluster, window=3.0)
         manager.install(ReconfigSchedule("leave4", (leave(5.0, 4),)))
-        cluster.transport.hold(3, 2)
-        cluster.transport.hold(2, 1)
+        cluster.network.hold(3, 2)
+        cluster.network.hold(2, 1)
         # The roaming client writes y at 3, making µ_c run ahead of server
         # 2; its next write of x at 2 buffers behind J1 until 3's update
         # reaches 2 — which only the commit flush's *held-channel claim*

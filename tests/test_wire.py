@@ -17,7 +17,7 @@ from repro.core.share_graph import ShareGraph
 from repro.core.timestamps import EdgeTimestamp, VectorTimestamp
 from repro.sim.cluster import Cluster
 from repro.sim.delays import FixedDelay, LossyDelay, UniformDelay
-from repro.sim.engine import BatchDeliveryEvent, BatchingConfig, ReliabilityConfig
+from repro.sim.engine import BatchingConfig, DeliveryEvent, ReliabilityConfig
 from repro.sim.topologies import clique_placement, figure5_placement, triangle_placement
 from repro.sim.workloads import run_workload, uniform_workload
 from repro.wire import (
@@ -304,7 +304,7 @@ class TestBatchingTransport:
             cluster.write(1, "g", f"v{index}")
         # 5 writes x 5 destinations: every channel window has exactly 5
         # messages, so all flushed by count despite the far deadline.
-        assert cluster.transport.open_batch_messages == 0
+        assert cluster.network.open_batch_messages == 0
         assert cluster.network.stats.batches_sent == 5
         cluster.run_until_quiescent()
         assert cluster.check_consistency().is_causally_consistent
@@ -315,7 +315,7 @@ class TestBatchingTransport:
         )
         cluster.write(1, "g", "v0")
         assert cluster.network.stats.batches_sent == 0
-        assert cluster.transport.open_batch_messages == 5
+        assert cluster.network.open_batch_messages == 5
         cluster.run_until_quiescent()
         assert cluster.network.stats.batches_sent == 5
         # Window wait (2.5) + wire delay (1.0) shows up in delivery latency.
@@ -347,7 +347,7 @@ class TestBatchingTransport:
         cluster.write(1, "g", "b")
         cluster.run_until_quiescent()
         # The 1->2 batch flushed but is parked; everyone else caught up.
-        assert cluster.transport.held_count == 2
+        assert cluster.network.held_count == 2
         assert cluster.replica(2).store["g"] is None
         assert cluster.replica(3).store["g"] == "b"
         cluster.network.release(1, 2)
@@ -362,7 +362,7 @@ class TestBatchingTransport:
         cluster.run_until_quiescent()
         assert cluster.replica(3).store["g"] == "inside"
         assert cluster.replica(4).store["g"] is None
-        assert cluster.transport.held_count == 3  # one per far-side replica
+        assert cluster.network.held_count == 3  # one per far-side replica
         cluster.network.heal()
         cluster.run_until_quiescent()
         assert cluster.replica(4).store["g"] == "inside"
@@ -377,7 +377,7 @@ class TestBatchingTransport:
             seed=11,
             batching=BatchingConfig(max_messages=3, max_delay=2.0),
         )
-        cluster.transport.enable_reliability(
+        cluster.network.enable_reliability(
             ReliabilityConfig(resend_timeout=20.0, max_retries=6)
         )
         workload = uniform_workload(graph, 60, seed=11)
@@ -533,7 +533,8 @@ class TestBatchingTransport:
         messages = replica.write("x", "direct")
         cluster.network.send(messages[0], delay=0.5)
         assert cluster.network.stats.batches_sent == 0
-        assert cluster.kernel.pending_of(BatchDeliveryEvent) == 0
+        (event,) = cluster.kernel.events_of(DeliveryEvent)
+        assert event.epoch is None  # a standalone envelope, not a stream batch
         cluster.run_until_quiescent()
         assert cluster.replica(2).store["x"] == "direct"
 
