@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ConfigurationError, UnknownReplicaError
+from ..core.loops import decide_loop_edges
 from ..core.registers import Register, ReplicaId
-from ..core.share_graph import Edge, ShareGraph
+from ..core.share_graph import Edge, ShareGraph, adjacency_of, simple_cycles
 
 #: Client identifiers are strings (e.g. ``"c1"``) to keep them visually
 #: distinct from integer replica ids.
@@ -61,8 +62,8 @@ class ClientAssignment:
     def client_edges(self) -> FrozenSet[Edge]:
         """All directed edges ``e_jk`` induced by some client with ``j, k ∈ R_c``.
 
-        Cached on the instance (assignments are immutable): the augmented
-        edge set is read on every adjacency query of the loop enumeration.
+        Cached on the instance (assignments are immutable): the loop
+        search asks it about every r-side edge.
         """
         cached = self.__dict__.get("_client_edges")
         if cached is None:
@@ -104,8 +105,7 @@ class AugmentedShareGraph:
     @property
     def edges(self) -> FrozenSet[Edge]:
         """``Ê = E ∪ {e_jk | ∃ client c with j, k ∈ R_c}`` (cached; the
-        instance is immutable and this union sits on the hot path of the
-        augmented-loop enumeration)."""
+        instance is immutable)."""
         cached = self.__dict__.get("_edges")
         if cached is None:
             cached = self.share_graph.edges | self.clients.client_edges()
@@ -116,39 +116,28 @@ class AugmentedShareGraph:
         """``True`` iff ``e_jk ∈ Ê``."""
         return (j, k) in self.edges
 
+    @property
+    def adjacency(self) -> Dict[ReplicaId, Tuple[ReplicaId, ...]]:
+        """``{i: sorted neighbours of i in Ĝ}`` (cached like :attr:`edges`)."""
+        cached = self.__dict__.get("_adjacency")
+        if cached is None:
+            cached = adjacency_of(self.replica_ids, self.edges)
+            object.__setattr__(self, "_adjacency", cached)
+        return cached
+
     def neighbors(self, i: ReplicaId) -> Tuple[ReplicaId, ...]:
         """Replicas adjacent to ``i`` in ``Ĝ``."""
-        return tuple(
-            sorted(j for j in self.replica_ids if (i, j) in self.edges)
-        )
+        return self.adjacency[i]
 
     def incident_edges(self, i: ReplicaId) -> FrozenSet[Edge]:
         """Directed edges of ``Ê`` incident on ``i``."""
-        return frozenset(e for e in self.edges if i in e)
+        return frozenset(e for j in self.adjacency[i] for e in ((i, j), (j, i)))
 
     def simple_cycles_through(
         self, i: ReplicaId, max_length: Optional[int] = None
     ) -> Iterator[Tuple[ReplicaId, ...]]:
         """Simple cycles of ``Ĝ`` through ``i`` (both orientations)."""
-        adjacency = {v: self.neighbors(v) for v in self.replica_ids}
-        limit = max_length if max_length is not None else len(self.replica_ids)
-        path: List[ReplicaId] = [i]
-        on_path: Set[ReplicaId] = {i}
-
-        def dfs() -> Iterator[Tuple[ReplicaId, ...]]:
-            current = path[-1]
-            for nxt in adjacency[current]:
-                if nxt == i and len(path) >= 3:
-                    yield tuple(path)
-                if nxt in on_path or len(path) >= limit:
-                    continue
-                path.append(nxt)
-                on_path.add(nxt)
-                yield from dfs()
-                path.pop()
-                on_path.remove(nxt)
-
-        yield from dfs()
+        return simple_cycles(self.adjacency, i, max_length)
 
 
 def _union_registers(graph: ShareGraph, replicas: Iterable[ReplicaId]) -> FrozenSet[Register]:
@@ -204,6 +193,27 @@ def augmented_loop_conditions(
     return True
 
 
+def _decide_augmented(
+    augmented: AugmentedShareGraph,
+    observer: ReplicaId,
+    max_loop_length: Optional[int],
+    target_edge: Optional[Edge] = None,
+) -> FrozenSet[Edge]:
+    """:func:`~repro.core.loops.decide_loop_edges` over ``Ĝ``: cycles run along
+    augmented edges, and an r-side edge survives its blockers through a
+    register or through a client that accesses both endpoints."""
+    shared = augmented.share_graph.index().edge_registers
+    links = augmented.clients.client_edges()
+
+    def survives(u: ReplicaId, v: ReplicaId, blocked: Mapping[Register, int]) -> bool:
+        return (u, v) in links or not all(blocked[x] for x in shared.get((u, v), ()))
+
+    return decide_loop_edges(
+        augmented.share_graph, observer, max_loop_length, target_edge,
+        adjacency=augmented.adjacency, survives=survives,
+    )[0]
+
+
 def has_augmented_loop(
     augmented: AugmentedShareGraph,
     observer: ReplicaId,
@@ -211,20 +221,7 @@ def has_augmented_loop(
     max_loop_length: Optional[int] = None,
 ) -> bool:
     """``True`` iff an augmented ``(observer, e_jk)``-loop exists in ``Ĝ``."""
-    j, k = jk
-    if observer in (j, k):
-        return False
-    if jk not in augmented.share_graph.edges:
-        return False
-    for cycle in augmented.simple_cycles_through(observer, max_length=max_loop_length):
-        for split in range(1, len(cycle) - 1):
-            if (cycle[split + 1], cycle[split]) != jk:
-                continue
-            l_side = tuple(cycle[1:split + 1])
-            r_side = tuple(cycle[split + 1:])
-            if augmented_loop_conditions(augmented, observer, jk, l_side, r_side):
-                return True
-    return False
+    return bool(_decide_augmented(augmented, observer, max_loop_length, jk))
 
 
 def augmented_loop_edges(
@@ -232,26 +229,8 @@ def augmented_loop_edges(
     observer: ReplicaId,
     max_loop_length: Optional[int] = None,
 ) -> FrozenSet[Edge]:
-    """Every edge witnessed by some augmented ``(observer, e_jk)``-loop.
-
-    One cycle enumeration per observer (every split of every cycle is
-    tested against the conditions), instead of re-enumerating the cycles
-    once per candidate edge as :func:`has_augmented_loop` would — same
-    result, ``|E|`` times cheaper, which matters when dynamic membership
-    recomputes every ``Ê_i`` at each epoch change.
-    """
-    share_edges = augmented.share_graph.edges
-    loops: Set[Edge] = set()
-    for cycle in augmented.simple_cycles_through(observer, max_length=max_loop_length):
-        for split in range(1, len(cycle) - 1):
-            jk = (cycle[split + 1], cycle[split])
-            if jk in loops or jk not in share_edges or observer in jk:
-                continue
-            l_side = tuple(cycle[1:split + 1])
-            r_side = tuple(cycle[split + 1:])
-            if augmented_loop_conditions(augmented, observer, jk, l_side, r_side):
-                loops.add(jk)
-    return frozenset(loops)
+    """Every edge witnessed by some augmented ``(observer, e_jk)``-loop."""
+    return _decide_augmented(augmented, observer, max_loop_length)
 
 
 def augmented_timestamp_edges(

@@ -21,16 +21,56 @@ explicitly.  The existence of such a loop is exactly the criterion that puts
 ``e_jk`` into replica ``i``'s timestamp graph
 (:mod:`repro.core.timestamp_graph`).
 
-The enumeration is exponential in the worst case because the object itself
-ranges over simple cycles; the ``max_loop_length`` knob restricts the search
-and doubles as the Appendix-D "sacrificing causality" optimization.
+Deciding existence without listing cycles
+-----------------------------------------
+Definition 5 only asks *whether* a loop exists, and :func:`decide_loop_edges`
+answers that without enumerating cycles.  Write ``S = {l_1..l_{s-1}}`` for the
+interior of the l-side and ``regs(T)`` for the registers stored somewhere in
+``T`` (the *blockers*).
+
+**Lemma.**  Conditions (i)–(iii) depend on the l-side only through its tip
+``k``, the set ``S`` and the blockers ``regs(S)`` and ``regs(S ∪ {k})``, and
+each of them is monotone in ``S``: if ``(l-side, r-side)`` witnesses ``e_jk``
+and ``i, l'_1, .., k`` is any path whose interior ``S'`` is a subset of ``S``,
+then ``(l'-side, r-side)`` witnesses ``e_jk`` too, with a cycle no longer.
+
+*Proof.*  The order of ``l_1..l_{s-1}`` appears in no condition, only the
+unions ``regs(S)`` in (i), (ii) and ``regs(S ∪ {k})`` in (iii).  The r-side
+avoids ``S ∪ {i, k}``, hence ``S' ∪ {i, k}``, so the new cycle is simple; its
+edges exist because the l'-side is a path and the rest is unchanged.
+``S' ⊆ S`` gives ``regs(S') ⊆ regs(S)``, so every difference
+``X_uv − regs(·)`` that was non-empty still is.  ∎
+
+Two consequences make the decision cheap:
+
+* *Only chordless l-sides matter.*  A shortest path from ``i`` to ``k`` inside
+  the subgraph induced by ``S ∪ {i, k}`` has no chord, and by the lemma it
+  witnesses whatever the original l-side did.  So the search walks the
+  **chordless** (induced) paths out of ``i`` — 7 on the 8-clique, where the
+  simple cycles number 13,700.
+* *For a fixed l-side the r-side is reachability.*  ``e_jk`` is witnessed iff
+  (i) holds and ``j`` has a neighbour ``r_2 ∉ S ∪ {k}`` whose edge survives
+  ``regs(S)`` and which is ``i`` or reaches ``i`` in the graph minus
+  ``S ∪ {k}`` restricted to edges surviving ``regs(S ∪ {k})``.  (A path found
+  through ``j`` itself is harmless: its part after ``j`` starts with an edge
+  that survives the larger blocker set, so it offers a shorter ``r_2`` that
+  avoids ``j``.)  One BFS from ``i`` per l-side answers every ``j`` at once,
+  and its *distances* give the shortest loop, which is all the Appendix-D
+  ``max_loop_length`` bound needs: the bounded and the exact graph come out of
+  the same routine.
+
+The cost is (chordless paths out of ``i``) × (one BFS); the number of induced
+paths is still exponential on adversarial graphs (large grids), but no longer
+on dense ones.  :func:`iter_loops` and :func:`check_loop_conditions` remain
+as the witness API and the reference the decision is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
+from .errors import UnknownReplicaError
 from .registers import Register, ReplicaId
 from .share_graph import Edge, ShareGraph
 
@@ -249,6 +289,159 @@ def iter_loops(
         yield from _loops_from_cycle(graph, observer, cycle, target_edge=target_edge)
 
 
+#: ``survives(u, v, blocked)``: can a dependency still cross the edge between
+#: ``u`` and ``v`` when ``blocked[x]`` l-side replicas store register ``x``?
+Survives = Callable[[ReplicaId, ReplicaId, Mapping[Register, int]], bool]
+#: A BFS tree rooted at the observer: ``(distance, parent)`` per replica reached.
+_Tree = Tuple[Dict[ReplicaId, int], Dict[ReplicaId, ReplicaId]]
+
+
+def decide_loop_edges(
+    graph: ShareGraph,
+    observer: ReplicaId,
+    max_loop_length: Optional[int] = None,
+    target_edge: Optional[Edge] = None,
+    adjacency: Optional[Mapping[ReplicaId, Sequence[ReplicaId]]] = None,
+    survives: Optional[Survives] = None,
+) -> Tuple[FrozenSet[Edge], int]:
+    """Decide which edges ``e_jk`` have an ``(observer, e_jk)``-loop.
+
+    An iterative DFS over the chordless l-sides out of ``observer`` with one
+    r-side BFS per l-side (see the module docstring for why that is exact).
+    ``adjacency`` and ``survives`` default to the share graph and "a register
+    of ``X_uv`` is stored by no blocker"; the client-server variant
+    (Definition 27) passes the augmented adjacency and a predicate that also
+    accepts client links.  Condition (i) always looks at registers only, and
+    only real share-graph edges are candidates.
+
+    Returns the witnessed edges (of ``target_edge`` alone, if given) and the
+    number of l-sides visited, which tests pin on blow-up inputs.
+    """
+    if observer not in graph.placement:
+        raise UnknownReplicaError(observer)
+    share_adjacency, shared, holders = graph.index()
+    if adjacency is None:
+        adjacency = share_adjacency
+    if survives is None:
+        def survives(u: ReplicaId, v: ReplicaId, blocked: Mapping[Register, int]) -> bool:
+            for x in shared[(u, v)]:
+                if not blocked[x]:
+                    return True
+            return False
+    limit = max_loop_length if max_loop_length is not None else len(adjacency)
+    wanted = {
+        e for e in (graph.edges if target_edge is None else (target_edge,))
+        if e in graph.edges and observer not in e
+    }
+    witnessed: Set[Edge] = set()
+
+    # State pushed and popped along the current l-side l_1..l_s:
+    path: List[ReplicaId] = []
+    on_path: Set[ReplicaId] = {observer}
+    #: l-side replicas storing each register (the observer blocks nothing).
+    blocked: Dict[Register, int] = dict.fromkeys(holders, 0)
+    #: neighbours each replica has on {observer} ∪ l-side; extending by a
+    #: replica with any neighbour there besides the tip would add a chord.
+    touch: Dict[ReplicaId, int] = dict.fromkeys(adjacency, 0)
+    for v in adjacency[observer]:
+        touch[v] += 1
+    #: per l-side, the BFS tree (dist, parent) of its r-side graph — None if
+    #: that l-side had no candidate edge to ask about.
+    trees: List[Optional[_Tree]] = []
+
+    def bfs(depth: int) -> _Tree:
+        dist: Dict[ReplicaId, int] = {observer: 0}
+        parent: Dict[ReplicaId, ReplicaId] = {}
+        frontier = [observer]
+        for d in range(1, depth + 1):
+            reached = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if v not in dist and v not in on_path and survives(u, v, blocked):
+                        dist[v] = d
+                        parent[v] = u
+                        reached.append(v)
+            if not reached:
+                break
+            frontier = reached
+        return dist, parent
+
+    def inherited(k: ReplicaId, fresh: List[Register]) -> bool:
+        """Is the parent l-side's tree still the BFS tree once ``k`` joins?
+
+        Yes if ``k`` is a leaf of it (or absent) and every other tree edge
+        survives the registers ``fresh`` that ``k`` is first to block: the
+        r-side graph only shrank, and the tree still spans the same replicas
+        at the same depths.  This keeps a ring linear per observer.
+        """
+        if not trees or trees[-1] is None:
+            return False
+        parent = trees[-1][1]
+        for v in adjacency[k]:
+            if v not in on_path and parent.get(v) == k:
+                return False
+        for x in fresh:
+            for u in holders[x]:
+                if u != k and u in parent and not survives(u, parent[u], blocked):
+                    return False
+        return True
+
+    visited = 0
+    stack = [iter(adjacency[observer])]
+    while stack and wanted:
+        k = next(stack[-1], None)
+        if k is None:
+            stack.pop()
+            if path:
+                tip = path.pop()
+                trees.pop()
+                on_path.remove(tip)
+                for x in graph.registers_at(tip):
+                    blocked[x] -= 1
+                for v in adjacency[tip]:
+                    touch[v] -= 1
+            continue
+        # A loop needs i, the l-side and at least j: s + 2 <= limit.
+        if k in on_path or touch[k] != 1 or len(path) + 3 > limit:
+            continue
+        visited += 1
+        on_path.add(k)
+        # With blockers regs(l_1..l_{s-1}): conditions (i) and (ii).
+        pending = []
+        for j in share_adjacency[k]:
+            if j in on_path or (j, k) not in wanted:
+                continue
+            if all(blocked[x] for x in shared[(j, k)]):
+                continue
+            firsts = [
+                r for r in adjacency[j]
+                if (r == observer or r not in on_path) and survives(j, r, blocked)
+            ]
+            if firsts:
+                pending.append(((j, k), firsts))
+        fresh = []
+        for x in graph.registers_at(k):
+            if not blocked[x]:
+                fresh.append(x)
+            blocked[x] += 1
+        for v in adjacency[k]:
+            touch[v] += 1
+        path.append(k)
+        # With blockers regs(l_1..l_s): condition (iii) is reachability.
+        tree = None
+        if pending:
+            room = limit - len(path) - 2
+            tree = trees[-1] if inherited(k, fresh) else bfs(room)
+            dist = tree[0]
+            for e, firsts in pending:
+                if min(dist.get(r, limit) for r in firsts) <= room:
+                    wanted.discard(e)
+                    witnessed.add(e)
+        trees.append(tree)
+        stack.append(iter(adjacency[k]))
+    return frozenset(witnessed), visited
+
+
 def has_loop(
     graph: ShareGraph,
     observer: ReplicaId,
@@ -256,14 +449,7 @@ def has_loop(
     max_loop_length: Optional[int] = None,
 ) -> bool:
     """``True`` iff at least one ``(observer, e_jk)``-loop exists."""
-    j, k = jk
-    if observer in (j, k):
-        return False
-    if jk not in graph.edges:
-        return False
-    for _ in iter_loops(graph, observer, target_edge=jk, max_loop_length=max_loop_length):
-        return True
-    return False
+    return bool(decide_loop_edges(graph, observer, max_loop_length, target_edge=jk)[0])
 
 
 def find_loop(
@@ -289,11 +475,7 @@ def loop_edges(
     full edge set additionally contains all edges incident on ``i``
     (:func:`repro.core.timestamp_graph.timestamp_edges`).
     """
-    witnessed: Set[Edge] = set()
-    for cycle in graph.simple_cycles_through(observer, max_length=max_loop_length):
-        for loop in _loops_from_cycle(graph, observer, cycle):
-            witnessed.add(loop.edge)
-    return frozenset(witnessed)
+    return decide_loop_edges(graph, observer, max_loop_length)[0]
 
 
 def loops_by_edge(

@@ -16,7 +16,7 @@ that the share graph could equivalently be viewed as undirected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -35,6 +35,60 @@ def edge(i: ReplicaId, j: ReplicaId) -> Edge:
 def reverse(e: Edge) -> Edge:
     """Return the opposite orientation of a directed edge."""
     return (e[1], e[0])
+
+
+def simple_cycles(
+    adjacency: Mapping[ReplicaId, Sequence[ReplicaId]],
+    start: ReplicaId,
+    max_length: int | None = None,
+) -> Iterator[Tuple[ReplicaId, ...]]:
+    """Yield the simple cycles through ``start`` of the graph ``adjacency``.
+
+    Each cycle of ``L >= 3`` vertices is a tuple of ``L`` distinct vertices
+    beginning with ``start`` (the closing edge is implicit) and is yielded in
+    both traversal directions; ``max_length`` caps ``L``.  The one cycle
+    generator behind :meth:`ShareGraph.simple_cycles_through` and its
+    augmented-share-graph twin.
+    """
+    limit = max_length if max_length is not None else len(adjacency)
+    path: List[ReplicaId] = [start]
+    on_path: Set[ReplicaId] = {start}
+
+    def dfs() -> Iterator[Tuple[ReplicaId, ...]]:
+        current = path[-1]
+        for nxt in adjacency[current]:
+            if nxt == start and len(path) >= 3:
+                yield tuple(path)
+            if nxt in on_path or len(path) >= limit:
+                continue
+            path.append(nxt)
+            on_path.add(nxt)
+            yield from dfs()
+            path.pop()
+            on_path.remove(nxt)
+
+    yield from dfs()
+
+
+def adjacency_of(
+    vertices: Iterable[ReplicaId], edges: Iterable[Edge]
+) -> Dict[ReplicaId, Tuple[ReplicaId, ...]]:
+    """``{i: sorted neighbours of i}`` for a directed edge set over ``vertices``."""
+    neighbours: Dict[ReplicaId, List[ReplicaId]] = {i: [] for i in vertices}
+    for (i, j) in sorted(edges):
+        neighbours[i].append(j)
+    return {i: tuple(js) for i, js in neighbours.items()}
+
+
+class _Index(NamedTuple):
+    """Lookup tables derived from a placement (see :meth:`ShareGraph.index`)."""
+
+    #: ``{i: sorted neighbours of i}``.
+    adjacency: Dict[ReplicaId, Tuple[ReplicaId, ...]]
+    #: ``{(i, j): X_ij}`` for every directed edge, registers sorted.
+    edge_registers: Dict[Edge, Tuple[Register, ...]]
+    #: ``{x: C(x)}``, holders sorted.
+    holders: Dict[Register, Tuple[ReplicaId, ...]]
 
 
 @dataclass(frozen=True)
@@ -65,6 +119,36 @@ class ShareGraph:
                 if self.placement.shared_registers(a, b):
                     edges.add((a, b))
         object.__setattr__(self, "_edges", frozenset(edges))
+
+    def index(self) -> _Index:
+        """Adjacency, per-edge ``X_ij`` and register → holders tables.
+
+        Built on first use and kept on the (immutable) instance; it is not a
+        dataclass field, so equality and hashing never see it, and
+        :meth:`__getstate__` keeps it out of pickles.
+        """
+        cached = self.__dict__.get("_index")
+        if cached is None:
+            stores = self.placement.stores
+            edge_registers: Dict[Edge, Tuple[Register, ...]] = {}
+            for (i, j) in self._edges:
+                edge_registers[(i, j)] = (
+                    edge_registers.get((j, i)) or tuple(sorted(stores[i] & stores[j]))
+                )
+            holders: Dict[Register, List[ReplicaId]] = {}
+            for i in self.replica_ids:
+                for register in stores[i]:
+                    holders.setdefault(register, []).append(i)
+            cached = _Index(
+                adjacency_of(self.replica_ids, self._edges),
+                edge_registers,
+                {x: tuple(ids) for x, ids in holders.items()},
+            )
+            object.__setattr__(self, "_index", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"placement": self.placement, "_edges": self._edges}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -108,9 +192,10 @@ class ShareGraph:
 
     def neighbors(self, i: ReplicaId) -> Tuple[ReplicaId, ...]:
         """Replicas adjacent to ``i`` in the share graph, sorted."""
-        if i not in self.placement:
-            raise UnknownReplicaError(i)
-        return tuple(sorted(j for j in self.replica_ids if (i, j) in self._edges))
+        try:
+            return self.index().adjacency[i]
+        except KeyError:
+            raise UnknownReplicaError(i) from None
 
     def degree(self, i: ReplicaId) -> int:
         """``N_i``: number of share-graph neighbours of replica ``i``."""
@@ -118,9 +203,7 @@ class ShareGraph:
 
     def incident_edges(self, i: ReplicaId) -> FrozenSet[Edge]:
         """All directed edges with ``i`` as tail or head."""
-        if i not in self.placement:
-            raise UnknownReplicaError(i)
-        return frozenset(e for e in self._edges if i in e)
+        return frozenset(e for j in self.neighbors(i) for e in ((i, j), (j, i)))
 
     def outgoing_edges(self, i: ReplicaId) -> FrozenSet[Edge]:
         """All directed edges ``e_ij`` leaving ``i``."""
@@ -229,27 +312,7 @@ class ShareGraph:
         """
         if i not in self.placement:
             raise UnknownReplicaError(i)
-        adjacency: Dict[ReplicaId, Tuple[ReplicaId, ...]] = {
-            v: self.neighbors(v) for v in self.replica_ids
-        }
-        limit = max_length if max_length is not None else self.num_replicas
-        path: List[ReplicaId] = [i]
-        on_path: Set[ReplicaId] = {i}
-
-        def dfs() -> Iterator[Tuple[ReplicaId, ...]]:
-            current = path[-1]
-            for nxt in adjacency[current]:
-                if nxt == i and len(path) >= 3:
-                    yield tuple(path)
-                if nxt in on_path or len(path) >= limit:
-                    continue
-                path.append(nxt)
-                on_path.add(nxt)
-                yield from dfs()
-                path.pop()
-                on_path.remove(nxt)
-
-        yield from dfs()
+        return simple_cycles(self.index().adjacency, i, max_length)
 
     # ------------------------------------------------------------------
     # Dunder helpers

@@ -124,24 +124,26 @@ def conflicts(
             return False
 
     # Condition 2: a strict containment on a qualifying edge, in either direction.
+    # Loop case: e = e_{r_1 l_s} for some simple loop through observer; the
+    # loops are listed once, by the edge they cross, when first needed.
+    splits_by_edge: Optional[Dict[Edge, List[Tuple[Tuple[ReplicaId, ...], int]]]] = None
     for first, second in ((s1, s2), (s2, s1)):
         for e in graph.edges:
             r1 = restrict_to_edge(graph, first, e)
             r2 = restrict_to_edge(graph, second, e)
             if not (r1 < r2):
                 continue
-            j, k = e
-            if observer in (j, k):
+            if observer in e:
                 return True
-            # Loop case: e = e_{r_1 l_s} for some simple loop through observer.
-            for cycle in graph.simple_cycles_through(observer):
-                for split in range(1, len(cycle) - 1):
-                    l_last = cycle[split]
-                    r_first = cycle[split + 1]
-                    if (r_first, l_last) != e:
-                        continue
-                    if _loop_qualifies(graph, observer, e, cycle, split, first, second):
-                        return True
+            if splits_by_edge is None:
+                splits_by_edge = {}
+                for cycle in graph.simple_cycles_through(observer):
+                    for split in range(1, len(cycle) - 1):
+                        crossed = (cycle[split + 1], cycle[split])
+                        splits_by_edge.setdefault(crossed, []).append((cycle, split))
+            for cycle, split in splits_by_edge.get(e, ()):
+                if _loop_qualifies(graph, observer, e, cycle, split, first, second):
+                    return True
     return False
 
 

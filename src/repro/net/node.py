@@ -49,7 +49,7 @@ import pickle
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ConfigurationError, ReproError
 from ..core.host import ReplicaHost
@@ -405,7 +405,9 @@ class _PeerStream:
                 writer.close()
                 try:
                     await writer.wait_closed()
-                except (OSError, ConnectionError):
+                except (OSError, ConnectionError, asyncio.CancelledError):
+                    # Cancelled only by serve()'s teardown, with ``stopping``
+                    # set: the loop condition ends the task quietly.
                     pass
 
     async def _send_loop(self, writer: asyncio.StreamWriter) -> None:
@@ -528,7 +530,8 @@ class LiveNode:
         self._tasks: List[asyncio.Task] = []
         #: Control-connection writers subscribed to TELEMETRY pushes.
         self._telemetry_writers: List[asyncio.StreamWriter] = []
-        self._inbound_connections = 0
+        #: One task per inbound connection (asyncio's server starts them).
+        self._handlers: Set[asyncio.Task] = set()
         self._control_connections = 0
         self._recover()
 
@@ -746,10 +749,16 @@ class LiveNode:
         try:
             await self.stopping.wait()
         finally:
-            for task in self._tasks:
-                task.cancel()
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+            self.stopping.set()
             self._server.close()
+            # Handlers are ended here, not by the loop's teardown: a task
+            # that asyncio.run() finds still waiting and cancels dies
+            # cancelled, which the stream server's done-callback reports on
+            # stderr.
+            tasks = [*self._tasks, *self._handlers]
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
             await self._server.wait_closed()
             for tenant in self.tenants.values():
                 if tenant.wal is not None:
@@ -802,7 +811,7 @@ class LiveNode:
             ("unacked", sum(stream.unacked() for stream in streams)),
             ("peer_streams", len(self.peer_streams)),
             ("open_streams", sum(1 for stream in streams if stream.connected)),
-            ("inbound_connections", self._inbound_connections),
+            ("inbound_connections", len(self._handlers)),
             ("wal_bytes", sum(w.wal_bytes for w in wals)),
             ("wal_records_total", sum(w.records_appended for w in wals)),
             ("wal_compactions_total", sum(w.compactions for w in wals)),
@@ -860,7 +869,8 @@ class LiveNode:
                                  writer: asyncio.StreamWriter) -> None:
         decoder = StreamDecoder()
         state: Dict[str, Any] = {"peer": None, "decoder": None, "control": False}
-        self._inbound_connections += 1
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         try:
             while True:
                 chunk = await reader.read(65536)
@@ -881,13 +891,13 @@ class LiveNode:
             # connection is closed in the finally block either way.
             return
         finally:
-            self._inbound_connections -= 1
+            self._handlers.discard(handler)
             if state["control"]:
                 self._control_connections -= 1
             writer.close()
             try:
                 await writer.wait_closed()
-            except (OSError, ConnectionError):
+            except (OSError, ConnectionError, asyncio.CancelledError):
                 pass
 
     async def _handle_frame(self, kind: int, payload: bytes,
@@ -1092,7 +1102,7 @@ class LiveNode:
                 "open_streams": sum(
                     1 for s in self.peer_streams.values() if s.connected
                 ),
-                "inbound_connections": self._inbound_connections,
+                "inbound_connections": len(self._handlers),
                 "control_connections": self._control_connections,
                 "wal_bytes": sum(w.wal_bytes for w in wals),
                 "wal_records": sum(w.records_appended for w in wals),

@@ -74,10 +74,9 @@ def publish_channel_wire_stats(
     for each channel's sender (``algorithm_counters``): the per-message
     counter budget the shipped timestamp bytes should track — the
     byte-vs-bound comparison ``tools/trace_report.py`` renders.  Pass
-    ``bounds=False`` to skip that: ``|E_i|`` needs the exact Definition 5
-    loop enumeration, which is exponential on dense share graphs (a
-    64-replica clique cannot finish), while the byte books themselves are
-    free.
+    ``bounds=False`` to skip that: ``|E_i|`` needs one Definition 5
+    decision per sender (seconds in all on a 64-replica clique), while the
+    byte books themselves are free.
     """
     counters_of: dict = {}
     for (src, dst), stats in sorted(per_channel.items()):
@@ -122,7 +121,7 @@ def publish_epoch_segments(
     sender's ``algorithm_counters``, the per-message metadata bound the
     shipped traffic should respect in *every* epoch, including the ones
     a controller installed mid-run).  Pass ``bounds=False`` to skip the
-    exponential ``|E_i|`` enumeration on dense share graphs.
+    per-sender ``|E_i|`` computation on large dense share graphs.
     """
     for segment in segments:
         epoch_labels = dict(labels, epoch=segment["epoch"])
@@ -265,9 +264,9 @@ def registry_for_sim(host: Any, graph: Optional[ShareGraph] = None,
     """Everything a finished simulated run publishes, in one registry.
 
     ``bounds=False`` skips the per-sender ``|E_i|`` bound gauges — use it
-    on dense share graphs where the exact Definition 5 loop enumeration
-    is intractable (e.g. large cliques run through the Section 5
-    vector-compressed replica).
+    on large dense share graphs where one Definition 5 decision per sender
+    adds up (e.g. big cliques run through the Section 5 vector-compressed
+    replica).
     """
     registry = MetricsRegistry()
     publish_run_metrics(registry, host.metrics, **labels)

@@ -7,7 +7,10 @@ ambiguous when both ``tests/`` and ``benchmarks/`` are on ``sys.path``.
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from repro.core.registers import RegisterPlacement
+from repro.core.share_graph import ShareGraph
 from repro.sim.topologies import (
     clique_placement,
     figure3_placement,
@@ -38,3 +41,29 @@ def all_small_placements() -> dict:
         "grid2x3": grid_placement(2, 3),
         "random7": random_partial_placement(7, 10, replication_factor=3, seed=3),
     }
+
+
+def random_share_graph(draw, max_replicas: int, max_owners: int) -> ShareGraph:
+    """A small random share graph drawn from a Hypothesis ``draw``.
+
+    Every register lands on 1..``max_owners`` replicas (a high replication
+    factor is what makes l-side blockers bite); a replica left with nothing
+    gets a private register, so some vertices are isolated.
+    """
+    num_replicas = draw(st.integers(min_value=3, max_value=max_replicas))
+    num_registers = draw(st.integers(min_value=num_replicas - 1,
+                                     max_value=num_replicas + 4))
+    stores = {rid: set() for rid in range(1, num_replicas + 1)}
+    for index in range(num_registers):
+        owners = draw(
+            st.sets(
+                st.integers(min_value=1, max_value=num_replicas),
+                min_size=1, max_size=min(max_owners, num_replicas),
+            )
+        )
+        for owner in owners:
+            stores[owner].add(f"x{index}")
+    for rid, registers in stores.items():
+        if not registers:
+            registers.add(f"private{rid}")
+    return ShareGraph.from_placement(RegisterPlacement.from_dict(stores))

@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from placements import random_share_graph
 from repro.clientserver import (
     AugmentedShareGraph,
     ClientAgent,
     ClientAssignment,
     ClientServerCluster,
     ClientServerReplica,
+    augmented_loop_conditions,
     augmented_timestamp_edges,
     build_all_augmented_timestamp_edges,
     client_index_edges,
     has_augmented_loop,
 )
+from repro.clientserver.augmented import augmented_loop_edges
 from repro.clientserver.server import ClientRequest
 from repro.core.errors import ConfigurationError, UnknownReplicaError
 from repro.core.share_graph import ShareGraph
@@ -105,6 +110,36 @@ class TestAugmentedGraph:
         per_replica = build_all_augmented_timestamp_edges(augmented)
         union = client_index_edges(augmented, "c1", per_replica)
         assert union == per_replica[1] | per_replica[4]
+
+
+def _enumerated_augmented_loop_edges(augmented, observer, max_loop_length=None):
+    """Definition 27 checked at every split of every simple cycle of ``Ĝ``."""
+    witnessed = set()
+    for cycle in augmented.simple_cycles_through(observer, max_length=max_loop_length):
+        for split in range(1, len(cycle) - 1):
+            jk = (cycle[split + 1], cycle[split])
+            if jk in augmented.share_graph.edges and augmented_loop_conditions(
+                augmented, observer, jk, cycle[1:split + 1], cycle[split + 1:]
+            ):
+                witnessed.add(jk)
+    return frozenset(witnessed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_augmented_loop_edges_match_the_enumerator(data):
+    graph = random_share_graph(data.draw, max_replicas=7, max_owners=4)
+    replicas = st.sets(st.sampled_from(graph.replica_ids), min_size=1, max_size=3)
+    clients = data.draw(st.dictionaries(st.sampled_from(["c1", "c2", "c3"]), replicas))
+    augmented = AugmentedShareGraph(graph, ClientAssignment.from_dict(clients))
+    observer = data.draw(st.sampled_from(graph.replica_ids))
+    bound = data.draw(st.one_of(
+        st.none(), st.integers(min_value=3, max_value=graph.num_replicas)))
+    expected = _enumerated_augmented_loop_edges(augmented, observer, bound)
+    assert augmented_loop_edges(augmented, observer, max_loop_length=bound) == expected
+    for e in sorted(graph.edges):
+        assert has_augmented_loop(augmented, observer, e, max_loop_length=bound) == (
+            e in expected)
 
 
 class TestClientAgent:

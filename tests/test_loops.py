@@ -6,22 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from placements import random_share_graph
 from repro.core.loops import (
-    Loop,
     _loops_from_cycle,
     check_loop_conditions,
+    decide_loop_edges,
     find_loop,
     has_loop,
     iter_loops,
     loop_edges,
     loops_by_edge,
 )
-from repro.core.registers import RegisterPlacement
 from repro.core.share_graph import ShareGraph
+from repro.core.timestamp_graph import TimestampGraph, build_all_timestamp_graphs
 from repro.sim.topologies import (
+    counterexample1_placement,
+    counterexample2_placement,
+    figure3_placement,
     figure5_placement,
+    geo_replication_placement,
+    grid_placement,
+    pairwise_clique_placement,
+    random_partial_placement,
     ring_placement,
-    tree_placement,
     triangle_placement,
 )
 
@@ -133,35 +140,13 @@ class TestEdgeCases:
 # Fast split enumeration vs the Definition 4 reference
 # ----------------------------------------------------------------------
 
-def _random_share_graph(draw):
-    """A small random share graph: registers placed on 2–3 owners each."""
-    num_replicas = draw(st.integers(min_value=3, max_value=7))
-    num_registers = draw(st.integers(min_value=num_replicas - 1,
-                                     max_value=num_replicas + 3))
-    stores = {rid: set() for rid in range(1, num_replicas + 1)}
-    for index in range(num_registers):
-        owners = draw(
-            st.sets(
-                st.integers(min_value=1, max_value=num_replicas),
-                min_size=2, max_size=min(3, num_replicas),
-            )
-        )
-        for owner in owners:
-            stores[owner].add(f"x{index}")
-    stores = {rid: frozenset(regs) for rid, regs in stores.items() if regs}
-    return ShareGraph.from_placement(RegisterPlacement(stores))
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_loops_from_cycle_matches_definition4_reference(data):
     """The O(1)-per-split enumeration inside :func:`_loops_from_cycle` is
     exactly equivalent to evaluating :func:`check_loop_conditions` at every
     split point of every oriented cycle — same loops, same order."""
-    try:
-        graph = _random_share_graph(data.draw)
-    except Exception:
-        return  # degenerate placement (e.g. a replica storing nothing)
+    graph = random_share_graph(data.draw, max_replicas=7, max_owners=3)
     for observer in graph.replica_ids:
         for cycle in graph.simple_cycles_through(observer):
             fast = [
@@ -178,3 +163,84 @@ def test_loops_from_cycle_matches_definition4_reference(data):
                 if check_loop_conditions(graph, observer, jk, l_side, r_side):
                     reference.append((jk, l_side, r_side))
             assert fast == reference
+
+
+# ----------------------------------------------------------------------
+# The decision procedure vs the enumerator
+# ----------------------------------------------------------------------
+
+def _enumerated_loop_edges(graph, observer, max_loop_length=None):
+    return frozenset(
+        loop.edge for loop in iter_loops(graph, observer, max_loop_length=max_loop_length)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_loop_edges_match_the_enumerator_on_random_placements(data):
+    graph = random_share_graph(data.draw, max_replicas=8, max_owners=5)
+    observer = data.draw(st.sampled_from(graph.replica_ids))
+    bound = data.draw(st.one_of(
+        st.none(), st.integers(min_value=3, max_value=graph.num_replicas)))
+    expected = _enumerated_loop_edges(graph, observer, bound)
+    assert loop_edges(graph, observer, max_loop_length=bound) == expected
+    for e in sorted(graph.edges):
+        assert has_loop(graph, observer, e, max_loop_length=bound) == (e in expected)
+
+
+@pytest.mark.parametrize("placement", [
+    figure3_placement(),
+    figure5_placement(),
+    triangle_placement(),
+    counterexample1_placement(),
+    counterexample2_placement(),
+    grid_placement(4, 4),
+    geo_replication_placement(),
+    ring_placement(12),
+], ids=["figure3", "figure5", "triangle", "counterexample1", "counterexample2",
+        "grid4x4", "geo", "ring12"])
+def test_loop_edges_match_the_enumerator_on_named_placements(placement):
+    graph = ShareGraph.from_placement(placement)
+    for bound in (None, *range(3, graph.num_replicas + 1)):
+        for observer in graph.replica_ids:
+            assert loop_edges(graph, observer, max_loop_length=bound) == (
+                _enumerated_loop_edges(graph, observer, bound)
+            ), (observer, bound)
+
+
+class TestBlowUpInputs:
+    """Inputs on which cycle enumeration explodes, bounded by the number of
+    l-sides the decision procedure visits — a count, not a clock."""
+
+    @pytest.mark.parametrize("size", [8, 12])
+    def test_clique_visits_one_l_side_per_neighbour(self, size):
+        graph = ShareGraph.from_placement(pairwise_clique_placement(size))
+        for observer in graph.replica_ids:
+            edges, visited = decide_loop_edges(graph, observer)
+            assert visited == size - 1
+            assert len(edges) == (size - 1) * (size - 2)
+
+    @pytest.mark.parametrize("size", [5, 12, 64])
+    def test_ring_visits_each_chordless_path_once(self, size):
+        graph = ShareGraph.from_placement(ring_placement(size))
+        edges, visited = decide_loop_edges(graph, 1)
+        assert visited <= 2 * (size - 2)
+        assert len(edges) == 2 * (size - 2)
+
+    def test_dense_random_placement_stays_within_its_chordless_paths(self):
+        # The benchmark's dropped 16x40 placement: ~10^5 simple cycles per
+        # observer, 155 chordless paths out of the worst one.
+        graph = ShareGraph.from_placement(random_partial_placement(16, 40, 2, seed=7))
+        for observer in graph.replica_ids:
+            assert decide_loop_edges(graph, observer)[1] <= 155
+
+    def test_nine_clique_builds(self):
+        graph = ShareGraph.from_placement(pairwise_clique_placement(9))
+        graphs = build_all_timestamp_graphs(graph)
+        assert all(tg.edges == graph.edges for tg in graphs.values())
+
+    def test_long_ring_does_not_recurse(self):
+        # 1,500 replicas is past the interpreter's recursion limit; one
+        # observer (not all 1,500) keeps this a sub-second test.
+        graph = ShareGraph.from_placement(ring_placement(1500))
+        assert TimestampGraph.build(graph, 1).edges == graph.edges

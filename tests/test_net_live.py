@@ -343,3 +343,15 @@ class TestLiveBasics:
             # retransmission timers did.
             assert counters["delivered"] == counters["received"] - counters["duplicates"]
             assert report["duplicates_ignored"] <= counters["duplicates"]
+
+
+class TestQuietShutdown:
+    def test_repeated_start_stop_leaves_stderr_empty(self, capfd):
+        """Node processes inherit this process's stderr: a handler task that
+        dies cancelled at loop teardown would print its traceback there."""
+        graph = _graph()
+        for seed in range(10):
+            with LiveCluster(graph, nodes=2) as cluster:
+                assert OpenLoopClient(cluster).run(
+                    _phase(graph, seed=seed), time_scale=0.0005).ok
+        assert capfd.readouterr().err == ""

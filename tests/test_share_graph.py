@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.errors import ConfigurationError, UnknownReplicaError
@@ -77,6 +79,27 @@ class TestNeighbors:
             assert graph.incident_edges(rid) == (
                 graph.incoming_edges(rid) | graph.outgoing_edges(rid)
             )
+
+    def test_lookup_tables_match_the_placement(self, any_small_graph):
+        graph = any_small_graph
+        adjacency, edge_registers, holders = graph.index()
+        assert {(i, j) for i, js in adjacency.items() for j in js} == graph.edges
+        assert set(edge_registers) == graph.edges
+        for (i, j), registers in edge_registers.items():
+            assert frozenset(registers) == graph.shared_registers(i, j)
+        for register, replicas in holders.items():
+            assert replicas == graph.replicas_storing(register)
+
+    def test_lookup_tables_stay_out_of_equality_and_pickles(self, figure3_graph):
+        # A ShareGraph crosses ``spawn`` to every node process.
+        untouched = pickle.dumps(figure3_graph)
+        figure3_graph.neighbors(1)
+        assert "_index" in figure3_graph.__dict__
+        assert pickle.dumps(figure3_graph) == untouched
+        clone = pickle.loads(untouched)
+        assert clone == figure3_graph and clone.edges == figure3_graph.edges
+        assert "_index" not in clone.__dict__
+        assert clone.neighbors(2) == (1, 3)
 
 
 class TestStructure:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.core.loops import iter_loops
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp_graph import (
     TimestampGraph,
@@ -16,6 +17,8 @@ from repro.core.timestamp_graph import (
 from repro.sim.topologies import (
     clique_placement,
     figure5_placement,
+    pairwise_clique_placement,
+    random_partial_placement,
     ring_placement,
     tree_placement,
 )
@@ -127,3 +130,18 @@ class TestHelpers:
         summary = metadata_summary(graphs)
         assert summary[1] == 8
         assert list(summary) == sorted(summary)
+
+
+@pytest.mark.parametrize("placement", [
+    pairwise_clique_placement(8),   # clique8_mem, clique8_wal
+    tree_placement(8),              # tree8_mem
+    random_partial_placement(16, 32, 2, seed=7),   # sim_rand16_chaos
+], ids=["clique8", "tree8", "rand16"])
+def test_benchmark_placements_match_the_enumerator(placement):
+    """``E_i`` on the placements of ``bench/workloads.py`` is exactly what
+    listing every ``(i, e_jk)``-loop gives (the enumerator's ~3 s are spent
+    once, here)."""
+    graph = ShareGraph.from_placement(placement)
+    for rid in graph.replica_ids:
+        enumerated = {loop.edge for loop in iter_loops(graph, rid)}
+        assert timestamp_edges(graph, rid) == graph.incident_edges(rid) | enumerated
