@@ -48,7 +48,7 @@ def _scale_run():
     workload = single_writer_workload(
         graph, rate=RATE, duration=DURATION, write_fraction=0.6, seed=20
     )
-    # Diskless like bench_live: this bench measures placement + transport;
+    # Diskless: this bench measures placement + transport;
     # the SIGKILL/restart path owns durability (tests/test_net_live.py).
     with LiveCluster(graph, nodes=NODES) as cluster:
         outcome = OpenLoopClient(cluster).run(workload, time_scale=0.0)

@@ -415,7 +415,7 @@ class Planner:
 
         before = self.predicted_cost(placement, writes_by_register, writer_of)
         after = self.predicted_cost(working, writes_by_register, writer_of)
-        if before <= 0 or after > before * (1.0 - self.margin):
+        if before <= 0 or after >= before * (1.0 - self.margin):
             return None
 
         try:

@@ -39,12 +39,12 @@ class FullReplicationReplica(CausalReplica):
         self.vector = VectorTimestamp.zero(share_graph.replica_ids)
         #: ``(replica id, new value)`` entries raised by the latest merge.
         self._changed_entries: list = []
-        #: Merge outcome staged by the fused check in :meth:`blocking_key`:
+        #: Merge outcome produced by the fused check in :meth:`blocking_key`:
         #: ``(update, base vector, merged counters, changed)``.  Valid only
         #: for the exact same update object while the base vector is still
         #: current — :meth:`absorb_metadata` checks both (by identity)
         #: before consuming it.
-        self._staged: Optional[tuple] = None
+        self._fused_merge: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Protocol hooks
@@ -72,17 +72,17 @@ class FullReplicationReplica(CausalReplica):
 
         Records the entries the merge raised, for the pending index.
         """
-        staged = self._staged
+        fused = self._fused_merge
         if (
-            staged is not None
-            and staged[0] is message.update
-            and staged[1] is self.vector
+            fused is not None
+            and fused[0] is message.update
+            and fused[1] is self.vector
         ):
             # The fused check in :meth:`blocking_key` already produced the
             # merge for exactly this message against exactly this vector.
-            self._staged = None
-            self.vector = VectorTimestamp._from_validated(staged[2])
-            self._changed_entries = staged[3]
+            self._fused_merge = None
+            self.vector = VectorTimestamp._from_validated(fused[2])
+            self._changed_entries = fused[3]
             return
         merged, changed = tsops.merge_union(
             self.vector.counters, message.metadata.counters
@@ -117,7 +117,7 @@ class FullReplicationReplica(CausalReplica):
             local, remote_counters, sender, total
         )
         if key is None:
-            self._staged = (message.update, self.vector, merged, changed)
+            self._fused_merge = (message.update, self.vector, merged, changed)
         return key
 
     def applied_keys(self, message: UpdateMessage) -> Iterable[Hashable]:

@@ -14,9 +14,9 @@ frames over localhost TCP:
   operations and the stats/report harness protocol;
 * :mod:`repro.net.node` — one live node: an asyncio TCP server hosting
   many replica *tenants*, one outbound stream per peer **node** (not per
-  share-graph edge) multiplexing every channel between the two nodes with
-  per-channel FIFO queues, the channels' sending half (batching windows,
-  delta chains, ack + resend) in the shared
+  share-graph edge) multiplexing every channel between the two nodes, the
+  channels' sending half (batching windows, the only place a copy waits;
+  delta chains; acks, and re-sends on reconnect) in the shared
   :class:`~repro.wire.channel.ChannelSender`, intra-node short-circuit
   delivery, and log-structured durability (:mod:`repro.net.wal`) so a
   SIGKILLed process replays checkpoint + log tail exactly like a

@@ -6,8 +6,8 @@ simulated time units to seconds — *without* waiting for replies, so queues
 in the system can genuinely build up, exactly as in the simulator's
 open-loop runs.  Replies stream back asynchronously on the control links'
 reader threads; each reply closes its operation's latency sample
-(submit → durably-applied-and-answered round trip), which is where
-``bench_live.py``'s p99 comes from.
+(submit → durably-applied-and-answered round trip): the operation
+latencies :meth:`~repro.net.runtime.LiveCluster.run_open_loop` reports.
 
 Operations addressed to a dead node (its control link is down, e.g. after
 :meth:`~repro.net.runtime.LiveCluster.kill`) are *rejected* and counted,

@@ -234,9 +234,10 @@ class NodeStats:
 
     ops_done: int = 0
     issued: int = 0
-    #: Messages handed to channel send queues (one per destination copy).
+    #: Messages handed to a channel (one per destination copy): joined
+    #: its window, or went through the intra-node short-circuit.
     enqueued: int = 0
-    #: Messages flushed onto the wire, retransmissions included.
+    #: Messages flushed onto the wire, reconnect re-sends included.
     sent: int = 0
     #: Messages read off the wire, duplicates included.
     received: int = 0
@@ -248,13 +249,11 @@ class NodeStats:
     send_queue: int = 0
     unacked: int = 0
     duplicates: int = 0
-    retransmissions: int = 0
     resyncs: int = 0
 
     _FIELDS = (
         "ops_done", "issued", "enqueued", "sent", "received", "delivered",
-        "applied", "pending", "send_queue", "unacked", "duplicates",
-        "retransmissions", "resyncs",
+        "applied", "pending", "send_queue", "unacked", "duplicates", "resyncs",
     )
 
     def encode(self) -> bytes:

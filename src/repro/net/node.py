@@ -11,15 +11,17 @@ decouples the logical communication graph from the physical one:
   envelope already names its channel, so frames from many channels
   interleave with no extra tag and the receiver demultiplexes by
   destination replica.  FD count drops from O(|E|) to O(hosts²);
-* **per-channel FIFO, batching, delta chains and ack + resend, preserved
-  per tag**: each channel keeps its own bounded send queue
-  (backpressure); its window, sequence numbers, delta chain and
+* **per-channel FIFO, batching, delta chains and acks, preserved per
+  tag**: a channel's window, sequence numbers, delta chain and
   unacknowledged copies live in the stream's
   :class:`~repro.wire.channel.ChannelSender` — the state machine the
-  simulator's transport drives too, here in seconds.  ACK/SYNC frames
-  ride the stream tagged with the replica they speak for, a reconnect
-  severs all of the stream's channels at once, and duplicate suppression
-  keeps delivery exactly-once;
+  simulator's transport drives too, here in seconds.  The window is the
+  only place a copy waits, and a producer blocks while it holds
+  ``SEND_QUEUE_LIMIT`` copies (backpressure).  ACK/SYNC frames ride the
+  stream tagged with the replica they speak for.  TCP loses a copy only
+  with its connection, so there is no resend timer: a reconnect severs
+  all of the stream's channels at once and re-sends every unacknowledged
+  copy, and duplicate suppression keeps delivery exactly-once;
 * **intra-node short-circuit**: a channel between two tenants of the same
   node never touches a socket or a codec — the copy goes straight through
   the in-process batch-apply path (:meth:`LiveNodeHost.deliver`) and acks
@@ -44,10 +46,9 @@ module-level :func:`node_main` is the process entry point.
 from __future__ import annotations
 
 import asyncio
-import os
 import pickle
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -82,10 +83,9 @@ def _id_order(value: Any) -> Tuple[bool, Any]:
     return (isinstance(value, str), value)
 
 
-#: The live channel options, in seconds: 16 messages / 2 ms, 1 s / 8 retries.
+#: The live batching window, in seconds: 16 messages / 2 ms.
 DEFAULT_BATCHING = BatchingConfig(max_messages=16, max_delay=0.002)
-DEFAULT_RELIABILITY = ReliabilityConfig(resend_timeout=1.0, max_retries=8)
-#: Bound of each per-channel send queue (the backpressure limit).
+#: Copies a channel's window holds before its producers block (backpressure).
 SEND_QUEUE_LIMIT = 4096
 #: First and longest wait between connection attempts to a peer, seconds.
 RECONNECT_BACKOFF = 0.05
@@ -112,9 +112,8 @@ class NodeConfig:
     replica_factory: Callable[[ShareGraph, ReplicaId], CausalReplica] = (
         edge_indexed_factory
     )
-    #: Channel options, in seconds (see :mod:`repro.wire.channel`).
+    #: The batching window, in seconds (see :mod:`repro.wire.channel`).
     batching: BatchingConfig = DEFAULT_BATCHING
-    reliability: ReliabilityConfig = DEFAULT_RELIABILITY
     #: Directory for per-replica checkpoint + WAL files; ``None`` runs
     #: diskless (no crash recovery).
     durable_dir: Optional[str] = None
@@ -240,8 +239,7 @@ class _Tenant:
         self.apply_times: Dict[UpdateId, float] = {}
         self.counters: Dict[str, int] = {
             "ops_done": 0, "issued": 0, "enqueued": 0, "sent": 0,
-            "received": 0, "delivered": 0, "duplicates": 0,
-            "retransmissions": 0, "resyncs": 0,
+            "received": 0, "delivered": 0, "duplicates": 0, "resyncs": 0,
         }
         self.tracer: Optional[Any] = None
         if config.tracing:
@@ -321,50 +319,41 @@ class _PeerStream:
 
     Drives the :class:`~repro.wire.channel.ChannelSender` of every channel
     into ``peer`` and keeps what only a socket needs: the one TCP
-    connection, a bounded FIFO queue per channel (backpressure), the
-    reconnect loop and the ACK/SYNC reply reader.  Which windows are open
-    and what is unacknowledged is the sender's to say, so nothing is lost
-    with a connection: a fresh one severs every channel and the send loop
-    picks the surviving windows up again.  One send-loop task drains every
-    channel — tasks scale with node pairs, not share-graph edges.
+    connection, the reconnect loop and the ACK/SYNC reply reader.  A copy
+    waits in its channel's window and nowhere else.  Which windows are
+    open and what is unacknowledged is the sender's to say, so nothing is
+    lost with a connection: a fresh one severs every channel, puts every
+    unacknowledged copy back at the head of its window, and the send loop
+    picks the windows up again.  One send-loop task drains every channel —
+    tasks scale with node pairs, not share-graph edges.
     """
 
     def __init__(self, node: "LiveNode", peer: NodeId) -> None:
         self.node = node
         self.peer = peer
         self.sender = node.senders[peer]
-        self.queues: Dict[Channel, "asyncio.Queue[UpdateMessage]"] = defaultdict(
-            lambda: asyncio.Queue(maxsize=SEND_QUEUE_LIMIT))
-        #: Channels with queued messages, in arrival order (dict-as-ordered-set).
-        self._dirty: Dict[Channel, None] = {}
+        #: A window opened or filled up: the send loop has work.
         self._wake = asyncio.Event()
+        #: The send loop wrote a pass: blocked producers look again.
+        self._written = asyncio.Event()
         self.connected = False
 
     async def enqueue(self, message: UpdateMessage) -> None:
-        """Join the channel's FIFO stream (blocks when saturated)."""
+        """Join the channel's window; blocks while it holds
+        ``SEND_QUEUE_LIMIT`` copies."""
         channel = (message.sender, message.destination)
         tenant = self.node.tenants[message.sender]
         tenant.counters["enqueued"] += 1
-        # Staged before the put can block: a SYNC meanwhile must not re-offer it.
-        self.sender.stage(message)
         if tenant.tracer is not None:
             tenant.tracer.record("send", message.update.uid,
                                  channel[0], channel[1], self.node.now)
-        await self.queues[channel].put(message)
-        self._dirty[channel] = None
-        self._wake.set()
-
-    def offer(self, message: UpdateMessage) -> bool:
-        """Non-blocking enqueue for retransmissions; ``False`` when full."""
-        channel = (message.sender, message.destination)
-        try:
-            self.queues[channel].put_nowait(message)
-        except asyncio.QueueFull:
-            return False
-        self.sender.stage(message)
-        self._dirty[channel] = None
-        self._wake.set()
-        return True
+        windows = self.sender.windows
+        while channel in windows and len(windows[channel].messages) >= SEND_QUEUE_LIMIT:
+            self._written.clear()
+            await self._written.wait()
+        full, opened = self.sender.add(message, time.monotonic())
+        if full or opened is not None:
+            self._wake.set()
 
     # ------------------------------------------------------------------
     # The stream task
@@ -394,8 +383,7 @@ class _PeerStream:
                 ))
                 await writer.drain()
                 # Unacked survivors of the previous connection go first.
-                for copy in list(self.sender.outstanding.values()):
-                    self.offer(copy.message)
+                self.sender.rewind(time.monotonic())
                 await self._send_loop(writer)
             except (OSError, ConnectionError, asyncio.IncompleteReadError):
                 pass
@@ -412,35 +400,31 @@ class _PeerStream:
 
     async def _send_loop(self, writer: asyncio.StreamWriter) -> None:
         sender = self.sender
+        limit = sender.batching.max_messages
         while True:
             stopping = self.node.stopping.is_set()
-            # Pull queued messages into their windows; a full one flushes.
-            now = time.monotonic()
-            while self._dirty:
-                channel = next(iter(self._dirty))
-                queue = self.queues[channel]
-                while True:
-                    try:
-                        message = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if sender.add(message, now)[0]:
-                        await self._flush(writer, channel)
-                # Only a drained queue is clean: a write error above leaves
-                # the mark for the next connection's loop.
-                del self._dirty[channel]
-            # Flush expired (or closing) windows; the rest say how long to
-            # sleep.  The sender is asked every pass, so a window opened
-            # under an earlier connection is served like any other.
+            # Flush full, expired (or closing) windows, a batch at a time;
+            # the rest say how long to sleep.  The sender is asked every
+            # pass, so a window opened under an earlier connection is
+            # served like any other.
             now = time.monotonic()
             soonest = None
+            wrote = False
             for channel, window in list(sender.windows.items()):
-                if stopping or window.deadline <= now:
-                    await self._flush(writer, channel)
-                elif soonest is None or window.deadline < soonest:
+                while channel in sender.windows and (
+                        stopping or window.deadline <= now
+                        or len(window.messages) >= limit):
+                    self._flush(writer, channel, now)
+                    wrote = True
+                if channel in sender.windows and (
+                        soonest is None or window.deadline < soonest):
                     soonest = window.deadline
-            if stopping and not self._dirty and soonest is None:
-                return  # every queue drained, every window flushed
+            if wrote:
+                # One drain for every frame of the pass.
+                await writer.drain()
+                self._written.set()
+            if stopping and not sender.windows:
+                return  # every window flushed
             # Sleep until new traffic or the earliest window deadline.
             timeout = None
             if soonest is not None:
@@ -451,17 +435,13 @@ class _PeerStream:
                 pass
             self._wake.clear()
 
-    async def _flush(self, writer: asyncio.StreamWriter,
-                     channel: Channel) -> None:
+    def _flush(self, writer: asyncio.StreamWriter, channel: Channel,
+               now: float) -> None:
         src, dst = channel
         tenant = self.node.tenants[src]
         # Flushed before the write: on a mid-write connection error the
-        # copies are already outstanding and the reconnect re-offers them.
-        flushed = self.sender.flush(
-            channel, tenant.replica.wire_codec(), time.monotonic()
-        )
-        if flushed is None:
-            return
+        # copies are already outstanding and the reconnect re-sends them.
+        flushed = self.sender.flush(channel, tenant.replica.wire_codec(), now)
         tenant.counters["sent"] += len(flushed.batch.messages)
         if tenant.tracer is not None:
             flushed_at = self.node.now
@@ -469,7 +449,6 @@ class _PeerStream:
                 tenant.tracer.record("wire", message.update.uid, src, dst,
                                      flushed_at)
         writer.write(encode_frame(frames.BATCH, flushed.data))
-        await writer.drain()
 
     async def _read_replies(self, reader: asyncio.StreamReader) -> None:
         """Consume ACK/SYNC frames flowing back on the stream."""
@@ -490,18 +469,8 @@ class _PeerStream:
                 asyncio.CancelledError):
             return
 
-    def retransmit_due(self) -> None:
-        """Re-offer every outstanding copy older than the resend timeout
-        (retries spent: only the next reconnect re-sends it)."""
-        now = time.monotonic()
-        for key in self.sender.due(now):
-            message = self.sender.outstanding[key].message
-            if self.offer(message):
-                self.sender.retry(key, now)
-                self.node.tenants[message.sender].counters["retransmissions"] += 1
-
     def queued(self) -> int:
-        return sum(queue.qsize() for queue in self.queues.values())
+        return sum(len(window.messages) for window in self.sender.windows.values())
 
     def unacked(self) -> int:
         return len(self.sender.outstanding)
@@ -543,7 +512,9 @@ class LiveNode:
         return self.config.replica_nodes.get(replica_id, replica_id)
 
     def _new_sender(self) -> ChannelSender:
-        sender = ChannelSender(self.config.batching, self.config.reliability)
+        # Outstanding copies are tracked for the reconnect and the SYNC
+        # skip-set; the resend timeouts are the simulator's, never read here.
+        sender = ChannelSender(self.config.batching, ReliabilityConfig())
         sender.sent_log = {}
         return sender
 
@@ -743,7 +714,6 @@ class LiveNode:
                     peers.add(peer)
         for peer in sorted(peers, key=_id_order):
             self._start_stream(peer)
-        self._tasks.append(asyncio.create_task(self._retransmit_loop()))
         if self.config.telemetry_interval > 0:
             self._tasks.append(asyncio.create_task(self._telemetry_loop()))
         try:
@@ -776,13 +746,6 @@ class LiveNode:
         if stream is None:
             stream = self._start_stream(peer)
         return stream
-
-    async def _retransmit_loop(self) -> None:
-        interval = max(self.config.reliability.resend_timeout / 2, 0.05)
-        while not self.stopping.is_set():
-            await asyncio.sleep(interval)
-            for stream in self.peer_streams.values():
-                stream.retransmit_due()
 
     # ------------------------------------------------------------------
     # Telemetry (live metrics export)
@@ -854,7 +817,7 @@ class LiveNode:
         Triggered by the peer node's ``SYNC`` frame (one per hosted
         replica) on every (re)established stream: its durable uid set in;
         the durable outbox minus that set, and minus what is already on
-        its way, out through the channels' normal FIFO queues.
+        its way, out through the channels' windows.
         """
         missing = stream.sender.missing(destination, known, skip_inflight=True)
         for source in {message.sender for message in missing}:
@@ -973,14 +936,13 @@ class LiveNode:
         batch, _ = decode_batch(payload, decoder=state["decoder"])
         tenant = self.tenants.get(batch.destination)
         if tenant is None:
-            # Misrouted (stale placement at the sender): drop; its resend
-            # gives up after max_retries and resync corrects the books.
+            # Misrouted (stale placement at the sender): drop, unacknowledged.
             return
         uids = [message.update.uid for message in batch.messages]
         self._deliver(tenant, batch.channel, list(batch.messages))
         # Ack after the WAL append inside _deliver: an ack promises the
-        # update survives a crash.  Duplicates are re-acked so a
-        # retransmitting sender settles.
+        # update survives a crash.  Duplicates are re-acked so a sender
+        # that re-sent them on a reconnect settles.
         writer.write(encode_frame(
             frames.ACK, frames.encode_tagged_uids(batch.destination, uids)
         ))
@@ -1053,17 +1015,12 @@ class LiveNode:
     # Harness surface
     # ------------------------------------------------------------------
     def _stats_payload(self) -> bytes:
-        totals = {
-            "ops_done": 0, "issued": 0, "enqueued": 0, "sent": 0,
-            "received": 0, "delivered": 0, "duplicates": 0,
-            "retransmissions": 0, "resyncs": 0,
-        }
+        totals: Counter = Counter()
         applied = pending = 0
         outbox: Dict[Channel, int] = {}
         inbox: Dict[Channel, int] = {}
         for rid, tenant in self.tenants.items():
-            for name in totals:
-                totals[name] += tenant.counters[name]
+            totals.update(tenant.counters)
             applied += len(tenant.replica.applied)
             pending += tenant.replica.pending_count()
             for destination, count in tenant.outbox_total.items():
@@ -1111,26 +1068,8 @@ class LiveNode:
         }
 
 
-def _install_uvloop() -> bool:
-    """Install uvloop's event-loop policy when opted in and available.
-
-    ``REPRO_UVLOOP=1`` requests uvloop (the ``repro[uvloop]`` extra); the
-    default — and any environment where uvloop is not importable — stays on
-    the stdlib event loop, so the opt-in can never break a deployment.
-    """
-    if os.environ.get("REPRO_UVLOOP", "") in ("", "0"):
-        return False
-    try:
-        import uvloop
-    except ImportError:
-        return False
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return True
-
-
 def node_main(config: NodeConfig, ready_queue: Any) -> None:
     """Process entry point: run one node, reporting its port when bound."""
-    _install_uvloop()
     node = LiveNode(config)
 
     def on_ready(port: int) -> None:

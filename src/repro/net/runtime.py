@@ -60,13 +60,12 @@ from ..core.host import LatencySummary, RunMetrics
 from ..core.protocol import ReplicaEvent, UpdateId
 from ..core.registers import Register, ReplicaId
 from ..core.share_graph import ShareGraph
-from ..wire.channel import BatchingConfig, ReliabilityConfig
+from ..wire.channel import BatchingConfig
 from ..wire.primitives import WireFormatError
 from . import frames
 from .framing import StreamDecoder, encode_frame
 from .node import (
     DEFAULT_BATCHING,
-    DEFAULT_RELIABILITY,
     Address,
     Channel,
     NodeConfig,
@@ -457,11 +456,10 @@ class LiveCluster:
         Protocol family per replica (default: the paper's edge-indexed
         algorithm).  Must be a picklable module-level callable (the spawn
         start method ships it to the child).
-    batching, reliability:
-        Channel options forwarded to every node, in seconds
+    batching:
+        The batching window forwarded to every node, in seconds
         (:class:`~repro.wire.channel.BatchingConfig`, default 16 messages
-        / 2 ms; :class:`~repro.wire.channel.ReliabilityConfig`, default
-        1 s / 8 retries).
+        / 2 ms).
     durable_dir:
         Directory for per-replica checkpoint + WAL files; required for
         :meth:`kill`/:meth:`restart` recovery.  ``None`` runs diskless.
@@ -489,7 +487,6 @@ class LiveCluster:
         share_graph: ShareGraph,
         replica_factory: Callable = edge_indexed_factory,
         batching: Optional[BatchingConfig] = None,
-        reliability: Optional[ReliabilityConfig] = None,
         durable_dir: Optional[str] = None,
         listen_host: str = "127.0.0.1",
         tracing: bool = False,
@@ -532,7 +529,6 @@ class LiveCluster:
                 listen_host=listen_host,
                 replica_factory=replica_factory,
                 batching=batching or DEFAULT_BATCHING,
-                reliability=reliability or DEFAULT_RELIABILITY,
                 durable_dir=durable_dir,
                 wal_compact_bytes=wal_compact_bytes,
                 clock_origin=self.clock_origin,

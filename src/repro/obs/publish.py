@@ -192,12 +192,11 @@ def publish_network_stats(registry: MetricsRegistry, stats: Any,
 _NODE_COUNTER_HELP = {
     "ops_done": "client operations completed",
     "issued": "updates issued locally",
-    "enqueued": "messages handed to channel send queues",
-    "sent": "messages flushed onto the wire (retransmissions included)",
+    "enqueued": "messages handed to a channel",
+    "sent": "messages flushed onto the wire (reconnect re-sends included)",
     "received": "messages read off the wire (duplicates included)",
     "delivered": "first receipts (duplicates suppressed)",
     "duplicates": "duplicate copies suppressed",
-    "retransmissions": "resend-timer re-offers",
     "resyncs": "SYNC anti-entropy exchanges answered",
     "delta_frames": "timestamp frames shipped as deltas",
     "full_frames": "timestamp frames shipped in full (delta fallbacks)",

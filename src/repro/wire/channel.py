@@ -4,12 +4,14 @@ The paper assumes reliable point-to-point channels that hand every update,
 with its timestamp, to the destination exactly once (Section 2).  This
 module is the one implementation of the *sending* side of that contract:
 :class:`ChannelSender`, a clock-free, socket-free state machine, with its
-six options (:class:`BatchingConfig`, :class:`ReliabilityConfig`) and its
-byte book (:class:`ChannelWireStats`).  Two drivers feed it messages, acks
-and the current time and carry out what it hands back — an encoded batch,
-a deadline to arm, a copy to re-send: the simulator's
+options (:class:`BatchingConfig`; :class:`ReliabilityConfig`, whose
+timers only the simulator runs) and its byte book
+(:class:`ChannelWireStats`).  Two drivers feed it messages, acks and the
+current time and carry out what it hands back — an encoded batch, a
+deadline to arm, a copy to re-send: the simulator's
 :class:`~repro.sim.engine.Transport` (kernel timers, sampled delays) and the
-live node's peer streams (:mod:`repro.net.node`: sockets, asyncio queues).
+live node's peer streams (:mod:`repro.net.node`: sockets).  Everything a
+copy waits in before the wire is the sender's: its channel's window.
 ``docs/ARCHITECTURE.md`` ("Channels") has the division of labour.
 
 Delta timestamp frames (:mod:`repro.wire.codecs`) are defined against *the
@@ -66,13 +68,15 @@ class BatchingConfig:
 class ReliabilityConfig:
     """Parameters of a channel's ack + resend reliability layer.
 
-    Every copy put on the wire stays *outstanding* until acknowledged and
-    is re-sent every ``resend_timeout`` (driver time units), at most
-    ``max_retries`` times.  The simulator forces the final attempt past
-    its loss sampler (the channel is fair-lossy), so a lossy/duplicating
-    channel still delivers every message to a live destination; duplicate
+    Every copy put on the wire stays *outstanding* until acknowledged.
+    The simulator re-sends it every ``resend_timeout`` (kernel time), at
+    most ``max_retries`` times, and forces the final attempt past its loss
+    sampler (the channel is fair-lossy), so a lossy/duplicating channel
+    still delivers every message to a live destination; duplicate
     suppression at the replica then restores exactly-once delivery.
     ``ack_delay`` postpones the simulator's acknowledgement of a delivery.
+    A live node reads none of the three: over TCP a copy is lost only with
+    its connection, and the reconnect re-sends it (:meth:`ChannelSender.rewind`).
     """
 
     resend_timeout: float = 30.0
@@ -232,8 +236,6 @@ class ChannelSender:
         self._seq: Dict[Channel, int] = {}
         self._epoch: Dict[Channel, int] = {}
         self.outstanding: Dict[CopyKey, Copy] = {}
-        #: Copies a driver holds ahead of the window (a bounded send queue).
-        self._staged: Set[CopyKey] = set()
         #: Every logged message per destination, in send order; ``None``
         #: until a driver that needs :meth:`missing` sets it to ``{}``.
         self.sent_log: Optional[Dict[ReplicaId, Dict[UpdateId, UpdateMessage]]] = None
@@ -263,8 +265,6 @@ class ChannelSender:
             self.windows[channel] = window
         window.messages.append(message)
         window.times.append(now)
-        if self._staged:
-            self._staged.discard((message.update.uid, message.destination))
         return len(window.messages) >= self.batching.max_messages, opened
 
     def flush(self, channel: Channel, codec: Optional[TimestampCodec],
@@ -273,25 +273,35 @@ class ChannelSender:
 
         Encoding happens exactly once, here, in send order — the FIFO
         stream the delta frames assume.  The batch is booked, and with a
-        reliability layer its copies become outstanding.
+        reliability layer its copies become outstanding.  A window holding
+        more than ``max_messages`` (one that grew while its stream was
+        down) gives up its oldest ``max_messages``; the rest stay in the
+        same window, with the same deadline.
         """
-        window = self.windows.pop(channel, None)
+        window = self.windows.get(channel)
         if window is None:
             return None
+        limit = self.batching.max_messages
+        if len(window.messages) <= limit:
+            del self.windows[channel]
+            messages, times = window.messages, window.times
+        else:
+            messages, times = window.messages[:limit], window.times[:limit]
+            del window.messages[:limit], window.times[:limit]
         seq = self._seq.get(channel, 0)
         self._seq[channel] = seq + 1
         batch = MessageBatch(sender=channel[0], destination=channel[1],
-                             seq=seq, messages=tuple(window.messages))
+                             seq=seq, messages=tuple(messages))
         data, sizes = encode_batch(batch, encoder=self.encoder, codec=codec)
         self.account(channel, sizes, messages=len(batch.messages), batches=1)
         tracked: Tuple[CopyKey, ...] = ()
         if self.reliability is not None:
             tracked = tuple(
                 (message.update.uid, channel[1])
-                for message, sent_at in zip(window.messages, window.times)
+                for message, sent_at in zip(messages, times)
                 if self.track(message, sent_at, now)
             )
-        return Flushed(batch, data, sizes, tuple(window.times),
+        return Flushed(batch, data, sizes, tuple(times),
                        self._epoch.get(channel, 0), tracked)
 
     def account(self, channel: Channel, sizes: WireSizes,
@@ -342,17 +352,12 @@ class ChannelSender:
             self.sent_log.pop(replica_id, None)
         for key in [k for k in self.outstanding if k[1] == replica_id]:
             del self.outstanding[key]
-        self._staged = {k for k in self._staged if k[1] != replica_id}
         for channel in [c for c in self.channels() if replica_id in c]:
             self._seq.pop(channel, None)
             self._epoch.pop(channel, None)
             self.restart_chain(channel)
 
     # -- reliability: outstanding copies, acks, retries ------------------
-    def stage(self, message: UpdateMessage) -> None:
-        """Note a copy the driver queued ahead of the window as in flight."""
-        self._staged.add((message.update.uid, message.destination))
-
     def track(self, message: UpdateMessage, sent_at: float, now: float) -> bool:
         """A copy went on the wire; ``True`` when it is newly outstanding."""
         key = (message.update.uid, message.destination)
@@ -366,22 +371,29 @@ class ChannelSender:
     def ack(self, destination: ReplicaId, uids: Iterable[UpdateId]) -> None:
         """The destination holds these updates: their copies are settled."""
         for uid in uids:
-            key = (uid, destination)
-            self.outstanding.pop(key, None)
-            self._staged.discard(key)
+            self.outstanding.pop((uid, destination), None)
 
-    def due(self, now: float) -> List[CopyKey]:
-        """Copies with retries left, last sent ``resend_timeout`` or more ago."""
-        timeout, budget = self.reliability.resend_timeout, self.reliability.max_retries
-        return [key for key, copy in self.outstanding.items()
-                if copy.retries < budget and now - copy.stamped >= timeout]
+    def rewind(self, now: float) -> None:
+        """A fresh stream: every outstanding copy rejoins the head of its
+        channel's window, in the order it was first flushed — ahead of the
+        copies already waiting there, which are all newer.  A copy still
+        waiting from an earlier rewind stays where it is."""
+        heads: Dict[Channel, List[Copy]] = {}
+        for copy in self.outstanding.values():
+            message = copy.message
+            heads.setdefault((message.sender, message.destination), []).append(copy)
+        for channel, copies in heads.items():
+            window = self.windows.setdefault(channel, Window(now + self.batching.max_delay))
+            waiting = {message.update.uid for message in window.messages}
+            copies = [copy for copy in copies if copy.message.update.uid not in waiting]
+            window.messages[:0] = [copy.message for copy in copies]
+            window.times[:0] = [copy.sent_at for copy in copies]
 
     def retry(self, key: CopyKey, now: float) -> bool:
         """Spend one retry on an outstanding copy the driver is re-sending.
 
-        Returns whether it was the last (``max_retries`` reached): the copy
-        is never :meth:`due` again, and a driver whose final attempt cannot
-        be lost abandons it.
+        Returns whether it was the last (``max_retries`` reached): a driver
+        whose final attempt cannot be lost abandons it.
         """
         copy = self.outstanding[key]
         copy.retries += 1
@@ -406,8 +418,8 @@ class ChannelSender:
         return [uid for uid in uids if book.pop(uid, None) is not None]
 
     def inflight(self) -> Set[CopyKey]:
-        """Copies on their way: staged, in an open window, or outstanding."""
-        copies = set(self.outstanding) | self._staged
+        """Copies on their way: in an open window, or outstanding."""
+        copies = set(self.outstanding)
         for (_, destination), window in self.windows.items():
             copies.update((m.update.uid, destination) for m in window.messages)
         return copies

@@ -217,6 +217,24 @@ class TestPlannerFeasibility:
             for rid in result.spec.replica_ids:
                 assert len(working.registers_at(rid)) <= result.spec.capacity
 
+    def test_a_zero_gain_diff_is_not_proposed(self):
+        """At ``margin=0`` a diff must still *beat* the current placement.
+
+        The one shed move the planner finds here (``x01``: 4 -> 2) leaves
+        the predicted cost at 10.0 -> 10.0.
+        """
+        star = Topology.parse(
+            "\n".join(f"s0 s{i} 1.0" for i in range(1, 5)), name="random-5"
+        )
+        spec = PlacementSpec.make(
+            star, num_replicas=4, num_registers=4, replication_factor=2,
+        )
+        result = placement_policies()["random"].place(spec, seed=589)
+        planner = Planner(result, max_moves=3, margin=0.0, min_writes=1)
+        assert planner.propose(
+            result.placement, {"x00": 1}, {4: 1}, {"x00": 4}
+        ) is None
+
     @COMMON
     @given(data=st.data())
     def test_pinned_copies_never_move(self, data):

@@ -59,6 +59,22 @@ class TestWindows:
         # The next message opens a fresh window with a deadline of its own.
         assert sender.add(_message(4), now=20.0)[1].deadline == 25.0
 
+    def test_a_window_past_max_messages_flushes_in_batches_of_max_messages(self):
+        sender = _sender(max_messages=3, max_delay=5.0)
+        for n in range(1, 9):                       # not flushed on ``full``
+            sender.add(_message(n), now=float(n))
+        window = sender.windows[A]
+        batches = []
+        while A in sender.windows:
+            # The surplus stays in the same window, with the same deadline.
+            assert sender.windows[A] is window and window.deadline == 6.0
+            batches.append(_flush(sender, now=9.0))
+        assert [len(f.batch.messages) for f in batches] == [3, 3, 2]
+        assert [f.batch.seq for f in batches] == [0, 1, 2]
+        assert [m.update.seq for f in batches for m in f.batch.messages] == list(range(1, 9))
+        assert [t for f in batches for t in f.times] == [float(n) for n in range(1, 9)]
+        assert _flush(sender) is None
+
     def test_windows_are_per_channel(self):
         sender = _sender(max_messages=2)
         sender.add(_message(1, A), now=0.0)
@@ -135,20 +151,38 @@ class TestWindows:
 class TestReliability:
     def test_flush_tracks_and_ack_clears_outstanding_and_inflight(self):
         sender = _sender(max_messages=2, resend_timeout=10.0)
-        third = _message(3)
-        sender.stage(third)
         sender.add(_message(1), now=0.0)
         sender.add(_message(2), now=1.0)
-        flushed = _flush(sender, now=1.0)
+        sender.add(_message(3), now=2.0)    # past max_messages: waits its turn
+        flushed = _flush(sender, now=2.0)
         assert flushed.tracked == (((1, 1), 2), ((1, 2), 2))
-        assert sender.inflight() == {((1, 1), 2), ((1, 2), 2), ((1, 3), 2)}
-        sender.add(third, now=2.0)          # leaves the stage for a window
+        assert [m.update.seq for m in sender.windows[A].messages] == [3]
         assert sender.inflight() == {((1, 1), 2), ((1, 2), 2), ((1, 3), 2)}
         sender.ack(2, [(1, 1), (1, 3), (9, 9)])
         assert list(sender.outstanding) == [((1, 2), 2)]
         # (1, 3) is acked but still sits in the open window: still in flight.
         assert sender.inflight() == {((1, 2), 2), ((1, 3), 2)}
         assert sender.outstanding[((1, 2), 2)].sent_at == 1.0
+
+    def test_rewind_puts_outstanding_copies_back_ahead_of_the_window(self):
+        sender = _sender(max_messages=2, max_delay=5.0, resend_timeout=10.0)
+        for n in (1, 2, 3):
+            sender.add(_message(n), now=float(n))
+        _flush(sender, now=3.0)                     # 1, 2 outstanding; 3 waits
+        sender.add(_message(1, B), now=4.0)
+        _flush(sender, B, now=4.0)                  # B: 1 outstanding, no window
+        sender.ack(2, [(1, 1)])
+        sender.sever()
+        for _ in range(2):                          # a second rewind is a no-op
+            sender.rewind(now=6.0)
+            assert [m.update.seq for m in sender.windows[A].messages] == [2, 3]
+            assert sender.windows[A].times == [2.0, 3.0]
+            assert [m.update.seq for m in sender.windows[B].messages] == [1]
+        # A keeps the deadline of the window 3 waits in; B's opens at the rewind.
+        assert sender.windows[A].deadline == 6.0 and sender.windows[B].deadline == 11.0
+        flushed = _flush(sender, now=6.0)
+        assert flushed.batch.seq == 0 and flushed.tracked == (((1, 3), 2),)
+        assert sender.outstanding[((1, 2), 2)].stamped == 6.0
 
     def test_without_a_reliability_layer_nothing_is_tracked(self):
         sender = _sender(max_messages=1)
@@ -162,21 +196,19 @@ class TestReliability:
         assert _flush(sender, now=0.0).tracked == (((1, 1), 2),)
         sender.add(message, now=8.0)
         assert _flush(sender, now=8.0).tracked == ()
-        assert sender.due(12.0) == [] and sender.due(18.0) == [((1, 1), 2)]
+        copy = sender.outstanding[((1, 1), 2)]
+        assert (copy.sent_at, copy.stamped, copy.retries) == (0.0, 8.0, 0)
 
     def test_retry_spends_the_budget_marks_the_final_attempt_then_gives_up(self):
         sender = _sender(max_messages=1, resend_timeout=10.0, max_retries=3)
         sender.add(_message(1), now=0.0)
         key, = _flush(sender, now=0.0).tracked
-        assert sender.due(9.0) == [] and sender.due(10.0) == [key]
         finals = []
         for attempt in range(3):
             now = 10.0 * (attempt + 1)
-            assert sender.due(now) == [key]
             finals.append(sender.retry(key, now))
-            assert sender.due(now + 9.0) == []      # restamped by the retry
+            assert sender.outstanding[key].stamped == now   # restamped by the retry
         assert finals == [False, False, True]
-        assert sender.due(1e9) == []                # budget spent: never due again
         assert key in sender.outstanding            # … until the driver abandons it
         sender.abandon(key)
         assert not sender.outstanding and not sender.inflight()
@@ -193,8 +225,8 @@ class TestSentLog:
         sender.add(messages[2], now=0.0)
         sender.add(messages[3], now=0.0)
         _flush(sender)                              # 2, 3 outstanding
-        sender.add(messages[4], now=1.0)            # 4 in an open window
-        sender.stage(messages[5])                   # 5 queued by the driver
+        sender.add(messages[4], now=1.0)            # 4 and 5 in an open window
+        sender.add(messages[5], now=1.0)
         known = {(1, 1)}
         assert sender.missing(2, known) == [messages[n] for n in (2, 3, 4, 5, 6)]
         assert sender.missing(2, known, skip_inflight=True) == [messages[6]]
@@ -213,10 +245,13 @@ class TestSentLog:
 
 
 # One random interleaving of the sender's inputs on two channels of one
-# stream: add a message, flush a channel, sever a channel, sever all, ack.
+# stream: add a message (flushed when full, or left to pile up past
+# max_messages as on a stream that is down), flush a channel, sever a
+# channel, sever all, ack.
 _steps = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.sampled_from((A, B)), st.integers(1, 2**30)),
+        st.tuples(st.just("pile"), st.sampled_from((A, B)), st.integers(1, 2**30)),
         st.tuples(st.just("flush"), st.sampled_from((A, B))),
         st.tuples(st.just("sever"), st.sampled_from((A, B, None))),
         st.tuples(st.just("ack"), st.sampled_from((A, B))),
@@ -245,6 +280,7 @@ def test_every_emitted_frame_stays_decodable(steps, delta):
         if flushed is None:
             return
         assert flushed.batch.seq == expected_seq[channel]
+        assert 1 <= len(flushed.batch.messages) <= 3
         expected_seq[channel] += 1
         batch, end = decode_batch(flushed.data, decoder=decoder)
         assert end == len(flushed.data) and batch == flushed.batch
@@ -252,11 +288,11 @@ def test_every_emitted_frame_stays_decodable(steps, delta):
 
     for step in steps:
         clock += 1.0
-        if step[0] == "add":
-            _, channel, counter = step
+        if step[0] in ("add", "pile"):
+            kind, channel, counter = step
             message = _message(len(sent[channel]) + 1, channel, counter)
             sent[channel].append(message)
-            if sender.add(message, clock)[0]:
+            if sender.add(message, clock)[0] and kind == "add":
                 flush(channel)
         elif step[0] == "flush":
             flush(step[1])
@@ -271,6 +307,7 @@ def test_every_emitted_frame_stays_decodable(steps, delta):
             sender.ack(channel[1], [m.update.uid for m in received[channel]])
             assert not any(to == channel[1] for _, to in sender.outstanding)
     for channel in (A, B):
-        flush(channel)
+        while channel in sender.windows:
+            flush(channel)
         assert received[channel] == sent[channel]
     assert not sender.windows

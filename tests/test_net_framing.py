@@ -175,8 +175,7 @@ def test_hello_addr_and_stats_roundtrip():
     )
     stats = frames.NodeStats(ops_done=5, issued=2, enqueued=6, sent=6,
                              received=4, delivered=4, applied=6, pending=0,
-                             send_queue=0, unacked=2, duplicates=1,
-                             retransmissions=1, resyncs=0)
+                             send_queue=0, unacked=2, duplicates=1, resyncs=1)
     outbox, inbox = {(1, 2): 3, (1, "r9"): 1}, {(4, 1): 2}
     payload = frames.encode_stats_payload(stats, outbox, inbox)
     decoded_stats, decoded_outbox, decoded_inbox = frames.decode_stats_payload(

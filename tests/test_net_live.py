@@ -339,8 +339,8 @@ class TestLiveBasics:
             # First receipts + suppressed duplicates account for every
             # message read off the wire, and the replica's own duplicate
             # suppression never sees more copies than the wire produced —
-            # exactly-once at the protocol layer, whatever the
-            # retransmission timers did.
+            # exactly-once at the protocol layer, whatever the reconnects
+            # re-sent.
             assert counters["delivered"] == counters["received"] - counters["duplicates"]
             assert report["duplicates_ignored"] <= counters["duplicates"]
 
