@@ -20,7 +20,7 @@ byte strings.
 
 from __future__ import annotations
 
-from typing import Any, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from ..core.errors import WireFormatError
 
@@ -153,12 +153,72 @@ def decode_atom(data: Any, offset: int = 0) -> Tuple[Atom, int]:
     return raw.decode("utf-8"), end
 
 
-def atom_size(value: Atom) -> int:
-    """Encoded size in bytes of an atom."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return uvarint_size(zigzag(value) << 1)
-    raw = value.encode("utf-8")
-    return uvarint_size((len(raw) << 1) | 1) + len(raw)
+# ----------------------------------------------------------------------
+# Counter bodies of the timestamp codecs
+# ----------------------------------------------------------------------
+# ``index`` is a codec layout's canonical entry order; ``atoms`` the
+# pre-encoded bytes written before each entry's counter.  Counters are
+# non-negative, so a value below 0x80 is its own one-byte varint.
+
+def encode_counters_into(out: bytearray, atoms: Tuple[bytes, ...],
+                         index: Tuple[Any, ...], counters: Dict[Any, int]) -> None:
+    """Append ``atom, uvarint(counter)`` for every entry of ``index``."""
+    for k in range(len(index)):
+        out += atoms[k]
+        value = counters[index[k]]
+        if value < 0x80:
+            out.append(value)
+        else:
+            encode_uvarint_into(out, value)
+
+
+def encode_counter_delta_into(out: bytearray, index: Tuple[Any, ...],
+                              counters: Dict[Any, int],
+                              previous: Dict[Any, int]) -> int:
+    """Append the delta body of ``counters`` against ``previous``.
+
+    The body is the number of raised entries, then ``(index gap, value
+    delta)`` per raised entry in ``index`` order (``previous``'s entries).
+    Returns how many bytes the raised counters' varints grew by, or ``-1``
+    — with nothing appended — when no delta applies: the key sets differ
+    or a counter decreased.
+    """
+    if len(counters) != len(previous):
+        return -1
+    positions: List[int] = []
+    steps: List[int] = []
+    grown = 0
+    try:
+        for position, entry in enumerate(index):
+            old = previous[entry]
+            step = counters[entry] - old
+            if step:
+                if step < 0:
+                    return -1
+                positions.append(position)
+                steps.append(step)
+                # A varint can only grow when the bit length does, and
+                # ``new ^ old >= old`` exactly when ``new`` has a higher bit.
+                new = old + step
+                if new > 0x7F and new ^ old >= old:
+                    grown += uvarint_size(new) - uvarint_size(old)
+    except KeyError:
+        # Equal sizes, but an entry of ``previous`` is missing.
+        return -1
+    encode_uvarint_into(out, len(positions))
+    last = -1
+    for k in range(len(positions)):
+        position = positions[k]
+        gap = position - last - 1
+        step = steps[k]
+        if gap < 0x80 and step < 0x80:
+            out.append(gap)
+            out.append(step)
+        else:
+            encode_uvarint_into(out, gap)
+            encode_uvarint_into(out, step)
+        last = position
+    return grown
 
 
 # ----------------------------------------------------------------------

@@ -23,13 +23,13 @@ global knowledge beyond its own timestamp graph.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .._speedups import tsops
 from ..wire.codecs import EDGE_CODEC
 from .protocol import CausalReplica, UpdateMessage
 from .registers import Register, ReplicaId
-from .share_graph import ShareGraph
+from .share_graph import Edge, ShareGraph
 from .timestamp_graph import TimestampGraph
 from .timestamps import EdgeTimestamp
 
@@ -72,6 +72,9 @@ class EdgeIndexedReplica(CausalReplica):
         #: ``(edge, new value)`` of the incoming entries raised by the most
         #: recent merge; feeds :meth:`applied_keys`.
         self._changed_incoming: List[Tuple[Tuple[ReplicaId, ReplicaId], int]] = []
+        #: ``register -> the outgoing edges advance bumps on a write of it``,
+        #: filled on first write and cleared when ``E_i`` changes.
+        self._bumped: Dict[Register, Tuple[Edge, ...]] = {}
 
     # ------------------------------------------------------------------
     # Protocol hooks
@@ -86,12 +89,14 @@ class EdgeIndexedReplica(CausalReplica):
 
     def make_metadata(self, register: Register) -> Tuple[EdgeTimestamp, int]:
         """``advance``: bump the counters of edges towards co-owners of ``register``."""
-        i = self.replica_id
-        bumped = [
-            (i, k)
-            for (j, k) in self.timestamp_graph.edges
-            if j == i and register in self.share_graph.shared_registers(i, k)
-        ]
+        bumped = self._bumped.get(register)
+        if bumped is None:
+            i = self.replica_id
+            bumped = self._bumped[register] = tuple(
+                (i, k)
+                for (j, k) in self.timestamp_graph.edges
+                if j == i and register in self.share_graph.shared_registers(i, k)
+            )
         self.timestamp = self.timestamp.incremented(bumped)
         return self.timestamp, self.timestamp.size_counters()
 
@@ -189,6 +194,7 @@ class EdgeIndexedReplica(CausalReplica):
             sorted(e for e in self.timestamp_graph.edges if e[1] == self.replica_id)
         )
         self._changed_incoming = []
+        self._bumped = {}
         self._migrate_common(new_graph.registers_at(self.replica_id), epoch)
 
 

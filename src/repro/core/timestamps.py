@@ -190,7 +190,7 @@ class EdgeTimestamp:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeTimestamp):
             return NotImplemented
-        return dict(self.counters) == dict(other.counters)
+        return self.counters == other.counters
 
     def __hash__(self) -> int:
         # Cached on the instance: timestamps are immutable and hashed
@@ -383,7 +383,7 @@ class VectorTimestamp:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorTimestamp):
             return NotImplemented
-        return dict(self.counters) == dict(other.counters)
+        return self.counters == other.counters
 
     def __hash__(self) -> int:
         cached = self.__dict__.get("_hash")

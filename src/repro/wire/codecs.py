@@ -38,20 +38,22 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 from ..core.protocol import BootstrapMetadata
 from ..core.timestamps import EdgeTimestamp, VectorTimestamp
 from .primitives import (
     WireFormatError,
-    atom_size,
     decode_atom,
     decode_bytes,
     decode_svarint,
     decode_uvarint,
-    encode_atom_into,
+    encode_atom,
     encode_bytes_into,
+    encode_counter_delta_into,
+    encode_counters_into,
     encode_svarint_into,
+    encode_uvarint,
     encode_uvarint_into,
     uvarint_size,
 )
@@ -60,13 +62,35 @@ MODE_FULL = 0
 MODE_DELTA = 1
 
 
+class Layout(NamedTuple):
+    """What an index set costs on the wire, whatever its counter values.
+
+    Built once per index set (:meth:`TimestampCodec.layout_of`) and then
+    inherited by every later timestamp over the same set — the successor on
+    a channel (:meth:`TimestampCodec.encode_delta_into`) and the result of
+    applying a delta frame (:meth:`TimestampCodec.decode_delta`) — so the
+    sort and the atom encoding are paid per index set, not per message.
+    """
+
+    #: The index entries in canonical (wire) order.
+    index: Tuple[Any, ...]
+    #: Pre-encoded bytes written before each entry's counter.
+    atoms: Tuple[bytes, ...]
+    #: Pre-encoded bytes of the body before the first entry.
+    prefix: bytes
+    #: ``len(prefix) + sum(len(atom))``: the full body minus its counters.
+    size: int
+
+
 class TimestampCodec:
     """One timestamp family's binary encoding.
 
     Subclasses provide the family identity (:attr:`name`, :attr:`tag`), the
-    full encoding, and the index/counter accessors the shared delta logic
-    needs.  All codecs are stateless singletons; per-channel delta state
-    lives in :class:`~repro.wire.channel.ChannelDeltaEncoder`.
+    :class:`Layout` of an index set, :meth:`make` and :meth:`decode_full`;
+    the full encoding and the delta logic are shared.  All codecs are
+    stateless singletons: per-channel delta state lives in
+    :class:`~repro.wire.channel.ChannelDeltaEncoder`, per-timestamp facts
+    (layout, full frame size) are cached on the immutable timestamp.
     """
 
     #: Human-readable family name (``edge`` / ``vector`` / ``matrix`` / ``hoop``).
@@ -74,60 +98,64 @@ class TimestampCodec:
     #: One-byte wire tag.
     tag: int = 0
 
-    #: Instance attribute the canonical index is cached under.  Edge and
-    #: hoop timestamps share one sort order; the matrix codec's pair order
-    #: differs, so it caches under its own attribute (one ``EdgeTimestamp``
-    #: object is only ever encoded by one family, but the caches must not
-    #: collide even if that changes).
-    _INDEX_CACHE_ATTR = "_wire_sorted_index"
-    _FULL_SIZE_CACHE_ATTR = "_wire_full_size"
+    #: Instance attributes the layout and the full frame size are cached
+    #: under.  Edge and hoop timestamps share one layout; the matrix codec's
+    #: body differs, so it caches under its own attributes (one
+    #: ``EdgeTimestamp`` object is only ever encoded by one family, but the
+    #: caches must not collide even if that changes).
+    _LAYOUT_ATTR = "_wire_layout"
+    _FULL_SIZE_ATTR = "_wire_full_size"
 
     # -- hooks ---------------------------------------------------------
-    def index_of(self, ts: Any) -> Tuple[Any, ...]:
-        """The canonical index entries of ``ts``, cached on the instance.
+    def layout_of(self, ts: Any) -> Layout:
+        """The :class:`Layout` of ``ts``'s index set, cached on the instance.
 
+        Built from scratch only for a timestamp that inherited none.
         Timestamps are immutable and — on broadcast topologies — shared by
-        every outgoing copy of a write, so the sort is paid once per write,
-        not once per destination.
+        every outgoing copy of a write, so even a build is paid once per
+        write, not once per destination.
         """
-        cached = ts.__dict__.get(self._INDEX_CACHE_ATTR)
-        if cached is None:
-            cached = self._build_index(ts)
-            object.__setattr__(ts, self._INDEX_CACHE_ATTR, cached)
-        return cached
+        layout = ts.__dict__.get(self._LAYOUT_ATTR)
+        if layout is None:
+            layout = self._build_layout(ts)
+            ts.__dict__[self._LAYOUT_ATTR] = layout
+        return layout
 
-    def _build_index(self, ts: Any) -> Tuple[Any, ...]:
-        """Compute the canonical index entries (uncached)."""
+    def _build_layout(self, ts: Any) -> Layout:
+        """Compute the layout of ``ts``'s index set (uncached)."""
         raise NotImplementedError
 
     def full_frame_size(self, ts: Any) -> int:
         """Size in bytes of the *full* frame for ``ts``, without building it.
 
-        Cached on the instance like :meth:`index_of`; used both to charge
-        the no-delta counterfactual in the statistics and to guarantee a
-        delta frame is only used when it actually wins.
+        Used both to charge the no-delta counterfactual in the statistics
+        and to guarantee a delta frame is only used when it actually wins.
+        A delta-encoded timestamp gets it incrementally from its
+        predecessor's (:meth:`encode_delta_into`); otherwise it is the
+        layout's size plus one varint size per counter, cached on the
+        instance.
         """
-        cached = ts.__dict__.get(self._FULL_SIZE_CACHE_ATTR)
+        cached = ts.__dict__.get(self._FULL_SIZE_ATTR)
         if cached is None:
-            cached = 2 + self._full_body_size(ts)
-            object.__setattr__(ts, self._FULL_SIZE_CACHE_ATTR, cached)
+            cached = 2 + self.layout_of(ts).size + sum(
+                map(uvarint_size, ts.counters.values())
+            )
+            ts.__dict__[self._FULL_SIZE_ATTR] = cached
         return cached
-
-    def _full_body_size(self, ts: Any) -> int:
-        """Byte size of :meth:`encode_full`'s output (size-only pass)."""
-        raise NotImplementedError
-
-    def counters_of(self, ts: Any) -> Mapping[Any, int]:
-        """The ``index entry -> counter`` mapping of ``ts``."""
-        raise NotImplementedError
 
     def make(self, counters: Dict[Any, int]) -> Any:
         """Rebuild a timestamp from decoded counters."""
         raise NotImplementedError
 
     def encode_full_into(self, out: bytearray, ts: Any) -> None:
-        """Append the self-describing full body to ``out`` (no channel state)."""
-        raise NotImplementedError
+        """Append the self-describing full body to ``out`` (no channel state).
+
+        The layout holds every byte that does not depend on the counter
+        values, so the body is one ``+=`` and one varint per entry.
+        """
+        layout = self.layout_of(ts)
+        out += layout.prefix
+        encode_counters_into(out, layout.atoms, layout.index, ts.counters)
 
     def encode_full(self, ts: Any) -> bytes:
         """The self-describing full body, as standalone bytes."""
@@ -147,27 +175,22 @@ class TimestampCodec:
         no counter decreased (both always hold for successive timestamps of
         one live replica; restarts and index-set changes fall back to full).
         When this returns ``False`` nothing was appended to ``out``.
+
+        Sharing the index set, ``ts`` inherits ``prev``'s layout, and its
+        full frame size is ``prev``'s plus the varint growth of the raised
+        counters.  Past one comparison per entry, no sort, atom or size
+        work is done: what gets encoded and sized is the raised counters.
         """
         if type(prev) is not type(ts):
             return False
-        index = self.index_of(ts)
-        if index != self.index_of(prev):
+        layout = self.layout_of(prev)
+        grown = encode_counter_delta_into(out, layout.index, ts.counters, prev.counters)
+        if grown < 0:
             return False
-        counters = self.counters_of(ts)
-        previous = self.counters_of(prev)
-        changed: List[Tuple[int, int]] = []
-        for position, entry in enumerate(index):
-            step = counters[entry] - previous[entry]
-            if step < 0:
-                return False
-            if step:
-                changed.append((position, step))
-        encode_uvarint_into(out, len(changed))
-        last = -1
-        for position, step in changed:
-            encode_uvarint_into(out, position - last - 1)
-            encode_uvarint_into(out, step)
-            last = position
+        state = ts.__dict__
+        state.setdefault(self._LAYOUT_ATTR, layout)
+        if self._FULL_SIZE_ATTR not in state:
+            state[self._FULL_SIZE_ATTR] = self.full_frame_size(prev) + grown
         return True
 
     def encode_delta(self, ts: Any, prev: Any) -> Optional[bytes]:
@@ -178,9 +201,13 @@ class TimestampCodec:
         return bytes(out)
 
     def decode_delta(self, data: bytes, offset: int, prev: Any) -> Tuple[Any, int]:
-        """Apply a delta body to ``prev``; returns ``(timestamp, new_offset)``."""
-        index = self.index_of(prev)
-        counters = dict(self.counters_of(prev))
+        """Apply a delta body to ``prev``; returns ``(timestamp, new_offset)``.
+
+        The result has ``prev``'s index set, so it inherits ``prev``'s layout.
+        """
+        layout = self.layout_of(prev)
+        index = layout.index
+        counters = dict(prev.counters)
         count, offset = decode_uvarint(data, offset)
         position = -1
         for _ in range(count):
@@ -190,7 +217,9 @@ class TimestampCodec:
             if position >= len(index):
                 raise WireFormatError("delta frame indexes past the previous timestamp")
             counters[index[position]] += step
-        return self.make(counters), offset
+        ts = self.make(counters)
+        ts.__dict__[self._LAYOUT_ATTR] = layout
+        return ts, offset
 
 
 class EdgeTimestampCodec(TimestampCodec):
@@ -199,30 +228,16 @@ class EdgeTimestampCodec(TimestampCodec):
     name = "edge"
     tag = 1
 
-    def _build_index(self, ts: EdgeTimestamp) -> Tuple[Any, ...]:
-        return tuple(sorted(ts.counters))
-
-    def counters_of(self, ts: EdgeTimestamp) -> Mapping[Any, int]:
-        return ts.counters
+    def _build_layout(self, ts: EdgeTimestamp) -> Layout:
+        index = tuple(sorted(ts.counters))
+        atoms = tuple(encode_atom(tail) + encode_atom(head) for tail, head in index)
+        prefix = encode_uvarint(len(index))
+        return Layout(index, atoms, prefix, len(prefix) + sum(map(len, atoms)))
 
     def make(self, counters: Dict[Any, int]) -> EdgeTimestamp:
         # Wire-decoded counters are structurally valid by construction of
         # the encoders, so skip the constructor's re-validation.
         return EdgeTimestamp._from_validated(counters)
-
-    def encode_full_into(self, out: bytearray, ts: EdgeTimestamp) -> None:
-        counters = ts.counters
-        encode_uvarint_into(out, len(counters))
-        for edge in self.index_of(ts):
-            encode_atom_into(out, edge[0])
-            encode_atom_into(out, edge[1])
-            encode_uvarint_into(out, counters[edge])
-
-    def _full_body_size(self, ts: EdgeTimestamp) -> int:
-        size = uvarint_size(len(ts.counters))
-        for (tail, head), value in ts.counters.items():
-            size += atom_size(tail) + atom_size(head) + uvarint_size(value)
-        return size
 
     def decode_full(self, data: bytes, offset: int) -> Tuple[EdgeTimestamp, int]:
         count, offset = decode_uvarint(data, offset)
@@ -252,27 +267,14 @@ class VectorTimestampCodec(TimestampCodec):
     name = "vector"
     tag = 2
 
-    def _build_index(self, ts: VectorTimestamp) -> Tuple[Any, ...]:
-        return tuple(sorted(ts.counters))
-
-    def counters_of(self, ts: VectorTimestamp) -> Mapping[Any, int]:
-        return ts.counters
+    def _build_layout(self, ts: VectorTimestamp) -> Layout:
+        index = tuple(sorted(ts.counters))
+        atoms = tuple(map(encode_atom, index))
+        prefix = encode_uvarint(len(index))
+        return Layout(index, atoms, prefix, len(prefix) + sum(map(len, atoms)))
 
     def make(self, counters: Dict[Any, int]) -> VectorTimestamp:
         return VectorTimestamp._from_validated(counters)
-
-    def encode_full_into(self, out: bytearray, ts: VectorTimestamp) -> None:
-        counters = ts.counters
-        encode_uvarint_into(out, len(counters))
-        for rid in self.index_of(ts):
-            encode_atom_into(out, rid)
-            encode_uvarint_into(out, counters[rid])
-
-    def _full_body_size(self, ts: VectorTimestamp) -> int:
-        size = uvarint_size(len(ts.counters))
-        for rid, value in ts.counters.items():
-            size += atom_size(rid) + uvarint_size(value)
-        return size
 
     def decode_full(self, data: bytes, offset: int) -> Tuple[VectorTimestamp, int]:
         count, offset = decode_uvarint(data, offset)
@@ -297,53 +299,26 @@ class MatrixTimestampCodec(TimestampCodec):
     name = "matrix"
     tag = 3
 
-    _INDEX_CACHE_ATTR = "_wire_matrix_index"
-    _FULL_SIZE_CACHE_ATTR = "_wire_matrix_full_size"
-
-    @staticmethod
-    def _replica_ids(ts: EdgeTimestamp) -> Tuple[Any, ...]:
-        ids = set()
-        for tail, head in ts.counters:
-            ids.add(tail)
-            ids.add(head)
-        return tuple(sorted(ids))
+    _LAYOUT_ATTR = "_wire_matrix_layout"
+    _FULL_SIZE_ATTR = "_wire_matrix_full_size"
 
     @staticmethod
     def _all_pairs(ids: Sequence[Any]) -> Tuple[Tuple[Any, Any], ...]:
         return tuple((a, b) for a in ids for b in ids if a != b)
 
-    def _build_index(self, ts: EdgeTimestamp) -> Tuple[Any, ...]:
-        pairs = self._all_pairs(self._replica_ids(ts))
+    def _build_layout(self, ts: EdgeTimestamp) -> Layout:
+        ids = sorted({rid for edge in ts.counters for rid in edge})
+        pairs = self._all_pairs(ids)
         if len(pairs) != len(ts.counters) or frozenset(pairs) != frozenset(ts.counters):
             raise WireFormatError(
                 "matrix codec requires a complete ordered-pair index set; "
                 f"got {len(ts.counters)} of {len(pairs)} pairs"
             )
-        return pairs
-
-    def counters_of(self, ts: EdgeTimestamp) -> Mapping[Any, int]:
-        return ts.counters
+        prefix = encode_uvarint(len(ids)) + b"".join(map(encode_atom, ids))
+        return Layout(pairs, (b"",) * len(pairs), prefix, len(prefix))
 
     def make(self, counters: Dict[Any, int]) -> EdgeTimestamp:
         return EdgeTimestamp._from_validated(counters)
-
-    def encode_full_into(self, out: bytearray, ts: EdgeTimestamp) -> None:
-        pairs = self.index_of(ts)
-        ids = self._replica_ids(ts)
-        counters = ts.counters
-        encode_uvarint_into(out, len(ids))
-        for rid in ids:
-            encode_atom_into(out, rid)
-        for pair in pairs:
-            encode_uvarint_into(out, counters[pair])
-
-    def _full_body_size(self, ts: EdgeTimestamp) -> int:
-        self.index_of(ts)  # validates completeness
-        ids = self._replica_ids(ts)
-        size = uvarint_size(len(ids)) + sum(atom_size(rid) for rid in ids)
-        for value in ts.counters.values():
-            size += uvarint_size(value)
-        return size
 
     def decode_full(self, data: bytes, offset: int) -> Tuple[EdgeTimestamp, int]:
         count, offset = decode_uvarint(data, offset)
@@ -371,17 +346,8 @@ class ReconfigCodec(TimestampCodec):
     name = "reconfig"
     tag = 5
 
-    def index_of(self, ts: BootstrapMetadata) -> Tuple[Any, ...]:
-        return ()
-
-    def counters_of(self, ts: BootstrapMetadata) -> Mapping[Any, int]:
-        return {}
-
     def full_frame_size(self, ts: BootstrapMetadata) -> int:
-        return 2 + self._full_body_size(ts)
-
-    def _full_body_size(self, ts: BootstrapMetadata) -> int:
-        return (
+        return 2 + (
             uvarint_size(ts.epoch) + uvarint_size(ts.index) + uvarint_size(ts.total)
         )
 
@@ -399,6 +365,10 @@ class ReconfigCodec(TimestampCodec):
     def encode_delta_into(self, out: bytearray, ts: BootstrapMetadata,
                           prev: Any) -> bool:
         return False
+
+    def decode_delta(self, data: bytes, offset: int,
+                     prev: Any) -> Tuple[BootstrapMetadata, int]:
+        raise WireFormatError("reconfig timestamp frames have no delta mode")
 
 
 #: The family singletons, and the wire-tag dispatch table.
@@ -475,8 +445,9 @@ def encode_timestamp_frame_into(
         out.append(codec.tag)
         out.append(MODE_DELTA)
         if codec.encode_delta_into(out, ts, prev):
-            # The full frame is only *sized* here (a cached, allocation-free
-            # pass) — never built — so the delta fast path stays cheap.
+            # The full frame is only *sized* here, never built: the delta
+            # encoder derived the size from the previous timestamp's plus
+            # the raised counters' varint growth, so this is a cache hit.
             full_size = codec.full_frame_size(ts)
             if len(out) - mark < full_size:
                 return True, full_size

@@ -50,7 +50,9 @@ decode_svarint = _varint.decode_svarint
 encode_atom_into = _varint.encode_atom_into
 encode_atom = _varint.encode_atom
 decode_atom = _varint.decode_atom
-atom_size = _varint.atom_size
+
+encode_counters_into = _varint.encode_counters_into
+encode_counter_delta_into = _varint.encode_counter_delta_into
 
 encode_bytes_into = _varint.encode_bytes_into
 encode_bytes = _varint.encode_bytes
@@ -59,7 +61,6 @@ decode_bytes = _varint.decode_bytes
 __all__ = [
     "Atom",
     "WireFormatError",
-    "atom_size",
     "decode_atom",
     "decode_bytes",
     "decode_svarint",
@@ -68,6 +69,8 @@ __all__ = [
     "encode_atom_into",
     "encode_bytes",
     "encode_bytes_into",
+    "encode_counter_delta_into",
+    "encode_counters_into",
     "encode_svarint",
     "encode_svarint_into",
     "encode_uvarint",

@@ -214,7 +214,11 @@ def test_svarint_roundtrip(value):
 @given(value=atoms)
 def test_atom_roundtrip_and_size(value):
     encoded = varint.encode_atom(value)
-    assert len(encoded) == varint.atom_size(value)
+    if isinstance(value, int):
+        assert len(encoded) == varint.uvarint_size(varint.zigzag(value) << 1)
+    else:
+        raw = value.encode("utf-8")
+        assert len(encoded) == varint.uvarint_size((len(raw) << 1) | 1) + len(raw)
     decoded, end = varint.decode_atom(memoryview(encoded))
     assert decoded == value and type(decoded) is type(value)
     assert end == len(encoded)
@@ -261,3 +265,51 @@ def test_truncated_atom_and_bytes_raise():
         varint.encode_uvarint(-1)
     with pytest.raises(WireFormatError):
         varint.encode_atom(True)
+
+
+# ----------------------------------------------------------------------
+# Counter-body kernels of the timestamp codecs vs reference semantics
+# ----------------------------------------------------------------------
+
+counter_bodies = st.dictionaries(
+    st.integers(0, 20), st.integers(0, 2**20), min_size=0, max_size=12
+)
+
+
+@given(counters=counter_bodies)
+def test_encode_counters_reference(counters):
+    index = tuple(sorted(counters))
+    atoms = tuple(varint.encode_atom(key) for key in index)
+    out = bytearray(b"prefix")
+    varint.encode_counters_into(out, atoms, index, counters)
+    expected = b"".join(
+        atom + varint.encode_uvarint(counters[key]) for atom, key in zip(atoms, index)
+    )
+    assert bytes(out) == b"prefix" + expected
+
+
+@given(previous=counter_bodies, data=st.data())
+def test_encode_counter_delta_reference(previous, data):
+    steps = st.sampled_from([0, 0, 0, 1, 100, 200, 2**14, -1])
+    counters = {key: max(0, value + data.draw(steps)) for key, value in previous.items()}
+    if data.draw(st.booleans()) and previous:
+        # Same size, different key sets: no delta applies.
+        del counters[data.draw(st.sampled_from(sorted(previous)))]
+        counters[99] = 0
+    index = tuple(sorted(previous))
+    out = bytearray(b"prefix")
+    grown = varint.encode_counter_delta_into(out, index, counters, previous)
+    if set(counters) != set(previous) or any(counters[k] < previous[k] for k in index):
+        assert grown == -1 and bytes(out) == b"prefix"
+        return
+    raised = [(p, counters[k] - previous[k]) for p, k in enumerate(index)
+              if counters[k] != previous[k]]
+    expected = varint.encode_uvarint(len(raised))
+    last = -1
+    for position, step in raised:
+        expected += varint.encode_uvarint(position - last - 1) + varint.encode_uvarint(step)
+        last = position
+    assert bytes(out) == b"prefix" + expected
+    assert grown == sum(
+        varint.uvarint_size(counters[k]) - varint.uvarint_size(previous[k]) for k in index
+    )

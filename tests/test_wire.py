@@ -44,6 +44,7 @@ from repro.wire import (
     encode_value,
     uvarint_size,
 )
+from repro.wire.codecs import MODE_DELTA, RECONFIG_CODEC
 
 
 # ======================================================================
@@ -185,6 +186,9 @@ class TestTimestampCodecs:
         assert frame.used_delta
         with pytest.raises(WireFormatError):
             decode_timestamp_frame(frame.data)
+        # The reconfig family has no delta mode, channel state or not.
+        with pytest.raises(WireFormatError):
+            decode_timestamp_frame(bytes((RECONFIG_CODEC.tag, MODE_DELTA, 0)), prev=ts)
 
 
 # ======================================================================
