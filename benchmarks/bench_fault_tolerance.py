@@ -61,8 +61,8 @@ def _timed_open_loop(with_injector: bool, repetitions: int = 3) -> float:
     for _ in range(repetitions):
         cluster = Cluster(graph, delay_model=UniformDelay(1, 10), seed=21)
         if with_injector:
-            # Attached but idle: sent-log on, no faults scheduled — the
-            # worst fault-free configuration a user can run.
+            # Attached but idle: no faults scheduled — the worst
+            # fault-free configuration a user can run.
             FaultInjector(cluster)
         started = time.perf_counter()
         result = run_open_loop(cluster, workload, check=False)

@@ -10,7 +10,6 @@ rescan.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import os
 import time
 
@@ -20,13 +19,11 @@ from repro.baselines.vector_clock_full import (
     FullReplicationReplica,
     full_replication_factory,
 )
-from repro.core.protocol import BootstrapMetadata, EventKind
 from repro.core.replica import EdgeIndexedReplica
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp_graph import TimestampGraph
 from repro.core.timestamps import (
     EdgeTimestamp,
-    VectorTimestamp,
     advance,
     delivery_predicate,
     merge,
@@ -119,8 +116,7 @@ def _drain_time(base_receiver, method_name: str, repetitions: int = 3) -> float:
     return best
 
 
-def _clique_vector_backlog(writes_per_writer: int = 32,
-                           receiver_cls=FullReplicationReplica):
+def _clique_vector_backlog(writes_per_writer: int = 32):
     """63 independent writers on the 64-replica clique, delivered fully reversed.
 
     Full replication over a clique is the configuration under which the
@@ -135,7 +131,7 @@ def _clique_vector_backlog(writes_per_writer: int = 32,
         for rid in graph.replica_ids
         if rid != 1
     }
-    receiver = receiver_cls(graph, 1)
+    receiver = FullReplicationReplica(graph, 1)
     to_receiver = []
     for index in range(writes_per_writer):
         for rid, writer in writers.items():
@@ -144,154 +140,6 @@ def _clique_vector_backlog(writes_per_writer: int = 32,
     for message in reversed(to_receiver):
         receiver.receive(message)
     return receiver
-
-
-@dataclasses.dataclass(frozen=True)
-class _LegacyReplicaEvent:
-    """The pre-batch-engine (non-``slots``) trace-event layout."""
-
-    replica_id: object
-    kind: EventKind
-    update: object
-    register: object
-    local_index: int
-    sim_time: float = 0.0
-
-
-class _LegacyVectorReplica(FullReplicationReplica):
-    """The pre-batch-engine indexed vector path, frozen verbatim.
-
-    Every hot-path method this PR rewrote — merge, predicate, wake keys,
-    the drain loop, and the apply bookkeeping — is pinned here to its
-    previous implementation, so the "current indexed path vs batch engine"
-    gate below keeps measuring the same before/after forever instead of
-    silently comparing the new engine against itself.
-    """
-
-    def absorb_metadata(self, message):
-        old = self.vector
-        counters = dict(old.counters)
-        for rid, value in message.metadata.items():
-            counters[rid] = max(counters.get(rid, 0), value)
-        self.vector = VectorTimestamp(counters)
-        self._changed_entries = [
-            (rid, self.vector.get(rid))
-            for rid, value in message.metadata.items()
-            if value > old.get(rid)
-        ]
-
-    def blocking_key(self, message):
-        remote = message.metadata
-        sender = message.sender
-        if remote.get(sender) != self.vector.get(sender) + 1:
-            return ("seq", sender, remote.get(sender))
-        for rid, value in remote.items():
-            if rid != sender and value > self.vector.get(rid):
-                return ("ge", rid)
-        return None
-
-    def applied_keys(self, message):
-        return self.wake_keys(self._changed_entries)
-
-    def _apply(self, message, sim_time):
-        update = message.update
-        if message.payload and update.register in self.registers:
-            self.store[update.register] = update.value
-        if isinstance(message.metadata, BootstrapMetadata):
-            self._bootstrap_next += 1
-            if (
-                self._bootstrap_total is not None
-                and self._bootstrap_next >= self._bootstrap_total
-            ):
-                self._bootstrap_total = None
-        else:
-            self.absorb_metadata(message)
-        self.applied.append(update)
-        self._applied_uids.add(update.uid)
-        self._pending_uids.discard(update.uid)
-        self._record(EventKind.APPLY, update, update.register, sim_time)
-        return update.uid
-
-    def _record(self, kind, update, register, sim_time):
-        self.events.append(
-            _LegacyReplicaEvent(
-                replica_id=self.replica_id,
-                kind=kind,
-                update=update,
-                register=register,
-                local_index=len(self.events),
-                sim_time=sim_time,
-            )
-        )
-
-    def apply_ready(self, sim_time=0.0, force=False):
-        if force and self._blocked:
-            self.notify_pending(None)
-        if not self._recheck:
-            return []
-        applied_now = []
-        while self._recheck:
-            message = self._recheck.popleft()
-            key = self._effective_blocking_key(message)
-            if key is None:
-                self._apply(message, sim_time)
-                applied_now.append(message.update)
-                self._applied_pending_uids.add(message.update.uid)
-                self.notify_pending(self._effective_applied_keys(message))
-            else:
-                self._blocked.setdefault(key, []).append(message)
-        if applied_now:
-            self._compact_pending()
-        return applied_now
-
-
-def test_e13_batch_engine_vs_legacy_indexed_clique64(benchmark):
-    """Acceptance: the rebuilt engine is ≥5× the previous *indexed* path.
-
-    Both sides drain the identical 2000-message clique backlog through the
-    pending index — the comparison isolates this PR's merge kernels, fused
-    predicate, and drain-loop rewrite from the (already-gated) index-vs-
-    rescan win.
-    """
-    base = _clique_vector_backlog()
-    legacy_base = _clique_vector_backlog(receiver_cls=_LegacyVectorReplica)
-
-    def compare():
-        engine = _drain_time(base, "apply_ready", repetitions=5)
-        legacy = _drain_time(legacy_base, "apply_ready", repetitions=5)
-        return {"engine_s": engine, "legacy_s": legacy, "speedup": legacy / engine}
-
-    result = benchmark.pedantic(compare, rounds=1, iterations=1)
-    print()
-    print(
-        f"[E13] clique{CLIQUE_SIZE} pending backlog ({base.pending_count()} msgs): "
-        f"batch engine {result['engine_s'] * 1000:.1f} ms, "
-        f"legacy indexed {result['legacy_s'] * 1000:.1f} ms, "
-        f"speedup {result['speedup']:.2f}x"
-    )
-    # ≥5x is the acceptance criterion at full size; shared CI runners get a
-    # noise-tolerant floor, and the tiny smoke instance (where fixed
-    # overheads dominate the much smaller drain) only proves the gate runs.
-    if TINY:
-        floor = 1.0
-    elif os.environ.get("GITHUB_ACTIONS"):
-        floor = 2.5
-    else:
-        floor = 5.0
-    write_bench_json(
-        "batch_engine",
-        metric="speedup_vs_legacy_indexed",
-        value=result["speedup"],
-        threshold=floor,
-        engine_ms=result["engine_s"] * 1000,
-        legacy_ms=result["legacy_s"] * 1000,
-        backlog=base.pending_count(),
-        clique=CLIQUE_SIZE,
-    )
-    assert result["speedup"] >= floor, (
-        f"batch engine must be >={floor}x the legacy indexed path, got "
-        f"{result['speedup']:.2f}x"
-    )
 
 
 def _clique_edge_indexed_chain_backlog(rounds: int = 2):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..core.protocol import EventKind, Update, UpdateMessage
+from ..core.protocol import Update, UpdateMessage
 from ..core.registers import Register, ReplicaId
 from ..core.replica import EdgeIndexedReplica
 from ..core.share_graph import ShareGraph
@@ -181,36 +181,14 @@ class ClientServerReplica(EdgeIndexedReplica):
         Differs from the peer-to-peer write in that the non-incremented
         entries of the new timestamp absorb ``max(τ, µ)``.
         """
-        i = self.replica_id
-        # Absorb the client's knowledge on every commonly indexed edge first,
-        # then increment the edges towards co-owners of the register.  No
-        # pending-index notification is needed: the serve is gated by
-        # predicate J1/J2 (τ_i ≥ µ on every incoming edge), so this merge
-        # can only raise entries no buffered inter-replica update waits on.
+        # Absorb the client's knowledge on every commonly indexed edge first;
+        # the peer-to-peer issue path then increments the edges towards
+        # co-owners of the register.  No pending-index notification is
+        # needed: the serve is gated by predicate J1/J2 (τ_i ≥ µ on every
+        # incoming edge), so this merge can only raise entries no buffered
+        # inter-replica update waits on.
         self.timestamp = self.timestamp.merged_with(client_timestamp)
-        self.issued_count += 1
-        update = Update(i, self.issued_count, register, value)
-        self.store[register] = value
-        bumped = [
-            (i, k)
-            for (j, k) in self.timestamp_graph.edges
-            if j == i and register in self.share_graph.shared_registers(i, k)
-        ]
-        self.timestamp = self.timestamp.incremented(bumped)
-        self.applied.append(update)
-        self._applied_uids.add(update.uid)
-        self._record(EventKind.ISSUE, update, register, sim_time)
-        return [
-            UpdateMessage(
-                update=update,
-                sender=i,
-                destination=dest,
-                metadata=self.timestamp,
-                metadata_size=self.timestamp.size_counters(),
-                epoch=self.epoch,
-            )
-            for dest in self.destinations(register)
-        ]
+        return self.write(register, value, sim_time=sim_time)
 
     # ------------------------------------------------------------------
     # Epoch migration

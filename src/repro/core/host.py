@@ -500,7 +500,7 @@ class ReplicaHost:
     def _apply_ready(self, replica: CausalReplica, force: bool = False) -> List[Update]:
         """Run a replica's apply loop and record the unified metrics."""
         applied = replica.apply_ready(sim_time=self.now, force=force)
-        replayed = replica.bootstrap_replayed
+        replayed = replica.replayed
         for update in applied:
             self.metrics.applies += 1
             self.metrics.apply_times.append(self.now)

@@ -9,6 +9,8 @@ in the library (the paper's edge-indexed algorithm and all the baselines):
   the issuing protocol.
 * :class:`ReplicaEvent` / :class:`EventKind` — the issue/apply trace entries
   consumed by the consistency checker (:mod:`repro.core.consistency`).
+* :class:`Known` — what a replica holds, as its per-issuer frontier: the one
+  duplicate rule that receive, resync and the sent-log pruning all ask.
 * :class:`CausalReplica` — the abstract base class every replica
   implementation (paper algorithm, full replication, track-all-edges,
   incident-only, hoop tracking, …) conforms to, so the simulator, checker
@@ -23,6 +25,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
+    AbstractSet,
     Any,
     Callable,
     ClassVar,
@@ -32,6 +35,8 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -232,6 +237,34 @@ class UpdateMessage:
         )
 
 
+class Known(NamedTuple):
+    """What a replica holds, by counting: the one duplicate rule.
+
+    Every family applies an issuer's updates in the issuer's order (the
+    FIFO conjunct ``τ_i[e_ki] = T[e_ki] − 1`` of Section 3.3, shared by the
+    baselines), so "``i`` holds ``(k, s)``" is ``s ≤ frontier[k]`` or
+    ``(k, s)`` is pending: O(writers + pending), not O(history).
+    State-transfer messages replay history below the frontier, so they are
+    matched by stream position ``(epoch, next index)`` instead
+    (``docs/GLOSSARY.md``, "Known frontier", has a worked example).
+    """
+
+    frontier: Mapping[ReplicaId, int]
+    pending: AbstractSet[UpdateId] = frozenset()
+    bootstrap: Tuple[int, int] = (0, 0)
+
+    def covers(self, message: UpdateMessage) -> bool:
+        """``True`` iff a further copy of ``message`` would be a duplicate."""
+        update = message.update
+        metadata = message.metadata
+        if metadata.__class__ is BootstrapMetadata:
+            if (metadata.epoch, metadata.index) < self.bootstrap:
+                return True
+        elif update.seq <= self.frontier.get(update.issuer, 0):
+            return True
+        return (update.issuer, update.seq) in self.pending
+
+
 class EventKind(enum.Enum):
     """The kinds of events a replica records in its local trace."""
 
@@ -323,7 +356,9 @@ class CausalReplica(abc.ABC):
         #: bootstrap messages (in index order) and parks all normal traffic
         #: under :data:`BOOTSTRAP_GATE`.
         self._bootstrap_total: Optional[int] = None
-        #: Next expected bootstrap stream index.
+        #: The stream's epoch (a commit can open the next stream in the
+        #: middle of a delivery that completed the last) and next index.
+        self._bootstrap_epoch: int = 0
         self._bootstrap_next: int = 0
         #: Current value of every locally stored register (None = never written).
         self.store: Dict[Register, Any] = {r: None for r in self.registers}
@@ -337,13 +372,14 @@ class CausalReplica(abc.ABC):
         #: receives at most one message per update, keeping them unique.
         self.pending: List[UpdateMessage] = []
         self._applied_pending_uids: set = set()
-        #: Uids currently buffered (pending minus tombstones), kept so
-        #: :meth:`receive` can suppress duplicate deliveries in O(1) — the
-        #: protocol-layer half of the exactly-once guarantee over lossy or
-        #: duplicating channels (the transport's ack/resend layer is the
-        #: at-least-once half).
+        #: Uids currently buffered (pending minus tombstones) and the known
+        #: frontier, the highest seq applied per issuer: the replica's
+        #: :meth:`known`, the protocol-layer half of the exactly-once
+        #: guarantee over lossy or duplicating channels (the transport's
+        #: ack/resend layer is the at-least-once half).
         self._pending_uids: Set[UpdateId] = set()
-        #: Duplicate deliveries suppressed by :meth:`receive`.
+        self.frontier: Dict[ReplicaId, int] = {}
+        #: Duplicate deliveries suppressed by :meth:`receive_many`.
         self.duplicates_ignored: int = 0
         #: Local issue/apply/read trace, consumed by the consistency checker.
         self.events: List[ReplicaEvent] = []
@@ -351,12 +387,9 @@ class CausalReplica(abc.ABC):
         self.issued_count: int = 0
         #: Updates applied at this replica, in application order.
         self.applied: List[Update] = []
-        self._applied_uids: set = set()
-        #: Uids applied from a state-transfer (bootstrap) stream rather than
-        #: live propagation — replayed history, whose issue→apply delta
-        #: measures the history's age, not the network (the host skips them
-        #: when sampling apply latency).
-        self.bootstrap_replayed: set = set()
+        #: Uids the latest drain replayed from a state-transfer stream: the
+        #: host samples no apply latency for them (that is history's age).
+        self.replayed: Set[UpdateId] = set()
         # -- pending-buffer index ------------------------------------------
         # Every buffered message lives in exactly one of two places: the
         # recheck queue (its predicate will be evaluated on the next
@@ -511,7 +544,7 @@ class CausalReplica(abc.ABC):
         self.store[register] = value
         metadata, size = self.make_metadata(register)
         self.applied.append(update)
-        self._applied_uids.add(update.uid)
+        self.frontier[self.replica_id] = self.issued_count
         self._record(EventKind.ISSUE, update, register, sim_time)
         return [
             UpdateMessage(
@@ -529,18 +562,11 @@ class CausalReplica(abc.ABC):
     def receive(self, message: UpdateMessage) -> None:
         """Step 3: buffer a received update message.
 
-        Deliveries of an update already applied or already buffered are
-        suppressed, so retransmissions and duplicating channels cannot
-        violate the exactly-once delivery assumption of the algorithm
-        prototype.
+        Deliveries :meth:`known` covers are suppressed, so retransmissions
+        and duplicating channels cannot violate the exactly-once delivery
+        assumption of the algorithm prototype.
         """
-        uid = message.update.uid
-        if uid in self._applied_uids or uid in self._pending_uids:
-            self.duplicates_ignored += 1
-            return
-        self._pending_uids.add(uid)
-        self.pending.append(message)
-        self._recheck.append(message)
+        self.receive_many((message,))
 
     def apply_ready(self, sim_time: float = 0.0, force: bool = False) -> List[Update]:
         """Step 4: apply pending updates whose predicate holds.
@@ -568,6 +594,7 @@ class CausalReplica(abc.ABC):
         if not recheck:
             return []
         applied_now: List[Update] = []
+        self.replayed.clear()
         blocked = self._blocked
         effective_key = self._effective_blocking_key
         protocol_key = self.blocking_key
@@ -618,21 +645,21 @@ class CausalReplica(abc.ABC):
     def receive_many(self, messages: Iterable[UpdateMessage]) -> int:
         """Step 3, vectorized: buffer a batch of received messages.
 
-        Same dedup semantics as :meth:`receive`, one loop, no per-message
-        call overhead.  Returns the number of messages actually buffered
-        (duplicates excluded).
+        What :meth:`receive` runs, for many messages in one loop.  Returns
+        the number of messages actually buffered (duplicates excluded).
         """
-        applied_uids = self._applied_uids
+        # The view shares the pending set, so a copy buffered earlier in
+        # this batch covers its own duplicates.
+        covers = self.known().covers
         pending_uids = self._pending_uids
         pending = self.pending
         recheck = self._recheck
         count = 0
         for message in messages:
-            uid = message.update.uid
-            if uid in applied_uids or uid in pending_uids:
+            if covers(message):
                 self.duplicates_ignored += 1
                 continue
-            pending_uids.add(uid)
+            pending_uids.add(message.update.uid)
             pending.append(message)
             recheck.append(message)
             count += 1
@@ -703,6 +730,7 @@ class CausalReplica(abc.ABC):
                 f"replica {self.replica_id!r} already has a state transfer open"
             )
         self._bootstrap_total = total
+        self._bootstrap_epoch = self.epoch
         self._bootstrap_next = 0
 
     @property
@@ -751,10 +779,12 @@ class CausalReplica(abc.ABC):
         update = message.update
         if message.payload and update.register in self.registers:
             self.store[update.register] = update.value
+        issuer, seq = uid = (update.issuer, update.seq)
         if isinstance(message.metadata, BootstrapMetadata):
             # Bootstrap messages carry stream-position metadata, not a
-            # timestamp: advance the stream instead of merging.
-            self.bootstrap_replayed.add(update.uid)
+            # timestamp: advance the stream instead of merging.  Replayed
+            # history is known by stream position, never by the frontier.
+            self.replayed.add(uid)
             self._bootstrap_next += 1
             if (
                 self._bootstrap_total is not None
@@ -763,9 +793,9 @@ class CausalReplica(abc.ABC):
                 self._bootstrap_total = None
         else:
             self.absorb_metadata(message)
-        uid = (update.issuer, update.seq)
+            if seq > self.frontier.get(issuer, 0):
+                self.frontier[issuer] = seq
         self.applied.append(update)
-        self._applied_uids.add(uid)
         self._pending_uids.discard(uid)
         # Inlined self._record(...): one positional construction, no
         # per-apply method call or enum attribute lookup.
@@ -798,18 +828,16 @@ class CausalReplica(abc.ABC):
     def _migrate_common(self, new_registers: Iterable[Register], epoch: int) -> None:
         """The family-independent half of :meth:`migrate`.
 
-        Adjusts the register store (gained registers start unwritten — their
-        history arrives via the bootstrap stream; lost registers are
-        dropped), garbage-collects pending messages whose register is no
-        longer stored here, bumps the epoch, and re-keys the whole pending
-        index against the new timestamp structure (every surviving message
-        is re-examined on the next :meth:`apply_ready`).
+        Adjusts the register store (a lost register keeps its value,
+        unreadable, so a re-gain starts from it; the bootstrap stream
+        brings the rest), garbage-collects pending messages whose register
+        is no longer stored here, bumps the epoch, and re-keys the whole
+        pending index against the new timestamp structure (every surviving
+        message is re-examined on the next :meth:`apply_ready`).
         """
         new_registers = frozenset(new_registers)
         for register in new_registers - self.registers:
             self.store.setdefault(register, None)
-        for register in self.registers - new_registers:
-            self.store.pop(register, None)
         self.registers = new_registers
         self.discard_pending(
             lambda message: message.update.register not in new_registers
@@ -859,9 +887,9 @@ class CausalReplica(abc.ABC):
         about to disappear.
         """
         uid = message.update.uid
-        if uid in self._applied_uids:
-            return
         if uid not in self._pending_uids:
+            if self.has_applied(uid):
+                return
             raise ProtocolError(
                 f"force_apply of a message not buffered at replica "
                 f"{self.replica_id!r}: {message}"
@@ -915,26 +943,19 @@ class CausalReplica(abc.ABC):
     def _reset_volatile(self) -> None:
         """Re-initialise the non-durable attributes after a restore."""
 
-    def known_update_ids(self) -> Set[UpdateId]:
-        """Uids this replica holds durably: applied plus buffered.
-
-        The restarted replica's half of the anti-entropy exchange — the
-        transport re-sends exactly the logged messages outside this set
-        (:meth:`~repro.sim.engine.Transport.resync`).
-        """
-        return set(self._applied_uids) | set(self._pending_uids)
+    def known(self) -> Known:
+        """What this replica holds durably: a :class:`Known` view of its live
+        frontier and pending set (receive, resync and pruning ask it)."""
+        return Known(self.frontier, self._pending_uids,
+                     (self._bootstrap_epoch, self._bootstrap_next))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def has_applied(self, uid: UpdateId) -> bool:
-        """``True`` iff the update with this id has been applied here."""
-        return uid in self._applied_uids
-
-    def knows(self, uid: UpdateId) -> bool:
-        """``True`` iff the update is applied or buffered here — a further
-        copy of it would be a duplicate (cf. :meth:`known_update_ids`)."""
-        return uid in self._applied_uids or uid in self._pending_uids
+        """``True`` iff the update with this id, sent here as live traffic,
+        has been applied here (its seq is within its issuer's frontier)."""
+        return uid[1] <= self.frontier.get(uid[0], 0)
 
     def pending_count(self) -> int:
         """Number of buffered, not-yet-applied update messages."""

@@ -13,8 +13,10 @@ this single connection):
   traffic;
 * ``SYNC`` — sent by the *accepting* side immediately after the hello, once
   per hosted replica with traffic from the connecting node: the destination
-  replica plus the update ids it holds durably.  The sender answers by
-  re-sending every sent-log entry for that replica outside that set
+  replica plus its durable :class:`~repro.core.protocol.Known`: one
+  ``(issuer, highest applied seq)`` pair per writer and the pending update
+  ids, O(writers + pending) bytes however long the run.  The sender
+  re-sends every sent-log entry for that replica it does not cover
   (:meth:`~repro.wire.channel.ChannelSender.missing`).  On a first
   connection the sent-log is empty and the exchange is a no-op;
 * ``BATCH`` — an encoded :class:`~repro.wire.batch.MessageBatch`.  The batch
@@ -49,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from ..core.protocol import UpdateId
+from ..core.protocol import Known, UpdateId
 from ..core.registers import ReplicaId
 from ..wire.codecs import decode_value, encode_value
 from ..wire.primitives import (
@@ -127,6 +129,19 @@ def decode_tagged_uids(data: bytes) -> Tuple[ReplicaId, List[UpdateId]]:
     uids, offset = decode_uid_list(data, offset)
     _expect_end(data, offset, "tagged-uid")
     return replica, uids
+
+
+def encode_sync(replica: ReplicaId, known: Known) -> bytes:
+    """The replica, then its frontier and its pending uids as uid lists."""
+    return encode_tagged_uids(replica, known.frontier.items()) + encode_uid_list(known.pending)
+
+
+def decode_sync(data: bytes) -> Tuple[ReplicaId, Known]:
+    replica, offset = decode_atom(data)
+    frontier, offset = decode_uid_list(data, offset)
+    pending, offset = decode_uid_list(data, offset)
+    _expect_end(data, offset, "SYNC")
+    return replica, Known(dict(frontier), frozenset(pending))
 
 
 # ----------------------------------------------------------------------

@@ -54,7 +54,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, 
 
 from ..core.errors import ConfigurationError, ReproError
 from ..core.host import ReplicaHost
-from ..core.protocol import CausalReplica, Update, UpdateId, UpdateMessage
+from ..core.protocol import CausalReplica, Known, Update, UpdateId, UpdateMessage
 from ..core.registers import Register, ReplicaId
 from ..core.replica import edge_indexed_factory
 from ..core.share_graph import ShareGraph
@@ -463,8 +463,8 @@ class _PeerStream:
                         destination, uids = frames.decode_tagged_uids(payload)
                         self.node.note_acked(destination, uids)
                     elif kind == frames.SYNC:
-                        destination, known = frames.decode_tagged_uids(payload)
-                        await self.node.resync(destination, set(known), self)
+                        destination, known = frames.decode_sync(payload)
+                        await self.node.resync(destination, known, self)
         except (OSError, ConnectionError, WireFormatError,
                 asyncio.CancelledError):
             return
@@ -514,9 +514,7 @@ class LiveNode:
     def _new_sender(self) -> ChannelSender:
         # Outstanding copies are tracked for the reconnect and the SYNC
         # skip-set; the resend timeouts are the simulator's, never read here.
-        sender = ChannelSender(self.config.batching, ReliabilityConfig())
-        sender.sent_log = {}
-        return sender
+        return ChannelSender(self.config.batching, ReliabilityConfig())
 
     def _log_outgoing(self, tenant: _Tenant,
                       messages: List[UpdateMessage]) -> None:
@@ -632,14 +630,14 @@ class LiveNode:
         if received_at is None:
             received_at = self.now
         counters = tenant.counters
-        knows = tenant.replica.knows
+        covers = tenant.replica.known().covers
         first_receipts: Dict[UpdateId, UpdateMessage] = {}
         for message in messages:
             uid = message.update.uid
             counters["received"] += 1
-            # A first receipt is a uid the replica neither holds nor is
+            # A first receipt is a copy the replica neither holds nor is
             # about to be handed by this very batch.
-            if knows(uid) or uid in first_receipts:
+            if covers(message) or uid in first_receipts:
                 counters["duplicates"] += 1
                 continue
             first_receipts[uid] = message
@@ -810,14 +808,15 @@ class LiveNode:
     # ------------------------------------------------------------------
     # Resync (the live anti-entropy exchange)
     # ------------------------------------------------------------------
-    async def resync(self, destination: ReplicaId, known: set,
+    async def resync(self, destination: ReplicaId, known: Known,
                      stream: _PeerStream) -> None:
         """Re-send every sent-log entry ``destination`` does not hold.
 
         Triggered by the peer node's ``SYNC`` frame (one per hosted
-        replica) on every (re)established stream: its durable uid set in;
-        the durable outbox minus that set, and minus what is already on
-        its way, out through the channels' windows.
+        replica) on every (re)established stream: its durable
+        :class:`~repro.core.protocol.Known` in; the durable outbox it does
+        not cover, minus what is already on its way, out through the
+        channels' windows.
         """
         missing = stream.sender.missing(destination, known, skip_inflight=True)
         for source in {message.sender for message in missing}:
@@ -890,10 +889,7 @@ class LiveNode:
                 if any(self._hosting_node(nb) == peer
                        for nb in graph.neighbors(rid)):
                     writer.write(encode_frame(
-                        frames.SYNC,
-                        frames.encode_tagged_uids(
-                            rid, sorted(tenant.replica.known_update_ids())
-                        ),
+                        frames.SYNC, frames.encode_sync(rid, tenant.replica.known()),
                     ))
             await writer.drain()
         elif kind == frames.BATCH:

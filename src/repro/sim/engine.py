@@ -62,7 +62,7 @@ from ..core.host import (
     RunMetrics,
     throughput_timeline,
 )
-from ..core.protocol import UpdateId, UpdateMessage
+from ..core.protocol import Known, UpdateId, UpdateMessage
 from ..core.registers import ReplicaId
 from ..core.share_graph import ShareGraph
 from ..wire.channel import (
@@ -390,8 +390,10 @@ class Transport:
     sent-log): the transport samples each copy's fate and delay from the
     :class:`DelayModel`, turns the sender's deadlines into timer events
     and its batches into delivery events, and keeps the aggregate
-    :class:`NetworkStats`.  Channels are reliable and non-FIFO by default,
-    with three fault-subsystem extensions (all inert unless enabled):
+    :class:`NetworkStats`.  The sent-log holds each copy until a delivery
+    leaves its destination holding it (:meth:`prune`); crash recovery
+    re-sends from it (:meth:`resync`).  Channels are reliable and non-FIFO
+    by default, with two fault-subsystem extensions (inert unless enabled):
 
     * channels can be held (parking all traffic) and released, as the
       adversarial schedules of the necessity experiments require, and the
@@ -400,9 +402,7 @@ class Transport:
       separates its endpoints;
     * lossy/duplicating delay-model wrappers (:mod:`repro.sim.delays`) are
       honoured per send, with the ack + resend-timer layer
-      (:meth:`enable_reliability`) restoring at-least-once delivery;
-    * a per-destination sent-log (:meth:`enable_sent_log`) supports the
-      crash-recovery anti-entropy exchange (:meth:`resync`).
+      (:meth:`enable_reliability`) restoring at-least-once delivery.
     """
 
     def __init__(
@@ -442,15 +442,6 @@ class Transport:
     def enable_reliability(self, config: Optional[ReliabilityConfig] = None) -> None:
         """Turn on the ack + resend-timer layer (idempotent)."""
         self.sender.reliability = config or ReliabilityConfig()
-
-    def enable_sent_log(self) -> None:
-        """Start retaining every sent message per destination (idempotent).
-
-        Required by :meth:`resync`; off by default so fault-free runs keep
-        no per-message state.
-        """
-        if self.sender.sent_log is None:
-            self.sender.sent_log = {}
 
     def enable_wire_accounting(self) -> None:
         """Book every sent message/batch into the byte-accurate statistics
@@ -509,8 +500,7 @@ class Transport:
             self.stats.metadata_only_messages_sent += 1
 
         sender = self.sender
-        if sender.sent_log is not None:
-            sender.log(message)
+        sender.log(message)
 
         if self.tracer is not None:
             self.tracer.record("send", message.update.uid, message.sender,
@@ -795,21 +785,20 @@ class Transport:
     # ------------------------------------------------------------------
     # Crash-recovery anti-entropy
     # ------------------------------------------------------------------
-    def resync(self, destination: ReplicaId,
-               known: Set[UpdateId]) -> List[UpdateId]:
+    def prune(self, destination: ReplicaId, messages: Iterable[UpdateMessage],
+              known: Known) -> None:
+        """Unlog the delivered copies ``known`` covers (a live node: on ACK)."""
+        self.sender.prune(destination, [m.update.uid for m in messages if known.covers(m)])
+
+    def resync(self, destination: ReplicaId, known: Known) -> List[UpdateId]:
         """Re-send every logged message to ``destination`` it does not know.
 
         The anti-entropy half of crash recovery: the restarted replica
-        reports the update ids it holds (applied + pending, from its durable
-        snapshot) and the rest of the sent-log is re-sent through the normal
-        delay/partition path.  Requires :meth:`enable_sent_log` to have been
-        on at the original sends.  Returns the re-sent ids in send order.
+        reports what it holds (its :class:`~repro.core.protocol.Known`, from
+        its durable snapshot) and the rest of the sent-log is re-sent
+        through the normal delay/partition path.  Returns the re-sent ids in
+        send order.
         """
-        if self.sender.sent_log is None:
-            raise SimulationError(
-                "resync requires the transport sent-log; call enable_sent_log() "
-                "(the FaultInjector does this on construction)"
-            )
         missing: List[UpdateId] = []
         for message in self.sender.missing(destination, known):
             missing.append(message.update.uid)
@@ -1054,7 +1043,9 @@ class SimulationHost(ReplicaHost):
             self.network.note_lost(event)
         else:
             self.network.record_delivery(event, time)
-            self.deliver(self._replica(destination), event.messages)
+            replica = self._replica(destination)
+            self.deliver(replica, event.messages)
+            self.network.prune(destination, event.messages, replica.known())
 
     def _note_stale_epoch(self, rejected: int) -> None:
         self.network.stats.messages_rejected_stale_epoch += rejected

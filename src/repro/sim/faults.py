@@ -204,10 +204,11 @@ class FaultInjector:
     """Drives a fault schedule against a simulated deployment.
 
     Attaching an injector switches the host onto the faulty path: the
-    transport starts logging sent messages (for crash resync), optionally
-    runs the ack + resend reliability layer (mandatory when the delay model
-    drops messages), and the host consults :meth:`is_down` before
-    deliveries, applies and client operations.
+    transport optionally runs the ack + resend reliability layer
+    (mandatory when the delay model drops messages), and the host consults
+    :meth:`is_down` before deliveries, applies and client operations.
+    Crash resync re-sends from the transport's sent-log of undelivered
+    copies.
 
     Parameters
     ----------
@@ -218,9 +219,6 @@ class FaultInjector:
         a :class:`~repro.sim.engine.ReliabilityConfig` to enable the ack +
         resend layer (required for :class:`~repro.sim.delays.LossyDelay` /
         :class:`~repro.sim.delays.DuplicatingDelay` channels).
-
-    Create the injector *before* the workload runs: the resync path can
-    only re-send messages the transport logged.
     """
 
     def __init__(
@@ -232,7 +230,6 @@ class FaultInjector:
             raise ConfigurationError("host already has a fault injector attached")
         self.host = host
         host.fault_injector = self
-        host.network.enable_sent_log()
         if reliability is not None:
             host.network.enable_reliability(reliability)
         self._snapshots: Dict[ReplicaId, ReplicaSnapshot] = {}
@@ -312,7 +309,7 @@ class FaultInjector:
         metrics.fault_timeline.append(
             FaultRecord(now, "restart", f"replica {replica_id}")
         )
-        missing = self.host.network.resync(replica_id, replica.known_update_ids())
+        missing = self.host.network.resync(replica_id, replica.known())
         if missing:
             self._recovering[replica_id] = (now, set(missing))
         else:

@@ -416,9 +416,8 @@ class ReconfigManager:
     """Drives a reconfiguration schedule against a simulated deployment.
 
     Attaching a manager switches the host onto the dynamic-membership path:
-    the transport starts logging sent messages (state transfer rides the
-    same sent-log/resync machinery as crash recovery), client operations
-    consult :meth:`rejecting`, and scheduled
+    client operations consult :meth:`rejecting` (state transfer rides the
+    transport's sent-log/resync machinery, like crash recovery), and scheduled
     :class:`~repro.sim.engine.ReconfigEvent`\\ s replay deterministically
     against the rest of the event stream.
 
@@ -442,7 +441,6 @@ class ReconfigManager:
             raise ReconfigurationError("migration window must be non-negative")
         self.host = host
         host.reconfig_manager = self
-        host.network.enable_sent_log()
         self.window = window
         self._queue: Deque[ReconfigAction] = deque()
         self._active: Optional[ReconfigAction] = None
@@ -804,17 +802,17 @@ class ReconfigManager:
         """Replay the gained registers' history as a gated transfer stream.
 
         A replica that *re-gains* a register it once stored already holds a
-        prefix of that history durably; those updates are excluded from the
-        stream (the replica's duplicate suppression would drop them on
-        receive, which would strand the stream's position counter and leave
-        the bootstrap gate closed forever).
+        prefix of that history, and the register's last value from it:
+        the updates in its trace are left out of the stream.  Its frontier
+        cannot say which those are — history the replica never received
+        sits below it too.
         """
         host = self.host
         replica = host._replica(replica_id)
-        known = replica.known_update_ids()
+        held = {event.update.uid for event in replica.events if event.update is not None}
         stream = [
             updates[uid] for uid in order
-            if updates[uid].register in registers and uid not in known
+            if updates[uid].register in registers and uid not in held
         ]
         if not stream:
             return

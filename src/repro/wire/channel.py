@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..core.errors import ConfigurationError
-from ..core.protocol import UpdateId, UpdateMessage
+from ..core.protocol import Known, UpdateId, UpdateMessage
 from ..core.registers import ReplicaId
 from .batch import MessageBatch, encode_batch
 from .codecs import TimestampCodec
@@ -236,9 +236,9 @@ class ChannelSender:
         self._seq: Dict[Channel, int] = {}
         self._epoch: Dict[Channel, int] = {}
         self.outstanding: Dict[CopyKey, Copy] = {}
-        #: Every logged message per destination, in send order; ``None``
-        #: until a driver that needs :meth:`missing` sets it to ``{}``.
-        self.sent_log: Optional[Dict[ReplicaId, Dict[UpdateId, UpdateMessage]]] = None
+        #: Logged messages per destination, in send order, until the
+        #: destination is known to hold them (:meth:`prune`).
+        self.sent_log: Dict[ReplicaId, Dict[UpdateId, UpdateMessage]] = {}
         self.book: Dict[Channel, ChannelWireStats] = {}
         if batching is not None:
             self.enable_batching(batching)
@@ -348,8 +348,7 @@ class ChannelSender:
 
     def forget(self, replica_id: ReplicaId) -> None:
         """Drop all state of channels touching a replica that left."""
-        if self.sent_log is not None:
-            self.sent_log.pop(replica_id, None)
+        self.sent_log.pop(replica_id, None)
         for key in [k for k in self.outstanding if k[1] == replica_id]:
             del self.outstanding[key]
         for channel in [c for c in self.channels() if replica_id in c]:
@@ -406,12 +405,13 @@ class ChannelSender:
 
     # -- sent-log and anti-entropy ---------------------------------------
     def log(self, message: UpdateMessage) -> None:
-        """Retain a message for its destination (needs a ``sent_log``)."""
+        """Retain a message for its destination until it is pruned."""
         self.sent_log.setdefault(message.destination, {})[message.update.uid] = message
 
     def prune(self, destination: ReplicaId,
               uids: Iterable[UpdateId]) -> List[UpdateId]:
-        """Drop logged messages the destination holds durably; returns them."""
+        """Drop logged messages the destination holds durably (the live node
+        on an ACK, the simulator on each delivery); returns them."""
         book = self.sent_log.get(destination)
         if not book:
             return []
@@ -424,16 +424,14 @@ class ChannelSender:
             copies.update((m.update.uid, destination) for m in window.messages)
         return copies
 
-    def missing(self, destination: ReplicaId, known: Set[UpdateId],
+    def missing(self, destination: ReplicaId, known: Known,
                 skip_inflight: bool = False) -> List[UpdateMessage]:
-        """Logged messages to ``destination`` it does not know, in send order.
-
-        ``skip_inflight`` leaves out copies already on their way: a peer
-        whose known-set predates them must not be offered them twice.
-        """
+        """Logged messages to ``destination`` that ``known`` does not cover,
+        in send order; ``skip_inflight`` leaves out copies already on their
+        way (a peer whose known predates them must not get them twice)."""
         skip: Set[UpdateId] = set()
         if skip_inflight:
             skip = {uid for uid, to in self.inflight() if to == destination}
         return [message
                 for uid, message in self.sent_log.get(destination, {}).items()
-                if uid not in known and uid not in skip]
+                if uid not in skip and not known.covers(message)]

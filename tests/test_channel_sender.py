@@ -10,7 +10,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.protocol import Update, UpdateMessage
+from repro.core.protocol import Known, Update, UpdateMessage
 from repro.core.timestamps import EdgeTimestamp
 from repro.wire.batch import decode_batch
 from repro.wire.channel import (
@@ -137,7 +137,6 @@ class TestWindows:
 
     def test_forget_drops_every_trace_of_a_replica(self):
         sender = _sender(max_messages=1, resend_timeout=1.0)
-        sender.sent_log = {}
         for channel in (A, B):
             sender.log(_message(1, channel))
             sender.add(_message(1, channel), now=0.0)
@@ -217,7 +216,6 @@ class TestReliability:
 class TestSentLog:
     def test_missing_is_log_minus_known_minus_inflight(self):
         sender = _sender(max_messages=2, resend_timeout=10.0)
-        sender.sent_log = {}
         messages = {n: _message(n) for n in range(1, 7)}
         other = _message(1, B)
         for message in (*messages.values(), other):
@@ -227,21 +225,20 @@ class TestSentLog:
         _flush(sender)                              # 2, 3 outstanding
         sender.add(messages[4], now=1.0)            # 4 and 5 in an open window
         sender.add(messages[5], now=1.0)
-        known = {(1, 1)}
+        known = Known({1: 1})
         assert sender.missing(2, known) == [messages[n] for n in (2, 3, 4, 5, 6)]
         assert sender.missing(2, known, skip_inflight=True) == [messages[6]]
         assert sender.missing(3, known, skip_inflight=True) == []   # (1, 1) to 3
-        assert sender.missing(3, set()) == [other]
-        assert sender.missing(7, set()) == []
+        assert sender.missing(3, Known({})) == [other]
+        assert sender.missing(7, Known({})) == []
 
     def test_prune_drops_only_what_was_logged(self):
         sender = _sender()
-        sender.sent_log = {}
         sender.log(_message(1))
         sender.log(_message(2))
         assert sender.prune(2, [(1, 2), (1, 9)]) == [(1, 2)]
         assert sender.prune(5, [(1, 1)]) == []
-        assert sender.missing(2, set()) == [_message(1)]
+        assert sender.missing(2, Known({})) == [_message(1)]
 
 
 # One random interleaving of the sender's inputs on two channels of one

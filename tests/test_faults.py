@@ -256,12 +256,6 @@ class TestCrashRecovery:
         with pytest.raises(SimulationError):
             injector.crash_now(1)  # already down
 
-    def test_resync_requires_sent_log(self):
-        graph = path_graph()
-        cluster = Cluster(graph, seed=0)  # no injector → no sent log
-        with pytest.raises(SimulationError):
-            cluster.network.resync(1, set())
-
     def test_finalize_downtime_and_availability(self):
         graph = path_graph()
         cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=0)

@@ -1,4 +1,4 @@
-"""Control-payload codecs: STATS, TELEMETRY, and their degenerate shapes.
+"""Control-payload codecs: SYNC, STATS, TELEMETRY, and their degenerate shapes.
 
 ``tests/test_net_framing.py`` covers the framing layer and the basic
 frame round-trips; this module drills into the structured control
@@ -13,8 +13,50 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.protocol import Known
+from repro.core.registers import RegisterPlacement
+from repro.core.share_graph import ShareGraph
 from repro.net import frames
-from repro.wire.primitives import WireFormatError
+from repro.sim.cluster import Cluster
+from repro.sim.delays import FixedDelay
+from repro.wire.primitives import WireFormatError, encode_uvarint
+
+# ----------------------------------------------------------------------
+# SYNC: a replica's known frontier plus its pending uids
+# ----------------------------------------------------------------------
+
+
+def _sync_after(rounds: int):
+    """Replica 1's frontier and SYNC payload after ``rounds`` writes of the
+    shared register at each of three replicas, fully delivered."""
+    graph = ShareGraph.from_placement(
+        RegisterPlacement.from_dict({1: {"x"}, 2: {"x"}, 3: {"x"}}))
+    cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=0)
+    for n in range(rounds):
+        for rid in (1, 2, 3):
+            cluster.write(rid, "x", n)
+    cluster.run_until_quiescent()
+    replica = cluster.replica(1)
+    return dict(replica.frontier), frames.encode_sync(1, replica.known())
+
+
+def test_sync_payload_grows_only_by_varint_growth_when_the_run_doubles():
+    frontier, payload = _sync_after(100)
+    doubled, doubled_payload = _sync_after(200)
+    assert frontier == {1: 100, 2: 100, 3: 100}
+    assert doubled == {1: 200, 2: 200, 3: 200}
+    growth = sum(len(encode_uvarint(doubled[k])) - len(encode_uvarint(frontier[k]))
+                 for k in frontier)
+    assert len(doubled_payload) - len(payload) == growth == 3
+    assert frames.decode_sync(doubled_payload) == (1, Known(doubled, frozenset()))
+
+
+def test_sync_payload_roundtrips_pending_uids_and_string_ids():
+    known = Known({"a": 7, 2: 1}, frozenset({(2, 3), ("a", 9)}))
+    replica, decoded = frames.decode_sync(frames.encode_sync("r", known))
+    assert replica == "r" and decoded == known
+    with pytest.raises(WireFormatError):
+        frames.decode_sync(frames.encode_sync("r", known) + b"\x00")
 
 # ----------------------------------------------------------------------
 # STATS: scalar counters + progress books

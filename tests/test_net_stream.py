@@ -142,7 +142,7 @@ async def _window_survives_reset(monkeypatch):
     batching = BatchingConfig(max_messages=64, max_delay=MAX_DELAY)
     async with _pair(monkeypatch, batching) as pair:
         stream = pair.stream
-        received = pair.b.tenants[3].replica.known_update_ids
+        frontier = pair.b.tenants[3].replica.frontier
         # Channel (2, 3) flushes first, on a connection that dies under it …
         await pair.write(2, "y", "b-side")
         await asyncio.sleep(MAX_DELAY / 2)
@@ -153,7 +153,7 @@ async def _window_survives_reset(monkeypatch):
         reconnected = time.monotonic()
         # No further traffic on (1, 3): its window must still go out, within
         # one max_delay of the reconnect (plus scheduling slack).
-        arrived = await _until(lambda: len(received()) == 2, MAX_DELAY + SLACK)
+        arrived = await _until(lambda: frontier == {1: 1, 2: 1}, MAX_DELAY + SLACK)
         elapsed = time.monotonic() - reconnected
         settled = await _until(
             lambda: stream.unacked() == 0 and stream.queued() == 0, 2.0)

@@ -571,6 +571,31 @@ class TestStateTransferRegressions:
         assert host.metrics.reconfigs == 3
         assert not manager.warming_replicas()
 
+    def test_regrant_restores_the_value_applied_before_the_drop(self):
+        """A re-gainer's stream leaves out what its trace already holds, so
+        the value it applied before the drop must survive the drop.
+
+        Regression: migration popped the dropped register's value and the
+        stream (rightly) skipped the write replica 3 had applied, so 3 kept
+        ``None`` for ever — while the checker, which judges traces, still
+        called the run consistent.
+        """
+        graph = ShareGraph.from_placement(figure5_placement())
+        host = Cluster(graph, delay_model=UniformDelay(1, 10), seed=7)
+        ReconfigManager(host, window=3.0).install(ReconfigSchedule(
+            "regrant",
+            (
+                add_edge(40.0, 1, 3, register="y"),
+                remove_edge(80.0, 1, 3),
+                add_edge(120.0, 1, 3, register="y"),
+            ),
+        ))
+        host.schedule_timer(60.0, lambda h, t: h.write(1, "y", "LAST"))
+        host.run_until_quiescent()
+        assert host.metrics.reconfigs == 3
+        assert host.values("y") == {1: "LAST", 2: "LAST", 3: "LAST", 4: "LAST"}
+        assert host.check_consistency().is_causally_consistent
+
     def test_history_replay_is_not_an_apply_latency_sample(self):
         """State transfer replays old updates; their issue→apply deltas
         measure the history's age, not propagation, and must not pollute
