@@ -142,6 +142,12 @@ class Update:
         """The globally unique identifier ``(issuer, seq)``."""
         return (self.issuer, self.seq)
 
+    def __reduce__(self) -> Tuple[Any, tuple]:
+        # Pickled and copied as one constructor call.  The slotted-dataclass
+        # default goes through copyreg and a per-field state list, ~5x
+        # slower, and a checkpoint record pickles thousands of updates.
+        return (type(self), (self.issuer, self.seq, self.register, self.value))
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"u({self.issuer}:{self.seq} {self.register}={self.value!r})"
 
@@ -189,6 +195,12 @@ class UpdateMessage:
     #: is recovered by the retransmission/resync layers, never by decoding
     #: metadata whose index structure no longer matches the configuration).
     epoch: int = 0
+
+    def __reduce__(self) -> Tuple[Any, tuple]:
+        # One constructor call, like Update's.
+        return (type(self), (self.update, self.sender, self.destination,
+                             self.metadata, self.metadata_size, self.payload,
+                             self.epoch))
 
     # -- wire-format hooks ---------------------------------------------
     # The binary encoding itself lives in :mod:`repro.wire` (which imports
@@ -278,18 +290,25 @@ class EventKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ReplicaSnapshot:
-    """A replica's durable state, as captured by :meth:`CausalReplica.snapshot`.
-
-    The snapshot is a deep copy of every non-volatile attribute — the
+    """A replica's durable state: every non-volatile attribute by name — the
     timestamp, register store, pending buffer (with its index), applied log
-    and event trace — so :meth:`CausalReplica.restore` can rebuild the
-    replica exactly as it was at the durability point.  Used by the
-    fault-injection subsystem's crash/restart protocol
-    (:mod:`repro.sim.faults`).
+    and event trace.
+
+    :meth:`CausalReplica.snapshot` fills it with a deep copy, for the
+    simulator only: its in-memory crash/restart protocol
+    (:mod:`repro.sim.faults`) holds the snapshot while the replica runs
+    on, and :meth:`CausalReplica.restore` copies it back.  A caller that
+    serialises the state at once — the live write-ahead log, whose pickle
+    *is* the copy — takes :meth:`CausalReplica.durable_view` instead and
+    recovers with :meth:`CausalReplica.adopt`.
     """
 
     replica_id: ReplicaId
     state: Dict[str, Any]
+    #: Names of the ``state`` entries that only ever grow by appending
+    #: (:attr:`CausalReplica._HISTORY_STATE`): a log-structured store
+    #: persists their new tail, not the whole list.
+    history: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,6 +341,11 @@ class ReplicaEvent:
     register: Optional[Register]
     local_index: int
     sim_time: float = 0.0
+
+    def __reduce__(self) -> Tuple[Any, tuple]:
+        # One constructor call, like Update's.
+        return (type(self), (self.replica_id, self.kind, self.update,
+                             self.register, self.local_index, self.sim_time))
 
 
 #: Hoisted ``EventKind.APPLY`` — enum attribute access costs a descriptor
@@ -907,23 +931,39 @@ class CausalReplica(abc.ABC):
     #: subclasses extend the tuple and reinitialise the attributes in
     #: :meth:`_reset_volatile`.
     _VOLATILE_STATE: ClassVar[Tuple[str, ...]] = ()
+    #: Durable attributes that only ever grow by appending — the replica's
+    #: history, as opposed to its replaceable state.  Subclasses that add
+    #: such a list extend the tuple.
+    _HISTORY_STATE: ClassVar[Tuple[str, ...]] = ("events", "applied")
 
-    def snapshot(self) -> ReplicaSnapshot:
-        """Capture the replica's durable state (write-ahead persistence).
+    def durable_view(self) -> ReplicaSnapshot:
+        """The durable state *by reference*: the live attributes, uncopied.
 
-        The fault model persists every protocol state change synchronously:
-        the timestamp, register store, pending buffer + index, applied log,
-        sequence counter and event trace all survive a crash.  What a crash
-        costs is *availability* — deliveries addressed to the replica while
-        it is down are lost and must be recovered via the transport's
-        anti-entropy resync.
+        For a caller that serialises it before the replica runs on (the
+        live write-ahead log pickles it at once, and the pickle is the
+        copy).  Anything that holds on to the result must take
+        :meth:`snapshot` instead.
         """
         state = {
             name: value
             for name, value in self.__dict__.items()
             if name not in self._VOLATILE_STATE
         }
-        return ReplicaSnapshot(replica_id=self.replica_id, state=copy.deepcopy(state))
+        return ReplicaSnapshot(self.replica_id, state, self._HISTORY_STATE)
+
+    def snapshot(self) -> ReplicaSnapshot:
+        """Capture the replica's durable state as a deep copy (simulator).
+
+        The fault model persists every protocol state change synchronously:
+        the timestamp, register store, pending buffer + index, applied log,
+        sequence counter and event trace all survive a crash.  What a crash
+        costs is *availability* — deliveries addressed to the replica while
+        it is down are lost and must be recovered via the transport's
+        anti-entropy resync.  The copy is what lets the simulator hold the
+        snapshot while the replica runs on.
+        """
+        view = self.durable_view()
+        return ReplicaSnapshot(view.replica_id, copy.deepcopy(view.state), view.history)
 
     def restore(self, snapshot: ReplicaSnapshot) -> None:
         """Rebuild the replica from a durable snapshot (crash recovery).
@@ -932,12 +972,20 @@ class CausalReplica(abc.ABC):
         deep-copied back so the restored replica shares no structure with
         the snapshot (it can be restored from again).
         """
+        self.adopt(ReplicaSnapshot(snapshot.replica_id, copy.deepcopy(snapshot.state)))
+
+    def adopt(self, snapshot: ReplicaSnapshot) -> None:
+        """Become ``snapshot``'s state, taking its objects over uncopied.
+
+        For a snapshot nobody else holds — one freshly unpickled from disk.
+        Volatile attributes are re-initialised empty.
+        """
         if snapshot.replica_id != self.replica_id:
             raise ProtocolError(
                 f"snapshot of replica {snapshot.replica_id!r} cannot restore "
                 f"replica {self.replica_id!r}"
             )
-        self.__dict__.update(copy.deepcopy(snapshot.state))
+        self.__dict__.update(snapshot.state)
         self._reset_volatile()
 
     def _reset_volatile(self) -> None:

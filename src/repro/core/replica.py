@@ -120,7 +120,7 @@ class EdgeIndexedReplica(CausalReplica):
         merged, changed = tsops.merge_intersection(
             self.timestamp.counters, remote.counters, self.replica_id
         )
-        self.timestamp = EdgeTimestamp._from_validated(merged)
+        self.timestamp = self.timestamp.successor(merged)
         self._changed_incoming = changed
 
     # ------------------------------------------------------------------

@@ -101,6 +101,27 @@ class EdgeTimestamp:
         object.__setattr__(instance, "counters", counters)
         return instance
 
+    #: Instance caches that depend on the index set alone, never on the
+    #: counter values: the edge set and the wire codecs' layouts
+    #: (:mod:`repro.wire.codecs`).
+    _INDEX_SET_CACHES = ("_edges", "_wire_layout", "_wire_matrix_layout")
+
+    def successor(self, counters: Dict[Edge, int]) -> "EdgeTimestamp":
+        """A timestamp over this one's index set holding ``counters``.
+
+        ``counters`` must have exactly this timestamp's keys (an
+        ``advance`` or ``merge`` result).  The successor inherits the
+        index-set caches, so a replica's ``τ_i`` builds its codec layout
+        once, not once per write.
+        """
+        instance = EdgeTimestamp._from_validated(counters)
+        state, inherited = self.__dict__, instance.__dict__
+        for name in self._INDEX_SET_CACHES:
+            cached = state.get(name)
+            if cached is not None:
+                inherited[name] = cached
+        return instance
+
     # ------------------------------------------------------------------
     # Mapping-style access
     # ------------------------------------------------------------------
@@ -146,7 +167,7 @@ class EdgeTimestamp:
         for e in edges:
             if e in counters:
                 counters[e] += 1
-        return EdgeTimestamp._from_validated(counters)
+        return self.successor(counters)
 
     def migrated(self, edges: Iterable[Edge]) -> "EdgeTimestamp":
         """Project this timestamp onto a new index set (epoch migration).
@@ -178,7 +199,7 @@ class EdgeTimestamp:
             for e in shared_edges:
                 if e in counters:
                     counters[e] = max(counters[e], other.get(e))
-        return EdgeTimestamp._from_validated(counters)
+        return self.successor(counters)
 
     # ------------------------------------------------------------------
     # Comparisons

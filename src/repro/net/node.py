@@ -256,13 +256,14 @@ class _Tenant:
     # Durability
     # ------------------------------------------------------------------
     def checkpoint_state(self) -> WalCheckpoint:
+        """The live state, uncopied: the checkpoint's pickle is the copy."""
         return WalCheckpoint(
-            replica=self.replica.snapshot(),
+            replica=self.replica.durable_view(),
             sent_log=self.node.unacked_log(self.replica_id),
             outbox_total=self.outbox_total,
             streams=self.streams,
             apply_times=self.apply_times,
-            issue_times=dict(self.host._issue_times),
+            issue_times=self.host._issue_times,
         )
 
     def maybe_compact(self) -> None:
@@ -579,7 +580,8 @@ class LiveNode:
     def _recover_tenant(self, tenant: _Tenant) -> None:
         checkpoint, records = tenant.wal.load()
         if checkpoint is not None:
-            tenant.replica.restore(checkpoint.replica)
+            # Freshly unpickled, held by nobody else: adopted, not copied.
+            tenant.replica.adopt(checkpoint.replica)
             for destination, book in checkpoint.sent_log.items():
                 sender = self.senders[self._hosting_node(destination)]
                 for message in book.values():
@@ -587,7 +589,7 @@ class LiveNode:
             tenant.outbox_total = checkpoint.outbox_total
             tenant.streams = checkpoint.streams
             tenant.apply_times = checkpoint.apply_times
-            tenant.host._issue_times.update(checkpoint.issue_times)
+            tenant.host._issue_times = checkpoint.issue_times
         if checkpoint is not None or records:
             tenant.recovered = True
         for kind, payload in records:
@@ -776,6 +778,8 @@ class LiveNode:
             ("wal_bytes", sum(w.wal_bytes for w in wals)),
             ("wal_records_total", sum(w.records_appended for w in wals)),
             ("wal_compactions_total", sum(w.compactions for w in wals)),
+            ("wal_checkpoint_seconds_total", sum(w.checkpoint_seconds for w in wals)),
+            ("wal_checkpoint_bytes_total", sum(w.checkpoint_bytes for w in wals)),
         ):
             samples.append((f"repro_node_{name}", me, float(value)))
         return samples
@@ -1060,6 +1064,8 @@ class LiveNode:
                 "wal_bytes": sum(w.wal_bytes for w in wals),
                 "wal_records": sum(w.records_appended for w in wals),
                 "wal_compactions": sum(w.compactions for w in wals),
+                "wal_checkpoint_seconds": sum(w.checkpoint_seconds for w in wals),
+                "wal_checkpoint_bytes": sum(w.checkpoint_bytes for w in wals),
             },
         }
 

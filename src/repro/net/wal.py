@@ -5,16 +5,22 @@ Until PR 8 every persist wrote the node's whole durable state as one pickle
 once histories grow.  This module replaces it with the classic
 log-structured pair:
 
-* a **checkpoint** (``replica-<id>.ckpt``): the full durable state
-  (:class:`WalCheckpoint`) written rarely — at compaction — via the
-  fsync-then-atomic-rename discipline, so a crash at any instant leaves
-  either the old or the new checkpoint intact, never a torn one;
+* a **checkpoint file** (``replica-<id>.ckpt``): append-only, one framed
+  checkpoint record per compaction.  *History is appended, state is
+  replaced*: a record carries the replaceable state whole — the protocol
+  state minus its history, the sent-log, the outbox totals and the log
+  generation — but of the history (the replica's event trace and applied
+  log, the first-receipt streams, the apply and issue times) only what
+  was appended since the previous record.  So a compaction costs
+  O(state + what changed), never O(history), and nothing is deep-copied:
+  the pickle of the live state is the copy;
 * a **write-ahead log** (``replica-<id>.wal.<generation>``): one framed
   record appended per state change, O(delta) per operation.  Records reuse
   the :mod:`repro.net.framing` envelope and the :mod:`repro.wire` codecs —
   the bytes in the log are the bytes of the wire.
 
-Recovery loads the checkpoint (if any) and replays the log tail.  Replay
+Recovery folds the checkpoint records — the last record's state plus
+every record's history, in order — and replays the log tail.  Replay
 is deterministic: a ``WRITE`` record re-executes the original
 ``replica.write`` at its recorded time, regenerating the *identical*
 update id and outgoing copies (the protocol derives both from durable
@@ -24,21 +30,25 @@ record mid-append — the replay parser stops at the torn tail and the
 reopened log truncates it away, exactly the prefix-durability a
 write-ahead log promises.
 
-Compaction runs when the log outgrows ``compact_bytes``: snapshot the
-current state into the next-generation checkpoint (fsync, rename), start
-an empty next-generation log, delete the old one.  The generation number
-stored *inside* the checkpoint names the log that extends it, so a crash
-between any two compaction steps recovers an unambiguous pair.
+Compaction runs when the log outgrows ``compact_bytes``: create the empty
+next-generation log, append a checkpoint record naming it and fsync the
+checkpoint file — the commit point — then delete the old log.  The
+generation stored *inside* the last complete record names the log that
+extends it, so a crash anywhere in a compaction recovers an unambiguous
+pair: the checkpoint file's torn tail is the uncommitted record, cut
+away like the log's.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, IO, List, Optional, Tuple
 
-from ..core.protocol import UpdateId, UpdateMessage
+from ..core.protocol import ReplicaSnapshot, UpdateId, UpdateMessage
 from ..core.registers import Register, ReplicaId
 from ..wire.batch import MessageBatch, decode_batch, encode_batch
 from ..wire.codecs import decode_value, encode_value
@@ -47,6 +57,7 @@ from ..wire.primitives import (
     decode_atom,
     decode_uvarint,
     encode_atom,
+    encode_uvarint,
 )
 from .framing import MAX_FRAME_SIZE, encode_frame
 
@@ -58,13 +69,22 @@ W_WRITE = 1
 W_READ = 2
 W_DELIVER = 3
 W_ACK = 4
+#: The checkpoint file's one record kind.
+C_CHECKPOINT = 5
 
 
 @dataclass
 class WalCheckpoint:
-    """One replica's full durable state at a compaction point."""
+    """One replica's full durable state at a compaction point.
 
-    replica: Any  # ReplicaSnapshot
+    ``replica``'s :attr:`~repro.core.protocol.ReplicaSnapshot.history`
+    entries, ``streams``, ``apply_times`` and ``issue_times`` are the
+    history: lists and insertion-ordered dicts that only ever gain entries
+    (no key is re-set or removed), so a checkpoint record stores their new
+    tails.  The rest is state, stored whole by every record.
+    """
+
+    replica: ReplicaSnapshot
     sent_log: Dict[ReplicaId, Dict[UpdateId, UpdateMessage]]
     outbox_total: Dict[ReplicaId, int]
     streams: Dict[Channel, List[UpdateId]]
@@ -72,6 +92,99 @@ class WalCheckpoint:
     #: The log generation this checkpoint is extended by.
     generation: int = 0
     issue_times: Dict[UpdateId, float] = field(default_factory=dict)
+
+    def histories(self) -> Dict[tuple, Any]:
+        """Every append-only part, keyed by where it lives."""
+        parts: Dict[tuple, Any] = {
+            ("apply_times",): self.apply_times,
+            ("issue_times",): self.issue_times,
+        }
+        for channel, uids in self.streams.items():
+            parts[("streams", channel)] = uids
+        for name in self.replica.history:
+            parts[("replica", name)] = self.replica.state[name]
+        return parts
+
+    def without_history(self) -> "WalCheckpoint":
+        """The replaceable state: this checkpoint with every history emptied."""
+        replica = self.replica
+        state = {name: value for name, value in replica.state.items()
+                 if name not in replica.history}
+        return WalCheckpoint(
+            replica=ReplicaSnapshot(replica.replica_id, state, replica.history),
+            sent_log=self.sent_log, outbox_total=self.outbox_total,
+            streams={}, apply_times={}, generation=self.generation,
+        )
+
+    def with_history(self, histories: Dict[tuple, Any]) -> "WalCheckpoint":
+        """Inverse of :meth:`without_history`: put ``histories`` back in."""
+        for path, entries in histories.items():
+            if path[0] == "replica":
+                self.replica.state[path[1]] = entries
+            elif path[0] == "streams":
+                self.streams[path[1]] = entries
+            else:
+                setattr(self, path[0], entries)
+        return self
+
+
+# ----------------------------------------------------------------------
+# Checkpoint records: history appended, state replaced
+# ----------------------------------------------------------------------
+
+def _appended(history: Any, mark: int) -> Any:
+    """The entries ``history`` (a list or an insertion-ordered dict)
+    gained past its first ``mark``."""
+    if len(history) < mark:
+        raise ValueError(
+            f"a history shrank from {mark} to {len(history)} entries "
+            "since the previous checkpoint record"
+        )
+    if isinstance(history, dict):
+        return dict(islice(history.items(), mark, None))
+    return history[mark:]
+
+
+def encode_checkpoint_record(state: WalCheckpoint,
+                             marks: Dict[tuple, int]) -> bytes:
+    """One checkpoint record: ``state`` whole, minus every history, plus
+    each history's entries past its ``marks`` length (0 when unmarked).
+
+    Layout ``[uvarint n][n bytes: pickled history tails][pickled state]``
+    lets recovery unpickle every record's history but only the last
+    record's state.
+    """
+    tails = {path: _appended(history, marks.get(path, 0))
+             for path, history in state.histories().items()}
+    history = pickle.dumps(tails, protocol=pickle.HIGHEST_PROTOCOL)
+    return (encode_uvarint(len(history)) + history
+            + pickle.dumps(state.without_history(), protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def decode_checkpoint_history(payload: bytes) -> Tuple[Dict[tuple, Any], int]:
+    """A record's history tails, and the offset its state starts at."""
+    size, offset = decode_uvarint(payload)
+    return pickle.loads(payload[offset:offset + size]), offset + size
+
+
+def fold_checkpoint_records(payloads: List[bytes]) -> Optional[WalCheckpoint]:
+    """The checkpoint a run of records adds up to: the last record's
+    state, every record's history tails concatenated in order."""
+    if not payloads:
+        return None
+    histories: Dict[tuple, Any] = {}
+    for payload in payloads:
+        tails, state_at = decode_checkpoint_history(payload)
+        for path, entries in tails.items():
+            folded = histories.setdefault(path, entries)
+            if folded is entries:
+                continue
+            if isinstance(folded, dict):
+                folded.update(entries)
+            else:
+                folded.extend(entries)
+    last: WalCheckpoint = pickle.loads(payloads[-1][state_at:])
+    return last.with_history(histories)
 
 
 # ----------------------------------------------------------------------
@@ -154,8 +267,9 @@ class ReplicaWAL:
 
     ``append`` is the per-operation hot path: one framed record, one
     buffered write, one flush to the OS — O(record), never O(state).
-    ``checkpoint`` is the rare path and the only place the full state is
-    serialised.
+    ``checkpoint`` is the rare path and the only place the state is
+    serialised: whole, but the history only from where the previous
+    checkpoint record left it.
     """
 
     def __init__(self, directory: str, replica_id: ReplicaId,
@@ -166,12 +280,17 @@ class ReplicaWAL:
         self.checkpoint_path = os.path.join(directory, f"replica-{replica_id}.ckpt")
         self.generation = 0
         self._log: Optional[IO[bytes]] = None
+        #: Entries of each history the checkpoint file already holds.
+        self._marks: Dict[tuple, int] = {}
         #: Bytes appended to the current log generation.
         self.wal_bytes = 0
         #: Records appended over this process's lifetime (telemetry).
         self.records_appended = 0
         #: Compactions performed over this process's lifetime (telemetry).
         self.compactions = 0
+        #: Wall seconds spent in, and bytes appended by, those compactions.
+        self.checkpoint_seconds = 0.0
+        self.checkpoint_bytes = 0
 
     def _log_path(self, generation: int) -> str:
         return os.path.join(
@@ -184,20 +303,25 @@ class ReplicaWAL:
     def load(self) -> Tuple[Optional[WalCheckpoint], List[Tuple[int, bytes]]]:
         """Read the durable pair; opens the log for appending.
 
-        Returns ``(checkpoint or None, log records after it)``.  A torn
-        final record is truncated away; an orphaned ``.ckpt.tmp`` (a
-        compaction that never committed) is discarded — the previous
-        checkpoint + log remain authoritative; stale log generations from
-        interrupted compactions are deleted.
+        Returns ``(checkpoint or None, log records after it)``; the
+        checkpoint is the fold of the checkpoint file's records.  A torn
+        final record of either file is truncated away — in the checkpoint
+        file it is a compaction that never committed, so the previous
+        record and its log remain authoritative; stale log generations
+        from interrupted compactions are deleted.
         """
-        checkpoint: Optional[WalCheckpoint] = None
+        saved: List[Tuple[int, bytes]] = []
         if os.path.exists(self.checkpoint_path):
-            with open(self.checkpoint_path, "rb") as handle:
-                checkpoint = pickle.load(handle)
+            with open(self.checkpoint_path, "r+b") as handle:
+                saved, valid = _parse_records(handle.read())
+                handle.truncate(valid)
+        checkpoint = fold_checkpoint_records(
+            [payload for kind, payload in saved if kind == C_CHECKPOINT]
+        )
+        if checkpoint is not None:
             self.generation = checkpoint.generation
-        tmp = self.checkpoint_path + ".tmp"
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+            self._marks = {path: len(history)
+                           for path, history in checkpoint.histories().items()}
         records: List[Tuple[int, bytes]] = []
         valid = 0
         path = self._log_path(self.generation)
@@ -257,35 +381,46 @@ class ReplicaWAL:
     # Compaction
     # ------------------------------------------------------------------
     def checkpoint(self, state: WalCheckpoint) -> None:
-        """Fold the log into a fresh checkpoint (fsync, then atomic rename).
+        """Fold the log into the checkpoint file: append one record.
+
+        History is appended, state is replaced: the record holds ``state``
+        minus its histories, plus what each history gained since the
+        previous record (:func:`encode_checkpoint_record`) — O(state +
+        delta).  ``state`` is pickled as it stands, uncopied, so it may
+        be the live state.
 
         Crash-window analysis, step by step: (1) the next-generation log is
         created empty — a crash now leaves it stale, cleaned up on the next
-        load; (2) the checkpoint is written to ``.tmp`` and **fsynced
-        before the rename**, so the rename can never publish a name whose
-        bytes are still in flight; (3) ``os.replace`` commits — before it,
-        recovery sees the old checkpoint + old log; after it, the new
-        checkpoint + empty new log; (4) the old log is deleted — a crash
-        first leaves an orphan, cleaned up on the next load.
+        load; (2) the record is appended to the checkpoint file and
+        **fsynced before anything is deleted** — a crash mid-append leaves
+        a torn tail, which the next load cuts away, recovering the
+        previous record and the old log; (3) the fsync returning is the
+        commit point — from then on recovery sees the new record and the
+        empty new log; (4) the old log is deleted — a crash first leaves
+        an orphan, cleaned up on the next load.
         """
+        started = time.perf_counter()
         next_generation = self.generation + 1
         state.generation = next_generation
+        frame = encode_frame(C_CHECKPOINT, encode_checkpoint_record(state, self._marks))
         next_log = open(self._log_path(next_generation), "wb")
-        tmp = self.checkpoint_path + ".tmp"
-        with open(tmp, "wb") as handle:
-            pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(self.checkpoint_path, "ab") as handle:
+            handle.write(frame)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, self.checkpoint_path)
+        self._marks = {path: len(history)
+                       for path, history in state.histories().items()}
         old_log, old_path = self._log, self._log_path(self.generation)
         self.generation = next_generation
         self._log = next_log
         self.wal_bytes = 0
-        self.compactions += 1
         if old_log is not None:
             old_log.close()
         if os.path.exists(old_path):
             os.unlink(old_path)
+        self.compactions += 1
+        self.checkpoint_bytes += len(frame)
+        self.checkpoint_seconds += time.perf_counter() - started
 
     def close(self) -> None:
         if self._log is not None:

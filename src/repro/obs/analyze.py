@@ -280,6 +280,8 @@ _NODE_TRANSPORT_METRICS = (
     "repro_node_wal_bytes",
     "repro_node_wal_records_total",
     "repro_node_wal_compactions_total",
+    "repro_node_wal_checkpoint_seconds_total",
+    "repro_node_wal_checkpoint_bytes_total",
 )
 
 
@@ -318,6 +320,12 @@ def node_transport_table(metric_records: Sequence[dict]) -> List[dict]:
             ),
             "wal_compactions": int(
                 values.get("repro_node_wal_compactions_total", 0.0)
+            ),
+            "wal_checkpoint_seconds": values.get(
+                "repro_node_wal_checkpoint_seconds_total", 0.0
+            ),
+            "wal_checkpoint_bytes": int(
+                values.get("repro_node_wal_checkpoint_bytes_total", 0.0)
             ),
         })
     return rows

@@ -9,10 +9,12 @@ consistent, state-agreed execution.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.share_graph import ShareGraph
-from repro.net import LiveCluster
+from repro.net import LiveCluster, wal
 from repro.net.client import OpenLoopClient
 from repro.net.runtime import LiveRuntimeError
 from repro.sim.topologies import pairwise_clique_placement
@@ -121,7 +123,7 @@ class TestMultiTenant:
         """
         graph = ShareGraph.from_placement(pairwise_clique_placement(6))
         with LiveCluster(
-            graph, nodes=3, durable_dir=str(tmp_path), wal_compact_bytes=4096
+            graph, nodes=3, durable_dir=str(tmp_path), wal_compact_bytes=256
         ) as cluster:
             hosted = cluster.placement["n1"]
             assert len(hosted) == 2
@@ -134,6 +136,13 @@ class TestMultiTenant:
             cluster.kill(hosted[0])
             assert not cluster.alive("n1")
             assert all(not cluster.alive(rid) for rid in hosted)
+            # The recovery below folds a multi-record checkpoint: every
+            # killed tenant had compacted at least twice.
+            for rid in hosted:
+                path = os.path.join(str(tmp_path), f"replica-{rid}.ckpt")
+                with open(path, "rb") as handle:
+                    records, _ = wal._parse_records(handle.read())
+                assert len(records) >= 2, (rid, len(records))
             degraded = OpenLoopClient(cluster).run(
                 _phase(graph, seed=2), time_scale=0.0005
             )
@@ -160,6 +169,13 @@ class TestMultiTenant:
             assert result.reports[rid]["recovered"]
             assert len(result.metrics.downtime[rid]) == 1
         assert result.metrics.crashes == 1 and result.metrics.restarts == 1
+        # Compaction work is reported beside the compaction count.
+        transports = [r["transport"] for r in result.node_reports.values()]
+        assert sum(t["wal_compactions"] for t in transports) >= 2
+        for transport in transports:
+            assert (transport["wal_checkpoint_bytes"] > 0) == (
+                transport["wal_compactions"] > 0)
+            assert transport["wal_checkpoint_seconds"] >= 0.0
         # Resync converged: single-writer ⇒ unique final state.
         for register, values in result.final_state().items():
             assert len(set(values.values())) == 1

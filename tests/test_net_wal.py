@@ -1,23 +1,31 @@
 """Log-structured durability unit tests: record codecs, torn tails,
-compaction crash windows, and the fsync-before-rename discipline.
+compaction crash windows, the fsync-before-delete discipline, and the
+append-only checkpoint file (history appended, state replaced).
 
 These drive :mod:`repro.net.wal` directly — no processes, no sockets —
-simulating every crash point a SIGKILL can hit: mid-append (torn final
-record), between checkpoint write and rename (orphan ``.ckpt.tmp``), and
-between rename and old-log cleanup (stale generation).
+simulating every crash point a SIGKILL can hit: mid-append to the log
+(torn final record), mid-append to the checkpoint file (torn checkpoint
+record: the compaction never committed), and between the commit and the
+old log's cleanup (stale generation).  The last tests drive an
+in-process :class:`~repro.net.node.LiveNode` through several compactions
+and count what each checkpoint record holds.
 """
 
 from __future__ import annotations
 
+import asyncio
+import copy
 import os
-import pickle
 
 import pytest
 
-from repro.core.protocol import Update, UpdateMessage
+from repro.core.protocol import ReplicaSnapshot, Update, UpdateMessage
+from repro.core.share_graph import ShareGraph
 from repro.core.timestamps import EdgeTimestamp
-from repro.net import wal
+from repro.net import frames, wal
 from repro.net.framing import encode_frame
+from repro.net.node import LiveNode, NodeConfig
+from repro.sim.topologies import figure5_placement
 from repro.wire.batch import MessageBatch
 
 
@@ -135,9 +143,16 @@ def test_append_is_o_delta_not_o_state(tmp_path):
 
 def _checkpoint_state(marker):
     return wal.WalCheckpoint(
-        replica=("snapshot", marker),
+        replica=ReplicaSnapshot(1, {"marker": marker}),
         sent_log={}, outbox_total={}, streams={}, apply_times={},
     )
+
+
+def _checkpoint_records(directory, replica_id=1):
+    with open(os.path.join(directory, f"replica-{replica_id}.ckpt"), "rb") as handle:
+        records, _ = wal._parse_records(handle.read())
+    assert all(kind == wal.C_CHECKPOINT for kind, _ in records)
+    return [payload for _, payload in records]
 
 
 def test_compaction_rolls_generation_and_drops_old_log(tmp_path):
@@ -152,41 +167,75 @@ def test_compaction_rolls_generation_and_drops_old_log(tmp_path):
 
     reopened = wal.ReplicaWAL(str(tmp_path), 1)
     checkpoint, records = reopened.load()
-    assert checkpoint.replica == ("snapshot", "A")
+    assert checkpoint.replica.state == {"marker": "A"}
     assert checkpoint.generation == 1
     assert [wal.decode_write_record(p)[1] for _, p in records] == [2]
     assert not os.path.exists(log._log_path(0))
     reopened.close()
 
 
-def test_kill_between_checkpoint_write_and_rename_recovers_previous(tmp_path):
-    """The ISSUE 8 hardening satellite: a crash after writing the new
-    checkpoint bytes but *before* the atomic rename must recover the
-    previous consistent state — the orphan ``.ckpt.tmp`` and the stale
-    next-generation log are both discarded."""
+def test_checkpoint_file_is_appended_and_the_last_state_wins(tmp_path):
+    """Each compaction appends one record; the state of the last one is
+    the checkpoint, whatever the earlier ones held."""
+    log = wal.ReplicaWAL(str(tmp_path), 1)
+    log.load()
+    sizes = []
+    for marker in ("A", "B", "C"):
+        log.checkpoint(_checkpoint_state(marker))
+        sizes.append(os.path.getsize(log.checkpoint_path))
+    log.close()
+    assert sizes[0] < sizes[1] < sizes[2]
+    assert log.checkpoint_bytes == sizes[-1] and log.compactions == 3
+
+    reopened = wal.ReplicaWAL(str(tmp_path), 1)
+    checkpoint, records = reopened.load()
+    assert checkpoint.replica.state == {"marker": "C"}
+    assert checkpoint.generation == reopened.generation == 3
+    assert records == []
+    reopened.close()
+
+
+def test_torn_checkpoint_record_recovers_the_previous_record_and_its_log(tmp_path):
+    """A crash mid-append of a checkpoint record — the compaction never
+    committed — recovers the previous record and the log it names: the
+    torn tail is cut from the checkpoint file and the stale
+    next-generation log is discarded."""
     log = wal.ReplicaWAL(str(tmp_path), 1)
     log.load()
     log.checkpoint(_checkpoint_state("committed"))   # generation -> 1
     log.append(wal.W_WRITE, wal.encode_write_record("x", 7, 0.7))
     log.close()
+    committed_size = os.path.getsize(log.checkpoint_path)
     # Simulate the interrupted second compaction: the next-gen log exists,
-    # the new checkpoint sits fully written at .tmp, the rename never ran.
+    # a prefix of the record naming it reached the checkpoint file.
     open(os.path.join(tmp_path, "replica-1.wal.2"), "wb").close()
-    with open(os.path.join(tmp_path, "replica-1.ckpt.tmp"), "wb") as handle:
-        pickle.dump(_checkpoint_state("torn"), handle)
+    torn = _checkpoint_state("torn")
+    torn.generation = 2
+    frame = encode_frame(wal.C_CHECKPOINT, wal.encode_checkpoint_record(torn, {}))
+    with open(log.checkpoint_path, "ab") as handle:
+        handle.write(frame[:len(frame) - 5])
 
     reopened = wal.ReplicaWAL(str(tmp_path), 1)
     checkpoint, records = reopened.load()
-    assert checkpoint.replica == ("snapshot", "committed")
+    assert checkpoint.replica.state == {"marker": "committed"}
+    assert checkpoint.generation == 1
     assert [wal.decode_write_record(p)[1] for _, p in records] == [7]
-    assert not os.path.exists(os.path.join(tmp_path, "replica-1.ckpt.tmp"))
+    assert os.path.getsize(log.checkpoint_path) == committed_size
     assert not os.path.exists(os.path.join(tmp_path, "replica-1.wal.2"))
+    # The file stays appendable: the next compaction commits cleanly.
+    reopened.checkpoint(_checkpoint_state("next"))
     reopened.close()
+    final = wal.ReplicaWAL(str(tmp_path), 1)
+    checkpoint, records = final.load()
+    assert checkpoint.replica.state == {"marker": "next"} and records == []
+    assert len(_checkpoint_records(tmp_path)) == 2
+    final.close()
 
 
-def test_kill_between_rename_and_log_cleanup_recovers_new(tmp_path):
-    """After the rename commits, the *new* checkpoint is authoritative:
-    the leftover previous-generation log must be ignored and deleted."""
+def test_kill_between_commit_and_log_cleanup_recovers_new(tmp_path):
+    """Once the record is appended and fsynced the compaction has
+    committed: the leftover previous-generation log is ignored and
+    deleted."""
     log = wal.ReplicaWAL(str(tmp_path), 1)
     log.load()
     log.append(wal.W_WRITE, wal.encode_write_record("x", 1, 0.1))
@@ -199,30 +248,155 @@ def test_kill_between_rename_and_log_cleanup_recovers_new(tmp_path):
 
     reopened = wal.ReplicaWAL(str(tmp_path), 1)
     checkpoint, records = reopened.load()
-    assert checkpoint.replica == ("snapshot", "new")
+    assert checkpoint.replica.state == {"marker": "new"}
     assert records == []
     assert not os.path.exists(os.path.join(tmp_path, "replica-1.wal.0"))
     reopened.close()
 
 
-def test_checkpoint_fsyncs_before_rename(tmp_path, monkeypatch):
-    """The rename must never publish a checkpoint whose bytes are still in
-    flight: ``os.fsync`` on the temp file strictly precedes ``os.replace``."""
+def test_checkpoint_fsyncs_the_record_before_deleting_the_old_log(tmp_path, monkeypatch):
+    """The old log may go only once the record that supersedes it is on
+    disk: ``os.fsync`` of the checkpoint file strictly precedes the
+    unlink of the previous generation's log."""
     calls = []
-    real_fsync, real_replace = os.fsync, os.replace
+    real_fsync, real_unlink = os.fsync, os.unlink
     monkeypatch.setattr(
         os, "fsync", lambda fd: (calls.append("fsync"), real_fsync(fd))[1]
     )
     monkeypatch.setattr(
-        os, "replace",
-        lambda src, dst: (calls.append("replace"), real_replace(src, dst))[1],
+        os, "unlink",
+        lambda path: (calls.append(os.path.basename(path)), real_unlink(path))[1],
     )
     log = wal.ReplicaWAL(str(tmp_path), 1)
     log.load()
+    log.append(wal.W_WRITE, wal.encode_write_record("x", 1, 0.1))
     log.checkpoint(_checkpoint_state("A"))
     log.close()
-    assert "fsync" in calls and "replace" in calls
-    assert calls.index("fsync") < calls.index("replace")
+    assert calls == ["fsync", "replica-1.wal.0"]
+
+
+# ----------------------------------------------------------------------
+# History is appended, state is replaced: a live node's compactions
+# ----------------------------------------------------------------------
+
+class _Sink:
+    """A stand-in for the op connection's writer."""
+
+    def write(self, data):
+        pass
+
+    async def drain(self):
+        pass
+
+
+def _one_node_config(directory):
+    """Four replicas of figure 5 on one node: every copy is intra-node,
+    so ops drive writes, deliveries, acks and compactions in process."""
+    graph = ShareGraph.from_placement(figure5_placement())
+    return NodeConfig(
+        node_id="n", share_graph=graph, replica_ids=tuple(graph.replica_ids),
+        replica_nodes={rid: "n" for rid in graph.replica_ids},
+        durable_dir=directory, wal_compact_bytes=512,
+    )
+
+
+def _drive(node, operations):
+    async def run():
+        for op_id, (rid, kind, register, value) in enumerate(operations):
+            await node._handle_op(
+                frames.encode_op(op_id, rid, kind, register, value), _Sink()
+            )
+
+    asyncio.run(run())
+
+
+def _operations(graph, count):
+    operations = []
+    for step in range(count):
+        for rid in sorted(graph.replica_ids):
+            register = sorted(graph.registers_at(rid))[step % len(graph.registers_at(rid))]
+            kind = "read" if step % 3 == 2 else "write"
+            operations.append((rid, kind, register, f"{rid}.{step}"))
+    return operations
+
+
+def _history(tenant):
+    return {
+        "events": list(tenant.replica.events),
+        "applied": list(tenant.replica.applied),
+        "streams": {channel: list(uids) for channel, uids in tenant.streams.items()},
+        "apply_times": dict(tenant.apply_times),
+        "issue_times": dict(tenant.host._issue_times),
+    }
+
+
+def test_node_reload_after_three_compactions_restores_the_history(tmp_path, monkeypatch):
+    """Every tenant's WAL goes through at least three compactions; a new
+    node on the same directory folds the records back into the exact
+    history.  No compaction deep-copies (the pickle is the copy), and
+    recovery adopts the unpickled state uncopied."""
+    def no_deepcopy(*args, **kwargs):
+        raise AssertionError("the live checkpoint path must not deep-copy")
+
+    config = _one_node_config(str(tmp_path))
+    with monkeypatch.context() as patch:
+        patch.setattr(copy, "deepcopy", no_deepcopy)
+        node = LiveNode(config)
+        _drive(node, _operations(config.share_graph, 60))
+        before = {rid: _history(tenant) for rid, tenant in node.tenants.items()}
+        stores = {rid: dict(tenant.replica.store) for rid, tenant in node.tenants.items()}
+        for tenant in node.tenants.values():
+            assert tenant.wal.compactions >= 3
+            assert tenant.wal.checkpoint_bytes > 0 and tenant.wal.checkpoint_seconds > 0
+            # One last compaction empties the log: what comes back is the
+            # fold alone (a replayed tail re-stamps applies at their
+            # receipt time, not the wall clock of the original apply).
+            tenant.wal.checkpoint(tenant.checkpoint_state())
+            tenant.wal.close()
+
+        reloaded = LiveNode(config)
+        for rid, tenant in reloaded.tenants.items():
+            assert tenant.recovered
+            assert _history(tenant) == before[rid]
+            assert dict(tenant.replica.store) == stores[rid]
+            tenant.wal.close()
+
+
+def test_each_checkpoint_record_holds_exactly_the_history_since_the_last(tmp_path, monkeypatch):
+    """The O(delta) property, as a count: a record's history tails are
+    exactly the entries appended between the previous compaction and this
+    one — never a re-serialised prefix."""
+    marks = {}
+    real_checkpoint = wal.ReplicaWAL.checkpoint
+
+    def marking(self, state):
+        marks.setdefault(self.replica_id, []).append(
+            {path: len(history) for path, history in state.histories().items()}
+        )
+        real_checkpoint(self, state)
+
+    monkeypatch.setattr(wal.ReplicaWAL, "checkpoint", marking)
+    config = _one_node_config(str(tmp_path))
+    node = LiveNode(config)
+    _drive(node, _operations(config.share_graph, 60))
+    for rid, tenant in node.tenants.items():
+        tenant.wal.close()
+        live = tenant.checkpoint_state().histories()
+        payloads = _checkpoint_records(tmp_path, rid)
+        assert len(payloads) == len(marks[rid]) >= 3
+        previous = {}
+        for payload, mark in zip(payloads, marks[rid]):
+            tails, _ = wal.decode_checkpoint_history(payload)
+            assert set(tails) == set(mark)
+            for path, end in mark.items():
+                start = previous.get(path, 0)
+                assert len(tails[path]) == end - start
+                history = live[path]
+                if isinstance(history, dict):
+                    assert tails[path] == dict(list(history.items())[start:end])
+                else:
+                    assert tails[path] == history[start:end]
+            previous = mark
 
 
 def test_oversized_record_rejected_before_hitting_disk(tmp_path):
