@@ -9,7 +9,7 @@ end on the Figure 5 system:
 2. a **partition/heal** — the replicas split into two islands; cross-island
    updates wait out the partition (staleness) and fly on heal;
 3. a **lossy, duplicating network** — every channel drops and duplicates
-   messages, and the transport's ack + resend reliability layer plus the
+   messages, and the transport's resend timers plus the
    replicas' duplicate suppression keep delivery exactly-once at the
    protocol layer.
 

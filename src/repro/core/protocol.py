@@ -400,7 +400,7 @@ class CausalReplica(abc.ABC):
         #: frontier, the highest seq applied per issuer: the replica's
         #: :meth:`known`, the protocol-layer half of the exactly-once
         #: guarantee over lossy or duplicating channels (the transport's
-        #: ack/resend layer is the at-least-once half).
+        #: resend timers are the at-least-once half).
         self._pending_uids: Set[UpdateId] = set()
         self.frontier: Dict[ReplicaId, int] = {}
         #: Duplicate deliveries suppressed by :meth:`receive_many`.

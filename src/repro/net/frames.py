@@ -25,8 +25,8 @@ this single connection):
   receiver demultiplexes by destination replica (byte-identical to what the
   simulator's wire accounting measures);
 * ``ACK`` — the destination replica plus the update ids it applied durably;
-  the sending node retires them from that channel's outstanding set (the
-  ack half of the reliability layer).
+  the sending node settles those copies: they leave its sent-log
+  (:meth:`~repro.wire.channel.ChannelSender.settle`), on the wire or not.
 
 **Control connections** (harness/client → node):
 

@@ -30,7 +30,7 @@ decouples the logical communication graph from the physical one:
   ``durable_dir`` configured every state change appends one O(delta)
   record to the tenant's write-ahead log — client writes and reads as
   replayable operations, delivered batches as wire frames, acks as
-  sent-log prunes — with periodic compaction into a checkpoint.  A
+  sent-log settles — with periodic compaction into a checkpoint.  A
   SIGKILLed node replays checkpoint + log tail and resyncs over the
   ``SYNC`` exchange, exactly like a simulated crash.
 
@@ -64,7 +64,6 @@ from ..wire.channel import (
     ChannelDeltaDecoder,
     ChannelSender,
     ChannelWireStats,
-    ReliabilityConfig,
 )
 from ..wire.primitives import WireFormatError
 from . import frames
@@ -184,8 +183,9 @@ class LiveNodeHost(ReplicaHost):
         """Serve a read from the local copy."""
         self._time_override = at
         try:
+            value = self.replica.read(register, sim_time=self.now)
             self._record_operation("read")
-            return self.replica.read(register, sim_time=self.now)
+            return value
         finally:
             self._time_override = None
 
@@ -474,7 +474,7 @@ class _PeerStream:
         return sum(len(window.messages) for window in self.sender.windows.values())
 
     def unacked(self) -> int:
-        return len(self.sender.outstanding)
+        return self.sender.unacked
 
 
 class LiveNode:
@@ -513,9 +513,9 @@ class LiveNode:
         return self.config.replica_nodes.get(replica_id, replica_id)
 
     def _new_sender(self) -> ChannelSender:
-        # Outstanding copies are tracked for the reconnect and the SYNC
-        # skip-set; the resend timeouts are the simulator's, never read here.
-        return ChannelSender(self.config.batching, ReliabilityConfig())
+        # No resend timer: a stamped copy waits for its ACK, and the
+        # reconnect rewinds it (TCP loses a copy only with its connection).
+        return ChannelSender(self.config.batching)
 
     def _log_outgoing(self, tenant: _Tenant,
                       messages: List[UpdateMessage]) -> None:
@@ -526,26 +526,25 @@ class LiveNode:
             self.senders[hosting.get(destination, destination)].log(message)
             outbox[destination] = outbox.get(destination, 0) + 1
 
-    def _prune(self, tenant: _Tenant, destination: ReplicaId,
-               uids: List[UpdateId], log: bool = True) -> None:
-        """Acked ⇒ durable at the receiver: drop a tenant's copies from the
-        sent-log (``log=False``: replaying a prune already in the WAL)."""
+    def _settle(self, tenant: _Tenant, destination: ReplicaId,
+                uids: List[UpdateId], log: bool = True) -> None:
+        """Acked ⇒ durable at the receiver: settle a tenant's copies
+        (``log=False``: replaying a settle already in the WAL)."""
         sender = self.senders[self._hosting_node(destination)]
-        pruned = sender.prune(destination, uids)
-        if pruned and log and tenant.wal is not None:
+        settled = sender.settle(destination, uids)
+        if settled and log and tenant.wal is not None:
             tenant.wal.append(wal_records.W_ACK,
-                              wal_records.encode_ack_record(destination, pruned))
+                              wal_records.encode_ack_record(destination, settled))
 
     def note_acked(self, destination: ReplicaId, uids: List[UpdateId]) -> None:
-        """An ACK frame: settle the copies, prune them per sending tenant."""
-        self.senders[self._hosting_node(destination)].ack(destination, uids)
+        """An ACK frame: settle the copies per sending tenant."""
         # An update's issuer is its sender (no forwarding): uid[0] is the tenant.
         by_source: Dict[ReplicaId, List[UpdateId]] = {}
         for uid in uids:
             by_source.setdefault(uid[0], []).append(uid)
         for source, acked in by_source.items():
             if source in self.tenants:
-                self._prune(self.tenants[source], destination, acked)
+                self._settle(self.tenants[source], destination, acked)
 
     def unacked_log(self, source: ReplicaId
                     ) -> Dict[ReplicaId, Dict[UpdateId, UpdateMessage]]:
@@ -553,8 +552,8 @@ class LiveNode:
         out: Dict[ReplicaId, Dict[UpdateId, UpdateMessage]] = {}
         for sender in self.senders.values():
             for destination, book in sender.sent_log.items():
-                mine = {uid: message for uid, message in book.items()
-                        if message.sender == source}
+                mine = {uid: copy.message for uid, copy in book.items()
+                        if copy.message.sender == source}
                 if mine:
                     out[destination] = mine
         return out
@@ -574,8 +573,8 @@ class LiveNode:
         # already delivered are deduplicated and merely re-acked.
         local = self.senders[self.node_id].sent_log
         for destination in sorted(local, key=_id_order):
-            for message in list(local[destination].values()):
-                self._deliver_intra(self.tenants[message.sender], message)
+            for copy in list(local[destination].values()):
+                self._deliver_intra(self.tenants[copy.message.sender], copy.message)
 
     def _recover_tenant(self, tenant: _Tenant) -> None:
         checkpoint, records = tenant.wal.load()
@@ -615,7 +614,7 @@ class LiveNode:
                               received_at=received_at, log=False)
             elif kind == wal_records.W_ACK:
                 destination, uids = wal_records.decode_ack_record(payload)
-                self._prune(tenant, destination, uids, log=False)
+                self._settle(tenant, destination, uids, log=False)
 
     # ------------------------------------------------------------------
     # Delivery (shared by the wire path, the short-circuit and replay)
@@ -690,7 +689,7 @@ class LiveNode:
         self._deliver(self.tenants[destination], (src, destination), [message])
         # The short-circuit acks synchronously: the copy is durable at its
         # receiver the moment _deliver returns.
-        self._prune(src_tenant, destination, [uid])
+        self._settle(src_tenant, destination, [uid])
 
     # ------------------------------------------------------------------
     # The process main loop

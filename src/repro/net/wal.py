@@ -25,7 +25,7 @@ is deterministic: a ``WRITE`` record re-executes the original
 ``replica.write`` at its recorded time, regenerating the *identical*
 update id and outgoing copies (the protocol derives both from durable
 replica state); a ``DELIVER`` record re-applies the received batch; an
-``ACK`` record re-prunes the sent-log.  A SIGKILL can truncate the final
+``ACK`` record re-settles its copies.  A SIGKILL can truncate the final
 record mid-append — the replay parser stops at the torn tail and the
 reopened log truncates it away, exactly the prefix-durability a
 write-ahead log promises.

@@ -132,8 +132,9 @@ class Cluster(SimulationHost):
         if self.operation_rejected(replica_id):
             self.metrics.rejected_operations += 1
             return None
+        value = self.replica(replica_id).read(register, sim_time=self.now)
         self._record_operation("read")
-        return self.replica(replica_id).read(register, sim_time=self.now)
+        return value
 
     def submit_operation(self, operation: Any) -> Any:
         """Execute one workload :class:`~repro.sim.workloads.Operation`."""

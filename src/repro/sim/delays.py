@@ -40,7 +40,7 @@ class DelayModel:
         (:class:`LossyDelay`, :class:`DuplicatingDelay`) override this to
         drop (0 copies) or duplicate (2+) with seeded probability; each copy
         then samples its own delay.  A transport facing a lossy fate must
-        run the ack/resend reliability layer
+        run the resend timers
         (:meth:`~repro.sim.engine.Transport.enable_reliability`) or dropped
         messages are lost for good.
         """

@@ -70,7 +70,6 @@ from ..wire.channel import (
     ChannelSender,
     ChannelWireStats,
     CopyKey,
-    ReliabilityConfig,
     Window,
 )
 from ..wire.frames import message_wire_sizes
@@ -329,7 +328,7 @@ class NetworkStats:
     messages_dropped: int = 0
     #: Extra copies injected by a duplicating channel.
     messages_duplicated: int = 0
-    #: Copies re-sent by the ack/resend reliability layer.
+    #: Copies re-sent by the resend timers.
     retransmissions: int = 0
     #: Deliveries discarded because the destination replica was crashed.
     messages_lost_to_crash: int = 0
@@ -382,18 +381,36 @@ class NetworkStats:
         return 1.0 - self.timestamp_bytes_sent / self.timestamp_bytes_full
 
 
+@dataclass(frozen=True)
+class ReliabilityConfig:
+    """The transport's resend timers (:meth:`Transport.enable_reliability`).
+
+    Every copy put on the wire stays outstanding until a delivery settles
+    it.  The transport re-sends it every ``resend_timeout`` (kernel time),
+    at most ``max_retries`` times, and forces the final attempt past its
+    loss sampler (the channel is fair-lossy), so a lossy/duplicating
+    channel still delivers every message to a live destination; duplicate
+    suppression at the replica then restores exactly-once delivery.  A
+    live node runs none: its reconnect re-sends what TCP lost.
+    """
+
+    resend_timeout: float = 30.0
+    max_retries: int = 8
+
+
 class Transport:
     """Point-to-point channels over an event kernel.
 
     The kernel-time driver of a :class:`~repro.wire.channel.ChannelSender`
-    (which owns windows, batch encoding, outstanding copies and the
-    sent-log): the transport samples each copy's fate and delay from the
+    (which owns windows, batch encoding and the sent-log of copies): the
+    transport samples each copy's fate and delay from the
     :class:`DelayModel`, turns the sender's deadlines into timer events
-    and its batches into delivery events, and keeps the aggregate
-    :class:`NetworkStats`.  The sent-log holds each copy until a delivery
-    leaves its destination holding it (:meth:`prune`); crash recovery
-    re-sends from it (:meth:`resync`).  Channels are reliable and non-FIFO
-    by default, with two fault-subsystem extensions (inert unless enabled):
+    and its batches into delivery events, runs the resend timers and keeps
+    the aggregate :class:`NetworkStats`.  A delivery settles its copies
+    (:meth:`record_delivery`), so the sent-log holds only undelivered
+    ones; crash recovery re-sends from it (:meth:`resync`).  Channels are
+    reliable and non-FIFO by default, with two fault-subsystem extensions
+    (inert unless enabled):
 
     * channels can be held (parking all traffic) and released, as the
       adversarial schedules of the necessity experiments require, and the
@@ -401,7 +418,7 @@ class Transport:
       message flies once **both** its hold is released and no partition
       separates its endpoints;
     * lossy/duplicating delay-model wrappers (:mod:`repro.sim.delays`) are
-      honoured per send, with the ack + resend-timer layer
+      honoured per send, with the resend timers
       (:meth:`enable_reliability`) restoring at-least-once delivery.
     """
 
@@ -423,9 +440,8 @@ class Transport:
         self._parked: List[DeliveryEvent] = []
         self._partition_groups: Optional[Tuple[FrozenSet[ReplicaId], ...]] = None
         self._partition_lookup: Dict[ReplicaId, int] = {}
-        #: Copies already delivered whose (delayed) ack has not fired yet;
-        #: still outstanding at the sender, but they need no re-delivery.
-        self._pending_acks: Set[CopyKey] = set()
+        #: The resend timers' configuration; ``None`` runs none.
+        self.reliability: Optional[ReliabilityConfig] = None
         self._wire_accounting: bool = False
         #: Resolves a message to its family codec via the sending replica;
         #: installed by the host once the replicas exist.
@@ -440,8 +456,8 @@ class Transport:
     # Configuration
     # ------------------------------------------------------------------
     def enable_reliability(self, config: Optional[ReliabilityConfig] = None) -> None:
-        """Turn on the ack + resend-timer layer (idempotent)."""
-        self.sender.reliability = config or ReliabilityConfig()
+        """Turn on the resend timers (idempotent)."""
+        self.reliability = config or ReliabilityConfig()
 
     def enable_wire_accounting(self) -> None:
         """Book every sent message/batch into the byte-accurate statistics
@@ -533,7 +549,7 @@ class Transport:
             self._parked.append(event)
             return
         self._transmit(event, delay=delay)
-        if self.sender.reliability is not None and self.sender.track(message, now, now):
+        if self.sender.stamp(message, now, now) and self.reliability is not None:
             self._arm_retry((message.update.uid, message.destination))
 
     def send_all(self, messages: Iterable[UpdateMessage]) -> None:
@@ -569,8 +585,9 @@ class Transport:
             for message in messages:
                 self.tracer.record("wire", message.update.uid, channel[0],
                                    channel[1], now)
-        for key in flushed.tracked:
-            self._arm_retry(key)
+        if self.reliability is not None:
+            for key in flushed.tracked:
+                self._arm_retry(key)
         event = DeliveryEvent(messages, flushed.times, flushed.epoch)
         if self._blocked(channel):  # parked with its encoder state already consumed
             self._parked.append(event)
@@ -639,25 +656,14 @@ class Transport:
         """Account for every message of a fired :class:`DeliveryEvent`.
         Latency runs from when a message was first sent (entered the
         batching window): the window wait is the cost side of the batching
-        trade-off."""
+        trade-off.  The delivered copies are settled here, before the
+        destination handles them: a reconfiguration commit that runs
+        inside that handling must not take them as still outstanding."""
         stats = self.stats
-        reliability = self.sender.reliability
-        for message, sent_at in zip(event.messages, event.sent_times):
+        for sent_at in event.sent_times:
             stats.messages_delivered += 1
             stats.total_latency += time - sent_at
-            if reliability is None:
-                continue
-            key = (message.update.uid, message.destination)
-            if reliability.ack_delay > 0 and key in self.sender.outstanding:
-                self._pending_acks.add(key)
-
-                def ack(host: "SimulationHost", ack_time: float, key=key) -> None:
-                    self._acknowledge(key)
-                self.kernel.schedule_after(
-                    reliability.ack_delay, TimerEvent(callback=ack, tag="ack")
-                )
-            else:
-                self._acknowledge(key)
+        self.sender.settle(event.channel[1], [m.update.uid for m in event.messages])
         if self.tracer is not None:
             for message in event.messages:
                 self.tracer.record("deliver", message.update.uid,
@@ -671,7 +677,7 @@ class Transport:
         """Account for a delivery discarded on arrival: its destination is
         down, or its stream was severed while it was in flight.
 
-        Deliberately *not* acknowledged: content recovery is the
+        Deliberately *not* settled: content recovery is the
         retransmission/resync layer's job — those paths re-send full-frame
         singles — so every batch that *is* delivered chains only through
         delivered predecessors.
@@ -704,24 +710,23 @@ class Transport:
     # Dynamic membership support
     # ------------------------------------------------------------------
     def take_outstanding(self) -> List[DeliveryEvent]:
-        """Claim every unacknowledged tracked message, in deterministic order.
+        """Claim every copy the resend timers wait on, in deterministic order.
 
         The reconfiguration flush delivers these directly at the epoch
-        boundary; they are acknowledged here (before delivery) so pending
+        boundary; they leave the wire here (before delivery) so pending
         retransmission timers become no-ops and no old-epoch copy survives.
-        Messages already delivered and merely awaiting a delayed ack are
-        acknowledged without being returned — re-delivering them would
-        double-count delivery statistics.
+        Without resend timers there is nothing to claim: every copy on the
+        wire is a scheduled delivery, which the flush extracts itself.
         """
-        outstanding = self.sender.outstanding
-        out = [
+        if self.reliability is None:
+            return []
+        outstanding = self.sender.stamped()
+        for key in outstanding:
+            self.sender.abandon(key)
+        return [
             DeliveryEvent((outstanding[key].message,), (outstanding[key].sent_at,))
             for key in sorted(outstanding)
-            if key not in self._pending_acks
         ]
-        for key in list(outstanding):
-            self._acknowledge(key)
-        return out
 
     def take_held(self) -> List[DeliveryEvent]:
         """Claim every parked (held/partitioned) delivery (epoch flush)."""
@@ -737,32 +742,26 @@ class Transport:
 
     def forget_replica(self, replica_id: ReplicaId) -> None:
         """Garbage-collect all per-replica transport state (a *leave*):
-        sent-log, outstanding copies, stream state and delta chains.  The
-        statistics stay — they describe the past, which a leave does not
-        rewrite."""
+        sent-log, stream state and delta chains.  The statistics stay —
+        they describe the past, which a leave does not rewrite."""
         self.sender.forget(replica_id)
-        self._pending_acks = {k for k in self._pending_acks if k[1] != replica_id}
         for channel in [c for c in self._last_batch_arrival if replica_id in c]:
             del self._last_batch_arrival[channel]
 
     # ------------------------------------------------------------------
-    # Ack + resend-timer reliability layer
+    # Resend timers
     # ------------------------------------------------------------------
-    def _acknowledge(self, key: CopyKey) -> None:
-        self.sender.ack(key[1], (key[0],))
-        self._pending_acks.discard(key)
-
     def _arm_retry(self, key: CopyKey) -> None:
         def fire(host: "SimulationHost", time: float) -> None:
             self._retry(key)
 
         self.kernel.schedule_after(
-            self.sender.reliability.resend_timeout,
+            self.reliability.resend_timeout,
             TimerEvent(callback=fire, tag="retransmit"),
         )
 
     def _retry(self, key: CopyKey) -> None:
-        copy = self.sender.outstanding.get(key)
+        copy = self.sender.on_wire(key)
         if copy is None:
             return
         message = copy.message
@@ -775,7 +774,7 @@ class Transport:
             return
         self.stats.retransmissions += 1
         self._account_single(message)
-        final = self.sender.retry(key, self.kernel.now)
+        final = self.sender.retry(key, self.kernel.now) >= self.reliability.max_retries
         self._transmit(event, force=final)
         if final:  # the forced copy cannot be lost: nothing to wait for
             self.sender.abandon(key)
@@ -785,11 +784,6 @@ class Transport:
     # ------------------------------------------------------------------
     # Crash-recovery anti-entropy
     # ------------------------------------------------------------------
-    def prune(self, destination: ReplicaId, messages: Iterable[UpdateMessage],
-              known: Known) -> None:
-        """Unlog the delivered copies ``known`` covers (a live node: on ACK)."""
-        self.sender.prune(destination, [m.update.uid for m in messages if known.covers(m)])
-
     def resync(self, destination: ReplicaId, known: Known) -> List[UpdateId]:
         """Re-send every logged message to ``destination`` it does not know.
 
@@ -1043,9 +1037,7 @@ class SimulationHost(ReplicaHost):
             self.network.note_lost(event)
         else:
             self.network.record_delivery(event, time)
-            replica = self._replica(destination)
-            self.deliver(replica, event.messages)
-            self.network.prune(destination, event.messages, replica.known())
+            self.deliver(self._replica(destination), event.messages)
 
     def _note_stale_epoch(self, rejected: int) -> None:
         self.network.stats.messages_rejected_stale_epoch += rejected

@@ -20,7 +20,7 @@ edge-timestamp causal consistency behaves under infrastructure faults:
 * partitions and latency spikes driven through the transport, and lossy /
   duplicating channels (:class:`~repro.sim.delays.LossyDelay`,
   :class:`~repro.sim.delays.DuplicatingDelay`) kept exactly-once at the
-  protocol layer by the transport's ack + resend reliability layer plus the
+  protocol layer by the transport's resend timers plus the
   replicas' duplicate suppression;
 * availability, recovery-latency and staleness metrics recorded into the
   host's unified :class:`~repro.sim.engine.RunMetrics`.
@@ -204,7 +204,7 @@ class FaultInjector:
     """Drives a fault schedule against a simulated deployment.
 
     Attaching an injector switches the host onto the faulty path: the
-    transport optionally runs the ack + resend reliability layer
+    transport optionally runs resend timers, which a delivery settles
     (mandatory when the delay model drops messages), and the host consults
     :meth:`is_down` before deliveries, applies and client operations.
     Crash resync re-sends from the transport's sent-log of undelivered
@@ -216,8 +216,8 @@ class FaultInjector:
         Any :class:`~repro.sim.engine.SimulationHost` (either architecture).
     reliability:
         ``None`` to leave retransmission off (pure crash/partition runs), or
-        a :class:`~repro.sim.engine.ReliabilityConfig` to enable the ack +
-        resend layer (required for :class:`~repro.sim.delays.LossyDelay` /
+        a :class:`~repro.sim.engine.ReliabilityConfig` to enable the
+        resend timers (required for :class:`~repro.sim.delays.LossyDelay` /
         :class:`~repro.sim.delays.DuplicatingDelay` channels).
     """
 

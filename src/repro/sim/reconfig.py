@@ -735,8 +735,8 @@ class ReconfigManager:
 
         The virtual-synchrony flush: open batching windows are closed,
         scheduled deliveries are extracted from the kernel in firing order,
-        parked (held) traffic is released, and unacknowledged reliability
-        copies are delivered directly.  Deliveries can produce new traffic
+        parked (held) traffic is released, and the copies the resend timers
+        wait on are delivered directly.  Deliveries can produce new traffic
         (a served client write multicasts), so the loop repeats — with the
         apply/serve fixpoint folded in — until the old epoch is quiescent.
         """
@@ -747,7 +747,7 @@ class ReconfigManager:
             progress = False
             network.flush_open_batches()
             # Each source is claimed only once the previous one's
-            # deliveries are done: a delivery acknowledges its copy, which
+            # deliveries are done: a delivery settles its copy, which
             # is then no longer outstanding, and a serve it unblocks can
             # multicast new old-epoch messages onto a still-held channel —
             # left parked, they would be stranded as stale frames after the

@@ -4,15 +4,17 @@ The paper assumes reliable point-to-point channels that hand every update,
 with its timestamp, to the destination exactly once (Section 2).  This
 module is the one implementation of the *sending* side of that contract:
 :class:`ChannelSender`, a clock-free, socket-free state machine, with its
-options (:class:`BatchingConfig`; :class:`ReliabilityConfig`, whose
-timers only the simulator runs) and its byte book
-(:class:`ChannelWireStats`).  Two drivers feed it messages, acks and the
-current time and carry out what it hands back — an encoded batch, a
-deadline to arm, a copy to re-send: the simulator's
-:class:`~repro.sim.engine.Transport` (kernel timers, sampled delays) and the
-live node's peer streams (:mod:`repro.net.node`: sockets).  Everything a
-copy waits in before the wire is the sender's: its channel's window.
-``docs/ARCHITECTURE.md`` ("Channels") has the division of labour.
+one option (:class:`BatchingConfig`) and its byte book
+(:class:`ChannelWireStats`).  Two drivers feed it messages, settled uids
+and the current time and carry out what it hands back — an encoded batch,
+a deadline to arm, a copy to re-send: the simulator's
+:class:`~repro.sim.engine.Transport` (kernel timers, resend timers, sampled
+delays) and the live node's peer streams (:mod:`repro.net.node`: sockets).
+Everything a copy waits in before the wire is the sender's: its channel's
+window.  Everything the sender remembers about a copy is one :class:`Copy`
+in its sent-log, from :meth:`ChannelSender.log` until
+:meth:`ChannelSender.settle`.  ``docs/ARCHITECTURE.md`` ("Channels") has
+the division of labour.
 
 Delta timestamp frames (:mod:`repro.wire.codecs`) are defined against *the
 previous timestamp shipped on the same channel* — the state a real
@@ -62,26 +64,6 @@ class BatchingConfig:
             raise ConfigurationError("batching max_messages must be at least 1")
         if self.max_delay < 0:
             raise ConfigurationError("batching max_delay must be non-negative")
-
-
-@dataclass(frozen=True)
-class ReliabilityConfig:
-    """Parameters of a channel's ack + resend reliability layer.
-
-    Every copy put on the wire stays *outstanding* until acknowledged.
-    The simulator re-sends it every ``resend_timeout`` (kernel time), at
-    most ``max_retries`` times, and forces the final attempt past its loss
-    sampler (the channel is fair-lossy), so a lossy/duplicating channel
-    still delivers every message to a live destination; duplicate
-    suppression at the replica then restores exactly-once delivery.
-    ``ack_delay`` postpones the simulator's acknowledgement of a delivery.
-    A live node reads none of the three: over TCP a copy is lost only with
-    its connection, and the reconnect re-sends it (:meth:`ChannelSender.rewind`).
-    """
-
-    resend_timeout: float = 30.0
-    max_retries: int = 8
-    ack_delay: float = 0.0
 
 
 @dataclass
@@ -194,14 +176,16 @@ class Window:
 
 
 class Copy:
-    """One unacknowledged copy and what is left of its retry budget."""
+    """One logged copy: its message and, in ``stamped``, when it last went
+    on the wire (``None`` while off it; a stamped copy is *outstanding*).
+    Going back on the wire unstamped restarts ``sent_at`` and ``retries``."""
 
     __slots__ = ("message", "sent_at", "stamped", "retries")
 
-    def __init__(self, message: UpdateMessage, sent_at: float, now: float) -> None:
+    def __init__(self, message: UpdateMessage) -> None:
         self.message = message
-        self.sent_at = sent_at  # when it first joined a window
-        self.stamped = now      # when it last went on the wire
+        self.sent_at = 0.0  # when it joined the window it last went out from
+        self.stamped: Optional[float] = None
         self.retries = 0
 
 
@@ -226,19 +210,18 @@ class ChannelSender:
     method reads a clock or draws a random number.
     """
 
-    def __init__(self, batching: Optional[BatchingConfig] = None,
-                 reliability: Optional[ReliabilityConfig] = None) -> None:
+    def __init__(self, batching: Optional[BatchingConfig] = None) -> None:
         self.batching: Optional[BatchingConfig] = None
-        self.reliability = reliability
         self.encoder: Optional[ChannelDeltaEncoder] = None
         #: Open batching windows, oldest first.
         self.windows: Dict[Channel, Window] = {}
         self._seq: Dict[Channel, int] = {}
         self._epoch: Dict[Channel, int] = {}
-        self.outstanding: Dict[CopyKey, Copy] = {}
-        #: Logged messages per destination, in send order, until the
-        #: destination is known to hold them (:meth:`prune`).
-        self.sent_log: Dict[ReplicaId, Dict[UpdateId, UpdateMessage]] = {}
+        #: Every copy per destination, in send order, from :meth:`log`
+        #: until :meth:`settle`: the sender's one record of a copy.
+        self.sent_log: Dict[ReplicaId, Dict[UpdateId, Copy]] = {}
+        #: How many logged copies are stamped (outstanding).
+        self.unacked = 0
         self.book: Dict[Channel, ChannelWireStats] = {}
         if batching is not None:
             self.enable_batching(batching)
@@ -272,11 +255,11 @@ class ChannelSender:
         """Close the channel's window into one sequenced, encoded batch.
 
         Encoding happens exactly once, here, in send order — the FIFO
-        stream the delta frames assume.  The batch is booked, and with a
-        reliability layer its copies become outstanding.  A window holding
-        more than ``max_messages`` (one that grew while its stream was
-        down) gives up its oldest ``max_messages``; the rest stay in the
-        same window, with the same deadline.
+        stream the delta frames assume.  The batch is booked and its
+        logged copies are stamped.  A window holding more than
+        ``max_messages`` (one that grew while its stream was down) gives
+        up its oldest ``max_messages``; the rest stay in the same window,
+        with the same deadline.
         """
         window = self.windows.get(channel)
         if window is None:
@@ -294,13 +277,11 @@ class ChannelSender:
                              seq=seq, messages=tuple(messages))
         data, sizes = encode_batch(batch, encoder=self.encoder, codec=codec)
         self.account(channel, sizes, messages=len(batch.messages), batches=1)
-        tracked: Tuple[CopyKey, ...] = ()
-        if self.reliability is not None:
-            tracked = tuple(
-                (message.update.uid, channel[1])
-                for message, sent_at in zip(messages, times)
-                if self.track(message, sent_at, now)
-            )
+        tracked = tuple(
+            (message.update.uid, channel[1])
+            for message, sent_at in zip(messages, times)
+            if self.stamp(message, sent_at, now)
+        )
         return Flushed(batch, data, sizes, tuple(times),
                        self._epoch.get(channel, 0), tracked)
 
@@ -348,37 +329,89 @@ class ChannelSender:
 
     def forget(self, replica_id: ReplicaId) -> None:
         """Drop all state of channels touching a replica that left."""
-        self.sent_log.pop(replica_id, None)
-        for key in [k for k in self.outstanding if k[1] == replica_id]:
-            del self.outstanding[key]
+        book = self.sent_log.pop(replica_id, {})
+        self.unacked -= sum(copy.stamped is not None for copy in book.values())
         for channel in [c for c in self.channels() if replica_id in c]:
             self._seq.pop(channel, None)
             self._epoch.pop(channel, None)
             self.restart_chain(channel)
 
-    # -- reliability: outstanding copies, acks, retries ------------------
-    def track(self, message: UpdateMessage, sent_at: float, now: float) -> bool:
-        """A copy went on the wire; ``True`` when it is newly outstanding."""
-        key = (message.update.uid, message.destination)
-        copy = self.outstanding.get(key)
-        if copy is not None:
-            copy.stamped = now
-            return False
-        self.outstanding[key] = Copy(message, sent_at, now)
-        return True
+    # -- the sent-log: one Copy per copy, from log to settle -------------
+    def log(self, message: UpdateMessage) -> None:
+        """Retain a copy for its destination until it is settled.  Logging
+        it again (a state transfer re-sending a lost uid under a new epoch)
+        replaces its message, not its place in the log or its wire state."""
+        book = self.sent_log.setdefault(message.destination, {})
+        book.setdefault(message.update.uid, Copy(message)).message = message
 
-    def ack(self, destination: ReplicaId, uids: Iterable[UpdateId]) -> None:
-        """The destination holds these updates: their copies are settled."""
+    def settle(self, destination: ReplicaId,
+               uids: Iterable[UpdateId]) -> List[UpdateId]:
+        """The destination holds these updates (the live node learns it
+        from an ACK, the simulator from a delivery): their copies leave the
+        sent-log, on the wire or not.  Returns the uids that were logged."""
+        book = self.sent_log.get(destination)
+        if not book:
+            return []
+        settled = []
         for uid in uids:
-            self.outstanding.pop((uid, destination), None)
+            copy = book.pop(uid, None)
+            if copy is not None:
+                settled.append(uid)
+                if copy.stamped is not None:
+                    self.unacked -= 1
+        return settled
+
+    def stamp(self, message: UpdateMessage, sent_at: float, now: float) -> bool:
+        """A copy went on the wire; ``True`` when it was not on it before.
+        A copy no longer logged is settled already and stays settled."""
+        book = self.sent_log.get(message.destination)
+        copy = book.get(message.update.uid) if book else None
+        if copy is None:
+            return False
+        fresh = copy.stamped is None
+        if fresh:
+            copy.sent_at = sent_at
+            copy.retries = 0
+            self.unacked += 1
+        copy.stamped = now
+        return fresh
+
+    def on_wire(self, key: CopyKey) -> Optional[Copy]:
+        """The copy if it is outstanding, else ``None``."""
+        uid, destination = key
+        book = self.sent_log.get(destination)
+        copy = book.get(uid) if book else None
+        return copy if copy is not None and copy.stamped is not None else None
+
+    def stamped(self) -> Dict[CopyKey, Copy]:
+        """Every outstanding copy by key, in sent-log order."""
+        return {(uid, destination): copy
+                for destination, book in self.sent_log.items()
+                for uid, copy in book.items() if copy.stamped is not None}
+
+    def retry(self, key: CopyKey, now: float) -> int:
+        """Re-stamp an outstanding copy the driver is re-sending; returns
+        the retries it has spent (the driver decides which is the last)."""
+        copy = self.on_wire(key)
+        copy.retries += 1
+        copy.stamped = now
+        return copy.retries
+
+    def abandon(self, key: CopyKey) -> None:
+        """Stop waiting for a copy: it leaves the wire but stays logged,
+        so a resync can still recover it."""
+        copy = self.on_wire(key)
+        if copy is not None:
+            copy.stamped = None
+            self.unacked -= 1
 
     def rewind(self, now: float) -> None:
         """A fresh stream: every outstanding copy rejoins the head of its
-        channel's window, in the order it was first flushed — ahead of the
-        copies already waiting there, which are all newer.  A copy still
-        waiting from an earlier rewind stays where it is."""
+        channel's window, in sent-log (issue) order — ahead of the copies
+        already waiting there.  A copy still waiting from an earlier rewind
+        stays where it is."""
         heads: Dict[Channel, List[Copy]] = {}
-        for copy in self.outstanding.values():
+        for copy in self.stamped().values():
             message = copy.message
             heads.setdefault((message.sender, message.destination), []).append(copy)
         for channel, copies in heads.items():
@@ -388,38 +421,10 @@ class ChannelSender:
             window.messages[:0] = [copy.message for copy in copies]
             window.times[:0] = [copy.sent_at for copy in copies]
 
-    def retry(self, key: CopyKey, now: float) -> bool:
-        """Spend one retry on an outstanding copy the driver is re-sending.
-
-        Returns whether it was the last (``max_retries`` reached): a driver
-        whose final attempt cannot be lost abandons it.
-        """
-        copy = self.outstanding[key]
-        copy.retries += 1
-        copy.stamped = now
-        return copy.retries >= self.reliability.max_retries
-
-    def abandon(self, key: CopyKey) -> None:
-        """Stop waiting for a copy's ack; the sent-log can still recover it."""
-        self.outstanding.pop(key, None)
-
-    # -- sent-log and anti-entropy ---------------------------------------
-    def log(self, message: UpdateMessage) -> None:
-        """Retain a message for its destination until it is pruned."""
-        self.sent_log.setdefault(message.destination, {})[message.update.uid] = message
-
-    def prune(self, destination: ReplicaId,
-              uids: Iterable[UpdateId]) -> List[UpdateId]:
-        """Drop logged messages the destination holds durably (the live node
-        on an ACK, the simulator on each delivery); returns them."""
-        book = self.sent_log.get(destination)
-        if not book:
-            return []
-        return [uid for uid in uids if book.pop(uid, None) is not None]
-
+    # -- anti-entropy ------------------------------------------------------
     def inflight(self) -> Set[CopyKey]:
         """Copies on their way: in an open window, or outstanding."""
-        copies = set(self.outstanding)
+        copies = set(self.stamped())
         for (_, destination), window in self.windows.items():
             copies.update((m.update.uid, destination) for m in window.messages)
         return copies
@@ -432,6 +437,6 @@ class ChannelSender:
         skip: Set[UpdateId] = set()
         if skip_inflight:
             skip = {uid for uid, to in self.inflight() if to == destination}
-        return [message
-                for uid, message in self.sent_log.get(destination, {}).items()
-                if uid not in skip and not known.covers(message)]
+        return [copy.message
+                for uid, copy in self.sent_log.get(destination, {}).items()
+                if uid not in skip and not known.covers(copy.message)]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import full_replication_factory
-from repro.core.errors import UnknownReplicaError
+from repro.core.errors import RegisterNotStoredError, UnknownReplicaError
 from repro.core.share_graph import ShareGraph
 from repro.sim.cluster import Cluster, edge_indexed_factory
 from repro.sim.delays import FixedDelay, UniformDelay
@@ -65,6 +65,12 @@ class TestCluster:
         assert tri_cluster.metrics.reads == 1
         assert tri_cluster.metrics.applies == 1
         assert tri_cluster.metrics.mean_apply_latency > 0
+
+    def test_a_rejected_read_is_not_counted(self):
+        cluster = Cluster(ShareGraph.from_placement(figure5_placement()), seed=0)
+        with pytest.raises(RegisterNotStoredError):
+            cluster.read(1, "x")
+        assert (cluster.metrics.reads, cluster.metrics.operation_times) == (0, [])
 
     def test_metadata_sizes(self, tri_cluster):
         sizes = tri_cluster.metadata_sizes()

@@ -54,7 +54,8 @@ def _logged_copies_agree(host) -> None:
     for rid, replica in host._replica_map().items():
         known = replica.known()
         held = {update.uid for update in replica.applied} | replica._pending_uids
-        for message in host.network.sender.sent_log.get(rid, {}).values():
+        for copy in host.network.sender.sent_log.get(rid, {}).values():
+            message = copy.message
             assert known.covers(message) == (message.update.uid in held), (rid, message)
 
 

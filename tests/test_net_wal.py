@@ -399,6 +399,16 @@ def test_each_checkpoint_record_holds_exactly_the_history_since_the_last(tmp_pat
             previous = mark
 
 
+def test_a_rejected_read_leaves_the_run_metrics_untouched(tmp_path):
+    """Replica 1 of figure 5 does not store ``x``: the op is rejected,
+    and neither the read count nor the operation timeline gains it."""
+    node = LiveNode(_one_node_config(str(tmp_path)))
+    _drive(node, [(1, "read", "x", "-")])
+    metrics = node.tenants[1].host.metrics
+    assert (metrics.reads, metrics.operation_times) == (0, [])
+    assert node.tenants[1].counters["ops_done"] == 1
+
+
 def test_oversized_record_rejected_before_hitting_disk(tmp_path):
     from repro.wire.primitives import WireFormatError
 

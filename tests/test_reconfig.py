@@ -23,6 +23,7 @@ from repro.core.share_graph import ShareGraph
 from repro.core.timestamps import EdgeTimestamp
 from repro.sim.cluster import Cluster
 from repro.sim.delays import FixedDelay, LossyDelay, UniformDelay
+from repro.sim.engine import ReliabilityConfig
 from repro.sim.faults import FaultInjector, FaultSchedule, crash, heal, partition, restart
 from repro.sim.reconfig import (
     ReconfigManager,
@@ -380,6 +381,56 @@ class TestEdgeCases:
             record.kind == "reconfig-deferred" and "partition" in record.detail
             for record in cluster.metrics.reconfig_timeline
         )
+
+    def test_a_delivery_settles_its_copies_before_a_commit_inside_it(self):
+        """A commit deferred behind a state transfer runs inside the
+        delivery that completes the transfer.  That delivery's copies are
+        settled before the replica handles them, so the commit's flush does
+        not take them as outstanding and deliver them a second time."""
+        cluster = Cluster(ShareGraph.from_placement(figure5_placement()),
+                          delay_model=FixedDelay(1.0), seed=0)
+        FaultInjector(cluster, reliability=ReliabilityConfig(resend_timeout=1000.0))
+        manager = ReconfigManager(cluster, window=0.1)
+        for n in range(5):
+            cluster.write(1, "y", f"y{n}")
+            cluster.run_until_quiescent()
+        t = cluster.now
+        manager.install(ReconfigSchedule("gain-then-drop", (
+            add_edge(t + 10, 1, 3, register="y"),
+            remove_edge(t + 10.2, 1, 3),
+        )))
+        cluster.run_until_quiescent()
+        kinds = [record.kind for record in cluster.metrics.reconfig_timeline]
+        deferred = kinds.index("reconfig-deferred")
+        complete = kinds.index("transfer-complete", deferred)
+        assert "reconfig-commit" in kinds[complete:]
+        stats = cluster.network.stats
+        assert stats.messages_delivered == stats.messages_sent == 15
+
+    def test_a_regrant_behind_a_lost_copy_waits_for_the_resync(self):
+        """Replica 3 misses a write of ``x`` while down, drops ``x`` and
+        gains it back.  Both commits wait until 3 is up, and its restart
+        resync delivers the lost copy first: the regrant transfers nothing,
+        so no state-transfer copy is logged over an undelivered live one."""
+        cluster = Cluster(ShareGraph.from_placement(figure5_placement()),
+                          delay_model=FixedDelay(1.0), seed=0)
+        injector = FaultInjector(cluster)
+        manager = ReconfigManager(cluster, window=0.1)
+        cluster.schedule_arrival_at(2.0, Operation("write", 2, "x", "x0"))
+        manager.install(ReconfigSchedule("drop-regain", (
+            remove_edge(10.0, 2, 3),
+            add_edge(20.0, 2, 3, register="x"),
+        )))
+        injector.install(FaultSchedule("miss", (crash(1.0, 3), restart(30.0, 3))))
+        cluster.run_until_quiescent()
+        kinds = [record.kind for record in cluster.metrics.reconfig_timeline]
+        assert "reconfig-deferred" in kinds and "transfer-start" not in kinds
+        assert kinds.count("reconfig-commit") == 2
+        assert cluster.replica(3).store["x"] == "x0"
+        stats = cluster.network.stats
+        assert (stats.messages_lost_to_crash, stats.messages_rejected_stale_epoch) == (1, 0)
+        assert not cluster.network.sender.sent_log.get(3)
+        assert cluster.check_consistency().is_causally_consistent
 
     def test_joiner_crash_mid_state_transfer_recovers_via_resync(self):
         placement = figure5_placement()
