@@ -4,7 +4,7 @@ Demonstrates the fault-injection subsystem (``repro.sim.faults``) end to
 end on the Figure 5 system:
 
 1. a **crash/restart** — replica 3 goes down mid-run, loses every delivery
-   addressed to it, then restores its durable snapshot and catches up via
+   addressed to it, then comes back with its durable state and catches up via
    the transport's anti-entropy resync;
 2. a **partition/heal** — the replicas split into two islands; cross-island
    updates wait out the partition (staleness) and fly on heal;

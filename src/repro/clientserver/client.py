@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, FrozenSet, List, Optional, Tuple
 
+from ..core.errors import RegisterNotStoredError
 from ..core.registers import Register, ReplicaId
 from ..core.share_graph import Edge
 from ..core.timestamps import EdgeTimestamp
@@ -68,7 +69,8 @@ class ClientAgent:
 
     def choose_replica(self, register: Register,
                        preferred: Optional[ReplicaId] = None) -> ReplicaId:
-        """Pick a replica of ``R_c`` storing ``register`` (lowest id by default)."""
+        """Pick a replica of ``R_c`` storing ``register`` (lowest id by
+        default); ``RegisterNotStoredError`` when none does."""
         candidates = sorted(
             rid
             for rid in self.replica_set
@@ -77,10 +79,7 @@ class ClientAgent:
         if preferred is not None and preferred in candidates:
             return preferred
         if not candidates:
-            raise ValueError(
-                f"client {self.client_id!r} cannot access any replica storing "
-                f"{register!r}"
-            )
+            raise RegisterNotStoredError(register, tuple(sorted(self.replica_set)))
         return candidates[0]
 
     # ------------------------------------------------------------------

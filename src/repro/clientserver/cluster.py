@@ -206,7 +206,7 @@ class ClientServerCluster(SimulationHost):
         """
         client = self.clients[client_id]
         target = client.choose_replica(register, preferred=replica_id)
-        if self.operation_rejected(target):
+        if self.operation_rejected(target, register):
             self.metrics.rejected_operations += 1
             return None
         request = ClientRequest(
@@ -245,7 +245,7 @@ class ClientServerCluster(SimulationHost):
         """
         client = self.clients[client_id]
         target = client.choose_replica(register, preferred=replica_id)
-        if self.operation_rejected(target):
+        if self.operation_rejected(target, register):
             self.metrics.rejected_operations += 1
             return None
         request = ClientRequest(
@@ -282,16 +282,12 @@ class ClientServerCluster(SimulationHost):
         :meth:`with_colocated_clients`); this is what lets one workload
         drive both the peer-to-peer and the client–server architecture.
         """
+        if self.operation_rejected(operation.replica_id, operation.register):
+            # Rejected exactly as the peer-to-peer architecture rejects it.
+            self.metrics.rejected_operations += 1
+            return None
         client_id = self._colocated.get(operation.replica_id)
         if client_id is None:
-            if self.reconfig_manager is not None and not self.is_member(
-                operation.replica_id
-            ):
-                # The workload targeted a replica that has left (or not yet
-                # joined) the configuration: reject, exactly as the
-                # peer-to-peer architecture does.
-                self.metrics.rejected_operations += 1
-                return None
             raise ConfigurationError(
                 f"no client is co-located with replica {operation.replica_id!r}; "
                 "build the cluster with ClientServerCluster.with_colocated_clients"
@@ -361,8 +357,9 @@ class ClientServerCluster(SimulationHost):
 
     def _note_client_observation(self, client_id: ClientId, replica_id: ReplicaId) -> None:
         """After touching a replica, the client has observed its applied updates."""
-        applied = {u.uid for u in self.servers[replica_id].applied}
-        self._client_seen[client_id] |= applied
+        events = self.servers[replica_id].events
+        self._client_seen[client_id] |= {
+            event.update.uid for event in events if event.update is not None}
 
     # ------------------------------------------------------------------
     # Architecture-specific host hooks

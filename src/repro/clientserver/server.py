@@ -78,7 +78,7 @@ class ClientServerReplica(EdgeIndexedReplica):
 
     #: Buffered client requests/responses live in server memory only: a
     #: crash drops them (clients see the operation rejected/timed out), so
-    #: they are excluded from durable snapshots and reset on restore.
+    #: they are excluded from durable snapshots.
     _VOLATILE_STATE = ("waiting_requests", "completed_responses")
 
     def _reset_volatile(self) -> None:
@@ -163,7 +163,7 @@ class ClientServerReplica(EdgeIndexedReplica):
             value=request.value,
             server_timestamp=self.timestamp,
             update_messages=tuple(messages),
-            issued=self.applied[-1],
+            issued=self.events[-1].update,
         )
 
     # ------------------------------------------------------------------

@@ -342,7 +342,7 @@ class ReplicaHost:
         self.epoch_history: List[Tuple[float, ShareGraph]] = [(0.0, share_graph)]
         #: Event traces of replicas that have left the configuration —
         #: their history stays part of the checked execution.
-        self._retired_events: Dict[ReplicaId, Tuple[ReplicaEvent, ...]] = {}
+        self._retired_events: Dict[ReplicaId, List[ReplicaEvent]] = {}
         #: The attached :class:`~repro.obs.trace.TraceRecorder`, if any;
         #: ``None`` on the untraced fast path (one ``is not None`` check
         #: per hook — the overhead contract the E19 benchmark gates).
@@ -407,9 +407,9 @@ class ReplicaHost:
         )
 
     def _retire_trace(self, replica_id: ReplicaId) -> None:
-        """Capture a leaver's event trace before it is dropped."""
-        replica = self._replica(replica_id)
-        self._retired_events[replica_id] = tuple(replica.events)
+        """Keep a leaver's event trace (its list: nothing appends to it
+        once the replica is dropped)."""
+        self._retired_events[replica_id] = self._replica(replica_id).events
 
     def is_member(self, replica_id: ReplicaId) -> bool:
         """``True`` while ``replica_id`` is part of the current configuration."""
@@ -420,22 +420,25 @@ class ReplicaHost:
         injector = self.fault_injector
         return injector is not None and injector.is_down(replica_id)
 
-    def operation_rejected(self, replica_id: ReplicaId) -> bool:
-        """Whether a client operation addressed to ``replica_id`` is rejected.
+    def operation_rejected(self, replica_id: ReplicaId, register: Register) -> bool:
+        """Whether a client operation on ``register`` at ``replica_id`` is rejected.
 
-        Operations are rejected at non-members (left, or not yet joined),
-        at crashed replicas, and at replicas inside a migration window or
-        still receiving a state-transfer stream — the availability cost of
-        faults and reconfiguration.  Under static membership (no
-        reconfiguration manager) an unknown replica id stays a caller
-        error: the subsequent lookup raises ``UnknownReplicaError``.
+        Operations are rejected at crashed replicas and, under dynamic
+        membership, at non-members, inside a migration window, during a
+        state transfer, and on a register the replica does not store yet
+        (its grant's commit is queued or deferred) or any more: the
+        availability cost of faults and reconfiguration.  Under static
+        membership an unknown replica or register stays a caller error.
         """
-        if replica_id not in self._replica_map():
+        replica = self._replica_map().get(replica_id)
+        if replica is None:
             return self.reconfig_manager is not None
         if self.replica_down(replica_id):
             return True
         manager = self.reconfig_manager
-        return manager is not None and manager.rejecting(replica_id)
+        return manager is not None and (
+            manager.rejecting(replica_id) or register not in replica.registers
+        )
 
     # ------------------------------------------------------------------
     # Bookkeeping helpers for subclasses
@@ -534,13 +537,14 @@ class ReplicaHost:
     # Shared introspection, checking and metrics
     # ------------------------------------------------------------------
     def events_by_replica(self) -> Dict[ReplicaId, Sequence[ReplicaEvent]]:
-        """Each replica's local issue/apply/read trace.
+        """Each replica's local issue/apply/read trace — the live lists,
+        uncopied: read them, do not keep or change them.
 
         Replicas that left the configuration contribute the trace they had
         accumulated up to their removal: a leave does not erase history
         from the checked execution.
         """
-        out = {rid: tuple(r.events) for rid, r in self._replica_map().items()}
+        out = {rid: r.events for rid, r in self._replica_map().items()}
         for rid, events in self._retired_events.items():
             out.setdefault(rid, events)
         return out

@@ -291,16 +291,15 @@ class EventKind(enum.Enum):
 @dataclass(frozen=True)
 class ReplicaSnapshot:
     """A replica's durable state: every non-volatile attribute by name — the
-    timestamp, register store, pending buffer (with its index), applied log
-    and event trace.
+    timestamp, register store, pending buffer (with its index), frontier,
+    sequence counter and event trace.
 
-    :meth:`CausalReplica.snapshot` fills it with a deep copy, for the
-    simulator only: its in-memory crash/restart protocol
-    (:mod:`repro.sim.faults`) holds the snapshot while the replica runs
-    on, and :meth:`CausalReplica.restore` copies it back.  A caller that
-    serialises the state at once — the live write-ahead log, whose pickle
-    *is* the copy — takes :meth:`CausalReplica.durable_view` instead and
-    recovers with :meth:`CausalReplica.adopt`.
+    The live write-ahead log serialises :meth:`CausalReplica.durable_view`
+    at once (its pickle *is* the copy) and recovers with
+    :meth:`CausalReplica.adopt`.  The simulator takes none: its crash keeps
+    the replica object, since nothing reaches a replica while it is down
+    (:mod:`repro.sim.faults`).  :meth:`CausalReplica.snapshot` is the deep
+    copy for a caller that holds the state while the replica runs on.
     """
 
     replica_id: ReplicaId
@@ -405,12 +404,11 @@ class CausalReplica(abc.ABC):
         self.frontier: Dict[ReplicaId, int] = {}
         #: Duplicate deliveries suppressed by :meth:`receive_many`.
         self.duplicates_ignored: int = 0
-        #: Local issue/apply/read trace, consumed by the consistency checker.
+        #: Local issue/apply/read trace, consumed by the consistency checker:
+        #: the replica's only per-update record (:attr:`applied` projects it).
         self.events: List[ReplicaEvent] = []
         #: Number of updates issued locally (used for sequence numbers).
         self.issued_count: int = 0
-        #: Updates applied at this replica, in application order.
-        self.applied: List[Update] = []
         #: Uids the latest drain replayed from a state-transfer stream: the
         #: host samples no apply latency for them (that is history's age).
         self.replayed: Set[UpdateId] = set()
@@ -567,7 +565,6 @@ class CausalReplica(abc.ABC):
         update = Update(self.replica_id, self.issued_count, register, value)
         self.store[register] = value
         metadata, size = self.make_metadata(register)
-        self.applied.append(update)
         self.frontier[self.replica_id] = self.issued_count
         self._record(EventKind.ISSUE, update, register, sim_time)
         return [
@@ -819,7 +816,6 @@ class CausalReplica(abc.ABC):
             self.absorb_metadata(message)
             if seq > self.frontier.get(issuer, 0):
                 self.frontier[issuer] = seq
-        self.applied.append(update)
         self._pending_uids.discard(uid)
         # Inlined self._record(...): one positional construction, no
         # per-apply method call or enum attribute lookup.
@@ -934,7 +930,7 @@ class CausalReplica(abc.ABC):
     #: Durable attributes that only ever grow by appending — the replica's
     #: history, as opposed to its replaceable state.  Subclasses that add
     #: such a list extend the tuple.
-    _HISTORY_STATE: ClassVar[Tuple[str, ...]] = ("events", "applied")
+    _HISTORY_STATE: ClassVar[Tuple[str, ...]] = ("events",)
 
     def durable_view(self) -> ReplicaSnapshot:
         """The durable state *by reference*: the live attributes, uncopied.
@@ -952,27 +948,16 @@ class CausalReplica(abc.ABC):
         return ReplicaSnapshot(self.replica_id, state, self._HISTORY_STATE)
 
     def snapshot(self) -> ReplicaSnapshot:
-        """Capture the replica's durable state as a deep copy (simulator).
+        """Capture the replica's durable state as a deep copy.
 
-        The fault model persists every protocol state change synchronously:
-        the timestamp, register store, pending buffer + index, applied log,
-        sequence counter and event trace all survive a crash.  What a crash
-        costs is *availability* — deliveries addressed to the replica while
-        it is down are lost and must be recovered via the transport's
-        anti-entropy resync.  The copy is what lets the simulator hold the
-        snapshot while the replica runs on.
+        For a caller that holds the state while the replica runs on: the
+        benchmark's WAL ladder (``bench/ladder.py``) checkpoints one, and
+        the fault tests compare one against the replica at restart.  The
+        simulator's crash takes no snapshot — the replica object is its
+        durable state.
         """
         view = self.durable_view()
         return ReplicaSnapshot(view.replica_id, copy.deepcopy(view.state), view.history)
-
-    def restore(self, snapshot: ReplicaSnapshot) -> None:
-        """Rebuild the replica from a durable snapshot (crash recovery).
-
-        Volatile attributes are re-initialised empty; everything else is
-        deep-copied back so the restored replica shares no structure with
-        the snapshot (it can be restored from again).
-        """
-        self.adopt(ReplicaSnapshot(snapshot.replica_id, copy.deepcopy(snapshot.state)))
 
     def adopt(self, snapshot: ReplicaSnapshot) -> None:
         """Become ``snapshot``'s state, taking its objects over uncopied.
@@ -989,7 +974,7 @@ class CausalReplica(abc.ABC):
         self._reset_volatile()
 
     def _reset_volatile(self) -> None:
-        """Re-initialise the non-durable attributes after a restore."""
+        """Drop the non-durable attributes: what a crash loses."""
 
     def known(self) -> Known:
         """What this replica holds durably: a :class:`Known` view of its live
@@ -1000,6 +985,13 @@ class CausalReplica(abc.ABC):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def applied(self) -> List[Update]:
+        """Updates issued or applied here, in local order: the ISSUE and
+        APPLY events of :attr:`events`, projected afresh on every read
+        (O(history); for tests and reports, not the hot path)."""
+        return [event.update for event in self.events if event.update is not None]
+
     def has_applied(self, uid: UpdateId) -> bool:
         """``True`` iff the update with this id, sent here as live traffic,
         has been applied here (its seq is within its issuer's frontier)."""
@@ -1025,5 +1017,5 @@ class CausalReplica(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<{type(self).__name__} id={self.replica_id} "
-            f"registers={sorted(self.registers)} applied={len(self.applied)}>"
+            f"registers={sorted(self.registers)} events={len(self.events)}>"
         )

@@ -172,7 +172,7 @@ class LiveNodeHost(ReplicaHost):
         try:
             messages = self.replica.write(register, value, sim_time=self.now)
             self._record_operation("write")
-            update = self.replica.applied[-1]
+            update = self.replica.events[-1].update
             self._note_issue(update)
         finally:
             self._time_override = None
@@ -1020,7 +1020,8 @@ class LiveNode:
         inbox: Dict[Channel, int] = {}
         for rid, tenant in self.tenants.items():
             totals.update(tenant.counters)
-            applied += len(tenant.replica.applied)
+            applied += sum(event.update is not None
+                           for event in tenant.replica.events)
             pending += tenant.replica.pending_count()
             for destination, count in tenant.outbox_total.items():
                 outbox[(rid, destination)] = count

@@ -9,8 +9,8 @@ log-structured pair:
   checkpoint record per compaction.  *History is appended, state is
   replaced*: a record carries the replaceable state whole — the protocol
   state minus its history, the sent-log, the outbox totals and the log
-  generation — but of the history (the replica's event trace and applied
-  log, the first-receipt streams, the apply and issue times) only what
+  generation — but of the history (the replica's event trace, the
+  first-receipt streams, the apply and issue times) only what
   was appended since the previous record.  So a compaction costs
   O(state + what changed), never O(history), and nothing is deep-copied:
   the pickle of the live state is the copy;

@@ -109,16 +109,17 @@ class Cluster(SimulationHost):
         """Issue a write at the client co-located with ``replica_id``.
 
         Returns ``None`` (rejecting the operation) while the replica is
-        crashed by the fault injector, outside the current membership, or
-        migrating — the availability cost of faults and reconfiguration.
+        crashed by the fault injector, outside the current membership,
+        migrating, or (under dynamic membership) not storing the register
+        — the availability cost of faults and reconfiguration.
         """
-        if self.operation_rejected(replica_id):
+        if self.operation_rejected(replica_id, register):
             self.metrics.rejected_operations += 1
             return None
         replica = self.replica(replica_id)
         messages = replica.write(register, value, sim_time=self.now)
         self._record_operation("write")
-        update = replica.applied[-1]
+        update = replica.events[-1].update
         self._note_issue(update)
         self.network.send_all(messages)
         return update
@@ -127,9 +128,10 @@ class Cluster(SimulationHost):
         """Issue a read at the client co-located with ``replica_id``.
 
         Returns ``None`` (rejecting the operation) while the replica is
-        crashed, outside the current membership, or migrating.
+        crashed, outside the current membership, migrating, or (under
+        dynamic membership) not storing the register.
         """
-        if self.operation_rejected(replica_id):
+        if self.operation_rejected(replica_id, register):
             self.metrics.rejected_operations += 1
             return None
         value = self.replica(replica_id).read(register, sim_time=self.now)

@@ -11,12 +11,13 @@ edge-timestamp causal consistency behaves under infrastructure faults:
   :class:`FaultInjector` installs as first-class
   :class:`~repro.sim.engine.FaultEvent` kernel events, so a fault schedule
   replays deterministically against the rest of the event stream;
-* a crash/restart protocol over the replicas' durable snapshots
-  (:meth:`~repro.core.protocol.CausalReplica.snapshot` /
-  :meth:`~repro.core.protocol.CausalReplica.restore`) with an anti-entropy
-  resync (:meth:`~repro.sim.engine.Transport.resync`) that re-sends every
-  update the replica missed while down — causal consistency holds end to
-  end through the fault;
+* a crash/restart protocol that keeps the replica object: a crash drops
+  only its volatile state (a server's buffered client requests), and
+  every path that could change it — deliveries, the apply fixpoint,
+  client operations, reconfiguration commits — skips it while down; an
+  anti-entropy resync (:meth:`~repro.sim.engine.Transport.resync`) then
+  re-sends every update it missed — causal consistency holds end to end
+  through the fault;
 * partitions and latency spikes driven through the transport, and lossy /
   duplicating channels (:class:`~repro.sim.delays.LossyDelay`,
   :class:`~repro.sim.delays.DuplicatingDelay`) kept exactly-once at the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ConfigurationError, SimulationError
-from ..core.protocol import ReplicaSnapshot, Update, UpdateId
+from ..core.protocol import Update, UpdateId
 from ..core.registers import ReplicaId
 from .engine import FaultRecord, ReliabilityConfig, SimulationHost
 
@@ -93,7 +94,7 @@ def crash(time: float, replica_id: ReplicaId) -> FaultAction:
 
 
 def restart(time: float, replica_id: ReplicaId) -> FaultAction:
-    """Restart ``replica_id`` at ``time``: restore its durable snapshot and resync."""
+    """Restart ``replica_id`` at ``time``: bring it back up and resync what it missed."""
     return FaultAction(time=time, kind="restart", replica_id=replica_id)
 
 
@@ -232,7 +233,6 @@ class FaultInjector:
         host.fault_injector = self
         if reliability is not None:
             host.network.enable_reliability(reliability)
-        self._snapshots: Dict[ReplicaId, ReplicaSnapshot] = {}
         self._down_since: Dict[ReplicaId, float] = {}
         #: Replicas catching up after a restart: restart time + missing uids.
         self._recovering: Dict[ReplicaId, Tuple[float, Set[UpdateId]]] = {}
@@ -277,11 +277,11 @@ class FaultInjector:
         return frozenset(self._down_since)
 
     def crash_now(self, replica_id: ReplicaId) -> None:
-        """Crash a replica: snapshot its durable state and take it offline."""
+        """Crash a replica: drop its volatile state and take it offline;
+        its durable state stays in the object, untouched while down."""
         if replica_id in self._down_since:
             raise SimulationError(f"replica {replica_id!r} is already down")
-        replica = self.host._replica(replica_id)
-        self._snapshots[replica_id] = replica.snapshot()
+        self.host._replica(replica_id)._reset_volatile()
         self._down_since[replica_id] = self.host.now
         # A crash while still catching up abandons that recovery attempt.
         self._recovering.pop(replica_id, None)
@@ -296,11 +296,10 @@ class FaultInjector:
         )
 
     def restart_now(self, replica_id: ReplicaId) -> None:
-        """Restart a replica: restore its snapshot and start the resync."""
+        """Restart a replica: bring it back up and resync from what it knows."""
         if replica_id not in self._down_since:
             raise SimulationError(f"replica {replica_id!r} is not down")
         replica = self.host._replica(replica_id)
-        replica.restore(self._snapshots.pop(replica_id))
         down_at = self._down_since.pop(replica_id)
         now = self.host.now
         metrics = self.host.metrics

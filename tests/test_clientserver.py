@@ -21,7 +21,7 @@ from repro.clientserver import (
 )
 from repro.clientserver.augmented import augmented_loop_edges
 from repro.clientserver.server import ClientRequest
-from repro.core.errors import ConfigurationError, UnknownReplicaError
+from repro.core.errors import ConfigurationError, RegisterNotStoredError, UnknownReplicaError
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp_graph import timestamp_edges
 from repro.core.timestamps import EdgeTimestamp
@@ -155,7 +155,7 @@ class TestClientAgent:
         clients = ClientAssignment.from_dict({"c": [1]})
         augmented = AugmentedShareGraph(fig3_graph, clients)
         agent = ClientAgent(augmented, "c")
-        with pytest.raises(ValueError):
+        with pytest.raises(RegisterNotStoredError):
             agent.choose_replica("z")
 
     def test_accessible_registers(self, fig3_graph):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiments import protocol_suite
 from repro.clientserver import ClientServerCluster
 from repro.core.errors import ConfigurationError, ProtocolError, SimulationError
 from repro.core.registers import RegisterPlacement
@@ -86,22 +87,73 @@ class TestFaultSchedule:
 
 
 # ----------------------------------------------------------------------
-# Snapshot / restore (the durable half of crash recovery)
+# Durable state across a crash: the replica object survives, untouched
 # ----------------------------------------------------------------------
+
+#: Attributes a replica family keeps its clock in.
+CLOCKS = ("timestamp", "vector", "matrix")
+
+
+def value_state(state):
+    """A durable state's values: clock counters, store, pending uids,
+    frontier, event trace, sequence counter and bootstrap position."""
+    return (
+        {name: dict(state[name].items()) for name in CLOCKS if name in state},
+        dict(state["store"]),
+        set(state["_pending_uids"]),
+        dict(state["frontier"]),
+        list(state["events"]),
+        state["issued_count"],
+        (state["_bootstrap_epoch"], state["_bootstrap_next"],
+         state["_bootstrap_total"]),
+    )
+
+
+class SnapshotAtCrash(FaultInjector):
+    """Takes a deep-copied snapshot at each crash and, at the restart,
+    asserts that the down replica's value state still equals it."""
+
+    def __init__(self, host, reliability=None):
+        super().__init__(host, reliability)
+        self.at_crash = {}
+        self.restarts_checked = 0
+
+    def crash_now(self, replica_id):
+        super().crash_now(replica_id)
+        self.at_crash[replica_id] = self.host._replica(replica_id).snapshot()
+
+    def restart_now(self, replica_id):
+        live = self.host._replica(replica_id).durable_view()
+        assert value_state(live.state) == value_state(
+            self.at_crash.pop(replica_id).state
+        ), f"replica {replica_id} changed while down"
+        self.restarts_checked += 1
+        super().restart_now(replica_id)
+
+
+def _lossy_host(family, graph, seed):
+    delay = LossyDelay(inner=UniformDelay(1.0, 10.0), drop_probability=0.2)
+    if family == "client-server":
+        return ClientServerCluster.with_colocated_clients(
+            graph, delay_model=delay, seed=seed)
+    return Cluster(graph, replica_factory=protocol_suite()[family],
+                   delay_model=delay, seed=seed)
+
 
 class TestSnapshotRestore:
     def test_roundtrip_restores_exact_state(self):
         graph = path_graph()
         cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=0)
+        injector = FaultInjector(cluster)
         cluster.write(2, "x", "x1")
         cluster.run_until_quiescent()
         replica = cluster.replica(2)
-        snapshot = replica.snapshot()
-        # Mutate past the snapshot point…
-        cluster.write(2, "y", "y1")
-        assert replica.store["y"] == "y1"
-        # …and roll back.
-        replica.restore(snapshot)
+        injector.crash_now(2)
+        # Nothing reaches a down replica…
+        assert cluster.write(2, "y", "y1") is None
+        # …and the restart brings the same object back, state intact.
+        injector.restart_now(2)
+        assert cluster.replica(2) is replica
         assert replica.store["y"] is None
         assert replica.store["x"] == "x1"
         assert replica.issued_count == 1
@@ -120,20 +172,83 @@ class TestSnapshotRestore:
         cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=0)
         snapshot = cluster.replica(2).snapshot()
         with pytest.raises(ProtocolError):
-            cluster.replica(3).restore(snapshot)
+            cluster.replica(3).adopt(snapshot)
 
     def test_client_server_volatile_requests_not_persisted(self):
         graph = path_graph()
         cluster = ClientServerCluster.with_colocated_clients(
             graph, delay_model=FixedDelay(1.0), seed=0
         )
+        injector = FaultInjector(cluster)
         server = cluster.servers[2]
         snapshot = server.snapshot()
         assert "waiting_requests" not in snapshot.state
         assert "completed_responses" not in snapshot.state
-        server.restore(snapshot)
+        server.waiting_requests.append("buffered")
+        server.completed_responses.append("unclaimed")
+        injector.crash_now(2)
         assert server.waiting_requests == []
         assert server.completed_responses == []
+        injector.restart_now(2)
+        assert server.waiting_requests == []
+        assert server.completed_responses == []
+
+
+class TestDownReplicaUntouched:
+    """A crash keeps the replica object: every path that could change it
+    while it is down must skip it."""
+
+    @pytest.mark.parametrize("family", sorted(protocol_suite()) + ["client-server"])
+    def test_value_state_at_restart_equals_the_crash_snapshot(self, family):
+        graph = path_graph()
+        host = _lossy_host(family, graph, seed=3)
+        injector = SnapshotAtCrash(
+            host, ReliabilityConfig(resend_timeout=15.0, max_retries=6)
+        )
+        injector.install(FaultSchedule("two crashes", (
+            crash(8.0, 3), restart(40.0, 3), crash(50.0, 2), restart(75.0, 2),
+        )))
+        workload = poisson_workload(graph, rate=1.5, duration=90.0, seed=3)
+        result = run_open_loop(host, workload)
+        assert result.consistent
+        assert injector.restarts_checked == 2
+        # Traffic was in flight to the down replicas, and was lost there.
+        assert host.network.stats.messages_lost_to_crash > 0
+        assert host.metrics.rejected_operations > 0
+
+    def test_request_buffered_at_crashed_server_is_dropped_and_rejected(self):
+        from repro.clientserver import ClientAssignment
+
+        graph = path_graph()
+        cluster = ClientServerCluster(
+            graph,
+            ClientAssignment.from_dict({"c1": {3, 4}, "c2": {3}}),
+            delay_model=FixedDelay(1.0),
+            seed=0,
+        )
+        injector = FaultInjector(cluster)
+        server = cluster.servers[4]
+        cluster.network.hold(3, 4)
+        cluster.client_write("c2", "z", "z1", replica_id=3)
+        assert cluster.client_read("c1", "z", replica_id=3) == "z1"
+        buffered = []
+
+        def crash_four(host, time):
+            buffered.extend(server.waiting_requests)
+            injector.crash_now(4)
+
+        cluster.schedule_fault_at(5.0, crash_four, kind="crash")
+        assert cluster.client_write("c1", "z", "z2", replica_id=4) is None
+        assert [request.value for request in buffered] == ["z2"]
+        assert server.waiting_requests == []
+        assert cluster.metrics.rejected_operations == 1
+        injector.restart_now(4)
+        cluster.network.release_all()
+        cluster.run_until_quiescent()
+        # The dropped write never happens: 4 ends with the value of 3's write.
+        assert server.store["z"] == "z1"
+        assert all(update.value != "z2" for update in server.applied)
+        assert cluster.check_consistency().is_causally_consistent
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
+from repro.analysis.experiments import protocol_suite
+from repro.clientserver import ClientServerCluster
 from repro.core.errors import RegisterNotStoredError
 from repro.core.protocol import EventKind, Update, UpdateMessage
 from repro.core.replica import EdgeIndexedReplica
 from repro.core.share_graph import ShareGraph
+from repro.sim.cluster import Cluster
+from repro.sim.delays import UniformDelay
 from repro.sim.topologies import figure5_placement, triangle_placement
+from repro.sim.workloads import Workload, run_workload, uniform_workload
 
 
 @pytest.fixture
@@ -165,3 +172,36 @@ class TestRemoteApplication:
         replicas[3].receive(u0_msgs[3])
         applied = replicas[3].apply_ready()
         assert [u.register for u in applied] == ["z", "x"]
+
+
+class TestOneGrowingStructure:
+    """The event trace is a replica's only per-update record: after a run
+    twice as long — the same operations, twice over — every other
+    container on the replica is as large."""
+
+    @staticmethod
+    def _container_sizes(family, repeats):
+        graph = ShareGraph.from_placement(figure5_placement())
+        if family == "client-server":
+            host = ClientServerCluster.with_colocated_clients(
+                graph, delay_model=UniformDelay(1, 10), seed=5)
+        else:
+            host = Cluster(graph, replica_factory=protocol_suite()[family],
+                           delay_model=UniformDelay(1, 10), seed=5)
+        workload = uniform_workload(graph, 80, seed=5)
+        run_workload(host, Workload(workload.name, workload.operations * repeats))
+        host.run_until_quiescent()
+        return {
+            (rid, name): len(value)
+            for rid, replica in host._replica_map().items()
+            for name, value in vars(replica).items()
+            if isinstance(value, (list, tuple, dict, set, frozenset, deque))
+        }
+
+    @pytest.mark.parametrize("family", sorted(protocol_suite()) + ["client-server"])
+    def test_only_events_grow_with_history(self, family):
+        short = self._container_sizes(family, 1)
+        long = self._container_sizes(family, 2)
+        assert set(short) == set(long)
+        grew = sorted({name for key, name in short if short[key, name] != long[key, name]})
+        assert grew == ["events"]

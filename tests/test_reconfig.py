@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clientserver import ClientServerCluster
-from repro.core.errors import ReconfigurationError
+from repro.core.errors import ReconfigurationError, RegisterNotStoredError
 from repro.core.protocol import BootstrapMetadata, Update, UpdateMessage
 from repro.core.registers import RegisterPlacement
 from repro.core.replica import EdgeIndexedReplica
@@ -670,6 +670,52 @@ class TestStateTransferRegressions:
             "a replayed t~0 update issued long before the t=150 grant "
             "leaked into the apply-latency samples"
         )
+
+
+class TestDeferredCommitWorkloads:
+    """A dynamic workload assumes every change commits at the end of its
+    window.  When a commit is queued or deferred, its operations reach a
+    replica that does not store their register yet: the host rejects and
+    counts them, under either architecture."""
+
+    @pytest.mark.parametrize("architecture", ["peer-to-peer", "client-server"])
+    def test_ops_on_registers_not_granted_yet_are_rejected(self, architecture):
+        placement = tree_placement(6)
+        # Seed 126: the join granting 'churn_7_4' to replica 4 commits
+        # after the workload starts writing it there.
+        schedule = random_churn_schedule(placement, 120.0, joins=1, edge_changes=2,
+                                         seed=126, join_style="group")
+        delay = LossyDelay(inner=UniformDelay(1, 10), drop_probability=0.1)
+        graph = ShareGraph.from_placement(placement)
+        if architecture == "peer-to-peer":
+            host = Cluster(graph, delay_model=delay, seed=126)
+        else:
+            host = ClientServerCluster.with_colocated_clients(
+                graph, delay_model=delay, seed=126)
+        FaultInjector(host, reliability=ReliabilityConfig())
+        ReconfigManager(host).install(schedule)
+        workload = poisson_workload_dynamic(
+            schedule.placements_over(placement), rate=1.0, duration=120.0, seed=126
+        )
+        assert any(arrival.operation.register == "churn_7_4"
+                   for arrival in workload.arrivals)
+        result = run_open_loop(host, workload)
+        assert result.consistent
+        assert host.metrics.reconfigs == 3
+        assert host.metrics.rejected_operations > 0
+
+    @pytest.mark.parametrize("architecture", ["peer-to-peer", "client-server"])
+    def test_unstored_register_stays_a_caller_error_without_a_manager(
+        self, architecture
+    ):
+        graph = ShareGraph.from_placement(path_placement_small())
+        if architecture == "peer-to-peer":
+            host = Cluster(graph, seed=0)
+        else:
+            host = ClientServerCluster.with_colocated_clients(graph, seed=0)
+        with pytest.raises(RegisterNotStoredError):
+            host.submit_operation(Operation("write", 1, "z", "nope"))
+        assert host.metrics.rejected_operations == 0
 
 
 # ======================================================================
