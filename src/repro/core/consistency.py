@@ -23,7 +23,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .causal import HappenedBefore
-from .errors import ConsistencyViolationError, LivenessViolationError
+from .errors import (
+    ConsistencyViolationError,
+    LivenessViolationError,
+    UnknownRegisterError,
+)
 from .protocol import EventKind, ReplicaEvent, Update, UpdateId
 from .registers import ReplicaId
 from .share_graph import ShareGraph
@@ -295,7 +299,7 @@ class ConsistencyChecker:
         for update in relation.all_updates():
             try:
                 owners = self._final_graph.replicas_storing(update.register)
-            except Exception:
+            except UnknownRegisterError:
                 # Registers unknown to the (final) share graph — virtual
                 # registers introduced by optimizations, or registers that
                 # left the system with their last replica — impose no

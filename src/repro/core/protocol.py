@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
     Any,
-    Callable,
     ClassVar,
     Deque,
     Dict,
@@ -256,6 +255,9 @@ class Known(NamedTuple):
     FIFO conjunct ``τ_i[e_ki] = T[e_ki] − 1`` of Section 3.3, shared by the
     baselines), so "``i`` holds ``(k, s)``" is ``s ≤ frontier[k]`` or
     ``(k, s)`` is pending: O(writers + pending), not O(history).
+    ``pending`` is a live view of the replica's buffered uids (the keys of
+    :attr:`CausalReplica.pending`), so a copy buffered after the view was
+    taken is covered too.
     State-transfer messages replay history below the frontier, so they are
     matched by stream position ``(epoch, next index)`` instead
     (``docs/GLOSSARY.md``, "Known frontier", has a worked example).
@@ -291,8 +293,8 @@ class EventKind(enum.Enum):
 @dataclass(frozen=True)
 class ReplicaSnapshot:
     """A replica's durable state: every non-volatile attribute by name — the
-    timestamp, register store, pending buffer (with its index), frontier,
-    sequence counter and event trace.
+    timestamp, register store, pending map (one entry per buffered copy)
+    with its wake-key index, frontier, sequence counter and event trace.
 
     The live write-ahead log serialises :meth:`CausalReplica.durable_view`
     at once (its pickle *is* the copy) and recovers with
@@ -362,7 +364,8 @@ class CausalReplica(abc.ABC):
     predicate open.  Concrete subclasses fill those in.
 
     Subclasses must implement the five abstract methods; the base class
-    provides the register storage, the pending buffer with its wake-key
+    provides the register storage, the pending buffer (a uid-keyed map in
+    arrival order, the only record of a buffered copy) with its wake-key
     index, the local event trace, and the indexed apply loop realising
     step 4 of the prototype (:meth:`apply_ready`; the original full-rescan
     semantics survive as the :meth:`apply_ready_rescan` reference).
@@ -385,22 +388,16 @@ class CausalReplica(abc.ABC):
         self._bootstrap_next: int = 0
         #: Current value of every locally stored register (None = never written).
         self.store: Dict[Register, Any] = {r: None for r in self.registers}
-        #: Remote updates received but not yet applied.  Applied messages
-        #: are removed lazily (tombstoned by update uid in
-        #: ``_applied_pending_uids`` and compacted once they reach half the
-        #: list), so a delivery-driven drain pays O(1) amortised removal per
-        #: apply instead of an O(P) rebuild per :meth:`apply_ready` call;
-        #: use :meth:`pending_count` for the exact count.  Uids are value
-        #: keys, so the bookkeeping survives deepcopy/pickle; each replica
-        #: receives at most one message per update, keeping them unique.
-        self.pending: List[UpdateMessage] = []
-        self._applied_pending_uids: set = set()
-        #: Uids currently buffered (pending minus tombstones) and the known
-        #: frontier, the highest seq applied per issuer: the replica's
-        #: :meth:`known`, the protocol-layer half of the exactly-once
-        #: guarantee over lossy or duplicating channels (the transport's
-        #: resend timers are the at-least-once half).
-        self._pending_uids: Set[UpdateId] = set()
+        #: Remote updates received but not yet applied, by update uid in
+        #: arrival order: the only record of a buffered copy (receive
+        #: inserts, apply pops).  :meth:`known` never lets a second copy of
+        #: a buffered uid in, so the keys are unique.
+        self.pending: Dict[UpdateId, UpdateMessage] = {}
+        #: The known frontier, the highest seq applied per issuer.  With
+        #: the pending keys it is the replica's :meth:`known`, the
+        #: protocol-layer half of the exactly-once guarantee over lossy or
+        #: duplicating channels (the transport's resend timers are the
+        #: at-least-once half).
         self.frontier: Dict[ReplicaId, int] = {}
         #: Duplicate deliveries suppressed by :meth:`receive_many`.
         self.duplicates_ignored: int = 0
@@ -620,7 +617,6 @@ class CausalReplica(abc.ABC):
         effective_key = self._effective_blocking_key
         protocol_key = self.blocking_key
         apply_one = self._apply
-        applied_pending = self._applied_pending_uids
         bootstrap_cls = BootstrapMetadata
         while recheck:
             message = recheck.popleft()
@@ -636,7 +632,7 @@ class CausalReplica(abc.ABC):
                 key = protocol_key(message)
             if key is None:
                 applied_now.append(message.update)
-                applied_pending.add(apply_one(message, sim_time))
+                apply_one(message, sim_time)
                 if is_bootstrap:
                     keys = self._effective_applied_keys(message)
                 else:
@@ -659,8 +655,6 @@ class CausalReplica(abc.ABC):
                     blocked[key] = [message]
                 else:
                     bucket.append(message)
-        if applied_now:
-            self._compact_pending()
         return applied_now
 
     def receive_many(self, messages: Iterable[UpdateMessage]) -> int:
@@ -669,10 +663,9 @@ class CausalReplica(abc.ABC):
         What :meth:`receive` runs, for many messages in one loop.  Returns
         the number of messages actually buffered (duplicates excluded).
         """
-        # The view shares the pending set, so a copy buffered earlier in
+        # The view shares the pending keys, so a copy buffered earlier in
         # this batch covers its own duplicates.
         covers = self.known().covers
-        pending_uids = self._pending_uids
         pending = self.pending
         recheck = self._recheck
         count = 0
@@ -680,8 +673,7 @@ class CausalReplica(abc.ABC):
             if covers(message):
                 self.duplicates_ignored += 1
                 continue
-            pending_uids.add(message.update.uid)
-            pending.append(message)
+            pending[message.update.uid] = message
             recheck.append(message)
             count += 1
         return count
@@ -759,17 +751,6 @@ class CausalReplica(abc.ABC):
         """``True`` while a state-transfer stream is still being applied."""
         return self._bootstrap_total is not None
 
-    def _compact_pending(self, force: bool = False) -> None:
-        """Drop tombstoned (applied) messages from the pending list.
-
-        Runs only once tombstones reach half the list (or on ``force``), so
-        removal costs O(1) amortised per apply.
-        """
-        dead = self._applied_pending_uids
-        if dead and (force or 2 * len(dead) >= len(self.pending)):
-            self.pending = [m for m in self.pending if m.update.uid not in dead]
-            dead.clear()
-
     def apply_ready_rescan(self, sim_time: float = 0.0) -> List[Update]:
         """Reference implementation of step 4: fixpoint rescan of the buffer.
 
@@ -777,26 +758,24 @@ class CausalReplica(abc.ABC):
         path (:meth:`apply_ready`); semantically equivalent but O(P²) in the
         pending-buffer size ``P`` per call.
         """
-        self._compact_pending(force=True)
         applied_now: List[Update] = []
         progress = True
         while progress:
             progress = False
-            for message in list(self.pending):
+            for message in list(self.pending.values()):
                 if self._effective_blocking_key(message) is not None:
                     continue
-                self.pending.remove(message)
                 self._apply(message, sim_time)
                 applied_now.append(message.update)
                 progress = True
         # Resynchronise the index with the buffer so the two entry points
         # can be mixed on one replica.
-        self._recheck = deque(self.pending)
+        self._recheck = deque(self.pending.values())
         self._blocked.clear()
         return applied_now
 
-    def _apply(self, message: UpdateMessage, sim_time: float) -> UpdateId:
-        """Apply a buffered message; returns the applied update's uid."""
+    def _apply(self, message: UpdateMessage, sim_time: float) -> None:
+        """Apply a buffered message and pop it from :attr:`pending`."""
         update = message.update
         if message.payload and update.register in self.registers:
             self.store[update.register] = update.value
@@ -816,7 +795,7 @@ class CausalReplica(abc.ABC):
             self.absorb_metadata(message)
             if seq > self.frontier.get(issuer, 0):
                 self.frontier[issuer] = seq
-        self._pending_uids.discard(uid)
+        del self.pending[uid]
         # Inlined self._record(...): one positional construction, no
         # per-apply method call or enum attribute lookup.
         events = self.events
@@ -826,7 +805,6 @@ class CausalReplica(abc.ABC):
                 len(events), sim_time,
             )
         )
-        return uid
 
     # ------------------------------------------------------------------
     # Epoch migration (dynamic membership support)
@@ -859,39 +837,20 @@ class CausalReplica(abc.ABC):
         for register in new_registers - self.registers:
             self.store.setdefault(register, None)
         self.registers = new_registers
-        self.discard_pending(
-            lambda message: message.update.register not in new_registers
-        )
+        # In place, not rebound: a :meth:`known` view holds the map's keys.
+        pending = self.pending
+        for uid in [uid for uid, message in pending.items()
+                    if message.update.register not in new_registers]:
+            del pending[uid]
         self.epoch = epoch
-        self._compact_pending(force=True)
-        self._recheck = deque(self.pending)
+        self._recheck = deque(pending.values())
         self._blocked = {}
 
-    def discard_pending(self, drop: Callable[[UpdateMessage], bool]) -> List[UpdateMessage]:
-        """Remove buffered messages matching ``drop`` from the pending buffer.
-
-        Used by epoch migration to garbage-collect messages for registers
-        the replica no longer stores.  Already-applied (tombstoned) entries
-        are never handed to ``drop``.  Returns the discarded messages.
-        """
-        dropped = [
-            message
-            for message in self.pending
-            if message.update.uid in self._pending_uids and drop(message)
-        ]
-        if not dropped:
-            return []
-        uids = {message.update.uid for message in dropped}
-        self._pending_uids -= uids
-        self.pending = [m for m in self.pending if m.update.uid not in uids]
-        self._remove_from_index(uids)
-        return dropped
-
-    def _remove_from_index(self, uids: Set[UpdateId]) -> None:
-        """Scrub uids from the recheck queue and every blocked bucket."""
-        self._recheck = deque(m for m in self._recheck if m.update.uid not in uids)
+    def _remove_from_index(self, uid: UpdateId) -> None:
+        """Scrub one uid from the recheck queue and every blocked bucket."""
+        self._recheck = deque(m for m in self._recheck if m.update.uid != uid)
         for key in list(self._blocked):
-            bucket = [m for m in self._blocked[key] if m.update.uid not in uids]
+            bucket = [m for m in self._blocked[key] if m.update.uid != uid]
             if bucket:
                 self._blocked[key] = bucket
             else:
@@ -907,7 +866,7 @@ class CausalReplica(abc.ABC):
         about to disappear.
         """
         uid = message.update.uid
-        if uid not in self._pending_uids:
+        if uid not in self.pending:
             if self.has_applied(uid):
                 return
             raise ProtocolError(
@@ -915,9 +874,7 @@ class CausalReplica(abc.ABC):
                 f"{self.replica_id!r}: {message}"
             )
         self._apply(message, sim_time)
-        self._applied_pending_uids.add(uid)
-        self._remove_from_index({uid})
-        self._compact_pending()
+        self._remove_from_index(uid)
 
     # ------------------------------------------------------------------
     # Durable state (crash/restart support)
@@ -978,8 +935,8 @@ class CausalReplica(abc.ABC):
 
     def known(self) -> Known:
         """What this replica holds durably: a :class:`Known` view of its live
-        frontier and pending set (receive, resync and pruning ask it)."""
-        return Known(self.frontier, self._pending_uids,
+        frontier and pending keys (receive, resync and pruning ask it)."""
+        return Known(self.frontier, self.pending.keys(),
                      (self._bootstrap_epoch, self._bootstrap_next))
 
     # ------------------------------------------------------------------
@@ -999,7 +956,7 @@ class CausalReplica(abc.ABC):
 
     def pending_count(self) -> int:
         """Number of buffered, not-yet-applied update messages."""
-        return len(self._pending_uids)
+        return len(self.pending)
 
     def _record(self, kind: EventKind, update: Optional[Update],
                 register: Optional[Register], sim_time: float) -> None:

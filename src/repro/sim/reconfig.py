@@ -60,7 +60,7 @@ from typing import (
 )
 
 from ..core.causal import HappenedBefore
-from ..core.errors import ReconfigurationError
+from ..core.errors import ReconfigurationError, UnknownRegisterError
 from ..core.protocol import BootstrapMetadata, ReplicaEvent, Update, UpdateId, UpdateMessage
 from ..core.registers import Register, RegisterPlacement, ReplicaId
 from ..core.share_graph import ShareGraph
@@ -778,11 +778,7 @@ class ReconfigManager:
             replica = host._replica(rid)
             if not replica.pending_count():
                 continue
-            buffered = {
-                message.update.uid: message
-                for message in replica.pending
-                if message.update.uid in replica._pending_uids
-            }
+            buffered = dict(replica.pending)
             for uid in sorted(buffered, key=lambda u: position.get(u, len(position))):
                 replica.force_apply(buffered[uid], host.now)
                 host.metrics.reconfig_forced_applies += 1
@@ -853,7 +849,7 @@ class ReconfigManager:
         """
         try:
             owners = old_placement.replicas_storing(update.register)
-        except Exception:
+        except UnknownRegisterError:
             owners = ()
         for rid in owners:
             if rid != destination and rid in members:

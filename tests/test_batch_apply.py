@@ -80,6 +80,17 @@ def _state(replica):
     )
 
 
+def _assert_index_matches_pending(replica):
+    """Every buffered message sits exactly once in the wake-key index —
+    the recheck queue or one blocked bucket — and nothing else does."""
+    indexed = list(replica._recheck)
+    for bucket in replica._blocked.values():
+        indexed.extend(bucket)
+    assert len(indexed) == len(replica.pending)
+    assert len({message.update.uid for message in indexed}) == len(indexed)
+    assert all(replica.pending.get(message.update.uid) is message for message in indexed)
+
+
 @settings(
     max_examples=30,
     deadline=None,
@@ -125,9 +136,12 @@ def test_apply_batch_equals_per_message_path(data, family):
     for chunk in chunks:
         for message in chunk:
             per_message.receive(message)
+            _assert_index_matches_pending(per_message)
         applied_reference.extend(per_message.apply_ready())
         applied_batched.extend(batched.apply_batch(chunk))
         assert _state(per_message) == _state(batched)
+        _assert_index_matches_pending(per_message)
+        _assert_index_matches_pending(batched)
 
     assert [u.uid for u in applied_reference] == [
         u.uid for u in applied_batched

@@ -95,12 +95,13 @@ CLOCKS = ("timestamp", "vector", "matrix")
 
 
 def value_state(state):
-    """A durable state's values: clock counters, store, pending uids,
-    frontier, event trace, sequence counter and bootstrap position."""
+    """A durable state's values: clock counters, store, pending uids (in
+    arrival order), frontier, event trace, sequence counter and bootstrap
+    position."""
     return (
         {name: dict(state[name].items()) for name in CLOCKS if name in state},
         dict(state["store"]),
-        set(state["_pending_uids"]),
+        list(state["pending"]),
         dict(state["frontier"]),
         list(state["events"]),
         state["issued_count"],

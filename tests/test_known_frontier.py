@@ -53,7 +53,7 @@ def _logged_copies_agree(host) -> None:
     """``known().covers`` ≡ ``uid ∈ applied ∪ pending`` on every logged copy."""
     for rid, replica in host._replica_map().items():
         known = replica.known()
-        held = {update.uid for update in replica.applied} | replica._pending_uids
+        held = {update.uid for update in replica.applied} | set(replica.pending)
         for copy in host.network.sender.sent_log.get(rid, {}).values():
             message = copy.message
             assert known.covers(message) == (message.update.uid in held), (rid, message)

@@ -51,10 +51,13 @@ def test_sync_payload_grows_only_by_varint_growth_when_the_run_doubles():
     assert frames.decode_sync(doubled_payload) == (1, Known(doubled, frozenset()))
 
 
-def test_sync_payload_roundtrips_pending_uids_and_string_ids():
+def test_sync_payload_roundtrips_pending_keys_and_string_ids():
     known = Known({"a": 7, 2: 1}, frozenset({(2, 3), ("a", 9)}))
     replica, decoded = frames.decode_sync(frames.encode_sync("r", known))
     assert replica == "r" and decoded == known
+    # A replica's own view: the keys of its uid-keyed pending map.
+    live = Known({"a": 7, 2: 1}, {("a", 9): None, (2, 3): None}.keys())
+    assert frames.decode_sync(frames.encode_sync("r", live)) == ("r", known)
     with pytest.raises(WireFormatError):
         frames.decode_sync(frames.encode_sync("r", known) + b"\x00")
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.experiments import protocol_suite
 from repro.clientserver import ClientServerCluster
-from repro.core.errors import RegisterNotStoredError
+from repro.core.errors import ProtocolError, RegisterNotStoredError
 from repro.core.protocol import EventKind, Update, UpdateMessage
 from repro.core.replica import EdgeIndexedReplica
 from repro.core.share_graph import ShareGraph
@@ -172,6 +172,50 @@ class TestRemoteApplication:
         replicas[3].receive(u0_msgs[3])
         applied = replicas[3].apply_ready()
         assert [u.register for u in applied] == ["z", "x"]
+
+
+class TestForceApply:
+    """The reconfiguration flush's override for a message the predicate can
+    no longer certify: one record leaves the pending map and the index."""
+
+    def _blocked_copy(self, tri_graph):
+        replicas = make_replicas(tri_graph)
+        replicas[1].write("x", "first")  # never delivered: a FIFO gap
+        second = replicas[1].write("x", "second")[0]
+        receiver = replicas[2]
+        receiver.receive(second)
+        assert receiver.apply_ready() == []
+        assert list(receiver.pending) == [second.update.uid]
+        return receiver, second
+
+    @staticmethod
+    def _applies(replica):
+        return [e.update.uid for e in replica.events if e.kind is EventKind.APPLY]
+
+    def test_blocked_message_leaves_map_and_index_and_applies_once(self, tri_graph):
+        receiver, second = self._blocked_copy(tri_graph)
+        receiver.force_apply(second)
+        assert receiver.pending == {}
+        assert not receiver._recheck and not receiver._blocked
+        assert receiver.read("x") == "second"
+        receiver.receive(second)  # a late copy is covered, not re-buffered
+        assert receiver.apply_ready(force=True) == []
+        assert self._applies(receiver) == [second.update.uid]
+
+    def test_force_apply_of_an_applied_uid_is_a_no_op(self, tri_graph):
+        receiver, second = self._blocked_copy(tri_graph)
+        receiver.force_apply(second)
+        events = list(receiver.events)
+        receiver.force_apply(second)
+        assert receiver.events == events
+        assert self._applies(receiver) == [second.update.uid]
+
+    def test_force_apply_of_a_never_buffered_uid_raises(self, tri_graph):
+        replicas = make_replicas(tri_graph)
+        message = replicas[1].write("x", "unsent")[0]
+        with pytest.raises(ProtocolError):
+            replicas[2].force_apply(message)
+        assert replicas[2].pending == {} and self._applies(replicas[2]) == []
 
 
 class TestOneGrowingStructure:

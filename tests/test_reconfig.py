@@ -13,6 +13,8 @@ bootstrap stream gate).
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.clientserver import ClientServerCluster
 from repro.core.errors import ReconfigurationError, RegisterNotStoredError
@@ -24,7 +26,15 @@ from repro.core.timestamps import EdgeTimestamp
 from repro.sim.cluster import Cluster
 from repro.sim.delays import FixedDelay, LossyDelay, UniformDelay
 from repro.sim.engine import ReliabilityConfig
-from repro.sim.faults import FaultInjector, FaultSchedule, crash, heal, partition, restart
+from repro.sim.faults import (
+    FaultInjector,
+    FaultSchedule,
+    crash,
+    heal,
+    partition,
+    random_fault_schedule,
+    restart,
+)
 from repro.sim.reconfig import (
     ReconfigManager,
     ReconfigSchedule,
@@ -36,7 +46,7 @@ from repro.sim.reconfig import (
     random_churn_schedule,
     remove_edge,
 )
-from repro.sim.topologies import figure5_placement, tree_placement
+from repro.sim.topologies import figure5_placement, ring_placement, tree_placement
 from repro.sim.workloads import Operation, poisson_workload_dynamic, run_open_loop
 from repro.topo import LatencyDelayModel, TopologyError, geo_regions
 from repro.wire.membership import decode_membership_change, encode_membership_change
@@ -716,6 +726,71 @@ class TestDeferredCommitWorkloads:
         with pytest.raises(RegisterNotStoredError):
             host.submit_operation(Operation("write", 1, "z", "nope"))
         assert host.metrics.rejected_operations == 0
+
+
+class TestChurnSoak:
+    """Random churn under random faults: every run stays causally
+    consistent and commits every scheduled change, in both architectures.
+
+    Crashes hit only replicas that never leave (a departed replica cannot
+    restart); the partition splits the initial replicas in half, so
+    joiners form a third island while it lasts.
+    """
+
+    DURATION = 120.0
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        architecture=st.sampled_from(["peer-to-peer", "client-server"]),
+        shape=st.sampled_from([tree_placement, ring_placement]),
+        size=st.integers(5, 6),
+        joins=st.integers(0, 2),
+        join_style=st.sampled_from(["leaf", "group"]),
+        leaves=st.integers(0, 1),
+        edge_changes=st.integers(0, 2),
+        loss=st.sampled_from([0.0, 0.1, 0.25]),
+        crashes=st.integers(0, 2),
+        partitioned=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_churn_under_faults_stays_consistent(
+        self, architecture, shape, size, joins, join_style, leaves,
+        edge_changes, loss, crashes, partitioned, seed,
+    ):
+        placement = shape(size)
+        schedule = random_churn_schedule(
+            placement, self.DURATION, joins=joins, leaves=leaves,
+            edge_changes=edge_changes, seed=seed, join_style=join_style,
+        )
+        leaving = {a.replica_id for a in schedule.actions if a.kind == "leave"}
+        initial = sorted(placement.replica_ids)
+        faults = random_fault_schedule(
+            [rid for rid in initial if rid not in leaving], self.DURATION,
+            crashes=crashes,
+            partition_groups=[initial[: size // 2], initial[size // 2:]],
+            partition_at=0.4 * self.DURATION,
+            partition_duration=0.15 * self.DURATION if partitioned else 0.0,
+            seed=seed,
+        )
+        delay = UniformDelay(1, 10)
+        if loss:
+            delay = LossyDelay(inner=delay, drop_probability=loss)
+        graph = ShareGraph.from_placement(placement)
+        if architecture == "peer-to-peer":
+            host = Cluster(graph, delay_model=delay, seed=seed)
+        else:
+            host = ClientServerCluster.with_colocated_clients(
+                graph, delay_model=delay, seed=seed)
+        FaultInjector(host, reliability=ReliabilityConfig()).install(faults)
+        ReconfigManager(host).install(schedule)
+        workload = poisson_workload_dynamic(
+            schedule.placements_over(placement), rate=3.0,
+            duration=self.DURATION, seed=seed,
+        )
+        result = run_open_loop(host, workload)
+        assert result.consistent
+        assert host.metrics.reconfigs == len(schedule.actions)
 
 
 # ======================================================================
