@@ -99,13 +99,6 @@ class PlanDiff:
     predicted_after: float
     validated: Optional[PlacementResult] = field(default=None, compare=False)
 
-    @property
-    def predicted_gain(self) -> float:
-        """Relative predicted improvement in [0, 1]."""
-        if self.predicted_before <= 0:
-            return 0.0
-        return 1.0 - self.predicted_after / self.predicted_before
-
     def schedule(self, start: float, spacing: float = 0.001,
                  name: str = "adaptive") -> ReconfigSchedule:
         """The moves as an installable :class:`ReconfigSchedule`."""

@@ -264,7 +264,7 @@ class ClientServerCluster(SimulationHost):
             return None
         self._record_operation("write", at=submitted_at)
         issued = response.issued
-        self._note_issue(issued)
+        self._note_issue(issued, self.now)
         # Everything the client had observed before this write happens-before it.
         for seen in self._client_seen[client_id]:
             if seen != issued.uid:

@@ -9,9 +9,12 @@ wall clock, so the parts of the old ``SimulationHost`` that never actually
 depended on simulated time were extracted here:
 
 * :class:`ReplicaHost` — the protocol surface a deployment exposes: who owns
-  which replica, how a client operation is executed, the receive rule
-  (:meth:`~ReplicaHost.deliver`: every delivered message of either runtime
-  goes through it) and the apply loop with their metric recording, the
+  which replica, the algorithm prototype's steps with their metric
+  recording — :meth:`~ReplicaHost.perform_read`,
+  :meth:`~ReplicaHost.perform_write` and the receive rule
+  :meth:`~ReplicaHost.deliver` with its apply loop, each at the host
+  clock or at an explicit host time; every client operation and delivered
+  message of either runtime, and of a WAL replay, goes through them — the
   event-trace collection and the
   :meth:`~ReplicaHost.check_consistency` entry point.  The simulator's
   :class:`~repro.sim.engine.SimulationHost` and the live runtime's node host
@@ -318,9 +321,10 @@ class ReplicaHost:
     through the same :meth:`check_consistency` entry point.
 
     Subclasses must implement :meth:`_replica_map` (who owns which replica
-    id), :meth:`submit_operation` (how a client operation addressed to a
-    replica is executed) and the :attr:`now` clock; the optional hooks
-    default to no-ops.
+    id) and the :attr:`now` clock; hosts that take workload operations
+    implement :meth:`submit_operation` too (how a client operation
+    addressed to a replica is executed, and what happens to its messages).
+    The optional hooks default to no-ops.
     """
 
     def __init__(self, share_graph: ShareGraph) -> None:
@@ -363,9 +367,9 @@ class ReplicaHost:
     def submit_operation(self, operation: "Any") -> Any:
         """Execute one client operation (a :class:`~repro.sim.workloads.Operation`).
 
-        Every host implements this, which is what lets one workload —
-        closed-loop replay, open-loop arrivals, or a live client stream —
-        drive any deployment.
+        Both simulated architectures implement this, which is what lets
+        one workload — closed-loop replay or open-loop arrivals — drive
+        either deployment.
         """
         raise NotImplementedError
 
@@ -464,14 +468,55 @@ class ReplicaHost:
             (self.now if at is None else at, kind)
         )
 
-    def _note_issue(self, update: Update) -> None:
-        self._issue_times[update.uid] = self.now
+    def _note_issue(self, update: Update, at: float) -> None:
+        self._issue_times[update.uid] = at
         if self.tracer is not None:
             self.tracer.record("issue", update.uid, update.uid[0],
-                               update.uid[0], self.now)
+                               update.uid[0], at)
+
+    # ------------------------------------------------------------------
+    # The algorithm prototype (Section 2.1), for both runtimes
+    # ------------------------------------------------------------------
+    # Each operation reads the host clock once, or takes ``at``: the
+    # simulator passes nothing (the kernel clock), the live node the time
+    # it read the op or the batch, and WAL replay the time its record
+    # stores — which is what makes a replay regenerate the live trace.
+
+    def perform_write(self, replica_id: ReplicaId, register: Register,
+                      value: Any, at: Optional[float] = None
+                      ) -> Optional[Tuple[Update, List[UpdateMessage]]]:
+        """Step 2 at ``replica_id``: apply a client write locally.
+
+        Returns ``(update, outgoing messages)`` — transporting the
+        messages is the caller's business — or ``None``, counting the
+        rejection, when :meth:`operation_rejected` refuses the operation.
+        """
+        if self.operation_rejected(replica_id, register):
+            self.metrics.rejected_operations += 1
+            return None
+        replica = self._replica(replica_id)
+        t = self.now if at is None else at
+        messages = replica.write(register, value, sim_time=t)
+        self._record_operation("write", at=t)
+        update = replica.events[-1].update
+        self._note_issue(update, t)
+        return update, messages
+
+    def perform_read(self, replica_id: ReplicaId, register: Register,
+                     at: Optional[float] = None) -> Any:
+        """Step 1 at ``replica_id``: answer a client read from the local
+        copy; ``None``, counting the rejection, when it is refused."""
+        if self.operation_rejected(replica_id, register):
+            self.metrics.rejected_operations += 1
+            return None
+        t = self.now if at is None else at
+        value = self._replica(replica_id).read(register, sim_time=t)
+        self._record_operation("read", at=t)
+        return value
 
     def deliver(self, replica: CausalReplica,
-                messages: Sequence[UpdateMessage]) -> List[Update]:
+                messages: Sequence[UpdateMessage],
+                at: Optional[float] = None) -> List[Update]:
         """The receive rule (Section 2.1, steps 3–4), for both runtimes.
 
         Epoch admission, then one
@@ -479,7 +524,7 @@ class ReplicaHost:
         buffering every message, then one drain of the pending index with
         the unified metrics — whether ``messages`` is a standalone envelope
         or a whole batch, popped from the simulator's kernel, flushed at an
-        epoch boundary or read off a live socket.
+        epoch boundary, read off a live socket or replayed from a WAL.
 
         Frames from a retired configuration are rejected: their metadata
         indexes edges that no longer exist and must not reach the
@@ -496,30 +541,32 @@ class ReplicaHost:
         if not accepted:
             return []
         replica.receive_many(accepted)
-        applied = self._apply_ready(replica)
+        applied = self._apply_ready(replica, at=at)
         self._after_delivery(replica)
         return applied
 
-    def _apply_ready(self, replica: CausalReplica, force: bool = False) -> List[Update]:
+    def _apply_ready(self, replica: CausalReplica, force: bool = False,
+                     at: Optional[float] = None) -> List[Update]:
         """Run a replica's apply loop and record the unified metrics."""
-        applied = replica.apply_ready(sim_time=self.now, force=force)
+        t = self.now if at is None else at
+        applied = replica.apply_ready(sim_time=t, force=force)
         replayed = replica.replayed
         for update in applied:
             self.metrics.applies += 1
-            self.metrics.apply_times.append(self.now)
+            self.metrics.apply_times.append(t)
             issued_at = self._issue_times.get(update.uid)
             # State-transfer replays measure the history's age, not
             # propagation: they are applies but not latency samples.
             if issued_at is not None and update.uid not in replayed:
-                self.metrics.apply_latencies.append(self.now - issued_at)
+                self.metrics.apply_latencies.append(t - issued_at)
         if self.tracer is not None:
             for update in applied:
                 self.tracer.record("apply", update.uid, update.uid[0],
-                                   replica.replica_id, self.now)
+                                   replica.replica_id, t)
         if applied and self.fault_injector is not None:
-            self.fault_injector.note_applies(replica.replica_id, applied, self.now)
+            self.fault_injector.note_applies(replica.replica_id, applied, t)
         if applied and self.reconfig_manager is not None:
-            self.reconfig_manager.note_applies(replica.replica_id, applied, self.now)
+            self.reconfig_manager.note_applies(replica.replica_id, applied, t)
         pending = replica.pending_count()
         previous = self.metrics.max_pending.get(replica.replica_id, 0)
         self.metrics.max_pending[replica.replica_id] = max(previous, pending)

@@ -24,7 +24,7 @@ decouples the logical communication graph from the physical one:
   copy, and duplicate suppression keeps delivery exactly-once;
 * **intra-node short-circuit**: a channel between two tenants of the same
   node never touches a socket or a codec — the copy goes straight through
-  the in-process batch-apply path (:meth:`LiveNodeHost.deliver`) and acks
+  the in-process batch-apply path (:meth:`ReplicaHost.deliver`) and acks
   synchronously;
 * **log-structured durability** (:mod:`repro.net.wal`): with a
   ``durable_dir`` configured every state change appends one O(delta)
@@ -50,11 +50,10 @@ import pickle
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from ..core.errors import ConfigurationError, ReproError
 from ..core.host import ReplicaHost
-from ..core.protocol import CausalReplica, Known, Update, UpdateId, UpdateMessage
+from ..core.protocol import CausalReplica, Known, UpdateId, UpdateMessage
 from ..core.registers import Register, ReplicaId
 from ..core.replica import edge_indexed_factory
 from ..core.share_graph import ShareGraph
@@ -139,77 +138,28 @@ class LiveNodeHost(ReplicaHost):
     metrics, issue books and traces stay per-replica; the launcher
     stitches them back into a cluster-wide view at report collection.
 
-    The optional ``at`` arguments pin an operation to a recorded time —
-    the WAL replay path re-executes logged operations at their original
-    stamps, regenerating the identical event trace.
+    Every operation goes through the shared
+    :meth:`~repro.core.host.ReplicaHost.perform_write`,
+    :meth:`~repro.core.host.ReplicaHost.perform_read` and
+    :meth:`~repro.core.host.ReplicaHost.deliver` at an explicit time — the
+    time the node read the op or the batch, which is also the time its
+    WAL record stores.  The WAL replay passes the recorded time to the same
+    calls, so it regenerates the identical event trace.
     """
 
     def __init__(self, share_graph: ShareGraph, replica: CausalReplica,
                  clock_origin: float = 0.0) -> None:
         super().__init__(share_graph)
-        self.replica = replica
         self._replicas = {replica.replica_id: replica}
         self._clock_origin = clock_origin or time.time()
-        self._time_override: Optional[float] = None
 
     @property
     def now(self) -> float:
         """Seconds since the cluster's shared clock origin (wall clock)."""
-        if self._time_override is not None:
-            return self._time_override
         return time.time() - self._clock_origin
 
     def _replica_map(self) -> Mapping[ReplicaId, CausalReplica]:
         return self._replicas
-
-    # ------------------------------------------------------------------
-    # Client operations (the live counterpart of Cluster.write/read)
-    # ------------------------------------------------------------------
-    def perform_write(self, register: Register, value: Any,
-                      at: Optional[float] = None):
-        """Apply a write locally; returns ``(update, outgoing messages)``."""
-        self._time_override = at
-        try:
-            messages = self.replica.write(register, value, sim_time=self.now)
-            self._record_operation("write")
-            update = self.replica.events[-1].update
-            self._note_issue(update)
-        finally:
-            self._time_override = None
-        return update, messages
-
-    def perform_read(self, register: Register,
-                     at: Optional[float] = None) -> Any:
-        """Serve a read from the local copy."""
-        self._time_override = at
-        try:
-            value = self.replica.read(register, sim_time=self.now)
-            self._record_operation("read")
-            return value
-        finally:
-            self._time_override = None
-
-    def submit_operation(self, operation: Any) -> Any:
-        """Execute one workload operation (messages are NOT transported).
-
-        Exists for surface parity with the simulator hosts; the node's
-        async op handler uses :meth:`perform_write` / :meth:`perform_read`
-        directly so it can route the returned messages onto the channels.
-        """
-        if operation.kind == "write":
-            return self.perform_write(operation.register, operation.value)[0]
-        if operation.kind == "read":
-            return self.perform_read(operation.register)
-        raise ConfigurationError(f"unknown operation kind {operation.kind!r}")
-
-    def deliver(self, replica: CausalReplica, messages: Sequence[UpdateMessage],
-                at: Optional[float] = None) -> List[Update]:
-        """The shared receive rule; ``at`` pins it to a recorded time."""
-        self._time_override = at
-        try:
-            return super().deliver(replica, messages)
-        finally:
-            self._time_override = None
 
 
 class _Tenant:
@@ -269,6 +219,48 @@ class _Tenant:
     def maybe_compact(self) -> None:
         if self.wal is not None and self.wal.should_compact():
             self.wal.checkpoint(self.checkpoint_state())
+
+    # ------------------------------------------------------------------
+    # Client operations (served, or replayed with ``log=False``)
+    # ------------------------------------------------------------------
+    def write(self, register: Register, value: Any, at: float,
+              log: bool = True) -> List[UpdateMessage]:
+        """Issue a write at host time ``at``: its copies enter the sent-log
+        and the drain books, and are returned for the caller to route.
+
+        Replay is deterministic: the replica derives the uid and the
+        outgoing copies from durable state, so re-executing a ``W_WRITE``
+        record at its recorded time regenerates both exactly (``log=False``:
+        the record is already in the log).
+        """
+        update, messages = self.host.perform_write(
+            self.replica_id, register, value, at=at
+        )
+        self.counters["issued"] += 1
+        self.counters["ops_done"] += 1
+        self.apply_times[update.uid] = at
+        hosting, outbox = self.node.config.replica_nodes, self.outbox_total
+        for message in messages:
+            destination = message.destination
+            self.node.senders[hosting.get(destination, destination)].log(message)
+            outbox[destination] = outbox.get(destination, 0) + 1
+        if log and self.wal is not None:
+            # One O(delta) record instead of a whole-state snapshot.
+            self.wal.append(wal_records.W_WRITE,
+                            wal_records.encode_write_record(register, value, at))
+            self.maybe_compact()
+        return messages
+
+    def read(self, register: Register, at: float, log: bool = True) -> Any:
+        """Serve a read from the local copy at host time ``at``."""
+        value = self.host.perform_read(self.replica_id, register, at=at)
+        self.counters["ops_done"] += 1
+        if log and self.wal is not None:
+            # The READ trace event is durable state too.
+            self.wal.append(wal_records.W_READ,
+                            wal_records.encode_read_record(register, at))
+            self.maybe_compact()
+        return value
 
     # ------------------------------------------------------------------
     # Reporting
@@ -517,15 +509,6 @@ class LiveNode:
         # reconnect rewinds it (TCP loses a copy only with its connection).
         return ChannelSender(self.config.batching)
 
-    def _log_outgoing(self, tenant: _Tenant,
-                      messages: List[UpdateMessage]) -> None:
-        """Enter a write's copies into the sent-log and the drain books."""
-        hosting, outbox = self.config.replica_nodes, tenant.outbox_total
-        for message in messages:
-            destination = message.destination
-            self.senders[hosting.get(destination, destination)].log(message)
-            outbox[destination] = outbox.get(destination, 0) + 1
-
     def _settle(self, tenant: _Tenant, destination: ReplicaId,
                 uids: List[UpdateId], log: bool = True) -> None:
         """Acked ⇒ durable at the receiver: settle a tenant's copies
@@ -594,20 +577,10 @@ class LiveNode:
         for kind, payload in records:
             if kind == wal_records.W_WRITE:
                 register, value, at = wal_records.decode_write_record(payload)
-                # Replay is deterministic: the replica derives the uid and
-                # the outgoing copies from durable state, so re-executing
-                # the write at its recorded time regenerates both exactly.
-                update, messages = tenant.host.perform_write(
-                    register, value, at=at
-                )
-                tenant.counters["issued"] += 1
-                tenant.counters["ops_done"] += 1
-                tenant.apply_times[update.uid] = at
-                self._log_outgoing(tenant, messages)
+                tenant.write(register, value, at, log=False)
             elif kind == wal_records.W_READ:
                 register, at = wal_records.decode_read_record(payload)
-                tenant.host.perform_read(register, at=at)
-                tenant.counters["ops_done"] += 1
+                tenant.read(register, at, log=False)
             elif kind == wal_records.W_DELIVER:
                 received_at, batch = wal_records.decode_deliver_record(payload)
                 self._deliver(tenant, batch.channel, list(batch.messages),
@@ -623,10 +596,12 @@ class LiveNode:
                  messages: List[UpdateMessage],
                  received_at: Optional[float] = None,
                  log: bool = True) -> None:
-        """First-receipt bookkeeping, WAL append, batch apply.
+        """First-receipt bookkeeping, WAL append, batch apply — all at
+        ``received_at``, the time the batch was read, which the WAL record
+        stores.
 
         ``log=False`` is the replay path: the record being replayed is
-        already in the log, and times come from it, not the clock.
+        already in the log, and its time comes from it, not the clock.
         """
         if received_at is None:
             received_at = self.now
@@ -663,14 +638,9 @@ class LiveNode:
                     received_at, record_batch, tenant.replica.wire_codec()
                 ),
             )
-        if log:
-            applied = tenant.host.deliver(tenant.replica, fresh)
-            applied_at = self.now
-        else:
-            applied = tenant.host.deliver(tenant.replica, fresh, at=received_at)
-            applied_at = received_at
+        applied = tenant.host.deliver(tenant.replica, fresh, at=received_at)
         for update in applied:
-            tenant.apply_times[update.uid] = applied_at
+            tenant.apply_times[update.uid] = received_at
         if log:
             tenant.maybe_compact()
 
@@ -953,58 +923,26 @@ class LiveNode:
         tenant = self.tenants.get(replica_id)
         status = frames.OP_OK
         reply_value: Any = None
-        messages: List[UpdateMessage] = []
-        issued_at = self.now
-        if tenant is None:
+        if tenant is None or register not in tenant.replica.registers:
+            # The replica's one validation, made here before anything
+            # mutates, so a rejection is always a clean no-op.  Failures
+            # after the mutation (WAL I/O, codec bugs) deliberately
+            # propagate instead of masquerading as rejections — the
+            # connection drops, the client sees an unanswered op, and the
+            # durable trace still tells the truth about what was applied.
             status = frames.OP_REJECTED
-        else:
-            try:
-                # Validation raises *before* any state mutates (the replica
-                # checks register membership first), so a rejection is
-                # always a clean no-op.  Infrastructure failures after the
-                # mutation (WAL I/O, codec bugs) deliberately propagate
-                # instead of masquerading as rejections — the connection
-                # drops, the client sees an unanswered op, and the durable
-                # trace still tells the truth about what was applied.
-                if kind == "write":
-                    update, messages = tenant.host.perform_write(
-                        register, value, at=issued_at
-                    )
-                else:
-                    reply_value = tenant.host.perform_read(
-                        register, at=issued_at
-                    )
-                    if tenant.wal is not None:
-                        # The READ trace event is durable state too.
-                        tenant.wal.append(
-                            wal_records.W_READ,
-                            wal_records.encode_read_record(register, issued_at),
-                        )
-                        tenant.maybe_compact()
-            except ReproError:
-                status = frames.OP_REJECTED
-                messages = []
-        if status == frames.OP_OK and kind == "write":
-            tenant.counters["issued"] += 1
-            tenant.apply_times[update.uid] = issued_at
-            self._log_outgoing(tenant, messages)
-            if tenant.wal is not None:
-                # One O(delta) record instead of a whole-state snapshot:
-                # replaying the write at its recorded time regenerates the
-                # update, its uid and every outgoing copy.
-                tenant.wal.append(
-                    wal_records.W_WRITE,
-                    wal_records.encode_write_record(register, value, issued_at),
-                )
-                tenant.maybe_compact()
+            if tenant is not None:
+                tenant.counters["ops_done"] += 1
+        elif kind == "write":
+            messages = tenant.write(register, value, self.now)
             local = [m for m in messages if m.destination in self.tenants]
             remote = [m for m in messages if m.destination not in self.tenants]
             for message in local:
                 self._deliver_intra(tenant, message)
             for message in remote:
                 await self._stream_for(message.destination).enqueue(message)
-        if tenant is not None:
-            tenant.counters["ops_done"] += 1
+        else:
+            reply_value = tenant.read(register, self.now)
         writer.write(encode_frame(
             frames.OP_REPLY, frames.encode_op_reply(op_id, status, reply_value)
         ))

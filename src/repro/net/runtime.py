@@ -132,10 +132,6 @@ class ControlLink:
             frames.OP, frames.encode_op(op_id, replica, kind, register, value)
         )
 
-    def outstanding_ops(self) -> int:
-        with self._ops_lock:
-            return len(self._pending_ops)
-
     def request_stats(
         self, timeout: float = 5.0
     ) -> Tuple[frames.NodeStats, dict, dict]:

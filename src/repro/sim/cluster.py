@@ -106,37 +106,25 @@ class Cluster(SimulationHost):
 
     def write(self, replica_id: ReplicaId, register: Register,
               value: Any) -> Optional[Update]:
-        """Issue a write at the client co-located with ``replica_id``.
+        """Issue a write at the client co-located with ``replica_id`` and
+        multicast its update messages.
 
         Returns ``None`` (rejecting the operation) while the replica is
         crashed by the fault injector, outside the current membership,
         migrating, or (under dynamic membership) not storing the register
         — the availability cost of faults and reconfiguration.
         """
-        if self.operation_rejected(replica_id, register):
-            self.metrics.rejected_operations += 1
+        issued = self.perform_write(replica_id, register, value)
+        if issued is None:
             return None
-        replica = self.replica(replica_id)
-        messages = replica.write(register, value, sim_time=self.now)
-        self._record_operation("write")
-        update = replica.events[-1].update
-        self._note_issue(update)
+        update, messages = issued
         self.network.send_all(messages)
         return update
 
     def read(self, replica_id: ReplicaId, register: Register) -> Any:
-        """Issue a read at the client co-located with ``replica_id``.
-
-        Returns ``None`` (rejecting the operation) while the replica is
-        crashed, outside the current membership, migrating, or (under
-        dynamic membership) not storing the register.
-        """
-        if self.operation_rejected(replica_id, register):
-            self.metrics.rejected_operations += 1
-            return None
-        value = self.replica(replica_id).read(register, sim_time=self.now)
-        self._record_operation("read")
-        return value
+        """Issue a read at the client co-located with ``replica_id``
+        (``None`` when rejected, as for :meth:`write`)."""
+        return self.perform_read(replica_id, register)
 
     def submit_operation(self, operation: Any) -> Any:
         """Execute one workload :class:`~repro.sim.workloads.Operation`."""

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    ClassVar,
     Dict,
     FrozenSet,
     Iterable,
@@ -81,14 +82,12 @@ __all__ = [
     "ChannelWireStats",
     "DeliveryEvent",
     "EventKernel",
-    "FaultEvent",
     "FaultRecord",
     "Firing",
     "LatencySummary",
     "NetworkStats",
     "QueueDepthSample",
     "QueueDepthStats",
-    "ReconfigEvent",
     "ReliabilityConfig",
     "ReplicaHost",
     "RunMetrics",
@@ -120,6 +119,8 @@ class DeliveryEvent:
     includes the window wait and every retransmission.
     """
 
+    rank: ClassVar[int] = 2
+
     messages: Tuple[UpdateMessage, ...]
     sent_times: Tuple[float, ...]
     epoch: Optional[int] = None
@@ -133,14 +134,20 @@ class DeliveryEvent:
 
 @dataclass(frozen=True, slots=True)
 class TimerEvent:
-    """A scheduled callback, e.g. a metrics sampler.
+    """A scheduled callback: a metrics sampler, a batch flush, a
+    retransmission — or a fault or reconfiguration step.
 
     The callback is invoked as ``callback(host, time)`` when the event
-    fires.
+    fires.  ``rank`` orders events scheduled at the same instant (see
+    :class:`EventKernel`): faults are timers of rank 0 and
+    reconfiguration steps timers of rank 1, so a fault or membership
+    schedule replays deterministically against the rest of the event
+    stream.
     """
 
     callback: Callable[["SimulationHost", float], None]
     tag: str = ""
+    rank: int = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,53 +159,12 @@ class ArrivalEvent:
     :class:`~repro.sim.workloads.Operation`).
     """
 
+    rank: ClassVar[int] = 3
+
     operation: Any
 
 
-@dataclass(frozen=True, slots=True)
-class FaultEvent:
-    """A scheduled fault action (crash, restart, partition, heal, …).
-
-    Faults are first-class kernel events so a fault schedule replays
-    deterministically against the rest of the event stream.  The action is
-    invoked as ``action(host, time)`` when the event fires; the
-    :class:`~repro.sim.faults.FaultInjector` builds these from a declarative
-    :class:`~repro.sim.faults.FaultSchedule`.
-    """
-
-    action: Callable[["SimulationHost", float], None]
-    kind: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class ReconfigEvent:
-    """A scheduled reconfiguration step (window open, epoch commit).
-
-    Like faults, reconfigurations are first-class kernel events, so a
-    membership-change schedule replays deterministically against the rest
-    of the event stream.  The action is invoked as ``action(host, time)``;
-    the :class:`~repro.sim.reconfig.ReconfigManager` builds these from a
-    declarative :class:`~repro.sim.reconfig.ReconfigSchedule`.
-    """
-
-    action: Callable[["SimulationHost", float], None]
-    kind: str = ""
-
-
-Event = Any  # DeliveryEvent | TimerEvent | ArrivalEvent | FaultEvent | ReconfigEvent
-
-#: Tie-break order for events scheduled at the same instant: faults first
-#: (a crash at time t suppresses a delivery at time t), then
-#: reconfiguration steps (a commit at time t flushes a delivery scheduled
-#: at time t into the old epoch), then deliveries (so arrivals and samplers
-#: observe the freshest replica state), then arrivals, then timers.
-_EVENT_PRIORITY: Dict[type, int] = {
-    FaultEvent: 0,
-    ReconfigEvent: 1,
-    DeliveryEvent: 2,
-    ArrivalEvent: 3,
-    TimerEvent: 4,
-}
+Event = Any  # DeliveryEvent | TimerEvent | ArrivalEvent
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,9 +178,14 @@ class Firing:
 class EventKernel:
     """A priority queue of typed events sharing one simulated clock.
 
-    Events fire in ``(time, priority, insertion order)`` order, so two runs
+    Events fire in ``(time, rank, insertion order)`` order, so two runs
     that schedule the same events observe identical executions — the basis
-    of every same-seed determinism guarantee in the simulator.
+    of every same-seed determinism guarantee in the simulator.  The rank
+    breaks same-instant ties: faults first (a crash at time t suppresses a
+    delivery at time t), then reconfiguration steps (a commit at time t
+    flushes a delivery scheduled at time t into the old epoch), then
+    deliveries (so arrivals and samplers observe the freshest replica
+    state), then arrivals, then every other timer.
     """
 
     def __init__(self) -> None:
@@ -231,8 +202,7 @@ class EventKernel:
             raise SimulationError(
                 f"cannot schedule an event at {time} < now ({self.now})"
             )
-        priority = _EVENT_PRIORITY.get(type(event), 5)
-        heapq.heappush(self._heap, (time, priority, next(self._counter), event))
+        heapq.heappush(self._heap, (time, event.rank, next(self._counter), event))
 
     def schedule_after(self, delay: float, event: Event) -> None:
         """Schedule ``event`` to fire ``delay`` time units from now."""
@@ -263,15 +233,11 @@ class EventKernel:
         """The firing time of the next event, or ``None`` when idle."""
         return self._heap[0][0] if self._heap else None
 
-    def peek_event(self) -> Optional[Event]:
-        """The next event without popping it, or ``None`` when idle."""
-        return self._heap[0][3] if self._heap else None
-
     def extract(self, predicate: Callable[[Event], bool]) -> List[Event]:
         """Remove every scheduled event matching ``predicate`` from the queue.
 
         Returns the extracted events in their would-have-fired order
-        (time, priority, insertion), without advancing the clock.  Used by
+        (time, rank, insertion), without advancing the clock.  Used by
         the reconfiguration commit to flush the old epoch's in-flight
         deliveries at the epoch boundary; determinism is preserved because
         the extraction order is the firing order.
@@ -972,7 +938,7 @@ class SimulationHost(ReplicaHost):
         kind: str = "",
     ) -> None:
         """Schedule a fault action at absolute simulated time ``time``."""
-        self.kernel.schedule_at(time, FaultEvent(action=action, kind=kind))
+        self.kernel.schedule_at(time, TimerEvent(callback=action, tag=kind, rank=0))
 
     def schedule_reconfig_at(
         self,
@@ -981,7 +947,7 @@ class SimulationHost(ReplicaHost):
         kind: str = "",
     ) -> None:
         """Schedule a reconfiguration step at absolute simulated time ``time``."""
-        self.kernel.schedule_at(time, ReconfigEvent(action=action, kind=kind))
+        self.kernel.schedule_at(time, TimerEvent(callback=action, tag=kind, rank=1))
 
     def schedule_arrival(self, delay: float, operation: "Any") -> None:
         """Schedule an open-loop client operation ``delay`` units from now."""
@@ -1018,10 +984,6 @@ class SimulationHost(ReplicaHost):
         elif isinstance(event, ArrivalEvent):
             self.last_activity_time = firing.time
             self._handle_arrival(event.operation)
-        elif isinstance(event, FaultEvent):
-            event.action(self, firing.time)
-        elif isinstance(event, ReconfigEvent):
-            event.action(self, firing.time)
         else:  # pragma: no cover - future event types
             raise SimulationError(f"unknown event type {type(event).__name__}")
         return True

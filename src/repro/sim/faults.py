@@ -8,8 +8,8 @@ edge-timestamp causal consistency behaves under infrastructure faults:
 * a declarative :class:`FaultSchedule` (built from :func:`crash`,
   :func:`restart`, :func:`partition`, :func:`heal`, :func:`latency_spike`
   actions, or generated by :func:`random_fault_schedule`) that a
-  :class:`FaultInjector` installs as first-class
-  :class:`~repro.sim.engine.FaultEvent` kernel events, so a fault schedule
+  :class:`FaultInjector` installs as first-class kernel events (timers of
+  rank 0, :class:`~repro.sim.engine.TimerEvent`), so a fault schedule
   replays deterministically against the rest of the event stream;
 * a crash/restart protocol that keeps the replica object: a crash drops
   only its volatile state (a server's buffered client requests), and
@@ -370,10 +370,6 @@ class FaultInjector:
         if not missing:
             del self._recovering[replica_id]
             self.host.metrics.recovery_latencies.append(now - started)
-
-    def recovering_replicas(self) -> FrozenSet[ReplicaId]:
-        """Replicas restarted but not yet caught up."""
-        return frozenset(self._recovering)
 
     def finalize_downtime(self) -> None:
         """Close still-open downtime intervals at the current time.

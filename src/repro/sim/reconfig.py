@@ -8,8 +8,8 @@ the transition:
 
 * a declarative :class:`ReconfigSchedule` (built from :func:`join`,
   :func:`leave`, :func:`add_edge`, :func:`remove_edge` actions) that a
-  :class:`ReconfigManager` installs as first-class
-  :class:`~repro.sim.engine.ReconfigEvent` kernel events;
+  :class:`ReconfigManager` installs as first-class kernel events (timers of
+  rank 1, :class:`~repro.sim.engine.TimerEvent`);
 * an **epoch protocol**: the coordinator stamps each configuration with an
   epoch.  A change opens a *migration window* (client operations at the
   affected replicas are rejected — the availability cost), and commits by
@@ -418,7 +418,7 @@ class ReconfigManager:
     Attaching a manager switches the host onto the dynamic-membership path:
     client operations consult :meth:`rejecting` (state transfer rides the
     transport's sent-log/resync machinery, like crash recovery), and scheduled
-    :class:`~repro.sim.engine.ReconfigEvent`\\ s replay deterministically
+    reconfiguration steps replay deterministically
     against the rest of the event stream.
 
     Parameters
@@ -510,21 +510,6 @@ class ReconfigManager:
     def notify_fault_cleared(self) -> None:
         """Called by the fault injector after a heal or restart."""
         self._maybe_resume()
-
-    def finalize_windows(self) -> None:
-        """Close still-open windows at the current time (end-of-run report)."""
-        now = self.host.now
-        metrics = self.host.metrics
-        for replica_id, started in sorted(self._warming.items()):
-            metrics.downtime.setdefault(replica_id, []).append((started, now))
-        self._warming = {rid: now for rid in self._warming}
-        if self._active is not None and self._window_opened_at is not None:
-            for replica_id in sorted(self._affected):
-                metrics.downtime.setdefault(replica_id, []).append(
-                    (self._window_opened_at, now)
-                )
-            metrics.migration_windows.append((self._window_opened_at, now))
-            self._window_opened_at = now
 
     # ------------------------------------------------------------------
     # The epoch protocol

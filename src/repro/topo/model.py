@@ -240,10 +240,6 @@ class Topology:
         """All region labels, sorted."""
         return tuple(sorted(set(self.regions.values())))
 
-    def nodes_in_region(self, region: str) -> Tuple[NodeId, ...]:
-        """All sites labelled ``region``, sorted."""
-        return tuple(sorted(n for n, r in self.regions.items() if r == region))
-
     # ------------------------------------------------------------------
     # Latency structure
     # ------------------------------------------------------------------

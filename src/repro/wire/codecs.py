@@ -193,13 +193,6 @@ class TimestampCodec:
             state[self._FULL_SIZE_ATTR] = self.full_frame_size(prev) + grown
         return True
 
-    def encode_delta(self, ts: Any, prev: Any) -> Optional[bytes]:
-        """Delta body against ``prev``, or ``None`` when no delta applies."""
-        out = bytearray()
-        if not self.encode_delta_into(out, ts, prev):
-            return None
-        return bytes(out)
-
     def decode_delta(self, data: bytes, offset: int, prev: Any) -> Tuple[Any, int]:
         """Apply a delta body to ``prev``; returns ``(timestamp, new_offset)``.
 

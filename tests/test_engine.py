@@ -1,8 +1,9 @@
 """Tests for the unified simulation kernel (repro.sim.engine).
 
-Covers the typed event queue (ordering, determinism), the open-loop
-workload generators, peer-to-peer vs client–server parity on one workload,
-the indexed apply path against the reference rescan, and the cross-replica
+Covers the typed event queue (ordering, determinism), the shared host
+operation path (on a simulated and a live host), the open-loop workload
+generators, peer-to-peer vs client–server parity on one workload, the
+indexed apply path against the reference rescan, and the cross-replica
 apply fixpoint at quiescence.
 """
 
@@ -11,10 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.clientserver import ClientServerCluster
-from repro.core.protocol import CausalReplica, Update, UpdateMessage
+from repro.core.protocol import CausalReplica, EventKind, Update, UpdateMessage
 from repro.core.replica import EdgeIndexedReplica
 from repro.core.share_graph import ShareGraph
 from repro.sim.cluster import Cluster, edge_indexed_factory
+from repro.net.node import LiveNodeHost
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.engine import (
     ArrivalEvent,
@@ -24,6 +26,7 @@ from repro.sim.engine import (
     TimerEvent,
     throughput_timeline,
 )
+from repro.sim.faults import FaultInjector
 from repro.sim.topologies import figure5_placement, ring_placement, triangle_placement
 from repro.sim.workloads import (
     Operation,
@@ -141,6 +144,55 @@ class TestMetricsPipeline:
             assert host.metrics.applies == 1
             assert host.metrics.apply_latency_summary().count == 1
             assert host.metrics.mean_apply_latency > 0
+
+
+def _cluster_hosts(graph):
+    cluster = Cluster(graph, seed=0)
+    return cluster, cluster
+
+
+def _live_hosts(graph):
+    """One live host per replica: the writer (replica 1), the reader (2)."""
+    return tuple(LiveNodeHost(graph, edge_indexed_factory(graph, rid))
+                 for rid in (1, 2))
+
+
+def _stamps(host, replica_id):
+    return [(event.kind, event.sim_time)
+            for event in host.events_by_replica()[replica_id]]
+
+
+class TestHostOperationPath:
+    """Both runtimes perform writes, reads and deliveries through one
+    implementation on :class:`~repro.core.host.ReplicaHost`."""
+
+    @pytest.mark.parametrize("hosts", [_cluster_hosts, _live_hosts],
+                             ids=["cluster", "live"])
+    def test_explicit_time_lands_in_every_book(self, hosts):
+        graph = ShareGraph.from_placement(triangle_placement())
+        writer, reader = hosts(graph)
+        update, messages = writer.perform_write(1, "x", "v", at=5.0)
+        assert reader.perform_read(2, "x", at=6.0) is None
+        (to_reader,) = [m for m in messages if m.destination == 2]
+        assert reader.deliver(reader._replica(2), [to_reader], at=7.0) == [update]
+        assert _stamps(writer, 1) == [(EventKind.ISSUE, 5.0)]
+        assert _stamps(reader, 2) == [(EventKind.READ, 6.0), (EventKind.APPLY, 7.0)]
+        assert writer._issue_times == {update.uid: 5.0}
+        assert writer.metrics.operation_times[0] == (5.0, "write")
+        assert reader.metrics.operation_times[-1] == (6.0, "read")
+        assert reader.metrics.apply_times == [7.0]
+
+    def test_op_at_a_crashed_replica_is_rejected_once_and_traces_nothing(self):
+        graph = ShareGraph.from_placement(triangle_placement())
+        cluster = Cluster(graph, seed=0)
+        FaultInjector(cluster).crash_now(1)
+        assert cluster.write(1, "x", "v") is None
+        assert cluster.read(1, "z") is None
+        metrics = cluster.metrics
+        assert metrics.rejected_operations == 2
+        assert (metrics.writes, metrics.reads, metrics.operation_times) == (0, 0, [])
+        assert cluster.events_by_replica()[1] == []
+        assert cluster.network.stats.messages_sent == 0
 
 
 class TestOpenLoopGenerators:

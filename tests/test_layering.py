@@ -3,7 +3,9 @@
 ``repro.net`` (the live runtime) and ``repro.sim`` (the simulator) are the
 two drivers of the shared layers and must not reach into each other; the
 shared layers must not reach up into either.  Checked on the parsed import
-statements, so a lazy import inside a function counts too.
+statements, so a lazy import inside a function counts too.  The same
+parsed source guards the shared host surface: the operation path of
+``core/host.py`` is not re-forked by a runtime's host subclass.
 """
 
 from __future__ import annotations
@@ -75,3 +77,39 @@ def test_fault_and_reconfig_layers_know_one_delivery_event_type():
         for path in (ROOT / "sim" / "reconfig.py", ROOT / "sim" / "faults.py")
     }
     assert set().union(*delivery_events.values()) == {"DeliveryEvent"}, delivery_events
+
+
+#: The operation path both runtimes share: written once, on ``ReplicaHost``.
+HOST_OPERATION_PATH = ("perform_write", "perform_read", "deliver",
+                       "_apply_ready", "_note_issue", "_record_operation")
+
+
+def test_no_replica_host_subclass_forks_the_operation_path():
+    """Writes, reads and deliveries run through ``core/host.py`` alone: no
+    ``ReplicaHost`` subclass under ``src/`` redefines a step of them (test
+    instrumentation outside the package is free to wrap them)."""
+    bases = {}
+    for path in sorted(ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                names = {base.id if isinstance(base, ast.Name) else
+                         getattr(base, "attr", None) for base in node.bases}
+                bases[node.name] = (path, node, names)
+    hosts = {"ReplicaHost"}
+    grown = True
+    while grown:
+        grown = False
+        for name, (_, _, names) in bases.items():
+            if name not in hosts and names & hosts:
+                hosts.add(name)
+                grown = True
+    assert {"SimulationHost", "Cluster", "LiveNodeHost"} <= hosts
+    offending = [
+        f"{path.relative_to(ROOT.parent)}:{item.lineno} {name}.{item.name}"
+        for name in sorted(hosts - {"ReplicaHost"})
+        for path, node, _ in [bases[name]]
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name in HOST_OPERATION_PATH
+    ]
+    assert not offending, "\n".join(offending)

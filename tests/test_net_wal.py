@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import copy
+import dataclasses
 import os
 
 import pytest
@@ -349,8 +350,7 @@ def test_node_reload_after_three_compactions_restores_the_history(tmp_path, monk
             assert tenant.wal.compactions >= 3
             assert tenant.wal.checkpoint_bytes > 0 and tenant.wal.checkpoint_seconds > 0
             # One last compaction empties the log: what comes back is the
-            # fold alone (a replayed tail re-stamps applies at their
-            # receipt time, not the wall clock of the original apply).
+            # fold alone (the log-tail replay is checked on its own below).
             tenant.wal.checkpoint(tenant.checkpoint_state())
             tenant.wal.close()
 
@@ -360,6 +360,34 @@ def test_node_reload_after_three_compactions_restores_the_history(tmp_path, monk
             assert _history(tenant) == before[rid]
             assert dict(tenant.replica.store) == stores[rid]
             tenant.wal.close()
+
+
+def test_log_tail_replay_regenerates_the_live_history_exactly(tmp_path):
+    """With compaction off the whole run is one log tail: replaying its
+    records — writes and reads at their op time, deliveries at their
+    receipt time — reproduces every tenant's trace, ``sim_time`` stamps
+    included, and its apply and issue books, which project the trace."""
+    config = dataclasses.replace(_one_node_config(str(tmp_path)),
+                                 wal_compact_bytes=1 << 40)
+    node = LiveNode(config)
+    _drive(node, _operations(config.share_graph, 30))
+    before = {rid: _history(tenant) for rid, tenant in node.tenants.items()}
+    for rid, tenant in node.tenants.items():
+        assert tenant.wal.compactions == 0
+        # The apply and issue books are projections of the trace.
+        stamps = {event.update.uid: event.sim_time
+                  for event in tenant.replica.events if event.update is not None}
+        assert tenant.apply_times == stamps
+        assert tenant.host._issue_times == {
+            uid: at for uid, at in stamps.items() if uid[0] == rid
+        }
+        tenant.wal.close()
+
+    reloaded = LiveNode(config)
+    for rid, tenant in reloaded.tenants.items():
+        assert tenant.recovered
+        assert _history(tenant) == before[rid]
+        tenant.wal.close()
 
 
 def test_each_checkpoint_record_holds_exactly_the_history_since_the_last(tmp_path, monkeypatch):
