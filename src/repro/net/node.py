@@ -26,6 +26,12 @@ decouples the logical communication graph from the physical one:
   node never touches a socket or a codec — the copy goes straight through
   the in-process batch-apply path (:meth:`ReplicaHost.deliver`) and acks
   synchronously;
+* **one socket write per wake-up**: an inbound connection answers every
+  frame of a received chunk — ``OP_REPLY``, ``ACK``, ``SYNC``, ``STATS``,
+  ``REPORT`` — with one write once the chunk is handled, and a peer
+  stream's send-loop pass encodes every due window into one buffer and
+  writes it once.  The per-frame handlers only append to that buffer;
+  frame contents and their order on a connection are unchanged;
 * **log-structured durability** (:mod:`repro.net.wal`): with a
   ``durable_dir`` configured every state change appends one O(delta)
   record to the tenant's write-ahead log — client writes and reads as
@@ -67,7 +73,7 @@ from ..wire.channel import (
 from ..wire.primitives import WireFormatError
 from . import frames
 from . import wal as wal_records
-from .framing import StreamDecoder, encode_frame
+from .framing import StreamDecoder, encode_frame, encode_frame_into
 from .wal import ReplicaWAL, WalCheckpoint
 
 Channel = Tuple[ReplicaId, ReplicaId]
@@ -374,6 +380,7 @@ class _PeerStream:
                     frames.HELLO,
                     frames.encode_hello(self.node.node_id, self.node.port),
                 ))
+                self.node.socket_writes += 1
                 await writer.drain()
                 # Unacked survivors of the previous connection go first.
                 self.sender.rewind(time.monotonic())
@@ -396,24 +403,25 @@ class _PeerStream:
         limit = sender.batching.max_messages
         while True:
             stopping = self.node.stopping.is_set()
-            # Flush full, expired (or closing) windows, a batch at a time;
-            # the rest say how long to sleep.  The sender is asked every
-            # pass, so a window opened under an earlier connection is
-            # served like any other.
+            # Encode full, expired (or closing) windows, a batch at a time,
+            # into one buffer; the rest say how long to sleep.  The sender
+            # is asked every pass, so a window opened under an earlier
+            # connection is served like any other.
             now = time.monotonic()
             soonest = None
-            wrote = False
+            out = bytearray()
             for channel, window in list(sender.windows.items()):
                 while channel in sender.windows and (
                         stopping or window.deadline <= now
                         or len(window.messages) >= limit):
-                    self._flush(writer, channel, now)
-                    wrote = True
+                    self._flush(out, channel, now)
                 if channel in sender.windows and (
                         soonest is None or window.deadline < soonest):
                     soonest = window.deadline
-            if wrote:
-                # One drain for every frame of the pass.
+            if out:
+                # One write and one drain for every frame of the pass.
+                writer.write(out)
+                self.node.socket_writes += 1
                 await writer.drain()
                 self._written.set()
             if stopping and not sender.windows:
@@ -428,12 +436,12 @@ class _PeerStream:
                 pass
             self._wake.clear()
 
-    def _flush(self, writer: asyncio.StreamWriter, channel: Channel,
-               now: float) -> None:
+    def _flush(self, out: bytearray, channel: Channel, now: float) -> None:
+        """Append one window's ``BATCH`` frame to the pass's buffer."""
         src, dst = channel
         tenant = self.node.tenants[src]
-        # Flushed before the write: on a mid-write connection error the
-        # copies are already outstanding and the reconnect re-sends them.
+        # Flushed before the pass's write: on a connection error the copies
+        # are already outstanding and the reconnect re-sends them.
         flushed = self.sender.flush(channel, tenant.replica.wire_codec(), now)
         tenant.counters["sent"] += len(flushed.batch.messages)
         if tenant.tracer is not None:
@@ -441,7 +449,7 @@ class _PeerStream:
             for message in flushed.batch.messages:
                 tenant.tracer.record("wire", message.update.uid, src, dst,
                                      flushed_at)
-        writer.write(encode_frame(frames.BATCH, flushed.data))
+        encode_frame_into(out, frames.BATCH, flushed.data)
 
     async def _read_replies(self, reader: asyncio.StreamReader) -> None:
         """Consume ACK/SYNC frames flowing back on the stream."""
@@ -495,6 +503,13 @@ class LiveNode:
         #: One task per inbound connection (asyncio's server starts them).
         self._handlers: Set[asyncio.Task] = set()
         self._control_connections = 0
+        #: Socket writes this node made: one per chunk answered, send-loop
+        #: pass, stream hello and telemetry push.
+        self.socket_writes = 0
+        #: Inbound batches dropped unacknowledged: no such tenant here.
+        self.misrouted_batches = 0
+        #: Inbound connections dropped for a corrupt or misaligned stream.
+        self.corrupt_streams = 0
         self._recover()
 
     @property
@@ -744,6 +759,9 @@ class LiveNode:
             ("peer_streams", len(self.peer_streams)),
             ("open_streams", sum(1 for stream in streams if stream.connected)),
             ("inbound_connections", len(self._handlers)),
+            ("socket_writes_total", self.socket_writes),
+            ("misrouted_batches_total", self.misrouted_batches),
+            ("corrupt_streams_total", self.corrupt_streams),
             ("wal_bytes", sum(w.wal_bytes for w in wals)),
             ("wal_records_total", sum(w.records_appended for w in wals)),
             ("wal_compactions_total", sum(w.compactions for w in wals)),
@@ -772,6 +790,7 @@ class LiveNode:
                 continue
             try:
                 writer.write(frame)
+                self.socket_writes += 1
                 await writer.drain()
             except (OSError, ConnectionError):
                 continue
@@ -803,7 +822,8 @@ class LiveNode:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         decoder = StreamDecoder()
-        state: Dict[str, Any] = {"peer": None, "decoder": None, "control": False}
+        state: Dict[str, Any] = {"peer": None, "decoder": None, "control": False,
+                                 "writer": writer}
         handler = asyncio.current_task()
         self._handlers.add(handler)
         try:
@@ -811,13 +831,27 @@ class LiveNode:
                 chunk = await reader.read(65536)
                 if not chunk:
                     return
-                for kind, payload in decoder.feed(chunk):
-                    await self._handle_frame(kind, payload, writer, state)
-                    if self.stopping.is_set():
-                        return
+                # Every reply the chunk's frames produce, in frame order,
+                # goes out in one write: one syscall per wake-up, not per
+                # frame.
+                out = bytearray()
+                try:
+                    for kind, payload in decoder.feed(chunk):
+                        await self._handle_frame(kind, payload, out, state)
+                        if self.stopping.is_set():
+                            return
+                finally:
+                    # The frames handled before a SHUTDOWN or a corrupt
+                    # frame are answered too: close() flushes the write.
+                    if out:
+                        writer.write(out)
+                        self.socket_writes += 1
+                if out:
+                    await writer.drain()
         except WireFormatError:
             # A corrupt or misaligned stream: drop the connection (the
             # peer's reconnect + resync path recovers), keep the node up.
+            self.corrupt_streams += 1
             return
         except (OSError, ConnectionError):
             return
@@ -835,9 +869,10 @@ class LiveNode:
             except (OSError, ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _handle_frame(self, kind: int, payload: bytes,
-                            writer: asyncio.StreamWriter,
+    async def _handle_frame(self, kind: int, payload: bytes, out: bytearray,
                             state: Dict[str, Any]) -> None:
+        """Handle one inbound frame, appending its replies to ``out`` (the
+        connection writes them once the chunk is done)."""
         if kind == frames.HELLO:
             peer, port = frames.decode_hello(payload)
             state["peer"] = peer
@@ -850,7 +885,7 @@ class LiveNode:
             # The peer listens on the host it dialled from, at the port it
             # announced — so a restarted peer's new address propagates with
             # its first frame.
-            peername = writer.get_extra_info("peername")
+            peername = state["writer"].get_extra_info("peername")
             peer_host = peername[0] if peername else self.config.listen_host
             self.addresses[peer] = (peer_host, port)
             # Offer the anti-entropy exchange, once per hosted replica
@@ -861,64 +896,63 @@ class LiveNode:
                 tenant = self.tenants[rid]
                 if any(self._hosting_node(nb) == peer
                        for nb in graph.neighbors(rid)):
-                    writer.write(encode_frame(
-                        frames.SYNC, frames.encode_sync(rid, tenant.replica.known()),
-                    ))
-            await writer.drain()
+                    encode_frame_into(
+                        out, frames.SYNC,
+                        frames.encode_sync(rid, tenant.replica.known()),
+                    )
         elif kind == frames.BATCH:
-            await self._handle_batch(payload, writer, state)
+            self._handle_batch(payload, out, state)
         elif kind == frames.CONTROL_HELLO:
             state["control"] = True
             self._control_connections += 1
             if self.config.telemetry_interval > 0:
-                self._telemetry_writers.append(writer)
+                self._telemetry_writers.append(state["writer"])
         elif kind == frames.ADDR:
             node_id, host, port = frames.decode_addr(payload)
             if node_id != self.node_id:
                 self.addresses[node_id] = (host, port)
         elif kind == frames.OP:
-            await self._handle_op(payload, writer)
+            await self._handle_op(payload, out)
         elif kind == frames.STATS_REQ:
-            writer.write(encode_frame(frames.STATS, self._stats_payload()))
-            await writer.drain()
+            encode_frame_into(out, frames.STATS, self._stats_payload())
         elif kind == frames.REPORT_REQ:
             # Final telemetry sample ahead of the report, on the same
             # stream: FIFO ordering lands it before the REPORT reply the
             # launcher blocks on, so even a run shorter than one sampling
             # interval exports its end-of-run counters.
             if self.config.telemetry_interval > 0:
-                writer.write(encode_frame(
-                    frames.TELEMETRY, frames.encode_telemetry_payload(
-                        self.now, self.node_id, self.telemetry_samples(),
-                    )))
-            writer.write(encode_frame(frames.REPORT, pickle.dumps(
+                encode_frame_into(out, frames.TELEMETRY,
+                                  frames.encode_telemetry_payload(
+                                      self.now, self.node_id,
+                                      self.telemetry_samples(),
+                                  ))
+            encode_frame_into(out, frames.REPORT, pickle.dumps(
                 self.report(), protocol=pickle.HIGHEST_PROTOCOL
-            )))
-            await writer.drain()
+            ))
         elif kind == frames.SHUTDOWN:
             self.stopping.set()
         # Unknown kinds are ignored: wire-compatible newer launchers may
         # probe; dropping beats crashing a live node.
 
-    async def _handle_batch(self, payload: bytes, writer: asyncio.StreamWriter,
-                            state: Dict[str, Any]) -> None:
+    def _handle_batch(self, payload: bytes, out: bytearray,
+                      state: Dict[str, Any]) -> None:
         batch, _ = decode_batch(payload, decoder=state["decoder"])
         tenant = self.tenants.get(batch.destination)
         if tenant is None:
             # Misrouted (stale placement at the sender): drop, unacknowledged.
+            self.misrouted_batches += 1
             return
         uids = [message.update.uid for message in batch.messages]
         self._deliver(tenant, batch.channel, list(batch.messages))
         # Ack after the WAL append inside _deliver: an ack promises the
-        # update survives a crash.  Duplicates are re-acked so a sender
-        # that re-sent them on a reconnect settles.
-        writer.write(encode_frame(
-            frames.ACK, frames.encode_tagged_uids(batch.destination, uids)
-        ))
-        await writer.drain()
+        # update survives a crash, and it leaves with the chunk's write,
+        # later still.  Duplicates are re-acked so a sender that re-sent
+        # them on a reconnect settles.
+        encode_frame_into(
+            out, frames.ACK, frames.encode_tagged_uids(batch.destination, uids)
+        )
 
-    async def _handle_op(self, payload: bytes,
-                         writer: asyncio.StreamWriter) -> None:
+    async def _handle_op(self, payload: bytes, out: bytearray) -> None:
         op_id, replica_id, kind, register, value = frames.decode_op(payload)
         tenant = self.tenants.get(replica_id)
         status = frames.OP_OK
@@ -943,10 +977,9 @@ class LiveNode:
                 await self._stream_for(message.destination).enqueue(message)
         else:
             reply_value = tenant.read(register, self.now)
-        writer.write(encode_frame(
-            frames.OP_REPLY, frames.encode_op_reply(op_id, status, reply_value)
-        ))
-        await writer.drain()
+        encode_frame_into(
+            out, frames.OP_REPLY, frames.encode_op_reply(op_id, status, reply_value)
+        )
 
     # ------------------------------------------------------------------
     # Harness surface
@@ -999,6 +1032,9 @@ class LiveNode:
                 ),
                 "inbound_connections": len(self._handlers),
                 "control_connections": self._control_connections,
+                "socket_writes": self.socket_writes,
+                "misrouted_batches": self.misrouted_batches,
+                "corrupt_streams": self.corrupt_streams,
                 "wal_bytes": sum(w.wal_bytes for w in wals),
                 "wal_records": sum(w.records_appended for w in wals),
                 "wal_compactions": sum(w.compactions for w in wals),

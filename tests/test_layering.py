@@ -5,7 +5,9 @@ two drivers of the shared layers and must not reach into each other; the
 shared layers must not reach up into either.  Checked on the parsed import
 statements, so a lazy import inside a function counts too.  The same
 parsed source guards the shared host surface: the operation path of
-``core/host.py`` is not re-forked by a runtime's host subclass.
+``core/host.py`` is not re-forked by a runtime's host subclass, and the
+live node's per-frame handlers leave socket writes to the one flush point
+per wake-up.
 """
 
 from __future__ import annotations
@@ -112,4 +114,41 @@ def test_no_replica_host_subclass_forks_the_operation_path():
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         and item.name in HOST_OPERATION_PATH
     ]
+    assert not offending, "\n".join(offending)
+
+
+#: The live node's per-frame handlers: they append frames to the buffer of
+#: the wake-up that runs them, and only that wake-up writes it.
+PER_FRAME_HANDLERS = {"LiveNode": ("_handle_frame", "_handle_op", "_handle_batch"),
+                      "_PeerStream": ("_flush",)}
+
+
+def test_live_per_frame_handlers_never_write_or_drain_a_socket():
+    """One socket write per wake-up: no ``writer.write(...)`` and no
+    ``drain()`` inside a per-frame handler of ``net/node.py``, so a
+    per-frame syscall cannot creep back in."""
+    path = ROOT / "net" / "node.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found, offending = set(), []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or cls.name not in PER_FRAME_HANDLERS:
+            continue
+        for item in cls.body:
+            if not (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name in PER_FRAME_HANDLERS[cls.name]):
+                continue
+            found.add((cls.name, item.name))
+            for call in ast.walk(item):
+                if not (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)):
+                    continue
+                attr = call.func.attr
+                receiver = ast.unparse(call.func.value)
+                if attr == "drain" or (attr in ("write", "writelines")
+                                       and "writer" in receiver):
+                    offending.append(f"{cls.name}.{item.name}:{call.lineno} "
+                                     f"{receiver}.{attr}()")
+    expected = {(cls, name) for cls, names in PER_FRAME_HANDLERS.items()
+                for name in names}
+    assert found == expected, f"handlers not found: {expected - found}"
     assert not offending, "\n".join(offending)

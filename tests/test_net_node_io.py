@@ -1,0 +1,182 @@
+"""One socket write per wake-up, in process, with no sockets.
+
+A live node answers every frame of a received chunk with a single write,
+and a peer stream's send-loop pass puts every due window on the wire in a
+single write.  These tests drive :meth:`LiveNode._handle_connection` with a
+fake reader (a fixed list of chunks) and :meth:`_PeerStream._send_loop`
+with a recording writer, and count the writes, the drains and the bytes.
+The two inbound drops a node used to swallow silently — a batch for a
+replica it does not host, a corrupt stream — are counted too.
+"""
+
+import asyncio
+
+from repro.core.registers import RegisterPlacement
+from repro.core.share_graph import ShareGraph
+from repro.net import frames
+from repro.net.framing import decode_all, encode_frame
+from repro.net.node import LiveNode, NodeConfig, _PeerStream
+from repro.sim.engine import BatchingConfig
+from repro.wire.batch import MessageBatch, encode_batch
+
+#: Replicas 1 and 2 share nothing; 3 shares ``x`` with 1 and ``y`` with 2.
+GRAPH = ShareGraph.from_placement(RegisterPlacement.from_dict(
+    {1: {"x"}, 2: {"y"}, 3: {"x", "y"}}))
+SPLIT = {1: "a", 2: "a", 3: "b"}
+
+
+class _Reader:
+    """Hands out fixed chunks, then end of stream."""
+
+    def __init__(self, *chunks):
+        self._chunks = list(chunks)
+
+    async def read(self, _size):
+        return self._chunks.pop(0) if self._chunks else b""
+
+
+class _Writer:
+    """Records every write and drain."""
+
+    def __init__(self):
+        self.writes = []
+        self.drains = 0
+        self.closed = False
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    async def drain(self):
+        self.drains += 1
+
+    def get_extra_info(self, _name):
+        return None
+
+    def close(self):
+        self.closed = True
+
+    async def wait_closed(self):
+        pass
+
+
+def _serve(node, *chunks):
+    """Run one inbound connection over ``chunks``; return its writer."""
+    writer = _Writer()
+    asyncio.run(node._handle_connection(_Reader(*chunks), writer))
+    return writer
+
+
+def _one_node():
+    return LiveNode(NodeConfig("n", GRAPH, (1, 2, 3), {rid: "n" for rid in SPLIT}))
+
+
+def _op(op_id, replica, kind, register, value=None):
+    return encode_frame(frames.OP, frames.encode_op(op_id, replica, kind,
+                                                     register, value))
+
+
+def _reply(op_id, status, value=None):
+    return encode_frame(frames.OP_REPLY,
+                        frames.encode_op_reply(op_id, status, value))
+
+
+def test_a_chunk_of_ops_is_answered_with_one_write_and_one_drain():
+    node = _one_node()
+    ops = [
+        (1, 1, "write", "x", "v1"),
+        (2, 3, "read", "x", None),       # the copy came through the short-circuit
+        (3, 1, "write", "y", "nope"),    # 1 does not hold y: rejected
+        (4, 2, "write", "y", "v2"),
+        (5, 3, "read", "y", None),
+    ]
+    writer = _serve(node, b"".join(_op(*op) for op in ops))
+    assert len(writer.writes) == 1 and writer.drains == 1
+    assert writer.writes[0] == b"".join([
+        _reply(1, frames.OP_OK),
+        _reply(2, frames.OP_OK, "v1"),
+        _reply(3, frames.OP_REJECTED),
+        _reply(4, frames.OP_OK),
+        _reply(5, frames.OP_OK, "v2"),
+    ])
+    assert node.report()["transport"]["socket_writes"] == 1
+
+
+def test_each_chunk_gets_its_own_write():
+    node = _one_node()
+    writer = _serve(node, _op(1, 1, "write", "x", 0),
+                    _op(2, 2, "write", "y", 0) + _op(3, 3, "read", "x"))
+    assert [len(decode_all(data)) for data in writer.writes] == [1, 2]
+    assert node.socket_writes == 2
+
+
+def test_frames_before_a_shutdown_are_still_answered():
+    node = _one_node()
+    writer = _serve(node, _op(1, 1, "write", "x", 0)
+                    + encode_frame(frames.SHUTDOWN)
+                    + _op(2, 1, "write", "x", 1))
+    assert writer.writes == [_reply(1, frames.OP_OK)]
+    assert node.stopping.is_set() and writer.closed
+    assert node.tenants[1].counters["issued"] == 1
+
+
+def test_misrouted_batch_and_corrupt_frame_are_counted_and_replies_kept():
+    node = LiveNode(NodeConfig("a", GRAPH, (1, 2), SPLIT))
+    tenant = node.tenants[1]
+    messages = tenant.write("x", "v", 0.0)
+    payload, _ = encode_batch(
+        MessageBatch(sender=1, destination=3, seq=0, messages=tuple(messages)),
+        codec=tenant.replica.wire_codec())
+    writer = _serve(node, _op(1, 2, "write", "y", "w")
+                    + encode_frame(frames.BATCH, payload)       # 3 lives on b
+                    + encode_frame(frames.BATCH, b"\xffgarbage")
+                    + _op(2, 2, "write", "y", "never"))
+    assert writer.writes == [_reply(1, frames.OP_OK)]
+    assert writer.closed
+    transport = node.report()["transport"]
+    assert transport["misrouted_batches"] == 1
+    assert transport["corrupt_streams"] == 1
+    assert transport["socket_writes"] == 1
+    names = {name: value for name, _, value in node.telemetry_samples()}
+    assert names["repro_node_misrouted_batches_total"] == 1.0
+    assert names["repro_node_corrupt_streams_total"] == 1.0
+    assert names["repro_node_socket_writes_total"] == 1.0
+
+
+async def _one_pass():
+    # max_messages=1: each window is full, hence due, as soon as it opens.
+    a = LiveNode(NodeConfig("a", GRAPH, (1, 2), SPLIT,
+                            batching=BatchingConfig(max_messages=1, max_delay=60.0)))
+    stream = _PeerStream(a, "b")
+    for rid, register in ((1, "x"), (2, "y")):
+        for message in a.tenants[rid].write(register, f"v{rid}", a.now):
+            await stream.enqueue(message)
+    writer = _Writer()
+    loop = asyncio.create_task(stream._send_loop(writer))
+    for _ in range(100):
+        if writer.writes:
+            break
+        await asyncio.sleep(0)
+    a.stopping.set()
+    stream._wake.set()
+    await asyncio.wait_for(loop, 5.0)
+    return a, writer
+
+
+def test_a_send_loop_pass_writes_every_due_window_at_once():
+    a, writer = asyncio.run(_one_pass())
+    assert len(writer.writes) == 1 and writer.drains == 1
+    assert [kind for kind, _ in decode_all(writer.writes[0])] == [frames.BATCH] * 2
+    assert a.socket_writes == 1
+    assert a.tenants[1].counters["sent"] == a.tenants[2].counters["sent"] == 1
+
+    # The receiving node answers the hello and both batches with one write:
+    # a SYNC for replica 3, then one ACK per batch, in frame order.
+    b = LiveNode(NodeConfig("b", GRAPH, (3,), SPLIT))
+    hello = encode_frame(frames.HELLO, frames.encode_hello("a", 0))
+    reply = _serve(b, hello + writer.writes[0])
+    assert len(reply.writes) == 1 and b.socket_writes == 1
+    answered = decode_all(reply.writes[0])
+    assert [kind for kind, _ in answered] == [frames.SYNC, frames.ACK, frames.ACK]
+    assert [frames.decode_tagged_uids(payload) for _, payload in answered[1:]] == [
+        (3, [(1, 1)]), (3, [(2, 1)])]
+    assert b.tenants[3].replica.store == {"x": "v1", "y": "v2"}

@@ -280,16 +280,6 @@ def test_checkpoint_fsyncs_the_record_before_deleting_the_old_log(tmp_path, monk
 # History is appended, state is replaced: a live node's compactions
 # ----------------------------------------------------------------------
 
-class _Sink:
-    """A stand-in for the op connection's writer."""
-
-    def write(self, data):
-        pass
-
-    async def drain(self):
-        pass
-
-
 def _one_node_config(directory):
     """Four replicas of figure 5 on one node: every copy is intra-node,
     so ops drive writes, deliveries, acks and compactions in process."""
@@ -305,7 +295,7 @@ def _drive(node, operations):
     async def run():
         for op_id, (rid, kind, register, value) in enumerate(operations):
             await node._handle_op(
-                frames.encode_op(op_id, rid, kind, register, value), _Sink()
+                frames.encode_op(op_id, rid, kind, register, value), bytearray()
             )
 
     asyncio.run(run())
