@@ -22,16 +22,24 @@ decouples the logical communication graph from the physical one:
   with its connection, so there is no resend timer: a reconnect severs
   all of the stream's channels at once and re-sends every unacknowledged
   copy, and duplicate suppression keeps delivery exactly-once;
+* **ack-clocked flushing** (Nagle's rule, RFC 896): a stream with no
+  copy on the wire sends every open window at once; while copies are
+  outstanding a window waits until the ACK that empties the wire, until
+  it holds ``max_messages`` copies, or until its ``max_delay`` deadline —
+  the upper bound at saturation and after a reconnect rewinds copies
+  into their windows.  A copy on an idle stream pays no batching wait,
+  and a loaded stream still batches, clocked by the ACK round trip;
 * **intra-node short-circuit**: a channel between two tenants of the same
   node never touches a socket or a codec — the copy goes straight through
   the in-process batch-apply path (:meth:`ReplicaHost.deliver`) and acks
   synchronously;
 * **one socket write per wake-up**: an inbound connection answers every
-  frame of a received chunk — ``OP_REPLY``, ``ACK``, ``SYNC``, ``STATS``,
-  ``REPORT`` — with one write once the chunk is handled, and a peer
-  stream's send-loop pass encodes every due window into one buffer and
-  writes it once.  The per-frame handlers only append to that buffer;
-  frame contents and their order on a connection are unchanged;
+  frame of a received chunk — ``OP_REPLY``, ``SYNC``, ``STATS``,
+  ``REPORT`` in frame order, then one ``ACK`` per destination replica
+  for all of the chunk's batches — with one write once the chunk is
+  handled, and a peer stream's send-loop pass encodes every due window
+  into one buffer and writes it once.  The per-frame handlers only
+  append to that buffer or to the chunk's acks;
 * **log-structured durability** (:mod:`repro.net.wal`): with a
   ``durable_dir`` configured every state change appends one O(delta)
   record to the tenant's write-ahead log — client writes and reads as
@@ -87,7 +95,9 @@ def _id_order(value: Any) -> Tuple[bool, Any]:
     return (isinstance(value, str), value)
 
 
-#: The live batching window, in seconds: 16 messages / 2 ms.
+#: The live batching window, in seconds: 16 messages / 2 ms.  A live
+#: stream flushes on the ack clock; the 2 ms deadline only bounds a
+#: window's wait while copies of its stream are unacknowledged.
 DEFAULT_BATCHING = BatchingConfig(max_messages=16, max_delay=0.002)
 #: Copies a channel's window holds before its producers block (backpressure).
 SEND_QUEUE_LIMIT = 4096
@@ -331,7 +341,8 @@ class _PeerStream:
         self.node = node
         self.peer = peer
         self.sender = node.senders[peer]
-        #: A window opened or filled up: the send loop has work.
+        #: A window opened or filled up, or an ACK emptied the wire under an
+        #: open window: the send loop has work.
         self._wake = asyncio.Event()
         #: The send loop wrote a pass: blocked producers look again.
         self._written = asyncio.Event()
@@ -403,16 +414,20 @@ class _PeerStream:
         limit = sender.batching.max_messages
         while True:
             stopping = self.node.stopping.is_set()
-            # Encode full, expired (or closing) windows, a batch at a time,
-            # into one buffer; the rest say how long to sleep.  The sender
-            # is asked every pass, so a window opened under an earlier
-            # connection is served like any other.
+            # Ack-clocked (Nagle's rule): with nothing of this stream on the
+            # wire every open window is due; otherwise a window is due when
+            # full, expired or closing, and note_acked wakes the loop once
+            # an ACK empties the wire.  Due windows are encoded a batch at a
+            # time into one buffer; the rest say how long to sleep.  The
+            # sender is asked every pass, so a window opened under an
+            # earlier connection is served like any other.
+            idle = sender.unacked == 0
             now = time.monotonic()
             soonest = None
             out = bytearray()
             for channel, window in list(sender.windows.items()):
                 while channel in sender.windows and (
-                        stopping or window.deadline <= now
+                        stopping or idle or window.deadline <= now
                         or len(window.messages) >= limit):
                     self._flush(out, channel, now)
                 if channel in sender.windows and (
@@ -426,7 +441,8 @@ class _PeerStream:
                 self._written.set()
             if stopping and not sender.windows:
                 return  # every window flushed
-            # Sleep until new traffic or the earliest window deadline.
+            # Sleep until new traffic, the ACK that empties the wire, or the
+            # earliest window deadline.
             timeout = None
             if soonest is not None:
                 timeout = max(0.0, soonest - time.monotonic())
@@ -506,6 +522,8 @@ class LiveNode:
         #: Socket writes this node made: one per chunk answered, send-loop
         #: pass, stream hello and telemetry push.
         self.socket_writes = 0
+        #: ACK frames sent: one per destination replica per chunk of batches.
+        self.ack_frames = 0
         #: Inbound batches dropped unacknowledged: no such tenant here.
         self.misrouted_batches = 0
         #: Inbound connections dropped for a corrupt or misaligned stream.
@@ -543,6 +561,11 @@ class LiveNode:
         for source, acked in by_source.items():
             if source in self.tenants:
                 self._settle(self.tenants[source], destination, acked)
+        # The ack clock: the wire just emptied under an open window.
+        stream = self.peer_streams.get(self._hosting_node(destination))
+        if (stream is not None and stream.sender.unacked == 0
+                and stream.sender.windows):
+            stream._wake.set()
 
     def unacked_log(self, source: ReplicaId
                     ) -> Dict[ReplicaId, Dict[UpdateId, UpdateMessage]]:
@@ -760,6 +783,7 @@ class LiveNode:
             ("open_streams", sum(1 for stream in streams if stream.connected)),
             ("inbound_connections", len(self._handlers)),
             ("socket_writes_total", self.socket_writes),
+            ("ack_frames_total", self.ack_frames),
             ("misrouted_batches_total", self.misrouted_batches),
             ("corrupt_streams_total", self.corrupt_streams),
             ("wal_bytes", sum(w.wal_bytes for w in wals)),
@@ -833,8 +857,10 @@ class LiveNode:
                     return
                 # Every reply the chunk's frames produce, in frame order,
                 # goes out in one write: one syscall per wake-up, not per
-                # frame.
+                # frame.  The chunk's batches are acked last, one ACK per
+                # destination replica.
                 out = bytearray()
+                acks = state["acks"] = {}
                 try:
                     for kind, payload in decoder.feed(chunk):
                         await self._handle_frame(kind, payload, out, state)
@@ -843,6 +869,10 @@ class LiveNode:
                 finally:
                     # The frames handled before a SHUTDOWN or a corrupt
                     # frame are answered too: close() flushes the write.
+                    for destination, uids in acks.items():
+                        encode_frame_into(out, frames.ACK,
+                                          frames.encode_tagged_uids(destination, uids))
+                    self.ack_frames += len(acks)
                     if out:
                         writer.write(out)
                         self.socket_writes += 1
@@ -901,7 +931,7 @@ class LiveNode:
                         frames.encode_sync(rid, tenant.replica.known()),
                     )
         elif kind == frames.BATCH:
-            self._handle_batch(payload, out, state)
+            self._handle_batch(payload, state)
         elif kind == frames.CONTROL_HELLO:
             state["control"] = True
             self._control_connections += 1
@@ -934,23 +964,20 @@ class LiveNode:
         # Unknown kinds are ignored: wire-compatible newer launchers may
         # probe; dropping beats crashing a live node.
 
-    def _handle_batch(self, payload: bytes, out: bytearray,
-                      state: Dict[str, Any]) -> None:
+    def _handle_batch(self, payload: bytes, state: Dict[str, Any]) -> None:
         batch, _ = decode_batch(payload, decoder=state["decoder"])
         tenant = self.tenants.get(batch.destination)
         if tenant is None:
             # Misrouted (stale placement at the sender): drop, unacknowledged.
             self.misrouted_batches += 1
             return
-        uids = [message.update.uid for message in batch.messages]
         self._deliver(tenant, batch.channel, list(batch.messages))
         # Ack after the WAL append inside _deliver: an ack promises the
         # update survives a crash, and it leaves with the chunk's write,
         # later still.  Duplicates are re-acked so a sender that re-sent
         # them on a reconnect settles.
-        encode_frame_into(
-            out, frames.ACK, frames.encode_tagged_uids(batch.destination, uids)
-        )
+        state["acks"].setdefault(batch.destination, []).extend(
+            message.update.uid for message in batch.messages)
 
     async def _handle_op(self, payload: bytes, out: bytearray) -> None:
         op_id, replica_id, kind, register, value = frames.decode_op(payload)
@@ -991,8 +1018,9 @@ class LiveNode:
         inbox: Dict[Channel, int] = {}
         for rid, tenant in self.tenants.items():
             totals.update(tenant.counters)
-            applied += sum(event.update is not None
-                           for event in tenant.replica.events)
+            # One apply time per issued or applied uid: the event trace's
+            # update count, without walking it.
+            applied += len(tenant.apply_times)
             pending += tenant.replica.pending_count()
             for destination, count in tenant.outbox_total.items():
                 outbox[(rid, destination)] = count
@@ -1033,6 +1061,7 @@ class LiveNode:
                 "inbound_connections": len(self._handlers),
                 "control_connections": self._control_connections,
                 "socket_writes": self.socket_writes,
+                "ack_frames": self.ack_frames,
                 "misrouted_batches": self.misrouted_batches,
                 "corrupt_streams": self.corrupt_streams,
                 "wal_bytes": sum(w.wal_bytes for w in wals),

@@ -277,6 +277,10 @@ _NODE_TRANSPORT_METRICS = (
     "repro_node_inbound_connections",
     "repro_node_send_queue_depth",
     "repro_node_unacked",
+    "repro_node_socket_writes_total",
+    "repro_node_ack_frames_total",
+    "repro_node_misrouted_batches_total",
+    "repro_node_corrupt_streams_total",
     "repro_node_wal_bytes",
     "repro_node_wal_records_total",
     "repro_node_wal_compactions_total",
@@ -291,7 +295,9 @@ def node_transport_table(metric_records: Sequence[dict]) -> List[dict]:
     Consumes the node-level families a multi-tenant :class:`LiveNode`
     emits (``node`` label, no ``replica``): the host-pair stream counts
     that make the socket footprint O(hosts²), the queue/unacked depths,
-    and the WAL counters.  One row per node, sorted by node id."""
+    the frame counts (socket writes, ACK frames, misrouted batches,
+    corrupt streams) and the WAL counters.  One row per node, sorted by
+    node id."""
     nodes: Dict[str, Dict[str, float]] = {}
     for record in metric_records:
         name = record.get("name", "")
@@ -314,6 +320,16 @@ def node_transport_table(metric_records: Sequence[dict]) -> List[dict]:
                 values.get("repro_node_send_queue_depth", 0.0)
             ),
             "unacked": int(values.get("repro_node_unacked", 0.0)),
+            "socket_writes": int(
+                values.get("repro_node_socket_writes_total", 0.0)
+            ),
+            "ack_frames": int(values.get("repro_node_ack_frames_total", 0.0)),
+            "misrouted_batches": int(
+                values.get("repro_node_misrouted_batches_total", 0.0)
+            ),
+            "corrupt_streams": int(
+                values.get("repro_node_corrupt_streams_total", 0.0)
+            ),
             "wal_bytes": int(values.get("repro_node_wal_bytes", 0.0)),
             "wal_records": int(
                 values.get("repro_node_wal_records_total", 0.0)

@@ -50,7 +50,10 @@ class BatchingConfig:
     window is flushed as one :class:`~repro.wire.batch.MessageBatch` when
     it reaches ``max_messages`` or when its ``max_delay`` deadline (armed
     by the first message) passes.  ``max_delay`` is in the driver's time
-    unit: kernel time in the simulator, seconds on a live node.  Batches
+    unit: kernel time in the simulator, seconds on a live node.  A live
+    node flushes earlier, on the ack clock (a stream with nothing
+    unacknowledged sends its windows at once), so there ``max_delay`` is
+    an upper bound on a window's wait, not the wait itself.  Batches
     on a channel never overtake each other — one FIFO byte stream — which
     is what makes cross-batch delta frames (``delta_encoding``) sound.
     """

@@ -6,7 +6,11 @@ single write.  These tests drive :meth:`LiveNode._handle_connection` with a
 fake reader (a fixed list of chunks) and :meth:`_PeerStream._send_loop`
 with a recording writer, and count the writes, the drains and the bytes.
 The two inbound drops a node used to swallow silently — a batch for a
-replica it does not host, a corrupt stream — are counted too.
+replica it does not host, a corrupt stream — are counted too.  So are the
+ACKs: one per destination replica for all of a chunk's batches.  The send
+loop is ack-clocked: a stream with nothing unacknowledged writes every
+open window in its next pass, and otherwise a window waits for the ACK
+that empties the wire.
 """
 
 import asyncio
@@ -142,23 +146,45 @@ def test_misrouted_batch_and_corrupt_frame_are_counted_and_replies_kept():
     assert names["repro_node_socket_writes_total"] == 1.0
 
 
+#: Windows that never fill and whose deadline is a minute away: only the
+#: ack clock (or a stop) sends them.
+PATIENT = BatchingConfig(max_messages=16, max_delay=60.0)
+
+
+async def _spin(predicate, turns=100):
+    """Yield to the event loop until ``predicate`` holds or turns run out."""
+    for _ in range(turns):
+        if predicate():
+            break
+        await asyncio.sleep(0)
+    return predicate()
+
+
+async def _write(a, stream, rid, register, value):
+    """One client write at ``a``; its copies join the stream's windows."""
+    messages = a.tenants[rid].write(register, value, a.now)
+    for message in messages:
+        await stream.enqueue(message)
+    return [message.update.uid for message in messages]
+
+
+async def _stop(a, stream, loop):
+    a.stopping.set()
+    stream._wake.set()
+    await asyncio.wait_for(loop, 5.0)
+
+
 async def _one_pass():
     # max_messages=1: each window is full, hence due, as soon as it opens.
     a = LiveNode(NodeConfig("a", GRAPH, (1, 2), SPLIT,
                             batching=BatchingConfig(max_messages=1, max_delay=60.0)))
     stream = _PeerStream(a, "b")
     for rid, register in ((1, "x"), (2, "y")):
-        for message in a.tenants[rid].write(register, f"v{rid}", a.now):
-            await stream.enqueue(message)
+        await _write(a, stream, rid, register, f"v{rid}")
     writer = _Writer()
     loop = asyncio.create_task(stream._send_loop(writer))
-    for _ in range(100):
-        if writer.writes:
-            break
-        await asyncio.sleep(0)
-    a.stopping.set()
-    stream._wake.set()
-    await asyncio.wait_for(loop, 5.0)
+    await _spin(lambda: writer.writes)
+    await _stop(a, stream, loop)
     return a, writer
 
 
@@ -170,13 +196,112 @@ def test_a_send_loop_pass_writes_every_due_window_at_once():
     assert a.tenants[1].counters["sent"] == a.tenants[2].counters["sent"] == 1
 
     # The receiving node answers the hello and both batches with one write:
-    # a SYNC for replica 3, then one ACK per batch, in frame order.
+    # a SYNC for replica 3, then one ACK carrying both batches' uids.
     b = LiveNode(NodeConfig("b", GRAPH, (3,), SPLIT))
     hello = encode_frame(frames.HELLO, frames.encode_hello("a", 0))
     reply = _serve(b, hello + writer.writes[0])
     assert len(reply.writes) == 1 and b.socket_writes == 1
     answered = decode_all(reply.writes[0])
-    assert [kind for kind, _ in answered] == [frames.SYNC, frames.ACK, frames.ACK]
-    assert [frames.decode_tagged_uids(payload) for _, payload in answered[1:]] == [
-        (3, [(1, 1)]), (3, [(2, 1)])]
+    assert [kind for kind, _ in answered] == [frames.SYNC, frames.ACK]
+    assert frames.decode_tagged_uids(answered[1][1]) == (3, [(1, 1), (2, 1)])
     assert b.tenants[3].replica.store == {"x": "v1", "y": "v2"}
+    assert b.report()["transport"]["ack_frames"] == 1
+
+
+async def _idle_stream():
+    a = LiveNode(NodeConfig("a", GRAPH, (1, 2), SPLIT, batching=PATIENT))
+    stream = a.peer_streams["b"] = _PeerStream(a, "b")
+    await _write(a, stream, 1, "x", "v1")
+    writer = _Writer()
+    loop = asyncio.create_task(stream._send_loop(writer))
+    sent = await _spin(lambda: writer.writes)
+    writes = list(writer.writes)
+    await _stop(a, stream, loop)
+    return sent, writes
+
+
+def test_a_window_opened_on_an_idle_stream_is_written_in_the_first_pass():
+    sent, writes = asyncio.run(_idle_stream())
+    assert sent, "the window waited for its deadline on an idle stream"
+    assert len(writes) == 1
+    assert [kind for kind, _ in decode_all(writes[0])] == [frames.BATCH]
+
+
+async def _ack_clocked():
+    a = LiveNode(NodeConfig("a", GRAPH, (1, 2), SPLIT, batching=PATIENT))
+    stream = a.peer_streams["b"] = _PeerStream(a, "b")
+    writer = _Writer()
+    loop = asyncio.create_task(stream._send_loop(writer))
+    first = await _write(a, stream, 1, "x", "v1")
+    await _spin(lambda: writer.writes)
+    outstanding = (len(writer.writes), stream.unacked())
+    # A window opens while (1, 3)'s copy is still on the wire …
+    await _write(a, stream, 2, "y", "v2")
+    await _spin(lambda: len(writer.writes) > 1)
+    held = (len(writer.writes), stream.queued())
+    # … and goes out in the pass after the ACK that empties the wire.
+    a.note_acked(3, first)
+    await _spin(lambda: len(writer.writes) > 1)
+    released = list(writer.writes)
+    after = (stream.unacked(), stream.queued())
+    await _stop(a, stream, loop)
+    return outstanding, held, released, after
+
+
+def test_an_outstanding_copy_holds_a_new_window_until_its_ack():
+    outstanding, held, released, after = asyncio.run(_ack_clocked())
+    assert outstanding == (1, 1)
+    assert held == (1, 1), "a window went out while a copy was unacked"
+    assert len(released) == 2, "the ACK that emptied the wire sent nothing"
+    assert [kind for kind, _ in decode_all(released[1])] == [frames.BATCH]
+    assert after == (1, 0)
+
+
+def _batches_from_a_for(destinations):
+    """Hello plus one send-loop pass of ``a`` (hosting 3) to 1 and 2 on b."""
+    split = {1: "b", 2: "b", 3: "a"}
+
+    async def run():
+        a = LiveNode(NodeConfig("a", GRAPH, (3,), split, batching=PATIENT))
+        stream = a.peer_streams["b"] = _PeerStream(a, "b")
+        for register in destinations:
+            await _write(a, stream, 3, register, register)
+        writer = _Writer()
+        loop = asyncio.create_task(stream._send_loop(writer))
+        await _spin(lambda: writer.writes)
+        await _stop(a, stream, loop)
+        return writer.writes[0]
+
+    hello = encode_frame(frames.HELLO, frames.encode_hello("a", 0))
+    return split, hello, asyncio.run(run())
+
+
+def test_a_chunk_is_acked_once_per_destination_in_first_seen_order():
+    split, hello, batches = _batches_from_a_for(["y", "x", "y"])
+    b = LiveNode(NodeConfig("b", GRAPH, (1, 2), split))
+    reply = _serve(b, hello + batches)
+    answered = decode_all(reply.writes[0])
+    assert [kind for kind, _ in answered] == [frames.SYNC] * 2 + [frames.ACK] * 2
+    assert [frames.decode_tagged_uids(p) for _, p in answered[2:]] == [
+        (2, [(3, 1), (3, 3)]), (1, [(3, 2)])]
+    assert b.ack_frames == 2
+    # A second connection replays the same bytes: every copy is a
+    # duplicate now, and every one is acked again.
+    again = decode_all(_serve(b, hello + batches).writes[0])
+    assert [frames.decode_tagged_uids(p) for k, p in again if k == frames.ACK] == [
+        (2, [(3, 1), (3, 3)]), (1, [(3, 2)])]
+    assert b.tenants[2].counters["duplicates"] == 2
+    names = {name: value for name, _, value in b.telemetry_samples()}
+    assert names["repro_node_ack_frames_total"] == 4.0
+
+
+def test_batches_before_a_corrupt_frame_or_a_shutdown_are_still_acked():
+    split, hello, batches = _batches_from_a_for(["x"])
+    for tail in (encode_frame(frames.BATCH, b"\xffgarbage"),
+                 encode_frame(frames.SHUTDOWN)):
+        b = LiveNode(NodeConfig("b", GRAPH, (1, 2), split))
+        reply = _serve(b, hello + batches + tail + batches)
+        answered = decode_all(reply.writes[0])
+        assert [frames.decode_tagged_uids(p) for k, p in answered
+                if k == frames.ACK] == [(1, [(3, 1)])]
+        assert b.report()["transport"]["ack_frames"] == 1

@@ -138,22 +138,38 @@ async def _pair(monkeypatch, batching):
 
 
 async def _window_survives_reset(monkeypatch):
-    # max_messages is out of reach: only a deadline can flush these windows.
+    # max_messages is out of reach: while a copy is outstanding only a
+    # deadline can flush these windows.
     batching = BatchingConfig(max_messages=64, max_delay=MAX_DELAY)
     async with _pair(monkeypatch, batching) as pair:
         stream = pair.stream
         frontier = pair.b.tenants[3].replica.frontier
-        # Channel (2, 3) flushes first, on a connection that dies under it …
+        # b's ACK of the first copy is lost: that copy stays on the wire,
+        # so the stream is never idle and windows wait for their deadlines.
+        note_acked, lost = pair.a.note_acked, []
+
+        def lose_first_ack(destination, uids):
+            if lost:
+                note_acked(destination, uids)
+            else:
+                lost.append(uids)
+
+        pair.a.note_acked = lose_first_ack
+        await pair.write(2, "y", "outstanding")
+        assert await _until(lambda: lost, MAX_DELAY + SLACK)
+        # Channel (2, 3) flushes its next window on a connection that dies
+        # under it …
         await pair.write(2, "y", "b-side")
         await asyncio.sleep(MAX_DELAY / 2)
         # … while channel (1, 3) has a window open, half-way to its deadline.
         await pair.write(1, "x", "a-side")
+        assert (1, 3) in stream.sender.windows
         pair.stream_writers[0].fail_next_write = True
         assert await _until(lambda: len(pair.stream_writers) == 2, 5.0)
         reconnected = time.monotonic()
         # No further traffic on (1, 3): its window must still go out, within
         # one max_delay of the reconnect (plus scheduling slack).
-        arrived = await _until(lambda: frontier == {1: 1, 2: 1}, MAX_DELAY + SLACK)
+        arrived = await _until(lambda: frontier == {1: 1, 2: 2}, MAX_DELAY + SLACK)
         elapsed = time.monotonic() - reconnected
         settled = await _until(
             lambda: stream.unacked() == 0 and stream.queued() == 0, 2.0)
@@ -166,6 +182,30 @@ def test_window_open_on_another_channel_survives_a_connection_reset(monkeypatch)
         "the (1, 3) window opened under the dead connection was never flushed"
     )
     assert elapsed <= MAX_DELAY + SLACK
+    assert settled, "unacked / send_queue did not return to 0"
+
+
+#: A deadline no test waits for: only the ack clock can send in time.
+LONG_DELAY = 5.0
+
+
+async def _idle_write(monkeypatch):
+    batching = BatchingConfig(max_messages=64, max_delay=LONG_DELAY)
+    async with _pair(monkeypatch, batching) as pair:
+        frontier = pair.b.tenants[3].replica.frontier
+        started = time.monotonic()
+        await pair.write(1, "x", "now")
+        arrived = await _until(lambda: frontier == {1: 1}, LONG_DELAY / 2)
+        elapsed = time.monotonic() - started
+        settled = await _until(pair.settled, 2.0)
+    return arrived, elapsed, settled
+
+
+def test_a_write_on_an_idle_stream_does_not_wait_for_the_deadline(monkeypatch):
+    arrived, elapsed, settled = asyncio.run(_idle_write(monkeypatch))
+    assert arrived and elapsed < LONG_DELAY / 2, (
+        "the copy waited for the batching deadline on an idle stream"
+    )
     assert settled, "unacked / send_queue did not return to 0"
 
 

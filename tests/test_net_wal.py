@@ -417,6 +417,36 @@ def test_each_checkpoint_record_holds_exactly_the_history_since_the_last(tmp_pat
             previous = mark
 
 
+def _stats_applied(node):
+    stats, _, _ = frames.decode_stats_payload(node._stats_payload())
+    return stats.applied
+
+
+def _events_applied(node):
+    return sum(event.update is not None
+               for tenant in node.tenants.values()
+               for event in tenant.replica.events)
+
+
+def test_stats_applied_count_matches_the_event_trace_across_a_reload(tmp_path):
+    """``STATS`` counts issued and applied updates off the apply books,
+    without walking the trace: the count equals the trace's, after
+    traffic and again after a reload from checkpoints and log tails."""
+    config = _one_node_config(str(tmp_path))
+    node = LiveNode(config)
+    _drive(node, _operations(config.share_graph, 40))
+    applied = _stats_applied(node)
+    assert applied == _events_applied(node) > 0
+    for tenant in node.tenants.values():
+        assert tenant.wal.compactions >= 1
+        tenant.wal.close()
+
+    reloaded = LiveNode(config)
+    assert _stats_applied(reloaded) == _events_applied(reloaded) == applied
+    for tenant in reloaded.tenants.values():
+        tenant.wal.close()
+
+
 def test_a_rejected_read_leaves_the_run_metrics_untouched(tmp_path):
     """Replica 1 of figure 5 does not store ``x``: the op is rejected,
     and neither the read count nor the operation timeline gains it."""

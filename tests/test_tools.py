@@ -129,3 +129,39 @@ def test_trace_report_coverage_gate_fails_on_gutted_trace(traced_dump,
     code = trace_report.main([gutted_path, "--require-coverage", "0.99"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_trace_report_node_table_carries_the_frame_counts(traced_dump, tmp_path,
+                                                          capsys):
+    """A live node's frame counts travel from its TELEMETRY samples through
+    a metrics dump into ``trace_report``'s per-node table and JSON."""
+    from repro.core.registers import RegisterPlacement
+    from repro.core.share_graph import ShareGraph
+    from repro.net.node import LiveNode, NodeConfig
+    from repro.obs import MetricsRegistry, fold_samples
+
+    graph = ShareGraph.from_placement(RegisterPlacement.from_dict(
+        {1: {"x"}, 2: {"x"}}))
+    node = LiveNode(NodeConfig("n1", graph, (1,), {1: "n1", 2: "n2"}))
+    node.socket_writes, node.ack_frames = 7, 5
+    node.misrouted_batches, node.corrupt_streams = 2, 1
+    registry = MetricsRegistry()
+    fold_samples(registry, node.telemetry_samples())
+    metrics_path = str(tmp_path / "node-metrics.jsonl")
+    registry.write_jsonl(metrics_path)
+
+    trace_report = _load_tool("trace_report")
+    json_path = str(tmp_path / "report.json")
+    trace_path, _ = traced_dump
+    assert trace_report.main([trace_path, "--metrics", metrics_path,
+                              "--json", json_path]) == 0
+    stdout = capsys.readouterr().out
+    header = next(line for line in stdout.splitlines()
+                  if line.startswith("node "))
+    for column in ("writes", "acks", "misrtd", "corrupt"):
+        assert column in header.split()
+    with open(json_path, encoding="utf-8") as handle:
+        (row,) = json.load(handle)["nodes"]
+    assert row["node"] == "n1"
+    assert (row["socket_writes"], row["ack_frames"], row["misrouted_batches"],
+            row["corrupt_streams"]) == (7, 5, 2, 1)

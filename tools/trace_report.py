@@ -120,14 +120,17 @@ def _print_node_table(rows) -> None:
     if not rows:
         return
     print()
-    print("per-node transport footprint (host-pair streams + WAL):")
+    print("per-node transport footprint (host-pair streams, frames + WAL):")
     print(f"{'node':<8} {'peers':>6} {'open':>5} {'inbound':>8} "
-          f"{'queued':>7} {'unacked':>8} {'wal B':>9} {'wal rec':>8} "
+          f"{'queued':>7} {'unacked':>8} {'writes':>8} {'acks':>7} "
+          f"{'misrtd':>6} {'corrupt':>7} {'wal B':>9} {'wal rec':>8} "
           f"{'compact':>8} {'ckpt s':>7} {'ckpt B':>9}")
     for row in rows:
         print(f"{row['node']:<8} {row['peer_streams']:>6} "
               f"{row['open_streams']:>5} {row['inbound_connections']:>8} "
               f"{row['send_queue_depth']:>7} {row['unacked']:>8} "
+              f"{row['socket_writes']:>8} {row['ack_frames']:>7} "
+              f"{row['misrouted_batches']:>6} {row['corrupt_streams']:>7} "
               f"{row['wal_bytes']:>9} {row['wal_records']:>8} "
               f"{row['wal_compactions']:>8} "
               f"{row['wal_checkpoint_seconds']:>7.3f} "
