@@ -18,11 +18,12 @@ frames over localhost TCP:
   channels' sending half (batching windows, the only place a copy waits;
   delta chains; acks, and re-sends on reconnect) in the shared
   :class:`~repro.wire.channel.ChannelSender`, intra-node short-circuit
-  delivery, and log-structured durability (:mod:`repro.net.wal`) so a
-  SIGKILLed process replays checkpoint + log tail exactly like a
-  simulated crash;
+  delivery inside the write, and one write-ahead log per node
+  (:mod:`repro.net.wal`) so a SIGKILLed process replays checkpoint + log
+  tail exactly like a simulated crash;
 * :mod:`repro.net.wal` — the checkpoint + write-ahead-log pair behind
-  that durability: O(delta) appends, fsync-then-rename compaction;
+  that durability: O(delta) tenant-tagged appends, group-committed by a
+  flush before every socket write, fsync-before-delete compaction;
 * :mod:`repro.net.runtime` — the multi-process launcher
   (:class:`~repro.net.runtime.LiveCluster`): spawns node processes under
   a replica→node placement, drives workloads, detects quiescence,

@@ -30,9 +30,10 @@ decouples the logical communication graph from the physical one:
   into their windows.  A copy on an idle stream pays no batching wait,
   and a loaded stream still batches, clocked by the ACK round trip;
 * **intra-node short-circuit**: a channel between two tenants of the same
-  node never touches a socket or a codec — the copy goes straight through
-  the in-process batch-apply path (:meth:`ReplicaHost.deliver`) and acks
-  synchronously;
+  node never touches a socket, a codec or a sent-log — the write delivers
+  its co-hosted copies itself, at the write's own time, through the
+  in-process batch-apply path (:meth:`ReplicaHost.deliver`), and the
+  write's one log record stands for them;
 * **one socket write per wake-up**: an inbound connection answers every
   frame of a received chunk — ``OP_REPLY``, ``SYNC``, ``STATS``,
   ``REPORT`` in frame order, then one ``ACK`` per destination replica
@@ -40,12 +41,16 @@ decouples the logical communication graph from the physical one:
   handled, and a peer stream's send-loop pass encodes every due window
   into one buffer and writes it once.  The per-frame handlers only
   append to that buffer or to the chunk's acks;
-* **log-structured durability** (:mod:`repro.net.wal`): with a
-  ``durable_dir`` configured every state change appends one O(delta)
-  record to the tenant's write-ahead log — client writes and reads as
-  replayable operations, delivered batches as wire frames, acks as
-  sent-log settles — with periodic compaction into a checkpoint.  A
-  SIGKILLed node replays checkpoint + log tail and resyncs over the
+* **one write-ahead log per node** (:mod:`repro.net.wal`): with a
+  ``durable_dir`` configured every state change appends one O(delta),
+  tenant-tagged record to the node's log — client writes and reads as
+  replayable operations (a write's record covers its intra-node copies),
+  received batches as the bytes that arrived with their inbound
+  connection's number, acks as sent-log settles.  An append only
+  buffers: the node flushes the buffer in one write before each socket
+  write — the flush barrier, no frame leaves while a record is unflushed
+  — and compacts into a checkpoint after a flush.  A SIGKILLed node
+  replays checkpoint + log tail in file order and resyncs over the
   ``SYNC`` exchange, exactly like a simulated crash.
 
 Each tenant keeps its own :class:`LiveNodeHost` (the shared
@@ -71,18 +76,18 @@ from ..core.protocol import CausalReplica, Known, UpdateId, UpdateMessage
 from ..core.registers import Register, ReplicaId
 from ..core.replica import edge_indexed_factory
 from ..core.share_graph import ShareGraph
-from ..wire.batch import MessageBatch, decode_batch
+from ..wire.batch import decode_batch
 from ..wire.channel import (
     BatchingConfig,
     ChannelDeltaDecoder,
     ChannelSender,
     ChannelWireStats,
 )
-from ..wire.primitives import WireFormatError
+from ..wire.primitives import WireFormatError, decode_atom, encode_atom
 from . import frames
 from . import wal as wal_records
 from .framing import StreamDecoder, encode_frame, encode_frame_into
-from .wal import ReplicaWAL, WalCheckpoint
+from .wal import NodeCheckpoint, ReplicaWAL, WalCheckpoint
 
 Channel = Tuple[ReplicaId, ReplicaId]
 Address = Tuple[str, int]
@@ -128,10 +133,10 @@ class NodeConfig:
     )
     #: The batching window, in seconds (see :mod:`repro.wire.channel`).
     batching: BatchingConfig = DEFAULT_BATCHING
-    #: Directory for per-replica checkpoint + WAL files; ``None`` runs
+    #: Directory for the node's checkpoint + WAL files; ``None`` runs
     #: diskless (no crash recovery).
     durable_dir: Optional[str] = None
-    #: Compact a tenant's log into a checkpoint once it exceeds this size.
+    #: Compact the node's log into a checkpoint once it exceeds this size.
     wal_compact_bytes: int = 1 << 18
     #: Wall-clock epoch all host times are measured from (the launcher's
     #: start time, shared by every node so latencies compose).
@@ -182,9 +187,9 @@ class _Tenant:
     """One hosted replica's complete per-replica state.
 
     The replica, its host (metrics/trace/issue books), the outbox totals,
-    the first-receipt streams, counters and the write-ahead log.  The
-    sending half of its channels — windows, unacked copies, sent-log, byte
-    books — lives in the node's per-peer senders.
+    the first-receipt streams and counters.  The sending half of its
+    channels — windows, unacked copies, sent-log, byte books — lives in
+    the node's per-peer senders, and its log records in the node's log.
     """
 
     def __init__(self, node: "LiveNode", replica_id: ReplicaId) -> None:
@@ -212,70 +217,83 @@ class _Tenant:
             from ..obs.trace import TraceRecorder
             self.tracer = TraceRecorder()
             self.host.tracer = self.tracer
-        self.wal: Optional[ReplicaWAL] = None
-        if config.durable_dir:
-            self.wal = ReplicaWAL(config.durable_dir, replica_id,
-                                  compact_bytes=config.wal_compact_bytes)
+        #: This tenant's tag, the head of each of its log records.
+        self.tag = encode_atom(replica_id)
         self.recovered = False
 
-    # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
-    def checkpoint_state(self) -> WalCheckpoint:
+    def checkpoint_state(self, sent_log: Dict[ReplicaId, Dict[UpdateId, UpdateMessage]]
+                         ) -> WalCheckpoint:
         """The live state, uncopied: the checkpoint's pickle is the copy."""
         return WalCheckpoint(
             replica=self.replica.durable_view(),
-            sent_log=self.node.unacked_log(self.replica_id),
+            sent_log=sent_log,
             outbox_total=self.outbox_total,
             streams=self.streams,
             apply_times=self.apply_times,
             issue_times=self.host._issue_times,
         )
 
-    def maybe_compact(self) -> None:
-        if self.wal is not None and self.wal.should_compact():
-            self.wal.checkpoint(self.checkpoint_state())
-
     # ------------------------------------------------------------------
     # Client operations (served, or replayed with ``log=False``)
     # ------------------------------------------------------------------
     def write(self, register: Register, value: Any, at: float,
               log: bool = True) -> List[UpdateMessage]:
-        """Issue a write at host time ``at``: its copies enter the sent-log
-        and the drain books, and are returned for the caller to route.
+        """Issue a write at host time ``at`` and deliver its co-hosted
+        copies at the same time; the copies bound for other nodes enter
+        the sent-log and are returned for the caller to route.  Every copy
+        enters the drain books.
 
         Replay is deterministic: the replica derives the uid and the
         outgoing copies from durable state, so re-executing a ``W_WRITE``
-        record at its recorded time regenerates both exactly (``log=False``:
-        the record is already in the log).
+        record at its recorded time regenerates both — and the co-hosted
+        deliveries — exactly (``log=False``: the record is already in the
+        log).  That one record is all an intra-node copy costs the log.
         """
+        node = self.node
         update, messages = self.host.perform_write(
             self.replica_id, register, value, at=at
         )
         self.counters["issued"] += 1
         self.counters["ops_done"] += 1
         self.apply_times[update.uid] = at
-        hosting, outbox = self.node.config.replica_nodes, self.outbox_total
+        if log and node.wal is not None:
+            # One O(delta) record instead of a whole-state snapshot.
+            node.wal.append(wal_records.W_WRITE, self.tag,
+                            wal_records.encode_write_record(register, value, at))
+        hosting, outbox, tenants = node.config.replica_nodes, self.outbox_total, node.tenants
+        remote = []
         for message in messages:
             destination = message.destination
-            self.node.senders[hosting.get(destination, destination)].log(message)
             outbox[destination] = outbox.get(destination, 0) + 1
-        if log and self.wal is not None:
-            # One O(delta) record instead of a whole-state snapshot.
-            self.wal.append(wal_records.W_WRITE,
-                            wal_records.encode_write_record(register, value, at))
-            self.maybe_compact()
-        return messages
+            if destination in tenants:
+                self._deliver_intra(tenants[destination], message, at)
+            else:
+                node.senders[hosting.get(destination, destination)].log(message)
+                remote.append(message)
+        return remote
+
+    def _deliver_intra(self, destination: "_Tenant", message: UpdateMessage,
+                       at: float) -> None:
+        """The short-circuit: co-hosted delivery with no socket, no codec
+        and no sent-log, at the write's own time."""
+        counters = self.counters
+        counters["enqueued"] += 1
+        counters["sent"] += 1
+        channel = (message.sender, message.destination)
+        if self.tracer is not None:
+            uid = message.update.uid
+            self.tracer.record("send", uid, channel[0], channel[1], at)
+            self.tracer.record("wire", uid, channel[0], channel[1], at)
+        self.node._deliver(destination, channel, [message], at)
 
     def read(self, register: Register, at: float, log: bool = True) -> Any:
         """Serve a read from the local copy at host time ``at``."""
         value = self.host.perform_read(self.replica_id, register, at=at)
         self.counters["ops_done"] += 1
-        if log and self.wal is not None:
+        if log and self.node.wal is not None:
             # The READ trace event is durable state too.
-            self.wal.append(wal_records.W_READ,
-                            wal_records.encode_read_record(register, at))
-            self.maybe_compact()
+            self.node.wal.append(wal_records.W_READ, self.tag,
+                                 wal_records.encode_read_record(register, at))
         return value
 
     # ------------------------------------------------------------------
@@ -346,6 +364,8 @@ class _PeerStream:
         self._wake = asyncio.Event()
         #: The send loop wrote a pass: blocked producers look again.
         self._written = asyncio.Event()
+        #: The reply reader hit a corrupt frame: the connection must go.
+        self._replies_corrupt = False
         self.connected = False
 
     async def enqueue(self, message: UpdateMessage) -> None:
@@ -385,8 +405,10 @@ class _PeerStream:
             self.connected = True
             # A fresh connection is a fresh byte stream for every channel.
             self.sender.sever()
+            self._replies_corrupt = False
             reply_task = asyncio.create_task(self._read_replies(reader))
             try:
+                self.node.commit()
                 writer.write(encode_frame(
                     frames.HELLO,
                     frames.encode_hello(self.node.node_id, self.node.port),
@@ -413,6 +435,8 @@ class _PeerStream:
         sender = self.sender
         limit = sender.batching.max_messages
         while True:
+            if self._replies_corrupt:
+                raise ConnectionResetError("corrupt reply stream")
             stopping = self.node.stopping.is_set()
             # Ack-clocked (Nagle's rule): with nothing of this stream on the
             # wire every open window is due; otherwise a window is due when
@@ -434,7 +458,9 @@ class _PeerStream:
                         soonest is None or window.deadline < soonest):
                     soonest = window.deadline
             if out:
-                # One write and one drain for every frame of the pass.
+                # One write and one drain for every frame of the pass, after
+                # the log flush that makes the copies' writes durable.
+                self.node.commit()
                 writer.write(out)
                 self.node.socket_writes += 1
                 await writer.drain()
@@ -482,8 +508,17 @@ class _PeerStream:
                     elif kind == frames.SYNC:
                         destination, known = frames.decode_sync(payload)
                         await self.node.resync(destination, known, self)
-        except (OSError, ConnectionError, WireFormatError,
-                asyncio.CancelledError):
+                # The chunk's settles reach the OS now, not at the next
+                # socket write, which an idle node may never make.
+                self.node.commit()
+        except WireFormatError:
+            # A corrupt reply stream: count it and drop the connection —
+            # the send loop ends its pass, and the reconnect re-sends every
+            # unacknowledged copy.
+            self.node.corrupt_streams += 1
+            self._replies_corrupt = True
+            self._wake.set()
+        except (OSError, ConnectionError, asyncio.CancelledError):
             return
 
     def queued(self) -> int:
@@ -505,9 +540,9 @@ class LiveNode:
         }
         self.addresses: Dict[NodeId, Address] = dict(config.peers)
         self.addresses.pop(self.node_id, None)
-        #: The sending half of every outgoing channel, one sender per
-        #: destination node; intra-node channels (this node's own entry)
-        #: ship no bytes and use only its sent-log.
+        #: The sending half of every outgoing channel to a peer node, one
+        #: sender per destination node; a co-hosted copy bypasses them and
+        #: is delivered inside its write.
         self.senders: Dict[NodeId, ChannelSender] = defaultdict(self._new_sender)
         self.peer_streams: Dict[NodeId, _PeerStream] = {}
         self.stopping = asyncio.Event()
@@ -526,8 +561,19 @@ class LiveNode:
         self.ack_frames = 0
         #: Inbound batches dropped unacknowledged: no such tenant here.
         self.misrouted_batches = 0
-        #: Inbound connections dropped for a corrupt or misaligned stream.
+        #: Connections dropped for a corrupt or misaligned stream, inbound
+        #: or a peer stream's replies.
         self.corrupt_streams = 0
+        #: The node's one write-ahead log (``None``: diskless).
+        self.wal: Optional[ReplicaWAL] = None
+        if config.durable_dir:
+            self.wal = ReplicaWAL(config.durable_dir, self.node_id,
+                                  compact_bytes=config.wal_compact_bytes)
+        #: The number the next inbound connection gets; its receipt records
+        #: name it, so replay decodes them on the right delta chain.
+        self._next_connection = 0
+        #: Open inbound connections' delta decoders, by connection number.
+        self._inbound: Dict[int, ChannelDeltaDecoder] = {}
         self._recover()
 
     @property
@@ -542,15 +588,19 @@ class LiveNode:
         # reconnect rewinds it (TCP loses a copy only with its connection).
         return ChannelSender(self.config.batching)
 
+    def _new_decoder(self) -> Optional[ChannelDeltaDecoder]:
+        """One inbound stream's delta chains (its encoder's mirror)."""
+        return ChannelDeltaDecoder() if self.config.batching.delta_encoding else None
+
     def _settle(self, tenant: _Tenant, destination: ReplicaId,
                 uids: List[UpdateId], log: bool = True) -> None:
         """Acked ⇒ durable at the receiver: settle a tenant's copies
         (``log=False``: replaying a settle already in the WAL)."""
         sender = self.senders[self._hosting_node(destination)]
         settled = sender.settle(destination, uids)
-        if settled and log and tenant.wal is not None:
-            tenant.wal.append(wal_records.W_ACK,
-                              wal_records.encode_ack_record(destination, settled))
+        if settled and log and self.wal is not None:
+            self.wal.append(wal_records.W_ACK, tenant.tag,
+                            wal_records.encode_ack_record(destination, settled))
 
     def note_acked(self, destination: ReplicaId, uids: List[UpdateId]) -> None:
         """An ACK frame: settle the copies per sending tenant."""
@@ -567,82 +617,98 @@ class LiveNode:
                 and stream.sender.windows):
             stream._wake.set()
 
-    def unacked_log(self, source: ReplicaId
-                    ) -> Dict[ReplicaId, Dict[UpdateId, UpdateMessage]]:
-        """One tenant's slice of the sent-logs (what its checkpoint keeps)."""
-        out: Dict[ReplicaId, Dict[UpdateId, UpdateMessage]] = {}
+    # ------------------------------------------------------------------
+    # Durability: the flush barrier, checkpoints, recovery
+    # ------------------------------------------------------------------
+    def commit(self) -> None:
+        """The flush barrier: every buffered log record reaches the OS in
+        one write.  Called before each socket write, so no frame leaves
+        the node while a record is unflushed; the log is compacted here,
+        after the flush, once it outgrows ``wal_compact_bytes``."""
+        wal = self.wal
+        if wal is None:
+            return
+        wal.flush()
+        if wal.should_compact():
+            wal.checkpoint(self.checkpoint_state())
+
+    def checkpoint_state(self) -> NodeCheckpoint:
+        """Every tenant's live state and the open inbound chains, uncopied:
+        the checkpoint's pickle is the copy."""
+        sent_logs: Dict[ReplicaId, Dict[ReplicaId, Dict[UpdateId, UpdateMessage]]] = {
+            rid: {} for rid in self.tenants
+        }
         for sender in self.senders.values():
             for destination, book in sender.sent_log.items():
-                mine = {uid: copy.message for uid, copy in book.items()
-                        if copy.message.sender == source}
-                if mine:
-                    out[destination] = mine
-        return out
+                for uid, copy in book.items():
+                    sent_logs[copy.message.sender].setdefault(
+                        destination, {})[uid] = copy.message
+        return NodeCheckpoint(
+            tenants={rid: tenant.checkpoint_state(sent_logs[rid])
+                     for rid, tenant in self.tenants.items()},
+            decoder_bases={connection: decoder.bases
+                           for connection, decoder in self._inbound.items()},
+            next_connection=self._next_connection,
+        )
 
-    # ------------------------------------------------------------------
-    # Recovery (checkpoint + WAL replay)
-    # ------------------------------------------------------------------
     def _recover(self) -> None:
-        if not self.config.durable_dir:
+        """Load the checkpoint, then replay the log tail in file order —
+        the order the node made its changes in, across tenants."""
+        if self.wal is None:
             return
-        for rid in sorted(self.tenants, key=_id_order):
-            self._recover_tenant(self.tenants[rid])
-        # Phase 2: re-deliver intra-node copies that never became durable
-        # at their co-hosted destination (the crash window between the
-        # sender's WRITE record and the receiver's DELIVER record) — what
-        # the SYNC exchange does for the wire path on reconnect.  Copies
-        # already delivered are deduplicated and merely re-acked.
-        local = self.senders[self.node_id].sent_log
-        for destination in sorted(local, key=_id_order):
-            for copy in list(local[destination].values()):
-                self._deliver_intra(self.tenants[copy.message.sender], copy.message)
-
-    def _recover_tenant(self, tenant: _Tenant) -> None:
-        checkpoint, records = tenant.wal.load()
+        checkpoint, records = self.wal.load()
+        decoders: Dict[int, Optional[ChannelDeltaDecoder]] = {}
         if checkpoint is not None:
-            # Freshly unpickled, held by nobody else: adopted, not copied.
-            tenant.replica.adopt(checkpoint.replica)
-            for destination, book in checkpoint.sent_log.items():
-                sender = self.senders[self._hosting_node(destination)]
-                for message in book.values():
-                    sender.log(message)
-            tenant.outbox_total = checkpoint.outbox_total
-            tenant.streams = checkpoint.streams
-            tenant.apply_times = checkpoint.apply_times
-            tenant.host._issue_times = checkpoint.issue_times
-        if checkpoint is not None or records:
+            for rid, state in checkpoint.tenants.items():
+                self._restore(self.tenants[rid], state)
+            decoders = {connection: ChannelDeltaDecoder(bases)
+                        for connection, bases in checkpoint.decoder_bases.items()}
+            self._next_connection = checkpoint.next_connection
+        if checkpoint is None and not records:
+            return
+        for tenant in self.tenants.values():
             tenant.recovered = True
         for kind, payload in records:
+            rid, offset = decode_atom(payload)
+            tenant = self.tenants[rid]
             if kind == wal_records.W_WRITE:
-                register, value, at = wal_records.decode_write_record(payload)
+                register, value, at = wal_records.decode_write_record(payload, offset)
                 tenant.write(register, value, at, log=False)
             elif kind == wal_records.W_READ:
-                register, at = wal_records.decode_read_record(payload)
+                register, at = wal_records.decode_read_record(payload, offset)
                 tenant.read(register, at, log=False)
             elif kind == wal_records.W_DELIVER:
-                received_at, batch = wal_records.decode_deliver_record(payload)
-                self._deliver(tenant, batch.channel, list(batch.messages),
-                              received_at=received_at, log=False)
+                received_at, connection, offset = wal_records.decode_receipt_head(
+                    payload, offset)
+                if connection not in decoders:
+                    decoders[connection] = self._new_decoder()
+                self._next_connection = max(self._next_connection, connection + 1)
+                batch, _ = decode_batch(payload, offset, decoder=decoders[connection])
+                self._deliver(tenant, batch.channel, list(batch.messages), received_at)
             elif kind == wal_records.W_ACK:
-                destination, uids = wal_records.decode_ack_record(payload)
+                destination, uids = wal_records.decode_ack_record(payload, offset)
                 self._settle(tenant, destination, uids, log=False)
+
+    def _restore(self, tenant: _Tenant, state: WalCheckpoint) -> None:
+        # Freshly unpickled, held by nobody else: adopted, not copied.
+        tenant.replica.adopt(state.replica)
+        for destination, book in state.sent_log.items():
+            sender = self.senders[self._hosting_node(destination)]
+            for message in book.values():
+                sender.log(message)
+        tenant.outbox_total = state.outbox_total
+        tenant.streams = state.streams
+        tenant.apply_times = state.apply_times
+        tenant.host._issue_times = state.issue_times
 
     # ------------------------------------------------------------------
     # Delivery (shared by the wire path, the short-circuit and replay)
     # ------------------------------------------------------------------
     def _deliver(self, tenant: _Tenant, channel: Channel,
-                 messages: List[UpdateMessage],
-                 received_at: Optional[float] = None,
-                 log: bool = True) -> None:
-        """First-receipt bookkeeping, WAL append, batch apply — all at
-        ``received_at``, the time the batch was read, which the WAL record
-        stores.
-
-        ``log=False`` is the replay path: the record being replayed is
-        already in the log, and its time comes from it, not the clock.
-        """
-        if received_at is None:
-            received_at = self.now
+                 messages: List[UpdateMessage], received_at: float) -> None:
+        """First-receipt bookkeeping and batch apply, at ``received_at``:
+        the time the batch was read (or its write issued), which its log
+        record stores, so replay passes the same time."""
         counters = tenant.counters
         covers = tenant.replica.known().covers
         first_receipts: Dict[UpdateId, UpdateMessage] = {}
@@ -663,41 +729,9 @@ class LiveNode:
         if not first_receipts:
             return
         fresh = tuple(first_receipts.values())
-        if log and tenant.wal is not None:
-            # Ack (and apply) only after the receipt is durable: the WAL
-            # record carries the fresh messages as standalone wire frames.
-            record_batch = MessageBatch(
-                sender=channel[0], destination=channel[1], seq=0,
-                messages=fresh,
-            )
-            tenant.wal.append(
-                wal_records.W_DELIVER,
-                wal_records.encode_deliver_record(
-                    received_at, record_batch, tenant.replica.wire_codec()
-                ),
-            )
         applied = tenant.host.deliver(tenant.replica, fresh, at=received_at)
         for update in applied:
             tenant.apply_times[update.uid] = received_at
-        if log:
-            tenant.maybe_compact()
-
-    def _deliver_intra(self, src_tenant: _Tenant,
-                       message: UpdateMessage) -> None:
-        """The short-circuit: co-hosted delivery with no socket, no codec."""
-        uid = message.update.uid
-        src, destination = message.sender, message.destination
-        counters = src_tenant.counters
-        counters["enqueued"] += 1
-        counters["sent"] += 1
-        if src_tenant.tracer is not None:
-            now = self.now
-            src_tenant.tracer.record("send", uid, src, destination, now)
-            src_tenant.tracer.record("wire", uid, src, destination, now)
-        self._deliver(self.tenants[destination], (src, destination), [message])
-        # The short-circuit acks synchronously: the copy is durable at its
-        # receiver the moment _deliver returns.
-        self._settle(src_tenant, destination, [uid])
 
     # ------------------------------------------------------------------
     # The process main loop
@@ -737,9 +771,8 @@ class LiveNode:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
             await self._server.wait_closed()
-            for tenant in self.tenants.values():
-                if tenant.wal is not None:
-                    tenant.wal.close()
+            if self.wal is not None:
+                self.wal.close()
 
     def _start_stream(self, peer: NodeId) -> _PeerStream:
         stream = _PeerStream(self, peer)
@@ -775,7 +808,7 @@ class LiveNode:
                                 float(getattr(book, name))))
         me = (("node", str(self.node_id)),)
         streams = self.peer_streams.values()
-        wals = [t.wal for t in self.tenants.values() if t.wal is not None]
+        wal = self._wal_counts()
         for name, value in (
             ("send_queue_depth", sum(stream.queued() for stream in streams)),
             ("unacked", sum(stream.unacked() for stream in streams)),
@@ -786,11 +819,12 @@ class LiveNode:
             ("ack_frames_total", self.ack_frames),
             ("misrouted_batches_total", self.misrouted_batches),
             ("corrupt_streams_total", self.corrupt_streams),
-            ("wal_bytes", sum(w.wal_bytes for w in wals)),
-            ("wal_records_total", sum(w.records_appended for w in wals)),
-            ("wal_compactions_total", sum(w.compactions for w in wals)),
-            ("wal_checkpoint_seconds_total", sum(w.checkpoint_seconds for w in wals)),
-            ("wal_checkpoint_bytes_total", sum(w.checkpoint_bytes for w in wals)),
+            ("wal_bytes", wal["wal_bytes"]),
+            ("wal_records_total", wal["wal_records"]),
+            ("wal_flushes_total", wal["wal_flushes"]),
+            ("wal_compactions_total", wal["wal_compactions"]),
+            ("wal_checkpoint_seconds_total", wal["wal_checkpoint_seconds"]),
+            ("wal_checkpoint_bytes_total", wal["wal_checkpoint_bytes"]),
         ):
             samples.append((f"repro_node_{name}", me, float(value)))
         return samples
@@ -809,6 +843,7 @@ class LiveNode:
             self.now, self.node_id, self.telemetry_samples()
         ))
         alive: List[asyncio.StreamWriter] = []
+        self.commit()
         for writer in self._telemetry_writers:
             if writer.is_closing():
                 continue
@@ -846,8 +881,11 @@ class LiveNode:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         decoder = StreamDecoder()
-        state: Dict[str, Any] = {"peer": None, "decoder": None, "control": False,
-                                 "writer": writer}
+        # The connection's number names its delta chain in the log.
+        state: Dict[str, Any] = {"peer": None, "decoder": None,
+                                 "connection": self._next_connection,
+                                 "control": False, "writer": writer}
+        self._next_connection += 1
         handler = asyncio.current_task()
         self._handlers.add(handler)
         try:
@@ -873,6 +911,9 @@ class LiveNode:
                         encode_frame_into(out, frames.ACK,
                                           frames.encode_tagged_uids(destination, uids))
                     self.ack_frames += len(acks)
+                    # The chunk's records reach the OS in one write, before
+                    # the acks and replies that speak of them.
+                    self.commit()
                     if out:
                         writer.write(out)
                         self.socket_writes += 1
@@ -891,6 +932,7 @@ class LiveNode:
             return
         finally:
             self._handlers.discard(handler)
+            self._inbound.pop(state["connection"], None)
             if state["control"]:
                 self._control_connections -= 1
             writer.close()
@@ -908,10 +950,9 @@ class LiveNode:
             state["peer"] = peer
             # One decoder per inbound connection: its delta chains are
             # keyed by channel, like the sending stream's encoder.
-            state["decoder"] = (
-                ChannelDeltaDecoder() if self.config.batching.delta_encoding
-                else None
-            )
+            decoder = state["decoder"] = self._new_decoder()
+            if decoder is not None:
+                self._inbound[state["connection"]] = decoder
             # The peer listens on the host it dialled from, at the port it
             # announced — so a restarted peer's new address propagates with
             # its first frame.
@@ -971,11 +1012,21 @@ class LiveNode:
             # Misrouted (stale placement at the sender): drop, unacknowledged.
             self.misrouted_batches += 1
             return
-        self._deliver(tenant, batch.channel, list(batch.messages))
-        # Ack after the WAL append inside _deliver: an ack promises the
-        # update survives a crash, and it leaves with the chunk's write,
-        # later still.  Duplicates are re-acked so a sender that re-sent
-        # them on a reconnect settles.
+        received_at = self.now
+        if self.wal is not None:
+            # The receipt is the bytes that arrived, duplicates and all, so
+            # no delta chain in the log skips a frame.
+            self.wal.append(
+                wal_records.W_DELIVER,
+                tenant.tag + wal_records.encode_receipt_head(
+                    received_at, state["connection"]),
+                payload,
+            )
+        self._deliver(tenant, batch.channel, list(batch.messages), received_at)
+        # The ack leaves with the chunk's write, after the flush that makes
+        # the receipt durable: an ack promises the update survives a crash.
+        # Duplicates are re-acked so a sender that re-sent them on a
+        # reconnect settles.
         state["acks"].setdefault(batch.destination, []).extend(
             message.update.uid for message in batch.messages)
 
@@ -995,12 +1046,8 @@ class LiveNode:
             if tenant is not None:
                 tenant.counters["ops_done"] += 1
         elif kind == "write":
-            messages = tenant.write(register, value, self.now)
-            local = [m for m in messages if m.destination in self.tenants]
-            remote = [m for m in messages if m.destination not in self.tenants]
-            for message in local:
-                self._deliver_intra(tenant, message)
-            for message in remote:
+            # Co-hosted copies are delivered inside the write.
+            for message in tenant.write(register, value, self.now):
                 await self._stream_for(message.destination).enqueue(message)
         else:
             reply_value = tenant.read(register, self.now)
@@ -1044,9 +1091,26 @@ class LiveNode:
         return {channel: book for sender in self.senders.values()
                 for channel, book in sender.book.items()}
 
+    def _wal_counts(self) -> Dict[str, float]:
+        """The log's counters (zeros when diskless): bytes in the current
+        generation; records appended, flushes and compactions made, and
+        the compactions' seconds and bytes, over this process's life."""
+        wal = self.wal
+        if wal is None:
+            return dict.fromkeys((
+                "wal_bytes", "wal_records", "wal_flushes", "wal_compactions",
+                "wal_checkpoint_seconds", "wal_checkpoint_bytes"), 0)
+        return {
+            "wal_bytes": wal.wal_bytes,
+            "wal_records": wal.records_appended,
+            "wal_flushes": wal.flushes,
+            "wal_compactions": wal.compactions,
+            "wal_checkpoint_seconds": wal.checkpoint_seconds,
+            "wal_checkpoint_bytes": wal.checkpoint_bytes,
+        }
+
     def report(self) -> Dict[str, Any]:
         """The end-of-run report: per-tenant reports, byte books, footprint."""
-        wals = [t.wal for t in self.tenants.values() if t.wal is not None]
         return {
             "node_id": self.node_id,
             "tenants": {
@@ -1064,11 +1128,7 @@ class LiveNode:
                 "ack_frames": self.ack_frames,
                 "misrouted_batches": self.misrouted_batches,
                 "corrupt_streams": self.corrupt_streams,
-                "wal_bytes": sum(w.wal_bytes for w in wals),
-                "wal_records": sum(w.records_appended for w in wals),
-                "wal_compactions": sum(w.compactions for w in wals),
-                "wal_checkpoint_seconds": sum(w.checkpoint_seconds for w in wals),
-                "wal_checkpoint_bytes": sum(w.checkpoint_bytes for w in wals),
+                **self._wal_counts(),
             },
         }
 

@@ -25,7 +25,7 @@ Lifecycle::
 Fault injection is first-class: :meth:`LiveCluster.kill` SIGKILLs a node
 mid-run (taking all its tenants down at once) and
 :meth:`LiveCluster.restart` boots a fresh process that replays each
-tenant's checkpoint + WAL tail (:mod:`repro.net.wal`); the stream
+node's checkpoint + WAL tail (:mod:`repro.net.wal`); the stream
 reconnect + ``SYNC`` resync protocol (:mod:`repro.net.node`) brings it
 back in sync, exactly like the simulator's crash/restart path.
 
@@ -457,8 +457,9 @@ class LiveCluster:
         (:class:`~repro.wire.channel.BatchingConfig`, default 16 messages
         / 2 ms).
     durable_dir:
-        Directory for per-replica checkpoint + WAL files; required for
-        :meth:`kill`/:meth:`restart` recovery.  ``None`` runs diskless.
+        Directory for the nodes' checkpoint + WAL files (one pair per
+        node); required for :meth:`kill`/:meth:`restart` recovery.
+        ``None`` runs diskless.
     nodes:
         Host the replicas on this many OS processes (contiguous split of
         the sorted replica ids).  Default: one node per replica, node id
@@ -467,7 +468,7 @@ class LiveCluster:
         Explicit node id → hosted replica ids map (overrides ``nodes``).
         Must partition the share graph's replicas exactly.
     wal_compact_bytes:
-        Per-replica WAL size that triggers compaction into a checkpoint.
+        Per-node WAL size that triggers compaction into a checkpoint.
     tracing:
         Record the message-lifecycle trace at every replica (wall-relative
         stamps against the shared clock origin); the merged trace comes
@@ -661,7 +662,7 @@ class LiveCluster:
         """SIGKILL a node mid-run: no warning, no flush, no goodbye.
 
         Accepts a node id or any replica id it hosts; every tenant goes
-        down with the process.  What survives is each tenant's durable
+        down with the process.  What survives is the node's durable
         checkpoint + WAL tail; peers' streams break and enter their
         reconnect loops.
         """
@@ -683,7 +684,7 @@ class LiveCluster:
     def restart(self, member_id: Any, timeout: float = 30.0) -> None:
         """Boot a fresh process for the node from its durable state.
 
-        The new node replays each tenant's checkpoint + WAL tail, binds a
+        The new node replays its checkpoint + WAL tail, binds a
         fresh port, reconnects its peer streams (learning addresses from
         the map in its config) and answers every peer's ``SYNC`` with the
         updates they missed — the live crash-recovery path.

@@ -1,34 +1,48 @@
-"""Log-structured durability for live replicas: checkpoint + write-ahead log.
+"""Log-structured durability for live nodes: checkpoint + write-ahead log.
 
 Until PR 8 every persist wrote the node's whole durable state as one pickle
 — O(replica state) per operation, the dominant cost of the live hot path
 once histories grow.  This module replaces it with the classic
-log-structured pair:
+log-structured pair, one per node (:class:`ReplicaWAL` is the file format;
+a :class:`~repro.net.node.LiveNode` opens one instance for all of its
+tenants):
 
-* a **checkpoint file** (``replica-<id>.ckpt``): append-only, one framed
+* a **checkpoint file** (``node-<id>.ckpt``): append-only, one framed
   checkpoint record per compaction.  *History is appended, state is
-  replaced*: a record carries the replaceable state whole — the protocol
-  state minus its history, the sent-log, the outbox totals and the log
-  generation — but of the history (the replica's event trace, the
-  first-receipt streams, the apply and issue times) only what
-  was appended since the previous record.  So a compaction costs
-  O(state + what changed), never O(history), and nothing is deep-copied:
-  the pickle of the live state is the copy;
-* a **write-ahead log** (``replica-<id>.wal.<generation>``): one framed
-  record appended per state change, O(delta) per operation.  Records reuse
-  the :mod:`repro.net.framing` envelope and the :mod:`repro.wire` codecs —
-  the bytes in the log are the bytes of the wire.
+  replaced*: a record carries the replaceable state whole — every
+  tenant's protocol state minus its history, sent-log, outbox totals, the
+  inbound connections' delta-decoder bases and the log generation — but
+  of the history (each replica's event trace, the first-receipt streams,
+  the apply and issue times) only what was appended since the previous
+  record.  So a compaction costs O(state + what changed), never
+  O(history), and nothing is deep-copied: the pickle of the live state is
+  the copy;
+* a **write-ahead log** (``node-<id>.wal.<generation>``): one framed,
+  tenant-tagged record per state change, O(delta) per operation, in the
+  order the node made the changes — so file order is the order across
+  tenants.  Records reuse the :mod:`repro.net.framing` envelope and the
+  :mod:`repro.wire` codecs, and the bytes in the log are the bytes of the
+  wire: a receipt record holds the ``BATCH`` payload exactly as it was
+  read, delta frames included, with the number of the inbound connection
+  whose chain decodes it.
+
+**Group commit.**  :meth:`ReplicaWAL.append` only buffers;
+:meth:`ReplicaWAL.flush` hands every buffered record to the OS in one
+write.  The flush is the node's barrier: no frame leaves the node while a
+record is unflushed, so an ack, a reply or a copy on the wire always
+speaks of durable state, and one write covers a whole wake-up's records.
 
 Recovery folds the checkpoint records — the last record's state plus
 every record's history, in order — and replays the log tail.  Replay
 is deterministic: a ``WRITE`` record re-executes the original
 ``replica.write`` at its recorded time, regenerating the *identical*
 update id and outgoing copies (the protocol derives both from durable
-replica state); a ``DELIVER`` record re-applies the received batch; an
-``ACK`` record re-settles its copies.  A SIGKILL can truncate the final
-record mid-append — the replay parser stops at the torn tail and the
-reopened log truncates it away, exactly the prefix-durability a
-write-ahead log promises.
+replica state) and delivering the copies to co-hosted tenants as the live
+write did; a ``DELIVER`` record decodes its bytes on its connection's
+delta chain and re-applies the batch; an ``ACK`` record re-settles its
+copies.  A SIGKILL can truncate the final record mid-write — the replay
+parser stops at the torn tail and the reopened log truncates it away,
+exactly the prefix-durability a write-ahead log promises.
 
 Compaction runs when the log outgrows ``compact_bytes``: create the empty
 next-generation log, append a checkpoint record naming it and fsync the
@@ -58,6 +72,7 @@ from ..wire.primitives import (
     decode_uvarint,
     encode_atom,
     encode_uvarint,
+    encode_uvarint_into,
 )
 from .framing import MAX_FRAME_SIZE, encode_frame
 
@@ -128,6 +143,49 @@ class WalCheckpoint:
         return self
 
 
+@dataclass
+class NodeCheckpoint:
+    """One node's full durable state at a compaction point: every
+    tenant's :class:`WalCheckpoint` and the inbound delta chains.
+
+    A history's path is its tenant's path prefixed by the tenant id, so
+    :func:`encode_checkpoint_record` and :func:`fold_checkpoint_records`
+    treat the node like one replica.
+    """
+
+    tenants: Dict[ReplicaId, WalCheckpoint]
+    #: Each open inbound connection's delta-decoder bases, by connection
+    #: number: the last timestamp decoded per channel, which the next
+    #: delta frame on that connection is applied to.
+    decoder_bases: Dict[int, Dict[Channel, Any]] = field(default_factory=dict)
+    #: The number the node's next inbound connection gets.
+    next_connection: int = 0
+    #: The log generation this checkpoint is extended by.
+    generation: int = 0
+
+    def histories(self) -> Dict[tuple, Any]:
+        return {(rid, *path): history
+                for rid, state in self.tenants.items()
+                for path, history in state.histories().items()}
+
+    def without_history(self) -> "NodeCheckpoint":
+        return NodeCheckpoint(
+            tenants={rid: state.without_history()
+                     for rid, state in self.tenants.items()},
+            decoder_bases=self.decoder_bases,
+            next_connection=self.next_connection,
+            generation=self.generation,
+        )
+
+    def with_history(self, histories: Dict[tuple, Any]) -> "NodeCheckpoint":
+        by_tenant: Dict[ReplicaId, Dict[tuple, Any]] = {}
+        for path, entries in histories.items():
+            by_tenant.setdefault(path[0], {})[path[1:]] = entries
+        for rid, parts in by_tenant.items():
+            self.tenants[rid].with_history(parts)
+        return self
+
+
 # ----------------------------------------------------------------------
 # Checkpoint records: history appended, state replaced
 # ----------------------------------------------------------------------
@@ -195,8 +253,9 @@ def encode_write_record(register: Register, value: Any, at: float) -> bytes:
     return encode_atom(register) + encode_value(value) + encode_value(at)
 
 
-def decode_write_record(payload: bytes) -> Tuple[Register, Any, float]:
-    register, offset = decode_atom(payload)
+def decode_write_record(payload: bytes, offset: int = 0
+                        ) -> Tuple[Register, Any, float]:
+    register, offset = decode_atom(payload, offset)
     value, offset = decode_value(payload, offset)
     at, _ = decode_value(payload, offset)
     return register, value, at
@@ -206,16 +265,18 @@ def encode_read_record(register: Register, at: float) -> bytes:
     return encode_atom(register) + encode_value(at)
 
 
-def decode_read_record(payload: bytes) -> Tuple[Register, float]:
-    register, offset = decode_atom(payload)
+def decode_read_record(payload: bytes, offset: int = 0
+                       ) -> Tuple[Register, float]:
+    register, offset = decode_atom(payload, offset)
     at, _ = decode_value(payload, offset)
     return register, at
 
 
 def encode_deliver_record(received_at: float, batch: MessageBatch,
                           codec: Any) -> bytes:
-    # Full frames (no delta chain): every record must replay standalone —
-    # a log is not a stream, compaction may drop any prefix.
+    """A standalone deliver record: ``batch`` re-encoded as full frames,
+    which replay with no delta-chain context.  A live node logs the bytes
+    it received instead (:func:`encode_receipt_head`)."""
     data, _ = encode_batch(batch, encoder=None, codec=codec)
     return encode_value(received_at) + data
 
@@ -226,16 +287,34 @@ def decode_deliver_record(payload: bytes) -> Tuple[float, MessageBatch]:
     return received_at, batch
 
 
+def encode_receipt_head(received_at: float, connection: int) -> bytes:
+    """The head of a node's ``DELIVER`` record; the received ``BATCH``
+    payload follows it unchanged.  Replay decodes that payload on
+    ``connection``'s delta chain, so a chain may cross any record
+    boundary, a compaction (the checkpoint keeps the chain's bases) or a
+    restart."""
+    return encode_value(received_at) + encode_uvarint(connection)
+
+
+def decode_receipt_head(payload: bytes, offset: int = 0
+                        ) -> Tuple[float, int, int]:
+    """``(received_at, connection, offset of the batch payload)``."""
+    received_at, offset = decode_value(payload, offset)
+    connection, offset = decode_uvarint(payload, offset)
+    return received_at, connection, offset
+
+
 def encode_ack_record(destination: ReplicaId, uids: List[UpdateId]) -> bytes:
     from . import frames
 
     return encode_atom(destination) + frames.encode_uid_list(uids)
 
 
-def decode_ack_record(payload: bytes) -> Tuple[ReplicaId, List[UpdateId]]:
+def decode_ack_record(payload: bytes, offset: int = 0
+                      ) -> Tuple[ReplicaId, List[UpdateId]]:
     from . import frames
 
-    destination, offset = decode_atom(payload)
+    destination, offset = decode_atom(payload, offset)
     uids, _ = frames.decode_uid_list(payload, offset)
     return destination, uids
 
@@ -263,13 +342,16 @@ def _parse_records(data: bytes) -> Tuple[List[Tuple[int, bytes]], int]:
 
 
 class ReplicaWAL:
-    """One replica's durable state: a checkpoint plus an append-only log.
+    """A durable state: a checkpoint plus an append-only log.
 
-    ``append`` is the per-operation hot path: one framed record, one
-    buffered write, one flush to the OS — O(record), never O(state).
-    ``checkpoint`` is the rare path and the only place the state is
-    serialised: whole, but the history only from where the previous
-    checkpoint record left it.
+    ``append`` is the per-operation hot path: one framed record into a
+    buffer — O(record), never O(state), no system call.  ``flush`` hands
+    the buffer to the OS in one write.  ``checkpoint`` is the rare path
+    and the only place the state is serialised: whole, but the history
+    only from where the previous checkpoint record left it.
+
+    The files are named ``node-<replica_id>``: a live node opens one log
+    under its node id.
     """
 
     def __init__(self, directory: str, replica_id: ReplicaId,
@@ -277,15 +359,20 @@ class ReplicaWAL:
         self.directory = directory
         self.replica_id = replica_id
         self.compact_bytes = compact_bytes
-        self.checkpoint_path = os.path.join(directory, f"replica-{replica_id}.ckpt")
+        self._stem = f"node-{replica_id}"
+        self.checkpoint_path = os.path.join(directory, f"{self._stem}.ckpt")
         self.generation = 0
         self._log: Optional[IO[bytes]] = None
+        #: Framed records appended but not yet flushed to the OS.
+        self._pending = bytearray()
         #: Entries of each history the checkpoint file already holds.
         self._marks: Dict[tuple, int] = {}
         #: Bytes appended to the current log generation.
         self.wal_bytes = 0
         #: Records appended over this process's lifetime (telemetry).
         self.records_appended = 0
+        #: Writes that flushed records to the OS (telemetry).
+        self.flushes = 0
         #: Compactions performed over this process's lifetime (telemetry).
         self.compactions = 0
         #: Wall seconds spent in, and bytes appended by, those compactions.
@@ -293,9 +380,7 @@ class ReplicaWAL:
         self.checkpoint_bytes = 0
 
     def _log_path(self, generation: int) -> str:
-        return os.path.join(
-            self.directory, f"replica-{self.replica_id}.wal.{generation}"
-        )
+        return os.path.join(self.directory, f"{self._stem}.wal.{generation}")
 
     # ------------------------------------------------------------------
     # Recovery
@@ -333,18 +418,20 @@ class ReplicaWAL:
         return checkpoint, records
 
     def _open_log(self, truncate_to: Optional[int] = None) -> None:
+        # Unbuffered: the pending buffer is the only buffer, and a flush
+        # is exactly one write.
         path = self._log_path(self.generation)
         if truncate_to is not None:
-            self._log = open(path, "r+b")
+            self._log = open(path, "r+b", buffering=0)
             self._log.truncate(truncate_to)
             self._log.seek(truncate_to)
             self.wal_bytes = truncate_to
         else:
-            self._log = open(path, "wb")
+            self._log = open(path, "wb", buffering=0)
             self.wal_bytes = 0
 
     def _cleanup_stale(self) -> None:
-        prefix = f"replica-{self.replica_id}.wal."
+        prefix = f"{self._stem}.wal."
         for name in os.listdir(self.directory):
             if not name.startswith(prefix):
                 continue
@@ -358,21 +445,41 @@ class ReplicaWAL:
     # ------------------------------------------------------------------
     # The hot path
     # ------------------------------------------------------------------
-    def append(self, kind: int, payload: bytes) -> None:
-        """Append one record and flush it to the OS.
+    def append(self, kind: int, payload: bytes, tail: bytes = b"") -> None:
+        """Buffer one record: ``kind`` framed around ``payload + tail``
+        (two parts, so a received payload is framed without a copy of
+        its own).  Durable only after the next :meth:`flush`."""
+        size = 1 + len(payload) + len(tail)
+        if size > MAX_FRAME_SIZE:
+            raise WireFormatError(
+                f"record of {size} bytes exceeds MAX_FRAME_SIZE ({MAX_FRAME_SIZE})"
+            )
+        pending = self._pending
+        start = len(pending)
+        encode_uvarint_into(pending, size)
+        pending.append(kind)
+        pending += payload
+        pending += tail
+        self.wal_bytes += len(pending) - start
+        self.records_appended += 1
 
-        The flush makes the record SIGKILL-durable (the process can die,
+    def flush(self) -> None:
+        """Hand every buffered record to the OS in one write.
+
+        The write makes the records SIGKILL-durable (the process can die,
         the kernel keeps the page); full power-loss durability would add
         an fsync here, a policy knob the fault model does not require —
         the crash injector kills processes, not the machine.
         """
+        if not self._pending:
+            return
         if self._log is None:
             self._open_log()
-        frame = encode_frame(kind, payload)
-        self._log.write(frame)
-        self._log.flush()
-        self.wal_bytes += len(frame)
-        self.records_appended += 1
+        data, self._pending = self._pending, bytearray()
+        written = self._log.write(data)
+        while written < len(data):
+            written += self._log.write(data[written:])
+        self.flushes += 1
 
     def should_compact(self) -> bool:
         return self.wal_bytes >= self.compact_bytes
@@ -400,10 +507,13 @@ class ReplicaWAL:
         an orphan, cleaned up on the next load.
         """
         started = time.perf_counter()
+        # ``state`` holds the buffered records' effects, but until the
+        # record below commits the old log is what recovery reads.
+        self.flush()
         next_generation = self.generation + 1
         state.generation = next_generation
         frame = encode_frame(C_CHECKPOINT, encode_checkpoint_record(state, self._marks))
-        next_log = open(self._log_path(next_generation), "wb")
+        next_log = open(self._log_path(next_generation), "wb", buffering=0)
         with open(self.checkpoint_path, "ab") as handle:
             handle.write(frame)
             handle.flush()
@@ -423,7 +533,7 @@ class ReplicaWAL:
         self.checkpoint_seconds += time.perf_counter() - started
 
     def close(self) -> None:
+        self.flush()
         if self._log is not None:
-            self._log.flush()
             self._log.close()
             self._log = None

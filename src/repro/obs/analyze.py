@@ -283,6 +283,7 @@ _NODE_TRANSPORT_METRICS = (
     "repro_node_corrupt_streams_total",
     "repro_node_wal_bytes",
     "repro_node_wal_records_total",
+    "repro_node_wal_flushes_total",
     "repro_node_wal_compactions_total",
     "repro_node_wal_checkpoint_seconds_total",
     "repro_node_wal_checkpoint_bytes_total",
@@ -333,6 +334,9 @@ def node_transport_table(metric_records: Sequence[dict]) -> List[dict]:
             "wal_bytes": int(values.get("repro_node_wal_bytes", 0.0)),
             "wal_records": int(
                 values.get("repro_node_wal_records_total", 0.0)
+            ),
+            "wal_flushes": int(
+                values.get("repro_node_wal_flushes_total", 0.0)
             ),
             "wal_compactions": int(
                 values.get("repro_node_wal_compactions_total", 0.0)

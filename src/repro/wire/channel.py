@@ -137,11 +137,17 @@ class ChannelDeltaDecoder:
 
     Must consume every frame of a channel in encode order (the FIFO-stream
     contract above); the decoded timestamp becomes the state the next delta
-    frame on that channel is applied to.
+    frame on that channel is applied to.  ``bases`` resumes a chain from a
+    saved :attr:`bases` map.
     """
 
-    def __init__(self) -> None:
-        self._last: Dict[Channel, Any] = {}
+    def __init__(self, bases: Optional[Dict[Channel, Any]] = None) -> None:
+        self._last: Dict[Channel, Any] = dict(bases) if bases else {}
+
+    @property
+    def bases(self) -> Dict[Channel, Any]:
+        """The last timestamp decoded per channel (the live map)."""
+        return self._last
 
     def decode_message(
         self,

@@ -17,11 +17,13 @@ import asyncio
 
 from repro.core.registers import RegisterPlacement
 from repro.core.share_graph import ShareGraph
-from repro.net import frames
+from repro.net import frames, wal
 from repro.net.framing import decode_all, encode_frame
 from repro.net.node import LiveNode, NodeConfig, _PeerStream
 from repro.sim.engine import BatchingConfig
 from repro.wire.batch import MessageBatch, encode_batch
+from repro.wire.channel import ChannelDeltaEncoder
+from repro.wire.primitives import decode_atom
 
 #: Replicas 1 and 2 share nothing; 3 shares ``x`` with 1 and ``y`` with 2.
 GRAPH = ShareGraph.from_placement(RegisterPlacement.from_dict(
@@ -30,13 +32,19 @@ SPLIT = {1: "a", 2: "a", 3: "b"}
 
 
 class _Reader:
-    """Hands out fixed chunks, then end of stream."""
+    """Hands out fixed chunks, then end of stream; a callable among them
+    runs between the chunks around it."""
 
     def __init__(self, *chunks):
         self._chunks = list(chunks)
 
     async def read(self, _size):
-        return self._chunks.pop(0) if self._chunks else b""
+        while self._chunks:
+            chunk = self._chunks.pop(0)
+            if not callable(chunk):
+                return chunk
+            chunk()
+        return b""
 
 
 class _Writer:
@@ -305,3 +313,282 @@ def test_batches_before_a_corrupt_frame_or_a_shutdown_are_still_acked():
         assert [frames.decode_tagged_uids(p) for k, p in answered
                 if k == frames.ACK] == [(1, [(3, 1)])]
         assert b.report()["transport"]["ack_frames"] == 1
+
+
+# ----------------------------------------------------------------------
+# A corrupt reply stream is counted and drops the connection
+# ----------------------------------------------------------------------
+
+def test_a_corrupt_reply_stream_is_counted_and_ends_the_send_loop():
+    async def run():
+        a = LiveNode(NodeConfig("a", GRAPH, (1, 2), SPLIT, batching=PATIENT))
+        stream = a.peer_streams["b"] = _PeerStream(a, "b")
+        await stream._read_replies(_Reader(encode_frame(frames.ACK, b"\xffgarbage")))
+        try:
+            await asyncio.wait_for(stream._send_loop(_Writer()), 5.0)
+        except ConnectionResetError:
+            return a, True
+        return a, False
+
+    a, reset = asyncio.run(run())
+    assert reset, "the send loop kept a connection whose replies are corrupt"
+    assert a.report()["transport"]["corrupt_streams"] == 1
+    names = {name: value for name, _, value in a.telemetry_samples()}
+    assert names["repro_node_corrupt_streams_total"] == 1.0
+
+
+# ----------------------------------------------------------------------
+# The node's one log: raw receipts, intra-node copies, group commit
+# ----------------------------------------------------------------------
+
+#: Replica 3 lives on ``a``; 1 and 2 on the durable node ``b``.
+SPLIT_B = {1: "b", 2: "b", 3: "a"}
+HELLO_A = encode_frame(frames.HELLO, frames.encode_hello("a", 0))
+
+
+def _durable(tmp_path, node_id="b", hosted=(1, 2), split=SPLIT_B, **options):
+    return LiveNode(NodeConfig(node_id, GRAPH, hosted, split,
+                               durable_dir=str(tmp_path), **options))
+
+
+def _encoded_batches(groups):
+    """``a``'s writes at replica 3, one ``BATCH`` frame per group, each
+    delta-encoded on the chain of the encoder the group names.
+
+    ``groups`` is a list of ``(encoder key, [(register, value), ...])``;
+    a value of ``None`` re-sends the previous copy for that register.
+    Returns the frames and each frame's delta-frame count."""
+    a = LiveNode(NodeConfig("a", GRAPH, (3,), SPLIT_B))
+    tenant = a.tenants[3]
+    codec = tenant.replica.wire_codec()
+    encoders, last, out = {}, {}, []
+    for key, writes in groups:
+        messages = []
+        for register, value in writes:
+            if value is not None:
+                (last[register],) = tenant.write(register, value, 0.0)
+            messages.append(last[register])
+        payload, sizes = encode_batch(
+            MessageBatch(sender=3, destination=messages[0].destination, seq=0,
+                         messages=tuple(messages)),
+            encoder=encoders.setdefault(key, ChannelDeltaEncoder()), codec=codec)
+        out.append((encode_frame(frames.BATCH, payload), sizes.delta_frames))
+    return out
+
+
+def _log_records(node):
+    node.wal.flush()
+    with open(node.wal._log_path(node.wal.generation), "rb") as handle:
+        records, _ = wal._parse_records(handle.read())
+    return records
+
+
+def _recording_deliveries(monkeypatch):
+    """Every ``_deliver`` call: tenant, channel, time and each message's
+    uid and timestamp — what replay must regenerate exactly."""
+    calls = []
+    real = LiveNode._deliver
+
+    def recording(self, tenant, channel, messages, received_at):
+        calls.append((tenant.replica_id, channel, received_at,
+                      [(m.update.uid, m.metadata) for m in messages]))
+        return real(self, tenant, channel, messages, received_at)
+
+    monkeypatch.setattr(LiveNode, "_deliver", recording)
+    return calls
+
+
+def _histories(node):
+    return {rid: (list(tenant.replica.events), dict(tenant.streams),
+                  tenant.replica.timestamp)
+            for rid, tenant in node.tenants.items()}
+
+
+def test_a_deliver_record_holds_the_received_batch_payload_byte_for_byte(
+        tmp_path, monkeypatch):
+    def no_reencode(*args, **kwargs):
+        raise AssertionError("a receipt must not be re-encoded for the log")
+
+    monkeypatch.setattr(wal, "encode_batch", no_reencode)
+    batches = _encoded_batches([(0, [("x", "1")]), (0, [("y", "2")]),
+                                (0, [("x", "3"), ("x", "4")])])
+    assert [delta for _, delta in batches] == [0, 0, 2]
+    b = _durable(tmp_path)
+    _serve(b, HELLO_A + b"".join(frame for frame, _ in batches))
+    records = _log_records(b)
+    assert [kind for kind, _ in records] == [wal.W_DELIVER] * 3
+    for (_, record), (frame, _), destination in zip(records, batches, (1, 2, 1)):
+        ((_, sent),) = decode_all(frame)
+        tenant, offset = decode_atom(record)
+        _, connection, offset = wal.decode_receipt_head(record, offset)
+        assert (tenant, connection) == (destination, 0)
+        assert record[offset:] == bytes(sent)
+
+
+def test_a_compaction_between_two_delta_frames_replays_identical_timestamps(
+        tmp_path, monkeypatch):
+    live = _recording_deliveries(monkeypatch)
+    (first, _), (second, delta) = _encoded_batches([(0, [("x", "1")]),
+                                                    (0, [("x", "2")])])
+    assert delta == 1
+    b = _durable(tmp_path)
+    compact = lambda: b.wal.checkpoint(b.checkpoint_state())  # noqa: E731
+    asyncio.run(b._handle_connection(
+        _Reader(HELLO_A + first, compact, second), _Writer()))
+    assert b.wal.compactions == 1
+    assert [kind for kind, _ in _log_records(b)] == [wal.W_DELIVER]
+    before = _histories(b)
+    b.wal.close()
+
+    replayed = len(live)
+    reloaded = _durable(tmp_path)
+    # Only the delta frame is replayed, on the base the checkpoint kept.
+    assert live[replayed:] == live[1:2]
+    assert _histories(reloaded) == before
+    reloaded.wal.close()
+
+
+def test_a_duplicate_only_batch_is_logged_and_the_chain_after_it_replays(
+        tmp_path, monkeypatch):
+    live = _recording_deliveries(monkeypatch)
+    batches = _encoded_batches([(0, [("x", "1")]), (0, [("x", None)]),
+                                (0, [("x", "2")])])
+    assert [delta for _, delta in batches] == [0, 1, 1]
+    b = _durable(tmp_path)
+    _serve(b, HELLO_A + b"".join(frame for frame, _ in batches))
+    assert b.tenants[1].counters["duplicates"] == 1
+    assert [kind for kind, _ in _log_records(b)] == [wal.W_DELIVER] * 3
+    before = _histories(b)
+    b.wal.close()
+
+    done = len(live)
+    reloaded = _durable(tmp_path)
+    assert live[done:] == live[:done]
+    assert _histories(reloaded) == before
+    reloaded.wal.close()
+
+
+class _TurnReader:
+    """A fake reader that hands out each chunk on its turn of a clock
+    shared with other readers, so two connections interleave as told."""
+
+    def __init__(self, clock, chunks):
+        self._clock, self._chunks = clock, list(chunks)
+
+    async def read(self, _size):
+        if not self._chunks:
+            return b""
+        turn, chunk = self._chunks.pop(0)
+        while self._clock[0] != turn:
+            await asyncio.sleep(0)
+        self._clock[0] += 1
+        return chunk
+
+
+def test_interleaved_batches_of_an_old_and_a_new_connection_replay(
+        tmp_path, monkeypatch):
+    """``a`` re-sends on a new connection while a frame of the old one is
+    still arriving: each connection's delta chain decodes its own frames,
+    on the live node and in replay."""
+    live = _recording_deliveries(monkeypatch)
+    (f1, _), (g1, g_delta), (f2, f_delta) = _encoded_batches([
+        ("old", [("x", "1")]),
+        ("new", [("x", "2"), ("x", "3")]),
+        ("old", [("x", None)]),
+    ])
+    assert (g_delta, f_delta) == (1, 1)
+    b = _durable(tmp_path)
+    clock = [0]
+
+    async def both():
+        await asyncio.gather(
+            b._handle_connection(_TurnReader(clock, [(0, HELLO_A + f1), (2, f2)]),
+                                 _Writer()),
+            b._handle_connection(_TurnReader(clock, [(1, HELLO_A + g1)]), _Writer()),
+        )
+
+    asyncio.run(both())
+    receipts = [wal.decode_receipt_head(record, decode_atom(record)[1])[1]
+                for _, record in _log_records(b)]
+    assert receipts == [0, 1, 0]
+    before = _histories(b)
+    b.wal.close()
+
+    done = len(live)
+    reloaded = _durable(tmp_path)
+    assert live[done:] == live[:done]
+    assert _histories(reloaded) == before
+    assert reloaded._next_connection == 2
+    reloaded.wal.close()
+
+
+def test_a_write_whose_copies_are_all_co_hosted_appends_one_record(tmp_path):
+    node = _durable(tmp_path, node_id="n", hosted=(1, 2, 3),
+                    split={rid: "n" for rid in SPLIT})
+    messages = node.tenants[1].write("x", "v", node.now)
+    assert messages == []
+    assert node.wal.records_appended == 1
+    assert node.tenants[3].replica.store["x"] == "v"
+    assert [kind for kind, _ in _log_records(node)] == [wal.W_WRITE]
+    assert all(not book for sender in node.senders.values()
+               for book in sender.sent_log.values())
+
+
+class _BarrierWriter(_Writer):
+    """A writer that fails a write made while a log record is unflushed."""
+
+    def __init__(self, node):
+        super().__init__()
+        self.node = node
+
+    def write(self, data):
+        assert not self.node.wal._pending, "a frame left before its records"
+        super().write(data)
+
+
+def test_a_chunk_of_ops_costs_one_log_flush_before_its_one_write(tmp_path):
+    node = _durable(tmp_path, node_id="n", hosted=(1, 2, 3),
+                    split={rid: "n" for rid in SPLIT})
+    ops = [(1, 1, "write", "x", "v1"), (2, 3, "read", "x"),
+           (3, 2, "write", "y", "v2"), (4, 3, "write", "x", "v3"),
+           (5, 1, "read", "x")]
+    writer = _BarrierWriter(node)
+    asyncio.run(node._handle_connection(
+        _Reader(b"".join(_op(*op) for op in ops)), writer))
+    assert len(writer.writes) == 1
+    transport = node.report()["transport"]
+    assert (transport["wal_records"], transport["wal_flushes"]) == (5, 1)
+    names = {name: value for name, _, value in node.telemetry_samples()}
+    assert names["repro_node_wal_flushes_total"] == 1.0
+
+
+def test_a_send_loop_pass_flushes_the_log_before_its_write(tmp_path):
+    async def run():
+        a = _durable(tmp_path, node_id="a", hosted=(1, 2), split=SPLIT,
+                     batching=PATIENT)
+        stream = a.peer_streams["b"] = _PeerStream(a, "b")
+        # The write's record is buffered; the pass must flush it first.
+        await _write(a, stream, 1, "x", "v1")
+        writer = _BarrierWriter(a)
+        loop = asyncio.create_task(stream._send_loop(writer))
+        await _spin(lambda: writer.writes)
+        await _stop(a, stream, loop)
+        return a, writer
+
+    a, writer = asyncio.run(run())
+    assert len(writer.writes) == 1
+    assert (a.wal.records_appended, a.wal.flushes) == (1, 1)
+
+
+def test_a_batch_before_any_hello_is_logged_under_its_connection(tmp_path):
+    (frame, _), = _encoded_batches([(0, [("x", "1")])])
+    b = _durable(tmp_path)
+    _serve(b, frame)
+    (_, record), = _log_records(b)
+    _, connection, _ = wal.decode_receipt_head(record, decode_atom(record)[1])
+    assert connection == 0 and b.tenants[1].replica.store["x"] == "1"
+    before = _histories(b)
+    b.wal.close()
+    reloaded = _durable(tmp_path)
+    assert _histories(reloaded) == before
+    reloaded.wal.close()

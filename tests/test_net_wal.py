@@ -123,8 +123,9 @@ def test_torn_tail_is_truncated_and_log_stays_appendable(tmp_path):
 
 
 def test_append_is_o_delta_not_o_state(tmp_path):
-    """The hot path never rewrites the log: each append grows the file by
-    exactly one frame, independent of how much history precedes it."""
+    """The hot path never rewrites the log: each append (flushed) grows the
+    file by exactly one frame, independent of how much history precedes
+    it."""
     log = wal.ReplicaWAL(str(tmp_path), 1)
     log.load()
     payload = wal.encode_write_record("x", "v", 1.0)
@@ -132,6 +133,7 @@ def test_append_is_o_delta_not_o_state(tmp_path):
     sizes = []
     for _ in range(50):
         log.append(wal.W_WRITE, payload)
+        log.flush()
         sizes.append(os.path.getsize(log._log_path(0)))
     log.close()
     deltas = [b - a for a, b in zip(sizes, sizes[1:])]
@@ -149,8 +151,8 @@ def _checkpoint_state(marker):
     )
 
 
-def _checkpoint_records(directory, replica_id=1):
-    with open(os.path.join(directory, f"replica-{replica_id}.ckpt"), "rb") as handle:
+def _checkpoint_records(directory, stem="node-1"):
+    with open(os.path.join(directory, f"{stem}.ckpt"), "rb") as handle:
         records, _ = wal._parse_records(handle.read())
     assert all(kind == wal.C_CHECKPOINT for kind, _ in records)
     return [payload for _, payload in records]
@@ -209,7 +211,7 @@ def test_torn_checkpoint_record_recovers_the_previous_record_and_its_log(tmp_pat
     committed_size = os.path.getsize(log.checkpoint_path)
     # Simulate the interrupted second compaction: the next-gen log exists,
     # a prefix of the record naming it reached the checkpoint file.
-    open(os.path.join(tmp_path, "replica-1.wal.2"), "wb").close()
+    open(os.path.join(tmp_path, "node-1.wal.2"), "wb").close()
     torn = _checkpoint_state("torn")
     torn.generation = 2
     frame = encode_frame(wal.C_CHECKPOINT, wal.encode_checkpoint_record(torn, {}))
@@ -222,7 +224,7 @@ def test_torn_checkpoint_record_recovers_the_previous_record_and_its_log(tmp_pat
     assert checkpoint.generation == 1
     assert [wal.decode_write_record(p)[1] for _, p in records] == [7]
     assert os.path.getsize(log.checkpoint_path) == committed_size
-    assert not os.path.exists(os.path.join(tmp_path, "replica-1.wal.2"))
+    assert not os.path.exists(os.path.join(tmp_path, "node-1.wal.2"))
     # The file stays appendable: the next compaction commits cleanly.
     reopened.checkpoint(_checkpoint_state("next"))
     reopened.close()
@@ -243,7 +245,7 @@ def test_kill_between_commit_and_log_cleanup_recovers_new(tmp_path):
     log.checkpoint(_checkpoint_state("new"))         # generation -> 1
     log.close()
     # Resurrect the old log as if cleanup never ran.
-    with open(os.path.join(tmp_path, "replica-1.wal.0"), "wb") as handle:
+    with open(os.path.join(tmp_path, "node-1.wal.0"), "wb") as handle:
         handle.write(encode_frame(wal.W_WRITE,
                                   wal.encode_write_record("x", 99, 9.9)))
 
@@ -251,7 +253,7 @@ def test_kill_between_commit_and_log_cleanup_recovers_new(tmp_path):
     checkpoint, records = reopened.load()
     assert checkpoint.replica.state == {"marker": "new"}
     assert records == []
-    assert not os.path.exists(os.path.join(tmp_path, "replica-1.wal.0"))
+    assert not os.path.exists(os.path.join(tmp_path, "node-1.wal.0"))
     reopened.close()
 
 
@@ -273,7 +275,28 @@ def test_checkpoint_fsyncs_the_record_before_deleting_the_old_log(tmp_path, monk
     log.append(wal.W_WRITE, wal.encode_write_record("x", 1, 0.1))
     log.checkpoint(_checkpoint_state("A"))
     log.close()
-    assert calls == ["fsync", "replica-1.wal.0"]
+    assert calls == ["fsync", "node-1.wal.0"]
+
+
+def test_a_checkpoint_that_fails_before_its_commit_keeps_buffered_records(tmp_path):
+    """Records appended but not yet flushed reach the log before the
+    checkpoint is attempted: if the checkpoint fails before its commit
+    (here: the next generation's log cannot be created), recovery still
+    replays them from the current generation."""
+    log = wal.ReplicaWAL(str(tmp_path), 1)
+    log.load()
+    log.append(wal.W_WRITE, wal.encode_write_record("x", 1, 0.1))
+    blocker = os.path.join(tmp_path, "node-1.wal.1")
+    os.mkdir(blocker)
+    with pytest.raises(OSError):
+        log.checkpoint(_checkpoint_state("lost"))
+    os.rmdir(blocker)
+
+    reopened = wal.ReplicaWAL(str(tmp_path), 1)
+    checkpoint, records = reopened.load()
+    assert checkpoint is None
+    assert [wal.decode_write_record(p)[1] for _, p in records] == [1]
+    reopened.close()
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +305,8 @@ def test_checkpoint_fsyncs_the_record_before_deleting_the_old_log(tmp_path, monk
 
 def _one_node_config(directory):
     """Four replicas of figure 5 on one node: every copy is intra-node,
-    so ops drive writes, deliveries, acks and compactions in process."""
+    so ops drive writes, their co-hosted deliveries and compactions of the
+    node's one log in process."""
     graph = ShareGraph.from_placement(figure5_placement())
     return NodeConfig(
         node_id="n", share_graph=graph, replica_ids=tuple(graph.replica_ids),
@@ -292,11 +316,13 @@ def _one_node_config(directory):
 
 
 def _drive(node, operations):
+    """One op per chunk: each is followed by the chunk's flush barrier."""
     async def run():
         for op_id, (rid, kind, register, value) in enumerate(operations):
             await node._handle_op(
                 frames.encode_op(op_id, rid, kind, register, value), bytearray()
             )
+            node.commit()
 
     asyncio.run(run())
 
@@ -322,10 +348,11 @@ def _history(tenant):
 
 
 def test_node_reload_after_three_compactions_restores_the_history(tmp_path, monkeypatch):
-    """Every tenant's WAL goes through at least three compactions; a new
-    node on the same directory folds the records back into the exact
-    history.  No compaction deep-copies (the pickle is the copy), and
-    recovery adopts the unpickled state uncopied."""
+    """The node's log goes through at least three compactions, each
+    holding every tenant; a new node on the same directory folds the
+    records back into every tenant's exact history.  No compaction
+    deep-copies (the pickle is the copy), and recovery adopts the
+    unpickled state uncopied."""
     def no_deepcopy(*args, **kwargs):
         raise AssertionError("the live checkpoint path must not deep-copy")
 
@@ -336,20 +363,19 @@ def test_node_reload_after_three_compactions_restores_the_history(tmp_path, monk
         _drive(node, _operations(config.share_graph, 60))
         before = {rid: _history(tenant) for rid, tenant in node.tenants.items()}
         stores = {rid: dict(tenant.replica.store) for rid, tenant in node.tenants.items()}
-        for tenant in node.tenants.values():
-            assert tenant.wal.compactions >= 3
-            assert tenant.wal.checkpoint_bytes > 0 and tenant.wal.checkpoint_seconds > 0
-            # One last compaction empties the log: what comes back is the
-            # fold alone (the log-tail replay is checked on its own below).
-            tenant.wal.checkpoint(tenant.checkpoint_state())
-            tenant.wal.close()
+        assert node.wal.compactions >= 3
+        assert node.wal.checkpoint_bytes > 0 and node.wal.checkpoint_seconds > 0
+        # One last compaction empties the log: what comes back is the
+        # fold alone (the log-tail replay is checked on its own below).
+        node.wal.checkpoint(node.checkpoint_state())
+        node.wal.close()
 
         reloaded = LiveNode(config)
         for rid, tenant in reloaded.tenants.items():
             assert tenant.recovered
             assert _history(tenant) == before[rid]
             assert dict(tenant.replica.store) == stores[rid]
-            tenant.wal.close()
+        reloaded.wal.close()
 
 
 def test_log_tail_replay_regenerates_the_live_history_exactly(tmp_path):
@@ -362,8 +388,8 @@ def test_log_tail_replay_regenerates_the_live_history_exactly(tmp_path):
     node = LiveNode(config)
     _drive(node, _operations(config.share_graph, 30))
     before = {rid: _history(tenant) for rid, tenant in node.tenants.items()}
+    assert node.wal.compactions == 0
     for rid, tenant in node.tenants.items():
-        assert tenant.wal.compactions == 0
         # The apply and issue books are projections of the trace.
         stamps = {event.update.uid: event.sim_time
                   for event in tenant.replica.events if event.update is not None}
@@ -371,13 +397,13 @@ def test_log_tail_replay_regenerates_the_live_history_exactly(tmp_path):
         assert tenant.host._issue_times == {
             uid: at for uid, at in stamps.items() if uid[0] == rid
         }
-        tenant.wal.close()
+    node.wal.close()
 
     reloaded = LiveNode(config)
     for rid, tenant in reloaded.tenants.items():
         assert tenant.recovered
         assert _history(tenant) == before[rid]
-        tenant.wal.close()
+    reloaded.wal.close()
 
 
 def test_each_checkpoint_record_holds_exactly_the_history_since_the_last(tmp_path, monkeypatch):
@@ -397,24 +423,24 @@ def test_each_checkpoint_record_holds_exactly_the_history_since_the_last(tmp_pat
     config = _one_node_config(str(tmp_path))
     node = LiveNode(config)
     _drive(node, _operations(config.share_graph, 60))
-    for rid, tenant in node.tenants.items():
-        tenant.wal.close()
-        live = tenant.checkpoint_state().histories()
-        payloads = _checkpoint_records(tmp_path, rid)
-        assert len(payloads) == len(marks[rid]) >= 3
-        previous = {}
-        for payload, mark in zip(payloads, marks[rid]):
-            tails, _ = wal.decode_checkpoint_history(payload)
-            assert set(tails) == set(mark)
-            for path, end in mark.items():
-                start = previous.get(path, 0)
-                assert len(tails[path]) == end - start
-                history = live[path]
-                if isinstance(history, dict):
-                    assert tails[path] == dict(list(history.items())[start:end])
-                else:
-                    assert tails[path] == history[start:end]
-            previous = mark
+    node.wal.close()
+    live = node.checkpoint_state().histories()
+    payloads = _checkpoint_records(tmp_path, "node-n")
+    assert len(payloads) == len(marks["n"]) >= 3
+    assert {path[0] for path in live} == set(node.tenants)
+    previous = {}
+    for payload, mark in zip(payloads, marks["n"]):
+        tails, _ = wal.decode_checkpoint_history(payload)
+        assert set(tails) == set(mark)
+        for path, end in mark.items():
+            start = previous.get(path, 0)
+            assert len(tails[path]) == end - start
+            history = live[path]
+            if isinstance(history, dict):
+                assert tails[path] == dict(list(history.items())[start:end])
+            else:
+                assert tails[path] == history[start:end]
+        previous = mark
 
 
 def _stats_applied(node):
@@ -437,14 +463,12 @@ def test_stats_applied_count_matches_the_event_trace_across_a_reload(tmp_path):
     _drive(node, _operations(config.share_graph, 40))
     applied = _stats_applied(node)
     assert applied == _events_applied(node) > 0
-    for tenant in node.tenants.values():
-        assert tenant.wal.compactions >= 1
-        tenant.wal.close()
+    assert node.wal.compactions >= 1
+    node.wal.close()
 
     reloaded = LiveNode(config)
     assert _stats_applied(reloaded) == _events_applied(reloaded) == applied
-    for tenant in reloaded.tenants.values():
-        tenant.wal.close()
+    reloaded.wal.close()
 
 
 def test_a_rejected_read_leaves_the_run_metrics_untouched(tmp_path):

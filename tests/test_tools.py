@@ -133,8 +133,9 @@ def test_trace_report_coverage_gate_fails_on_gutted_trace(traced_dump,
 
 def test_trace_report_node_table_carries_the_frame_counts(traced_dump, tmp_path,
                                                           capsys):
-    """A live node's frame counts travel from its TELEMETRY samples through
-    a metrics dump into ``trace_report``'s per-node table and JSON."""
+    """A live node's frame and log counts travel from its TELEMETRY samples
+    through a metrics dump into ``trace_report``'s per-node table and
+    JSON."""
     from repro.core.registers import RegisterPlacement
     from repro.core.share_graph import ShareGraph
     from repro.net.node import LiveNode, NodeConfig
@@ -142,9 +143,11 @@ def test_trace_report_node_table_carries_the_frame_counts(traced_dump, tmp_path,
 
     graph = ShareGraph.from_placement(RegisterPlacement.from_dict(
         {1: {"x"}, 2: {"x"}}))
-    node = LiveNode(NodeConfig("n1", graph, (1,), {1: "n1", 2: "n2"}))
+    node = LiveNode(NodeConfig("n1", graph, (1,), {1: "n1", 2: "n2"},
+                               durable_dir=str(tmp_path)))
     node.socket_writes, node.ack_frames = 7, 5
     node.misrouted_batches, node.corrupt_streams = 2, 1
+    node.wal.records_appended, node.wal.flushes = 9, 3
     registry = MetricsRegistry()
     fold_samples(registry, node.telemetry_samples())
     metrics_path = str(tmp_path / "node-metrics.jsonl")
@@ -158,10 +161,11 @@ def test_trace_report_node_table_carries_the_frame_counts(traced_dump, tmp_path,
     stdout = capsys.readouterr().out
     header = next(line for line in stdout.splitlines()
                   if line.startswith("node "))
-    for column in ("writes", "acks", "misrtd", "corrupt"):
+    for column in ("writes", "acks", "misrtd", "corrupt", "flushes"):
         assert column in header.split()
     with open(json_path, encoding="utf-8") as handle:
         (row,) = json.load(handle)["nodes"]
     assert row["node"] == "n1"
     assert (row["socket_writes"], row["ack_frames"], row["misrouted_batches"],
             row["corrupt_streams"]) == (7, 5, 2, 1)
+    assert (row["wal_records"], row["wal_flushes"]) == (9, 3)

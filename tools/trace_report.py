@@ -124,7 +124,7 @@ def _print_node_table(rows) -> None:
     print(f"{'node':<8} {'peers':>6} {'open':>5} {'inbound':>8} "
           f"{'queued':>7} {'unacked':>8} {'writes':>8} {'acks':>7} "
           f"{'misrtd':>6} {'corrupt':>7} {'wal B':>9} {'wal rec':>8} "
-          f"{'compact':>8} {'ckpt s':>7} {'ckpt B':>9}")
+          f"{'flushes':>8} {'compact':>8} {'ckpt s':>7} {'ckpt B':>9}")
     for row in rows:
         print(f"{row['node']:<8} {row['peer_streams']:>6} "
               f"{row['open_streams']:>5} {row['inbound_connections']:>8} "
@@ -132,7 +132,7 @@ def _print_node_table(rows) -> None:
               f"{row['socket_writes']:>8} {row['ack_frames']:>7} "
               f"{row['misrouted_batches']:>6} {row['corrupt_streams']:>7} "
               f"{row['wal_bytes']:>9} {row['wal_records']:>8} "
-              f"{row['wal_compactions']:>8} "
+              f"{row['wal_flushes']:>8} {row['wal_compactions']:>8} "
               f"{row['wal_checkpoint_seconds']:>7.3f} "
               f"{row['wal_checkpoint_bytes']:>9}")
 
