@@ -57,9 +57,8 @@ def _scale_run():
             operation_latencies=outcome.latencies,
             rejected_operations=outcome.rejected,
         )
-        result.wall_duration = max(
-            (t for t in result.metrics.apply_times), default=0.0
-        ) - min((t for t, _ in result.metrics.operation_times), default=0.0)
+        result.wall_duration = max(result.metrics.apply_times, default=0.0) - min(
+            result.metrics.operation_times, default=0.0)
     return workload, outcome, result
 
 

@@ -357,9 +357,8 @@ class ClientServerCluster(SimulationHost):
 
     def _note_client_observation(self, client_id: ClientId, replica_id: ReplicaId) -> None:
         """After touching a replica, the client has observed its applied updates."""
-        events = self.servers[replica_id].events
-        self._client_seen[client_id] |= {
-            event.update.uid for event in events if event.update is not None}
+        trace = self.servers[replica_id].events
+        self._client_seen[client_id] |= {update.uid for update in trace.updates()}
 
     # ------------------------------------------------------------------
     # Architecture-specific host hooks

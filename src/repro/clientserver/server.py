@@ -163,7 +163,7 @@ class ClientServerReplica(EdgeIndexedReplica):
             value=request.value,
             server_timestamp=self.timestamp,
             update_messages=tuple(messages),
-            issued=self.events[-1].update,
+            issued=self.events.items[-1],
         )
 
     # ------------------------------------------------------------------

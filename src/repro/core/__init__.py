@@ -47,6 +47,7 @@ from .protocol import (
     CausalReplica,
     EventKind,
     ReplicaEvent,
+    ReplicaTrace,
     Update,
     UpdateId,
     UpdateMessage,
@@ -92,6 +93,7 @@ __all__ = [
     "RegisterPlacement",
     "ReplicaEvent",
     "ReplicaId",
+    "ReplicaTrace",
     "ReproError",
     "SafetyViolation",
     "ShareGraph",

@@ -36,6 +36,7 @@ imports keep working.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -177,23 +178,25 @@ class RunMetrics:
     host *and* the live runtime, and consumed by :mod:`repro.sim.metrics`,
     the evaluation harness and the benchmarks.  Times are host time:
     simulated units in the simulator, seconds (relative to the run start)
-    in the live runtime.
+    in the live runtime.  The per-operation series are ``array('d')``: a
+    long run appends one sample per operation or apply, 8 bytes each.
     """
 
     writes: int = 0
     reads: int = 0
     applies: int = 0
     #: Host time from issue to remote apply, one sample per apply.
-    apply_latencies: List[float] = field(default_factory=list)
+    apply_latencies: "array[float]" = field(default_factory=lambda: array("d"))
     #: Maximum pending-buffer occupancy observed per replica.
     max_pending: Dict[ReplicaId, int] = field(default_factory=dict)
     #: Host time of every remote apply (throughput over time).
-    apply_times: List[float] = field(default_factory=list)
-    #: ``(time, kind)`` of every submitted client operation.
-    operation_times: List[Tuple[float, str]] = field(default_factory=list)
+    apply_times: "array[float]" = field(default_factory=lambda: array("d"))
+    #: Host time of every submitted client operation (:attr:`writes` and
+    #: :attr:`reads` count them by kind).
+    operation_times: "array[float]" = field(default_factory=lambda: array("d"))
     #: Client-observed blocking time per operation (nonzero only when an
     #: operation had to wait, e.g. behind the client–server predicate J1/J2).
-    operation_latencies: List[float] = field(default_factory=list)
+    operation_latencies: "array[float]" = field(default_factory=lambda: array("d"))
     #: Periodic pending-buffer depth samples (open-loop runs).
     queue_samples: List[QueueDepthSample] = field(default_factory=list)
     # -- fault subsystem -------------------------------------------------
@@ -253,9 +256,7 @@ class RunMetrics:
         self, bucket_width: float, origin: Optional[float] = 0.0
     ) -> List[Tuple[float, int]]:
         """Submitted operations per time bucket (offered load)."""
-        return throughput_timeline(
-            [t for t, _ in self.operation_times], bucket_width, origin=origin
-        )
+        return throughput_timeline(self.operation_times, bucket_width, origin=origin)
 
     def recovery_latency_summary(self) -> LatencySummary:
         """Percentiles of the crash-recovery (restart → caught-up) latency."""
@@ -346,7 +347,7 @@ class ReplicaHost:
         self.epoch_history: List[Tuple[float, ShareGraph]] = [(0.0, share_graph)]
         #: Event traces of replicas that have left the configuration —
         #: their history stays part of the checked execution.
-        self._retired_events: Dict[ReplicaId, List[ReplicaEvent]] = {}
+        self._retired_events: Dict[ReplicaId, Sequence[ReplicaEvent]] = {}
         #: The attached :class:`~repro.obs.trace.TraceRecorder`, if any;
         #: ``None`` on the untraced fast path (one ``is not None`` check
         #: per hook — the overhead contract the E19 benchmark gates).
@@ -411,8 +412,8 @@ class ReplicaHost:
         )
 
     def _retire_trace(self, replica_id: ReplicaId) -> None:
-        """Keep a leaver's event trace (its list: nothing appends to it
-        once the replica is dropped)."""
+        """Keep a leaver's event trace (the trace itself: nothing appends
+        to it once the replica is dropped)."""
         self._retired_events[replica_id] = self._replica(replica_id).events
 
     def is_member(self, replica_id: ReplicaId) -> bool:
@@ -464,9 +465,7 @@ class ReplicaHost:
             self.metrics.writes += 1
         elif kind == "read":
             self.metrics.reads += 1
-        self.metrics.operation_times.append(
-            (self.now if at is None else at, kind)
-        )
+        self.metrics.operation_times.append(self.now if at is None else at)
 
     def _note_issue(self, update: Update, at: float) -> None:
         self._issue_times[update.uid] = at
@@ -498,7 +497,7 @@ class ReplicaHost:
         t = self.now if at is None else at
         messages = replica.write(register, value, sim_time=t)
         self._record_operation("write", at=t)
-        update = replica.events[-1].update
+        update = replica.events.items[-1]  # the ISSUE just recorded
         self._note_issue(update, t)
         return update, messages
 
@@ -584,8 +583,9 @@ class ReplicaHost:
     # Shared introspection, checking and metrics
     # ------------------------------------------------------------------
     def events_by_replica(self) -> Dict[ReplicaId, Sequence[ReplicaEvent]]:
-        """Each replica's local issue/apply/read trace — the live lists,
-        uncopied: read them, do not keep or change them.
+        """Each replica's local issue/apply/read trace — the live
+        :class:`~repro.core.protocol.ReplicaTrace` s, uncopied: read them,
+        do not keep or change them.
 
         Replicas that left the configuration contribute the trace they had
         accumulated up to their removal: a leave does not erase history

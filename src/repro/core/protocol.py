@@ -8,7 +8,8 @@ in the library (the paper's edge-indexed algorithm and all the baselines):
   algorithm prototype: an update plus the metadata (timestamp) attached by
   the issuing protocol.
 * :class:`ReplicaEvent` / :class:`EventKind` — the issue/apply trace entries
-  consumed by the consistency checker (:mod:`repro.core.consistency`).
+  consumed by the consistency checker (:mod:`repro.core.consistency`), and
+  :class:`ReplicaTrace`, the columnar sequence a replica keeps them in.
 * :class:`Known` — what a replica holds, as its per-issuer frontier: the one
   duplicate rule that receive, resync and the sent-log pruning all ask.
 * :class:`CausalReplica` — the abstract base class every replica
@@ -22,7 +23,9 @@ from __future__ import annotations
 import abc
 import copy
 import enum
+from array import array
 from collections import deque
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
@@ -33,6 +36,7 @@ from typing import (
     FrozenSet,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -314,10 +318,10 @@ class ReplicaSnapshot:
 
 @dataclass(frozen=True, slots=True)
 class ReplicaEvent:
-    """One entry of a replica's local trace.
+    """One entry of a replica's local trace, as its readers see it.
 
-    Slotted: one event per issue/apply/read makes these as numerous as
-    updates themselves.
+    A replica stores its trace as columns (:class:`ReplicaTrace`) and
+    builds these on read, so a long trace costs no object per event.
 
     Attributes
     ----------
@@ -349,9 +353,110 @@ class ReplicaEvent:
                              self.register, self.local_index, self.sim_time))
 
 
-#: Hoisted ``EventKind.APPLY`` — enum attribute access costs a descriptor
-#: lookup, and the apply path records one event per applied update.
-_APPLY = EventKind.APPLY
+#: The event kinds by their code in a :class:`ReplicaTrace`'s kind column.
+_KINDS: Tuple[EventKind, ...] = (EventKind.ISSUE, EventKind.APPLY, EventKind.READ)
+_KIND_CODES: Dict[EventKind, int] = {kind: code for code, kind in enumerate(_KINDS)}
+#: Hoisted codes: the apply path records one event per applied update.
+_APPLY_CODE = _KIND_CODES[EventKind.APPLY]
+_READ_CODE = _KIND_CODES[EventKind.READ]
+_READ = EventKind.READ
+
+
+class ReplicaTrace(SequenceABC):
+    """One replica's local issue/apply/read trace, stored as columns.
+
+    A run records an event per operation at every replica that stores its
+    register, so the trace keeps three columns at machine width instead
+    of an object per event: a ``bytearray`` of kind codes, a list of
+    items — the :class:`Update` issued or applied, or the register read —
+    and an ``array('d')`` of times.  That is ~17 bytes per event beside
+    the update, which the replica shares with its messages anyway.
+
+    It is a ``Sequence[ReplicaEvent]``: indexing builds the
+    :class:`ReplicaEvent` on read, with ``local_index`` its position.  A
+    slice is a trace (its positions count from 0 again); :meth:`extend`
+    appends another trace's columns, which is how a write-ahead log folds
+    its history tails back together.  A trace equals any sequence of
+    equal events, and pickles as its columns.
+    """
+
+    __slots__ = ("replica_id", "kinds", "items", "times")
+
+    def __init__(self, replica_id: ReplicaId, kinds: Optional[bytearray] = None,
+                 items: Optional[List[Any]] = None,
+                 times: Optional["array[float]"] = None) -> None:
+        self.replica_id = replica_id
+        #: One :data:`_KINDS` code per event.
+        self.kinds: bytearray = bytearray() if kinds is None else kinds
+        #: The update issued or applied, or (for a read) the register read.
+        self.items: List[Any] = [] if items is None else items
+        #: The host time of each event.
+        self.times: "array[float]" = array("d") if times is None else times
+
+    def record(self, kind: EventKind, item: Any, time: float) -> None:
+        """Append one event: ``item`` is the update, or a read's register."""
+        self.kinds.append(_KIND_CODES[kind])
+        self.items.append(item)
+        self.times.append(time)
+
+    def extend(self, events: Iterable[ReplicaEvent]) -> None:
+        """Append ``events`` (another trace's columns, or any events)."""
+        if isinstance(events, ReplicaTrace):
+            self.kinds += events.kinds
+            self.items += events.items
+            self.times += events.times
+            return
+        for event in events:
+            self.record(event.kind,
+                        event.register if event.update is None else event.update,
+                        event.sim_time)
+
+    def updates(self) -> Iterator[Update]:
+        """The updates issued or applied, in local order (no events built)."""
+        return (item for code, item in zip(self.kinds, self.items)
+                if code != _READ_CODE)
+
+    def _event(self, index: int, code: int, item: Any, time: float) -> ReplicaEvent:
+        if code == _READ_CODE:
+            return ReplicaEvent(self.replica_id, _READ, None, item, index, time)
+        return ReplicaEvent(self.replica_id, _KINDS[code], item, item.register,
+                            index, time)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return ReplicaTrace(self.replica_id, self.kinds[index],
+                                self.items[index], self.times[index])
+        index = range(len(self.kinds))[index]
+        return self._event(index, self.kinds[index], self.items[index],
+                           self.times[index])
+
+    def __iter__(self) -> Iterator[ReplicaEvent]:
+        event = self._event
+        for index, (code, item, time) in enumerate(
+                zip(self.kinds, self.items, self.times)):
+            yield event(index, code, item, time)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ReplicaTrace):
+            return (self.kinds == other.kinds and self.times == other.times
+                    and self.items == other.items
+                    and (not self.kinds or self.replica_id == other.replica_id))
+        if isinstance(other, SequenceABC) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self) -> Tuple[Any, tuple]:
+        # The columns themselves: an unpickled trace takes them over.
+        return (type(self), (self.replica_id, self.kinds, self.items, self.times))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<ReplicaTrace replica={self.replica_id!r} events={len(self)}>"
 
 
 class CausalReplica(abc.ABC):
@@ -402,8 +507,9 @@ class CausalReplica(abc.ABC):
         #: Duplicate deliveries suppressed by :meth:`receive_many`.
         self.duplicates_ignored: int = 0
         #: Local issue/apply/read trace, consumed by the consistency checker:
-        #: the replica's only per-update record (:attr:`applied` projects it).
-        self.events: List[ReplicaEvent] = []
+        #: the replica's only per-update record (:attr:`applied` projects
+        #: it), stored as columns and read as :class:`ReplicaEvent` s.
+        self.events: ReplicaTrace = ReplicaTrace(replica_id)
         #: Number of updates issued locally (used for sequence numbers).
         self.issued_count: int = 0
         #: Uids the latest drain replayed from a state-transfer stream: the
@@ -546,7 +652,7 @@ class CausalReplica(abc.ABC):
         """Step 1: answer a client read from the local copy."""
         if register not in self.registers:
             raise RegisterNotStoredError(register, self.replica_id)
-        self._record(EventKind.READ, None, register, sim_time)
+        self.events.record(_READ, register, sim_time)
         return self.store[register]
 
     def write(self, register: Register, value: Any,
@@ -563,7 +669,7 @@ class CausalReplica(abc.ABC):
         self.store[register] = value
         metadata, size = self.make_metadata(register)
         self.frontier[self.replica_id] = self.issued_count
-        self._record(EventKind.ISSUE, update, register, sim_time)
+        self.events.record(EventKind.ISSUE, update, sim_time)
         return [
             UpdateMessage(
                 update=update,
@@ -796,15 +902,12 @@ class CausalReplica(abc.ABC):
             if seq > self.frontier.get(issuer, 0):
                 self.frontier[issuer] = seq
         del self.pending[uid]
-        # Inlined self._record(...): one positional construction, no
-        # per-apply method call or enum attribute lookup.
-        events = self.events
-        events.append(
-            ReplicaEvent(
-                self.replica_id, _APPLY, update, update.register,
-                len(events), sim_time,
-            )
-        )
+        # Inlined self.events.record(...): no per-apply method call or
+        # kind lookup.
+        trace = self.events
+        trace.kinds.append(_APPLY_CODE)
+        trace.items.append(update)
+        trace.times.append(sim_time)
 
     # ------------------------------------------------------------------
     # Epoch migration (dynamic membership support)
@@ -945,9 +1048,9 @@ class CausalReplica(abc.ABC):
     @property
     def applied(self) -> List[Update]:
         """Updates issued or applied here, in local order: the ISSUE and
-        APPLY events of :attr:`events`, projected afresh on every read
+        APPLY items of :attr:`events`, projected afresh on every read
         (O(history); for tests and reports, not the hot path)."""
-        return [event.update for event in self.events if event.update is not None]
+        return list(self.events.updates())
 
     def has_applied(self, uid: UpdateId) -> bool:
         """``True`` iff the update with this id, sent here as live traffic,
@@ -957,19 +1060,6 @@ class CausalReplica(abc.ABC):
     def pending_count(self) -> int:
         """Number of buffered, not-yet-applied update messages."""
         return len(self.pending)
-
-    def _record(self, kind: EventKind, update: Optional[Update],
-                register: Optional[Register], sim_time: float) -> None:
-        self.events.append(
-            ReplicaEvent(
-                replica_id=self.replica_id,
-                kind=kind,
-                update=update,
-                register=register,
-                local_index=len(self.events),
-                sim_time=sim_time,
-            )
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

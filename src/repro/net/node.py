@@ -325,7 +325,8 @@ class _Tenant:
         """The per-replica report the launcher folds into the cluster view."""
         return {
             "replica_id": self.replica_id,
-            "events": tuple(self.replica.events),
+            # The trace's columns: pickled at once, so nothing shares them.
+            "events": self.replica.events,
             "store": dict(self.replica.store),
             "streams": {
                 channel: list(uids) for channel, uids in self.streams.items()

@@ -51,6 +51,7 @@ import queue
 import socket
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -382,9 +383,10 @@ def merge_reports(
             issued_at = issue_times.get(uid)
             if issued_at is not None:
                 metrics.apply_latencies.append(applied_at - issued_at)
-    metrics.apply_times.sort()
-    metrics.operation_times.sort()
-    metrics.operation_latencies = list(operation_latencies or [])
+    # ``array`` has no in-place sort: re-sort into fresh arrays.
+    metrics.apply_times = array("d", sorted(metrics.apply_times))
+    metrics.operation_times = array("d", sorted(metrics.operation_times))
+    metrics.operation_latencies = array("d", operation_latencies or ())
     metrics.rejected_operations = rejected_operations
     # Fault accounting comes from the launcher — it injected the kills, so
     # it owns the timeline (a SIGKILLed process cannot count its own death,

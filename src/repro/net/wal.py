@@ -14,9 +14,11 @@ tenants):
   inbound connections' delta-decoder bases and the log generation — but
   of the history (each replica's event trace, the first-receipt streams,
   the apply and issue times) only what was appended since the previous
-  record.  So a compaction costs O(state + what changed), never
-  O(history), and nothing is deep-copied: the pickle of the live state is
-  the copy;
+  record.  A trace's tail is a slice of its
+  :class:`~repro.core.protocol.ReplicaTrace` columns, so it pickles as
+  three flat columns and recovery extends the columns back together.
+  So a compaction costs O(state + what changed), never O(history), and
+  nothing is deep-copied: the pickle of the live state is the copy;
 * a **write-ahead log** (``node-<id>.wal.<generation>``): one framed,
   tenant-tagged record per state change, O(delta) per operation, in the
   order the node made the changes — so file order is the order across
@@ -94,9 +96,10 @@ class WalCheckpoint:
 
     ``replica``'s :attr:`~repro.core.protocol.ReplicaSnapshot.history`
     entries, ``streams``, ``apply_times`` and ``issue_times`` are the
-    history: lists and insertion-ordered dicts that only ever gain entries
-    (no key is re-set or removed), so a checkpoint record stores their new
-    tails.  The rest is state, stored whole by every record.
+    history: the replica's trace, lists and insertion-ordered dicts that
+    only ever gain entries (no key is re-set or removed), so a checkpoint
+    record stores their new tails.  The rest is state, stored whole by
+    every record.
     """
 
     replica: ReplicaSnapshot
@@ -191,8 +194,8 @@ class NodeCheckpoint:
 # ----------------------------------------------------------------------
 
 def _appended(history: Any, mark: int) -> Any:
-    """The entries ``history`` (a list or an insertion-ordered dict)
-    gained past its first ``mark``."""
+    """The entries ``history`` (a replica trace, a list or an
+    insertion-ordered dict) gained past its first ``mark``."""
     if len(history) < mark:
         raise ValueError(
             f"a history shrank from {mark} to {len(history)} entries "

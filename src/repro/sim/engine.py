@@ -46,6 +46,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Set,
@@ -156,12 +157,17 @@ class ArrivalEvent:
 
     ``operation`` is opaque to the kernel; the host's
     :meth:`SimulationHost.submit_operation` interprets it (normally a
-    :class:`~repro.sim.workloads.Operation`).
+    :class:`~repro.sim.workloads.Operation`).  ``rest``, when set, holds
+    the time-ordered ``(time, operation)`` arrivals that follow this one:
+    the host schedules the next of them when this one fires
+    (:meth:`SimulationHost.schedule_arrivals`), so a workload keeps one
+    arrival on the kernel instead of all of them.
     """
 
     rank: ClassVar[int] = 3
 
     operation: Any
+    rest: Optional[Iterator[Tuple[float, Any]]] = None
 
 
 Event = Any  # DeliveryEvent | TimerEvent | ArrivalEvent
@@ -957,6 +963,20 @@ class SimulationHost(ReplicaHost):
         """Schedule an open-loop client operation at absolute time ``time``."""
         self.kernel.schedule_at(time, ArrivalEvent(operation=operation))
 
+    def schedule_arrivals(self, arrivals: Iterable[Tuple[float, Any]]) -> None:
+        """Feed ``(absolute time, operation)`` arrivals, in time order, to
+        the kernel one at a time: the first is scheduled now, and each
+        one's firing schedules the next before its operation runs.
+
+        No other event shares the arrivals' rank, and each arrival is
+        scheduled before its time comes, so they fire exactly as if all
+        had been scheduled up front in this order.
+        """
+        rest = iter(arrivals)
+        head = next(rest, None)
+        if head is not None:
+            self.kernel.schedule_at(head[0], ArrivalEvent(head[1], rest))
+
     def busy(self) -> bool:
         """``True`` while the run has work left: scheduled events, or
         arrivals deferred onto the service backlog (which are no longer
@@ -983,6 +1003,8 @@ class SimulationHost(ReplicaHost):
             event.callback(self, firing.time)
         elif isinstance(event, ArrivalEvent):
             self.last_activity_time = firing.time
+            if event.rest is not None:
+                self.schedule_arrivals(event.rest)
             self._handle_arrival(event.operation)
         else:  # pragma: no cover - future event types
             raise SimulationError(f"unknown event type {type(event).__name__}")

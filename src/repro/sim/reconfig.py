@@ -790,7 +790,7 @@ class ReconfigManager:
         """
         host = self.host
         replica = host._replica(replica_id)
-        held = {event.update.uid for event in replica.events if event.update is not None}
+        held = {update.uid for update in replica.events.updates()}
         stream = [
             updates[uid] for uid in order
             if updates[uid].register in registers and uid not in held

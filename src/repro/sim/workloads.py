@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
@@ -43,9 +44,11 @@ from ..core.share_graph import ShareGraph
 from .engine import LatencySummary, QueueDepthStats, SimulationHost, throughput_timeline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One client operation addressed to a replica.
+
+    Slotted: an open-loop run holds one per arrival.
 
     Attributes
     ----------
@@ -63,6 +66,11 @@ class Operation:
     replica_id: ReplicaId
     register: Register
     value: Any = None
+
+    def __reduce__(self) -> Tuple[Any, tuple]:
+        # One constructor call, like Update's: a frozen slotted dataclass
+        # does not unpickle through the default path on Python 3.10.
+        return (type(self), (self.kind, self.replica_id, self.register, self.value))
 
 
 @dataclass(frozen=True)
@@ -275,12 +283,15 @@ def run_workload(
 # Open-loop workloads (Poisson / bursty client arrivals)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedOperation:
     """One operation arriving at a fixed simulated time."""
 
     time: float
     operation: Operation
+
+    def __reduce__(self) -> Tuple[Any, tuple]:
+        return (type(self), (self.time, self.operation))
 
 
 @dataclass(frozen=True)
@@ -638,10 +649,13 @@ def run_open_loop(
 ) -> OpenLoopResult:
     """Run an open-loop workload on a host and validate the execution.
 
-    Every arrival is scheduled on the host's event kernel up front; the
-    kernel then interleaves client arrivals with message deliveries in
-    global time order until the system drains.  Works on any
-    :class:`~repro.sim.engine.SimulationHost`.
+    The arrivals are fed to the host's event kernel in time order, one at
+    a time (:meth:`~repro.sim.engine.SimulationHost.schedule_arrivals`):
+    each arrival schedules the next when it fires, so the kernel holds one
+    arrival, not the whole workload, yet fires them exactly as if all had
+    been scheduled up front.  The kernel interleaves client arrivals with
+    message deliveries in global time order until the system drains.
+    Works on any :class:`~repro.sim.engine.SimulationHost`.
 
     Arrival times are offsets from the host's clock at the start of this
     call, so a warmed-up cluster replays the schedule with its spacing
@@ -658,8 +672,10 @@ def run_open_loop(
         Bucket width of the reported apply-throughput timeline.
     """
     started_at = cluster.now
-    for arrival in workload.arrivals:
-        cluster.schedule_arrival_at(started_at + arrival.time, arrival.operation)
+    # A stable sort: arrivals at equal times keep their workload order.
+    cluster.schedule_arrivals(
+        (started_at + arrival.time, arrival.operation)
+        for arrival in sorted(workload.arrivals, key=attrgetter("time")))
 
     if queue_sample_interval is not None:
         if queue_sample_interval <= 0:

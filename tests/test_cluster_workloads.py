@@ -70,7 +70,7 @@ class TestCluster:
         cluster = Cluster(ShareGraph.from_placement(figure5_placement()), seed=0)
         with pytest.raises(RegisterNotStoredError):
             cluster.read(1, "x")
-        assert (cluster.metrics.reads, cluster.metrics.operation_times) == (0, [])
+        assert (cluster.metrics.reads, list(cluster.metrics.operation_times)) == (0, [])
 
     def test_metadata_sizes(self, tri_cluster):
         sizes = tri_cluster.metadata_sizes()

@@ -1,7 +1,7 @@
 """A pinned fixed-seed chaos run: the simulator's delivery path, bit for bit.
 
 One sub-second run crosses every fate a delivery can meet — lossy links
-behind the ack + resend layer, batching windows, a crash with restart
+behind the transport's resend timers, batching windows, a crash with restart
 resync, a partition with heal — timed so that standalone re-sends and
 stream batches are parked behind the same partition and lost at the same
 crashed replica.  The pinned numbers are what the commit *before* the

@@ -135,7 +135,7 @@ class TestWallClockTimelines:
         metrics = RunMetrics()
         epoch = 1.7e9
         metrics.apply_times = [epoch + 0.1, epoch + 0.9, epoch + 3.0]
-        metrics.operation_times = [(epoch + 0.5, "write")]
+        metrics.operation_times = [epoch + 0.5]
         assert len(metrics.apply_throughput(1.0, origin=None)) == 4
         assert metrics.apply_throughput(1.0, origin=epoch)[0] == (epoch, 2)
         assert metrics.operation_throughput(1.0, origin=None) == [(epoch, 1)]

@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.experiments import protocol_suite
 from repro.clientserver import ClientServerCluster
 from repro.core.errors import ProtocolError, RegisterNotStoredError
-from repro.core.protocol import EventKind, Update, UpdateMessage
+from repro.core.protocol import EventKind, ReplicaTrace, Update, UpdateMessage
 from repro.core.replica import EdgeIndexedReplica
 from repro.core.share_graph import ShareGraph
 from repro.sim.cluster import Cluster
@@ -239,7 +239,7 @@ class TestOneGrowingStructure:
             (rid, name): len(value)
             for rid, replica in host._replica_map().items()
             for name, value in vars(replica).items()
-            if isinstance(value, (list, tuple, dict, set, frozenset, deque))
+            if isinstance(value, (list, tuple, dict, set, frozenset, deque, ReplicaTrace))
         }
 
     @pytest.mark.parametrize("family", sorted(protocol_suite()) + ["client-server"])
