@@ -22,22 +22,17 @@ from __future__ import annotations
 import os
 
 from conftest import run_once, write_bench_json
+from etables import E22_ADAPTIVE
 
 from repro.analysis import exp_adaptive, render_adaptive
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
-DURATION = 240.0 if TINY else 720.0
-ROTATIONS = 8 if TINY else 12
+SIZES = E22_ADAPTIVE if TINY else dict(duration=720.0, rotations=12)
 
 
 def test_e22_adaptive_beats_statics(benchmark):
     """Closed-loop controller vs. static placements on a drifting hotspot."""
-    rows = run_once(
-        benchmark,
-        exp_adaptive,
-        duration=DURATION,
-        rotations=ROTATIONS,
-    )
+    rows = run_once(benchmark, exp_adaptive, **SIZES)
     print()
     print("[E22] Adaptive reconfiguration vs static placement")
     print(render_adaptive(rows))

@@ -9,13 +9,14 @@ missing counters translate into a real safety violation.
 from __future__ import annotations
 
 from conftest import run_once
+from etables import E11_RING_SIZE
 
 from repro.analysis import exp_bounded_loops
 
 
 def test_e11_bounded_loops_tradeoff(benchmark):
     """Counters saved; safe under loose synchrony, unsafe under the adversary."""
-    result = run_once(benchmark, exp_bounded_loops, 6)
+    result = run_once(benchmark, exp_bounded_loops, E11_RING_SIZE)
     print()
     print("[E11] Bounded loop length on", result.topology)
     print(f"  exact counters   : {result.exact_counters}")

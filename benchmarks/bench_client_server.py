@@ -11,6 +11,7 @@ under the ↪' relation.
 from __future__ import annotations
 
 from conftest import run_once
+from etables import E12_SEED
 
 from repro.analysis import (
     exp_client_server,
@@ -40,7 +41,7 @@ def test_e14_open_loop_both_architectures(benchmark):
 
 def test_e12_client_server_architecture(benchmark):
     """Augmented metadata + a consistent simulated client–server run."""
-    result = run_once(benchmark, exp_client_server, 4)
+    result = run_once(benchmark, exp_client_server, E12_SEED)
     print()
     print("[E12] Client–server architecture (Figure 3 chain + roaming clients)")
     print(render_client_server(result))

@@ -9,6 +9,7 @@ number of (metadata-only) messages grows.
 from __future__ import annotations
 
 from conftest import run_once
+from etables import E9_DYNAMIC
 
 from repro.analysis import (
     exp_dummy_registers,
@@ -39,7 +40,7 @@ def test_e9_dummy_register_tradeoff(benchmark):
 
 def test_e9_dummy_registers_dynamic(benchmark):
     """Dynamic run on a 6-ring: message amplification, consistency preserved."""
-    result = run_once(benchmark, exp_dummy_registers_dynamic, 100, 5)
+    result = run_once(benchmark, exp_dummy_registers_dynamic, **E9_DYNAMIC)
     print()
     print("[E9] Dummy registers: dynamic run on ring6")
     for name, stats in result.items():

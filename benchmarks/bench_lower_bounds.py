@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
+from etables import E6_CONFLICT_MAX_UPDATES, E6_MAX_UPDATES
 
 from repro.analysis import (
     exp_conflict_bound,
@@ -20,7 +21,7 @@ from repro.analysis import (
 
 def test_e6_closed_form_bounds_are_tight(benchmark):
     """Tree / cycle / clique closed forms equal the algorithm's sizes."""
-    rows = run_once(benchmark, exp_lower_bounds, 16)
+    rows = run_once(benchmark, exp_lower_bounds, E6_MAX_UPDATES)
     print()
     print("[E6] Closed-form lower bounds vs the algorithm")
     print(render_lower_bounds(rows))
@@ -30,7 +31,7 @@ def test_e6_closed_form_bounds_are_tight(benchmark):
 
 def test_e6_conflict_graph_bound_matches_closed_form(benchmark):
     """Theorem 15 evaluated explicitly on a 3-cycle with m = 2."""
-    result = run_once(benchmark, exp_conflict_bound, 2)
+    result = run_once(benchmark, exp_conflict_bound, E6_CONFLICT_MAX_UPDATES)
     print()
     print(
         f"[E6] Conflict-graph bound on {result.topology} (m={result.max_updates}): "

@@ -12,6 +12,7 @@ full storage and broadcast traffic.
 from __future__ import annotations
 
 from conftest import run_once
+from etables import E7_METADATA
 
 from repro.analysis import exp_metadata_overhead
 from repro.sim.metrics import format_table
@@ -19,7 +20,7 @@ from repro.sim.metrics import format_table
 
 def test_e7_metadata_overhead_comparison(benchmark):
     """The per-protocol, per-topology metadata/traffic table."""
-    rows = run_once(benchmark, exp_metadata_overhead, 100, 7)
+    rows = run_once(benchmark, exp_metadata_overhead, **E7_METADATA)
     print()
     print("[E7] Metadata overhead across protocols and topologies")
     print(format_table(rows))

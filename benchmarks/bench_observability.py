@@ -23,17 +23,17 @@ from __future__ import annotations
 import os
 
 from conftest import run_once, write_bench_json
+from etables import E19_OBSERVABILITY
 
 from repro.analysis import exp_observability, render_observability
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
-RATE = 2.0 if TINY else 4.0
-DURATION = 15.0 if TINY else 30.0
+SIZES = E19_OBSERVABILITY if TINY else dict(rate=4.0, duration=30.0)
 
 
 def test_e19_observability_matrix(benchmark):
     """Traced clique/tree × p2p/client-server: coverage ≥99% everywhere."""
-    rows = run_once(benchmark, exp_observability, rate=RATE, duration=DURATION)
+    rows = run_once(benchmark, exp_observability, **SIZES)
     print()
     print("[E19] Traced runs (topology x architecture)")
     print(render_observability(rows))

@@ -22,15 +22,13 @@ from __future__ import annotations
 import os
 
 from conftest import run_once, write_bench_json
+from etables import E21_PLACEMENT
 
 from repro.analysis import exp_placement, render_placement
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
-RATE = 2.0 if TINY else 4.0
-DURATION = 20.0 if TINY else 40.0
-REPLICAS = 8 if TINY else 10
-REGISTERS = 12 if TINY else 16
-CAPACITY = 5 if TINY else 6
+SIZES = E21_PLACEMENT if TINY else dict(
+    rate=4.0, duration=40.0, num_replicas=10, num_registers=16, capacity=6)
 
 
 def _gate_cell(rows, policy):
@@ -50,15 +48,7 @@ def _gate_cell(rows, policy):
 
 def test_e21_placement_matrix(benchmark):
     """Policy × topology × protocol sweep: optimized beats random on GEANT."""
-    rows = run_once(
-        benchmark,
-        exp_placement,
-        rate=RATE,
-        duration=DURATION,
-        num_replicas=REPLICAS,
-        num_registers=REGISTERS,
-        capacity=CAPACITY,
-    )
+    rows = run_once(benchmark, exp_placement, **SIZES)
     print()
     print("[E21] Placement policy x topology x protocol")
     print(render_placement(rows))

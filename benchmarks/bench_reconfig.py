@@ -25,23 +25,19 @@ import math
 import os
 
 from conftest import run_once
+from etables import (
+    E17_ACCEPTANCE,
+    E17_SWEEP_DURATION,
+    churn_acceptance_line,
+    churn_acceptance_run,
+)
 
 from repro.analysis import exp_reconfiguration, render_reconfiguration
-from repro.clientserver import ClientServerCluster
-from repro.core.share_graph import ShareGraph
-from repro.sim.cluster import Cluster
-from repro.sim.delays import UniformDelay
-from repro.sim.reconfig import ReconfigManager, random_churn_schedule
-from repro.sim.topologies import tree_placement
-from repro.sim.workloads import poisson_workload_dynamic, run_open_loop
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
-ACCEPTANCE_SIZE = 16 if TINY else 64
-ACCEPTANCE_JOINS = 3 if TINY else 8
-ACCEPTANCE_LEAVES = 2 if TINY else 4
-ACCEPTANCE_DURATION = 150.0 if TINY else 400.0
-ACCEPTANCE_RATE = 0.3 if TINY else 0.8
-SWEEP_DURATION = 120.0 if TINY else 300.0
+ACCEPTANCE = E17_ACCEPTANCE if TINY else dict(
+    size=64, joins=8, leaves=4, duration=400.0, rate=0.8)
+SWEEP_DURATION = E17_SWEEP_DURATION if TINY else 300.0
 
 
 def test_e17_reconfiguration_sweep(benchmark):
@@ -86,38 +82,6 @@ def test_e17_reconfiguration_sweep(benchmark):
             assert last.ts_bytes_per_message > first.ts_bytes_per_message
 
 
-def _acceptance_run(architecture: str, seed: int = 23):
-    """The acceptance scenario: a big tree, 8 joins and 4 leaves mid-run."""
-    placement = tree_placement(ACCEPTANCE_SIZE)
-    graph = ShareGraph.from_placement(placement)
-    if architecture == "peer-to-peer":
-        host = Cluster(
-            graph, delay_model=UniformDelay(1, 10), seed=seed,
-            wire_accounting=True,
-        )
-    else:
-        host = ClientServerCluster.with_colocated_clients(
-            graph, delay_model=UniformDelay(1, 10), seed=seed,
-            wire_accounting=True,
-        )
-    manager = ReconfigManager(host, window=4.0)
-    schedule = random_churn_schedule(
-        placement,
-        ACCEPTANCE_DURATION,
-        joins=ACCEPTANCE_JOINS,
-        leaves=ACCEPTANCE_LEAVES,
-        seed=seed,
-        join_style="leaf",
-    )
-    manager.install(schedule)
-    placements = schedule.placements_over(placement, window=4.0)
-    workload = poisson_workload_dynamic(
-        placements, rate=ACCEPTANCE_RATE, duration=ACCEPTANCE_DURATION, seed=seed,
-    )
-    result = run_open_loop(host, workload)
-    return host, manager, result
-
-
 def test_e17_acceptance_64_replica_churn(benchmark):
     """8 joins + 4 leaves on the 64-replica tree, both architectures.
 
@@ -128,25 +92,18 @@ def test_e17_acceptance_64_replica_churn(benchmark):
     """
     def both():
         return {
-            architecture: _acceptance_run(architecture)
+            architecture: churn_acceptance_run(architecture, **ACCEPTANCE)
             for architecture in ("peer-to-peer", "client-server")
         }
 
     runs = run_once(benchmark, both)
     print()
+    changes = ACCEPTANCE["joins"] + ACCEPTANCE["leaves"]
     for architecture, (host, manager, result) in runs.items():
-        stats = host.network.stats
-        print(
-            f"[E17 acceptance] {architecture}: "
-            f"{host.metrics.reconfigs} reconfigs to epoch {host.epoch}, "
-            f"{result.messages_sent} msgs, "
-            f"{host.metrics.rejected_operations} rejected ops, "
-            f"{stats.messages_rejected_stale_epoch} stale-epoch rejects, "
-            f"consistency {'OK' if result.consistent else 'VIOLATED'}"
-        )
+        print(churn_acceptance_line(architecture, host, result))
         assert result.consistent
-        assert host.metrics.reconfigs == ACCEPTANCE_JOINS + ACCEPTANCE_LEAVES
-        assert host.epoch == ACCEPTANCE_JOINS + ACCEPTANCE_LEAVES
+        assert host.metrics.reconfigs == changes
+        assert host.epoch == changes
         # Availability dips only inside migration windows / transfers.
         covered = list(host.metrics.migration_windows)
         for record in host.metrics.reconfig_timeline:

@@ -9,13 +9,14 @@ degree, while the broken register's updates travel n-1 hops.
 from __future__ import annotations
 
 from conftest import run_once
+from etables import E10_RING_SIZES
 
 from repro.analysis import exp_ring_breaking, render_ring_breaking
 
 
 def test_e10_ring_breaking_tradeoff(benchmark):
     """Metadata vs propagation-path trade-off across ring sizes."""
-    rows = run_once(benchmark, exp_ring_breaking, (4, 6, 8, 12))
+    rows = run_once(benchmark, exp_ring_breaking, E10_RING_SIZES)
     print()
     print("[E10] Ring breaking via virtual registers")
     print(render_ring_breaking(rows))

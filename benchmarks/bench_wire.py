@@ -26,21 +26,24 @@ import sys
 import time
 
 from conftest import write_bench_json
+from etables import (
+    E16_BATCHING,
+    E16_CLIQUE_SIZE,
+    E16_CONSISTENCY_OPS,
+    E16_OPS,
+    E16_TABLE_OPS,
+    batched_consistency_runs,
+    clique_backlog_run,
+    delta_bytes_line,
+)
 
-from repro.baselines.vector_clock_full import full_replication_factory
-from repro.clientserver import ClientServerCluster
 from repro.core.protocol import Update, UpdateMessage
-from repro.core.share_graph import ShareGraph
 from repro.core.timestamps import VectorTimestamp
-from repro.sim.cluster import Cluster
-from repro.sim.delays import UniformDelay
-from repro.sim.engine import BatchingConfig, DeliveryEvent, Firing, TimerEvent
-from repro.sim.topologies import clique_placement, figure5_placement
-from repro.sim.workloads import run_workload, uniform_workload
+from repro.sim.engine import DeliveryEvent, Firing, TimerEvent
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
-CLIQUE_SIZE = 12 if TINY else 64
-OPS = 120 if TINY else 600
+CLIQUE_SIZE = E16_CLIQUE_SIZE if TINY else 64
+OPS = E16_OPS if TINY else 600
 
 #: The acceptance floor is 1.5x; shared CI runners get a noise-tolerant
 #: floor (scheduler preemptions during multi-second drains), and the tiny
@@ -54,33 +57,15 @@ else:
 
 
 def _clique_run(batching):
-    """One full-replication clique backlog run; returns (cluster, seconds).
-
-    ``interleave_steps=0`` defers every delivery until the drain — the
-    maximal-backlog regime of the E13 gate — and ``wire_accounting`` is on
-    for both sides so the comparison includes the honest cost of putting
-    bytes on the wire in each mode.
-    """
-    graph = ShareGraph.from_placement(clique_placement(CLIQUE_SIZE))
-    workload = uniform_workload(graph, OPS, write_fraction=1.0, seed=5)
-    cluster = Cluster(
-        graph,
-        replica_factory=full_replication_factory,
-        delay_model=UniformDelay(1, 10),
-        seed=5,
-        batching=batching,
-        wire_accounting=batching is None,
-    )
-    started = time.perf_counter()
-    run_workload(cluster, workload, interleave_steps=0, check=False)
-    return cluster, time.perf_counter() - started
+    """One clique backlog run at this module's size; (cluster, seconds)."""
+    return clique_backlog_run(batching, CLIQUE_SIZE, OPS)
 
 
 def test_e16_batching_throughput_clique(benchmark):
     """Acceptance: ≥1.5× delivered-ops/sec with batching on the clique backlog."""
 
     def compare():
-        on, on_s = _clique_run(BatchingConfig(max_messages=32, max_delay=8.0))
+        on, on_s = _clique_run(E16_BATCHING)
         off, off_s = _clique_run(None)
         assert on.metrics.applies == off.metrics.applies > 0
         return {
@@ -122,17 +107,12 @@ def test_e16_delta_encoding_shrinks_steady_state_bytes(benchmark):
     """Acceptance: delta frames beat full encoding on steady-state timestamp bytes."""
 
     def run():
-        cluster, _ = _clique_run(BatchingConfig(max_messages=32, max_delay=8.0))
+        cluster, _ = _clique_run(E16_BATCHING)
         return cluster.network.stats
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    print(
-        f"[E16] timestamp bytes: delta {stats.timestamp_bytes_sent:,} vs "
-        f"full {stats.timestamp_bytes_full:,} "
-        f"({100 * stats.timestamp_delta_savings:.1f}% saved, "
-        f"{stats.delta_frames_sent} delta / {stats.full_frames_sent} full frames)"
-    )
+    print(delta_bytes_line(stats))
     assert stats.delta_frames_sent > 0
     assert stats.timestamp_bytes_sent < 0.7 * stats.timestamp_bytes_full, (
         "steady-state delta encoding should save well over 30% of timestamp "
@@ -142,20 +122,9 @@ def test_e16_delta_encoding_shrinks_steady_state_bytes(benchmark):
 
 def test_e16_batching_preserves_consistency_both_architectures(benchmark):
     """The checker must pass with batching on, on both deployments."""
-    graph = ShareGraph.from_placement(figure5_placement())
-    workload = uniform_workload(graph, 60 if TINY else 200, seed=7)
-
-    def run():
-        batching = BatchingConfig(max_messages=8, max_delay=4.0)
-        p2p = Cluster(graph, delay_model=UniformDelay(1, 10), seed=7, batching=batching)
-        p2p_result = run_workload(p2p, workload)
-        cs = ClientServerCluster.with_colocated_clients(
-            graph, delay_model=UniformDelay(1, 10), seed=7, batching=batching
-        )
-        cs_result = run_workload(cs, workload)
-        return p2p_result, cs_result
-
-    p2p_result, cs_result = benchmark.pedantic(run, rounds=1, iterations=1)
+    ops = E16_CONSISTENCY_OPS if TINY else 200
+    p2p_result, cs_result = benchmark.pedantic(
+        batched_consistency_runs, args=(ops,), rounds=1, iterations=1)
     print()
     print(f"[E16] batched peer-to-peer: {p2p_result.summary()}")
     print(f"[E16] batched client-server: {cs_result.summary()}")
@@ -208,7 +177,7 @@ def test_e16_wire_overhead_table(benchmark):
     """Regenerate and print the E16 sweep recorded in EXPERIMENTS.md."""
     from repro.analysis.experiments import exp_wire_overhead, render_wire_overhead
 
-    ops = 60 if TINY else 150
+    ops = E16_TABLE_OPS if TINY else 150
     rows = benchmark.pedantic(
         exp_wire_overhead, kwargs={"ops": ops}, rounds=1, iterations=1
     )

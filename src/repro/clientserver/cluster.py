@@ -11,7 +11,7 @@ the simulation.
 The drive loop — :meth:`~repro.sim.engine.SimulationHost.step`,
 :meth:`~repro.sim.engine.SimulationHost.run_until_quiescent` with its
 cross-replica apply/serve fixpoint, and the unified
-:class:`~repro.sim.engine.RunMetrics` — is inherited from
+:class:`~repro.core.host.RunMetrics` — is inherited from
 :class:`~repro.sim.engine.SimulationHost`, the same base the peer-to-peer
 :class:`~repro.sim.cluster.Cluster` runs on.
 

@@ -17,8 +17,8 @@ depended on simulated time were extracted here:
   message of either runtime, and of a WAL replay, goes through them — the
   event-trace collection and the
   :meth:`~ReplicaHost.check_consistency` entry point.  The simulator's
-  :class:`~repro.sim.engine.SimulationHost` and the live runtime's node host
-  are both subclasses, which is what lets the differential harness
+  :class:`~repro.sim.engine.SimulationHost` and the live runtime's
+  :class:`~repro.net.node.LiveNode` are both subclasses, which is what lets the differential harness
   (``tests/differential``) replay one workload through both and compare the
   verdicts — the simulator as the executable spec for the live system.
 * :class:`RunMetrics` and its helpers (:class:`LatencySummary`,
@@ -28,9 +28,6 @@ depended on simulated time were extracted here:
   simulated time units in the simulator, wall-clock seconds in the live
   runtime; the bucketing helpers accept both (see
   :func:`throughput_timeline`'s ``origin`` parameter for wall-clock epochs).
-
-Everything here is re-exported from :mod:`repro.sim.engine`, so existing
-imports keep working.
 """
 
 from __future__ import annotations
@@ -313,8 +310,8 @@ class ReplicaHost:
 
     * :class:`~repro.sim.engine.SimulationHost` drives the replicas over the
       discrete-event kernel (simulated clock, :class:`Transport` channels);
-    * :class:`~repro.net.node.LiveNodeHost` drives a single replica inside a
-      live asyncio process (wall clock, TCP channels), one host per process.
+    * :class:`~repro.net.node.LiveNode` drives every replica a live asyncio
+      process hosts (wall clock, TCP channels), one host per process.
 
     The shared surface is what makes the simulator the executable spec for
     the live system: both record the same :class:`RunMetrics`, trace the
@@ -553,10 +550,11 @@ class ReplicaHost:
         for update in applied:
             self.metrics.applies += 1
             self.metrics.apply_times.append(t)
-            issued_at = self._issue_times.get(update.uid)
+            uid = update.uid
+            issued_at = self._issue_times.get(uid)
             # State-transfer replays measure the history's age, not
             # propagation: they are applies but not latency samples.
-            if issued_at is not None and update.uid not in replayed:
+            if issued_at is not None and uid not in replayed:
                 self.metrics.apply_latencies.append(t - issued_at)
         if self.tracer is not None:
             for update in applied:

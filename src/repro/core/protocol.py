@@ -416,6 +416,13 @@ class ReplicaTrace(SequenceABC):
         return (item for code, item in zip(self.kinds, self.items)
                 if code != _READ_CODE)
 
+    def issue_times(self) -> Dict[UpdateId, float]:
+        """The ISSUE events' projection: each update this replica issued
+        → its issue time (no events built)."""
+        issue = _KIND_CODES[EventKind.ISSUE]
+        return {item.uid: time for code, item, time
+                in zip(self.kinds, self.items, self.times) if code == issue}
+
     def _event(self, index: int, code: int, item: Any, time: float) -> ReplicaEvent:
         if code == _READ_CODE:
             return ReplicaEvent(self.replica_id, _READ, None, item, index, time)

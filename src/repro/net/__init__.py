@@ -12,8 +12,8 @@ frames over localhost TCP:
 * :mod:`repro.net.frames` — the small control vocabulary around the data
   frames: node hellos, replica-tagged acks and resync offers, client
   operations and the stats/report harness protocol;
-* :mod:`repro.net.node` — one live node: an asyncio TCP server hosting
-  many replica *tenants*, one outbound stream per peer **node** (not per
+* :mod:`repro.net.node` — one live node: an asyncio TCP server that is
+  the :class:`~repro.core.host.ReplicaHost` of many replica *tenants*, one outbound stream per peer **node** (not per
   share-graph edge) multiplexing every channel between the two nodes, the
   channels' sending half (batching windows, the only place a copy waits;
   delta chains; acks, and re-sends on reconnect) in the shared
@@ -40,14 +40,13 @@ per-channel delivery streams.
 
 from .client import OpenLoopClient
 from .framing import StreamDecoder, encode_frame
-from .node import LiveNode, LiveNodeHost, NodeConfig
+from .node import LiveNode, NodeConfig
 from .runtime import LiveCluster, LiveRunResult
 from .wal import ReplicaWAL, WalCheckpoint
 
 __all__ = [
     "LiveCluster",
     "LiveNode",
-    "LiveNodeHost",
     "LiveRunResult",
     "NodeConfig",
     "OpenLoopClient",

@@ -242,9 +242,11 @@ class NodeStats:
 
     The launcher declares the cluster drained when, across two consecutive
     polls, every node reports empty queues (``send_queue``, ``unacked``,
-    ``pending`` all zero), every enqueued message has been delivered
-    somewhere (``sum(enqueued) == sum(delivered)``), and the counters did
-    not move between the polls.
+    ``pending`` all zero), every share-graph channel's books agree — the
+    outbox total its sender's node logged equals the first receipts its
+    destination's node counted (the outbox and inbox books beside the
+    stats in the same ``STATS`` payload) — and nothing moved between the
+    polls.
     """
 
     ops_done: int = 0
@@ -256,8 +258,7 @@ class NodeStats:
     sent: int = 0
     #: Messages read off the wire, duplicates included.
     received: int = 0
-    #: First receipts (duplicates suppressed) — the delivery count the
-    #: drain condition compares against ``enqueued``.
+    #: First receipts (duplicates suppressed).
     delivered: int = 0
     applied: int = 0
     pending: int = 0

@@ -53,10 +53,11 @@ decouples the logical communication graph from the physical one:
   replays checkpoint + log tail in file order and resyncs over the
   ``SYNC`` exchange, exactly like a simulated crash.
 
-Each tenant keeps its own :class:`LiveNodeHost` (the shared
-:class:`~repro.core.host.ReplicaHost` surface), so metrics, event traces
-and the consistency check are per-replica and the simulator stays the
-executable spec.
+The node is the :class:`~repro.core.host.ReplicaHost` of all of its
+tenants, as the simulator's host is of all of its replicas: one clock, one
+:class:`~repro.core.host.RunMetrics`, one issue book and one tracer.  Event
+traces, first-receipt streams and the consistency check stay per-replica,
+so the simulator stays the executable spec.
 
 Nodes are normally spawned by :class:`~repro.net.runtime.LiveCluster`; the
 module-level :func:`node_main` is the process entry point.
@@ -151,55 +152,21 @@ class NodeConfig:
     telemetry_interval: float = 0.0
 
 
-class LiveNodeHost(ReplicaHost):
-    """The :class:`~repro.core.host.ReplicaHost` of one live tenant.
-
-    One replica per host, wall-clock time (seconds since the cluster's
-    ``clock_origin``).  A multi-tenant node keeps one host per tenant so
-    metrics, issue books and traces stay per-replica; the launcher
-    stitches them back into a cluster-wide view at report collection.
-
-    Every operation goes through the shared
-    :meth:`~repro.core.host.ReplicaHost.perform_write`,
-    :meth:`~repro.core.host.ReplicaHost.perform_read` and
-    :meth:`~repro.core.host.ReplicaHost.deliver` at an explicit time — the
-    time the node read the op or the batch, which is also the time its
-    WAL record stores.  The WAL replay passes the recorded time to the same
-    calls, so it regenerates the identical event trace.
-    """
-
-    def __init__(self, share_graph: ShareGraph, replica: CausalReplica,
-                 clock_origin: float = 0.0) -> None:
-        super().__init__(share_graph)
-        self._replicas = {replica.replica_id: replica}
-        self._clock_origin = clock_origin or time.time()
-
-    @property
-    def now(self) -> float:
-        """Seconds since the cluster's shared clock origin (wall clock)."""
-        return time.time() - self._clock_origin
-
-    def _replica_map(self) -> Mapping[ReplicaId, CausalReplica]:
-        return self._replicas
-
-
 class _Tenant:
-    """One hosted replica's complete per-replica state.
+    """One hosted replica and its durable books.
 
-    The replica, its host (metrics/trace/issue books), the outbox totals,
-    the first-receipt streams and counters.  The sending half of its
+    The replica, the outbox totals, the first-receipt streams, the apply
+    times and the counters.  Its clock, metrics, issue book and tracer are
+    the node's, the host of every tenant.  The sending half of its
     channels — windows, unacked copies, sent-log, byte books — lives in
     the node's per-peer senders, and its log records in the node's log.
     """
 
     def __init__(self, node: "LiveNode", replica_id: ReplicaId) -> None:
         config = node.config
-        graph = config.share_graph
         self.node = node
         self.replica_id = replica_id
-        self.replica = config.replica_factory(graph, replica_id)
-        self.host = LiveNodeHost(graph, self.replica,
-                                 clock_origin=node.clock_origin)
+        self.replica = config.replica_factory(config.share_graph, replica_id)
         #: Total updates ever logged per destination (survives pruning and
         #: crashes; the launcher's drain books compare this against the
         #: receiver's first-receipt count).
@@ -212,11 +179,6 @@ class _Tenant:
             "ops_done": 0, "issued": 0, "enqueued": 0, "sent": 0,
             "received": 0, "delivered": 0, "duplicates": 0, "resyncs": 0,
         }
-        self.tracer: Optional[Any] = None
-        if config.tracing:
-            from ..obs.trace import TraceRecorder
-            self.tracer = TraceRecorder()
-            self.host.tracer = self.tracer
         #: This tenant's tag, the head of each of its log records.
         self.tag = encode_atom(replica_id)
         self.recovered = False
@@ -230,7 +192,6 @@ class _Tenant:
             outbox_total=self.outbox_total,
             streams=self.streams,
             apply_times=self.apply_times,
-            issue_times=self.host._issue_times,
         )
 
     # ------------------------------------------------------------------
@@ -250,7 +211,7 @@ class _Tenant:
         log).  That one record is all an intra-node copy costs the log.
         """
         node = self.node
-        update, messages = self.host.perform_write(
+        update, messages = node.perform_write(
             self.replica_id, register, value, at=at
         )
         self.counters["issued"] += 1
@@ -280,15 +241,16 @@ class _Tenant:
         counters["enqueued"] += 1
         counters["sent"] += 1
         channel = (message.sender, message.destination)
-        if self.tracer is not None:
+        tracer = self.node.tracer
+        if tracer is not None:
             uid = message.update.uid
-            self.tracer.record("send", uid, channel[0], channel[1], at)
-            self.tracer.record("wire", uid, channel[0], channel[1], at)
+            tracer.record("send", uid, channel[0], channel[1], at)
+            tracer.record("wire", uid, channel[0], channel[1], at)
         self.node._deliver(destination, channel, [message], at)
 
     def read(self, register: Register, at: float, log: bool = True) -> Any:
         """Serve a read from the local copy at host time ``at``."""
-        value = self.host.perform_read(self.replica_id, register, at=at)
+        value = self.node.perform_read(self.replica_id, register, at=at)
         self.counters["ops_done"] += 1
         if log and self.node.wal is not None:
             # The READ trace event is durable state too.
@@ -323,22 +285,21 @@ class _Tenant:
 
     def report(self) -> Dict[str, Any]:
         """The per-replica report the launcher folds into the cluster view."""
+        events = self.replica.events
         return {
             "replica_id": self.replica_id,
             # The trace's columns: pickled at once, so nothing shares them.
-            "events": self.replica.events,
+            "events": events,
             "store": dict(self.replica.store),
             "streams": {
                 channel: list(uids) for channel, uids in self.streams.items()
             },
-            "metrics": self.host.metrics,
-            "issue_times": dict(self.host._issue_times),
+            "issue_times": events.issue_times(),
             "apply_times": dict(self.apply_times),
             "duplicates_ignored": self.replica.duplicates_ignored,
             "metadata_size": self.replica.metadata_size(),
             "counters": self.reported_counters(),
             "recovered": self.recovered,
-            "trace": list(self.tracer.events) if self.tracer is not None else [],
         }
 
 
@@ -373,11 +334,11 @@ class _PeerStream:
         """Join the channel's window; blocks while it holds
         ``SEND_QUEUE_LIMIT`` copies."""
         channel = (message.sender, message.destination)
-        tenant = self.node.tenants[message.sender]
-        tenant.counters["enqueued"] += 1
-        if tenant.tracer is not None:
-            tenant.tracer.record("send", message.update.uid,
-                                 channel[0], channel[1], self.node.now)
+        self.node.tenants[message.sender].counters["enqueued"] += 1
+        tracer = self.node.tracer
+        if tracer is not None:
+            tracer.record("send", message.update.uid,
+                          channel[0], channel[1], self.node.now)
         windows = self.sender.windows
         while channel in windows and len(windows[channel].messages) >= SEND_QUEUE_LIMIT:
             self._written.clear()
@@ -487,11 +448,11 @@ class _PeerStream:
         # are already outstanding and the reconnect re-sends them.
         flushed = self.sender.flush(channel, tenant.replica.wire_codec(), now)
         tenant.counters["sent"] += len(flushed.batch.messages)
-        if tenant.tracer is not None:
+        tracer = self.node.tracer
+        if tracer is not None:
             flushed_at = self.node.now
             for message in flushed.batch.messages:
-                tenant.tracer.record("wire", message.update.uid, src, dst,
-                                     flushed_at)
+                tracer.record("wire", message.update.uid, src, dst, flushed_at)
         encode_frame_into(out, frames.BATCH, flushed.data)
 
     async def _read_replies(self, reader: asyncio.StreamReader) -> None:
@@ -529,15 +490,33 @@ class _PeerStream:
         return self.sender.unacked
 
 
-class LiveNode:
-    """One live node process: listener, tenants, peer streams, durability."""
+class LiveNode(ReplicaHost):
+    """One live node process: the host of its tenants, their listener,
+    peer streams and durability.
+
+    Host time is wall-clock seconds since the cluster's ``clock_origin``.
+    Every operation goes through the shared
+    :meth:`~repro.core.host.ReplicaHost.perform_write`,
+    :meth:`~repro.core.host.ReplicaHost.perform_read` and
+    :meth:`~repro.core.host.ReplicaHost.deliver` at an explicit time — the
+    time the node read the op or the batch, which is also the time its
+    WAL record stores.  The WAL replay passes the recorded time to the same
+    calls, so it regenerates the identical event trace.
+    """
 
     def __init__(self, config: NodeConfig) -> None:
+        super().__init__(config.share_graph)
         self.config = config
         self.node_id = config.node_id
         self.clock_origin = config.clock_origin or time.time()
+        if config.tracing:
+            from ..obs.trace import TraceRecorder
+            self.tracer = TraceRecorder()
         self.tenants: Dict[ReplicaId, _Tenant] = {
             rid: _Tenant(self, rid) for rid in config.replica_ids
+        }
+        self._replicas: Dict[ReplicaId, CausalReplica] = {
+            rid: tenant.replica for rid, tenant in self.tenants.items()
         }
         self.addresses: Dict[NodeId, Address] = dict(config.peers)
         self.addresses.pop(self.node_id, None)
@@ -579,7 +558,11 @@ class LiveNode:
 
     @property
     def now(self) -> float:
+        """Seconds since the cluster's shared clock origin (wall clock)."""
         return time.time() - self.clock_origin
+
+    def _replica_map(self) -> Mapping[ReplicaId, CausalReplica]:
+        return self._replicas
 
     def _hosting_node(self, replica_id: ReplicaId) -> NodeId:
         return self.config.replica_nodes.get(replica_id, replica_id)
@@ -700,7 +683,6 @@ class LiveNode:
         tenant.outbox_total = state.outbox_total
         tenant.streams = state.streams
         tenant.apply_times = state.apply_times
-        tenant.host._issue_times = state.issue_times
 
     # ------------------------------------------------------------------
     # Delivery (shared by the wire path, the short-circuit and replay)
@@ -711,6 +693,7 @@ class LiveNode:
         the time the batch was read (or its write issued), which its log
         record stores, so replay passes the same time."""
         counters = tenant.counters
+        tracer = self.tracer
         covers = tenant.replica.known().covers
         first_receipts: Dict[UpdateId, UpdateMessage] = {}
         for message in messages:
@@ -724,13 +707,12 @@ class LiveNode:
             first_receipts[uid] = message
             tenant.streams.setdefault(channel, []).append(uid)
             counters["delivered"] += 1
-            if tenant.tracer is not None:
-                tenant.tracer.record("deliver", uid, channel[0], channel[1],
-                                     received_at)
+            if tracer is not None:
+                tracer.record("deliver", uid, channel[0], channel[1], received_at)
         if not first_receipts:
             return
         fresh = tuple(first_receipts.values())
-        applied = tenant.host.deliver(tenant.replica, fresh, at=received_at)
+        applied = self.deliver(tenant.replica, fresh, at=received_at)
         for update in applied:
             tenant.apply_times[update.uid] = received_at
 
@@ -1111,12 +1093,15 @@ class LiveNode:
         }
 
     def report(self) -> Dict[str, Any]:
-        """The end-of-run report: per-tenant reports, byte books, footprint."""
+        """The end-of-run report: per-tenant reports, the node's metrics and
+        lifecycle trace, byte books, footprint."""
         return {
             "node_id": self.node_id,
             "tenants": {
                 rid: tenant.report() for rid, tenant in self.tenants.items()
             },
+            "metrics": self.metrics,
+            "trace": list(self.tracer.events) if self.tracer is not None else [],
             "wire_stats": self.wire_books(),
             "transport": {
                 "peer_streams": len(self.peer_streams),

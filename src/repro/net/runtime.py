@@ -234,8 +234,9 @@ class LiveRunResult:
     event traces, metrics and verdicts the simulator produces, fed from
     wall-clock processes — which is exactly what the differential harness
     compares.  ``reports`` stays keyed by *replica* id regardless of
-    placement (the consistency checker thinks in replicas); the per-node
-    transport footprint lives in ``node_reports``.
+    placement (the consistency checker thinks in replicas); each node's
+    metrics, lifecycle trace and transport footprint live in
+    ``node_reports``.
     """
 
     share_graph: ShareGraph
@@ -250,8 +251,9 @@ class LiveRunResult:
     telemetry: Dict[Any, List[Tuple[float, Any, list]]] = field(
         default_factory=dict
     )
-    #: Node-level reports (transport footprint, WAL counters), keyed by
-    #: node id; the tenant payloads are flattened into ``reports``.
+    #: Node-level reports (metrics, lifecycle trace, transport footprint,
+    #: WAL counters), keyed by node id; the tenant payloads are flattened
+    #: into ``reports``.
     node_reports: Dict[Any, Dict[str, Any]] = field(default_factory=dict)
 
     def events_by_replica(self) -> Dict[ReplicaId, Sequence[ReplicaEvent]]:
@@ -295,12 +297,12 @@ class LiveRunResult:
 
         Every node records into its own process-local
         :class:`~repro.obs.trace.TraceRecorder` against the shared
-        ``clock_origin``, so concatenating the per-replica event lists
+        ``clock_origin``, so concatenating the per-node event lists
         yields one coherent wall-relative trace — the same cross-process
         join the apply-latency merge performs, keyed by update id.
         """
         events: List[Any] = []
-        for report in self.reports.values():
+        for report in self.node_reports.values():
             events.extend(report.get("trace", ()))
         events.sort()
         return events
@@ -356,27 +358,30 @@ def merge_reports(
     telemetry: Optional[Dict[Any, List[Tuple[float, Any, list]]]] = None,
     node_reports: Optional[Dict[Any, Dict[str, Any]]] = None,
 ) -> LiveRunResult:
-    """Fold per-replica reports into one cluster-wide :class:`LiveRunResult`.
+    """Fold per-replica and per-node reports into one cluster-wide
+    :class:`LiveRunResult`.
 
-    Remote-apply latencies are joined across replicas: each replica reports
-    when it applied each update (wall-relative), the issuer reports when it
-    was issued; the difference is the live analogue of the simulator's
+    The counts and time series are the nodes' metrics summed.  Remote-apply
+    latencies are joined across replicas: each replica reports when it
+    applied each update (wall-relative), the issuer reports when it was
+    issued; the difference is the live analogue of the simulator's
     issue→apply latency samples.
     """
     metrics = RunMetrics()
-    issue_times: Dict[UpdateId, float] = {}
-    for report in reports.values():
-        issue_times.update(report["issue_times"])
-    for rid, report in reports.items():
-        node_metrics: RunMetrics = report["metrics"]
+    node_reports = dict(node_reports or {})
+    for node_report in node_reports.values():
+        node_metrics: RunMetrics = node_report["metrics"]
         metrics.writes += node_metrics.writes
         metrics.reads += node_metrics.reads
         metrics.applies += node_metrics.applies
         metrics.apply_times.extend(node_metrics.apply_times)
         metrics.operation_times.extend(node_metrics.operation_times)
-        for rid_pending, depth in node_metrics.max_pending.items():
-            previous = metrics.max_pending.get(rid_pending, 0)
-            metrics.max_pending[rid_pending] = max(previous, depth)
+        for rid, depth in node_metrics.max_pending.items():
+            metrics.max_pending[rid] = max(metrics.max_pending.get(rid, 0), depth)
+    issue_times: Dict[UpdateId, float] = {}
+    for report in reports.values():
+        issue_times.update(report["issue_times"])
+    for rid, report in reports.items():
         for uid, applied_at in report["apply_times"].items():
             if uid[0] == rid:
                 continue  # the issuer's own apply is not a remote apply
@@ -402,7 +407,7 @@ def merge_reports(
         metrics=metrics,
         wall_duration=wall_duration,
         telemetry=dict(telemetry or {}),
-        node_reports=dict(node_reports or {}),
+        node_reports=node_reports,
     )
 
 

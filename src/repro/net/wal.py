@@ -13,8 +13,7 @@ tenants):
   tenant's protocol state minus its history, sent-log, outbox totals, the
   inbound connections' delta-decoder bases and the log generation — but
   of the history (each replica's event trace, the first-receipt streams,
-  the apply and issue times) only what was appended since the previous
-  record.  A trace's tail is a slice of its
+  the apply times) only what was appended since the previous record.  A trace's tail is a slice of its
   :class:`~repro.core.protocol.ReplicaTrace` columns, so it pickles as
   three flat columns and recovery extends the columns back together.
   So a compaction costs O(state + what changed), never O(history), and
@@ -95,10 +94,10 @@ class WalCheckpoint:
     """One replica's full durable state at a compaction point.
 
     ``replica``'s :attr:`~repro.core.protocol.ReplicaSnapshot.history`
-    entries, ``streams``, ``apply_times`` and ``issue_times`` are the
-    history: the replica's trace, lists and insertion-ordered dicts that
-    only ever gain entries (no key is re-set or removed), so a checkpoint
-    record stores their new tails.  The rest is state, stored whole by
+    entries, ``streams`` and ``apply_times`` are the history: the
+    replica's trace, lists and insertion-ordered dicts that only ever gain
+    entries (no key is re-set or removed), so a checkpoint record stores
+    their new tails.  The rest is state, stored whole by
     every record.
     """
 
@@ -109,14 +108,10 @@ class WalCheckpoint:
     apply_times: Dict[UpdateId, float]
     #: The log generation this checkpoint is extended by.
     generation: int = 0
-    issue_times: Dict[UpdateId, float] = field(default_factory=dict)
 
     def histories(self) -> Dict[tuple, Any]:
         """Every append-only part, keyed by where it lives."""
-        parts: Dict[tuple, Any] = {
-            ("apply_times",): self.apply_times,
-            ("issue_times",): self.issue_times,
-        }
+        parts: Dict[tuple, Any] = {("apply_times",): self.apply_times}
         for channel, uids in self.streams.items():
             parts[("streams", channel)] = uids
         for name in self.replica.history:

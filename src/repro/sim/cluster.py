@@ -9,7 +9,7 @@ issues ``read``/``write`` against that replica.
 All drive-loop machinery — :meth:`~repro.sim.engine.SimulationHost.step`,
 :meth:`~repro.sim.engine.SimulationHost.run_until_quiescent` with its
 cross-replica apply fixpoint, timers, open-loop arrivals and the unified
-:class:`~repro.sim.engine.RunMetrics` — comes from the
+:class:`~repro.core.host.RunMetrics` — comes from the
 :class:`~repro.sim.engine.SimulationHost` base class and is shared verbatim
 with the client–server deployment.  Every issue/apply is traced, so after a
 run :meth:`~repro.sim.engine.SimulationHost.check_consistency` can validate

@@ -14,17 +14,15 @@ deployment of Figure 1b (:class:`~repro.clientserver.cluster.ClientServerCluster
 * a :class:`SimulationHost` base class providing the drive loop —
   :meth:`~SimulationHost.step`, :meth:`~SimulationHost.run_until_quiescent`
   with a cross-replica apply fixpoint — and the unified run metrics
-  (:class:`RunMetrics`: throughput over time, latency percentiles,
+  (:class:`~repro.core.host.RunMetrics`: throughput over time, latency percentiles,
   per-replica queue depths) shared by the metrics module, the evaluation
   harness and the benchmarks.
 
 The host-agnostic half of the old ``SimulationHost`` — replica bookkeeping,
 metric recording, event-trace collection and consistency checking — lives in
 :class:`repro.core.host.ReplicaHost`, which the live asyncio runtime
-(:mod:`repro.net`) shares; this module re-exports those names
-(:class:`RunMetrics`, :class:`LatencySummary`, :func:`throughput_timeline`,
-:class:`QueueDepthSample`, :class:`QueueDepthStats`, :class:`FaultRecord`)
-so existing imports keep working.
+(:mod:`repro.net`) shares, beside :class:`~repro.core.host.RunMetrics` and
+its helpers.
 
 Hosts plug in by implementing :meth:`SimulationHost._replica_map` (who owns
 which replica id) and :meth:`SimulationHost.submit_operation` (how a client
@@ -55,15 +53,7 @@ from typing import (
 )
 
 from ..core.errors import SimulationError
-from ..core.host import (
-    FaultRecord,
-    LatencySummary,
-    QueueDepthSample,
-    QueueDepthStats,
-    ReplicaHost,
-    RunMetrics,
-    throughput_timeline,
-)
+from ..core.host import ReplicaHost
 from ..core.protocol import Known, UpdateId, UpdateMessage
 from ..core.registers import ReplicaId
 from ..core.share_graph import ShareGraph
@@ -83,19 +73,12 @@ __all__ = [
     "ChannelWireStats",
     "DeliveryEvent",
     "EventKernel",
-    "FaultRecord",
     "Firing",
-    "LatencySummary",
     "NetworkStats",
-    "QueueDepthSample",
-    "QueueDepthStats",
     "ReliabilityConfig",
-    "ReplicaHost",
-    "RunMetrics",
     "SimulationHost",
     "TimerEvent",
     "Transport",
-    "throughput_timeline",
 ]
 
 

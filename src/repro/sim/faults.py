@@ -24,7 +24,7 @@ edge-timestamp causal consistency behaves under infrastructure faults:
   protocol layer by the transport's resend timers plus the
   replicas' duplicate suppression;
 * availability, recovery-latency and staleness metrics recorded into the
-  host's unified :class:`~repro.sim.engine.RunMetrics`.
+  host's unified :class:`~repro.core.host.RunMetrics`.
 
 Everything is inert until a :class:`FaultInjector` is attached to a host:
 the fault-free fast path stays a ``fault_injector is None`` check.
@@ -39,7 +39,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.protocol import Update, UpdateId
 from ..core.registers import ReplicaId
-from .engine import FaultRecord, ReliabilityConfig, SimulationHost
+from ..core.host import FaultRecord
+from .engine import ReliabilityConfig, SimulationHost
 
 __all__ = [
     "FaultAction",

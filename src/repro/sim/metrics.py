@@ -6,13 +6,12 @@ and what does the execution cost in messages, latency and (for relaxed
 protocols) false dependencies?*  This module centralises those measurements
 so benchmarks and examples produce consistent numbers.
 
-The per-run measurement primitives — :class:`~repro.sim.engine.RunMetrics`
-(filled identically by the peer-to-peer and client–server hosts),
-:class:`~repro.sim.engine.LatencySummary` percentiles,
-:func:`~repro.sim.engine.throughput_timeline` and per-replica
-:class:`~repro.sim.engine.QueueDepthStats` — live in
-:mod:`repro.sim.engine` and are re-exported here as the single import point
-for benchmarks, the analysis harness and the examples.
+The per-run measurement primitives — :class:`~repro.core.host.RunMetrics`
+(filled identically by every host of both runtimes),
+:class:`~repro.core.host.LatencySummary` percentiles,
+:func:`~repro.core.host.throughput_timeline` and per-replica
+:class:`~repro.core.host.QueueDepthStats` — live in
+:mod:`repro.core.host`.
 """
 
 from __future__ import annotations
@@ -22,32 +21,20 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.causal import HappenedBefore
+from ..core.host import LatencySummary
 from ..core.protocol import EventKind, ReplicaEvent
 from ..core.registers import ReplicaId
 from ..core.share_graph import ShareGraph
 from ..core.timestamp_graph import TimestampGraph, build_all_timestamp_graphs
 from .cluster import Cluster, ReplicaFactory
 from .delays import DelayModel
-from .engine import (
-    FaultRecord,
-    LatencySummary,
-    QueueDepthSample,
-    QueueDepthStats,
-    RunMetrics,
-    SimulationHost,
-    throughput_timeline,
-)
+from .engine import SimulationHost
 from .workloads import Workload, WorkloadResult, run_workload
 
 __all__ = [
     "ComparisonRow",
     "FalseDependencyStats",
-    "FaultRecord",
-    "LatencySummary",
     "MetadataProfile",
-    "QueueDepthSample",
-    "QueueDepthStats",
-    "RunMetrics",
     "all_edges_profile",
     "compare_protocols",
     "edge_indexed_profile",
@@ -56,7 +43,6 @@ __all__ = [
     "incident_only_profile",
     "measure_false_dependencies",
     "render_latency_summary",
-    "throughput_timeline",
 ]
 
 

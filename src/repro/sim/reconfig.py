@@ -61,11 +61,12 @@ from typing import (
 
 from ..core.causal import HappenedBefore
 from ..core.errors import ReconfigurationError, UnknownRegisterError
+from ..core.host import FaultRecord
 from ..core.protocol import BootstrapMetadata, ReplicaEvent, Update, UpdateId, UpdateMessage
 from ..core.registers import Register, RegisterPlacement, ReplicaId
 from ..core.share_graph import ShareGraph
 from ..wire.membership import MembershipChange, encode_membership_change
-from .engine import DeliveryEvent, FaultRecord, SimulationHost
+from .engine import DeliveryEvent, SimulationHost
 
 __all__ = [
     "EpochMark",

@@ -41,7 +41,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from ..core.errors import ConfigurationError
 from ..core.registers import Register, ReplicaId
 from ..core.share_graph import ShareGraph
-from .engine import LatencySummary, QueueDepthStats, SimulationHost, throughput_timeline
+from ..core.host import LatencySummary, QueueDepthStats, throughput_timeline
+from .engine import SimulationHost
 
 
 @dataclass(frozen=True, slots=True)

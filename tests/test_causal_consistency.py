@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.causal import (
@@ -17,6 +19,7 @@ from repro.core.consistency import (
 from repro.core.errors import ConsistencyViolationError, LivenessViolationError
 from repro.core.protocol import EventKind, ReplicaEvent, Update
 from repro.core.share_graph import ShareGraph
+from repro.sim.reconfig import topological_update_order
 from repro.sim.topologies import triangle_placement
 
 
@@ -95,6 +98,80 @@ class TestHappenedBefore:
         import networkx as nx
 
         assert nx.is_directed_acyclic_graph(figure2_relation.to_networkx())
+
+
+def _all_pairs_relation(events_by_replica):
+    """The reference construction: an edge from *every* update applied or
+    issued so far at a replica to each update it issues."""
+    relation = HappenedBefore()
+    for events in events_by_replica.values():
+        seen = []
+        for event in events:
+            if event.update is None:
+                continue
+            uid = event.update.uid
+            relation.updates.setdefault(uid, event.update)
+            if event.kind is EventKind.ISSUE:
+                relation.direct_edges.update(
+                    (prior, uid) for prior in seen if prior != uid)
+            seen.append(uid)
+    return relation
+
+
+def _random_traces(seed, replicas=5, steps=120):
+    """Seeded random issue/apply/read traces over ``replicas`` replicas,
+    plus client-session edges: random pairs in global issue order, as a
+    client carries a dependency from one replica to the next."""
+    rng = random.Random(seed)
+    events = {rid: [] for rid in range(1, replicas + 1)}
+    issued, seqs = [], dict.fromkeys(events, 0)
+    for _ in range(steps):
+        rid = rng.choice(sorted(events))
+        trace = events[rid]
+        held = {event.update.uid for event in trace if event.update is not None}
+        unseen = [update for update in issued if update.uid not in held]
+        roll = rng.random()
+        if roll < 0.3 or not unseen:
+            seqs[rid] += 1
+            update = Update(issuer=rid, seq=seqs[rid], register="r", value=seqs[rid])
+            issued.append(update)
+            trace.append(ev(rid, EventKind.ISSUE, update, len(trace)))
+        elif roll < 0.9:
+            trace.append(ev(rid, EventKind.APPLY, rng.choice(unseen), len(trace)))
+        else:
+            trace.append(ev(rid, EventKind.READ, None, len(trace), register="r"))
+    extra = []
+    for _ in range(len(issued) // 4):
+        first, second = sorted(rng.sample(range(len(issued)), 2))
+        extra.append((issued[first].uid, issued[second].uid))
+    return events, extra
+
+
+class TestLinearHappenedBefore:
+    """``from_events`` keeps only the edges since each replica's previous
+    issue; the all-pairs construction is the reference it must match."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_relation_from_at_most_one_edge_per_event(self, seed, monkeypatch):
+        events, extra = _random_traces(seed)
+        relation = HappenedBefore.from_events(events)
+        reference = _all_pairs_relation(events)
+        assert len(relation.direct_edges) <= sum(map(len, events.values()))
+        assert len(relation.direct_edges) < len(reference.direct_edges)
+        assert relation.updates == reference.updates
+        assert all(relation.successors(uid) == reference.successors(uid)
+                   for uid in reference.updates)
+        # With the client-session edges the checker adds, as it does.
+        for built in (relation, reference):
+            built.direct_edges.update(extra)
+            built._closure = None
+        assert all(relation.successors(uid) == reference.successors(uid)
+                   for uid in reference.updates)
+
+        order = topological_update_order(events)
+        monkeypatch.setattr(HappenedBefore, "from_events",
+                            classmethod(lambda cls, traces: _all_pairs_relation(traces)))
+        assert topological_update_order(events) == order
 
 
 class TestCausalPast:

@@ -12,20 +12,14 @@ from __future__ import annotations
 import pytest
 
 from repro.clientserver import ClientServerCluster
+from repro.core.host import LatencySummary, throughput_timeline
 from repro.core.protocol import CausalReplica, EventKind, Update, UpdateMessage
 from repro.core.replica import EdgeIndexedReplica
 from repro.core.share_graph import ShareGraph
-from repro.sim.cluster import Cluster, edge_indexed_factory
-from repro.net.node import LiveNodeHost
+from repro.net.node import LiveNode, NodeConfig
+from repro.sim.cluster import Cluster
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.engine import (
-    ArrivalEvent,
-    DeliveryEvent,
-    EventKernel,
-    LatencySummary,
-    TimerEvent,
-    throughput_timeline,
-)
+from repro.sim.engine import ArrivalEvent, DeliveryEvent, EventKernel, TimerEvent
 from repro.sim.faults import FaultInjector
 from repro.sim.topologies import figure5_placement, ring_placement, triangle_placement
 from repro.sim.workloads import (
@@ -152,9 +146,12 @@ def _cluster_hosts(graph):
 
 
 def _live_hosts(graph):
-    """One live host per replica: the writer (replica 1), the reader (2)."""
-    return tuple(LiveNodeHost(graph, edge_indexed_factory(graph, rid))
-                 for rid in (1, 2))
+    """One live node hosting every replica, in process (no sockets)."""
+    node = LiveNode(NodeConfig(
+        node_id="n", share_graph=graph, replica_ids=tuple(graph.replica_ids),
+        replica_nodes={rid: "n" for rid in graph.replica_ids},
+    ))
+    return node, node
 
 
 def _stamps(host, replica_id):

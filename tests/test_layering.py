@@ -105,7 +105,7 @@ def test_no_replica_host_subclass_forks_the_operation_path():
             if name not in hosts and names & hosts:
                 hosts.add(name)
                 grown = True
-    assert {"SimulationHost", "Cluster", "LiveNodeHost"} <= hosts
+    assert {"SimulationHost", "Cluster", "LiveNode"} <= hosts
     offending = [
         f"{path.relative_to(ROOT.parent)}:{item.lineno} {name}.{item.name}"
         for name in sorted(hosts - {"ReplicaHost"})

@@ -3,7 +3,7 @@
 An empty run — no operations, no deliveries, no samples, a clock that never
 advanced — must flow through every summary/percentile helper and produce
 well-defined values instead of raising.  These tests pin that contract for
-:class:`~repro.sim.engine.LatencySummary`, :class:`~repro.sim.engine.RunMetrics`,
+:class:`~repro.core.host.LatencySummary`, :class:`~repro.core.host.RunMetrics`,
 :class:`~repro.sim.metrics.MetadataProfile` and the byte-accounting additions.
 """
 
@@ -14,12 +14,8 @@ import pytest
 from repro.core.errors import SimulationError
 from repro.core.share_graph import ShareGraph
 from repro.sim.cluster import Cluster
-from repro.sim.engine import (
-    LatencySummary,
-    NetworkStats,
-    RunMetrics,
-    throughput_timeline,
-)
+from repro.core.host import LatencySummary, RunMetrics, throughput_timeline
+from repro.sim.engine import NetworkStats
 from repro.sim.metrics import MetadataProfile
 from repro.sim.topologies import figure5_placement
 from repro.sim.workloads import (

@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from repro.core.protocol import ReplicaSnapshot, Update, UpdateMessage
+from repro.core.protocol import EventKind, ReplicaSnapshot, Update, UpdateMessage
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamps import EdgeTimestamp
 from repro.net import frames, wal
@@ -343,7 +343,7 @@ def _history(tenant):
         "applied": list(tenant.replica.applied),
         "streams": {channel: list(uids) for channel, uids in tenant.streams.items()},
         "apply_times": dict(tenant.apply_times),
-        "issue_times": dict(tenant.host._issue_times),
+        "issue_times": tenant.report()["issue_times"],
     }
 
 
@@ -394,7 +394,7 @@ def test_log_tail_replay_regenerates_the_live_history_exactly(tmp_path):
         stamps = {event.update.uid: event.sim_time
                   for event in tenant.replica.events if event.update is not None}
         assert tenant.apply_times == stamps
-        assert tenant.host._issue_times == {
+        assert tenant.report()["issue_times"] == {
             uid: at for uid, at in stamps.items() if uid[0] == rid
         }
     node.wal.close()
@@ -404,6 +404,43 @@ def test_log_tail_replay_regenerates_the_live_history_exactly(tmp_path):
         assert tenant.recovered
         assert _history(tenant) == before[rid]
     reloaded.wal.close()
+
+
+def _issue_projection(tenant):
+    return {event.update.uid: event.sim_time for event in tenant.replica.events
+            if event.kind is EventKind.ISSUE}
+
+
+def test_one_node_is_the_host_of_every_tenant_before_and_after_a_reload(tmp_path):
+    """A node hosting all of figure 5 is one host: one clock, one
+    ``RunMetrics``, one issue book and one tracer for its four tenants.
+    Its checkpoints hold no issue book — the trace holds the issues — and
+    the node checks consistent, with every tenant's reported issue times
+    the ISSUE projection of its trace, live and after a reload."""
+    config = dataclasses.replace(_one_node_config(str(tmp_path)), tracing=True)
+    operations = _operations(config.share_graph, 40)
+    writes = sum(kind == "write" for _, kind, _, _ in operations)
+    node = LiveNode(config)
+    _drive(node, operations)
+    assert node.wal.compactions >= 1
+    assert node.metrics.writes == writes == len(node._issue_times)
+    # Every copy stays on the node and is applied inside its write, so
+    # each apply finds its issue time in the one book.
+    assert len(node.metrics.apply_latencies) == node.metrics.applies > 0
+    assert {stage for _, stage, _, _, _ in node.tracer.events} == {
+        "issue", "send", "wire", "deliver", "apply"}
+    assert {path[1] for path in node.checkpoint_state().histories()} == {
+        "replica", "streams", "apply_times"}
+    for reloading in (False, True):
+        if reloading:
+            node.wal.close()
+            node = LiveNode(config)
+            assert all(tenant.recovered for tenant in node.tenants.values())
+        assert node.check_consistency().is_causally_consistent
+        for tenant in node.tenants.values():
+            assert tenant.report()["issue_times"] == _issue_projection(tenant)
+            assert len(tenant.report()["issue_times"]) > 0
+    node.wal.close()
 
 
 def test_each_checkpoint_record_holds_exactly_the_history_since_the_last(tmp_path, monkeypatch):
@@ -476,7 +513,7 @@ def test_a_rejected_read_leaves_the_run_metrics_untouched(tmp_path):
     and neither the read count nor the operation timeline gains it."""
     node = LiveNode(_one_node_config(str(tmp_path)))
     _drive(node, [(1, "read", "x", "-")])
-    metrics = node.tenants[1].host.metrics
+    metrics = node.metrics
     assert (metrics.reads, list(metrics.operation_times)) == (0, [])
     assert node.tenants[1].counters["ops_done"] == 1
 
