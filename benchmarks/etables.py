@@ -53,9 +53,12 @@ from repro.analysis import (
     render_ring_breaking,
     render_sufficiency,
 )
-from repro.analysis.experiments import exp_wire_overhead, render_wire_overhead
+from repro.analysis.experiments import (
+    ARCHITECTURES,
+    exp_wire_overhead,
+    render_wire_overhead,
+)
 from repro.baselines.vector_clock_full import full_replication_factory
-from repro.clientserver import ClientServerCluster
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp_graph import build_all_timestamp_graphs
 from repro.sim.cluster import Cluster
@@ -145,12 +148,11 @@ def batched_consistency_runs(ops: int):
     graph = ShareGraph.from_placement(figure5_placement())
     workload = uniform_workload(graph, ops, seed=7)
     batching = BatchingConfig(max_messages=8, max_delay=4.0)
-    p2p = Cluster(graph, delay_model=UniformDelay(1, 10), seed=7, batching=batching)
-    p2p_result = run_workload(p2p, workload)
-    cs = ClientServerCluster.with_colocated_clients(
-        graph, delay_model=UniformDelay(1, 10), seed=7, batching=batching
+    p2p_result, cs_result = (
+        run_workload(build(graph, delay_model=UniformDelay(1, 10), seed=7,
+                           batching=batching), workload)
+        for build in ARCHITECTURES.values()
     )
-    cs_result = run_workload(cs, workload)
     return p2p_result, cs_result
 
 
@@ -159,16 +161,9 @@ def churn_acceptance_run(architecture: str, size: int, joins: int, leaves: int,
     """The acceptance scenario: a big tree, joins and leaves mid-run."""
     placement = tree_placement(size)
     graph = ShareGraph.from_placement(placement)
-    if architecture == "peer-to-peer":
-        host = Cluster(
-            graph, delay_model=UniformDelay(1, 10), seed=seed,
-            wire_accounting=True,
-        )
-    else:
-        host = ClientServerCluster.with_colocated_clients(
-            graph, delay_model=UniformDelay(1, 10), seed=seed,
-            wire_accounting=True,
-        )
+    host = ARCHITECTURES[architecture](
+        graph, delay_model=UniformDelay(1, 10), seed=seed, wire_accounting=True,
+    )
     manager = ReconfigManager(host, window=4.0)
     schedule = random_churn_schedule(
         placement, duration, joins=joins, leaves=leaves, seed=seed,

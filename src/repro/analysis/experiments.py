@@ -109,6 +109,15 @@ from ..sim.workloads import (
 from ..topo import Topology, geant_like, geo_regions
 from .tables import edge_label, render_table
 
+#: The two simulated architectures, by the label their table rows carry:
+#: each builds a host over ``graph`` from the same transport keywords
+#: (``delay_model``, ``seed``, ``batching``, ``wire_accounting``), so one
+#: replica-addressed workload drives either.
+ARCHITECTURES: Dict[str, Callable[..., SimulationHost]] = {
+    "peer-to-peer": Cluster,
+    "client-server": ClientServerCluster.with_colocated_clients,
+}
+
 
 # ======================================================================
 # E1 — Figure 3 / Figure 5 worked examples
@@ -856,16 +865,8 @@ def exp_open_loop(
     ]
     rows: List[OpenLoopRow] = []
     for workload in workloads:
-        hosts = (
-            ("peer-to-peer", Cluster(graph, delay_model=UniformDelay(1, 10), seed=seed)),
-            (
-                "client-server",
-                ClientServerCluster.with_colocated_clients(
-                    graph, delay_model=UniformDelay(1, 10), seed=seed
-                ),
-            ),
-        )
-        for name, host in hosts:
+        for name, build in ARCHITECTURES.items():
+            host = build(graph, delay_model=UniformDelay(1, 10), seed=seed)
             result = run_open_loop(
                 host, workload, queue_sample_interval=duration / 24
             )
@@ -939,15 +940,6 @@ class FaultToleranceRow:
     consistent: bool
 
 
-def _fault_tolerance_host(architecture: str, graph: ShareGraph,
-                          seed: int) -> SimulationHost:
-    if architecture == "peer-to-peer":
-        return Cluster(graph, delay_model=UniformDelay(1, 10), seed=seed)
-    return ClientServerCluster.with_colocated_clients(
-        graph, delay_model=UniformDelay(1, 10), seed=seed
-    )
-
-
 def exp_fault_tolerance(
     rate: float = 1.0,
     duration: float = 120.0,
@@ -983,8 +975,8 @@ def exp_fault_tolerance(
                 seed=seed + crashes,
                 name=f"crashes{crashes}-part{partition_duration:g}",
             )
-            for architecture in ("peer-to-peer", "client-server"):
-                host = _fault_tolerance_host(architecture, graph, seed)
+            for architecture, build in ARCHITECTURES.items():
+                host = build(graph, delay_model=UniformDelay(1, 10), seed=seed)
                 injector = FaultInjector(host)
                 injector.install(schedule)
                 result = run_open_loop(host, workload)
@@ -1439,21 +1431,9 @@ def exp_reconfiguration(
             )
             budget = _workload_update_budget(workload)
             graph = ShareGraph.from_placement(placement)
-            for architecture in ("peer-to-peer", "client-server"):
-                if architecture == "peer-to-peer":
-                    host: SimulationHost = Cluster(
-                        graph,
-                        delay_model=UniformDelay(1, 10),
-                        seed=seed,
-                        wire_accounting=True,
-                    )
-                else:
-                    host = ClientServerCluster.with_colocated_clients(
-                        graph,
-                        delay_model=UniformDelay(1, 10),
-                        seed=seed,
-                        wire_accounting=True,
-                    )
+            for architecture, build in ARCHITECTURES.items():
+                host = build(graph, delay_model=UniformDelay(1, 10), seed=seed,
+                             wire_accounting=True)
                 manager = ReconfigManager(host, window=window)
                 manager.install(schedule)
                 result = run_open_loop(host, workload)
@@ -1602,17 +1582,9 @@ def exp_observability(
         workload = poisson_workload(
             graph, rate=rate, duration=duration, write_fraction=0.7, seed=seed
         )
-        for architecture in ("peer-to-peer", "client-server"):
-            if architecture == "peer-to-peer":
-                host: SimulationHost = Cluster(
-                    graph, seed=seed,
-                    batching=BatchingConfig(max_messages=16, max_delay=2.0),
-                )
-            else:
-                host = ClientServerCluster.with_colocated_clients(
-                    graph, seed=seed,
-                    batching=BatchingConfig(max_messages=16, max_delay=2.0),
-                )
+        for architecture, build in ARCHITECTURES.items():
+            host = build(graph, seed=seed,
+                         batching=BatchingConfig(max_messages=16, max_delay=2.0))
             recorder = host.enable_tracing()
             result = run_open_loop(host, workload)
             spans = assemble_spans(recorder.events)

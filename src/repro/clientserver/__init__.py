@@ -17,7 +17,7 @@ from .augmented import (
 )
 from .client import ClientAgent, ClientSessionRecord
 from .cluster import ClientServerCluster
-from .server import ClientRequest, ClientResponse, ClientServerReplica
+from .server import ClientRequest, ClientServerReplica
 
 __all__ = [
     "AugmentedShareGraph",
@@ -25,7 +25,6 @@ __all__ = [
     "ClientAssignment",
     "ClientId",
     "ClientRequest",
-    "ClientResponse",
     "ClientServerCluster",
     "ClientServerReplica",
     "ClientSessionRecord",

@@ -4,16 +4,20 @@ Wires :class:`~repro.clientserver.server.ClientServerReplica` servers,
 :class:`~repro.clientserver.client.ClientAgent` clients and the shared
 simulation kernel (:mod:`repro.sim.engine`) together.  Client operations
 are synchronous from the client's perspective (the client waits for the
-response), but a request buffered behind predicate ``J1/J2`` is unblocked by
+outcome), but a request buffered behind predicate ``J1/J2`` is unblocked by
 delivering inter-replica update messages, so issuing an operation may advance
 the simulation.
 
-The drive loop — :meth:`~repro.sim.engine.SimulationHost.step`,
-:meth:`~repro.sim.engine.SimulationHost.run_until_quiescent` with its
-cross-replica apply/serve fixpoint, and the unified
-:class:`~repro.core.host.RunMetrics` — is inherited from
-:class:`~repro.sim.engine.SimulationHost`, the same base the peer-to-peer
-:class:`~repro.sim.cluster.Cluster` runs on.
+A request is served — whenever its predicate holds: at submission, after a
+delivery, or in the quiescence fixpoint — by one method, through the host's
+one operation path: a write absorbs the client's ``µ`` and then runs
+:meth:`~repro.core.host.ReplicaHost.perform_write`, a read runs
+:meth:`~repro.core.host.ReplicaHost.perform_read`, exactly as the
+peer-to-peer :class:`~repro.sim.cluster.Cluster` and the live node do.  The
+outcome goes on the :class:`~repro.clientserver.server.ClientRequest`
+itself, where the waiting client reads it.  The drive loop and the unified
+:class:`~repro.core.host.RunMetrics` are inherited from
+:class:`~repro.sim.engine.SimulationHost`.
 
 The cluster records, alongside the servers' issue/apply traces, the
 happened-before edges that clients propagate by touching several replicas
@@ -23,14 +27,15 @@ injects those into the checker.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ConfigurationError, SimulationError
-from ..core.protocol import CausalReplica, Update, UpdateId
+from ..core.protocol import CausalReplica, ReplicaTrace, Update, UpdateId
 from ..core.registers import Register, ReplicaId
 from ..core.share_graph import ShareGraph
 from ..sim.delays import DelayModel
-from ..sim.engine import BatchingConfig, EventKernel, SimulationHost, Transport
+from ..sim.engine import BatchingConfig, SimulationHost
 from .augmented import (
     AugmentedShareGraph,
     ClientAssignment,
@@ -53,12 +58,8 @@ class ClientServerCluster(SimulationHost):
         batching: Optional[BatchingConfig] = None,
         wire_accounting: bool = False,
     ) -> None:
-        network = Transport(EventKernel(), delay_model=delay_model, seed=seed)
-        if batching is not None:
-            network.enable_batching(batching)
-        elif wire_accounting:
-            network.enable_wire_accounting()
-        super().__init__(share_graph, network)
+        super().__init__(share_graph, delay_model=delay_model, seed=seed,
+                         batching=batching, wire_accounting=wire_accounting)
         self.augmented = AugmentedShareGraph(share_graph, clients)
         self.servers: Dict[ReplicaId, ClientServerReplica] = {
             rid: ClientServerReplica(self.augmented, rid)
@@ -73,19 +74,16 @@ class ClientServerCluster(SimulationHost):
             )
             for cid in clients.client_ids
         }
-        #: Updates each client has (transitively) observed, for ↪' bookkeeping.
-        self._client_seen: Dict[ClientId, Set[UpdateId]] = {
-            cid: set() for cid in clients.client_ids
-        }
+        #: Per client, the updates it observed since its previous write,
+        #: that write included: its next write's direct ↪' predecessors.
+        self._client_frontier: Dict[ClientId, Set[UpdateId]] = defaultdict(set)
+        #: (client, server) → (the server's trace, how far the client has
+        #: observed it).
+        self._observed_upto: Dict[Tuple[ClientId, ReplicaId],
+                                  Tuple[ReplicaTrace, int]] = {}
         #: Extra ↪' edges induced by client sessions: (observed update, issued update).
         self._client_edges: List[Tuple[UpdateId, UpdateId]] = []
-        #: Replica id → a client pinned to exactly that replica (if any),
-        #: used to run replica-addressed workload operations (parity mode).
-        self._colocated: Dict[ReplicaId, ClientId] = {}
-        for cid in clients.client_ids:
-            replica_set = clients.replicas_of(cid)
-            if len(replica_set) == 1:
-                self._colocated.setdefault(next(iter(replica_set)), cid)
+        self._pin_colocated(clients)
         #: Whether the cluster follows the one-client-per-replica parity
         #: convention (set by :meth:`with_colocated_clients`); joiners then
         #: automatically get a pinned client.
@@ -111,14 +109,8 @@ class ClientServerCluster(SimulationHost):
         clients = ClientAssignment.from_dict(
             {f"c{rid}": {rid} for rid in share_graph.replica_ids}
         )
-        cluster = cls(
-            share_graph,
-            clients,
-            delay_model=delay_model,
-            seed=seed,
-            batching=batching,
-            wire_accounting=wire_accounting,
-        )
+        cluster = cls(share_graph, clients, delay_model=delay_model, seed=seed,
+                      batching=batching, wire_accounting=wire_accounting)
         cluster._auto_colocated = True
         return cluster
 
@@ -175,8 +167,12 @@ class ClientServerCluster(SimulationHost):
                 self.clients[cid] = ClientAgent(
                     self.augmented, cid, timestamp_edges_by_replica=edges_map
                 )
-                self._client_seen[cid] = set()
-        self._colocated = {}
+        self._pin_colocated(assignment)
+
+    def _pin_colocated(self, assignment: ClientAssignment) -> None:
+        #: Replica id → a client pinned to exactly that replica (if any),
+        #: used to run replica-addressed workload operations (parity mode).
+        self._colocated: Dict[ReplicaId, ClientId] = {}
         for cid in assignment.client_ids:
             replica_set = assignment.replicas_of(cid)
             if len(replica_set) == 1:
@@ -201,33 +197,11 @@ class ClientServerCluster(SimulationHost):
     ) -> Any:
         """Perform a client read; blocks (simulating) until the server can serve it.
 
-        Returns ``None`` (rejecting the operation) while the chosen server
-        is crashed by the fault injector.
+        Returns ``None`` when the operation is rejected (see
+        :meth:`client_write`).
         """
-        client = self.clients[client_id]
-        target = client.choose_replica(register, preferred=replica_id)
-        if self.operation_rejected(target, register):
-            self.metrics.rejected_operations += 1
-            return None
-        request = ClientRequest(
-            kind="read",
-            client_id=client_id,
-            register=register,
-            value=None,
-            client_timestamp=client.timestamp,
-            sim_time=self.now,
-        )
-        submitted_at = self.now
-        response = self._submit_and_wait(target, request, max_steps)
-        if response is None:
-            # The server crashed while the request was buffered; its
-            # volatile request state is gone, so the operation is lost.
-            return None
-        self._record_operation("read", at=submitted_at)
-        client.absorb_response(response.server_timestamp)
-        client.record("read", target, register, response.value, self.now)
-        self._note_client_observation(client_id, target)
-        return response.value
+        return self._client_operation("read", client_id, register, None,
+                                      replica_id, max_steps)
 
     def client_write(
         self,
@@ -240,40 +214,12 @@ class ClientServerCluster(SimulationHost):
         """Perform a client write; blocks (simulating) until the server can serve it.
 
         Returns the issued :class:`~repro.core.protocol.Update`, or ``None``
-        (rejecting the operation) when the chosen server is crashed by the
-        fault injector — before the request, or while it was buffered.
+        when the operation is rejected: the chosen server is crashed or (under
+        dynamic membership) not accepting it — before the request, or while
+        it was buffered.
         """
-        client = self.clients[client_id]
-        target = client.choose_replica(register, preferred=replica_id)
-        if self.operation_rejected(target, register):
-            self.metrics.rejected_operations += 1
-            return None
-        request = ClientRequest(
-            kind="write",
-            client_id=client_id,
-            register=register,
-            value=value,
-            client_timestamp=client.timestamp,
-            sim_time=self.now,
-        )
-        submitted_at = self.now
-        response = self._submit_and_wait(target, request, max_steps)
-        if response is None:
-            # The server crashed before serving the buffered write; the
-            # client sees it rejected (the write never happened).
-            return None
-        self._record_operation("write", at=submitted_at)
-        issued = response.issued
-        self._note_issue(issued, self.now)
-        # Everything the client had observed before this write happens-before it.
-        for seen in self._client_seen[client_id]:
-            if seen != issued.uid:
-                self._client_edges.append((seen, issued.uid))
-        client.absorb_response(response.server_timestamp)
-        client.record("write", target, register, value, self.now)
-        self._note_client_observation(client_id, target)
-        self._client_seen[client_id].add(issued.uid)
-        return issued
+        return self._client_operation("write", client_id, register, value,
+                                      replica_id, max_steps)
 
     def submit_operation(self, operation: Any) -> Any:
         """Execute a replica-addressed workload operation via its co-located client.
@@ -282,70 +228,94 @@ class ClientServerCluster(SimulationHost):
         :meth:`with_colocated_clients`); this is what lets one workload
         drive both the peer-to-peer and the client–server architecture.
         """
-        if self.operation_rejected(operation.replica_id, operation.register):
+        if operation.kind not in ("read", "write"):
+            raise ConfigurationError(f"unknown operation kind {operation.kind!r}")
+        return self._client_operation(operation.kind, None, operation.register,
+                                      operation.value, operation.replica_id)
+
+    def _client_operation(self, kind: str, client_id: Optional[ClientId],
+                          register: Register, value: Any,
+                          replica_id: Optional[ReplicaId],
+                          max_steps: int = 100_000) -> Any:
+        """One client operation: the read value or the issued update, or
+        ``None`` when it is rejected (counted once, wherever it happens).
+
+        ``client_id=None`` addresses ``replica_id`` itself, through the
+        client co-located with it; otherwise ``replica_id`` is the
+        client's preferred server among those storing ``register``.
+        """
+        if client_id is None:
+            target = replica_id
+        else:
+            target = self.clients[client_id].choose_replica(
+                register, preferred=replica_id)
+        if self.operation_rejected(target, register):
             # Rejected exactly as the peer-to-peer architecture rejects it.
             self.metrics.rejected_operations += 1
             return None
-        client_id = self._colocated.get(operation.replica_id)
         if client_id is None:
-            raise ConfigurationError(
-                f"no client is co-located with replica {operation.replica_id!r}; "
-                "build the cluster with ClientServerCluster.with_colocated_clients"
-            )
-        if operation.kind == "write":
-            return self.client_write(
-                client_id, operation.register, operation.value,
-                replica_id=operation.replica_id,
-            )
-        if operation.kind == "read":
-            return self.client_read(
-                client_id, operation.register, replica_id=operation.replica_id
-            )
-        raise ConfigurationError(f"unknown operation kind {operation.kind!r}")
-
-    def _dispatch(self, responses) -> bool:
-        """Multicast the update messages of freshly served write responses.
-
-        Dispatch happens at *serve* time — whichever loop served the request
-        — so a write unblocked by the quiescence fixpoint still propagates
-        (and the drain loop resumes), even when no client is waiting on it.
-        Returns ``True`` when any message was sent.
-        """
-        sent = False
-        for response in responses:
-            if response.update_messages:
-                self.network.send_all(response.update_messages)
-                sent = True
-        return sent
-
-    def _submit_and_wait(self, target: ReplicaId, request: ClientRequest,
-                         max_steps: int):
+            client_id = self._colocated.get(target)
+            if client_id is None:
+                raise ConfigurationError(
+                    f"no client is co-located with replica {target!r}; build "
+                    "the cluster with ClientServerCluster.with_colocated_clients"
+                )
+        client = self.clients[client_id]
+        request = ClientRequest(kind, client_id, register, value, client.timestamp)
         server = self.servers[target]
-        response = server.submit(request)
-        if response is not None:
-            self._dispatch([response])
-            return response
+        if server.request_ready(request):
+            self._serve(target, request)
+        else:
+            server.waiting_requests.append(request)
+            self._wait(target, request, max_steps)
+        if request.rejected:
+            return None
+        client.absorb_response(request.server_timestamp)
+        client.record(kind, target, register, request.value, self.now)
+        self._note_session(client_id, target, request.issued)
+        return request.issued if kind == "write" else request.value
+
+    def _serve(self, target: ReplicaId, request: ClientRequest) -> None:
+        """Serve one request whose J1/J2 holds, through the host's one
+        operation path at the current time; the outcome goes on ``request``.
+
+        The host refuses an operation at a server that is not accepting
+        it (a migration window), and counts the rejection.
+        """
+        server = self.servers[target]
+        rejections = self.metrics.rejected_operations
+        if request.kind == "write":
+            server.absorb_client(request.client_timestamp)
+            issued = self.perform_write(target, request.register, request.value)
+            if issued is not None:
+                request.issued, messages = issued
+                self.network.send_all(messages)
+        else:
+            request.value = self.perform_read(target, request.register)
+        request.rejected = self.metrics.rejected_operations != rejections
+        if not request.rejected:
+            request.server_timestamp = server.timestamp
+
+    def _wait(self, target: ReplicaId, request: ClientRequest,
+              max_steps: int) -> None:
+        """Step the simulation until the buffered ``request`` is answered."""
         steps = 0
         while True:
             made_progress = self.step()
-            if self.replica_down(target):
-                # A fault event crashed the server while the request was
-                # waiting; the buffered request is volatile, so the
-                # operation is rejected rather than served after restart.
-                self.metrics.rejected_operations += 1
-                return None
-            if target not in self.servers or request.register not in server.registers:
-                # A reconfiguration removed the server — or took the
-                # register away from it — while the request was buffered;
+            if request.answered:
+                return
+            server = self.servers.get(target)
+            if (self.replica_down(target) or server is None
+                    or request.register not in server.registers):
+                # A crash dropped the volatile buffer, or a reconfiguration
+                # removed the server — or took the register away from it;
                 # the session sees the operation rejected.
                 self.metrics.rejected_operations += 1
-                return None
-            self._dispatch(server.serve_waiting(sim_time=self.now))
-            response = server.take_response(
-                request.client_id, request.kind, request.register
-            )
-            if response is not None:
-                return response
+                request.rejected = True
+                return
+            self._serve_ready(server)
+            if request.answered:
+                return
             if not made_progress:
                 raise SimulationError(
                     f"client request at replica {target} cannot be served: the "
@@ -355,22 +325,48 @@ class ClientServerCluster(SimulationHost):
             if steps > max_steps:
                 raise SimulationError("client request exceeded the step budget")
 
-    def _note_client_observation(self, client_id: ClientId, replica_id: ReplicaId) -> None:
-        """After touching a replica, the client has observed its applied updates."""
-        trace = self.servers[replica_id].events
-        self._client_seen[client_id] |= {update.uid for update in trace.updates()}
+    def _serve_ready(self, server: ClientServerReplica) -> bool:
+        """Serve every buffered request of ``server`` whose J1/J2 now holds."""
+        ready = server.take_ready()
+        for request in ready:
+            self._serve(server.replica_id, request)
+        return bool(ready)
+
+    def _note_session(self, client_id: ClientId, target: ReplicaId,
+                      issued: Optional[Update]) -> None:
+        """Book condition (ii) of ``↪'`` for one answered operation.
+
+        A write gets a direct edge from each update the client observed
+        since its previous write, and from that write: everything earlier
+        already happened before it, so the closure is that of an edge from
+        every update the client ever observed, from O(operations +
+        observations) edges.  The client then observes what ``target``
+        has issued or applied since it last looked — one position per
+        (client, server) into the server's trace, kept with the trace
+        itself, so a server that left and rejoined is read from 0 again.
+        """
+        frontier = self._client_frontier[client_id]
+        if issued is not None:
+            self._client_edges.extend((seen, issued.uid) for seen in frontier)
+            frontier.clear()
+            frontier.add(issued.uid)
+        trace = self.servers[target].events
+        key = (client_id, target)
+        observed, upto = self._observed_upto.get(key, (trace, 0))
+        if observed is not trace:
+            upto = 0
+        frontier.update(update.uid for update in trace[upto:].updates())
+        self._observed_upto[key] = (trace, len(trace))
 
     # ------------------------------------------------------------------
     # Architecture-specific host hooks
     # ------------------------------------------------------------------
     def _after_delivery(self, replica: CausalReplica) -> None:
         """A delivered update can unblock buffered client requests."""
-        self._dispatch(replica.serve_waiting(sim_time=self.now))  # type: ignore[attr-defined]
+        self._serve_ready(replica)  # type: ignore[arg-type]
 
     def _quiescent_hook(self, replica: CausalReplica) -> bool:
-        served = replica.serve_waiting(sim_time=self.now)  # type: ignore[attr-defined]
-        self._dispatch(served)
-        return bool(served)
+        return self._serve_ready(replica)  # type: ignore[arg-type]
 
     def _extra_happened_before(self) -> Sequence[Tuple[UpdateId, UpdateId]]:
         return self._client_edges

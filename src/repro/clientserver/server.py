@@ -1,27 +1,35 @@
 """The replica (server) side of the client–server algorithm (Appendix E.5).
 
 A server replica maintains an edge-indexed timestamp over its *augmented*
-timestamp graph ``Ê_i`` and serves client requests that arrive with the
-client's timestamp ``µ``:
+timestamp graph ``Ê_i``; client requests arrive with the client's timestamp
+``µ``.  This class is the protocol half of a server only:
 
-* a read or write request is buffered until predicate
-  ``J1 = J2``: ``τ_i[e_ji] ≥ µ[e_ji]`` for every incoming edge ``e_ji ∈ Ê_i``
-  — i.e. the server has caught up with everything the client has already
-  observed elsewhere;
-* a served write runs ``advance(i, τ, c, µ, x, v)``: the counters towards
-  co-owners of ``x`` are incremented and every other commonly indexed entry
-  absorbs ``max(τ, µ)`` (the client may carry dependencies the server has not
-  seen as updates yet);
+* predicate ``J1 = J2`` (:meth:`~ClientServerReplica.request_ready`):
+  ``τ_i[e_ji] ≥ µ[e_ji]`` for every incoming edge ``e_ji ∈ Ê_i`` — the
+  server has caught up with everything the client has already observed
+  elsewhere; a request it fails waits in the volatile
+  :attr:`~ClientServerReplica.waiting_requests` buffer;
+* the first half of ``advance(i, τ, c, µ, x, v)``
+  (:meth:`~ClientServerReplica.absorb_client`): every commonly indexed
+  entry absorbs ``max(τ, µ)`` (the client may carry dependencies the
+  server has not seen as updates yet); the peer-to-peer write then
+  increments the counters towards co-owners of ``x``;
 * inter-replica update messages use predicate ``J3`` and ``merge3``, which
   are exactly the peer-to-peer predicate ``J`` and ``merge``.
+
+Serving a request — the read or write itself, its metrics and its
+messages — is the host's one operation path
+(:meth:`~repro.core.host.ReplicaHost.perform_write` /
+:meth:`~repro.core.host.ReplicaHost.perform_read`), driven by
+:class:`~repro.clientserver.cluster.ClientServerCluster`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional
 
-from ..core.protocol import Update, UpdateMessage
+from ..core.protocol import Update
 from ..core.registers import Register, ReplicaId
 from ..core.replica import EdgeIndexedReplica
 from ..core.share_graph import ShareGraph
@@ -32,30 +40,26 @@ from .augmented import AugmentedShareGraph, ClientId, augmented_timestamp_edges
 
 @dataclass
 class ClientRequest:
-    """A buffered client read or write request."""
+    """A client read or write request, and — once answered — its outcome."""
 
     kind: str
     client_id: ClientId
     register: Register
+    #: The value a write writes; once a read is served, the value it read.
     value: Any
     client_timestamp: EdgeTimestamp
-    sim_time: float = 0.0
-
-
-@dataclass
-class ClientResponse:
-    """The server's reply to a served client request."""
-
-    kind: str
-    client_id: ClientId
-    register: Register
-    value: Any
-    server_timestamp: EdgeTimestamp
-    update_messages: Tuple[UpdateMessage, ...] = ()
-    #: The update a served *write* issued (``None`` for reads).  Carried
-    #: explicitly so the cluster never has to infer it from the server's
-    #: apply log, which concurrent serves/applies may have extended since.
+    #: The update a served write issued.
     issued: Optional[Update] = None
+    #: ``τ_i`` after the serve, which the client absorbs into ``µ``.
+    server_timestamp: Optional[EdgeTimestamp] = None
+    #: The operation was rejected: refused at its serve, or dropped from
+    #: the buffer by a crash or a reconfiguration.
+    rejected: bool = False
+
+    @property
+    def answered(self) -> bool:
+        """Served or rejected: the client has its outcome."""
+        return self.rejected or self.server_timestamp is not None
 
 
 class ClientServerReplica(EdgeIndexedReplica):
@@ -73,17 +77,14 @@ class ClientServerReplica(EdgeIndexedReplica):
         self.augmented = augmented
         #: Client requests buffered behind predicate J1/J2.
         self.waiting_requests: List[ClientRequest] = []
-        #: Responses produced by :meth:`serve_waiting`, awaiting pickup by the caller.
-        self.completed_responses: List[ClientResponse] = []
 
-    #: Buffered client requests/responses live in server memory only: a
-    #: crash drops them (clients see the operation rejected/timed out), so
-    #: they are excluded from durable snapshots.
-    _VOLATILE_STATE = ("waiting_requests", "completed_responses")
+    #: Buffered client requests live in server memory only: a crash drops
+    #: them (clients see the operation rejected), so they are excluded
+    #: from durable snapshots.
+    _VOLATILE_STATE = ("waiting_requests",)
 
     def _reset_volatile(self) -> None:
         self.waiting_requests = []
-        self.completed_responses = []
 
     # ------------------------------------------------------------------
     # Client request handling
@@ -98,97 +99,34 @@ class ClientServerReplica(EdgeIndexedReplica):
                 return False
         return True
 
-    def submit(self, request: ClientRequest) -> Optional[ClientResponse]:
-        """Submit a client request; serve it now if possible, else buffer it."""
-        if self.request_ready(request):
-            return self._serve(request)
-        self.waiting_requests.append(request)
-        return None
+    def take_ready(self) -> List[ClientRequest]:
+        """Take the buffered requests whose predicate now holds out of the
+        buffer, in arrival order.
 
-    def serve_waiting(self, sim_time: float = 0.0) -> List[ClientResponse]:
-        """Serve every buffered request whose predicate now holds.
-
-        Served responses are both returned and queued on
-        :attr:`completed_responses` so a caller that was not the one driving
-        the simulation step can still collect them with
-        :meth:`take_response`.
+        Serving one cannot make another ready: a serve raises no incoming
+        edge's counter (J1/J2 held, so ``µ`` is already below ``τ_i``
+        there), so one pass finds them all.
         """
-        served: List[ClientResponse] = []
-        progress = True
-        while progress:
-            progress = False
-            for request in list(self.waiting_requests):
-                if self.request_ready(request):
-                    self.waiting_requests.remove(request)
-                    request.sim_time = sim_time
-                    response = self._serve(request)
-                    served.append(response)
-                    self.completed_responses.append(response)
-                    progress = True
-        return served
+        ready: List[ClientRequest] = []
+        waiting: List[ClientRequest] = []
+        for request in self.waiting_requests:
+            (ready if self.request_ready(request) else waiting).append(request)
+        if ready:
+            self.waiting_requests = waiting
+        return ready
 
-    def take_response(self, client_id: ClientId, kind: str,
-                      register: Register) -> Optional[ClientResponse]:
-        """Pop the first completed response matching a client's outstanding request."""
-        for response in self.completed_responses:
-            if (
-                response.client_id == client_id
-                and response.kind == kind
-                and response.register == register
-            ):
-                self.completed_responses.remove(response)
-                return response
-        return None
+    def absorb_client(self, client_timestamp: EdgeTimestamp) -> None:
+        """Fold the client's ``µ`` into ``τ_i`` ahead of a served write.
 
-    def _serve(self, request: ClientRequest) -> ClientResponse:
-        if request.kind == "read":
-            value = self.read(request.register, sim_time=request.sim_time)
-            return ClientResponse(
-                kind="read",
-                client_id=request.client_id,
-                register=request.register,
-                value=value,
-                server_timestamp=self.timestamp,
-            )
-        messages = self.write_for_client(
-            request.register,
-            request.value,
-            request.client_timestamp,
-            sim_time=request.sim_time,
-        )
-        return ClientResponse(
-            kind="write",
-            client_id=request.client_id,
-            register=request.register,
-            value=request.value,
-            server_timestamp=self.timestamp,
-            update_messages=tuple(messages),
-            issued=self.events.items[-1],
-        )
-
-    # ------------------------------------------------------------------
-    # The client–server advance
-    # ------------------------------------------------------------------
-    def write_for_client(
-        self,
-        register: Register,
-        value: Any,
-        client_timestamp: EdgeTimestamp,
-        sim_time: float = 0.0,
-    ) -> List[UpdateMessage]:
-        """Apply a served client write: ``advance(i, τ, c, µ, x, v)`` + multicast.
-
-        Differs from the peer-to-peer write in that the non-incremented
-        entries of the new timestamp absorb ``max(τ, µ)``.
+        The first half of ``advance(i, τ, c, µ, x, v)``: the client's
+        knowledge lands on every commonly indexed edge, and the
+        peer-to-peer write then increments the edges towards co-owners of
+        the register.  No pending-index notification is needed: the serve
+        is gated by predicate J1/J2 (``τ_i ≥ µ`` on every incoming edge),
+        so this merge can only raise entries no buffered inter-replica
+        update waits on.
         """
-        # Absorb the client's knowledge on every commonly indexed edge first;
-        # the peer-to-peer issue path then increments the edges towards
-        # co-owners of the register.  No pending-index notification is
-        # needed: the serve is gated by predicate J1/J2 (τ_i ≥ µ on every
-        # incoming edge), so this merge can only raise entries no buffered
-        # inter-replica update waits on.
         self.timestamp = self.timestamp.merged_with(client_timestamp)
-        return self.write(register, value, sim_time=sim_time)
 
     # ------------------------------------------------------------------
     # Epoch migration

@@ -188,7 +188,7 @@ class RunMetrics:
     max_pending: Dict[ReplicaId, int] = field(default_factory=dict)
     #: Host time of every remote apply (throughput over time).
     apply_times: "array[float]" = field(default_factory=lambda: array("d"))
-    #: Host time of every submitted client operation (:attr:`writes` and
+    #: Host time of every performed client operation (:attr:`writes` and
     #: :attr:`reads` count them by kind).
     operation_times: "array[float]" = field(default_factory=lambda: array("d"))
     #: Client-observed blocking time per operation (nonzero only when an
@@ -451,18 +451,13 @@ class ReplicaHost:
         except KeyError:
             raise UnknownReplicaError(replica_id) from None
 
-    def _record_operation(self, kind: str, at: Optional[float] = None) -> None:
-        """Count one client operation; ``at`` overrides the recorded time.
-
-        Callers that serve an operation after stepping the simulation (the
-        client–server blocking path) pass the submission time so the
-        offered-load timeline stays comparable across architectures.
-        """
+    def _record_operation(self, kind: str, at: float) -> None:
+        """Count one client operation, performed at host time ``at``."""
         if kind == "write":
             self.metrics.writes += 1
         elif kind == "read":
             self.metrics.reads += 1
-        self.metrics.operation_times.append(self.now if at is None else at)
+        self.metrics.operation_times.append(at)
 
     def _note_issue(self, update: Update, at: float) -> None:
         self._issue_times[update.uid] = at

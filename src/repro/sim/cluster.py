@@ -27,7 +27,7 @@ from ..core.registers import Register, ReplicaId
 from ..core.replica import edge_indexed_factory
 from ..core.share_graph import ShareGraph
 from .delays import DelayModel
-from .engine import BatchingConfig, EventKernel, SimulationHost, Transport
+from .engine import BatchingConfig, SimulationHost
 
 #: Signature of a factory building one replica of a protocol for a cluster.
 ReplicaFactory = Callable[[ShareGraph, ReplicaId], CausalReplica]
@@ -43,18 +43,8 @@ class Cluster(SimulationHost):
     replica_factory:
         Builds the protocol instance per replica; defaults to the paper's
         edge-indexed algorithm.
-    delay_model, seed:
-        The :class:`~repro.sim.engine.Transport`'s per-message delay model
-        (default ``UniformDelay(1, 10)``) and the seed of its private
-        random generator: two clusters built with the same seed and fed
-        the same operations behave identically.
-    batching:
-        Optionally a :class:`~repro.sim.engine.BatchingConfig`: messages
-        then ride per-channel batching windows delivered as single kernel
-        events, with the wire-format byte accounting implied.
-    wire_accounting:
-        Book every sent message into byte-accurate
-        :class:`~repro.sim.engine.NetworkStats` even without batching.
+    delay_model, seed, batching, wire_accounting:
+        The transport's, as for :class:`~repro.sim.engine.SimulationHost`.
     """
 
     def __init__(
@@ -66,12 +56,8 @@ class Cluster(SimulationHost):
         batching: Optional[BatchingConfig] = None,
         wire_accounting: bool = False,
     ) -> None:
-        network = Transport(EventKernel(), delay_model=delay_model, seed=seed)
-        if batching is not None:
-            network.enable_batching(batching)
-        elif wire_accounting:
-            network.enable_wire_accounting()
-        super().__init__(share_graph, network)
+        super().__init__(share_graph, delay_model=delay_model, seed=seed,
+                         batching=batching, wire_accounting=wire_accounting)
         self.replica_factory = replica_factory
         self.replicas: Dict[ReplicaId, CausalReplica] = {
             rid: replica_factory(share_graph, rid) for rid in share_graph.replica_ids

@@ -857,13 +857,36 @@ class SimulationHost(ReplicaHost):
     ----------
     share_graph:
         The register placement / share graph of the system.
-    network:
-        The :class:`Transport` over its :class:`EventKernel`, built by the
-        concrete cluster and exposed as ``host.network``.
+    delay_model, seed:
+        The :class:`Transport`'s per-message delay model (default
+        ``UniformDelay(1, 10)``) and the seed of its private random
+        generator: two hosts built with the same seed and fed the same
+        operations behave identically.
+    batching:
+        Optionally a :class:`BatchingConfig`: messages then ride
+        per-channel batching windows delivered as single kernel events,
+        with the wire-format byte accounting implied.
+    wire_accounting:
+        Book every sent message into byte-accurate :class:`NetworkStats`
+        even without batching.
+
+    The transport, over its own :class:`EventKernel`, is ``host.network``.
     """
 
-    def __init__(self, share_graph: ShareGraph, network: Transport) -> None:
+    def __init__(
+        self,
+        share_graph: ShareGraph,
+        delay_model: Optional[DelayModel] = None,
+        seed: int = 0,
+        batching: Optional[BatchingConfig] = None,
+        wire_accounting: bool = False,
+    ) -> None:
         super().__init__(share_graph)
+        network = Transport(EventKernel(), delay_model=delay_model, seed=seed)
+        if batching is not None:
+            network.enable_batching(batching)
+        elif wire_accounting:
+            network.enable_wire_accounting()
         self.network = network
         self.kernel: EventKernel = network.kernel
         # Each replica family registers its timestamp codec; the transport's

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +23,19 @@ from repro.clientserver import (
 )
 from repro.clientserver.augmented import augmented_loop_edges
 from repro.clientserver.server import ClientRequest
+from repro.core.causal import HappenedBefore
 from repro.core.errors import ConfigurationError, RegisterNotStoredError, UnknownReplicaError
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp_graph import timestamp_edges
 from repro.core.timestamps import EdgeTimestamp
 from repro.sim.delays import FixedDelay, UniformDelay
-from repro.sim.topologies import figure3_placement, path_placement, triangle_placement
+from repro.sim.topologies import (
+    figure3_placement,
+    figure5_placement,
+    path_placement,
+    triangle_placement,
+)
+from repro.sim.workloads import poisson_workload, run_open_loop
 
 
 @pytest.fixture
@@ -180,25 +189,28 @@ class TestServerReplica:
         stale_edge = (1, 2)
         demanding = EdgeTimestamp({stale_edge: 1})
         request = ClientRequest("read", "c1", "x", None, demanding)
-        assert server.submit(request) is None
-        assert server.waiting_requests
-        # Once the server catches up (applies the 1 -> 2 update) it serves.
+        assert not server.request_ready(request)
+        server.waiting_requests.append(request)
+        assert server.take_ready() == []
+        assert server.waiting_requests == [request]
+        # Once the server catches up (applies the 1 -> 2 update) it is ready.
         server.timestamp = server.timestamp.merged_with(
             EdgeTimestamp({stale_edge: 1}), shared_edges=[stale_edge]
         )
-        served = server.serve_waiting()
-        assert len(served) == 1
-        # The response is also queued for pickup exactly once.
-        assert server.take_response("c1", "read", "x") is served[0]
-        assert server.take_response("c1", "read", "x") is None
+        assert server.take_ready() == [request]
+        # It leaves the buffer: taken exactly once.
+        assert server.take_ready() == []
+        assert server.waiting_requests == []
 
-    def test_write_for_client_absorbs_client_knowledge(self, fig3_graph, spanning_client):
+    def test_absorb_client_then_write_merges_client_knowledge(
+            self, fig3_graph, spanning_client):
         augmented = AugmentedShareGraph(fig3_graph, spanning_client)
         server = ClientServerReplica(augmented, 2)
         client_mu = EdgeTimestamp({(3, 2): 1})
-        # The predicate would normally buffer this, but calling the advance
+        # The predicate would normally buffer this, but running the advance
         # directly shows the merge-then-increment behaviour.
-        messages = server.write_for_client("y", "v", client_mu)
+        server.absorb_client(client_mu)
+        messages = server.write("y", "v")
         assert server.timestamp[(3, 2)] == 1
         assert server.timestamp[(2, 3)] == 1
         assert [m.destination for m in messages] == [3]
@@ -212,6 +224,10 @@ class TestClientServerCluster:
         # Reading y at replica 3 must block until the update has propagated,
         # then return the written value.
         assert cluster.client_read("c1", "y", replica_id=3) == "from-2"
+        # The read is booked once, at its serve: the delivery at time 1.
+        assert list(cluster.metrics.operation_times) == [0.0, 1.0]
+        assert (cluster.metrics.writes, cluster.metrics.reads) == (1, 1)
+        assert cluster.servers[3].waiting_requests == []
 
     def test_dependency_propagation_through_client(self, fig3_graph):
         clients = ClientAssignment.from_dict({"c1": {1, 4}, "helper": {2, 3}})
@@ -258,3 +274,105 @@ class TestClientServerCluster:
             cluster.client_read("b", "y", replica_id=3)
         cluster.run_until_quiescent()
         assert cluster.check_consistency().is_causally_consistent
+
+
+class AllPairsSessions(ClientServerCluster):
+    """The direct construction of the client-session ``↪'`` edges, kept as
+    the reference: each write gets an edge from every update its client
+    ever observed, and each operation re-reads the server's whole trace."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = {}
+
+    def _note_session(self, client_id, target, issued):
+        seen = self.seen.setdefault(client_id, set())
+        if issued is not None:
+            self._client_edges.extend(
+                (uid, issued.uid) for uid in seen if uid != issued.uid)
+        seen |= {update.uid for update in self.servers[target].events.updates()}
+        if issued is not None:
+            seen.add(issued.uid)
+
+
+def _session_run(host_class, graph, clients, seed, operations=120):
+    """Seeded random client operations, stepping the network between them."""
+    rng = random.Random(seed)
+    cluster = host_class(graph, clients, delay_model=UniformDelay(1, 5), seed=seed)
+    for index in range(operations):
+        client = cluster.clients[rng.choice(clients.client_ids)]
+        register = rng.choice(sorted(client.accessible_registers()))
+        replica_id = rng.choice(sorted(
+            rid for rid in client.replica_set
+            if graph.placement.stores_register(rid, register)))
+        if rng.random() < 0.6:
+            cluster.client_write(client.client_id, register, index,
+                                 replica_id=replica_id)
+        else:
+            cluster.client_read(client.client_id, register, replica_id=replica_id)
+        for _ in range(rng.randrange(4)):
+            cluster.step()
+    cluster.run_until_quiescent()
+    return cluster
+
+
+def _session_relation(cluster):
+    relation = HappenedBefore.from_events(cluster.events_by_replica())
+    relation.direct_edges.update(
+        (u1, u2) for u1, u2 in cluster._extra_happened_before() if u1 != u2)
+    return relation
+
+
+def _e12_assignment():
+    graph = ShareGraph.from_placement(figure3_placement())
+    return graph, ClientAssignment.from_dict({"c1": {1, 4}, "c2": {2, 3}, "c3": {1, 2}})
+
+
+def _random_assignment():
+    graph = ShareGraph.from_placement(path_placement(6))
+    rng = random.Random(11)
+    return graph, ClientAssignment.from_dict({
+        f"c{k}": set(rng.sample(list(graph.replica_ids), rng.randint(2, 3)))
+        for k in range(5)
+    })
+
+
+class TestOneOperationPath:
+    def test_write_issue_recorded_before_its_sends(self):
+        graph = ShareGraph.from_placement(figure5_placement())
+        cluster = ClientServerCluster.with_colocated_clients(graph, seed=9)
+        recorder = cluster.enable_tracing()
+        run_open_loop(cluster, poisson_workload(graph, rate=1.5, duration=60.0, seed=9))
+        issued_at, sends = {}, []
+        for position, (_, stage, uid, _, _) in enumerate(recorder.events):
+            if stage == "issue":
+                issued_at[uid] = position
+            elif stage == "send":
+                sends.append((uid, position))
+        assert issued_at and sends
+        late = {uid for uid, position in sends
+                if issued_at.get(uid, len(recorder.events)) > position}
+        assert not late, f"{len(late)} of {len(issued_at)} writes sent before issue"
+
+    @pytest.mark.parametrize("setup", [_e12_assignment, _random_assignment],
+                             ids=["e12", "random"])
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_session_edges_match_the_all_pairs_construction(self, setup, seed):
+        graph, clients = setup()
+        cluster = _session_run(ClientServerCluster, graph, clients, seed)
+        reference = _session_run(AllPairsSessions, graph, clients, seed)
+        assert cluster.events_by_replica() == reference.events_by_replica()
+        relation, expected = _session_relation(cluster), _session_relation(reference)
+        assert relation.updates.keys() == expected.updates.keys()
+        for uid in expected.updates:
+            assert relation.successors(uid) == expected.successors(uid), uid
+        operations = sum(len(client.history) for client in cluster.clients.values())
+        # A client observes each server's trace at most once over.
+        touched = {(cid, record.replica_id)
+                   for cid, client in cluster.clients.items()
+                   for record in client.history}
+        observations = sum(len(cluster.servers[rid].events) for _, rid in touched)
+        assert len(cluster._client_edges) <= operations + observations
+        assert len(cluster._client_edges) < len(reference._client_edges)
+        assert (cluster.check_consistency().is_causally_consistent
+                == reference.check_consistency().is_causally_consistent)

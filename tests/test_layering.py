@@ -5,9 +5,9 @@ two drivers of the shared layers and must not reach into each other; the
 shared layers must not reach up into either.  Checked on the parsed import
 statements, so a lazy import inside a function counts too.  The same
 parsed source guards the shared host surface: the operation path of
-``core/host.py`` is not re-forked by a runtime's host subclass, and the
-live node's per-frame handlers leave socket writes to the one flush point
-per wake-up.
+``core/host.py`` is not re-forked by a runtime's host subclass nor booked
+around by any other module, and the live node's per-frame handlers leave
+socket writes to the one flush point per wake-up.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def test_no_replica_host_subclass_forks_the_operation_path():
             if name not in hosts and names & hosts:
                 hosts.add(name)
                 grown = True
-    assert {"SimulationHost", "Cluster", "LiveNode"} <= hosts
+    assert {"SimulationHost", "Cluster", "ClientServerCluster", "LiveNode"} <= hosts
     offending = [
         f"{path.relative_to(ROOT.parent)}:{item.lineno} {name}.{item.name}"
         for name in sorted(hosts - {"ReplicaHost"})
@@ -113,6 +113,26 @@ def test_no_replica_host_subclass_forks_the_operation_path():
         for item in node.body
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         and item.name in HOST_OPERATION_PATH
+    ]
+    assert not offending, "\n".join(offending)
+
+
+#: The host bookkeeping of one operation: only the operation path books it.
+HOST_BOOKKEEPING = ("_note_issue", "_record_operation")
+
+
+def test_only_the_operation_path_books_an_operation():
+    """No module under ``src/`` but ``core/host.py`` calls the bookkeeping
+    steps of the operation path: a host performs client operations through
+    ``perform_write``/``perform_read``, so each is recorded exactly once,
+    in the order the path records it (issue before send)."""
+    offending = [
+        f"{path.relative_to(ROOT.parent)}:{call.lineno} {call.func.attr}()"
+        for path in sorted(ROOT.rglob("*.py"))
+        if path != ROOT / "core" / "host.py"
+        for call in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr in HOST_BOOKKEEPING
     ]
     assert not offending, "\n".join(offending)
 
