@@ -24,7 +24,7 @@ import os
 from conftest import run_once, write_bench_json
 from etables import E22_ADAPTIVE
 
-from repro.analysis import exp_adaptive, render_adaptive
+from repro.analysis import AdaptiveRow, exp_adaptive, render_rows
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
 SIZES = E22_ADAPTIVE if TINY else dict(duration=720.0, rotations=12)
@@ -35,7 +35,7 @@ def test_e22_adaptive_beats_statics(benchmark):
     rows = run_once(benchmark, exp_adaptive, **SIZES)
     print()
     print("[E22] Adaptive reconfiguration vs static placement")
-    print(render_adaptive(rows))
+    print(render_rows(AdaptiveRow, rows))
 
     assert len(rows) == 4  # 3 static policies + the adaptive cell
     for row in rows:

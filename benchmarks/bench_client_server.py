@@ -14,10 +14,11 @@ from conftest import run_once
 from etables import E12_SEED
 
 from repro.analysis import (
+    OpenLoopRow,
     exp_client_server,
     exp_open_loop,
     render_client_server,
-    render_open_loop,
+    render_rows,
 )
 
 
@@ -31,7 +32,7 @@ def test_e14_open_loop_both_architectures(benchmark):
     rows = run_once(benchmark, exp_open_loop)
     print()
     print("[E14] Open-loop workloads (Figure 5 graph, both architectures)")
-    print(render_open_loop(rows))
+    print(render_rows(OpenLoopRow, rows))
     assert all(row.consistent for row in rows)
     assert {row.architecture for row in rows} == {"peer-to-peer", "client-server"}
     for row in rows:

@@ -12,9 +12,10 @@ from conftest import run_once
 from etables import E9_DYNAMIC
 
 from repro.analysis import (
+    DummyTradeoffRow,
     exp_dummy_registers,
     exp_dummy_registers_dynamic,
-    render_dummy_registers,
+    render_rows,
 )
 
 
@@ -23,7 +24,7 @@ def test_e9_dummy_register_tradeoff(benchmark):
     rows = run_once(benchmark, exp_dummy_registers)
     print()
     print("[E9] Dummy registers: static trade-off")
-    print(render_dummy_registers(rows))
+    print(render_rows(DummyTradeoffRow, rows))
     for row in rows:
         # Compressed never exceeds uncompressed, and the scheme always pays in
         # additional update messages when it adds any dummy at all.

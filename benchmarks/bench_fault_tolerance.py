@@ -14,7 +14,7 @@ import time
 
 from conftest import run_once
 
-from repro.analysis import exp_fault_tolerance, render_fault_tolerance
+from repro.analysis import FaultToleranceRow, exp_fault_tolerance, render_rows
 from repro.core.share_graph import ShareGraph
 from repro.sim.cluster import Cluster
 from repro.sim.delays import UniformDelay
@@ -34,7 +34,7 @@ def test_e15_fault_tolerance_sweep(benchmark):
     rows = run_once(benchmark, exp_fault_tolerance)
     print()
     print("[E15] Fault-tolerance sweep (Figure 5 graph, both architectures)")
-    print(render_fault_tolerance(rows))
+    print(render_rows(FaultToleranceRow, rows))
     assert all(row.consistent for row in rows)
     assert {row.architecture for row in rows} == {"peer-to-peer", "client-server"}
     fault_free = [r for r in rows if r.crashes == 0 and r.partition_duration == 0]

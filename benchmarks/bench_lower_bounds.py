@@ -13,9 +13,10 @@ from conftest import run_once
 from etables import E6_CONFLICT_MAX_UPDATES, E6_MAX_UPDATES
 
 from repro.analysis import (
+    LowerBoundRow,
     exp_conflict_bound,
     exp_lower_bounds,
-    render_lower_bounds,
+    render_rows,
 )
 
 
@@ -24,7 +25,7 @@ def test_e6_closed_form_bounds_are_tight(benchmark):
     rows = run_once(benchmark, exp_lower_bounds, E6_MAX_UPDATES)
     print()
     print("[E6] Closed-form lower bounds vs the algorithm")
-    print(render_lower_bounds(rows))
+    print(render_rows(LowerBoundRow, rows))
     for row in rows:
         assert row.algorithm_bits == pytest.approx(row.lower_bound_bits)
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from conftest import run_once
 from etables import E7_METADATA
 
-from repro.analysis import exp_metadata_overhead
-from repro.sim.metrics import format_table
+from repro.analysis import exp_metadata_overhead, render_rows
+from repro.sim.metrics import ComparisonRow
 
 
 def test_e7_metadata_overhead_comparison(benchmark):
@@ -23,7 +23,7 @@ def test_e7_metadata_overhead_comparison(benchmark):
     rows = run_once(benchmark, exp_metadata_overhead, **E7_METADATA)
     print()
     print("[E7] Metadata overhead across protocols and topologies")
-    print(format_table(rows))
+    print(render_rows(ComparisonRow, rows))
 
     # No safe protocol may violate consistency.
     for row in rows:

@@ -25,7 +25,7 @@ import os
 from conftest import run_once, write_bench_json
 from etables import E19_OBSERVABILITY
 
-from repro.analysis import exp_observability, render_observability
+from repro.analysis import ObservabilityRow, exp_observability, render_rows
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
 SIZES = E19_OBSERVABILITY if TINY else dict(rate=4.0, duration=30.0)
@@ -36,7 +36,7 @@ def test_e19_observability_matrix(benchmark):
     rows = run_once(benchmark, exp_observability, **SIZES)
     print()
     print("[E19] Traced runs (topology x architecture)")
-    print(render_observability(rows))
+    print(render_rows(ObservabilityRow, rows))
 
     assert len(rows) == 4
     assert {(r.architecture, r.topology) for r in rows} == {

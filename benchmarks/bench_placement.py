@@ -24,7 +24,7 @@ import os
 from conftest import run_once, write_bench_json
 from etables import E21_PLACEMENT
 
-from repro.analysis import exp_placement, render_placement
+from repro.analysis import PlacementRow, exp_placement, render_rows
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
 SIZES = E21_PLACEMENT if TINY else dict(
@@ -51,7 +51,7 @@ def test_e21_placement_matrix(benchmark):
     rows = run_once(benchmark, exp_placement, **SIZES)
     print()
     print("[E21] Placement policy x topology x protocol")
-    print(render_placement(rows))
+    print(render_rows(PlacementRow, rows))
 
     assert len(rows) == 24  # 2 topologies x 3 policies x 4 cells
     for row in rows:

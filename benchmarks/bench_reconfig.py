@@ -32,7 +32,7 @@ from etables import (
     churn_acceptance_run,
 )
 
-from repro.analysis import exp_reconfiguration, render_reconfiguration
+from repro.analysis import ReconfigurationRow, exp_reconfiguration, render_rows
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
 ACCEPTANCE = E17_ACCEPTANCE if TINY else dict(
@@ -52,7 +52,7 @@ def test_e17_reconfiguration_sweep(benchmark):
     rows = run_once(benchmark, exp_reconfiguration, duration=SWEEP_DURATION)
     print()
     print("[E17] Reconfiguration sweep (churn x topology, both architectures)")
-    print(render_reconfiguration(rows))
+    print(render_rows(ReconfigurationRow, rows))
     assert all(row.consistent for row in rows)
     assert {row.architecture for row in rows} == {"peer-to-peer", "client-server"}
     # The no-churn cells are the control: one epoch, full availability.

@@ -175,14 +175,15 @@ def test_slots_message_allocation_note(benchmark):
 
 def test_e16_wire_overhead_table(benchmark):
     """Regenerate and print the E16 sweep recorded in EXPERIMENTS.md."""
-    from repro.analysis.experiments import exp_wire_overhead, render_wire_overhead
+    from repro.analysis import render_rows
+    from repro.analysis.experiments import WireOverheadRow, exp_wire_overhead
 
     ops = E16_TABLE_OPS if TINY else 150
     rows = benchmark.pedantic(
         exp_wire_overhead, kwargs={"ops": ops}, rounds=1, iterations=1
     )
     print()
-    print(render_wire_overhead(rows))
+    print(render_rows(WireOverheadRow, rows))
     assert all(row.consistent for row in rows), "every E16 cell must stay consistent"
     windowed = [row for row in rows if row.window != "off"]
     assert windowed and all(

@@ -18,6 +18,14 @@ import time
 from typing import Callable, Dict, Optional
 
 from repro.analysis import (
+    AdaptiveRow,
+    DummyTradeoffRow,
+    FaultToleranceRow,
+    LowerBoundRow,
+    ObservabilityRow,
+    OpenLoopRow,
+    PlacementRow,
+    ReconfigurationRow,
     exp_adaptive,
     exp_bounded_loops,
     exp_client_server,
@@ -37,26 +45,19 @@ from repro.analysis import (
     exp_reconfiguration,
     exp_ring_breaking,
     exp_sufficiency,
-    render_adaptive,
     render_client_server,
     render_compression,
-    render_dummy_registers,
-    render_fault_tolerance,
     render_figure5,
     render_helary_milani,
-    render_lower_bounds,
     render_necessity,
-    render_observability,
-    render_open_loop,
-    render_placement,
-    render_reconfiguration,
     render_ring_breaking,
+    render_rows,
     render_sufficiency,
 )
 from repro.analysis.experiments import (
     ARCHITECTURES,
+    WireOverheadRow,
     exp_wire_overhead,
-    render_wire_overhead,
 )
 from repro.baselines.vector_clock_full import full_replication_factory
 from repro.core.share_graph import ShareGraph
@@ -64,7 +65,7 @@ from repro.core.timestamp_graph import build_all_timestamp_graphs
 from repro.sim.cluster import Cluster
 from repro.sim.delays import UniformDelay
 from repro.sim.engine import BatchingConfig
-from repro.sim.metrics import format_table
+from repro.sim.metrics import ComparisonRow
 from repro.sim.reconfig import ReconfigManager, random_churn_schedule
 from repro.sim.topologies import (
     clique_placement,
@@ -212,7 +213,7 @@ def _e6() -> str:
     bound = exp_conflict_bound(E6_CONFLICT_MAX_UPDATES)
     return _lines(
         "[E6] Closed-form lower bounds vs the algorithm",
-        render_lower_bounds(exp_lower_bounds(E6_MAX_UPDATES)),
+        render_rows(LowerBoundRow, exp_lower_bounds(E6_MAX_UPDATES)),
         f"[E6] Conflict-graph bound on {bound.topology} (m={bound.max_updates}): "
         f"{bound.space_size} timestamps = {bound.bits:.1f} bits; "
         f"closed form = {bound.closed_form_bits:.1f} bits",
@@ -223,7 +224,7 @@ def _e9() -> str:
     dynamic = exp_dummy_registers_dynamic(**E9_DYNAMIC)
     return _lines(
         "[E9] Dummy registers: static trade-off",
-        render_dummy_registers(exp_dummy_registers()),
+        render_rows(DummyTradeoffRow, exp_dummy_registers()),
         "[E9] Dummy registers: dynamic run on ring6",
         *(f"  {name}: {stats}" for name, stats in dynamic.items()),
     )
@@ -249,7 +250,7 @@ def _e16() -> str:
         delta_bytes_line(backlog.network.stats),
         f"[E16] batched peer-to-peer: {p2p.summary()}",
         f"[E16] batched client-server: {cs.summary()}",
-        render_wire_overhead(exp_wire_overhead(ops=E16_TABLE_OPS)),
+        render_rows(WireOverheadRow, exp_wire_overhead(ops=E16_TABLE_OPS)),
     )
 
 
@@ -261,7 +262,7 @@ def _e17() -> str:
     ]
     return _lines(
         "[E17] Reconfiguration sweep (churn x topology, both architectures)",
-        render_reconfiguration(exp_reconfiguration(duration=E17_SWEEP_DURATION)),
+        render_rows(ReconfigurationRow, exp_reconfiguration(duration=E17_SWEEP_DURATION)),
         *acceptance,
     )
 
@@ -286,7 +287,7 @@ TABLES: Dict[str, Callable[[], str]] = {
     "e06_lower_bounds": _e6,
     "e07_metadata_overhead": _titled(
         "[E7] Metadata overhead across protocols and topologies",
-        lambda: format_table(exp_metadata_overhead(**E7_METADATA))),
+        lambda: render_rows(ComparisonRow, exp_metadata_overhead(**E7_METADATA))),
     "e08_compression": _titled(
         "[E8] Timestamp compression",
         lambda: render_compression(exp_compression())),
@@ -300,19 +301,19 @@ TABLES: Dict[str, Callable[[], str]] = {
         lambda: render_client_server(exp_client_server(E12_SEED))),
     "e14_open_loop": _titled(
         "[E14] Open-loop workloads (Figure 5 graph, both architectures)",
-        lambda: render_open_loop(exp_open_loop())),
+        lambda: render_rows(OpenLoopRow, exp_open_loop())),
     "e15_fault_tolerance": _titled(
         "[E15] Fault-tolerance sweep (Figure 5 graph, both architectures)",
-        lambda: render_fault_tolerance(exp_fault_tolerance())),
+        lambda: render_rows(FaultToleranceRow, exp_fault_tolerance())),
     "e16_wire": _e16,
     "e17_reconfiguration": _e17,
     "e19_observability": _titled(
         "[E19] Traced runs (topology x architecture)",
-        lambda: render_observability(exp_observability(**E19_OBSERVABILITY))),
+        lambda: render_rows(ObservabilityRow, exp_observability(**E19_OBSERVABILITY))),
     "e21_placement": _titled(
         "[E21] Placement policy x topology x protocol",
-        lambda: render_placement(exp_placement(**E21_PLACEMENT))),
+        lambda: render_rows(PlacementRow, exp_placement(**E21_PLACEMENT))),
     "e22_adaptive": _titled(
         "[E22] Adaptive reconfiguration vs static placement",
-        lambda: render_adaptive(exp_adaptive(**E22_ADAPTIVE))),
+        lambda: render_rows(AdaptiveRow, exp_adaptive(**E22_ADAPTIVE))),
 }

@@ -18,10 +18,11 @@ Run with::
 from __future__ import annotations
 
 from repro import ShareGraph, figure5_placement
+from repro.analysis import render_rows
 from repro.analysis.experiments import (
+    WireOverheadRow,
     exp_wire_overhead,
     render_wire_channels,
-    render_wire_overhead,
 )
 from repro.core.protocol import UpdateMessage
 from repro.sim import BatchingConfig, UniformDelay
@@ -84,7 +85,7 @@ def batching_and_delta_frames() -> None:
 def e16_table() -> None:
     print("=== E16: topology x protocol family x batching window ===")
     rows = exp_wire_overhead(ops=100, windows=(None, (8, 4.0)))
-    print(render_wire_overhead(rows))
+    print(render_rows(WireOverheadRow, rows))
     assert all(row.consistent for row in rows)
     print()
     print("Reading the table: 'ts B' is measured timestamp bytes (delta frames")

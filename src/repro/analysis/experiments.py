@@ -1,8 +1,11 @@
 """The evaluation harness: one function per experiment in EXPERIMENTS.md.
 
-Every function is pure given its arguments (all randomness is seeded), returns
-a plain data structure, and has a matching ``render_*`` helper producing the
-text table recorded in ``EXPERIMENTS.md``.  The benchmark modules under
+Every function is pure given its arguments (all randomness is seeded) and
+returns a plain data structure.  A sweep with one row per cell returns rows
+of a dataclass that declares its table's columns on its fields, rendered by
+:func:`~repro.analysis.tables.render_rows`; the other experiments keep a
+``render_*`` helper.  Either way the text is the table recorded in
+``EXPERIMENTS.md``.  The benchmark modules under
 ``benchmarks/`` call these functions so that the numbers in the benchmark
 output, the experiment log and the tests all come from the same code path.
 """
@@ -25,7 +28,6 @@ from ..clientserver import (
     ClientAssignment,
     ClientServerCluster,
     build_all_augmented_timestamp_edges,
-    client_index_edges,
 )
 from ..adapt import AdaptiveController, ControllerConfig
 from ..core.consistency import ConsistencyReport
@@ -34,7 +36,7 @@ from ..core.protocol import CausalReplica
 from ..core.registers import Register, RegisterPlacement, ReplicaId
 from ..core.replica import EdgeIndexedReplica
 from ..core.share_graph import Edge, ShareGraph
-from ..core.timestamp_graph import TimestampGraph, build_all_timestamp_graphs, timestamp_edges
+from ..core.timestamp_graph import TimestampGraph, timestamp_edges
 from ..lower_bounds import (
     algorithm_bits,
     algorithm_counters,
@@ -62,7 +64,7 @@ from ..placement import (
     score_placement,
 )
 from ..sim.cluster import Cluster, ReplicaFactory, edge_indexed_factory
-from ..sim.delays import FixedDelay, PerChannelDelay, UniformDelay
+from ..sim.delays import FixedDelay, UniformDelay
 from ..sim.engine import BatchingConfig, NetworkStats, SimulationHost
 from ..sim.faults import (
     FaultInjector,
@@ -71,12 +73,7 @@ from ..sim.faults import (
     random_fault_schedule,
     restart,
 )
-from ..sim.metrics import (
-    ComparisonRow,
-    compare_protocols,
-    edge_indexed_profile,
-    full_replication_profile,
-)
+from ..sim.metrics import ComparisonRow, compare_protocols
 from ..sim.reconfig import ReconfigManager, random_churn_schedule
 from ..sim.topologies import (
     COUNTEREXAMPLE_IDS,
@@ -88,7 +85,6 @@ from ..sim.topologies import (
     geo_replication_placement,
     grid_placement,
     pairwise_clique_placement,
-    path_placement,
     random_partial_placement,
     ring_placement,
     star_placement,
@@ -107,7 +103,7 @@ from ..sim.workloads import (
     uniform_workload,
 )
 from ..topo import Topology, geant_like, geo_regions
-from .tables import edge_label, render_table
+from .tables import column, column_property, edge_label, render_table, verdict, yes_no
 
 #: The two simulated architectures, by the label their table rows carry:
 #: each builds a host over ``graph`` from the same transport keywords
@@ -414,11 +410,11 @@ def render_sufficiency(result: SufficiencyResult) -> str:
 class LowerBoundRow:
     """One topology/replica row of the lower-bound tightness table."""
 
-    topology: str
-    replica_id: ReplicaId
-    lower_bound_bits: float
-    algorithm_bits: float
-    algorithm_counters: int
+    topology: str = column("topology")
+    replica_id: ReplicaId = column("replica")
+    lower_bound_bits: float = column("lower bound (bits)")
+    algorithm_bits: float = column("algorithm (bits)")
+    algorithm_counters: int = column("algorithm (counters)")
 
 
 def exp_lower_bounds(max_updates: int = 16) -> List[LowerBoundRow]:
@@ -462,16 +458,6 @@ def exp_lower_bounds(max_updates: int = 16) -> List[LowerBoundRow]:
     )
     return rows
 
-
-def render_lower_bounds(rows: Sequence[LowerBoundRow]) -> str:
-    """Text table for the closed-form tightness comparison."""
-    return render_table(
-        ["topology", "replica", "lower bound (bits)", "algorithm (bits)", "algorithm (counters)"],
-        [
-            (r.topology, r.replica_id, r.lower_bound_bits, r.algorithm_bits, r.algorithm_counters)
-            for r in rows
-        ],
-    )
 
 
 @dataclass(frozen=True)
@@ -566,13 +552,13 @@ def render_compression(result: Mapping[str, Tuple[int, int]]) -> str:
 class DummyTradeoffRow:
     """One row of the dummy-register trade-off table."""
 
-    topology: str
-    scheme: str
-    mean_counters_before: float
-    mean_counters_after: float
-    mean_compressed_after: float
-    extra_messages_per_round: int
-    total_dummies: int
+    topology: str = column("topology")
+    scheme: str = column("scheme")
+    mean_counters_before: float = column("mean counters before")
+    mean_counters_after: float = column("after (uncompressed)")
+    mean_compressed_after: float = column("after (compressed)")
+    extra_messages_per_round: int = column("extra msgs / write round")
+    total_dummies: int = column("dummy copies")
 
 
 def exp_dummy_registers() -> List[DummyTradeoffRow]:
@@ -599,32 +585,6 @@ def exp_dummy_registers() -> List[DummyTradeoffRow]:
             )
     return rows
 
-
-def render_dummy_registers(rows: Sequence[DummyTradeoffRow]) -> str:
-    """Text table of the dummy-register trade-off."""
-    return render_table(
-        [
-            "topology",
-            "scheme",
-            "mean counters before",
-            "after (uncompressed)",
-            "after (compressed)",
-            "extra msgs / write round",
-            "dummy copies",
-        ],
-        [
-            (
-                r.topology,
-                r.scheme,
-                r.mean_counters_before,
-                r.mean_counters_after,
-                r.mean_compressed_after,
-                r.extra_messages_per_round,
-                r.total_dummies,
-            )
-            for r in rows
-        ],
-    )
 
 
 def exp_dummy_registers_dynamic(ops: int = 100, seed: int = 5) -> Dict[str, Dict[str, float]]:
@@ -827,15 +787,15 @@ def exp_client_server(seed: int = 4) -> ClientServerResult:
 class OpenLoopRow:
     """One architecture × arrival-process row of the open-loop experiment."""
 
-    architecture: str
-    process: str
-    operations: int
-    makespan: float
-    apply_p50: float
-    apply_p99: float
-    peak_pending: int
-    messages: int
-    consistent: bool
+    architecture: str = column("architecture")
+    process: str = column("process")
+    operations: int = column("ops")
+    makespan: float = column("makespan", ".1f")
+    apply_p50: float = column("apply p50", ".1f")
+    apply_p99: float = column("apply p99", ".1f")
+    peak_pending: int = column("peak pending")
+    messages: int = column("msgs")
+    consistent: bool = column("consistent", verdict)
 
 
 def exp_open_loop(
@@ -886,36 +846,6 @@ def exp_open_loop(
     return rows
 
 
-def render_open_loop(rows: Sequence[OpenLoopRow]) -> str:
-    """Text table of the open-loop experiment."""
-    return render_table(
-        [
-            "architecture",
-            "process",
-            "ops",
-            "makespan",
-            "apply p50",
-            "apply p99",
-            "peak pending",
-            "msgs",
-            "consistent",
-        ],
-        [
-            (
-                r.architecture,
-                r.process,
-                r.operations,
-                f"{r.makespan:.1f}",
-                f"{r.apply_p50:.1f}",
-                f"{r.apply_p99:.1f}",
-                r.peak_pending,
-                r.messages,
-                "yes" if r.consistent else "NO",
-            )
-            for r in rows
-        ],
-    )
-
 
 # ======================================================================
 # E15 — Fault tolerance: crashes, recovery, partitions
@@ -925,19 +855,19 @@ def render_open_loop(rows: Sequence[OpenLoopRow]) -> str:
 class FaultToleranceRow:
     """One architecture × fault-intensity cell of the E15 sweep."""
 
-    architecture: str
-    crashes: int
-    partition_duration: float
-    operations: int
-    rejected_operations: int
-    availability_min: float
-    recovery_mean: float
-    recovery_max: float
-    staleness_p99: float
-    staleness_max: float
-    messages_lost_to_crash: int
-    retransmissions: int
-    consistent: bool
+    architecture: str = column("architecture")
+    crashes: int = column("crashes")
+    partition_duration: float = column("partition", "g")
+    operations: int = column("ops")
+    rejected_operations: int = column("rejected")
+    availability_min: float = column("min avail", ".3f")
+    recovery_mean: float = column("recovery mean", ".1f")
+    recovery_max: float = column("recovery max", ".1f")
+    staleness_p99: float = column("staleness p99", ".1f")
+    staleness_max: float = column("staleness max", ".1f")
+    messages_lost_to_crash: int = column("lost")
+    retransmissions: int = column("resent")
+    consistent: bool = column("consistent", verdict)
 
 
 def exp_fault_tolerance(
@@ -1010,44 +940,6 @@ def exp_fault_tolerance(
     return rows
 
 
-def render_fault_tolerance(rows: Sequence[FaultToleranceRow]) -> str:
-    """Text table of the fault-tolerance sweep."""
-    return render_table(
-        [
-            "architecture",
-            "crashes",
-            "partition",
-            "ops",
-            "rejected",
-            "min avail",
-            "recovery mean",
-            "recovery max",
-            "staleness p99",
-            "staleness max",
-            "lost",
-            "resent",
-            "consistent",
-        ],
-        [
-            (
-                r.architecture,
-                r.crashes,
-                f"{r.partition_duration:g}",
-                r.operations,
-                r.rejected_operations,
-                f"{r.availability_min:.3f}",
-                f"{r.recovery_mean:.1f}",
-                f"{r.recovery_max:.1f}",
-                f"{r.staleness_p99:.1f}",
-                f"{r.staleness_max:.1f}",
-                r.messages_lost_to_crash,
-                r.retransmissions,
-                "yes" if r.consistent else "NO",
-            )
-            for r in rows
-        ],
-    )
-
 
 # ======================================================================
 # E16 — Bytes on the wire: codecs, delta encoding and batching windows
@@ -1057,44 +949,46 @@ def render_fault_tolerance(rows: Sequence[FaultToleranceRow]) -> str:
 class WireOverheadRow:
     """One topology × protocol × batching-window cell of the E16 sweep."""
 
-    topology: str
-    protocol: str
+    topology: str = column("topology")
+    protocol: str = column("protocol")
     #: ``"off"`` (wire accounting only) or ``"<max_messages>/<max_delay>"``.
-    window: str
-    messages: int
-    batches: int
-    header_bytes: int
-    timestamp_bytes: int
-    payload_bytes: int
+    window: str = column("window")
+    messages: int = column("msgs")
+    batches: int = column("batches")
+    header_bytes: int = column("hdr B")
+    timestamp_bytes: int = column("ts B")
+    payload_bytes: int = column("payload B")
     #: What the timestamp frames would have cost without delta encoding.
-    timestamp_bytes_full: int
-    #: The counter-based measure E7 reports, for direct comparison.
-    counters_sent: int
-    #: Mean measured bytes per shipped counter (ties bytes to E7's measure).
-    bytes_per_counter: float
-    #: Closed-form lower bound (Theorem 15 corollaries) in bytes per
-    #: message, averaged over replicas; ``nan`` when no closed form applies.
-    bound_bytes_per_message: float
-    consistent: bool
+    timestamp_bytes_full: int = column("ts B (no delta)")
 
-    @property
-    def total_bytes(self) -> int:
-        """All bytes on the wire in this cell."""
-        return self.header_bytes + self.timestamp_bytes + self.payload_bytes
-
-    @property
+    @column_property("delta saved", lambda share: f"{100 * share:.0f}%")
     def delta_savings(self) -> float:
         """Fraction of full-encoding timestamp bytes saved by delta frames."""
         if not self.timestamp_bytes_full:
             return 0.0
         return 1.0 - self.timestamp_bytes / self.timestamp_bytes_full
 
-    @property
+    #: The counter-based measure E7 reports, for direct comparison.
+    counters_sent: int = column("ctrs sent")
+    #: Mean measured bytes per shipped counter (ties bytes to E7's measure).
+    bytes_per_counter: float = column("B/ctr", ".2f")
+    #: Closed-form lower bound (Theorem 15 corollaries) in bytes per
+    #: message, averaged over replicas; ``nan`` when no closed form applies.
+    bound_bytes_per_message: float = column("bound B/msg", ".1f")
+
+    @column_property("ts B/msg", ".1f")
     def timestamp_bytes_per_message(self) -> float:
         """Mean timestamp bytes shipped per update message."""
         if not self.messages:
             return 0.0
         return self.timestamp_bytes / self.messages
+
+    consistent: bool = column("consistent", verdict)
+
+    @property
+    def total_bytes(self) -> int:
+        """All bytes on the wire in this cell."""
+        return self.header_bytes + self.timestamp_bytes + self.payload_bytes
 
 
 def wire_protocol_suite() -> Dict[str, ReplicaFactory]:
@@ -1213,48 +1107,6 @@ def exp_wire_overhead(
     return rows
 
 
-def render_wire_overhead(rows: Sequence[WireOverheadRow]) -> str:
-    """Text table of the E16 sweep."""
-    return render_table(
-        [
-            "topology",
-            "protocol",
-            "window",
-            "msgs",
-            "batches",
-            "hdr B",
-            "ts B",
-            "payload B",
-            "ts B (no delta)",
-            "delta saved",
-            "ctrs sent",
-            "B/ctr",
-            "bound B/msg",
-            "ts B/msg",
-            "consistent",
-        ],
-        [
-            (
-                r.topology,
-                r.protocol,
-                r.window,
-                r.messages,
-                r.batches,
-                r.header_bytes,
-                r.timestamp_bytes,
-                r.payload_bytes,
-                r.timestamp_bytes_full,
-                f"{100 * r.delta_savings:.0f}%",
-                r.counters_sent,
-                f"{r.bytes_per_counter:.2f}",
-                f"{r.bound_bytes_per_message:.1f}",
-                f"{r.timestamp_bytes_per_message:.1f}",
-                "yes" if r.consistent else "NO",
-            )
-            for r in rows
-        ],
-    )
-
 
 def render_wire_channels(stats: NetworkStats) -> str:
     """Per-channel byte breakdown of one run (wire accounting on)."""
@@ -1303,47 +1155,48 @@ def render_client_server(result: ClientServerResult) -> str:
 class ReconfigurationRow:
     """One epoch segment of one (architecture × topology × churn) run."""
 
-    architecture: str
-    topology: str
+    architecture: str = column("arch")
+    topology: str = column("topology")
     #: Churn level label, e.g. ``"j2/l1/e1"`` (joins/leaves/edge changes).
-    churn: str
-    epoch: int
-    num_replicas: int
-    #: Messages and timestamp bytes sent while this epoch was active.
-    messages: int
-    timestamp_bytes: int
+    churn: str = column("churn")
+    epoch: int = column("epoch")
+    num_replicas: int = column("R")
+    #: Messages, timestamp bytes and counters sent while this epoch was active.
+    messages: int = column("msgs")
+    timestamp_bytes: int = column("ts B")
     counters: int
-    #: Mean ``|E_i|`` of the epoch's share graph (the metadata step E17
-    #: expects the measured traffic to follow).
-    mean_edges: float
-    #: Closed-form lower bound (Theorem 12/13/15) in bytes per message,
-    #: averaged over replicas; ``nan`` when no closed form applies.
-    bound_bytes_per_message: float
-    # -- run-level facts, repeated on each of the run's rows --------------
-    reconfigs: int
-    #: Mean migration-window span (window open → commit), simulated time.
-    window_mean: float
-    #: Mean state-transfer duration (commit → last bootstrap applied).
-    transfer_mean: float
-    rejected_operations: int
-    #: Minimum availability over the final members (dips come only from
-    #: migration windows and transfers in a fault-free run).
-    availability_min: float
-    consistent: bool
 
-    @property
+    @column_property("ts B/msg", ".1f")
     def ts_bytes_per_message(self) -> float:
         """Mean timestamp bytes per message inside this epoch segment."""
         if not self.messages:
             return 0.0
         return self.timestamp_bytes / self.messages
 
-    @property
+    @column_property("ctr/msg", ".1f")
     def counters_per_message(self) -> float:
         """Mean shipped counters per message inside this epoch segment."""
         if not self.messages:
             return 0.0
         return self.counters / self.messages
+
+    #: Mean ``|E_i|`` of the epoch's share graph (the metadata step E17
+    #: expects the measured traffic to follow).
+    mean_edges: float = column("mean |E_i|", ".1f")
+    #: Closed-form lower bound (Theorem 12/13/15) in bytes per message,
+    #: averaged over replicas; ``nan`` when no closed form applies.
+    bound_bytes_per_message: float = column("bound B/msg", ".1f")
+    # -- run-level facts, repeated on each of the run's rows --------------
+    reconfigs: int
+    #: Mean migration-window span (window open → commit), simulated time.
+    window_mean: float = column("window", ".1f")
+    #: Mean state-transfer duration (commit → last bootstrap applied).
+    transfer_mean: float = column("transfer", ".1f")
+    rejected_operations: int = column("rejected")
+    #: Minimum availability over the final members (dips come only from
+    #: migration windows and transfers in a fault-free run).
+    availability_min: float = column("avail min", ".3f")
+    consistent: bool = column("consistent", verdict)
 
 
 def _reconfig_latency_summary(metrics) -> Tuple[float, float]:
@@ -1483,50 +1336,6 @@ def exp_reconfiguration(
     return rows
 
 
-def render_reconfiguration(rows: Sequence[ReconfigurationRow]) -> str:
-    """Text table of the E17 sweep."""
-    return render_table(
-        [
-            "arch",
-            "topology",
-            "churn",
-            "epoch",
-            "R",
-            "msgs",
-            "ts B",
-            "ts B/msg",
-            "ctr/msg",
-            "mean |E_i|",
-            "bound B/msg",
-            "window",
-            "transfer",
-            "rejected",
-            "avail min",
-            "consistent",
-        ],
-        [
-            (
-                r.architecture,
-                r.topology,
-                r.churn,
-                r.epoch,
-                r.num_replicas,
-                r.messages,
-                r.timestamp_bytes,
-                f"{r.ts_bytes_per_message:.1f}",
-                f"{r.counters_per_message:.1f}",
-                f"{r.mean_edges:.1f}",
-                f"{r.bound_bytes_per_message:.1f}",
-                f"{r.window_mean:.1f}",
-                f"{r.transfer_mean:.1f}",
-                r.rejected_operations,
-                f"{r.availability_min:.3f}",
-                "yes" if r.consistent else "NO",
-            )
-            for r in rows
-        ],
-    )
-
 
 # ======================================================================
 # E19 — observability: traced runs, chain coverage, stage breakdown
@@ -1536,19 +1345,19 @@ def render_reconfiguration(rows: Sequence[ReconfigurationRow]) -> str:
 class ObservabilityRow:
     """One traced cell of the E19 matrix."""
 
-    architecture: str
-    topology: str
-    events: int
-    applied: int
-    complete: int
+    architecture: str = column("arch")
+    topology: str = column("topology")
+    events: int = column("events")
+    applied: int = column("applied")
+    complete: int = column("complete")
     #: Fraction of applied remote copies whose full issue→apply chain
     #: reconstructs from the trace alone (acceptance bar: ≥ 0.99).
-    coverage: float
-    end_to_end_p50: float
-    end_to_end_p99: float
+    coverage: float = column("coverage", ".4f")
+    end_to_end_p50: float = column("e2e p50", ".2f")
+    end_to_end_p99: float = column("e2e p99", ".2f")
     #: The dominant stage at p99 (where the latency budget actually goes).
-    dominant_stage: str
-    consistent: bool
+    dominant_stage: str = column("dominant stage")
+    consistent: bool = column("consistent", verdict)
 
 
 def exp_observability(
@@ -1608,30 +1417,6 @@ def exp_observability(
     return rows
 
 
-def render_observability(rows: Sequence[ObservabilityRow]) -> str:
-    """Text table of the E19 traced-run matrix."""
-    return render_table(
-        [
-            "arch", "topology", "events", "applied", "complete",
-            "coverage", "e2e p50", "e2e p99", "dominant stage", "consistent",
-        ],
-        [
-            (
-                r.architecture,
-                r.topology,
-                r.events,
-                r.applied,
-                r.complete,
-                f"{r.coverage:.4f}",
-                f"{r.end_to_end_p50:.2f}",
-                f"{r.end_to_end_p99:.2f}",
-                r.dominant_stage,
-                "yes" if r.consistent else "NO",
-            )
-            for r in rows
-        ],
-    )
-
 
 # ======================================================================
 # E21 — Placement policies on measured topologies
@@ -1641,30 +1426,30 @@ def render_observability(rows: Sequence[ObservabilityRow]) -> str:
 class PlacementRow:
     """One topology × policy × protocol/architecture/fault cell of E21."""
 
-    topology: str
-    policy: str
-    protocol: str
-    architecture: str
+    topology: str = column("topology")
+    policy: str = column("policy")
+    protocol: str = column("protocol")
+    architecture: str = column("arch")
     #: ``"none"`` or ``"kill:<region>"`` (crash every replica of the
     #: region mid-run, restart after the outage window).
-    fault: str
-    share_edges: int
+    fault: str = column("fault")
+    share_edges: int = column("edges")
     #: Mean per-replica counter count |E_i| of the emitted share graph.
-    counters_mean: float
-    messages: int
+    counters_mean: float = column("counters", ".1f")
+    messages: int = column("msgs")
     #: Measured timestamp bytes per wire message.
-    ts_bytes_per_msg: float
+    ts_bytes_per_msg: float = column("tsB/msg", ".1f")
     #: Theorem-15 closed-form bound in bytes/replica where one applies
     #: (mean over replicas with a closed form; NaN on general graphs).
-    bound_bytes: float
+    bound_bytes: float = column("boundB", ".1f")
     #: Static prediction: p99 share-edge latency of the placement (ms).
-    predicted_edge_p99: float
+    predicted_edge_p99: float = column("pred p99", ".1f")
     #: Measured apply-latency p99 over the run (ms).
-    apply_p99: float
-    availability_min: float
+    apply_p99: float = column("apply p99", ".1f")
+    availability_min: float = column("min avail", ".3f")
     #: Worst-case fraction of registers surviving any single-region kill.
-    region_survival: float
-    consistent: bool
+    region_survival: float = column("survival", ".2f")
+    consistent: bool = column("consistent", verdict)
 
 
 def placement_topologies() -> Dict[str, Topology]:
@@ -1820,18 +1605,18 @@ def exp_placement(
 class AdaptiveRow:
     """One policy cell of E22 (the ``adaptive`` row is the controller)."""
 
-    policy: str
-    adaptive: bool
+    policy: str = column("policy")
+    adaptive: bool = column("adaptive", yes_no)
     #: Committed reconfiguration epochs / controller plans installed.
-    reconfigs: int
-    plans: int
+    reconfigs: int = column("reconfigs")
+    plans: int = column("plans")
     #: Whether the controller pulled the delta-encoding lever.
-    compressed: bool
-    messages: int
-    ts_bytes_per_msg: float
-    apply_p99: float
-    apply_mean: float
-    consistent: bool
+    compressed: bool = column("compressed", yes_no)
+    messages: int = column("msgs")
+    ts_bytes_per_msg: float = column("tsB/msg", ".1f")
+    apply_p99: float = column("apply p99", ".2f")
+    apply_mean: float = column("apply mean", ".2f")
+    consistent: bool = column("consistent", verdict)
 
 
 def _home_map(result: PlacementResult) -> Dict[ReplicaId, Register]:
@@ -1984,59 +1769,3 @@ def exp_adaptive(
         adaptive=True,
     ))
     return rows
-
-
-def render_adaptive(rows: Sequence[AdaptiveRow]) -> str:
-    """Text table of the E22 sweep."""
-    return render_table(
-        [
-            "policy", "adaptive", "reconfigs", "plans", "compressed",
-            "msgs", "tsB/msg", "apply p99", "apply mean", "consistent",
-        ],
-        [
-            (
-                r.policy,
-                "yes" if r.adaptive else "no",
-                r.reconfigs,
-                r.plans,
-                "yes" if r.compressed else "no",
-                r.messages,
-                f"{r.ts_bytes_per_msg:.1f}",
-                f"{r.apply_p99:.2f}",
-                f"{r.apply_mean:.2f}",
-                "yes" if r.consistent else "NO",
-            )
-            for r in rows
-        ],
-    )
-
-
-def render_placement(rows: Sequence[PlacementRow]) -> str:
-    """Text table of the E21 sweep."""
-    return render_table(
-        [
-            "topology", "policy", "protocol", "arch", "fault", "edges",
-            "counters", "msgs", "tsB/msg", "boundB", "pred p99",
-            "apply p99", "min avail", "survival", "consistent",
-        ],
-        [
-            (
-                r.topology,
-                r.policy,
-                r.protocol,
-                r.architecture,
-                r.fault,
-                r.share_edges,
-                f"{r.counters_mean:.1f}",
-                r.messages,
-                f"{r.ts_bytes_per_msg:.1f}",
-                f"{r.bound_bytes:.1f}",
-                f"{r.predicted_edge_p99:.1f}",
-                f"{r.apply_p99:.1f}",
-                f"{r.availability_min:.3f}",
-                f"{r.region_survival:.2f}",
-                "yes" if r.consistent else "NO",
-            )
-            for r in rows
-        ],
-    )

@@ -20,6 +20,7 @@ terms of causal pasts.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -34,15 +35,16 @@ class HappenedBefore:
     """The happened-before relation ``↪`` over a set of updates.
 
     Built from per-replica event traces with :meth:`from_events`.  Queries
-    are answered on the transitive closure, which is materialised lazily the
-    first time a query needs it.
+    are lookups in each update's set of ``↪``-predecessors, built lazily the
+    first time a query needs it, in one pass over a topological order of the
+    direct edges.
     """
 
     #: All updates mentioned by the traces, keyed by uid.
     updates: Dict[UpdateId, Update] = field(default_factory=dict)
     #: Direct (non-transitive) happened-before edges, as uid pairs.
     direct_edges: Set[Tuple[UpdateId, UpdateId]] = field(default_factory=set)
-    _closure: Optional[Dict[UpdateId, FrozenSet[UpdateId]]] = field(
+    _predecessors: Optional[Dict[UpdateId, FrozenSet[UpdateId]]] = field(
         default=None, repr=False
     )
 
@@ -92,26 +94,35 @@ class HappenedBefore:
         relation.direct_edges = set(pairs)
         return relation
 
+    def add_edges(self, pairs: Iterable[Tuple[UpdateId, UpdateId]]) -> None:
+        """Add direct ``↪`` edges (a pair of one update with itself is
+        skipped) and drop the predecessor sets built from the old ones."""
+        self.direct_edges.update((u1, u2) for u1, u2 in pairs if u1 != u2)
+        self._predecessors = None
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _ensure_closure(self) -> Dict[UpdateId, FrozenSet[UpdateId]]:
-        if self._closure is None:
-            graph = nx.DiGraph()
-            graph.add_nodes_from(self.updates)
-            graph.add_edges_from(self.direct_edges)
-            closure: Dict[UpdateId, FrozenSet[UpdateId]] = {}
-            for uid in graph.nodes:
-                closure[uid] = frozenset(nx.descendants(graph, uid))
-            self._closure = closure
-        return self._closure
+    def _ensure_predecessors(self) -> Dict[UpdateId, FrozenSet[UpdateId]]:
+        """Each update's ``↪``-predecessors: the union of its direct
+        predecessors and theirs, taken in topological order."""
+        if self._predecessors is None:
+            direct: Dict[UpdateId, Set[UpdateId]] = {uid: set() for uid in self.updates}
+            for u1, u2 in self.direct_edges:
+                direct.setdefault(u1, set())
+                direct.setdefault(u2, set()).add(u1)
+            predecessors: Dict[UpdateId, FrozenSet[UpdateId]] = {}
+            for uid in graphlib.TopologicalSorter(direct).static_order():
+                past = set(direct[uid])
+                for parent in direct[uid]:
+                    past |= predecessors[parent]
+                predecessors[uid] = frozenset(past)
+            self._predecessors = predecessors
+        return self._predecessors
 
     def happened_before(self, u1: UpdateId, u2: UpdateId) -> bool:
         """``True`` iff ``u1 ↪ u2``."""
-        if u1 == u2:
-            return False
-        closure = self._ensure_closure()
-        return u2 in closure.get(u1, frozenset())
+        return u1 in self._ensure_predecessors().get(u2, ())
 
     def concurrent(self, u1: UpdateId, u2: UpdateId) -> bool:
         """``True`` iff neither ``u1 ↪ u2`` nor ``u2 ↪ u1`` (and ``u1 ≠ u2``)."""
@@ -121,13 +132,13 @@ class HappenedBefore:
 
     def predecessors(self, uid: UpdateId) -> FrozenSet[UpdateId]:
         """All updates ``u'`` with ``u' ↪ uid``."""
-        closure = self._ensure_closure()
-        return frozenset(u for u, descendants in closure.items() if uid in descendants)
+        return self._ensure_predecessors().get(uid, frozenset())
 
     def successors(self, uid: UpdateId) -> FrozenSet[UpdateId]:
-        """All updates ``u'`` with ``uid ↪ u'``."""
-        closure = self._ensure_closure()
-        return closure.get(uid, frozenset())
+        """All updates ``u'`` with ``uid ↪ u'`` (a scan of every update's
+        predecessors)."""
+        return frozenset(u for u, past in self._ensure_predecessors().items()
+                         if uid in past)
 
     def all_updates(self) -> Tuple[Update, ...]:
         """Every update mentioned by the relation, sorted by uid."""

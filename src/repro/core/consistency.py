@@ -224,10 +224,7 @@ class ConsistencyChecker:
         """
         relation = HappenedBefore.from_events(events_by_replica)
         if extra_happened_before:
-            for u1, u2 in extra_happened_before:
-                if u1 != u2:
-                    relation.direct_edges.add((u1, u2))
-            relation._closure = None
+            relation.add_edges(extra_happened_before)
         report = ConsistencyReport()
         report.checked_updates = len(relation.updates)
 

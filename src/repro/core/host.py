@@ -541,6 +541,14 @@ class ReplicaHost:
         """Run a replica's apply loop and record the unified metrics."""
         t = self.now if at is None else at
         applied = replica.apply_ready(sim_time=t, force=force)
+        self._note_applies(replica, applied, t)
+        return applied
+
+    def _note_applies(self, replica: CausalReplica, applied: Sequence[Update],
+                      t: float) -> None:
+        """Book ``applied``, just applied at ``replica`` at time ``t``: the
+        apply counts and times, latency samples, the tracer's ``apply``
+        records, the fault and reconfiguration hooks and ``max_pending``."""
         replayed = replica.replayed
         for update in applied:
             self.metrics.applies += 1
@@ -562,7 +570,6 @@ class ReplicaHost:
         pending = replica.pending_count()
         previous = self.metrics.max_pending.get(replica.replica_id, 0)
         self.metrics.max_pending[replica.replica_id] = max(previous, pending)
-        return applied
 
     def sample_queue_depths(self) -> None:
         """Record one pending-buffer depth sample per replica."""

@@ -270,85 +270,36 @@ def epoch_byte_table(metric_records: Sequence[dict]) -> List[dict]:
     return rows
 
 
-#: The node-level transport/durability telemetry families, in table order.
-_NODE_TRANSPORT_METRICS = (
-    "repro_node_peer_streams",
-    "repro_node_open_streams",
-    "repro_node_inbound_connections",
-    "repro_node_send_queue_depth",
-    "repro_node_unacked",
-    "repro_node_socket_writes_total",
-    "repro_node_ack_frames_total",
-    "repro_node_misrouted_batches_total",
-    "repro_node_corrupt_streams_total",
-    "repro_node_wal_bytes",
-    "repro_node_wal_records_total",
-    "repro_node_wal_flushes_total",
-    "repro_node_wal_compactions_total",
-    "repro_node_wal_checkpoint_seconds_total",
-    "repro_node_wal_checkpoint_bytes_total",
-)
-
-
 def node_transport_table(metric_records: Sequence[dict]) -> List[dict]:
     """Per-node transport-footprint rows from a metrics JSONL dump.
 
-    Consumes the node-level families a multi-tenant :class:`LiveNode`
-    emits (``node`` label, no ``replica``): the host-pair stream counts
-    that make the socket footprint O(hosts²), the queue/unacked depths,
-    the frame counts (socket writes, ACK frames, misrouted batches,
-    corrupt streams) and the WAL counters.  One row per node, sorted by
-    node id."""
+    Consumes every node-level family a multi-tenant :class:`LiveNode`
+    emits (``repro_node_*`` with a ``node`` label and no other): the
+    host-pair stream counts that make the socket footprint O(hosts²), the
+    queue/unacked depths, the frame counts (socket writes, ACK frames,
+    misrouted batches, corrupt streams) and the WAL counters.  A family's
+    key is its name without ``repro_node_`` and ``_total``; its values are
+    ints, but for a ``_seconds`` family's floats.  Every row carries every
+    family the dump holds (0 where a node reported none).  One row per
+    node, sorted by node id."""
     nodes: Dict[str, Dict[str, float]] = {}
+    keys = set()
     for record in metric_records:
         name = record.get("name", "")
-        if name not in _NODE_TRANSPORT_METRICS:
-            continue
         labels = record.get("labels", {})
-        if "node" not in labels:
+        if not name.startswith("repro_node_") or set(labels) != {"node"}:
             continue
-        nodes.setdefault(labels["node"], {})[name] = record.get("value", 0.0)
-    rows = []
-    for node, values in sorted(nodes.items()):
-        rows.append({
-            "node": node,
-            "peer_streams": int(values.get("repro_node_peer_streams", 0.0)),
-            "open_streams": int(values.get("repro_node_open_streams", 0.0)),
-            "inbound_connections": int(
-                values.get("repro_node_inbound_connections", 0.0)
-            ),
-            "send_queue_depth": int(
-                values.get("repro_node_send_queue_depth", 0.0)
-            ),
-            "unacked": int(values.get("repro_node_unacked", 0.0)),
-            "socket_writes": int(
-                values.get("repro_node_socket_writes_total", 0.0)
-            ),
-            "ack_frames": int(values.get("repro_node_ack_frames_total", 0.0)),
-            "misrouted_batches": int(
-                values.get("repro_node_misrouted_batches_total", 0.0)
-            ),
-            "corrupt_streams": int(
-                values.get("repro_node_corrupt_streams_total", 0.0)
-            ),
-            "wal_bytes": int(values.get("repro_node_wal_bytes", 0.0)),
-            "wal_records": int(
-                values.get("repro_node_wal_records_total", 0.0)
-            ),
-            "wal_flushes": int(
-                values.get("repro_node_wal_flushes_total", 0.0)
-            ),
-            "wal_compactions": int(
-                values.get("repro_node_wal_compactions_total", 0.0)
-            ),
-            "wal_checkpoint_seconds": values.get(
-                "repro_node_wal_checkpoint_seconds_total", 0.0
-            ),
-            "wal_checkpoint_bytes": int(
-                values.get("repro_node_wal_checkpoint_bytes_total", 0.0)
-            ),
-        })
-    return rows
+        key = name.removeprefix("repro_node_").removesuffix("_total")
+        keys.add(key)
+        nodes.setdefault(labels["node"], {})[key] = record.get("value", 0.0)
+    return [
+        {"node": node, **{
+            key: values.get(key, 0.0) if key.endswith("_seconds")
+            else int(values.get(key, 0.0))
+            for key in sorted(keys)
+        }}
+        for node, values in sorted(nodes.items())
+    ]
 
 
 def channel_timelines(

@@ -18,18 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from ..core.causal import HappenedBefore
 from ..core.host import LatencySummary
-from ..core.protocol import EventKind, ReplicaEvent
+from ..core.protocol import EventKind
 from ..core.registers import ReplicaId
 from ..core.share_graph import ShareGraph
-from ..core.timestamp_graph import TimestampGraph, build_all_timestamp_graphs
+from ..core.timestamp_graph import build_all_timestamp_graphs
 from .cluster import Cluster, ReplicaFactory
 from .delays import DelayModel
 from .engine import SimulationHost
-from .workloads import Workload, WorkloadResult, run_workload
+from .workloads import Workload, run_workload
 
 __all__ = [
     "ComparisonRow",
@@ -38,7 +38,6 @@ __all__ = [
     "all_edges_profile",
     "compare_protocols",
     "edge_indexed_profile",
-    "format_table",
     "full_replication_profile",
     "incident_only_profile",
     "measure_false_dependencies",
@@ -191,20 +190,26 @@ def measure_false_dependencies(cluster: SimulationHost) -> FalseDependencyStats:
     return stats
 
 
+def _column(header: str, fmt: Optional[str] = None):
+    """A field shown as a column of the comparison table (the metadata
+    :func:`repro.analysis.tables.render_rows` reads)."""
+    return field(metadata={"column": header, "format": fmt})
+
+
 @dataclass
 class ComparisonRow:
     """One row of a protocol-comparison table."""
 
-    protocol: str
-    topology: str
-    mean_counters: float
-    max_counters: int
-    total_storage: int
-    messages_sent: int
-    metadata_counters_sent: int
-    safety_violations: int
-    liveness_violations: int
-    mean_apply_latency: float
+    protocol: str = _column("protocol")
+    topology: str = _column("topology")
+    mean_counters: float = _column("mean ctrs", ".1f")
+    max_counters: int = _column("max ctrs")
+    total_storage: int = _column("storage")
+    messages_sent: int = _column("msgs")
+    metadata_counters_sent: int = _column("ctrs sent")
+    safety_violations: int = _column("safety viol")
+    liveness_violations: int = _column("liveness viol")
+    mean_apply_latency: float = _column("apply latency", ".2f")
 
 
 def compare_protocols(
@@ -246,41 +251,3 @@ def compare_protocols(
         )
     return rows
 
-
-def format_table(rows: Sequence[ComparisonRow]) -> str:
-    """Render comparison rows as a fixed-width text table."""
-    headers = [
-        "protocol",
-        "topology",
-        "mean ctrs",
-        "max ctrs",
-        "storage",
-        "msgs",
-        "ctrs sent",
-        "safety viol",
-        "liveness viol",
-        "apply latency",
-    ]
-    table: List[List[str]] = [headers]
-    for row in rows:
-        table.append(
-            [
-                row.protocol,
-                row.topology,
-                f"{row.mean_counters:.1f}",
-                str(row.max_counters),
-                str(row.total_storage),
-                str(row.messages_sent),
-                str(row.metadata_counters_sent),
-                str(row.safety_violations),
-                str(row.liveness_violations),
-                f"{row.mean_apply_latency:.2f}",
-            ]
-        )
-    widths = [max(len(r[c]) for r in table) for c in range(len(headers))]
-    lines = []
-    for r_index, r in enumerate(table):
-        lines.append("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(r)))
-        if r_index == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)

@@ -765,11 +765,12 @@ class ReconfigManager:
             if not replica.pending_count():
                 continue
             buffered = dict(replica.pending)
-            for uid in sorted(buffered, key=lambda u: position.get(u, len(position))):
+            forced = sorted(buffered, key=lambda u: position.get(u, len(position)))
+            for uid in forced:
                 replica.force_apply(buffered[uid], host.now)
-                host.metrics.reconfig_forced_applies += 1
-                host.metrics.applies += 1
-                host.metrics.apply_times.append(host.now)
+            host.metrics.reconfig_forced_applies += len(forced)
+            host._note_applies(replica, [buffered[uid].update for uid in forced],
+                               host.now)
         host._apply_fixpoint()
 
     def _send_bootstrap(

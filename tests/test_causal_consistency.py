@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from repro.core.causal import (
@@ -163,8 +164,7 @@ class TestLinearHappenedBefore:
                    for uid in reference.updates)
         # With the client-session edges the checker adds, as it does.
         for built in (relation, reference):
-            built.direct_edges.update(extra)
-            built._closure = None
+            built.add_edges(extra)
         assert all(relation.successors(uid) == reference.successors(uid)
                    for uid in reference.updates)
 
@@ -172,6 +172,18 @@ class TestLinearHappenedBefore:
         monkeypatch.setattr(HappenedBefore, "from_events",
                             classmethod(lambda cls, traces: _all_pairs_relation(traces)))
         assert topological_update_order(events) == order
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_predecessors_are_the_ancestors_in_the_direct_edge_dag(self, seed):
+        events, extra = _random_traces(seed)
+        relation = HappenedBefore.from_events(events)
+        relation.add_edges(extra)
+        graph = relation.to_networkx()
+        for uid in relation.updates:
+            ancestors = nx.ancestors(graph, uid)
+            assert relation.predecessors(uid) == ancestors
+            assert all(relation.happened_before(u, uid) for u in ancestors)
+            assert not relation.happened_before(uid, uid)
 
 
 class TestCausalPast:

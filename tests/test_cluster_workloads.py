@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import render_rows
 from repro.baselines import full_replication_factory
 from repro.core.errors import RegisterNotStoredError, UnknownReplicaError
 from repro.core.share_graph import ShareGraph
 from repro.sim.cluster import Cluster, edge_indexed_factory
 from repro.sim.delays import FixedDelay, UniformDelay
 from repro.sim.metrics import (
+    ComparisonRow,
     all_edges_profile,
     compare_protocols,
     edge_indexed_profile,
-    format_table,
     full_replication_profile,
     incident_only_profile,
     measure_false_dependencies,
@@ -173,7 +174,7 @@ class TestMetadataProfiles:
         assert all(v == 10 for v in all_edges_profile(graph).counters_per_replica.values())
         assert all(v == 4 for v in incident_only_profile(graph).counters_per_replica.values())
 
-    def test_compare_protocols_and_format_table(self):
+    def test_compare_protocols_and_render_rows(self):
         graph = ShareGraph.from_placement(triangle_placement())
         workload = uniform_workload(graph, 40, seed=3)
         rows = compare_protocols(
@@ -187,7 +188,7 @@ class TestMetadataProfiles:
         assert {r.protocol for r in rows} == {"paper", "full"}
         paper_row = next(r for r in rows if r.protocol == "paper")
         assert paper_row.safety_violations == 0
-        table = format_table(rows)
+        table = render_rows(ComparisonRow, rows)
         assert "protocol" in table and "triangle" in table
 
     def test_measure_false_dependencies_runs(self):

@@ -3,11 +3,12 @@
 ``repro.net`` (the live runtime) and ``repro.sim`` (the simulator) are the
 two drivers of the shared layers and must not reach into each other; the
 shared layers must not reach up into either.  Checked on the parsed import
-statements, so a lazy import inside a function counts too.  The same
+statements, so a lazy import inside a function counts too.  The simulator
+sits below the evaluation harness (``repro.analysis``) too.  The same
 parsed source guards the shared host surface: the operation path of
 ``core/host.py`` is not re-forked by a runtime's host subclass nor booked
-around by any other module, and the live node's per-frame handlers leave
-socket writes to the one flush point per wake-up.
+around by any other module (an apply included), and the live node's
+per-frame handlers leave socket writes to the one flush point per wake-up.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import repro
 ROOT = Path(repro.__file__).parent
 FORBIDDEN = {
     "net": ("sim",),
+    "sim": ("net", "analysis"),
     "wire": ("net", "sim"),
     "core": ("net", "sim"),
 }
@@ -83,7 +85,8 @@ def test_fault_and_reconfig_layers_know_one_delivery_event_type():
 
 #: The operation path both runtimes share: written once, on ``ReplicaHost``.
 HOST_OPERATION_PATH = ("perform_write", "perform_read", "deliver",
-                       "_apply_ready", "_note_issue", "_record_operation")
+                       "_apply_ready", "_note_applies", "_note_issue",
+                       "_record_operation")
 
 
 def test_no_replica_host_subclass_forks_the_operation_path():
@@ -134,6 +137,37 @@ def test_only_the_operation_path_books_an_operation():
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
         and call.func.attr in HOST_BOOKKEEPING
     ]
+    assert not offending, "\n".join(offending)
+
+
+#: A host's apply books: only ``ReplicaHost._note_applies`` fills them.
+HOST_APPLY_BOOKS = ("applies", "apply_times", "apply_latencies")
+
+
+def test_only_the_host_books_an_apply():
+    """No module under ``src/`` but ``core/host.py`` writes a host's
+    ``.metrics.applies``, ``.apply_times`` or ``.apply_latencies`` (an
+    assignment to one, or a call of a method on one): an apply made
+    outside the delivery path is booked through the host, so it gets the
+    latency sample, trace record and hooks every other apply gets."""
+    def is_book(node):
+        return (isinstance(node, ast.Attribute) and node.attr in HOST_APPLY_BOOKS
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "metrics")
+
+    offending = []
+    for path in sorted(ROOT.rglob("*.py")):
+        if path == ROOT / "core" / "host.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            targets = ()
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else (node.target,)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                targets = (node.func.value,)
+            offending += [f"{path.relative_to(ROOT.parent)}:{node.lineno} "
+                          f"{ast.unparse(target)}" for target in targets
+                          if is_book(target)]
     assert not offending, "\n".join(offending)
 
 

@@ -35,6 +35,7 @@ from repro.obs import (
     fold_samples,
     load_metrics_jsonl,
     load_trace_jsonl,
+    node_transport_table,
     publish_epoch_segments,
     registry_for_sim,
     stage_breakdown,
@@ -415,6 +416,30 @@ class TestEpochByteTable:
         assert rows[0]["messages"] > 0
         assert rows[0]["bound_counters"] is None
         assert rows[0]["counters_vs_bound"] is None
+
+
+class TestNodeTransportTable:
+    def test_columns_are_read_off_the_node_families(self):
+        """Every ``repro_node_*`` family with only a ``node`` label is a
+        column, a made-up one included; families with other labels are
+        not, and a node that did not report a family reads 0."""
+        registry = MetricsRegistry()
+        fold_samples(registry, [
+            ("repro_node_socket_writes_total", (("node", "n1"),), 7.0),
+            ("repro_node_made_up_widgets_total", (("node", "n1"),), 3.0),
+            ("repro_node_wal_checkpoint_seconds_total", (("node", "n1"),), 0.25),
+            ("repro_node_socket_writes_total", (("node", "n2"),), 1.0),
+            ("repro_node_pending_depth", (("replica", "1"),), 4.0),
+            ("repro_node_wire_messages_total", (("dst", "2"), ("src", "1")), 9.0),
+        ])
+        rows = node_transport_table(registry.snapshot())
+        assert rows == [
+            {"node": "n1", "made_up_widgets": 3, "socket_writes": 7,
+             "wal_checkpoint_seconds": 0.25},
+            {"node": "n2", "made_up_widgets": 0, "socket_writes": 1,
+             "wal_checkpoint_seconds": 0.0},
+        ]
+        assert type(rows[0]["socket_writes"]) is int
 
 
 # ======================================================================

@@ -45,8 +45,14 @@ from repro.sim.reconfig import (
     membership_change_of,
     random_churn_schedule,
     remove_edge,
+    topological_update_order,
 )
-from repro.sim.topologies import figure5_placement, ring_placement, tree_placement
+from repro.sim.topologies import (
+    figure5_placement,
+    ring_placement,
+    tree_placement,
+    triangle_placement,
+)
 from repro.sim.workloads import Operation, poisson_workload_dynamic, run_open_loop
 from repro.topo import LatencyDelayModel, TopologyError, geo_regions
 from repro.wire.membership import decode_membership_change, encode_membership_change
@@ -904,3 +910,34 @@ class TestLatencyDelayModelReconfig:
         result = run_open_loop(cluster, workload)
         assert result.consistent
         assert model.node_of(5) == joiner_node
+
+
+class TestForcedApplies:
+    def test_a_forced_apply_is_booked_by_the_host(self):
+        """A copy still blocked at the commit is force-applied by the
+        coordinator and booked like every other apply: a traced ``apply``,
+        a latency sample and a count in ``reconfig_forced_applies``."""
+        graph = ShareGraph.from_placement(triangle_placement())
+        cluster = Cluster(graph, delay_model=FixedDelay(1.0), seed=1)
+        recorder = cluster.enable_tracing()
+        manager = ReconfigManager(cluster)
+        # Replica 3 buffers y behind z, whose channel is held.
+        cluster.network.hold(1, 3)
+        cluster.write(1, "z", "z1")
+        cluster.write(1, "x", "x1")
+        cluster.run_until_quiescent()
+        cluster.write(2, "y", "y1")
+        cluster.run_until_quiescent()
+        replica = cluster.replicas[3]
+        (blocked,) = replica.pending
+        applies, samples = cluster.metrics.applies, len(cluster.metrics.apply_latencies)
+
+        order, _ = topological_update_order(cluster.events_by_replica())
+        manager._drain_residual(order)
+
+        assert not replica.pending and replica.has_applied(blocked)
+        assert cluster.metrics.reconfig_forced_applies == 1
+        assert cluster.metrics.applies == applies + 1
+        assert len(cluster.metrics.apply_latencies) == samples + 1
+        assert (cluster.now, "apply", blocked, blocked[0], 3) in [
+            tuple(event) for event in recorder.events]

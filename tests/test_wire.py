@@ -656,10 +656,11 @@ def _noop_timer():
 
 class TestWireOverheadExperiment:
     def test_e16_rows_well_formed_and_delta_wins(self):
+        from repro.analysis import render_rows
         from repro.analysis.experiments import (
+            WireOverheadRow,
             exp_wire_overhead,
             render_wire_channels,
-            render_wire_overhead,
         )
 
         rows = exp_wire_overhead(ops=60, windows=(None, (8, 4.0)))
@@ -680,7 +681,7 @@ class TestWireOverheadExperiment:
         # cell of the sweep.
         windowed = [row for row in rows if row.window != "off"]
         assert all(row.delta_savings > 0 for row in windowed)
-        table = render_wire_overhead(rows)
+        table = render_rows(WireOverheadRow, rows)
         assert "bound B/msg" in table
 
         graph = ShareGraph.from_placement(figure5_placement())
