@@ -1,168 +1,126 @@
-"""Timestamp kernels: one-pass merge and delivery-predicate evaluation.
+"""Timestamp kernels: advance, merge and delivery-predicate evaluation.
 
-These are the per-apply inner loops of every replica family, extracted from
-:mod:`repro.core.replica` / :mod:`repro.baselines.vector_clock_full` so they
-(a) run over raw counter dicts with no wrapper-method calls and (b) compile
-under mypyc (see :mod:`repro._speedups`).  Counter keys are replica ids for
-vector clocks and ``(tail, head)`` edge tuples for edge-indexed timestamps;
-both are opaque here.
+These are the per-write and per-apply inner loops of every replica family,
+over positional timestamps (:mod:`repro.core.timestamps`): counter lists
+aligned to an interned index set, read and written at positions the caller
+precomputed once per index set.  No kernel hashes an index entry, and all
+compile under mypyc (see :mod:`repro._speedups`).
 
-Semantics are pinned by the callers' reference implementations: the merge
-kernels return *fresh* dicts (the caller wraps them in an immutable
-timestamp via its ``_from_validated`` constructor) plus the raised entries
-in the deterministic order the pending index's wake keys rely on, and the
-blocking kernels return exactly the wake key the first failing conjunct of
-the delivery predicate defines — or ``None`` when the predicate holds.
+Semantics are pinned by the callers' reference implementations: the
+kernels never mutate their inputs (a raised counter goes into a fresh
+list, which the caller wraps in a new immutable timestamp), report raised
+positions in the local index order — the sorted order the pending index's
+wake keys rely on — and the blocking kernels return exactly the wake key
+the first failing conjunct of the delivery predicate defines, or ``None``
+when the predicate holds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 
-def merge_union(
-    local: Dict[Any, int], remote: Dict[Any, int]
-) -> Tuple[Dict[Any, int], List[Tuple[Any, int]]]:
-    """Element-wise max over the *union* of index sets (vector-clock merge).
+def advance(values: List[int], positions: Tuple[int, ...]) -> List[int]:
+    """A copy of ``values`` with the counter at each of ``positions`` + 1."""
+    bumped = values.copy()
+    for position in positions:
+        bumped[position] += 1
+    return bumped
 
-    Returns ``(merged, changed)`` where ``changed`` lists the ``(key, new
-    value)`` entries the merge raised, in the remote dict's iteration order
-    (the order the reference implementation produced).
+
+def merge_pairs(
+    local: List[int], remote: List[int], pairs: Tuple[Tuple[int, int], ...]
+) -> Tuple[List[int], List[int]]:
+    """Element-wise max of ``remote`` into ``local`` over a gather map.
+
+    ``pairs`` holds ``(local position, remote position)`` of every shared
+    entry, in local order.  Returns ``(merged, raised)``: ``raised`` lists
+    the local positions the merge raised, in that order, and ``merged`` is
+    ``local`` itself when it is empty (nothing to copy), a fresh list
+    otherwise.
     """
-    merged: Dict[Any, int] = dict(local)
-    changed: List[Tuple[Any, int]] = []
-    for key, value in remote.items():
-        current = merged.get(key)
-        if current is None:
-            # Union semantics: a remote-only entry joins the index set even
-            # at zero (it only counts as *changed* when it raised a value).
-            merged[key] = value
-            if value > 0:
-                changed.append((key, value))
-        elif value > current:
-            merged[key] = value
-            changed.append((key, value))
-    return merged, changed
-
-
-def merge_intersection(
-    local: Dict[Any, int], remote: Dict[Any, int], me: Any
-) -> Tuple[Dict[Any, int], List[Tuple[Any, int]]]:
-    """Element-wise max over the *intersection* of index sets (edge merge).
-
-    Entries absent from ``local`` are ignored — the paper's ``merge`` keeps
-    ``τ_i`` fixed outside ``E_i ∩ E_k``.  ``changed`` lists only the raised
-    *incoming* entries (edges whose head is ``me`` — the only counters the
-    delivery predicate reads), sorted, matching the deterministic
-    incoming-edge order the reference implementation walked.
-    """
-    merged: Dict[Any, int] = dict(local)
-    changed: List[Tuple[Any, int]] = []
-    for key, value in remote.items():
-        current = merged.get(key)
-        if current is not None and value > current:
-            merged[key] = value
-            if key[1] == me:
-                changed.append((key, value))
-    if len(changed) > 1:
-        changed.sort()
-    return merged, changed
-
-
-def vector_blocking_key(
-    local: Dict[Any, int], remote: Dict[Any, int], sender: Any
-) -> Optional[Tuple]:
-    """The classical causal-broadcast condition, as a wake key (or ``None``).
-
-    ``("seq", k, n)`` when the FIFO conjunct ``T[k] = τ[k] + 1`` fails;
-    ``("ge", j)`` for the first other entry with ``T[j] > τ[j]``; ``None``
-    when the message is applicable now.
-    """
-    n = remote.get(sender, 0)
-    if n != local.get(sender, 0) + 1:
-        return ("seq", sender, n)
-    for key, value in remote.items():
-        if value > local.get(key, 0) and key != sender:
-            return ("ge", key)
-    return None
+    merged = local
+    raised: List[int] = []
+    for lp, rp in pairs:
+        value = remote[rp]
+        if value > merged[lp]:
+            if not raised:
+                merged = local.copy()
+            merged[lp] = value
+            raised.append(lp)
+    return merged, raised
 
 
 def vector_try_apply(
-    local: Dict[Any, int],
-    remote: Dict[Any, int],
-    sender: Any,
+    local: List[int],
+    remote: List[int],
+    entries: Tuple[Any, ...],
+    sender: int,
     remote_total: int = -1,
-) -> Tuple[Optional[Tuple], Optional[Dict[Any, int]], Optional[List[Tuple[Any, int]]]]:
+) -> Tuple[Optional[Tuple], Optional[List[int]], Optional[List[Tuple[Any, int]]]]:
     """Fused delivery check + merge for vector clocks: one scan, not two.
 
-    When the delivery condition fails, returns ``(wake_key, None, None)``
-    with exactly the key :func:`vector_blocking_key` would report.  When it
-    holds, the merge outcome is already determined by the condition itself —
+    ``local`` and ``remote`` share the index set ``entries``; ``sender`` is
+    the sender's position in it.  When the classical causal-broadcast
+    condition fails, returns ``(wake_key, None, None)``: ``("seq", k, n)``
+    when the FIFO conjunct ``T[k] = τ[k] + 1`` fails, ``("ge", j)`` for the
+    first other entry with ``T[j] > τ[j]``.  When it holds, the merge
+    outcome is already determined by the condition itself —
     ``T[sender] = τ[sender] + 1`` and ``T[j] ≤ τ[j]`` everywhere else — so
-    the same scan that verified it returns ``(None, merged, changed)``:
-    ``merged`` is ``τ`` with the sender entry bumped to ``n`` (plus any
-    remote-only zero entries, preserving the union index set) and
-    ``changed`` is ``[(sender, n)]``, exactly what
-    :func:`merge_union` would compute.  The caller applies the message and
-    adopts ``merged`` without a second pass over the counters.
+    the same scan returns ``(None, merged, changed)``: ``merged`` is ``τ``
+    with the sender entry bumped to ``n`` and ``changed`` is
+    ``[(sender id, n)]``, exactly what a union merge would compute.
 
-    ``remote_total``, when ≥ 0, is ``sum(remote.values())`` (callers cache
-    it on the immutable timestamp).  It enables an exact no-scan accept: the
-    FIFO conjunct already pins ``T[sender] = n``, so ``remote_total == n``
-    means every other entry of ``T`` is zero and the monotone conjuncts
-    ``T[j] ≤ τ[j]`` all hold trivially — the common case for concurrent
-    writers whose updates carry no cross-replica dependencies.
+    ``remote_total``, when ≥ 0, is ``sum(remote)`` (callers cache it on the
+    immutable timestamp).  It enables an exact no-scan accept: the FIFO
+    conjunct already pins ``T[sender] = n``, so ``remote_total == n`` means
+    every other entry of ``T`` is zero and the monotone conjuncts all hold
+    trivially — the common case for concurrent writers whose updates carry
+    no cross-replica dependencies.
     """
-    n = remote.get(sender, 0)
-    if n != local.get(sender, 0) + 1:
-        return ("seq", sender, n), None, None
-    if remote_total == n and remote.keys() == local.keys():
-        merged = dict(local)
-        merged[sender] = n
-        return None, merged, [(sender, n)]
-    extra: Optional[List[Any]] = None
-    for key, value in remote.items():
-        if key == sender:
-            continue
-        current = local.get(key)
-        if current is None:
-            if value > 0:
-                return ("ge", key), None, None
-            if extra is None:
-                extra = [key]
-            else:
-                extra.append(key)
-        elif value > current:
-            return ("ge", key), None, None
-    merged = dict(local)
+    n = remote[sender]
+    if n != local[sender] + 1:
+        return ("seq", entries[sender], n), None, None
+    if remote_total != n:
+        for position in range(len(remote)):
+            if remote[position] > local[position] and position != sender:
+                return ("ge", entries[position]), None, None
+    merged = local.copy()
     merged[sender] = n
-    if extra is not None:
-        for key in extra:
-            merged[key] = 0
-    return None, merged, [(sender, n)]
+    return None, merged, [(entries[sender], n)]
 
 
 def edge_blocking_key(
-    local: Dict[Any, int],
-    remote: Dict[Any, int],
+    local: List[int],
+    remote: List[int],
     sender: Any,
     me: Any,
-    incoming: Tuple[Any, ...],
+    fifo: Tuple[Tuple[Any, int, int], ...],
+    monotone: Tuple[Tuple[Any, int, int], ...],
 ) -> Optional[Tuple]:
     """Predicate ``J(i, τ_i, k, T)`` of the paper, as a wake key (or ``None``).
 
-    ``incoming`` is the precomputed sorted tuple of ``e_ji ∈ E_i`` — the
-    only entries the predicate reads — so the scan never materialises the
-    index-set intersection.
+    ``fifo`` and ``monotone`` are the replica's predicate plan for the
+    remote index set (:func:`repro.core.timestamps.predicate_plan`):
+    ``(edge, local position, remote position)`` of the incoming edges,
+    ``-1`` where a side does not index one.  The FIFO conjunct's edge
+    ``e_ki`` is found in ``fifo`` by its tail, so the plan serves every
+    sender over the same index set.
     """
-    ki = (sender, me)
-    n = remote.get(ki, 0)
-    if local.get(ki, 0) != n - 1:
-        return ("seq", ki, n)
-    for e in incoming:
-        if e[0] == sender:
-            continue
-        value = remote.get(e)
-        if value is not None and local.get(e, 0) < value:
-            return ("ge", e)
+    ki: Any = None
+    have = 0
+    n = 0
+    for edge, lp, rp in fifo:
+        if edge[0] == sender:
+            ki = edge
+            if lp >= 0:
+                have = local[lp]
+            if rp >= 0:
+                n = remote[rp]
+            break
+    if have != n - 1:
+        return ("seq", (sender, me) if ki is None else ki, n)
+    for edge, lp, rp in monotone:
+        if local[lp] < remote[rp] and edge[0] != sender:
+            return ("ge", edge)
     return None

@@ -20,7 +20,9 @@ byte strings.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple, Union
+from itertools import compress
+from operator import ne
+from typing import Any, List, Tuple, Union
 
 from ..core.errors import WireFormatError
 
@@ -150,67 +152,69 @@ def decode_atom(data: Any, offset: int = 0) -> Tuple[Atom, int]:
     raw = data[offset:end]
     if not isinstance(raw, bytes):
         raw = bytes(raw)
-    return raw.decode("utf-8"), end
+    try:
+        return raw.decode("utf-8"), end
+    except UnicodeDecodeError:
+        raise WireFormatError("string atom is not UTF-8") from None
 
 
 # ----------------------------------------------------------------------
 # Counter bodies of the timestamp codecs
 # ----------------------------------------------------------------------
-# ``index`` is a codec layout's canonical entry order; ``atoms`` the
-# pre-encoded bytes written before each entry's counter.  Counters are
-# non-negative, so a value below 0x80 is its own one-byte varint.
+# A timestamp's counters are a list aligned to its index set's canonical
+# (wire) order; ``atoms`` are a codec layout's pre-encoded bytes written
+# before each counter.  Counters are non-negative, so a value below 0x80 is
+# its own one-byte varint.
 
 def encode_counters_into(out: bytearray, atoms: Tuple[bytes, ...],
-                         index: Tuple[Any, ...], counters: Dict[Any, int]) -> None:
-    """Append ``atom, uvarint(counter)`` for every entry of ``index``."""
-    for k in range(len(index)):
+                         values: List[int]) -> None:
+    """Append ``atom, uvarint(counter)`` for every position."""
+    for k in range(len(values)):
         out += atoms[k]
-        value = counters[index[k]]
+        value = values[k]
         if value < 0x80:
             out.append(value)
         else:
             encode_uvarint_into(out, value)
 
 
-def encode_counter_delta_into(out: bytearray, index: Tuple[Any, ...],
-                              counters: Dict[Any, int],
-                              previous: Dict[Any, int]) -> int:
-    """Append the delta body of ``counters`` against ``previous``.
+def counter_bytes(values: List[int]) -> int:
+    """Total varint size of the counters."""
+    total = len(values)
+    for value in values:
+        if value > 0x7F:
+            total += uvarint_size(value) - 1
+    return total
 
-    The body is the number of raised entries, then ``(index gap, value
-    delta)`` per raised entry in ``index`` order (``previous``'s entries).
-    Returns how many bytes the raised counters' varints grew by, or ``-1``
-    — with nothing appended — when no delta applies: the key sets differ
-    or a counter decreased.
+
+def encode_counter_delta_into(out: bytearray, values: List[int],
+                              previous: List[int]) -> int:
+    """Append the delta body of ``values`` against ``previous``.
+
+    Both lists are aligned to one index set.  The body is the number of
+    raised positions, then ``(position gap, value delta)`` per raised
+    position in order.  Returns how many bytes the raised counters' varints
+    grew by, or ``-1`` — with nothing appended — when no delta applies: the
+    lengths differ or a counter decreased.
     """
-    if len(counters) != len(previous):
+    if len(values) != len(previous):
         return -1
-    positions: List[int] = []
-    steps: List[int] = []
+    raised = list(compress(range(len(values)), map(ne, values, previous)))
     grown = 0
-    try:
-        for position, entry in enumerate(index):
-            old = previous[entry]
-            step = counters[entry] - old
-            if step:
-                if step < 0:
-                    return -1
-                positions.append(position)
-                steps.append(step)
-                # A varint can only grow when the bit length does, and
-                # ``new ^ old >= old`` exactly when ``new`` has a higher bit.
-                new = old + step
-                if new > 0x7F and new ^ old >= old:
-                    grown += uvarint_size(new) - uvarint_size(old)
-    except KeyError:
-        # Equal sizes, but an entry of ``previous`` is missing.
-        return -1
-    encode_uvarint_into(out, len(positions))
+    for position in raised:
+        old = previous[position]
+        new = values[position]
+        if new < old:
+            return -1
+        # A varint can only grow when the bit length does, and
+        # ``new ^ old >= old`` exactly when ``new`` has a higher bit.
+        if new > 0x7F and new ^ old >= old:
+            grown += uvarint_size(new) - uvarint_size(old)
+    encode_uvarint_into(out, len(raised))
     last = -1
-    for k in range(len(positions)):
-        position = positions[k]
+    for position in raised:
         gap = position - last - 1
-        step = steps[k]
+        step = values[position] - previous[position]
         if gap < 0x80 and step < 0x80:
             out.append(gap)
             out.append(step)
@@ -219,6 +223,32 @@ def encode_counter_delta_into(out: bytearray, index: Tuple[Any, ...],
             encode_uvarint_into(out, step)
         last = position
     return grown
+
+
+def apply_counter_delta(data: Any, offset: int, values: List[int]) -> int:
+    """Apply the delta body at ``offset`` to ``values`` in place; returns
+    the offset past it.
+
+    ``values`` is the caller's copy of the previous timestamp's counters.
+    Each raised position takes at least two bytes, so a count the body
+    cannot hold, or beyond the number of counters, is rejected before any
+    work, as is a gap that runs past the last position.
+    """
+    count, offset = decode_uvarint(data, offset)
+    size = len(values)
+    if count > size or 2 * count > len(data) - offset:
+        raise WireFormatError(
+            f"delta frame raises {count} counters; the timestamp has {size}"
+        )
+    position = -1
+    for _ in range(count):
+        gap, offset = decode_uvarint(data, offset)
+        step, offset = decode_uvarint(data, offset)
+        position += gap + 1
+        if position >= size:
+            raise WireFormatError("delta frame indexes past the previous timestamp")
+        values[position] += step
+    return offset
 
 
 # ----------------------------------------------------------------------

@@ -17,13 +17,13 @@ graph's structure).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 from .._speedups import tsops
 from ..core.protocol import CausalReplica, UpdateMessage
 from ..core.registers import Register, ReplicaId
 from ..core.share_graph import ShareGraph
-from ..core.timestamps import EdgeTimestamp
+from ..core.timestamps import EdgeTimestamp, incoming_mask, predicate_plan
 from ..wire.codecs import MATRIX_CODEC
 
 
@@ -46,9 +46,13 @@ class FullTrackReplica(CausalReplica):
             if a != b
         ]
         self.matrix = EdgeTimestamp.zero(all_pairs)
-        self._incoming_pairs = tuple(
-            sorted((j, replica_id) for j in share_graph.replica_ids if j != replica_id)
-        )
+        #: Per position of the matrix: is the entry an incoming pair ``(j, i)``?
+        self._incoming = incoming_mask(self.matrix.index, replica_id)
+        #: The predicate plan for a matrix over this one's index set (every
+        #: replica's, on one share graph).
+        self._plan = predicate_plan(self.matrix.index, self.matrix.index, replica_id)
+        #: ``register -> positions of the (self, co-owner) pairs a write bumps``.
+        self._bumped: Dict[Register, Tuple[int, ...]] = {}
         #: ``(pair, new value)`` incoming entries raised by the latest merge.
         self._changed_incoming: list = []
 
@@ -65,8 +69,13 @@ class FullTrackReplica(CausalReplica):
 
     def make_metadata(self, register: Register) -> Tuple[EdgeTimestamp, int]:
         """Increment the (self, destination) entries for co-owners of ``register``."""
-        bumped = [(self.replica_id, dest) for dest in self.destinations(register)]
-        self.matrix = self.matrix.incremented(bumped)
+        bumped = self._bumped.get(register)
+        if bumped is None:
+            position = self.matrix.index.position
+            bumped = self._bumped[register] = tuple(
+                position[(self.replica_id, dest)] for dest in self.destinations(register)
+            )
+        self.matrix = self.matrix.advanced(bumped)
         return self.matrix, self.matrix.size_counters()
 
     def can_apply(self, message: UpdateMessage) -> bool:
@@ -81,11 +90,13 @@ class FullTrackReplica(CausalReplica):
 
         Records the incoming entries the merge raised, for the pending index.
         """
-        merged, changed = tsops.merge_intersection(
-            self.matrix.counters, message.metadata.counters, self.replica_id
+        matrix, remote = self.matrix, message.metadata
+        merged, raised = tsops.merge_pairs(
+            matrix.values, remote.values, matrix.index.gather(remote.index)
         )
-        self.matrix = EdgeTimestamp._from_validated(merged)
-        self._changed_incoming = changed
+        entries, incoming = matrix.index.entries, self._incoming
+        self.matrix = EdgeTimestamp._of(matrix.index, merged) if raised else matrix
+        self._changed_incoming = [(entries[p], merged[p]) for p in raised if incoming[p]]
 
     # ------------------------------------------------------------------
     # Pending-index hooks
@@ -96,12 +107,12 @@ class FullTrackReplica(CausalReplica):
         Same key scheme as the paper's replica: ``("seq", (k, i), n)`` for
         the FIFO equality, ``("ge", (j, i))`` for the monotone conjuncts.
         """
+        matrix, remote = self.matrix, message.metadata
+        plan = self._plan
+        if remote.index is not matrix.index:
+            plan = predicate_plan(matrix.index, remote.index, self.replica_id)
         return tsops.edge_blocking_key(
-            self.matrix.counters,
-            message.metadata.counters,
-            message.sender,
-            self.replica_id,
-            self._incoming_pairs,
+            matrix.values, remote.values, message.sender, self.replica_id, *plan
         )
 
     def applied_keys(self, message: UpdateMessage) -> Iterable[Hashable]:

@@ -40,10 +40,10 @@ class FullReplicationReplica(CausalReplica):
         #: ``(replica id, new value)`` entries raised by the latest merge.
         self._changed_entries: list = []
         #: Merge outcome produced by the fused check in :meth:`blocking_key`:
-        #: ``(update, base vector, merged counters, changed)``.  Valid only
-        #: for the exact same update object while the base vector is still
-        #: current — :meth:`absorb_metadata` checks both (by identity)
-        #: before consuming it.
+        #: ``(update, base vector, merged vector, changed)``.  Valid only for the
+        #: exact same update object while the base vector is still current
+        #: — :meth:`absorb_metadata` checks both (by identity) before
+        #: consuming it.
         self._fused_merge: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -81,14 +81,15 @@ class FullReplicationReplica(CausalReplica):
             # The fused check in :meth:`blocking_key` already produced the
             # merge for exactly this message against exactly this vector.
             self._fused_merge = None
-            self.vector = VectorTimestamp._from_validated(fused[2])
-            self._changed_entries = fused[3]
+            self.vector, self._changed_entries = fused[2], fused[3]
             return
-        merged, changed = tsops.merge_union(
-            self.vector.counters, message.metadata.counters
+        local, remote = self.vector.aligned(message.metadata)
+        merged, raised = tsops.merge_pairs(
+            local.values, remote.values, local.index.gather(local.index)
         )
-        self.vector = VectorTimestamp._from_validated(merged)
-        self._changed_entries = changed
+        self.vector = VectorTimestamp._of(local.index, merged) if raised else local
+        entries = local.index.entries
+        self._changed_entries = [(entries[p], merged[p]) for p in raised]
 
     # ------------------------------------------------------------------
     # Pending-index hooks
@@ -100,24 +101,19 @@ class FullReplicationReplica(CausalReplica):
         ``T[k] = τ[k] + 1`` (woken when ``τ[k]`` reaches ``n − 1``);
         ``("ge", j)`` wakes whenever entry ``j`` grows.
         """
-        remote: VectorTimestamp = message.metadata
-        local = self.vector.counters
-        remote_counters = remote.counters
-        sender = message.sender
-        n = remote_counters.get(sender, 0)
-        if local.get(sender, 0) != n - 1:
-            # The FIFO conjunct fails; don't touch the other entries (or the
-            # cached total) at all — a long out-of-order run from one sender
-            # rechecks here once per apply.
-            return ("seq", sender, n)
-        total = remote.__dict__.get("_total")
-        if total is None:
-            total = remote.total()
+        local, remote = self.vector.aligned(message.metadata)
+        sender = local.index.position.get(message.sender)
+        if sender is None:
+            # Neither vector indexes the sender: its entry reads 0 in both.
+            return ("seq", message.sender, 0)
         key, merged, changed = tsops.vector_try_apply(
-            local, remote_counters, sender, total
+            local.values, remote.values, local.index.entries, sender, remote.total()
         )
         if key is None:
-            self._fused_merge = (message.update, self.vector, merged, changed)
+            self._fused_merge = (
+                message.update, self.vector,
+                VectorTimestamp._of(local.index, merged), changed,
+            )
         return key
 
     def applied_keys(self, message: UpdateMessage) -> Iterable[Hashable]:

@@ -87,10 +87,7 @@ class ClientAgent:
     # ------------------------------------------------------------------
     def absorb_response(self, server_timestamp: EdgeTimestamp) -> None:
         """Fold a server's reply timestamp into ``µ_c``."""
-        shared = self.timestamp.edges & server_timestamp.edges
-        self.timestamp = self.timestamp.merged_with(
-            server_timestamp, shared_edges=shared
-        )
+        self.timestamp = self.timestamp.merged_with(server_timestamp)
 
     def record(self, kind: str, replica_id: ReplicaId, register: Register,
                value: Any, sim_time: float) -> None:

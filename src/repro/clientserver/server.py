@@ -91,13 +91,13 @@ class ClientServerReplica(EdgeIndexedReplica):
     # ------------------------------------------------------------------
     def request_ready(self, request: ClientRequest) -> bool:
         """Predicate ``J1 = J2``: the server has seen everything the client has."""
-        i = self.replica_id
-        for e in self.timestamp.edges:
-            if e[1] != i:
-                continue
-            if self.timestamp.get(e) < request.client_timestamp.get(e):
-                return False
-        return True
+        tau, mu = self.timestamp, request.client_timestamp
+        local, remote, incoming = tau.values, mu.values, self._incoming
+        return all(
+            local[p] >= remote[q]
+            for p, q in tau.index.gather(mu.index)
+            if incoming[p]
+        )
 
     def take_ready(self) -> List[ClientRequest]:
         """Take the buffered requests whose predicate now holds out of the

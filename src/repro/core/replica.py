@@ -31,7 +31,7 @@ from .protocol import CausalReplica, UpdateMessage
 from .registers import Register, ReplicaId
 from .share_graph import Edge, ShareGraph
 from .timestamp_graph import TimestampGraph
-from .timestamps import EdgeTimestamp
+from .timestamps import EdgeTimestamp, IndexSet, PlanEntry, incoming_mask, predicate_plan
 
 
 class EdgeIndexedReplica(CausalReplica):
@@ -63,42 +63,50 @@ class EdgeIndexedReplica(CausalReplica):
         )
         #: The current edge-indexed timestamp ``τ_i``.
         self.timestamp: EdgeTimestamp = EdgeTimestamp.zero(self.timestamp_graph.edges)
-        #: The incoming edges ``e_ji ∈ E_i`` — the only entries the delivery
-        #: predicate reads — in deterministic order, so the hot path never
-        #: materialises the full edge-set intersection.
-        self._incoming_edges: Tuple[Tuple[ReplicaId, ReplicaId], ...] = tuple(
-            sorted(e for e in self.timestamp_graph.edges if e[1] == replica_id)
-        )
+        self._reset_index_caches()
+
+    def _reset_index_caches(self) -> None:
+        """Forget what was derived from ``E_i`` (at construction and on
+        every epoch migration)."""
+        #: Per position of ``τ_i``: is the entry an incoming edge ``e_ji``?
+        self._incoming: List[bool] = incoming_mask(self.timestamp.index, self.replica_id)
         #: ``(edge, new value)`` of the incoming entries raised by the most
         #: recent merge; feeds :meth:`applied_keys`.
-        self._changed_incoming: List[Tuple[Tuple[ReplicaId, ReplicaId], int]] = []
-        #: ``register -> the outgoing edges advance bumps on a write of it``,
-        #: filled on first write and cleared when ``E_i`` changes.
-        self._bumped: Dict[Register, Tuple[Edge, ...]] = {}
+        self._changed_incoming: List[Tuple[Edge, int]] = []
+        #: ``register -> positions of the outgoing edges advance bumps``.
+        self._bumped: Dict[Register, Tuple[int, ...]] = {}
+        #: ``register -> C(x)`` minus this replica: the write's destinations.
+        self._destinations: Dict[Register, Tuple[ReplicaId, ...]] = {}
+        #: ``remote index set -> predicate plan`` (:func:`predicate_plan`).
+        self._plans: Dict[IndexSet, Tuple[Tuple[PlanEntry, ...], Tuple[PlanEntry, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Protocol hooks
     # ------------------------------------------------------------------
     def destinations(self, register: Register) -> Sequence[ReplicaId]:
         """Every other replica that stores ``register`` (step 2(iii))."""
-        return tuple(
-            rid
-            for rid in self.share_graph.replicas_storing(register)
-            if rid != self.replica_id
-        )
+        destinations = self._destinations.get(register)
+        if destinations is None:
+            destinations = self._destinations[register] = tuple(
+                rid
+                for rid in self.share_graph.replicas_storing(register)
+                if rid != self.replica_id
+            )
+        return destinations
 
     def make_metadata(self, register: Register) -> Tuple[EdgeTimestamp, int]:
         """``advance``: bump the counters of edges towards co-owners of ``register``."""
         bumped = self._bumped.get(register)
         if bumped is None:
             i = self.replica_id
+            position = self.timestamp.index.position
             bumped = self._bumped[register] = tuple(
-                (i, k)
+                position[(i, k)]
                 for (j, k) in self.timestamp_graph.edges
                 if j == i and register in self.share_graph.shared_registers(i, k)
             )
-        self.timestamp = self.timestamp.incremented(bumped)
-        return self.timestamp, self.timestamp.size_counters()
+        self.timestamp = timestamp = self.timestamp.advanced(bumped)
+        return timestamp, len(timestamp.values)
 
     def can_apply(self, message: UpdateMessage) -> bool:
         """Predicate ``J(i, τ_i, k, T)`` of Section 3.3.
@@ -116,12 +124,19 @@ class EdgeIndexedReplica(CausalReplica):
         the pending index uses to wake just the plausibly unblocked
         messages (:meth:`applied_keys`).
         """
+        tau = self.timestamp
         remote: EdgeTimestamp = message.metadata
-        merged, changed = tsops.merge_intersection(
-            self.timestamp.counters, remote.counters, self.replica_id
+        merged, raised = tsops.merge_pairs(
+            tau.values, remote.values, tau.index.gather(remote.index)
         )
-        self.timestamp = self.timestamp.successor(merged)
-        self._changed_incoming = changed
+        if raised:
+            self.timestamp = EdgeTimestamp._of(tau.index, merged)
+            entries, incoming = tau.index.entries, self._incoming
+            self._changed_incoming = [
+                (entries[p], merged[p]) for p in raised if incoming[p]
+            ]
+        else:
+            self._changed_incoming = []
 
     # ------------------------------------------------------------------
     # Pending-index hooks
@@ -129,10 +144,10 @@ class EdgeIndexedReplica(CausalReplica):
     def blocking_key(self, message: UpdateMessage) -> Optional[Hashable]:
         """One-pass evaluation of predicate ``J``: ``None``, or a wake key.
 
-        Only the incoming edges of ``E_i`` that are also indexed by the
-        sender matter, so the scan walks the precomputed incoming-edge
-        list instead of materialising ``E_i ∩ E_k``.  Two kinds of key
-        mirror the two kinds of conjunct:
+        Only the incoming edges matter, at positions the replica's
+        predicate plan for the sender's index set holds (built on the first
+        message over that set).  Two kinds of key mirror the two kinds of
+        conjunct:
 
         * ``("seq", e_ki, n)`` — the FIFO equality ``τ_i[e_ki] = T[e_ki] − 1``
           failed; the message wakes exactly when ``τ_i[e_ki]`` reaches
@@ -142,12 +157,15 @@ class EdgeIndexedReplica(CausalReplica):
         * ``("ge", e_ji)`` — a monotone conjunct ``τ_i[e_ji] ≥ T[e_ji]``
           failed; the message wakes whenever that entry grows.
         """
+        remote = message.metadata
+        plan = self._plans.get(remote.index)
+        if plan is None:
+            plan = self._plans[remote.index] = predicate_plan(
+                self.timestamp.index, remote.index, self.replica_id
+            )
         return tsops.edge_blocking_key(
-            self.timestamp.counters,
-            message.metadata.counters,
-            message.sender,
-            self.replica_id,
-            self._incoming_edges,
+            self.timestamp.values, remote.values, message.sender,
+            self.replica_id, plan[0], plan[1],
         )
 
     def applied_keys(self, message: UpdateMessage) -> Iterable[Hashable]:
@@ -190,11 +208,7 @@ class EdgeIndexedReplica(CausalReplica):
         self.share_graph = new_graph
         self.timestamp_graph = self._rebuild_timestamp_graph(new_graph)
         self.timestamp = self.timestamp.migrated(self.timestamp_graph.edges)
-        self._incoming_edges = tuple(
-            sorted(e for e in self.timestamp_graph.edges if e[1] == self.replica_id)
-        )
-        self._changed_incoming = []
-        self._bumped = {}
+        self._reset_index_caches()
         self._migrate_common(new_graph.registers_at(self.replica_id), epoch)
 
 

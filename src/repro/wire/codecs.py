@@ -40,10 +40,13 @@ import pickle
 import struct
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
+from ..core.errors import ProtocolError
 from ..core.protocol import BootstrapMetadata
-from ..core.timestamps import EdgeTimestamp, VectorTimestamp
+from ..core.timestamps import EdgeTimestamp, VectorTimestamp, known_index_set
 from .primitives import (
     WireFormatError,
+    apply_counter_delta,
+    counter_bytes,
     decode_atom,
     decode_bytes,
     decode_svarint,
@@ -63,17 +66,17 @@ MODE_DELTA = 1
 
 
 class Layout(NamedTuple):
-    """What an index set costs on the wire, whatever its counter values.
+    """One family's wire form of an index set, whatever its counter values.
 
-    Built once per index set (:meth:`TimestampCodec.layout_of`) and then
-    inherited by every later timestamp over the same set — the successor on
-    a channel (:meth:`TimestampCodec.encode_delta_into`) and the result of
-    applying a delta frame (:meth:`TimestampCodec.decode_delta`) — so the
-    sort and the atom encoding are paid per index set, not per message.
+    The index set (:class:`~repro.core.timestamps.IndexSet`) is the
+    timestamp's schema: its canonical entry order is the wire order, and
+    every timestamp over it — a replica's ``τ_i`` across its writes and
+    merges, each copy sent on a channel, each timestamp decoded from one —
+    shares the one object.  A family's layout is built once per index set
+    (:meth:`TimestampCodec.layout_of`) and kept on it, so the sort and the
+    atom encoding are paid per index set, not per message.
     """
 
-    #: The index entries in canonical (wire) order.
-    index: Tuple[Any, ...]
     #: Pre-encoded bytes written before each entry's counter.
     atoms: Tuple[bytes, ...]
     #: Pre-encoded bytes of the body before the first entry.
@@ -82,70 +85,60 @@ class Layout(NamedTuple):
     size: int
 
 
+def _counter_bytes(ts: Any) -> int:
+    """``ts``'s counters' varint size, computed once per timestamp."""
+    size = ts.counter_bytes
+    if size < 0:
+        size = ts.counter_bytes = counter_bytes(ts.values)
+    return size
+
+
 class TimestampCodec:
     """One timestamp family's binary encoding.
 
     Subclasses provide the family identity (:attr:`name`, :attr:`tag`), the
-    :class:`Layout` of an index set, :meth:`make` and :meth:`decode_full`;
-    the full encoding and the delta logic are shared.  All codecs are
-    stateless singletons: per-channel delta state lives in
-    :class:`~repro.wire.channel.ChannelDeltaEncoder`, per-timestamp facts
-    (layout, full frame size) are cached on the immutable timestamp.
+    timestamp type they decode to, the :class:`Layout` of an index set and
+    :meth:`decode_full`; the full encoding and the delta logic are shared.
+    All codecs are stateless singletons: per-channel delta state lives in
+    :class:`~repro.wire.channel.ChannelDeltaEncoder`, per-index-set facts
+    (the layout) on the index set, and the one per-timestamp fact — the
+    counters' varint size, which with the layout gives the full frame size
+    — in the timestamp's ``counter_bytes`` slot.
     """
 
     #: Human-readable family name (``edge`` / ``vector`` / ``matrix`` / ``hoop``).
     name: str = ""
     #: One-byte wire tag.
     tag: int = 0
-
-    #: Instance attributes the layout and the full frame size are cached
-    #: under.  Edge and hoop timestamps share one layout; the matrix codec's
-    #: body differs, so it caches under its own attributes (one
-    #: ``EdgeTimestamp`` object is only ever encoded by one family, but the
-    #: caches must not collide even if that changes).
-    _LAYOUT_ATTR = "_wire_layout"
-    _FULL_SIZE_ATTR = "_wire_full_size"
+    #: The key of this family's layout on an index set: the edge and hoop
+    #: bodies are identical, so they share one.
+    shape: str = ""
+    #: What a frame of this family decodes to.
+    timestamp_type: Type = EdgeTimestamp
 
     # -- hooks ---------------------------------------------------------
     def layout_of(self, ts: Any) -> Layout:
-        """The :class:`Layout` of ``ts``'s index set, cached on the instance.
-
-        Built from scratch only for a timestamp that inherited none.
-        Timestamps are immutable and — on broadcast topologies — shared by
-        every outgoing copy of a write, so even a build is paid once per
-        write, not once per destination.
-        """
-        layout = ts.__dict__.get(self._LAYOUT_ATTR)
+        """The :class:`Layout` of ``ts``'s index set, built once per set."""
+        layouts = ts.index.layouts
+        layout = layouts.get(self.shape)
         if layout is None:
-            layout = self._build_layout(ts)
-            ts.__dict__[self._LAYOUT_ATTR] = layout
+            layout = layouts[self.shape] = self._build_layout(ts.index.entries)
         return layout
 
-    def _build_layout(self, ts: Any) -> Layout:
-        """Compute the layout of ``ts``'s index set (uncached)."""
+    def _build_layout(self, entries: Tuple[Any, ...]) -> Layout:
+        """Compute the layout of an index set's canonical ``entries``."""
         raise NotImplementedError
 
     def full_frame_size(self, ts: Any) -> int:
         """Size in bytes of the *full* frame for ``ts``, without building it.
 
         Used both to charge the no-delta counterfactual in the statistics
-        and to guarantee a delta frame is only used when it actually wins.
-        A delta-encoded timestamp gets it incrementally from its
-        predecessor's (:meth:`encode_delta_into`); otherwise it is the
-        layout's size plus one varint size per counter, cached on the
-        instance.
+        and to guarantee a delta frame is only used when it actually wins:
+        the layout's size plus the counters' varint size, which a
+        delta-encoded timestamp gets from its predecessor's
+        (:meth:`encode_delta_into`).
         """
-        cached = ts.__dict__.get(self._FULL_SIZE_ATTR)
-        if cached is None:
-            cached = 2 + self.layout_of(ts).size + sum(
-                map(uvarint_size, ts.counters.values())
-            )
-            ts.__dict__[self._FULL_SIZE_ATTR] = cached
-        return cached
-
-    def make(self, counters: Dict[Any, int]) -> Any:
-        """Rebuild a timestamp from decoded counters."""
-        raise NotImplementedError
+        return 2 + self.layout_of(ts).size + _counter_bytes(ts)
 
     def encode_full_into(self, out: bytearray, ts: Any) -> None:
         """Append the self-describing full body to ``out`` (no channel state).
@@ -155,7 +148,7 @@ class TimestampCodec:
         """
         layout = self.layout_of(ts)
         out += layout.prefix
-        encode_counters_into(out, layout.atoms, layout.index, ts.counters)
+        encode_counters_into(out, layout.atoms, ts.values)
 
     def encode_full(self, ts: Any) -> bytes:
         """The self-describing full body, as standalone bytes."""
@@ -167,6 +160,22 @@ class TimestampCodec:
         """Inverse of :meth:`encode_full`."""
         raise NotImplementedError
 
+    def _decoded(self, entries: Tuple[Any, ...], values: List[int]) -> Any:
+        """The timestamp a full frame listed, entry by entry.
+
+        Entries in canonical order over a live index set — every frame a
+        library encoder wrote for a running replica — take that set as
+        they are; anything else is canonicalised (and validated) through
+        the family's constructor.
+        """
+        index = known_index_set(entries)
+        if index is not None:
+            return self.timestamp_type._of(index, values)
+        try:
+            return self.timestamp_type(dict(zip(entries, values)))
+        except (TypeError, ValueError, ProtocolError) as exc:
+            raise WireFormatError(f"undecodable {self.name} timestamp index: {exc}") from None
+
     # -- shared delta logic --------------------------------------------
     def encode_delta_into(self, out: bytearray, ts: Any, prev: Any) -> bool:
         """Append the delta body against ``prev``; ``False`` if no delta applies.
@@ -176,43 +185,40 @@ class TimestampCodec:
         one live replica; restarts and index-set changes fall back to full).
         When this returns ``False`` nothing was appended to ``out``.
 
-        Sharing the index set, ``ts`` inherits ``prev``'s layout, and its
-        full frame size is ``prev``'s plus the varint growth of the raised
-        counters.  Past one comparison per entry, no sort, atom or size
-        work is done: what gets encoded and sized is the raised counters.
+        The raised positions are found by comparing the two counter lists;
+        ``ts``'s full frame size is ``prev``'s plus the varint growth of the
+        raised counters.  No entry is hashed, sorted or sized beyond that.
         """
-        if type(prev) is not type(ts):
+        if type(prev) is not type(ts) or prev.index is not ts.index:
             return False
-        layout = self.layout_of(prev)
-        grown = encode_counter_delta_into(out, layout.index, ts.counters, prev.counters)
+        grown = encode_counter_delta_into(out, ts.values, prev.values)
         if grown < 0:
             return False
-        state = ts.__dict__
-        state.setdefault(self._LAYOUT_ATTR, layout)
-        if self._FULL_SIZE_ATTR not in state:
-            state[self._FULL_SIZE_ATTR] = self.full_frame_size(prev) + grown
+        if ts.counter_bytes < 0:
+            ts.counter_bytes = _counter_bytes(prev) + grown
         return True
 
     def decode_delta(self, data: bytes, offset: int, prev: Any) -> Tuple[Any, int]:
         """Apply a delta body to ``prev``; returns ``(timestamp, new_offset)``.
 
-        The result has ``prev``'s index set, so it inherits ``prev``'s layout.
+        The position gaps go onto a copy of ``prev``'s counter list; the
+        result shares ``prev``'s index set.
         """
-        layout = self.layout_of(prev)
-        index = layout.index
-        counters = dict(prev.counters)
-        count, offset = decode_uvarint(data, offset)
-        position = -1
-        for _ in range(count):
-            gap, offset = decode_uvarint(data, offset)
-            step, offset = decode_uvarint(data, offset)
-            position += gap + 1
-            if position >= len(index):
-                raise WireFormatError("delta frame indexes past the previous timestamp")
-            counters[index[position]] += step
-        ts = self.make(counters)
-        ts.__dict__[self._LAYOUT_ATTR] = layout
-        return ts, offset
+        if type(prev) is not self.timestamp_type:
+            raise WireFormatError(
+                f"{self.name} delta frame against a {type(prev).__name__}"
+            )
+        values = prev.values.copy()
+        offset = apply_counter_delta(data, offset, values)
+        return prev._of(prev.index, values), offset
+
+
+def _body_holds(data: Any, offset: int, count: int, entry_bytes: int) -> None:
+    """Reject a count of entries the rest of the frame cannot hold."""
+    if count * entry_bytes > len(data) - offset:
+        raise WireFormatError(
+            f"timestamp frame lists {count} entries; its body cannot hold them"
+        )
 
 
 class EdgeTimestampCodec(TimestampCodec):
@@ -220,27 +226,25 @@ class EdgeTimestampCodec(TimestampCodec):
 
     name = "edge"
     tag = 1
+    shape = "pairs"
 
-    def _build_layout(self, ts: EdgeTimestamp) -> Layout:
-        index = tuple(sorted(ts.counters))
-        atoms = tuple(encode_atom(tail) + encode_atom(head) for tail, head in index)
-        prefix = encode_uvarint(len(index))
-        return Layout(index, atoms, prefix, len(prefix) + sum(map(len, atoms)))
-
-    def make(self, counters: Dict[Any, int]) -> EdgeTimestamp:
-        # Wire-decoded counters are structurally valid by construction of
-        # the encoders, so skip the constructor's re-validation.
-        return EdgeTimestamp._from_validated(counters)
+    def _build_layout(self, entries: Tuple[Any, ...]) -> Layout:
+        atoms = tuple(encode_atom(tail) + encode_atom(head) for tail, head in entries)
+        prefix = encode_uvarint(len(entries))
+        return Layout(atoms, prefix, len(prefix) + sum(map(len, atoms)))
 
     def decode_full(self, data: bytes, offset: int) -> Tuple[EdgeTimestamp, int]:
         count, offset = decode_uvarint(data, offset)
-        counters: Dict[Tuple[Any, Any], int] = {}
+        _body_holds(data, offset, count, 3)
+        entries: List[Tuple[Any, Any]] = []
+        values: List[int] = []
         for _ in range(count):
             tail, offset = decode_atom(data, offset)
             head, offset = decode_atom(data, offset)
             value, offset = decode_uvarint(data, offset)
-            counters[(tail, head)] = value
-        return EdgeTimestamp._from_validated(counters), offset
+            entries.append((tail, head))
+            values.append(value)
+        return self._decoded(tuple(entries), values), offset
 
 
 class HoopTimestampCodec(EdgeTimestampCodec):
@@ -259,26 +263,27 @@ class VectorTimestampCodec(TimestampCodec):
 
     name = "vector"
     tag = 2
+    shape = "atoms"
+    timestamp_type = VectorTimestamp
 
-    def _build_layout(self, ts: VectorTimestamp) -> Layout:
-        index = tuple(sorted(ts.counters))
-        atoms = tuple(map(encode_atom, index))
-        prefix = encode_uvarint(len(index))
-        return Layout(index, atoms, prefix, len(prefix) + sum(map(len, atoms)))
-
-    def make(self, counters: Dict[Any, int]) -> VectorTimestamp:
-        return VectorTimestamp._from_validated(counters)
+    def _build_layout(self, entries: Tuple[Any, ...]) -> Layout:
+        atoms = tuple(map(encode_atom, entries))
+        prefix = encode_uvarint(len(entries))
+        return Layout(atoms, prefix, len(prefix) + sum(map(len, atoms)))
 
     def decode_full(self, data: bytes, offset: int) -> Tuple[VectorTimestamp, int]:
         count, offset = decode_uvarint(data, offset)
-        counters: Dict[Any, int] = {}
+        _body_holds(data, offset, count, 2)
+        entries: List[Any] = []
+        values: List[int] = []
         for _ in range(count):
             rid, offset = decode_atom(data, offset)
             value, offset = decode_uvarint(data, offset)
-            counters[rid] = value
-        # The generic constructor, not ``_from_validated``: vector keys are
-        # coerced to ``int`` there, and an atom can legally decode as ``str``.
-        return VectorTimestamp(counters), offset
+            entries.append(rid)
+            values.append(value)
+        # An atom can legally decode as ``str``; the constructor behind
+        # ``_decoded`` coerces vector keys to ``int``.
+        return self._decoded(tuple(entries), values), offset
 
 
 class MatrixTimestampCodec(TimestampCodec):
@@ -287,43 +292,42 @@ class MatrixTimestampCodec(TimestampCodec):
     The index set of a Full-Track timestamp is *every* ordered pair over the
     replica set, so the wire body ships the replica ids once and the
     counters positionally — 2 atoms per replica instead of 2 atoms per pair.
+    Over sorted ids the pairs in that order are the canonical order.
     """
 
     name = "matrix"
     tag = 3
-
-    _LAYOUT_ATTR = "_wire_matrix_layout"
-    _FULL_SIZE_ATTR = "_wire_matrix_full_size"
+    shape = "matrix"
 
     @staticmethod
     def _all_pairs(ids: Sequence[Any]) -> Tuple[Tuple[Any, Any], ...]:
         return tuple((a, b) for a in ids for b in ids if a != b)
 
-    def _build_layout(self, ts: EdgeTimestamp) -> Layout:
-        ids = sorted({rid for edge in ts.counters for rid in edge})
+    def _build_layout(self, entries: Tuple[Any, ...]) -> Layout:
+        ids = sorted({rid for edge in entries for rid in edge})
         pairs = self._all_pairs(ids)
-        if len(pairs) != len(ts.counters) or frozenset(pairs) != frozenset(ts.counters):
+        if pairs != entries:
             raise WireFormatError(
                 "matrix codec requires a complete ordered-pair index set; "
-                f"got {len(ts.counters)} of {len(pairs)} pairs"
+                f"got {len(entries)} of {len(pairs)} pairs"
             )
         prefix = encode_uvarint(len(ids)) + b"".join(map(encode_atom, ids))
-        return Layout(pairs, (b"",) * len(pairs), prefix, len(prefix))
-
-    def make(self, counters: Dict[Any, int]) -> EdgeTimestamp:
-        return EdgeTimestamp._from_validated(counters)
+        return Layout((b"",) * len(pairs), prefix, len(prefix))
 
     def decode_full(self, data: bytes, offset: int) -> Tuple[EdgeTimestamp, int]:
         count, offset = decode_uvarint(data, offset)
+        _body_holds(data, offset, count, 1)
         ids: List[Any] = []
         for _ in range(count):
             rid, offset = decode_atom(data, offset)
             ids.append(rid)
-        counters: Dict[Tuple[Any, Any], int] = {}
-        for pair in self._all_pairs(ids):
+        _body_holds(data, offset, count * (count - 1), 1)
+        pairs = self._all_pairs(ids)
+        values: List[int] = []
+        for _ in pairs:
             value, offset = decode_uvarint(data, offset)
-            counters[pair] = value
-        return EdgeTimestamp._from_validated(counters), offset
+            values.append(value)
+        return self._decoded(pairs, values), offset
 
 
 class ReconfigCodec(TimestampCodec):
@@ -558,10 +562,17 @@ def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:
         return struct.unpack_from("<d", data, offset)[0], offset + 8
     if tag == _VALUE_STR:
         raw, offset = decode_bytes(data, offset)
-        return raw.decode("utf-8"), offset
+        try:
+            return raw.decode("utf-8"), offset
+        except UnicodeDecodeError:
+            raise WireFormatError("string value is not UTF-8") from None
     if tag == _VALUE_BYTES:
         return decode_bytes(data, offset)
     if tag == _VALUE_PICKLE:
         raw, offset = decode_bytes(data, offset)
-        return pickle.loads(raw), offset
+        try:
+            return pickle.loads(raw), offset
+        except Exception as exc:
+            # Corrupt bytes make pickle raise almost anything.
+            raise WireFormatError(f"undecodable pickled value: {exc!r}") from None
     raise WireFormatError(f"unknown value tag {tag}")

@@ -53,6 +53,8 @@ decode_atom = _varint.decode_atom
 
 encode_counters_into = _varint.encode_counters_into
 encode_counter_delta_into = _varint.encode_counter_delta_into
+apply_counter_delta = _varint.apply_counter_delta
+counter_bytes = _varint.counter_bytes
 
 encode_bytes_into = _varint.encode_bytes_into
 encode_bytes = _varint.encode_bytes
@@ -61,6 +63,8 @@ decode_bytes = _varint.decode_bytes
 __all__ = [
     "Atom",
     "WireFormatError",
+    "apply_counter_delta",
+    "counter_bytes",
     "decode_atom",
     "decode_bytes",
     "decode_svarint",

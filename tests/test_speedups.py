@@ -27,6 +27,7 @@ from repro._speedups import (
     varint,
 )
 from repro.core.errors import WireFormatError
+from repro.core.timestamps import incoming_mask, index_set, predicate_plan
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -74,40 +75,69 @@ def test_facades_serve_the_selected_kernels():
 
 
 # ----------------------------------------------------------------------
-# Timestamp kernels vs reference semantics
+# Timestamp kernels vs the dict semantics they replaced
 # ----------------------------------------------------------------------
+# The kernels work on counter lists aligned to an interned index set, at
+# positions precomputed from it.  Each test states the operation over plain
+# ``{key: counter}`` dicts — the representation timestamps had before they
+# became positional — and checks the list kernel against it.
 
 counter_dicts = st.dictionaries(
     st.integers(1, 6), st.integers(0, 4), max_size=6
 )
 
 
+def _positional(counters, index=None):
+    """``(index set, counter list)`` of a dict, over ``index`` if given."""
+    index = index if index is not None else index_set(counters)
+    return index, [counters.get(key, 0) for key in index.entries]
+
+
+def _edges(counters):
+    """Reuse an int-keyed dict as a ``(tail, head)``-keyed one."""
+    return {(k, k % 2 + 1): v for k, v in counters.items()}
+
+
+@given(values=st.lists(st.integers(0, 4), max_size=8), data=st.data())
+def test_advance_reference(values, data):
+    positions = tuple(data.draw(st.lists(
+        st.integers(0, max(len(values) - 1, 0)), max_size=4
+    ))) if values else ()
+    bumped = tsops.advance(values, positions)
+    assert bumped == [v + positions.count(p) for p, v in enumerate(values)]
+    assert bumped is not values
+
+
 @given(local=counter_dicts, remote=counter_dicts)
 def test_merge_union_reference(local, remote):
-    merged, changed = tsops.merge_union(local, remote)
-    keys = set(local) | set(remote)
-    assert merged == {
-        k: max(local.get(k, 0), remote.get(k, 0)) for k in keys
+    """Vector clocks merge over the union: both sides aligned to it, then
+    the identity gather."""
+    union = index_set(set(local) | set(remote))
+    _, mine = _positional(local, union)
+    _, theirs = _positional(remote, union)
+    merged, raised = tsops.merge_pairs(mine, theirs, union.gather(union))
+    assert dict(zip(union.entries, merged)) == {
+        k: max(local.get(k, 0), remote.get(k, 0)) for k in union.entries
     }
-    assert changed == [
-        (k, v)
-        for k, v in remote.items()
-        if v > local.get(k, 0)
-    ]
-    # Inputs are never mutated; the result is a fresh dict.
-    assert merged is not local and merged is not remote
+    assert [(union.entries[p], merged[p]) for p in raised] == sorted(
+        (k, v) for k, v in remote.items() if v > local.get(k, 0)
+    )
+    # Inputs are never mutated; nothing raised returns the local list.
+    assert mine == [local.get(k, 0) for k in union.entries]
+    assert (merged is mine) == (not raised)
 
 
 @given(local=counter_dicts, remote=counter_dicts, me=st.integers(1, 6))
 def test_merge_intersection_reference(local, remote, me):
-    # Edge keys are (tail, head) tuples; reuse int dicts as (k, me)-keyed.
-    local_e = {(k, k % 2 + 1): v for k, v in local.items()}
-    remote_e = {(k, k % 2 + 1): v for k, v in remote.items()}
-    merged, changed = tsops.merge_intersection(local_e, remote_e, me)
-    assert merged.keys() == local_e.keys(), "index set τ_i never grows"
-    assert merged == {
+    local_e, remote_e = _edges(local), _edges(remote)
+    mine_index, mine = _positional(local_e)
+    theirs_index, theirs = _positional(remote_e)
+    merged, raised = tsops.merge_pairs(mine, theirs, mine_index.gather(theirs_index))
+    assert dict(zip(mine_index.entries, merged)) == {
         k: max(v, remote_e.get(k, v)) for k, v in local_e.items()
-    }
+    }, "index set τ_i never grows"
+    incoming = incoming_mask(mine_index, me)
+    changed = [(mine_index.entries[p], merged[p]) for p in raised if incoming[p]]
     assert changed == sorted(
         (k, v)
         for k, v in remote_e.items()
@@ -118,30 +148,39 @@ def test_merge_intersection_reference(local, remote, me):
 def _naive_vector_blocking(local, remote, sender):
     if remote.get(sender, 0) != local.get(sender, 0) + 1:
         return ("seq", sender, remote.get(sender, 0))
-    for key, value in remote.items():
+    for key, value in sorted(remote.items()):
         if key != sender and value > local.get(key, 0):
             return ("ge", key)
     return None
 
 
+def _vector_kernel(local, remote, sender, total=-1):
+    union = index_set(set(local) | set(remote) | {sender})
+    _, mine = _positional(local, union)
+    _, theirs = _positional(remote, union)
+    return union, tsops.vector_try_apply(
+        mine, theirs, union.entries, union.position[sender], total
+    )
+
+
 @given(local=counter_dicts, remote=counter_dicts, sender=st.integers(1, 6))
 def test_vector_blocking_key_reference(local, remote, sender):
-    assert tsops.vector_blocking_key(local, remote, sender) == (
-        _naive_vector_blocking(local, remote, sender)
-    )
+    _, (key, _, _) = _vector_kernel(local, remote, sender)
+    assert key == _naive_vector_blocking(local, remote, sender)
 
 
 @given(local=counter_dicts, remote=counter_dicts, sender=st.integers(1, 6))
 def test_vector_try_apply_is_check_plus_merge(local, remote, sender):
     """The fused kernel ≡ blocking check, then union merge, in one scan."""
-    key, merged, changed = tsops.vector_try_apply(local, remote, sender)
+    union, (key, merged, changed) = _vector_kernel(local, remote, sender)
     assert key == _naive_vector_blocking(local, remote, sender)
     if key is not None:
         assert merged is None and changed is None
         return
-    ref_merged, ref_changed = tsops.merge_union(local, remote)
-    assert merged == ref_merged
-    assert changed == ref_changed == [(sender, remote.get(sender, 0))]
+    assert dict(zip(union.entries, merged)) == {
+        k: max(local.get(k, 0), remote.get(k, 0)) for k in union.entries
+    }
+    assert changed == [(sender, remote.get(sender, 0))]
 
 
 @given(local=counter_dicts, sender=st.integers(1, 6), bump=st.integers(1, 3))
@@ -150,18 +189,18 @@ def test_vector_try_apply_no_scan_accept(local, sender, bump):
     remote = {k: 0 for k in local}
     remote[sender] = local.get(sender, 0) + 1
     total = sum(remote.values())
-    fast = tsops.vector_try_apply(local, remote, sender, total)
-    slow = tsops.vector_try_apply(local, remote, sender)
+    _, fast = _vector_kernel(local, remote, sender, total)
+    _, slow = _vector_kernel(local, remote, sender)
     assert fast == slow
     assert fast[0] is None
 
 
-def _naive_edge_blocking(local, remote, sender, me, incoming):
+def _naive_edge_blocking(local, remote, sender, me):
     ki = (sender, me)
     if local.get(ki, 0) != remote.get(ki, 0) - 1:
         return ("seq", ki, remote.get(ki, 0))
-    for e in incoming:
-        if e[0] != sender and e in remote and local.get(e, 0) < remote[e]:
+    for e in sorted(local):
+        if e[1] == me and e[0] != sender and e in remote and local[e] < remote[e]:
             return ("ge", e)
     return None
 
@@ -169,18 +208,16 @@ def _naive_edge_blocking(local, remote, sender, me, incoming):
 @given(data=st.data())
 def test_edge_blocking_key_reference(data):
     me = 1
-    tails = data.draw(st.sets(st.integers(2, 6), min_size=1, max_size=5))
-    incoming = tuple(sorted((t, me) for t in tails))
-    sender = data.draw(st.sampled_from(sorted(tails)))
     values = st.integers(0, 3)
-    local = {e: data.draw(values) for e in incoming}
-    remote = {
-        e: data.draw(values)
-        for e in incoming
-        if data.draw(st.booleans())
-    }
-    assert tsops.edge_blocking_key(local, remote, sender, me, incoming) == (
-        _naive_edge_blocking(local, remote, sender, me, incoming)
+    edges = st.tuples(st.integers(1, 6), st.integers(1, 3)).filter(lambda e: e[0] != e[1])
+    local = data.draw(st.dictionaries(edges, values, max_size=8))
+    remote = data.draw(st.dictionaries(edges, values, max_size=8))
+    sender = data.draw(st.integers(2, 6))
+    mine_index, mine = _positional(local)
+    theirs_index, theirs = _positional(remote)
+    fifo, monotone = predicate_plan(mine_index, theirs_index, me)
+    assert tsops.edge_blocking_key(mine, theirs, sender, me, fifo, monotone) == (
+        _naive_edge_blocking(local, remote, sender, me)
     )
 
 
@@ -271,45 +308,55 @@ def test_truncated_atom_and_bytes_raise():
 # Counter-body kernels of the timestamp codecs vs reference semantics
 # ----------------------------------------------------------------------
 
-counter_bodies = st.dictionaries(
-    st.integers(0, 20), st.integers(0, 2**20), min_size=0, max_size=12
-)
+counter_lists = st.lists(st.integers(0, 2**20), max_size=12)
 
 
-@given(counters=counter_bodies)
-def test_encode_counters_reference(counters):
-    index = tuple(sorted(counters))
-    atoms = tuple(varint.encode_atom(key) for key in index)
+@given(values=counter_lists)
+def test_encode_counters_reference(values):
+    atoms = tuple(varint.encode_atom(position) for position in range(len(values)))
     out = bytearray(b"prefix")
-    varint.encode_counters_into(out, atoms, index, counters)
+    varint.encode_counters_into(out, atoms, values)
     expected = b"".join(
-        atom + varint.encode_uvarint(counters[key]) for atom, key in zip(atoms, index)
+        atom + varint.encode_uvarint(value) for atom, value in zip(atoms, values)
     )
     assert bytes(out) == b"prefix" + expected
+    assert varint.counter_bytes(values) == sum(map(varint.uvarint_size, values))
 
 
-@given(previous=counter_bodies, data=st.data())
+@given(previous=counter_lists, data=st.data())
 def test_encode_counter_delta_reference(previous, data):
     steps = st.sampled_from([0, 0, 0, 1, 100, 200, 2**14, -1])
-    counters = {key: max(0, value + data.draw(steps)) for key, value in previous.items()}
-    if data.draw(st.booleans()) and previous:
-        # Same size, different key sets: no delta applies.
-        del counters[data.draw(st.sampled_from(sorted(previous)))]
-        counters[99] = 0
-    index = tuple(sorted(previous))
+    values = [max(0, value + data.draw(steps)) for value in previous]
+    if data.draw(st.booleans()):
+        # A different length: no delta applies.
+        values.append(0)
     out = bytearray(b"prefix")
-    grown = varint.encode_counter_delta_into(out, index, counters, previous)
-    if set(counters) != set(previous) or any(counters[k] < previous[k] for k in index):
+    grown = varint.encode_counter_delta_into(out, values, previous)
+    if len(values) != len(previous) or any(
+        new < old for new, old in zip(values, previous)
+    ):
         assert grown == -1 and bytes(out) == b"prefix"
         return
-    raised = [(p, counters[k] - previous[k]) for p, k in enumerate(index)
-              if counters[k] != previous[k]]
+    raised = [(p, new - old) for p, (new, old) in enumerate(zip(values, previous))
+              if new != old]
     expected = varint.encode_uvarint(len(raised))
     last = -1
     for position, step in raised:
         expected += varint.encode_uvarint(position - last - 1) + varint.encode_uvarint(step)
         last = position
     assert bytes(out) == b"prefix" + expected
-    assert grown == sum(
-        varint.uvarint_size(counters[k]) - varint.uvarint_size(previous[k]) for k in index
-    )
+    assert grown == varint.counter_bytes(values) - varint.counter_bytes(previous)
+    # Applying the body to a copy of ``previous`` gives ``values`` back.
+    restored = previous.copy()
+    assert varint.apply_counter_delta(memoryview(bytes(out)), 6, restored) == len(out)
+    assert restored == values
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"\x05\x00\x01", b"\x01\x07\x01", b"\x02\x00\x01\x01"],
+    ids=["count-past-the-body", "gap-past-the-index", "gap-runs-off-the-end"],
+)
+def test_apply_counter_delta_rejects_hostile_bodies(body):
+    with pytest.raises(WireFormatError):
+        varint.apply_counter_delta(body, 0, [0, 0, 0])

@@ -89,6 +89,42 @@ class TestEdgeTimestamp:
         assert list(iter(ts)) == [(1, 2)]
 
 
+class TestPositionalStorage:
+    def test_index_sets_are_interned_in_canonical_order(self):
+        a = EdgeTimestamp({(2, 1): 4, (1, 2): 3})
+        b = EdgeTimestamp.zero([(1, 2), (2, 1)])
+        assert a.index is b.index
+        assert a.index.entries == ((1, 2), (2, 1)) and a.values == [3, 4]
+        assert a.incremented([(2, 1)]).index is a.index
+
+    def test_pickle_and_copies_share_the_live_index_set(self):
+        import copy
+        import pickle
+
+        ts = EdgeTimestamp({(1, 2): 3, (2, 1): 1, (3, 1): 2})
+        for clone in (pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts)):
+            assert clone == ts and clone.index is ts.index
+        vector = VectorTimestamp({1: 2, 3: 0})
+        assert pickle.loads(pickle.dumps(vector)) == vector
+
+    def test_gather_maps_shared_entries_by_position(self):
+        a = EdgeTimestamp.zero([(1, 2), (2, 1), (3, 1)])
+        b = EdgeTimestamp.zero([(2, 1), (3, 1), (3, 2)])
+        assert a.index.gather(b.index) == ((1, 0), (2, 1))
+        assert a.index.gather(b.index) is a.index.gather(b.index)
+
+    def test_mapping_view_matches_the_counters(self):
+        ts = EdgeTimestamp({(1, 2): 3, (2, 1): 1})
+        assert ts.counters == {(1, 2): 3, (2, 1): 1}
+        assert ts.items() == [((1, 2), 3), ((2, 1), 1)]
+        assert (1, 2) in ts and (3, 3) not in ts
+
+    def test_vector_merge_widens_to_the_union(self):
+        merged = VectorTimestamp({1: 2}).merged_with(VectorTimestamp({2: 5}))
+        assert merged.counters == {1: 2, 2: 5}
+        assert VectorTimestamp({1: 1}).incremented(4).counters == {1: 1, 4: 1}
+
+
 class TestProtocolOperations:
     def test_advance_increments_only_coowner_edges(self, tri_graph):
         tg1 = TimestampGraph.build(tri_graph, 1)
