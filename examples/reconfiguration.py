@@ -92,11 +92,11 @@ def main() -> None:
     print()
     print("per-epoch traffic (timestamp bytes follow the configuration):")
     for segment in manager.epoch_segments():
-        graph_r = segment["share_graph"].num_replicas
-        messages = segment["messages"]
-        ts_bytes = segment["timestamp_bytes"]
+        graph_r = segment.replicas
+        messages = segment.messages
+        ts_bytes = segment.timestamp_bytes
         per_message = ts_bytes / messages if messages else 0.0
-        print(f"  epoch {segment['epoch']}: R={graph_r:<2} "
+        print(f"  epoch {segment.epoch}: R={graph_r:<2} "
               f"msgs={messages:<4} ts bytes={ts_bytes:<6} "
               f"ts B/msg={per_message:.1f}")
     print()

@@ -1297,7 +1297,7 @@ def exp_reconfiguration(
                 )
                 availability_min = min(availability.values()) if availability else 1.0
                 for segment in manager.epoch_segments():
-                    segment_graph: ShareGraph = segment["share_graph"]
+                    segment_graph: ShareGraph = segment.share_graph
                     bounds = [
                         bound
                         for bound in (
@@ -1318,11 +1318,11 @@ def exp_reconfiguration(
                             architecture=architecture,
                             topology=topology_name,
                             churn=churn_name,
-                            epoch=segment["epoch"],
+                            epoch=segment.epoch,
                             num_replicas=segment_graph.num_replicas,
-                            messages=segment["messages"],
-                            timestamp_bytes=segment["timestamp_bytes"],
-                            counters=segment["counters"],
+                            messages=segment.messages,
+                            timestamp_bytes=segment.timestamp_bytes,
+                            counters=segment.counters,
                             mean_edges=sum(edge_counts) / len(edge_counts),
                             bound_bytes_per_message=bound_bytes,
                             reconfigs=host.metrics.reconfigs,

@@ -47,6 +47,7 @@ from typing import (
 )
 
 from .consistency import ConsistencyChecker, ConsistencyReport
+from .counters import counter
 from .errors import SimulationError, UnknownReplicaError
 from .protocol import CausalReplica, ReplicaEvent, Update, UpdateId, UpdateMessage
 from .registers import Register, ReplicaId
@@ -179,9 +180,9 @@ class RunMetrics:
     long run appends one sample per operation or apply, 8 bytes each.
     """
 
-    writes: int = 0
-    reads: int = 0
-    applies: int = 0
+    writes: int = counter("client writes")
+    reads: int = counter("client reads")
+    applies: int = counter("remote applies")
     #: Host time from issue to remote apply, one sample per apply.
     apply_latencies: "array[float]" = field(default_factory=lambda: array("d"))
     #: Maximum pending-buffer occupancy observed per replica.
@@ -197,11 +198,9 @@ class RunMetrics:
     #: Periodic pending-buffer depth samples (open-loop runs).
     queue_samples: List[QueueDepthSample] = field(default_factory=list)
     # -- fault subsystem -------------------------------------------------
-    #: Replica crashes / restarts injected during the run.
-    crashes: int = 0
-    restarts: int = 0
-    #: Client operations rejected because their target replica was down.
-    rejected_operations: int = 0
+    crashes: int = counter("replica crashes injected during the run")
+    restarts: int = counter("replica restarts injected during the run")
+    rejected_operations: int = counter("operations rejected at down/migrating replicas")
     #: Every fault event, in firing order (the availability timeline).
     fault_timeline: List[FaultRecord] = field(default_factory=list)
     #: Completed downtime intervals per replica: ``[(down_at, up_at), …]``.

@@ -48,8 +48,8 @@ parent-to-child on one machine — the same trust boundary as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from dataclasses import dataclass, fields
+from typing import Iterable, List, Mapping, Tuple
 
 from ..core.protocol import Known, UpdateId
 from ..core.registers import ReplicaId
@@ -247,18 +247,17 @@ class NodeStats:
     destination's node counted (the outbox and inbox books beside the
     stats in the same ``STATS`` payload) — and nothing moved between the
     polls.
+
+    ``applied``, ``pending``, ``send_queue`` and ``unacked`` are the
+    node's; the others sum its tenants' counters of the same name
+    (:class:`~repro.net.node.TenantCounters`).  Field order is byte order.
     """
 
     ops_done: int = 0
     issued: int = 0
-    #: Messages handed to a channel (one per destination copy): joined
-    #: its window, or went through the intra-node short-circuit.
     enqueued: int = 0
-    #: Messages flushed onto the wire, reconnect re-sends included.
     sent: int = 0
-    #: Messages read off the wire, duplicates included.
     received: int = 0
-    #: First receipts (duplicates suppressed).
     delivered: int = 0
     applied: int = 0
     pending: int = 0
@@ -267,10 +266,10 @@ class NodeStats:
     duplicates: int = 0
     resyncs: int = 0
 
-    _FIELDS = (
-        "ops_done", "issued", "enqueued", "sent", "received", "delivered",
-        "applied", "pending", "send_queue", "unacked", "duplicates", "resyncs",
-    )
+    @classmethod
+    def from_totals(cls, totals: Mapping[str, int]) -> "NodeStats":
+        """The frame's fields, picked by name out of a node's totals."""
+        return cls(*(totals.get(name, 0) for name in cls._FIELDS))
 
     def encode(self) -> bytes:
         out = bytearray()
@@ -284,6 +283,9 @@ class NodeStats:
         for name in cls._FIELDS:
             values[name], offset = decode_uvarint(data, offset)
         return cls(**values), offset
+
+
+NodeStats._FIELDS = tuple(spec.name for spec in fields(NodeStats))
 
 
 #: Per-channel durable progress books riding the STATS frame, keyed by the

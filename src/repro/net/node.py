@@ -72,6 +72,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
+from ..core.counters import GAUGE, counter, exported, gauge, samples_of, values_of
 from ..core.host import ReplicaHost
 from ..core.protocol import CausalReplica, Known, UpdateId, UpdateMessage
 from ..core.registers import Register, ReplicaId
@@ -88,7 +89,7 @@ from ..wire.primitives import WireFormatError, decode_atom, encode_atom
 from . import frames
 from . import wal as wal_records
 from .framing import StreamDecoder, encode_frame, encode_frame_into
-from .wal import NodeCheckpoint, ReplicaWAL, WalCheckpoint
+from .wal import NodeCheckpoint, ReplicaWAL, WalCheckpoint, WalCounters
 
 Channel = Tuple[ReplicaId, ReplicaId]
 Address = Tuple[str, int]
@@ -152,6 +153,36 @@ class NodeConfig:
     telemetry_interval: float = 0.0
 
 
+@dataclass(slots=True)
+class TenantCounters:
+    """One tenant's counters: the REPORT's ``counters``, TELEMETRY's
+    ``repro_node_*_total{replica}`` and, summed over a node's tenants, the
+    STATS frame's."""
+
+    ops_done: int = counter("client operations completed")
+    issued: int = counter("updates issued locally")
+    enqueued: int = counter("messages handed to a channel or to the intra-node short-circuit")
+    sent: int = counter("messages flushed onto the wire (reconnect re-sends included)")
+    received: int = counter("messages read off the wire (duplicates included)")
+    delivered: int = counter("first receipts (duplicates suppressed)")
+    duplicates: int = counter("duplicate copies suppressed")
+    resyncs: int = counter("SYNC anti-entropy exchanges answered")
+    delta_frames: int = counter("timestamp frames shipped as deltas")
+    full_frames: int = counter("timestamp frames shipped in full (delta fallbacks)")
+
+
+@dataclass(slots=True)
+class NodeCounters:
+    """A node's own counters (its tenants keep theirs), exported with its
+    gauges and its log's counters as the REPORT's ``transport``."""
+
+    socket_writes: int = counter("socket writes: chunks answered, send-loop passes, hellos, pushes")
+    ack_frames: int = counter("ACK frames sent: one per destination replica per chunk of batches")
+    misrouted_batches: int = counter("inbound batches dropped unacknowledged: no such tenant here")
+    corrupt_streams: int = counter("connections dropped for a corrupt or misaligned stream")
+    control_connections: int = gauge("open control connections")
+
+
 class _Tenant:
     """One hosted replica and its durable books.
 
@@ -175,10 +206,7 @@ class _Tenant:
         self.streams: Dict[Channel, List[UpdateId]] = {}
         #: Wall-relative apply time per uid (cross-node latency joins).
         self.apply_times: Dict[UpdateId, float] = {}
-        self.counters: Dict[str, int] = {
-            "ops_done": 0, "issued": 0, "enqueued": 0, "sent": 0,
-            "received": 0, "delivered": 0, "duplicates": 0, "resyncs": 0,
-        }
+        self.counters = TenantCounters()
         #: This tenant's tag, the head of each of its log records.
         self.tag = encode_atom(replica_id)
         self.recovered = False
@@ -214,8 +242,9 @@ class _Tenant:
         update, messages = node.perform_write(
             self.replica_id, register, value, at=at
         )
-        self.counters["issued"] += 1
-        self.counters["ops_done"] += 1
+        counters = self.counters
+        counters.issued += 1
+        counters.ops_done += 1
         self.apply_times[update.uid] = at
         if log and node.wal is not None:
             # One O(delta) record instead of a whole-state snapshot.
@@ -238,8 +267,8 @@ class _Tenant:
         """The short-circuit: co-hosted delivery with no socket, no codec
         and no sent-log, at the write's own time."""
         counters = self.counters
-        counters["enqueued"] += 1
-        counters["sent"] += 1
+        counters.enqueued += 1
+        counters.sent += 1
         channel = (message.sender, message.destination)
         tracer = self.node.tracer
         if tracer is not None:
@@ -251,7 +280,7 @@ class _Tenant:
     def read(self, register: Register, at: float, log: bool = True) -> Any:
         """Serve a read from the local copy at host time ``at``."""
         value = self.node.perform_read(self.replica_id, register, at=at)
-        self.counters["ops_done"] += 1
+        self.counters.ops_done += 1
         if log and self.node.wal is not None:
             # The READ trace event is durable state too.
             self.node.wal.append(wal_records.W_READ, self.tag,
@@ -261,27 +290,14 @@ class _Tenant:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def reported_counters(self) -> Dict[str, int]:
-        """The counters plus the delta/full frame counts of this tenant's
-        outgoing channels, read off the senders' byte books."""
-        books = [book for (source, _), book in self.node.wire_books().items()
-                 if source == self.replica_id]
-        return dict(
-            self.counters,
-            delta_frames=sum(book.delta_frames for book in books),
-            full_frames=sum(book.full_frames for book in books),
-        )
+    @exported(GAUGE, "updates waiting in the pending buffer")
+    def pending_depth(self) -> int:
+        return self.replica.pending_count()
 
     def telemetry_samples(self) -> List[Tuple[str, tuple, float]]:
         me = (("replica", str(self.replica_id)),)
-        samples: List[Tuple[str, tuple, float]] = [
-            (f"repro_node_{name}_total", me, float(value))
-            for name, value in sorted(self.reported_counters().items())
-        ]
-        samples.append((
-            "repro_node_pending_depth", me, float(self.replica.pending_count()),
-        ))
-        return samples
+        return (samples_of(self.counters, "repro_node_", me)
+                + samples_of(self, "repro_node_", me))
 
     def report(self) -> Dict[str, Any]:
         """The per-replica report the launcher folds into the cluster view."""
@@ -296,9 +312,8 @@ class _Tenant:
             },
             "issue_times": events.issue_times(),
             "apply_times": dict(self.apply_times),
-            "duplicates_ignored": self.replica.duplicates_ignored,
             "metadata_size": self.replica.metadata_size(),
-            "counters": self.reported_counters(),
+            "counters": values_of(self.counters),
             "recovered": self.recovered,
         }
 
@@ -334,7 +349,7 @@ class _PeerStream:
         """Join the channel's window; blocks while it holds
         ``SEND_QUEUE_LIMIT`` copies."""
         channel = (message.sender, message.destination)
-        self.node.tenants[message.sender].counters["enqueued"] += 1
+        self.node.tenants[message.sender].counters.enqueued += 1
         tracer = self.node.tracer
         if tracer is not None:
             tracer.record("send", message.update.uid,
@@ -375,7 +390,7 @@ class _PeerStream:
                     frames.HELLO,
                     frames.encode_hello(self.node.node_id, self.node.port),
                 ))
-                self.node.socket_writes += 1
+                self.node.counters.socket_writes += 1
                 await writer.drain()
                 # Unacked survivors of the previous connection go first.
                 self.sender.rewind(time.monotonic())
@@ -424,7 +439,7 @@ class _PeerStream:
                 # the log flush that makes the copies' writes durable.
                 self.node.commit()
                 writer.write(out)
-                self.node.socket_writes += 1
+                self.node.counters.socket_writes += 1
                 await writer.drain()
                 self._written.set()
             if stopping and not sender.windows:
@@ -447,7 +462,10 @@ class _PeerStream:
         # Flushed before the pass's write: on a connection error the copies
         # are already outstanding and the reconnect re-sends them.
         flushed = self.sender.flush(channel, tenant.replica.wire_codec(), now)
-        tenant.counters["sent"] += len(flushed.batch.messages)
+        counters = tenant.counters
+        counters.sent += len(flushed.batch.messages)
+        counters.delta_frames += flushed.sizes.delta_frames
+        counters.full_frames += flushed.sizes.full_frames
         tracer = self.node.tracer
         if tracer is not None:
             flushed_at = self.node.now
@@ -477,7 +495,7 @@ class _PeerStream:
             # A corrupt reply stream: count it and drop the connection —
             # the send loop ends its pass, and the reconnect re-sends every
             # unacknowledged copy.
-            self.node.corrupt_streams += 1
+            self.node.counters.corrupt_streams += 1
             self._replies_corrupt = True
             self._wake.set()
         except (OSError, ConnectionError, asyncio.CancelledError):
@@ -533,17 +551,7 @@ class LiveNode(ReplicaHost):
         self._telemetry_writers: List[asyncio.StreamWriter] = []
         #: One task per inbound connection (asyncio's server starts them).
         self._handlers: Set[asyncio.Task] = set()
-        self._control_connections = 0
-        #: Socket writes this node made: one per chunk answered, send-loop
-        #: pass, stream hello and telemetry push.
-        self.socket_writes = 0
-        #: ACK frames sent: one per destination replica per chunk of batches.
-        self.ack_frames = 0
-        #: Inbound batches dropped unacknowledged: no such tenant here.
-        self.misrouted_batches = 0
-        #: Connections dropped for a corrupt or misaligned stream, inbound
-        #: or a peer stream's replies.
-        self.corrupt_streams = 0
+        self.counters = NodeCounters()
         #: The node's one write-ahead log (``None``: diskless).
         self.wal: Optional[ReplicaWAL] = None
         if config.durable_dir:
@@ -698,15 +706,15 @@ class LiveNode(ReplicaHost):
         first_receipts: Dict[UpdateId, UpdateMessage] = {}
         for message in messages:
             uid = message.update.uid
-            counters["received"] += 1
+            counters.received += 1
             # A first receipt is a copy the replica neither holds nor is
             # about to be handed by this very batch.
             if covers(message) or uid in first_receipts:
-                counters["duplicates"] += 1
+                counters.duplicates += 1
                 continue
             first_receipts[uid] = message
             tenant.streams.setdefault(channel, []).append(uid)
-            counters["delivered"] += 1
+            counters.delivered += 1
             if tracer is not None:
                 tracer.record("deliver", uid, channel[0], channel[1], received_at)
         if not first_receipts:
@@ -774,8 +782,8 @@ class LiveNode(ReplicaHost):
     # Telemetry (live metrics export)
     # ------------------------------------------------------------------
     def telemetry_samples(self) -> List[Tuple[str, tuple, float]]:
-        """One flat metrics sample: per-tenant counters plus the node's
-        transport footprint (open sockets/streams) and WAL counters.
+        """One flat metrics sample: per-tenant counters, per-channel byte
+        books, and the node's transport footprint and WAL counters.
 
         The shape :func:`repro.obs.registry.fold_samples` consumes —
         ``(name, sorted label items, value)``; cumulative families carry
@@ -785,31 +793,11 @@ class LiveNode(ReplicaHost):
         for rid in sorted(self.tenants, key=_id_order):
             samples.extend(self.tenants[rid].telemetry_samples())
         for (src, dst), book in sorted(self.wire_books().items()):
-            channel = (("dst", str(dst)), ("src", str(src)))
-            for name in ("messages", "batches", "timestamp_bytes", "payload_bytes"):
-                samples.append((f"repro_node_wire_{name}_total", channel,
-                                float(getattr(book, name))))
+            samples.extend(samples_of(book, "repro_node_wire_",
+                                      (("dst", str(dst)), ("src", str(src)))))
         me = (("node", str(self.node_id)),)
-        streams = self.peer_streams.values()
-        wal = self._wal_counts()
-        for name, value in (
-            ("send_queue_depth", sum(stream.queued() for stream in streams)),
-            ("unacked", sum(stream.unacked() for stream in streams)),
-            ("peer_streams", len(self.peer_streams)),
-            ("open_streams", sum(1 for stream in streams if stream.connected)),
-            ("inbound_connections", len(self._handlers)),
-            ("socket_writes_total", self.socket_writes),
-            ("ack_frames_total", self.ack_frames),
-            ("misrouted_batches_total", self.misrouted_batches),
-            ("corrupt_streams_total", self.corrupt_streams),
-            ("wal_bytes", wal["wal_bytes"]),
-            ("wal_records_total", wal["wal_records"]),
-            ("wal_flushes_total", wal["wal_flushes"]),
-            ("wal_compactions_total", wal["wal_compactions"]),
-            ("wal_checkpoint_seconds_total", wal["wal_checkpoint_seconds"]),
-            ("wal_checkpoint_bytes_total", wal["wal_checkpoint_bytes"]),
-        ):
-            samples.append((f"repro_node_{name}", me, float(value)))
+        for book in self._transport_books():
+            samples.extend(samples_of(book, "repro_node_", me))
         return samples
 
     async def _telemetry_loop(self) -> None:
@@ -832,7 +820,7 @@ class LiveNode(ReplicaHost):
                 continue
             try:
                 writer.write(frame)
-                self.socket_writes += 1
+                self.counters.socket_writes += 1
                 await writer.drain()
             except (OSError, ConnectionError):
                 continue
@@ -854,7 +842,7 @@ class LiveNode(ReplicaHost):
         """
         missing = stream.sender.missing(destination, known, skip_inflight=True)
         for source in {message.sender for message in missing}:
-            self.tenants[source].counters["resyncs"] += 1
+            self.tenants[source].counters.resyncs += 1
         for message in missing:
             await stream.enqueue(message)
 
@@ -893,19 +881,19 @@ class LiveNode(ReplicaHost):
                     for destination, uids in acks.items():
                         encode_frame_into(out, frames.ACK,
                                           frames.encode_tagged_uids(destination, uids))
-                    self.ack_frames += len(acks)
+                    self.counters.ack_frames += len(acks)
                     # The chunk's records reach the OS in one write, before
                     # the acks and replies that speak of them.
                     self.commit()
                     if out:
                         writer.write(out)
-                        self.socket_writes += 1
+                        self.counters.socket_writes += 1
                 if out:
                     await writer.drain()
         except WireFormatError:
             # A corrupt or misaligned stream: drop the connection (the
             # peer's reconnect + resync path recovers), keep the node up.
-            self.corrupt_streams += 1
+            self.counters.corrupt_streams += 1
             return
         except (OSError, ConnectionError):
             return
@@ -917,7 +905,7 @@ class LiveNode(ReplicaHost):
             self._handlers.discard(handler)
             self._inbound.pop(state["connection"], None)
             if state["control"]:
-                self._control_connections -= 1
+                self.counters.control_connections -= 1
             writer.close()
             try:
                 await writer.wait_closed()
@@ -958,7 +946,7 @@ class LiveNode(ReplicaHost):
             self._handle_batch(payload, state)
         elif kind == frames.CONTROL_HELLO:
             state["control"] = True
-            self._control_connections += 1
+            self.counters.control_connections += 1
             if self.config.telemetry_interval > 0:
                 self._telemetry_writers.append(state["writer"])
         elif kind == frames.ADDR:
@@ -993,7 +981,7 @@ class LiveNode(ReplicaHost):
         tenant = self.tenants.get(batch.destination)
         if tenant is None:
             # Misrouted (stale placement at the sender): drop, unacknowledged.
-            self.misrouted_batches += 1
+            self.counters.misrouted_batches += 1
             return
         received_at = self.now
         if self.wal is not None:
@@ -1027,7 +1015,7 @@ class LiveNode(ReplicaHost):
             # durable trace still tells the truth about what was applied.
             status = frames.OP_REJECTED
             if tenant is not None:
-                tenant.counters["ops_done"] += 1
+                tenant.counters.ops_done += 1
         elif kind == "write":
             # Co-hosted copies are delivered inside the write.
             for message in tenant.write(register, value, self.now):
@@ -1043,54 +1031,55 @@ class LiveNode(ReplicaHost):
     # ------------------------------------------------------------------
     def _stats_payload(self) -> bytes:
         totals: Counter = Counter()
-        applied = pending = 0
         outbox: Dict[Channel, int] = {}
         inbox: Dict[Channel, int] = {}
         for rid, tenant in self.tenants.items():
-            totals.update(tenant.counters)
+            totals.update(values_of(tenant.counters))
             # One apply time per issued or applied uid: the event trace's
             # update count, without walking it.
-            applied += len(tenant.apply_times)
-            pending += tenant.replica.pending_count()
+            totals["applied"] += len(tenant.apply_times)
+            totals["pending"] += tenant.pending_depth
             for destination, count in tenant.outbox_total.items():
                 outbox[(rid, destination)] = count
             for channel, uids in tenant.streams.items():
                 inbox[channel] = len(uids)
-        streams = self.peer_streams.values()
-        stats = frames.NodeStats(
-            applied=applied,
-            pending=pending,
-            send_queue=sum(stream.queued() for stream in streams),
-            unacked=sum(stream.unacked() for stream in streams),
-            **totals,
-        )
+        totals["send_queue"] = self.send_queue_depth
+        totals["unacked"] = self.unacked
         # The progress books are derived from durable state (outbox
         # counters / first-receipt streams), so drain detection survives
         # SIGKILLs and sent-log pruning alike.
-        return frames.encode_stats_payload(stats, outbox, inbox)
+        return frames.encode_stats_payload(
+            frames.NodeStats.from_totals(totals), outbox, inbox)
 
     def wire_books(self) -> Dict[Channel, ChannelWireStats]:
         """Byte books of every channel that put bytes on a socket."""
         return {channel: book for sender in self.senders.values()
                 for channel, book in sender.book.items()}
 
-    def _wal_counts(self) -> Dict[str, float]:
-        """The log's counters (zeros when diskless): bytes in the current
-        generation; records appended, flushes and compactions made, and
-        the compactions' seconds and bytes, over this process's life."""
-        wal = self.wal
-        if wal is None:
-            return dict.fromkeys((
-                "wal_bytes", "wal_records", "wal_flushes", "wal_compactions",
-                "wal_checkpoint_seconds", "wal_checkpoint_bytes"), 0)
-        return {
-            "wal_bytes": wal.wal_bytes,
-            "wal_records": wal.records_appended,
-            "wal_flushes": wal.flushes,
-            "wal_compactions": wal.compactions,
-            "wal_checkpoint_seconds": wal.checkpoint_seconds,
-            "wal_checkpoint_bytes": wal.checkpoint_bytes,
-        }
+    @exported(GAUGE, "copies waiting in the peer streams' windows")
+    def send_queue_depth(self) -> int:
+        return sum(stream.queued() for stream in self.peer_streams.values())
+
+    @exported(GAUGE, "copies on the wire awaiting their ACK")
+    def unacked(self) -> int:
+        return sum(stream.unacked() for stream in self.peer_streams.values())
+
+    @exported(GAUGE, "peer-node streams started", name="peer_streams")
+    def stream_count(self) -> int:
+        return len(self.peer_streams)
+
+    @exported(GAUGE, "peer streams with an open connection")
+    def open_streams(self) -> int:
+        return sum(1 for stream in self.peer_streams.values() if stream.connected)
+
+    @exported(GAUGE, "open inbound connections")
+    def inbound_connections(self) -> int:
+        return len(self._handlers)
+
+    def _transport_books(self) -> Tuple[Any, ...]:
+        """The transport footprint: the node's gauges, counters and log's."""
+        wal = self.wal if self.wal is not None else WalCounters()
+        return (self, self.counters, wal)
 
     def report(self) -> Dict[str, Any]:
         """The end-of-run report: per-tenant reports, the node's metrics and
@@ -1103,19 +1092,8 @@ class LiveNode(ReplicaHost):
             "metrics": self.metrics,
             "trace": list(self.tracer.events) if self.tracer is not None else [],
             "wire_stats": self.wire_books(),
-            "transport": {
-                "peer_streams": len(self.peer_streams),
-                "open_streams": sum(
-                    1 for s in self.peer_streams.values() if s.connected
-                ),
-                "inbound_connections": len(self._handlers),
-                "control_connections": self._control_connections,
-                "socket_writes": self.socket_writes,
-                "ack_frames": self.ack_frames,
-                "misrouted_batches": self.misrouted_batches,
-                "corrupt_streams": self.corrupt_streams,
-                **self._wal_counts(),
-            },
+            "transport": {name: value for book in self._transport_books()
+                          for name, value in values_of(book).items()},
         }
 
 

@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Dict, IO, List, Optional, Tuple
 
+from ..core.counters import counter, gauge
 from ..core.protocol import ReplicaSnapshot, UpdateId, UpdateMessage
 from ..core.registers import Register, ReplicaId
 from ..wire.batch import MessageBatch, decode_batch, encode_batch
@@ -339,7 +340,20 @@ def _parse_records(data: bytes) -> Tuple[List[Tuple[int, bytes]], int]:
     return records, offset
 
 
-class ReplicaWAL:
+@dataclass(eq=False)
+class WalCounters:
+    """A log's counters over its process's life (a diskless node's are 0)."""
+
+    wal_bytes: int = gauge("bytes appended to the current log generation")
+    records_appended: int = counter("log records appended", name="wal_records")
+    flushes: int = counter("writes that flushed buffered records to the OS", name="wal_flushes")
+    compactions: int = counter("compactions into a checkpoint", name="wal_compactions")
+    checkpoint_seconds: float = counter("wall seconds spent compacting",
+                                        name="wal_checkpoint_seconds", default=0.0)
+    checkpoint_bytes: int = counter("checkpoint bytes appended", name="wal_checkpoint_bytes")
+
+
+class ReplicaWAL(WalCounters):
     """A durable state: a checkpoint plus an append-only log.
 
     ``append`` is the per-operation hot path: one framed record into a
@@ -349,11 +363,13 @@ class ReplicaWAL:
     only from where the previous checkpoint record left it.
 
     The files are named ``node-<replica_id>``: a live node opens one log
-    under its node id.
+    under its node id.  The log is its own counter book
+    (:class:`WalCounters`).
     """
 
     def __init__(self, directory: str, replica_id: ReplicaId,
                  compact_bytes: int = 1 << 18) -> None:
+        super().__init__()
         self.directory = directory
         self.replica_id = replica_id
         self.compact_bytes = compact_bytes
@@ -365,17 +381,6 @@ class ReplicaWAL:
         self._pending = bytearray()
         #: Entries of each history the checkpoint file already holds.
         self._marks: Dict[tuple, int] = {}
-        #: Bytes appended to the current log generation.
-        self.wal_bytes = 0
-        #: Records appended over this process's lifetime (telemetry).
-        self.records_appended = 0
-        #: Writes that flushed records to the OS (telemetry).
-        self.flushes = 0
-        #: Compactions performed over this process's lifetime (telemetry).
-        self.compactions = 0
-        #: Wall seconds spent in, and bytes appended by, those compactions.
-        self.checkpoint_seconds = 0.0
-        self.checkpoint_bytes = 0
 
     def _log_path(self, generation: int) -> str:
         return os.path.join(self.directory, f"{self._stem}.wal.{generation}")

@@ -27,7 +27,6 @@ from .analyze import (
     stage_breakdown,
 )
 from .publish import (
-    attach_encoder_observer,
     publish_channel_wire_stats,
     publish_epoch_segments,
     publish_network_stats,
@@ -77,7 +76,6 @@ __all__ = [
     "TraceRecorder",
     "analyze_file",
     "assemble_spans",
-    "attach_encoder_observer",
     "channel_byte_table",
     "channel_timelines",
     "chrome_trace",

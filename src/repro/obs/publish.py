@@ -1,16 +1,20 @@
 """Publishers: every existing metrics producer → one :class:`MetricsRegistry`.
 
-``RunMetrics`` and ``NetworkStats`` predate the registry and stay the
-runtime recording structures (cheap plain fields on the hot path); these
-functions project them into registry families after (or during) a run.
-Metric names follow the Prometheus conventions: ``repro_`` prefix,
-``_total`` suffix on counters, units spelled out.
+``RunMetrics``, ``NetworkStats`` and the per-channel ``ChannelWireStats``
+stay the runtime recording structures (cheap plain fields on the hot
+path); each declares its counters on its own fields
+(:mod:`repro.core.counters`), and :func:`publish_book` projects those
+declarations into registry families after (or during) a run.  Series,
+histograms and per-replica maps are published by hand.  Metric names
+follow the Prometheus conventions: ``repro_`` prefix, ``_total`` suffix on
+counters, units spelled out.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
+from ..core.counters import COUNTER, exports
 from ..core.host import RunMetrics
 from ..core.registers import ReplicaId
 from ..core.share_graph import ShareGraph
@@ -25,23 +29,23 @@ LATENCY_BUCKETS = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5,
                    1.0, 5.0, 10.0, 50.0, 100.0)
 
 
+def publish_book(registry: MetricsRegistry, book: Any, prefix: str,
+                 **labels: object) -> None:
+    """Every declared counter and gauge of a book (:mod:`repro.core.counters`)
+    → one registry family each, named ``prefix + name`` (``_total`` on
+    counters)."""
+    for export in exports(type(book)):
+        value = getattr(book, export.attr)
+        if export.kind == COUNTER:
+            registry.counter(export.metric(prefix), export.help, **labels).inc(value)
+        else:
+            registry.gauge(export.metric(prefix), export.help, **labels).set(value)
+
+
 def publish_run_metrics(registry: MetricsRegistry, metrics: RunMetrics,
                         **labels: object) -> None:
     """Project one :class:`RunMetrics` into the registry."""
-    registry.counter("repro_writes_total", "client writes", **labels).inc(
-        metrics.writes)
-    registry.counter("repro_reads_total", "client reads", **labels).inc(
-        metrics.reads)
-    registry.counter("repro_applies_total", "remote applies", **labels).inc(
-        metrics.applies)
-    registry.counter("repro_crashes_total", "injected crashes", **labels).inc(
-        metrics.crashes)
-    registry.counter("repro_restarts_total", "replica restarts", **labels).inc(
-        metrics.restarts)
-    registry.counter(
-        "repro_rejected_operations_total",
-        "operations rejected at down/migrating replicas", **labels,
-    ).inc(metrics.rejected_operations)
+    publish_book(registry, metrics, "repro_", **labels)
     latency = registry.histogram(
         "repro_apply_latency", "issue-to-remote-apply latency (host time)",
         buckets=LATENCY_BUCKETS, **labels,
@@ -68,7 +72,7 @@ def publish_channel_wire_stats(
     bounds: bool = True,
     **labels: object,
 ) -> None:
-    """Per-channel byte books (``ChannelWireStats``-shaped objects).
+    """Per-channel byte books (:class:`~repro.wire.channel.ChannelWireStats`).
 
     With a ``graph``, also publishes the paper's closed-form metadata bound
     for each channel's sender (``algorithm_counters``): the per-message
@@ -81,21 +85,7 @@ def publish_channel_wire_stats(
     counters_of: dict = {}
     for (src, dst), stats in sorted(per_channel.items()):
         channel_labels = dict(labels, src=src, dst=dst)
-        registry.counter(
-            "repro_channel_messages_total", "messages on this channel",
-            **channel_labels).inc(stats.messages)
-        registry.counter(
-            "repro_channel_batches_total", "batches flushed on this channel",
-            **channel_labels).inc(stats.batches)
-        registry.counter(
-            "repro_channel_header_bytes_total", "envelope/identity bytes",
-            **channel_labels).inc(stats.header_bytes)
-        registry.counter(
-            "repro_channel_timestamp_bytes_total", "timestamp-frame bytes",
-            **channel_labels).inc(stats.timestamp_bytes)
-        registry.counter(
-            "repro_channel_payload_bytes_total", "payload-value bytes",
-            **channel_labels).inc(stats.payload_bytes)
+        publish_book(registry, stats, "repro_channel_", **channel_labels)
         if bounds and graph is not None and src in graph.replica_ids:
             if src not in counters_of:
                 counters_of[src] = algorithm_counters(graph, src)
@@ -108,11 +98,11 @@ def publish_channel_wire_stats(
 
 def publish_epoch_segments(
     registry: MetricsRegistry,
-    segments: Sequence[Mapping[str, Any]],
+    segments: Sequence[Any],
     bounds: bool = True,
     **labels: object,
 ) -> None:
-    """Per-epoch traffic books (``ReconfigManager.epoch_segments`` rows).
+    """Per-epoch traffic books (:class:`~repro.sim.reconfig.EpochSegment`).
 
     One label set per configuration epoch: the messages, timestamp-frame
     bytes and metadata counters shipped while that configuration was
@@ -124,32 +114,10 @@ def publish_epoch_segments(
     per-sender ``|E_i|`` computation on large dense share graphs.
     """
     for segment in segments:
-        epoch_labels = dict(labels, epoch=segment["epoch"])
-        registry.counter(
-            "repro_epoch_messages_total",
-            "messages sent while this epoch was active",
-            **epoch_labels).inc(segment["messages"])
-        registry.counter(
-            "repro_epoch_timestamp_bytes_total",
-            "timestamp-frame bytes sent while this epoch was active",
-            **epoch_labels).inc(segment["timestamp_bytes"])
-        registry.counter(
-            "repro_epoch_counters_total",
-            "metadata counters shipped while this epoch was active",
-            **epoch_labels).inc(segment["counters"])
-        registry.gauge(
-            "repro_epoch_start", "epoch activation time (host time)",
-            **epoch_labels).set(segment["start"])
-        registry.gauge(
-            "repro_epoch_end", "epoch retirement time (host time)",
-            **epoch_labels).set(segment["end"])
-        graph = segment.get("share_graph")
-        if graph is None:
-            continue
-        registry.gauge(
-            "repro_epoch_replicas", "replicas in the epoch's share graph",
-            **epoch_labels).set(graph.num_replicas)
+        epoch_labels = dict(labels, epoch=segment.epoch)
+        publish_book(registry, segment, "repro_epoch_", **epoch_labels)
         if bounds:
+            graph = segment.share_graph
             worst = max(
                 (algorithm_counters(graph, rid) for rid in graph.replica_ids),
                 default=0,
@@ -167,40 +135,9 @@ def publish_network_stats(registry: MetricsRegistry, stats: Any,
                           bounds: bool = True,
                           **labels: object) -> None:
     """Project one :class:`~repro.sim.engine.NetworkStats` into the registry."""
-    for name, help_text in (
-        ("messages_sent", "messages handed to the transport"),
-        ("messages_delivered", "messages delivered"),
-        ("messages_dropped", "messages lost by the channel"),
-        ("messages_duplicated", "extra copies injected by the channel"),
-        ("retransmissions", "copies re-sent by the reliability layer"),
-        ("batches_sent", "batches flushed onto the wire"),
-        ("header_bytes_sent", "envelope/identity bytes on the wire"),
-        ("timestamp_bytes_sent", "timestamp-frame bytes on the wire"),
-        ("payload_bytes_sent", "payload-value bytes on the wire"),
-        ("timestamp_bytes_full", "what timestamps would cost without deltas"),
-        ("delta_frames_sent", "timestamp frames shipped as deltas"),
-        ("full_frames_sent", "timestamp frames shipped in full"),
-        ("metadata_counters_sent", "timestamp counters shipped"),
-    ):
-        registry.counter(f"repro_{name}_total", help_text, **labels).inc(
-            getattr(stats, name))
+    publish_book(registry, stats, "repro_", **labels)
     publish_channel_wire_stats(registry, stats.per_channel, graph=graph,
                                bounds=bounds, **labels)
-
-
-#: Live node counters that are cumulative (TELEMETRY re-sends totals).
-_NODE_COUNTER_HELP = {
-    "ops_done": "client operations completed",
-    "issued": "updates issued locally",
-    "enqueued": "messages handed to a channel",
-    "sent": "messages flushed onto the wire (reconnect re-sends included)",
-    "received": "messages read off the wire (duplicates included)",
-    "delivered": "first receipts (duplicates suppressed)",
-    "duplicates": "duplicate copies suppressed",
-    "resyncs": "SYNC anti-entropy exchanges answered",
-    "delta_frames": "timestamp frames shipped as deltas",
-    "full_frames": "timestamp frames shipped in full (delta fallbacks)",
-}
 
 
 def publish_node_counters(registry: MetricsRegistry, replica_id: ReplicaId,
@@ -217,45 +154,19 @@ def publish_node_counters(registry: MetricsRegistry, replica_id: ReplicaId,
     pre-crash high-water mark, folds as a reset) instead of
     double-counting the lifetime.
     """
+    from ..net.node import TenantCounters
     from .registry import fold_samples
 
-    for name, value in sorted(counters.items()):
-        help_text = _NODE_COUNTER_HELP.get(name, "")
-        full_name = f"repro_node_{name}_total"
+    sample_labels = tuple(
+        sorted((k, str(v)) for k, v in dict(labels, replica=replica_id).items())
+    )
+    for export in exports(TenantCounters):
+        if export.name not in counters:
+            continue
+        name = export.metric("repro_node_")
         # Declare the family with its help text; folding only creates it.
-        registry.counter(full_name, help_text, replica=replica_id, **labels)
-        sample_labels = tuple(
-            sorted((k, str(v)) for k, v in
-                   dict(labels, replica=replica_id).items())
-        )
-        fold_samples(registry, [(full_name, sample_labels, float(value))])
-
-
-def attach_encoder_observer(encoder: Any, registry: MetricsRegistry,
-                            **labels: object) -> None:
-    """Wire a :class:`~repro.wire.channel.ChannelDeltaEncoder` to a registry.
-
-    Every encoded frame increments per-channel delta/full-frame counters —
-    the delta-encoder fallback rate, observable live rather than only from
-    end-of-run aggregates.  Uses the encoder's zero-cost-when-unset
-    ``on_frame`` hook.
-    """
-
-    def on_frame(channel: Channel, sizes: Any) -> None:
-        src, dst = channel
-        if sizes.delta_frames:
-            registry.counter(
-                "repro_encoder_delta_frames_total",
-                "timestamp frames delta-encoded", src=src, dst=dst, **labels,
-            ).inc(sizes.delta_frames)
-        if sizes.full_frames:
-            registry.counter(
-                "repro_encoder_full_frames_total",
-                "timestamp frames sent in full (fallbacks)",
-                src=src, dst=dst, **labels,
-            ).inc(sizes.full_frames)
-
-    encoder.on_frame = on_frame
+        registry.counter(name, export.help, replica=replica_id, **labels)
+        fold_samples(registry, [(name, sample_labels, float(counters[export.name]))])
 
 
 def registry_for_sim(host: Any, graph: Optional[ShareGraph] = None,
@@ -304,7 +215,7 @@ def registry_for_live(result: Any, bounds: bool = True,
 
 
 __all__ = [
-    "attach_encoder_observer",
+    "publish_book",
     "publish_channel_wire_stats",
     "publish_network_stats",
     "publish_node_counters",

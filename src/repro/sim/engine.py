@@ -38,6 +38,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     ClassVar,
@@ -52,25 +53,22 @@ from typing import (
     Type,
 )
 
+from ..core.counters import COUNTER, counter, exported
 from ..core.errors import SimulationError
 from ..core.host import ReplicaHost
 from ..core.protocol import Known, UpdateId, UpdateMessage
 from ..core.registers import ReplicaId
 from ..core.share_graph import ShareGraph
-from ..wire.channel import (
-    BatchingConfig,
-    ChannelSender,
-    ChannelWireStats,
-    CopyKey,
-    Window,
-)
+from ..wire.channel import BatchingConfig, ChannelSender, CopyKey, Window
 from ..wire.frames import message_wire_sizes
 from .delays import Channel, DelayModel, UniformDelay
+
+if TYPE_CHECKING:
+    from ..wire.channel import ChannelWireStats
 
 __all__ = [
     "ArrivalEvent",
     "BatchingConfig",
-    "ChannelWireStats",
     "DeliveryEvent",
     "EventKernel",
     "Firing",
@@ -263,9 +261,8 @@ class EventKernel:
 
 def _booked(column: str, doc: str) -> property:
     """A read-only aggregate: one byte-book column summed over all channels."""
-    return property(
-        lambda stats: sum(getattr(book, column) for book in stats.per_channel.values()),
-        doc=doc,
+    return exported(COUNTER, doc)(
+        lambda stats: sum(getattr(book, column) for book in stats.per_channel.values())
     )
 
 
@@ -273,18 +270,15 @@ def _booked(column: str, doc: str) -> property:
 class NetworkStats:
     """Aggregate traffic statistics maintained by the transport."""
 
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    metadata_counters_sent: int = 0
+    messages_sent: int = counter("messages handed to the transport")
+    messages_delivered: int = counter("messages delivered")
+    metadata_counters_sent: int = counter("timestamp counters shipped")
     payload_messages_sent: int = 0
     metadata_only_messages_sent: int = 0
     total_latency: float = 0.0
-    #: Message copies the (lossy) channel discarded before delivery.
-    messages_dropped: int = 0
-    #: Extra copies injected by a duplicating channel.
-    messages_duplicated: int = 0
-    #: Copies re-sent by the resend timers.
-    retransmissions: int = 0
+    messages_dropped: int = counter("message copies the (lossy) channel discarded before delivery")
+    messages_duplicated: int = counter("extra copies injected by a duplicating channel")
+    retransmissions: int = counter("copies re-sent by the resend timers")
     #: Deliveries discarded because the destination replica was crashed.
     messages_lost_to_crash: int = 0
     #: Frames rejected at delivery because their epoch tag predates the
@@ -295,8 +289,8 @@ class NetworkStats:
     #: reconfiguration coordinator (the membership codec's frames).
     reconfig_bytes_sent: int = 0
     # -- wire layer ------------------------------------------------------
-    #: Batches flushed onto the wire, and the messages they carried.
-    batches_sent: int = 0
+    batches_sent: int = counter("batches flushed onto the wire")
+    #: The messages those batches carried.
     batched_messages_sent: int = 0
     #: Whole batches discarded by a lossy channel fate.
     batches_dropped: int = 0

@@ -60,6 +60,7 @@ from typing import (
 )
 
 from ..core.causal import HappenedBefore
+from ..core.counters import GAUGE, counter, exported, gauge
 from ..core.errors import ReconfigurationError, UnknownRegisterError
 from ..core.host import FaultRecord
 from ..core.protocol import BootstrapMetadata, ReplicaEvent, Update, UpdateId, UpdateMessage
@@ -70,6 +71,7 @@ from .engine import DeliveryEvent, SimulationHost
 
 __all__ = [
     "EpochMark",
+    "EpochSegment",
     "ReconfigAction",
     "ReconfigManager",
     "ReconfigSchedule",
@@ -411,6 +413,23 @@ class EpochMark:
     messages_sent: int
     timestamp_bytes_sent: int
     metadata_counters_sent: int
+
+
+@dataclass(frozen=True)
+class EpochSegment:
+    """One epoch's traffic, between consecutive boundary marks (a book)."""
+
+    epoch: int
+    share_graph: ShareGraph
+    start: float = gauge("epoch activation time (host time)")
+    end: float = gauge("epoch retirement time (host time)")
+    messages: int = counter("messages sent while this epoch was active")
+    timestamp_bytes: int = counter("timestamp-frame bytes sent while this epoch was active")
+    counters: int = counter("metadata counters shipped while this epoch was active")
+
+    @exported(GAUGE, "replicas in the epoch's share graph")
+    def replicas(self) -> int:
+        return self.share_graph.num_replicas
 
 
 class ReconfigManager:
@@ -858,31 +877,22 @@ class ReconfigManager:
             metadata_counters_sent=stats.metadata_counters_sent,
         )
 
-    def epoch_segments(self) -> List[Dict[str, object]]:
+    def epoch_segments(self) -> List[EpochSegment]:
         """Per-epoch traffic deltas between consecutive boundary marks.
 
-        The last segment runs from the final commit to *now*.  Each entry
-        reports the epoch, its share graph, and the messages / timestamp
-        bytes / metadata counters sent while it was active — the data E17
+        The last segment runs from the final commit to *now*: the data E17
         compares against each configuration's closed-form bound.
         """
         marks = self.epoch_marks + [self._mark()]
-        segments: List[Dict[str, object]] = []
-        for previous, current in zip(marks[:-1], marks[1:]):
-            segments.append(
-                {
-                    "epoch": previous.epoch,
-                    "share_graph": previous.share_graph,
-                    "start": previous.time,
-                    "end": current.time,
-                    "messages": current.messages_sent - previous.messages_sent,
-                    "timestamp_bytes": (
-                        current.timestamp_bytes_sent - previous.timestamp_bytes_sent
-                    ),
-                    "counters": (
-                        current.metadata_counters_sent
-                        - previous.metadata_counters_sent
-                    ),
-                }
+        return [
+            EpochSegment(
+                epoch=previous.epoch,
+                share_graph=previous.share_graph,
+                start=previous.time,
+                end=current.time,
+                messages=current.messages_sent - previous.messages_sent,
+                timestamp_bytes=current.timestamp_bytes_sent - previous.timestamp_bytes_sent,
+                counters=current.metadata_counters_sent - previous.metadata_counters_sent,
             )
-        return segments
+            for previous, current in zip(marks[:-1], marks[1:])
+        ]

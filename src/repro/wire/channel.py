@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
+from ..core.counters import counter
 from ..core.errors import ConfigurationError
 from ..core.protocol import Known, UpdateId, UpdateMessage
 from ..core.registers import ReplicaId
@@ -73,16 +74,15 @@ class BatchingConfig:
 class ChannelWireStats:
     """Byte-accurate accounting of one channel's outgoing traffic."""
 
-    messages: int = 0
-    batches: int = 0
-    header_bytes: int = 0
-    timestamp_bytes: int = 0
-    payload_bytes: int = 0
-    #: What the timestamp frames would have cost without delta encoding.
-    timestamp_bytes_full: int = 0
-    #: Timestamp frames shipped as per-channel deltas vs. in full.
-    delta_frames: int = 0
-    full_frames: int = 0
+    messages: int = counter("messages on this channel")
+    batches: int = counter("batches flushed on this channel")
+    header_bytes: int = counter("envelope/identity bytes")
+    timestamp_bytes: int = counter("timestamp-frame bytes")
+    payload_bytes: int = counter("payload-value bytes")
+    timestamp_bytes_full: int = counter(
+        "what the timestamp frames would have cost without delta encoding")
+    delta_frames: int = counter("timestamp frames shipped as per-channel deltas")
+    full_frames: int = counter("timestamp frames shipped in full")
 
     @property
     def total_bytes(self) -> int:
@@ -95,10 +95,6 @@ class ChannelDeltaEncoder:
 
     def __init__(self) -> None:
         self._last: Dict[Channel, Any] = {}
-        #: Optional frame observer ``(channel, sizes) -> None`` counting
-        #: delta-vs-full frames live (``obs.publish.attach_encoder_observer``);
-        #: ``None`` by default: untraced encoding pays one check.
-        self.on_frame: Optional[Any] = None
 
     def encode_message_into(
         self,
@@ -112,8 +108,6 @@ class ChannelDeltaEncoder:
         prev = self._last.get(channel)
         sizes = encode_message_frame_into(out, message, codec=codec, prev=prev)
         self._last[channel] = message.metadata
-        if self.on_frame is not None:
-            self.on_frame(channel, sizes)
         return sizes
 
     def encode_message(

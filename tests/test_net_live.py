@@ -356,12 +356,9 @@ class TestLiveBasics:
         for report in result.reports.values():
             counters = report["counters"]
             # First receipts + suppressed duplicates account for every
-            # message read off the wire, and the replica's own duplicate
-            # suppression never sees more copies than the wire produced —
-            # exactly-once at the protocol layer, whatever the reconnects
-            # re-sent.
+            # message read off the wire — exactly-once at the protocol
+            # layer, whatever the reconnects re-sent.
             assert counters["delivered"] == counters["received"] - counters["duplicates"]
-            assert report["duplicates_ignored"] <= counters["duplicates"]
 
 
 class TestQuietShutdown:

@@ -118,7 +118,7 @@ def test_each_chunk_gets_its_own_write():
     writer = _serve(node, _op(1, 1, "write", "x", 0),
                     _op(2, 2, "write", "y", 0) + _op(3, 3, "read", "x"))
     assert [len(decode_all(data)) for data in writer.writes] == [1, 2]
-    assert node.socket_writes == 2
+    assert node.counters.socket_writes == 2
 
 
 def test_frames_before_a_shutdown_are_still_answered():
@@ -128,7 +128,7 @@ def test_frames_before_a_shutdown_are_still_answered():
                     + _op(2, 1, "write", "x", 1))
     assert writer.writes == [_reply(1, frames.OP_OK)]
     assert node.stopping.is_set() and writer.closed
-    assert node.tenants[1].counters["issued"] == 1
+    assert node.tenants[1].counters.issued == 1
 
 
 def test_misrouted_batch_and_corrupt_frame_are_counted_and_replies_kept():
@@ -200,15 +200,15 @@ def test_a_send_loop_pass_writes_every_due_window_at_once():
     a, writer = asyncio.run(_one_pass())
     assert len(writer.writes) == 1 and writer.drains == 1
     assert [kind for kind, _ in decode_all(writer.writes[0])] == [frames.BATCH] * 2
-    assert a.socket_writes == 1
-    assert a.tenants[1].counters["sent"] == a.tenants[2].counters["sent"] == 1
+    assert a.counters.socket_writes == 1
+    assert a.tenants[1].counters.sent == a.tenants[2].counters.sent == 1
 
     # The receiving node answers the hello and both batches with one write:
     # a SYNC for replica 3, then one ACK carrying both batches' uids.
     b = LiveNode(NodeConfig("b", GRAPH, (3,), SPLIT))
     hello = encode_frame(frames.HELLO, frames.encode_hello("a", 0))
     reply = _serve(b, hello + writer.writes[0])
-    assert len(reply.writes) == 1 and b.socket_writes == 1
+    assert len(reply.writes) == 1 and b.counters.socket_writes == 1
     answered = decode_all(reply.writes[0])
     assert [kind for kind, _ in answered] == [frames.SYNC, frames.ACK]
     assert frames.decode_tagged_uids(answered[1][1]) == (3, [(1, 1), (2, 1)])
@@ -292,13 +292,13 @@ def test_a_chunk_is_acked_once_per_destination_in_first_seen_order():
     assert [kind for kind, _ in answered] == [frames.SYNC] * 2 + [frames.ACK] * 2
     assert [frames.decode_tagged_uids(p) for _, p in answered[2:]] == [
         (2, [(3, 1), (3, 3)]), (1, [(3, 2)])]
-    assert b.ack_frames == 2
+    assert b.counters.ack_frames == 2
     # A second connection replays the same bytes: every copy is a
     # duplicate now, and every one is acked again.
     again = decode_all(_serve(b, hello + batches).writes[0])
     assert [frames.decode_tagged_uids(p) for k, p in again if k == frames.ACK] == [
         (2, [(3, 1), (3, 3)]), (1, [(3, 2)])]
-    assert b.tenants[2].counters["duplicates"] == 2
+    assert b.tenants[2].counters.duplicates == 2
     names = {name: value for name, _, value in b.telemetry_samples()}
     assert names["repro_node_ack_frames_total"] == 4.0
 
@@ -456,7 +456,7 @@ def test_a_duplicate_only_batch_is_logged_and_the_chain_after_it_replays(
     assert [delta for _, delta in batches] == [0, 1, 1]
     b = _durable(tmp_path)
     _serve(b, HELLO_A + b"".join(frame for frame, _ in batches))
-    assert b.tenants[1].counters["duplicates"] == 1
+    assert b.tenants[1].counters.duplicates == 1
     assert [kind for kind, _ in _log_records(b)] == [wal.W_DELIVER] * 3
     before = _histories(b)
     b.wal.close()

@@ -228,7 +228,7 @@ async def _pile_up(monkeypatch):
         arrived = await _until(lambda: len(pair.received((1, 3))) == PILE, 5.0)
         settled = await _until(pair.settled, 2.0)
         return (piled, arrived, settled, list(pair.received((1, 3))),
-                pair.b.tenants[3].counters["duplicates"],
+                pair.b.tenants[3].counters.duplicates,
                 pair.a.senders["b"].book[(1, 3)].batches)
 
 

@@ -515,7 +515,7 @@ def test_a_rejected_read_leaves_the_run_metrics_untouched(tmp_path):
     _drive(node, [(1, "read", "x", "-")])
     metrics = node.metrics
     assert (metrics.reads, list(metrics.operation_times)) == (0, [])
-    assert node.tenants[1].counters["ops_done"] == 1
+    assert node.tenants[1].counters.ops_done == 1
 
 
 def test_oversized_record_rejected_before_hitting_disk(tmp_path):

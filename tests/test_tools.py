@@ -145,8 +145,8 @@ def test_trace_report_node_table_carries_the_frame_counts(traced_dump, tmp_path,
         {1: {"x"}, 2: {"x"}}))
     node = LiveNode(NodeConfig("n1", graph, (1,), {1: "n1", 2: "n2"},
                                durable_dir=str(tmp_path)))
-    node.socket_writes, node.ack_frames = 7, 5
-    node.misrouted_batches, node.corrupt_streams = 2, 1
+    node.counters.socket_writes, node.counters.ack_frames = 7, 5
+    node.counters.misrouted_batches, node.counters.corrupt_streams = 2, 1
     node.wal.records_appended, node.wal.flushes = 9, 3
     registry = MetricsRegistry()
     fold_samples(registry, node.telemetry_samples())
