@@ -209,8 +209,7 @@ class RunMetrics:
     #: update it missed while down (one sample per recovery).
     recovery_latencies: List[float] = field(default_factory=list)
     # -- reconfiguration subsystem ---------------------------------------
-    #: Configuration changes committed during the run.
-    reconfigs: int = 0
+    reconfigs: int = counter("configuration changes committed during the run")
     #: Every reconfiguration step (window open / commit / transfer done),
     #: in firing order.
     reconfig_timeline: List[FaultRecord] = field(default_factory=list)
@@ -218,9 +217,9 @@ class RunMetrics:
     #: operations at the replicas a change affects are rejected inside its
     #: window, which is where any reconfiguration availability dip lives.
     migration_windows: List[Tuple[float, float]] = field(default_factory=list)
-    #: Pending messages the commit flush had to apply by coordinator order
-    #: (normally zero: the flush plus the apply fixpoint drain everything).
-    reconfig_forced_applies: int = 0
+    #: Normally zero: the flush plus the apply fixpoint drain everything.
+    reconfig_forced_applies: int = counter(
+        "pending messages a reconfiguration commit had to apply by coordinator order")
 
     @property
     def mean_apply_latency(self) -> float:

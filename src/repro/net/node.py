@@ -16,8 +16,10 @@ decouples the logical communication graph from the physical one:
   unacknowledged copies live in the stream's
   :class:`~repro.wire.channel.ChannelSender` — the state machine the
   simulator's transport drives too, here in seconds.  The window is the
-  only place a copy waits, and a producer blocks while it holds
-  ``SEND_QUEUE_LIMIT`` copies (backpressure).  ACK/SYNC frames ride the
+  only place a copy waits.  A client write that would add a copy to a
+  window already holding ``SEND_QUEUE_LIMIT`` copies is not performed
+  yet: the connection parks (backpressure), and the write and the rest of
+  its chunk wait until a send pass drains the window.  ACK/SYNC frames ride the
   stream tagged with the replica they speak for.  TCP loses a copy only
   with its connection, so there is no resend timer: a reconnect severs
   all of the stream's channels at once and re-sends every unacknowledged
@@ -34,13 +36,14 @@ decouples the logical communication graph from the physical one:
   its co-hosted copies itself, at the write's own time, through the
   in-process batch-apply path (:meth:`ReplicaHost.deliver`), and the
   write's one log record stands for them;
-* **one socket write per wake-up**: an inbound connection answers every
-  frame of a received chunk — ``OP_REPLY``, ``SYNC``, ``STATS``,
-  ``REPORT`` in frame order, then one ``ACK`` per destination replica
-  for all of the chunk's batches — with one write once the chunk is
-  handled, and a peer stream's send-loop pass encodes every due window
-  into one buffer and writes it once.  The per-frame handlers only
-  append to that buffer or to the chunk's acks;
+* **one socket write per wake-up**: an inbound connection is an
+  :class:`asyncio.Protocol`, and its read callback runs every frame of
+  the received chunk through the per-frame handlers, synchronously, then
+  answers them — ``OP_REPLY``, ``SYNC``, ``STATS``, ``REPORT`` in frame
+  order, then one ``ACK`` per destination replica for all of the chunk's
+  batches — with one write.  A peer stream's send-loop pass encodes
+  every due window into one buffer and writes it once.  The per-frame
+  handlers only append to that buffer or to the chunk's acks;
 * **one write-ahead log per node** (:mod:`repro.net.wal`): with a
   ``durable_dir`` configured every state change appends one O(delta),
   tenant-tagged record to the node's log — client writes and reads as
@@ -70,7 +73,7 @@ import pickle
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.counters import GAUGE, counter, exported, gauge, samples_of, values_of
 from ..core.host import ReplicaHost
@@ -88,7 +91,7 @@ from ..wire.channel import (
 from ..wire.primitives import WireFormatError, decode_atom, encode_atom
 from . import frames
 from . import wal as wal_records
-from .framing import StreamDecoder, encode_frame, encode_frame_into
+from .framing import Frame, StreamDecoder, encode_frame, encode_frame_into
 from .wal import NodeCheckpoint, ReplicaWAL, WalCheckpoint, WalCounters
 
 Channel = Tuple[ReplicaId, ReplicaId]
@@ -106,7 +109,8 @@ def _id_order(value: Any) -> Tuple[bool, Any]:
 #: stream flushes on the ack clock; the 2 ms deadline only bounds a
 #: window's wait while copies of its stream are unacknowledged.
 DEFAULT_BATCHING = BatchingConfig(max_messages=16, max_delay=0.002)
-#: Copies a channel's window holds before its producers block (backpressure).
+#: Copies a channel's window holds before a client write that would add
+#: one parks its connection, and a resync waits (backpressure).
 SEND_QUEUE_LIMIT = 4096
 #: First and longest wait between connection attempts to a peer, seconds.
 RECONNECT_BACKOFF = 0.05
@@ -180,6 +184,7 @@ class NodeCounters:
     ack_frames: int = counter("ACK frames sent: one per destination replica per chunk of batches")
     misrouted_batches: int = counter("inbound batches dropped unacknowledged: no such tenant here")
     corrupt_streams: int = counter("connections dropped for a corrupt or misaligned stream")
+    inbound_resets: int = counter("inbound connections lost to a socket error")
     control_connections: int = gauge("open control connections")
 
 
@@ -341,6 +346,9 @@ class _PeerStream:
         self._wake = asyncio.Event()
         #: The send loop wrote a pass: blocked producers look again.
         self._written = asyncio.Event()
+        #: Inbound connections parked on a full window of this stream; the
+        #: next written pass resumes them.
+        self.waiting: List["_Inbound"] = []
         #: The reply reader hit a corrupt frame: the connection must go.
         self._replies_corrupt = False
         self.connected = False
@@ -349,15 +357,19 @@ class _PeerStream:
         """Join the channel's window; blocks while it holds
         ``SEND_QUEUE_LIMIT`` copies."""
         channel = (message.sender, message.destination)
-        self.node.tenants[message.sender].counters.enqueued += 1
-        tracer = self.node.tracer
-        if tracer is not None:
-            tracer.record("send", message.update.uid,
-                          channel[0], channel[1], self.node.now)
         windows = self.sender.windows
         while channel in windows and len(windows[channel].messages) >= SEND_QUEUE_LIMIT:
             self._written.clear()
             await self._written.wait()
+        self.add(message)
+
+    def add(self, message: UpdateMessage) -> None:
+        """Join the channel's window now (the caller checked its room)."""
+        self.node.tenants[message.sender].counters.enqueued += 1
+        tracer = self.node.tracer
+        if tracer is not None:
+            tracer.record("send", message.update.uid,
+                          message.sender, message.destination, self.node.now)
         full, opened = self.sender.add(message, time.monotonic())
         if full or opened is not None:
             self._wake.set()
@@ -442,6 +454,13 @@ class _PeerStream:
                 self.node.counters.socket_writes += 1
                 await writer.drain()
                 self._written.set()
+                if self.waiting:
+                    # Parked connections look again, in the order they
+                    # parked, each in its own callback.
+                    loop = asyncio.get_running_loop()
+                    for connection in self.waiting:
+                        loop.call_soon(connection.resume)
+                    self.waiting = []
             if stopping and not sender.windows:
                 return  # every window flushed
             # Sleep until new traffic, the ACK that empties the wire, or the
@@ -508,6 +527,130 @@ class _PeerStream:
         return self.sender.unacked
 
 
+class _Inbound(asyncio.Protocol):
+    """One inbound connection: a peer stream's receiving end or a client's.
+
+    asyncio hands :meth:`data_received` each chunk the socket produced; the
+    chunk's frames run through the node's per-frame handlers right there,
+    synchronously, and everything they answer leaves in one write.  A
+    client write that would add a copy to a window already holding
+    ``SEND_QUEUE_LIMIT`` copies parks the connection: the write is not
+    performed, it and the frames after it wait in :attr:`backlog`, the
+    connection stops reading, and the send pass that drains the window
+    resumes them in frame order.  A full socket buffer stops reading too,
+    until the transport drains it.
+    """
+
+    def __init__(self, node: "LiveNode") -> None:
+        self.node = node
+        self.decoder = StreamDecoder()
+        #: The connection's number: its receipt records name it, so replay
+        #: decodes them on the right delta chain.
+        self.connection = node._next_connection
+        node._next_connection += 1
+        #: The peer stream's delta chains, from its ``HELLO`` on.
+        self.deltas: Optional[ChannelDeltaDecoder] = None
+        self.control = False
+        self.transport: Any = None
+        #: The acks of the chunk being handled: destination → uids.
+        self.acks: Dict[ReplicaId, List[UpdateId]] = {}
+        #: Frames read and not yet handled: a parked write and what followed it.
+        self.backlog: List[Frame] = []
+        self.parked = False
+        self.writing_paused = False
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.node._connections[self.connection] = self
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            received = self.decoder.feed(data)
+        except WireFormatError:
+            # A corrupt or misaligned stream: drop the connection (the
+            # peer's reconnect + resync path recovers), keep the node up.
+            self.node.counters.corrupt_streams += 1
+            self.transport.close()
+            return
+        if self.parked:
+            self.backlog.extend(received)
+        else:
+            self._handle(received)
+
+    def resume(self) -> None:
+        """The window this connection parked on drained: handle the backlog."""
+        if self.transport.is_closing():
+            return
+        backlog, self.backlog = self.backlog, []
+        self.parked = False
+        try:
+            self._handle(backlog)
+        except Exception:
+            # What asyncio does when data_received raises: the connection
+            # goes, the loop's exception handler reports the error.
+            self.transport.abort()
+            raise
+        if not (self.parked or self.writing_paused):
+            self.transport.resume_reading()
+
+    def _handle(self, received: List[Frame]) -> None:
+        """Handle frames in order, then answer them with one write: every
+        reply in frame order, then one ACK per destination replica for the
+        frames' batches.  The frames handled before a ``SHUTDOWN``, a
+        corrupt frame or a parked write are answered too."""
+        node = self.node
+        out = bytearray()
+        acks = self.acks = {}
+        close = False
+        try:
+            for index, (kind, payload) in enumerate(received):
+                full = node._handle_frame(kind, payload, out, self)
+                if full is not None:
+                    self.backlog[:0] = received[index:]
+                    self.parked = True
+                    full.waiting.append(self)
+                    self.transport.pause_reading()
+                    break
+                if node.stopping.is_set():
+                    close = True
+                    break
+        except WireFormatError:
+            node.counters.corrupt_streams += 1
+            close = True
+        finally:
+            for destination, uids in acks.items():
+                encode_frame_into(out, frames.ACK,
+                                  frames.encode_tagged_uids(destination, uids))
+            node.counters.ack_frames += len(acks)
+            # The records of the handled frames reach the OS in one write,
+            # before the acks and replies that speak of them.
+            node.commit()
+            if out:
+                self.transport.write(out)
+                node.counters.socket_writes += 1
+            if close:
+                self.transport.close()
+
+    def pause_writing(self) -> None:
+        # The socket buffer is full: read nothing more until it drains.
+        self.writing_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.writing_paused = False
+        if not self.parked:
+            self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        node = self.node
+        if exc is not None:
+            node.counters.inbound_resets += 1
+        del node._connections[self.connection]
+        if self.control:
+            node.counters.control_connections -= 1
+        self.backlog = []
+
+
 class LiveNode(ReplicaHost):
     """One live node process: the host of its tenants, their listener,
     peer streams and durability.
@@ -547,10 +690,10 @@ class LiveNode(ReplicaHost):
         self.port: int = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._tasks: List[asyncio.Task] = []
-        #: Control-connection writers subscribed to TELEMETRY pushes.
-        self._telemetry_writers: List[asyncio.StreamWriter] = []
-        #: One task per inbound connection (asyncio's server starts them).
-        self._handlers: Set[asyncio.Task] = set()
+        #: Control connections subscribed to TELEMETRY pushes.
+        self._telemetry_subscribers: List[_Inbound] = []
+        #: The open inbound connections, by connection number.
+        self._connections: Dict[int, _Inbound] = {}
         self.counters = NodeCounters()
         #: The node's one write-ahead log (``None``: diskless).
         self.wal: Optional[ReplicaWAL] = None
@@ -560,8 +703,6 @@ class LiveNode(ReplicaHost):
         #: The number the next inbound connection gets; its receipt records
         #: name it, so replay decodes them on the right delta chain.
         self._next_connection = 0
-        #: Open inbound connections' delta decoders, by connection number.
-        self._inbound: Dict[int, ChannelDeltaDecoder] = {}
         self._recover()
 
     @property
@@ -638,8 +779,9 @@ class LiveNode(ReplicaHost):
         return NodeCheckpoint(
             tenants={rid: tenant.checkpoint_state(sent_logs[rid])
                      for rid, tenant in self.tenants.items()},
-            decoder_bases={connection: decoder.bases
-                           for connection, decoder in self._inbound.items()},
+            decoder_bases={number: connection.deltas.bases
+                           for number, connection in self._connections.items()
+                           if connection.deltas is not None},
             next_connection=self._next_connection,
         )
 
@@ -729,8 +871,8 @@ class LiveNode(ReplicaHost):
     # ------------------------------------------------------------------
     async def serve(self, on_ready: Optional[Callable[[int], None]] = None) -> None:
         """Run the node until a SHUTDOWN frame (or cancellation)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self),
             host=self.config.listen_host,
             port=self.config.listen_port,
         )
@@ -753,14 +895,13 @@ class LiveNode(ReplicaHost):
         finally:
             self.stopping.set()
             self._server.close()
-            # Handlers are ended here, not by the loop's teardown: a task
-            # that asyncio.run() finds still waiting and cancels dies
-            # cancelled, which the stream server's done-callback reports on
-            # stderr.
-            tasks = [*self._tasks, *self._handlers]
-            for task in tasks:
+            # Inbound connections hold no task: closing the transport
+            # flushes its replies and ends the connection.
+            for connection in list(self._connections.values()):
+                connection.transport.close()
+            for task in self._tasks:
                 task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
+            await asyncio.gather(*self._tasks, return_exceptions=True)
             await self._server.wait_closed()
             if self.wal is not None:
                 self.wal.close()
@@ -805,27 +946,21 @@ class LiveNode(ReplicaHost):
         interval = self.config.telemetry_interval
         while not self.stopping.is_set():
             await asyncio.sleep(interval)
-            await self._push_telemetry()
+            self._push_telemetry()
 
-    async def _push_telemetry(self) -> None:
-        if not self._telemetry_writers:
+    def _push_telemetry(self) -> None:
+        subscribers = [connection for connection in self._telemetry_subscribers
+                       if not connection.transport.is_closing()]
+        self._telemetry_subscribers = subscribers
+        if not subscribers:
             return
         frame = encode_frame(frames.TELEMETRY, frames.encode_telemetry_payload(
             self.now, self.node_id, self.telemetry_samples()
         ))
-        alive: List[asyncio.StreamWriter] = []
         self.commit()
-        for writer in self._telemetry_writers:
-            if writer.is_closing():
-                continue
-            try:
-                writer.write(frame)
-                self.counters.socket_writes += 1
-                await writer.drain()
-            except (OSError, ConnectionError):
-                continue
-            alive.append(writer)
-        self._telemetry_writers = alive
+        for connection in subscribers:
+            connection.transport.write(frame)
+            self.counters.socket_writes += 1
 
     # ------------------------------------------------------------------
     # Resync (the live anti-entropy exchange)
@@ -849,85 +984,25 @@ class LiveNode(ReplicaHost):
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        decoder = StreamDecoder()
-        # The connection's number names its delta chain in the log.
-        state: Dict[str, Any] = {"peer": None, "decoder": None,
-                                 "connection": self._next_connection,
-                                 "control": False, "writer": writer}
-        self._next_connection += 1
-        handler = asyncio.current_task()
-        self._handlers.add(handler)
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    return
-                # Every reply the chunk's frames produce, in frame order,
-                # goes out in one write: one syscall per wake-up, not per
-                # frame.  The chunk's batches are acked last, one ACK per
-                # destination replica.
-                out = bytearray()
-                acks = state["acks"] = {}
-                try:
-                    for kind, payload in decoder.feed(chunk):
-                        await self._handle_frame(kind, payload, out, state)
-                        if self.stopping.is_set():
-                            return
-                finally:
-                    # The frames handled before a SHUTDOWN or a corrupt
-                    # frame are answered too: close() flushes the write.
-                    for destination, uids in acks.items():
-                        encode_frame_into(out, frames.ACK,
-                                          frames.encode_tagged_uids(destination, uids))
-                    self.counters.ack_frames += len(acks)
-                    # The chunk's records reach the OS in one write, before
-                    # the acks and replies that speak of them.
-                    self.commit()
-                    if out:
-                        writer.write(out)
-                        self.counters.socket_writes += 1
-                if out:
-                    await writer.drain()
-        except WireFormatError:
-            # A corrupt or misaligned stream: drop the connection (the
-            # peer's reconnect + resync path recovers), keep the node up.
-            self.counters.corrupt_streams += 1
-            return
-        except (OSError, ConnectionError):
-            return
-        except asyncio.CancelledError:
-            # Loop teardown while blocked in read(): finish quietly — the
-            # connection is closed in the finally block either way.
-            return
-        finally:
-            self._handlers.discard(handler)
-            self._inbound.pop(state["connection"], None)
-            if state["control"]:
-                self.counters.control_connections -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError, asyncio.CancelledError):
-                pass
-
-    async def _handle_frame(self, kind: int, payload: bytes, out: bytearray,
-                            state: Dict[str, Any]) -> None:
+    def _handle_frame(self, kind: int, payload: bytes, out: bytearray,
+                      connection: "_Inbound") -> Optional[_PeerStream]:
         """Handle one inbound frame, appending its replies to ``out`` (the
-        connection writes them once the chunk is done)."""
-        if kind == frames.HELLO:
+        connection writes them once the chunk is done).  Returns the
+        stream whose full window a client write must wait for, without
+        having performed it; otherwise ``None``."""
+        if kind == frames.OP:
+            return self._handle_op(payload, out)
+        if kind == frames.BATCH:
+            self._handle_batch(payload, connection)
+        elif kind == frames.HELLO:
             peer, port = frames.decode_hello(payload)
-            state["peer"] = peer
             # One decoder per inbound connection: its delta chains are
             # keyed by channel, like the sending stream's encoder.
-            decoder = state["decoder"] = self._new_decoder()
-            if decoder is not None:
-                self._inbound[state["connection"]] = decoder
+            connection.deltas = self._new_decoder()
             # The peer listens on the host it dialled from, at the port it
             # announced — so a restarted peer's new address propagates with
             # its first frame.
-            peername = state["writer"].get_extra_info("peername")
+            peername = connection.transport.get_extra_info("peername")
             peer_host = peername[0] if peername else self.config.listen_host
             self.addresses[peer] = (peer_host, port)
             # Offer the anti-entropy exchange, once per hosted replica
@@ -942,19 +1017,15 @@ class LiveNode(ReplicaHost):
                         out, frames.SYNC,
                         frames.encode_sync(rid, tenant.replica.known()),
                     )
-        elif kind == frames.BATCH:
-            self._handle_batch(payload, state)
         elif kind == frames.CONTROL_HELLO:
-            state["control"] = True
+            connection.control = True
             self.counters.control_connections += 1
             if self.config.telemetry_interval > 0:
-                self._telemetry_writers.append(state["writer"])
+                self._telemetry_subscribers.append(connection)
         elif kind == frames.ADDR:
             node_id, host, port = frames.decode_addr(payload)
             if node_id != self.node_id:
                 self.addresses[node_id] = (host, port)
-        elif kind == frames.OP:
-            await self._handle_op(payload, out)
         elif kind == frames.STATS_REQ:
             encode_frame_into(out, frames.STATS, self._stats_payload())
         elif kind == frames.REPORT_REQ:
@@ -975,9 +1046,10 @@ class LiveNode(ReplicaHost):
             self.stopping.set()
         # Unknown kinds are ignored: wire-compatible newer launchers may
         # probe; dropping beats crashing a live node.
+        return None
 
-    def _handle_batch(self, payload: bytes, state: Dict[str, Any]) -> None:
-        batch, _ = decode_batch(payload, decoder=state["decoder"])
+    def _handle_batch(self, payload: bytes, connection: "_Inbound") -> None:
+        batch, _ = decode_batch(payload, decoder=connection.deltas)
         tenant = self.tenants.get(batch.destination)
         if tenant is None:
             # Misrouted (stale placement at the sender): drop, unacknowledged.
@@ -990,7 +1062,7 @@ class LiveNode(ReplicaHost):
             self.wal.append(
                 wal_records.W_DELIVER,
                 tenant.tag + wal_records.encode_receipt_head(
-                    received_at, state["connection"]),
+                    received_at, connection.connection),
                 payload,
             )
         self._deliver(tenant, batch.channel, list(batch.messages), received_at)
@@ -998,10 +1070,10 @@ class LiveNode(ReplicaHost):
         # the receipt durable: an ack promises the update survives a crash.
         # Duplicates are re-acked so a sender that re-sent them on a
         # reconnect settles.
-        state["acks"].setdefault(batch.destination, []).extend(
+        connection.acks.setdefault(batch.destination, []).extend(
             message.update.uid for message in batch.messages)
 
-    async def _handle_op(self, payload: bytes, out: bytearray) -> None:
+    def _handle_op(self, payload: bytes, out: bytearray) -> Optional[_PeerStream]:
         op_id, replica_id, kind, register, value = frames.decode_op(payload)
         tenant = self.tenants.get(replica_id)
         status = frames.OP_OK
@@ -1017,14 +1089,31 @@ class LiveNode(ReplicaHost):
             if tenant is not None:
                 tenant.counters.ops_done += 1
         elif kind == "write":
+            full = self._full_stream(tenant, register)
+            if full is not None:
+                return full
             # Co-hosted copies are delivered inside the write.
             for message in tenant.write(register, value, self.now):
-                await self._stream_for(message.destination).enqueue(message)
+                self._stream_for(message.destination).add(message)
         else:
             reply_value = tenant.read(register, self.now)
         encode_frame_into(
             out, frames.OP_REPLY, frames.encode_op_reply(op_id, status, reply_value)
         )
+        return None
+
+    def _full_stream(self, tenant: _Tenant, register: Register) -> Optional[_PeerStream]:
+        """The stream of a window that a write of ``register`` at ``tenant``
+        would add a copy to while it holds ``SEND_QUEUE_LIMIT`` copies."""
+        source = tenant.replica_id
+        for destination in tenant.replica.destinations(register):
+            if destination in self.tenants:
+                continue
+            window = self.senders[self._hosting_node(destination)].windows.get(
+                (source, destination))
+            if window is not None and len(window.messages) >= SEND_QUEUE_LIMIT:
+                return self._stream_for(destination)
+        return None
 
     # ------------------------------------------------------------------
     # Harness surface
@@ -1074,7 +1163,7 @@ class LiveNode(ReplicaHost):
 
     @exported(GAUGE, "open inbound connections")
     def inbound_connections(self) -> int:
-        return len(self._handlers)
+        return len(self._connections)
 
     def _transport_books(self) -> Tuple[Any, ...]:
         """The transport footprint: the node's gauges, counters and log's."""

@@ -31,6 +31,7 @@ from .publish import (
     publish_epoch_segments,
     publish_network_stats,
     publish_node_counters,
+    publish_node_transport,
     publish_run_metrics,
     registry_for_live,
     registry_for_sim,
@@ -93,6 +94,7 @@ __all__ = [
     "publish_epoch_segments",
     "publish_network_stats",
     "publish_node_counters",
+    "publish_node_transport",
     "publish_run_metrics",
     "registry_for_live",
     "registry_for_sim",

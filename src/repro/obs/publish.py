@@ -169,6 +169,38 @@ def publish_node_counters(registry: MetricsRegistry, replica_id: ReplicaId,
         fold_samples(registry, [(name, sample_labels, float(counters[export.name]))])
 
 
+def publish_node_transport(registry: MetricsRegistry, node_id: Any,
+                           transport: Mapping[str, Any],
+                           **labels: object) -> None:
+    """One live node's final ``report()["transport"]`` → per-node families.
+
+    The names and ``node`` label of ``LiveNode.telemetry_samples()``: its
+    gauges, its :class:`~repro.net.node.NodeCounters` and its log's
+    :class:`~repro.net.wal.WalCounters`.  Folded through
+    :func:`~repro.obs.registry.fold_samples` like
+    :func:`publish_node_counters`, so a report that follows the node's
+    telemetry adds only what the last sample had not seen.
+    """
+    from ..net.node import LiveNode, NodeCounters
+    from ..net.wal import WalCounters
+    from .registry import fold_samples
+
+    node_labels = dict(labels, node=node_id)
+    sample_labels = tuple(sorted((k, str(v)) for k, v in node_labels.items()))
+    for book_type in (LiveNode, NodeCounters, WalCounters):
+        for export in exports(book_type):
+            if export.name not in transport:
+                continue
+            name = export.metric("repro_node_")
+            # Declare the family with its help text; folding only creates it.
+            if export.kind == COUNTER:
+                registry.counter(name, export.help, **node_labels)
+            else:
+                registry.gauge(name, export.help, **node_labels)
+            fold_samples(registry, [(name, sample_labels,
+                                     float(transport[export.name]))])
+
+
 def registry_for_sim(host: Any, graph: Optional[ShareGraph] = None,
                      bounds: bool = True, **labels: object) -> MetricsRegistry:
     """Everything a finished simulated run publishes, in one registry.
@@ -195,8 +227,9 @@ def registry_for_live(result: Any, bounds: bool = True,
     Folds the merged :class:`RunMetrics`, the per-channel wire books, the
     TELEMETRY sample streams (in sample order, so counter resets across a
     kill/restart fold correctly) and, last, every node's final report
-    counters — which share series with the telemetry stream and therefore
-    fold *after* it through the same counter-reset state.
+    counters and transport books — which share series with the telemetry
+    stream and therefore fold *after* it through the same counter-reset
+    state.
     """
     from .registry import fold_samples
 
@@ -211,6 +244,10 @@ def registry_for_live(result: Any, bounds: bool = True,
     for rid, report in sorted(result.reports.items()):
         publish_node_counters(registry, rid, report.get("counters", {}),
                               **labels)
+    for node_id, node_report in sorted(result.node_reports.items(),
+                                       key=lambda item: str(item[0])):
+        publish_node_transport(registry, node_id,
+                               node_report.get("transport", {}), **labels)
     return registry
 
 
@@ -219,6 +256,7 @@ __all__ = [
     "publish_channel_wire_stats",
     "publish_network_stats",
     "publish_node_counters",
+    "publish_node_transport",
     "publish_run_metrics",
     "registry_for_live",
     "registry_for_sim",

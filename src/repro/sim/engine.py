@@ -279,21 +279,18 @@ class NetworkStats:
     messages_dropped: int = counter("message copies the (lossy) channel discarded before delivery")
     messages_duplicated: int = counter("extra copies injected by a duplicating channel")
     retransmissions: int = counter("copies re-sent by the resend timers")
-    #: Deliveries discarded because the destination replica was crashed.
-    messages_lost_to_crash: int = 0
-    #: Frames rejected at delivery because their epoch tag predates the
-    #: receiver's configuration (dynamic membership; content recovery is
-    #: the retransmission/resync layers' job).
-    messages_rejected_stale_epoch: int = 0
-    #: Bytes of membership-change announcements broadcast by the
-    #: reconfiguration coordinator (the membership codec's frames).
-    reconfig_bytes_sent: int = 0
+    messages_lost_to_crash: int = counter(
+        "deliveries discarded because the destination replica was crashed")
+    #: Content recovery is the retransmission/resync layers' job.
+    messages_rejected_stale_epoch: int = counter(
+        "frames rejected at delivery: their epoch tag predates the receiver's configuration")
+    reconfig_bytes_sent: int = counter(
+        "bytes of membership-change announcements the reconfiguration coordinator broadcast")
     # -- wire layer ------------------------------------------------------
     batches_sent: int = counter("batches flushed onto the wire")
     #: The messages those batches carried.
     batched_messages_sent: int = 0
-    #: Whole batches discarded by a lossy channel fate.
-    batches_dropped: int = 0
+    batches_dropped: int = counter("whole batches a lossy channel discarded")
     #: Per-channel byte breakdown, keyed by (sender, destination) — the
     #: transport's :attr:`~repro.wire.channel.ChannelSender.book` itself,
     #: populated when wire accounting is enabled.  The aggregate byte and

@@ -11,6 +11,7 @@ their books; each must still be.  New exports may join; none may leave.
 import asyncio
 import dataclasses
 
+from inbound import serve
 from repro.core.registers import RegisterPlacement
 from repro.core.share_graph import ShareGraph
 from repro.net import frames
@@ -18,10 +19,11 @@ from repro.net.framing import encode_frame
 from repro.net.node import LiveNode, NodeConfig, _PeerStream
 from repro.obs import registry_for_sim
 from repro.sim.cluster import Cluster
-from repro.sim.delays import UniformDelay
-from repro.sim.engine import BatchingConfig
+from repro.sim.delays import LossyDelay, UniformDelay
+from repro.sim.engine import BatchingConfig, ReliabilityConfig
+from repro.sim.faults import FaultInjector, FaultSchedule, crash, restart
 from repro.sim.topologies import figure5_placement
-from repro.sim.workloads import run_open_loop, single_writer_workload
+from repro.sim.workloads import poisson_workload, run_open_loop, single_writer_workload
 
 #: ``registry_for_sim`` families: (name, sorted label keys).
 SIM_FAMILIES = {
@@ -65,6 +67,7 @@ TELEMETRY_SERIES = {
     ("repro_node_enqueued_total", ("replica",)),
     ("repro_node_full_frames_total", ("replica",)),
     ("repro_node_inbound_connections", ("node",)),
+    ("repro_node_inbound_resets_total", ("node",)),
     ("repro_node_issued_total", ("replica",)),
     ("repro_node_misrouted_batches_total", ("node",)),
     ("repro_node_open_streams", ("node",)),
@@ -92,7 +95,7 @@ TELEMETRY_SERIES = {
 REPORT_KEYS = {"metrics", "node_id", "tenants", "trace", "transport", "wire_stats"}
 TRANSPORT_KEYS = {
     "ack_frames", "control_connections", "corrupt_streams",
-    "inbound_connections", "misrouted_batches", "open_streams",
+    "inbound_connections", "inbound_resets", "misrouted_batches", "open_streams",
     "peer_streams", "socket_writes", "wal_bytes", "wal_checkpoint_bytes",
     "wal_checkpoint_seconds", "wal_compactions", "wal_flushes", "wal_records",
 }
@@ -126,6 +129,41 @@ def test_sim_registry_keeps_every_family():
     assert SIM_FAMILIES <= families, sorted(SIM_FAMILIES - families)
 
 
+#: Counted on the simulator's books and, since their declarations, exported:
+#: (family, book attribute holding it, field).
+DECLARED_SIM_COUNTERS = [
+    ("repro_messages_lost_to_crash_total", "stats", "messages_lost_to_crash"),
+    ("repro_messages_rejected_stale_epoch_total", "stats",
+     "messages_rejected_stale_epoch"),
+    ("repro_reconfig_bytes_sent_total", "stats", "reconfig_bytes_sent"),
+    ("repro_batches_dropped_total", "stats", "batches_dropped"),
+    ("repro_reconfigs_total", "metrics", "reconfigs"),
+    ("repro_reconfig_forced_applies_total", "metrics", "reconfig_forced_applies"),
+]
+
+
+def test_sim_registry_exports_each_declared_counter_at_its_field():
+    graph = ShareGraph.from_placement(figure5_placement())
+    cluster = Cluster(graph, seed=7,
+                      delay_model=LossyDelay(inner=UniformDelay(1.0, 10.0),
+                                             drop_probability=0.1),
+                      batching=BatchingConfig(max_messages=4, max_delay=2.0))
+    FaultInjector(cluster, reliability=ReliabilityConfig(
+        resend_timeout=15.0, max_retries=6)).install(FaultSchedule("lossy", (
+            crash(40.0, 2), restart(70.0, 2))))
+    assert run_open_loop(cluster, poisson_workload(graph, rate=2.0, duration=100.0,
+                                                   seed=7)).consistent
+    books = {"stats": cluster.network.stats, "metrics": cluster.metrics}
+    values = {record["name"]: record["value"]
+              for record in registry_for_sim(cluster).snapshot()
+              if record["kind"] == "counter" and not record["labels"]}
+    for family, book, attr in DECLARED_SIM_COUNTERS:
+        assert values[family] == getattr(books[book], attr), family
+    # The crash and the lossy link made two of them count.
+    assert values["repro_messages_lost_to_crash_total"] > 0
+    assert values["repro_batches_dropped_total"] > 0
+
+
 #: Replicas 1 and 2 on node ``a``, 3 on node ``b``; 3 shares ``x`` with 1
 #: and ``y`` with 2.
 GRAPH = ShareGraph.from_placement(RegisterPlacement.from_dict(
@@ -142,23 +180,6 @@ class _Writer:
 
     async def drain(self):
         pass
-
-    def get_extra_info(self, _name):
-        return None
-
-    def close(self):
-        pass
-
-    async def wait_closed(self):
-        pass
-
-
-class _Reader:
-    def __init__(self, *chunks):
-        self._chunks = list(chunks)
-
-    async def read(self, _size):
-        return self._chunks.pop(0) if self._chunks else b""
 
 
 async def _traffic(tmp_path):
@@ -186,7 +207,7 @@ def test_live_node_keeps_every_export(tmp_path):
     a, writer = asyncio.run(_traffic(tmp_path))
     b = LiveNode(NodeConfig("b", GRAPH, (3,), SPLIT))
     hello = encode_frame(frames.HELLO, frames.encode_hello("a", 0))
-    asyncio.run(b._handle_connection(_Reader(hello + writer.writes[0]), _Writer()))
+    serve(b, hello + writer.writes[0])
 
     for node in (a, b):
         series = {(name, tuple(key for key, _ in labels))

@@ -178,9 +178,9 @@ PER_FRAME_HANDLERS = {"LiveNode": ("_handle_frame", "_handle_op", "_handle_batch
 
 
 def test_live_per_frame_handlers_never_write_or_drain_a_socket():
-    """One socket write per wake-up: no ``writer.write(...)`` and no
-    ``drain()`` inside a per-frame handler of ``net/node.py``, so a
-    per-frame syscall cannot creep back in."""
+    """One socket write per wake-up: no ``writer.write(...)``, no
+    ``transport.write(...)`` and no ``drain()`` inside a per-frame handler
+    of ``net/node.py``, so a per-frame syscall cannot creep back in."""
     path = ROOT / "net" / "node.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     found, offending = set(), []
@@ -198,8 +198,8 @@ def test_live_per_frame_handlers_never_write_or_drain_a_socket():
                     continue
                 attr = call.func.attr
                 receiver = ast.unparse(call.func.value)
-                if attr == "drain" or (attr in ("write", "writelines")
-                                       and "writer" in receiver):
+                if attr == "drain" or (attr in ("write", "writelines") and (
+                        "writer" in receiver or "transport" in receiver)):
                     offending.append(f"{cls.name}.{item.name}:{call.lineno} "
                                      f"{receiver}.{attr}()")
     expected = {(cls, name) for cls, names in PER_FRAME_HANDLERS.items()

@@ -2,22 +2,26 @@
 
 A live node answers every frame of a received chunk with a single write,
 and a peer stream's send-loop pass puts every due window on the wire in a
-single write.  These tests drive :meth:`LiveNode._handle_connection` with a
-fake reader (a fixed list of chunks) and :meth:`_PeerStream._send_loop`
-with a recording writer, and count the writes, the drains and the bytes.
-The two inbound drops a node used to swallow silently — a batch for a
-replica it does not host, a corrupt stream — are counted too.  So are the
-ACKs: one per destination replica for all of a chunk's batches.  The send
-loop is ack-clocked: a stream with nothing unacknowledged writes every
-open window in its next pass, and otherwise a window waits for the ACK
-that empties the wire.
+single write.  These tests drive the node's inbound connection (its
+asyncio protocol, :class:`repro.net.node._Inbound`) over a recording
+transport, and :meth:`_PeerStream._send_loop` with a recording writer,
+and count the writes and the bytes.  The two inbound drops a node used
+to swallow silently — a batch for a replica it does not host, a corrupt
+stream — are counted too, and so is a connection lost to a socket error.
+So are the ACKs: one per destination replica for all of a chunk's
+batches.  The send loop is ack-clocked: a stream with nothing
+unacknowledged writes every open window in its next pass, and otherwise
+a window waits for the ACK that empties the wire.  A client write that
+would join a full window parks its connection until a pass drains it.
 """
 
 import asyncio
 
+from inbound import RecordingTransport, connect, feed, serve
 from repro.core.registers import RegisterPlacement
 from repro.core.share_graph import ShareGraph
 from repro.net import frames, wal
+from repro.net import node as net_node
 from repro.net.framing import decode_all, encode_frame
 from repro.net.node import LiveNode, NodeConfig, _PeerStream
 from repro.sim.engine import BatchingConfig
@@ -32,50 +36,27 @@ SPLIT = {1: "a", 2: "a", 3: "b"}
 
 
 class _Reader:
-    """Hands out fixed chunks, then end of stream; a callable among them
-    runs between the chunks around it."""
+    """Hands out fixed chunks, then end of stream."""
 
     def __init__(self, *chunks):
         self._chunks = list(chunks)
 
     async def read(self, _size):
-        while self._chunks:
-            chunk = self._chunks.pop(0)
-            if not callable(chunk):
-                return chunk
-            chunk()
-        return b""
+        return self._chunks.pop(0) if self._chunks else b""
 
 
 class _Writer:
-    """Records every write and drain."""
+    """Records every write and drain of a peer stream's connection."""
 
     def __init__(self):
         self.writes = []
         self.drains = 0
-        self.closed = False
 
     def write(self, data):
         self.writes.append(bytes(data))
 
     async def drain(self):
         self.drains += 1
-
-    def get_extra_info(self, _name):
-        return None
-
-    def close(self):
-        self.closed = True
-
-    async def wait_closed(self):
-        pass
-
-
-def _serve(node, *chunks):
-    """Run one inbound connection over ``chunks``; return its writer."""
-    writer = _Writer()
-    asyncio.run(node._handle_connection(_Reader(*chunks), writer))
-    return writer
 
 
 def _one_node():
@@ -92,7 +73,7 @@ def _reply(op_id, status, value=None):
                         frames.encode_op_reply(op_id, status, value))
 
 
-def test_a_chunk_of_ops_is_answered_with_one_write_and_one_drain():
+def test_a_chunk_of_ops_is_answered_with_one_write():
     node = _one_node()
     ops = [
         (1, 1, "write", "x", "v1"),
@@ -101,8 +82,8 @@ def test_a_chunk_of_ops_is_answered_with_one_write_and_one_drain():
         (4, 2, "write", "y", "v2"),
         (5, 3, "read", "y", None),
     ]
-    writer = _serve(node, b"".join(_op(*op) for op in ops))
-    assert len(writer.writes) == 1 and writer.drains == 1
+    writer = serve(node, b"".join(_op(*op) for op in ops))
+    assert len(writer.writes) == 1
     assert writer.writes[0] == b"".join([
         _reply(1, frames.OP_OK),
         _reply(2, frames.OP_OK, "v1"),
@@ -115,7 +96,7 @@ def test_a_chunk_of_ops_is_answered_with_one_write_and_one_drain():
 
 def test_each_chunk_gets_its_own_write():
     node = _one_node()
-    writer = _serve(node, _op(1, 1, "write", "x", 0),
+    writer = serve(node, _op(1, 1, "write", "x", 0),
                     _op(2, 2, "write", "y", 0) + _op(3, 3, "read", "x"))
     assert [len(decode_all(data)) for data in writer.writes] == [1, 2]
     assert node.counters.socket_writes == 2
@@ -123,7 +104,7 @@ def test_each_chunk_gets_its_own_write():
 
 def test_frames_before_a_shutdown_are_still_answered():
     node = _one_node()
-    writer = _serve(node, _op(1, 1, "write", "x", 0)
+    writer = serve(node, _op(1, 1, "write", "x", 0)
                     + encode_frame(frames.SHUTDOWN)
                     + _op(2, 1, "write", "x", 1))
     assert writer.writes == [_reply(1, frames.OP_OK)]
@@ -138,7 +119,7 @@ def test_misrouted_batch_and_corrupt_frame_are_counted_and_replies_kept():
     payload, _ = encode_batch(
         MessageBatch(sender=1, destination=3, seq=0, messages=tuple(messages)),
         codec=tenant.replica.wire_codec())
-    writer = _serve(node, _op(1, 2, "write", "y", "w")
+    writer = serve(node, _op(1, 2, "write", "y", "w")
                     + encode_frame(frames.BATCH, payload)       # 3 lives on b
                     + encode_frame(frames.BATCH, b"\xffgarbage")
                     + _op(2, 2, "write", "y", "never"))
@@ -207,7 +188,7 @@ def test_a_send_loop_pass_writes_every_due_window_at_once():
     # a SYNC for replica 3, then one ACK carrying both batches' uids.
     b = LiveNode(NodeConfig("b", GRAPH, (3,), SPLIT))
     hello = encode_frame(frames.HELLO, frames.encode_hello("a", 0))
-    reply = _serve(b, hello + writer.writes[0])
+    reply = serve(b, hello + writer.writes[0])
     assert len(reply.writes) == 1 and b.counters.socket_writes == 1
     answered = decode_all(reply.writes[0])
     assert [kind for kind, _ in answered] == [frames.SYNC, frames.ACK]
@@ -287,7 +268,7 @@ def _batches_from_a_for(destinations):
 def test_a_chunk_is_acked_once_per_destination_in_first_seen_order():
     split, hello, batches = _batches_from_a_for(["y", "x", "y"])
     b = LiveNode(NodeConfig("b", GRAPH, (1, 2), split))
-    reply = _serve(b, hello + batches)
+    reply = serve(b, hello + batches)
     answered = decode_all(reply.writes[0])
     assert [kind for kind, _ in answered] == [frames.SYNC] * 2 + [frames.ACK] * 2
     assert [frames.decode_tagged_uids(p) for _, p in answered[2:]] == [
@@ -295,7 +276,7 @@ def test_a_chunk_is_acked_once_per_destination_in_first_seen_order():
     assert b.counters.ack_frames == 2
     # A second connection replays the same bytes: every copy is a
     # duplicate now, and every one is acked again.
-    again = decode_all(_serve(b, hello + batches).writes[0])
+    again = decode_all(serve(b, hello + batches).writes[0])
     assert [frames.decode_tagged_uids(p) for k, p in again if k == frames.ACK] == [
         (2, [(3, 1), (3, 3)]), (1, [(3, 2)])]
     assert b.tenants[2].counters.duplicates == 2
@@ -308,7 +289,7 @@ def test_batches_before_a_corrupt_frame_or_a_shutdown_are_still_acked():
     for tail in (encode_frame(frames.BATCH, b"\xffgarbage"),
                  encode_frame(frames.SHUTDOWN)):
         b = LiveNode(NodeConfig("b", GRAPH, (1, 2), split))
-        reply = _serve(b, hello + batches + tail + batches)
+        reply = serve(b, hello + batches + tail + batches)
         answered = decode_all(reply.writes[0])
         assert [frames.decode_tagged_uids(p) for k, p in answered
                 if k == frames.ACK] == [(1, [(3, 1)])]
@@ -414,7 +395,7 @@ def test_a_deliver_record_holds_the_received_batch_payload_byte_for_byte(
                                 (0, [("x", "3"), ("x", "4")])])
     assert [delta for _, delta in batches] == [0, 0, 2]
     b = _durable(tmp_path)
-    _serve(b, HELLO_A + b"".join(frame for frame, _ in batches))
+    serve(b, HELLO_A + b"".join(frame for frame, _ in batches))
     records = _log_records(b)
     assert [kind for kind, _ in records] == [wal.W_DELIVER] * 3
     for (_, record), (frame, _), destination in zip(records, batches, (1, 2, 1)):
@@ -433,8 +414,7 @@ def test_a_compaction_between_two_delta_frames_replays_identical_timestamps(
     assert delta == 1
     b = _durable(tmp_path)
     compact = lambda: b.wal.checkpoint(b.checkpoint_state())  # noqa: E731
-    asyncio.run(b._handle_connection(
-        _Reader(HELLO_A + first, compact, second), _Writer()))
+    serve(b, HELLO_A + first, compact, second)
     assert b.wal.compactions == 1
     assert [kind for kind, _ in _log_records(b)] == [wal.W_DELIVER]
     before = _histories(b)
@@ -455,7 +435,7 @@ def test_a_duplicate_only_batch_is_logged_and_the_chain_after_it_replays(
                                 (0, [("x", "2")])])
     assert [delta for _, delta in batches] == [0, 1, 1]
     b = _durable(tmp_path)
-    _serve(b, HELLO_A + b"".join(frame for frame, _ in batches))
+    serve(b, HELLO_A + b"".join(frame for frame, _ in batches))
     assert b.tenants[1].counters.duplicates == 1
     assert [kind for kind, _ in _log_records(b)] == [wal.W_DELIVER] * 3
     before = _histories(b)
@@ -466,23 +446,6 @@ def test_a_duplicate_only_batch_is_logged_and_the_chain_after_it_replays(
     assert live[done:] == live[:done]
     assert _histories(reloaded) == before
     reloaded.wal.close()
-
-
-class _TurnReader:
-    """A fake reader that hands out each chunk on its turn of a clock
-    shared with other readers, so two connections interleave as told."""
-
-    def __init__(self, clock, chunks):
-        self._clock, self._chunks = clock, list(chunks)
-
-    async def read(self, _size):
-        if not self._chunks:
-            return b""
-        turn, chunk = self._chunks.pop(0)
-        while self._clock[0] != turn:
-            await asyncio.sleep(0)
-        self._clock[0] += 1
-        return chunk
 
 
 def test_interleaved_batches_of_an_old_and_a_new_connection_replay(
@@ -498,16 +461,10 @@ def test_interleaved_batches_of_an_old_and_a_new_connection_replay(
     ])
     assert (g_delta, f_delta) == (1, 1)
     b = _durable(tmp_path)
-    clock = [0]
-
-    async def both():
-        await asyncio.gather(
-            b._handle_connection(_TurnReader(clock, [(0, HELLO_A + f1), (2, f2)]),
-                                 _Writer()),
-            b._handle_connection(_TurnReader(clock, [(1, HELLO_A + g1)]), _Writer()),
-        )
-
-    asyncio.run(both())
+    old, new = connect(b), connect(b)
+    feed(old, HELLO_A + f1)
+    feed(new, HELLO_A + g1)
+    feed(old, f2)
     receipts = [wal.decode_receipt_head(record, decode_atom(record)[1])[1]
                 for _, record in _log_records(b)]
     assert receipts == [0, 1, 0]
@@ -534,16 +491,16 @@ def test_a_write_whose_copies_are_all_co_hosted_appends_one_record(tmp_path):
                for book in sender.sent_log.values())
 
 
-class _BarrierWriter(_Writer):
-    """A writer that fails a write made while a log record is unflushed."""
+def _barrier(node, sink):
+    """Make ``sink.write`` fail while a log record is unflushed."""
+    write = sink.write
 
-    def __init__(self, node):
-        super().__init__()
-        self.node = node
+    def checked(data):
+        assert not node.wal._pending, "a frame left before its records"
+        write(data)
 
-    def write(self, data):
-        assert not self.node.wal._pending, "a frame left before its records"
-        super().write(data)
+    sink.write = checked
+    return sink
 
 
 def test_a_chunk_of_ops_costs_one_log_flush_before_its_one_write(tmp_path):
@@ -552,9 +509,8 @@ def test_a_chunk_of_ops_costs_one_log_flush_before_its_one_write(tmp_path):
     ops = [(1, 1, "write", "x", "v1"), (2, 3, "read", "x"),
            (3, 2, "write", "y", "v2"), (4, 3, "write", "x", "v3"),
            (5, 1, "read", "x")]
-    writer = _BarrierWriter(node)
-    asyncio.run(node._handle_connection(
-        _Reader(b"".join(_op(*op) for op in ops)), writer))
+    writer = serve(node, b"".join(_op(*op) for op in ops),
+                   transport=_barrier(node, RecordingTransport()))
     assert len(writer.writes) == 1
     transport = node.report()["transport"]
     assert (transport["wal_records"], transport["wal_flushes"]) == (5, 1)
@@ -569,7 +525,7 @@ def test_a_send_loop_pass_flushes_the_log_before_its_write(tmp_path):
         stream = a.peer_streams["b"] = _PeerStream(a, "b")
         # The write's record is buffered; the pass must flush it first.
         await _write(a, stream, 1, "x", "v1")
-        writer = _BarrierWriter(a)
+        writer = _barrier(a, _Writer())
         loop = asyncio.create_task(stream._send_loop(writer))
         await _spin(lambda: writer.writes)
         await _stop(a, stream, loop)
@@ -583,7 +539,7 @@ def test_a_send_loop_pass_flushes_the_log_before_its_write(tmp_path):
 def test_a_batch_before_any_hello_is_logged_under_its_connection(tmp_path):
     (frame, _), = _encoded_batches([(0, [("x", "1")])])
     b = _durable(tmp_path)
-    _serve(b, frame)
+    serve(b, frame)
     (_, record), = _log_records(b)
     _, connection, _ = wal.decode_receipt_head(record, decode_atom(record)[1])
     assert connection == 0 and b.tenants[1].replica.store["x"] == "1"
@@ -592,3 +548,59 @@ def test_a_batch_before_any_hello_is_logged_under_its_connection(tmp_path):
     reloaded = _durable(tmp_path)
     assert _histories(reloaded) == before
     reloaded.wal.close()
+
+
+# ----------------------------------------------------------------------
+# Flow control: a parked write, a full socket buffer, a lost connection
+# ----------------------------------------------------------------------
+
+def test_a_write_into_a_full_window_parks_its_chunk_until_a_pass_drains_it(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(net_node, "SEND_QUEUE_LIMIT", 2)
+
+    async def run():
+        a = _durable(tmp_path, node_id="a", hosted=(1, 2), split=SPLIT,
+                     batching=PATIENT)
+        stream = a.peer_streams["b"] = _PeerStream(a, "b")
+        for value in ("f1", "f2"):
+            await _write(a, stream, 1, "x", value)   # (1, 3) holds the limit
+        connection = connect(a)
+        transport = connection.transport
+        feed(connection, _op(1, 1, "write", "x", "v1") + _op(2, 2, "read", "y")
+             + _op(3, 2, "write", "y", "v2"))
+        parked = (list(transport.writes), a.wal.records_appended, transport.reading)
+        writer = _Writer()
+        loop = asyncio.create_task(stream._send_loop(writer))
+        await _spin(lambda: transport.writes)
+        resumed = (list(transport.writes), transport.reading)
+        await _stop(a, stream, loop)
+        return a, parked, resumed
+
+    a, parked, resumed = asyncio.run(run())
+    assert parked == ([], 2, False), "the write was performed into a full window"
+    writes, reading = resumed
+    assert writes == [_reply(1, frames.OP_OK) + _reply(2, frames.OP_OK)
+                      + _reply(3, frames.OP_OK)]
+    assert reading
+    records = [(kind, decode_atom(record)[0]) for kind, record in _log_records(a)]
+    assert records == [(wal.W_WRITE, 1)] * 3 + [(wal.W_READ, 2), (wal.W_WRITE, 2)]
+    assert a.tenants[1].replica.store["x"] == "v1"
+
+
+def test_a_full_socket_buffer_stops_reading_until_it_drains():
+    connection = connect(_one_node())
+    transport = connection.transport
+    connection.pause_writing()
+    assert not transport.reading
+    connection.resume_writing()
+    assert transport.reading
+
+
+def test_an_inbound_connection_lost_to_a_socket_error_is_counted():
+    node = _one_node()
+    connect(node).connection_lost(ConnectionResetError())
+    connect(node).connection_lost(None)    # a clean end of stream
+    assert node.report()["transport"]["inbound_resets"] == 1
+    assert node.inbound_connections == 0
+    names = {name: value for name, _, value in node.telemetry_samples()}
+    assert names["repro_node_inbound_resets_total"] == 1.0

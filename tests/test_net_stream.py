@@ -264,3 +264,39 @@ def test_a_channel_holding_send_queue_limit_copies_blocks_its_writer(monkeypatch
     assert blocked, "the fifth write was answered while the stream was down"
     assert arrived and stream == [(1, seq) for seq in range(1, 6)]
     assert settled, "unacked / send_queue did not return to 0"
+
+
+# ----------------------------------------------------------------------
+# serve()'s teardown with inbound connections still open
+# ----------------------------------------------------------------------
+
+async def _stop_with_open_connections():
+    graph = ShareGraph.from_placement(RegisterPlacement.from_dict(
+        {1: {"x"}, 2: {"y"}, 3: {"x", "y"}}))
+    ports = {}
+    # b's stream to a never connects (no address): a task serve() must end.
+    b = LiveNode(NodeConfig("b", graph, (3,), {1: "a", 2: "a", 3: "b"}))
+    serving = asyncio.create_task(b.serve(lambda port: ports.update(b=port)))
+    assert await _until(lambda: "b" in ports, 5.0)
+    idle = await asyncio.open_connection("127.0.0.1", ports["b"])
+    client = await asyncio.open_connection("127.0.0.1", ports["b"])
+    client[1].write(encode_frame(frames.OP, frames.encode_op(1, 3, "write", "x", "v")))
+    reply = StreamDecoder().feed(await client[0].read(65536))
+    assert await _until(lambda: b.inbound_connections == 2, 5.0)
+    client[1].write(encode_frame(frames.SHUTDOWN))
+    await asyncio.wait_for(serving, 5.0)
+    ends = [await asyncio.wait_for(reader.read(65536), 5.0)
+            for reader, _ in (idle, client)]
+    for _, writer in (idle, client):
+        writer.close()
+    pending = [task for task in asyncio.all_tasks()
+               if task is not asyncio.current_task()]
+    return reply, ends, pending, b.inbound_connections
+
+
+def test_serve_returns_with_inbound_connections_open_and_leaves_nothing(capfd):
+    reply, ends, pending, inbound = asyncio.run(_stop_with_open_connections())
+    assert [kind for kind, _ in reply] == [frames.OP_REPLY]
+    assert ends == [b"", b""], "an inbound connection outlived serve()"
+    assert pending == [] and inbound == 0
+    assert capfd.readouterr().err == ""

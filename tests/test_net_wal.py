@@ -13,13 +13,13 @@ and count what each checkpoint record holds.
 
 from __future__ import annotations
 
-import asyncio
 import copy
 import dataclasses
 import os
 
 import pytest
 
+from inbound import serve
 from repro.core.protocol import EventKind, ReplicaSnapshot, Update, UpdateMessage
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamps import EdgeTimestamp
@@ -316,15 +316,11 @@ def _one_node_config(directory):
 
 
 def _drive(node, operations):
-    """One op per chunk: each is followed by the chunk's flush barrier."""
-    async def run():
-        for op_id, (rid, kind, register, value) in enumerate(operations):
-            await node._handle_op(
-                frames.encode_op(op_id, rid, kind, register, value), bytearray()
-            )
-            node.commit()
-
-    asyncio.run(run())
+    """One op per chunk of one inbound connection: each is followed by the
+    chunk's flush barrier."""
+    serve(node, *(
+        encode_frame(frames.OP, frames.encode_op(op_id, rid, kind, register, value))
+        for op_id, (rid, kind, register, value) in enumerate(operations)))
 
 
 def _operations(graph, count):

@@ -18,10 +18,10 @@ recovery must give
 
 from __future__ import annotations
 
-import asyncio
 import os
 import shutil
 
+from inbound import serve
 from repro.core.consistency import ConsistencyChecker
 from repro.core.protocol import EventKind
 from repro.core.share_graph import ShareGraph
@@ -45,40 +45,6 @@ def _config(directory):
         replica_nodes=PLACEMENT, durable_dir=directory,
         wal_compact_bytes=1 << 40,
     )
-
-
-class _Script:
-    """A fake reader: hands out chunks, running the callables between
-    them (the peer's ACKs arriving on the node's own stream)."""
-
-    def __init__(self, steps):
-        self._steps = list(steps)
-
-    async def read(self, _size):
-        while self._steps:
-            step = self._steps.pop(0)
-            if callable(step):
-                step()
-            else:
-                return step
-        return b""
-
-
-class _Writer:
-    def write(self, data):
-        pass
-
-    async def drain(self):
-        pass
-
-    def get_extra_info(self, _name):
-        return None
-
-    def close(self):
-        pass
-
-    async def wait_closed(self):
-        pass
 
 
 def _op(op_id, replica, kind, register, value=None):
@@ -138,7 +104,8 @@ def _run(directory):
         steps += [ops, batches[step]]
         if step % 2:
             steps.append(ack_everything)
-    asyncio.run(node._handle_connection(_Script(steps), _Writer()))
+    # The peer's ACKs (the callables) arrive between the chunks.
+    serve(node, *steps)
     node.wal.close()
     with open(node.wal._log_path(0), "rb") as handle:
         data = handle.read()

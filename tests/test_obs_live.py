@@ -132,3 +132,32 @@ def test_tracing_defaults_off():
         result = cluster.run_open_loop(workload, time_scale=0.0005)
     assert result.trace_events() == []
     assert all(not frames for frames in result.telemetry.values())
+
+
+@pytest.mark.parametrize("interval", [0.0, 0.25],
+                         ids=["telemetry_off", "telemetry_on"])
+def test_registry_folds_each_node_transport_book_once(interval):
+    """Each node's final transport book reaches the registry under the
+    names and ``node`` label of its TELEMETRY samples: without telemetry
+    from the report alone, with telemetry without counting twice."""
+    graph = ShareGraph.from_placement(pairwise_clique_placement(4))
+    workload = single_writer_workload(
+        graph, rate=3.0, duration=8.0, write_fraction=0.6, seed=5
+    )
+    with LiveCluster(graph, nodes=2, telemetry_interval=interval) as cluster:
+        result = cluster.run_open_loop(workload, time_scale=0.0005)
+    assert len(result.node_reports) == 2
+    assert bool(result.telemetry) == (interval > 0)
+    values = {(record["name"], record["labels"].get("node")): record["value"]
+              for record in registry_for_live(result).snapshot()
+              if "value" in record}
+    for node_id, report in result.node_reports.items():
+        transport = report["transport"]
+        node = str(node_id)
+        assert transport["socket_writes"] > 0
+        assert (values[("repro_node_socket_writes_total", node)]
+                == transport["socket_writes"])
+        for name, value in transport.items():
+            published = values.get((f"repro_node_{name}_total", node),
+                                   values.get((f"repro_node_{name}", node)))
+            assert published == value, name
