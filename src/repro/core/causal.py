@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import graphlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .protocol import EventKind, ReplicaEvent, Update, UpdateId
 from .registers import ReplicaId
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -146,6 +147,8 @@ class HappenedBefore:
 
     def to_networkx(self) -> nx.DiGraph:
         """The direct-edge relation as a DAG (nodes are update uids)."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.updates)
         graph.add_edges_from(self.direct_edges)
@@ -207,6 +210,8 @@ class CausalDependencyGraph:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a :mod:`networkx` DAG."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.vertices)
         graph.add_edges_from(self.edges)

@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from .registers import Register, ReplicaId
 from .share_graph import Edge, ShareGraph
 
@@ -96,6 +94,8 @@ def iter_hoops(
     Hoops are yielded once per unordered endpoint pair and path (the reversed
     path is not repeated).
     """
+    import networkx as nx
+
     owners = set(graph.replicas_storing(register))
     undirected = graph.to_networkx(directed=False)
     cutoff = max_length - 1 if max_length is not None else None
@@ -139,6 +139,8 @@ def _distinct_labelling_exists(
     """
     if any(not labels for labels in edge_label_sets):
         return False
+    import networkx as nx
+
     bipartite = nx.Graph()
     edge_nodes = [("edge", idx) for idx in range(len(edge_label_sets))]
     for idx, labels in enumerate(edge_label_sets):

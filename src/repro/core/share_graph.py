@@ -15,13 +15,15 @@ that the share graph could equivalently be viewed as undirected.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, TypeVar
 
 from .errors import ConfigurationError, UnknownReplicaError
 from .registers import Register, RegisterPlacement, ReplicaId
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: A directed share-graph edge ``e_ij`` is the tuple ``(i, j)``.
 Edge = Tuple[ReplicaId, ReplicaId]
@@ -78,6 +80,40 @@ def adjacency_of(
     for (i, j) in sorted(edges):
         neighbours[i].append(j)
     return {i: tuple(js) for i, js in neighbours.items()}
+
+
+V = TypeVar("V", bound=Hashable)
+
+
+def bfs_parents(adjacency: Mapping[V, Iterable[V]], root: V) -> Dict[V, Optional[V]]:
+    """``{vertex: BFS parent}`` for every vertex reachable from ``root``.
+
+    ``root`` maps to ``None``; keys are in visiting order, and neighbours are
+    visited in ``adjacency``'s order.  The one traversal behind
+    :meth:`ShareGraph.connected_components`, :meth:`ShareGraph.spanning_tree`
+    and the topology model's connectivity check.
+    """
+    parents: Dict[V, Optional[V]] = {root: None}
+    queue = deque([root])
+    while queue:
+        parent = queue.popleft()
+        for child in adjacency[parent]:
+            if child not in parents:
+                parents[child] = parent
+                queue.append(child)
+    return parents
+
+
+def components_of(adjacency: Mapping[V, Iterable[V]]) -> List[FrozenSet[V]]:
+    """Connected components of an undirected ``adjacency``, in vertex order."""
+    components: List[FrozenSet[V]] = []
+    seen: Set[V] = set()
+    for vertex in adjacency:
+        if vertex not in seen:
+            component = frozenset(bfs_parents(adjacency, vertex))
+            seen |= component
+            components.append(component)
+    return components
 
 
 class _Index(NamedTuple):
@@ -240,6 +276,8 @@ class ShareGraph:
 
         Each edge carries a ``registers`` attribute holding ``X_ij``.
         """
+        import networkx as nx
+
         graph: nx.Graph = nx.DiGraph() if directed else nx.Graph()
         graph.add_nodes_from(self.replica_ids)
         for (i, j) in sorted(self._edges):
@@ -248,27 +286,22 @@ class ShareGraph:
 
     def is_connected(self) -> bool:
         """``True`` iff the (undirected) share graph is connected."""
-        if self.num_replicas <= 1:
-            return True
-        return nx.is_connected(self.to_networkx(directed=False))
+        return len(self.connected_components()) == 1
 
     def connected_components(self) -> List[FrozenSet[ReplicaId]]:
-        """Connected components of the undirected share graph."""
-        graph = self.to_networkx(directed=False)
-        return [frozenset(c) for c in nx.connected_components(graph)]
+        """Connected components of the undirected share graph, by least member."""
+        return components_of(self.index().adjacency)
 
     def is_tree(self) -> bool:
         """``True`` iff the undirected share graph is a tree."""
-        return nx.is_tree(self.to_networkx(directed=False))
+        return len(self._edges) == 2 * (self.num_replicas - 1) and self.is_connected()
 
     def is_cycle(self) -> bool:
         """``True`` iff the undirected share graph is a single simple cycle."""
-        graph = self.to_networkx(directed=False)
-        if graph.number_of_nodes() < 3:
-            return False
         return (
-            nx.is_connected(graph)
-            and all(d == 2 for _, d in graph.degree())
+            self.num_replicas >= 3
+            and all(len(js) == 2 for js in self.index().adjacency.values())
+            and self.is_connected()
         )
 
     def is_clique(self) -> bool:
@@ -279,19 +312,17 @@ class ShareGraph:
     def spanning_tree(self, root: ReplicaId) -> Dict[ReplicaId, ReplicaId]:
         """A BFS spanning tree of the share graph rooted at ``root``.
 
-        Returns a parent map ``{child: parent}`` with the root absent.  Used
-        by the lower-bound execution constructions (Appendix C) and by the
-        virtual-register routing optimization.
+        Returns a parent map ``{child: parent}`` with the root absent, in
+        visiting order (neighbours in sorted order).  Used by the lower-bound
+        execution constructions (Appendix C) and by the virtual-register
+        routing optimization.
         """
         if root not in self.placement:
             raise UnknownReplicaError(root)
-        if not self.is_connected():
+        parents = bfs_parents(self.index().adjacency, root)
+        if len(parents) != self.num_replicas:
             raise ConfigurationError("spanning_tree requires a connected share graph")
-        graph = self.to_networkx(directed=False)
-        parents: Dict[ReplicaId, ReplicaId] = {}
-        for parent, child in nx.bfs_edges(graph, root):
-            parents[child] = parent
-        return parents
+        return {child: parent for child, parent in parents.items() if parent is not None}
 
     def simple_cycles_through(self, i: ReplicaId,
                               max_length: int | None = None) -> Iterator[Tuple[ReplicaId, ...]]:

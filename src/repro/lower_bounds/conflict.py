@@ -31,14 +31,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.protocol import Update
 from ..core.registers import ReplicaId
 from ..core.share_graph import Edge, ShareGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: A causal past, for the purposes of this module, is a frozen set of updates.
 PastSet = FrozenSet[Update]
@@ -209,13 +210,19 @@ def canonical_causal_pasts(
     return pasts
 
 
+def _graph() -> nx.Graph:
+    import networkx as nx
+
+    return nx.Graph()
+
+
 @dataclass
 class ConflictGraph:
     """The conflict graph ``H_i`` over a family of causal pasts."""
 
     observer: ReplicaId
     pasts: List[PastSet]
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    graph: nx.Graph = field(default_factory=_graph)
 
     @classmethod
     def build(
@@ -225,7 +232,7 @@ class ConflictGraph:
         pasts: Sequence[PastSet],
     ) -> "ConflictGraph":
         """Compute all pairwise conflicts among ``pasts``."""
-        conflict_graph = nx.Graph()
+        conflict_graph = _graph()
         conflict_graph.add_nodes_from(range(len(pasts)))
         for a, b in itertools.combinations(range(len(pasts)), 2):
             if conflicts(share_graph, observer, pasts[a], pasts[b]):
@@ -257,6 +264,8 @@ class ConflictGraph:
             return 0
         if self.is_complete():
             return self.num_pasts
+        import networkx as nx
+
         cliques = nx.find_cliques(self.graph)
         return max((len(c) for c in cliques), default=1)
 
@@ -264,6 +273,8 @@ class ConflictGraph:
         """A greedy-colouring upper bound on the chromatic number (sanity check)."""
         if self.num_pasts == 0:
             return 0
+        import networkx as nx
+
         colouring = nx.coloring.greedy_color(self.graph, strategy="largest_first")
         return max(colouring.values()) + 1
 

@@ -22,20 +22,23 @@ counters may temporarily prevent compression, so these numbers are best-case
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.registers import Register, ReplicaId
 from ..core.share_graph import Edge, ShareGraph
 from ..core.timestamp_graph import TimestampGraph, build_all_timestamp_graphs
 from ..core.timestamps import EdgeTimestamp
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _incidence_matrix(
     graph: ShareGraph, edges: Sequence[Edge]
 ) -> Tuple[np.ndarray, List[Register]]:
     """0/1 matrix whose rows are edges and columns the registers labelling them."""
+    import numpy as np
+
     registers = sorted({r for e in edges for r in graph.edge_registers(e)})
     matrix = np.zeros((len(edges), len(registers)), dtype=float)
     column = {register: idx for idx, register in enumerate(registers)}
@@ -52,6 +55,8 @@ def independent_edge_count(
     edges = sorted(tgraph.outgoing_edges_of(issuer))
     if not edges:
         return 0
+    import numpy as np
+
     matrix, _ = _incidence_matrix(graph, edges)
     return int(np.linalg.matrix_rank(matrix))
 
@@ -124,6 +129,8 @@ def compress_timestamp(
     must be skipped — callers can compare against ``timestamp`` to detect
     that.
     """
+    import numpy as np
+
     kept: Dict[Edge, int] = {}
     derived: Dict[Edge, Tuple[Edge, ...]] = {}
     issuers = sorted({e[0] for e in tgraph.edges})

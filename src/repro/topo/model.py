@@ -14,11 +14,13 @@ because every placement decision downstream would inherit the garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from ..core.errors import TopologyError
+from ..core.share_graph import adjacency_of, components_of
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Link", "NodeId", "Topology", "TopologyError"]
 
@@ -245,6 +247,8 @@ class Topology:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
         """Export as a weighted :mod:`networkx` graph (``latency_ms`` weights)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.nodes)
         for pair, latency in self._latency.items():
@@ -254,13 +258,12 @@ class Topology:
 
     def is_connected(self) -> bool:
         """``True`` iff every site can reach every other site."""
-        if self.num_nodes <= 1:
-            return True
-        return nx.is_connected(self.to_networkx())
+        return len(self.connected_components()) == 1
 
     def connected_components(self) -> List[FrozenSet[NodeId]]:
         """Connected components (used only by error reporting)."""
-        return [frozenset(c) for c in nx.connected_components(self.to_networkx())]
+        edges = [(u, v) for pair in self._latency for u in pair for v in pair if u != v]
+        return components_of(adjacency_of(self.nodes, edges))
 
     def all_pairs_latency(self) -> Dict[NodeId, Dict[NodeId, float]]:
         """Shortest-path latency between every pair of sites, cached.
@@ -272,6 +275,8 @@ class Topology:
         """
         cached = self.__dict__.get("_all_pairs")
         if cached is None:
+            import networkx as nx
+
             cached = {
                 source: dict(lengths)
                 for source, lengths in nx.all_pairs_dijkstra_path_length(

@@ -9,11 +9,17 @@ parsed source guards the shared host surface: the operation path of
 ``core/host.py`` is not re-forked by a runtime's host subclass nor booked
 around by any other module (an apply included), and the live node's
 per-frame handlers leave socket writes to the one flush point per wake-up.
+Last, no module imports a third-party package at module level, and a fresh
+interpreter that loads every runtime and boots a node and a simulator run
+has loaded no graph or array library.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -206,3 +212,61 @@ def test_live_per_frame_handlers_never_write_or_drain_a_socket():
                 for name in names}
     assert found == expected, f"handlers not found: {expected - found}"
     assert not offending, "\n".join(offending)
+
+
+def test_no_module_imports_a_third_party_package_at_module_level():
+    """Every module-level import of ``src/`` is the standard library or
+    ``repro`` itself; a third-party one sits inside the function that
+    needs it, or under ``TYPE_CHECKING``."""
+    offending = []
+    for path in sorted(ROOT.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offending += [
+                f"{path.relative_to(ROOT.parent)}:{node.lineno} imports {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"repro"}
+            ]
+    assert not offending, "\n".join(offending)
+
+
+#: Imports every runtime package, then does what a node process and a
+#: simulator run do at boot: an 8-clique share graph with its timestamp
+#: graphs, a ``LiveNode`` hosting all eight replicas, the benchmark's random
+#: 16-replica placement and a checked simulator run.
+FOOTPRINT_PROBE = """
+import sys
+import repro, repro.net.node, repro.net.runtime, repro.sim, repro.obs
+import repro.lower_bounds, repro.analysis
+from repro import Cluster, ShareGraph
+from repro.core.timestamp_graph import build_all_timestamp_graphs
+from repro.net.node import LiveNode, NodeConfig
+from repro.sim.topologies import pairwise_clique_placement, random_partial_placement
+
+graph = ShareGraph.from_placement(pairwise_clique_placement(8))
+build_all_timestamp_graphs(graph)
+LiveNode(NodeConfig("n", graph, graph.replica_ids))
+sparse = ShareGraph.from_placement(random_partial_placement(16, 32, 2, seed=7))
+cluster = Cluster(sparse, seed=7)
+cluster.write(1, min(sparse.registers_at(1)), "v")
+cluster.run_until_quiescent()
+assert cluster.check_consistency().is_causally_consistent
+print(sorted(m for m in ("networkx", "numpy") if m in sys.modules))
+"""
+
+
+def test_runtimes_load_no_graph_or_array_library():
+    """The protocol, the wire, both runtimes and ``repro.obs`` answer
+    connectivity themselves; networkx and numpy load only inside the
+    functions that run their algorithms (hoops, conflict cliques,
+    topology shortest paths, compression ranks, exports)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT.parent))
+    result = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]", result.stdout

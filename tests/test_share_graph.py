@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pickle
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, UnknownReplicaError
 from repro.core.registers import RegisterPlacement
@@ -123,6 +126,9 @@ class TestStructure:
         assert ShareGraph.from_placement(ring_placement(5)).is_cycle()
         assert not ShareGraph.from_placement(tree_placement(5)).is_cycle()
         assert ShareGraph.from_placement(triangle_placement()).is_cycle()
+        two_triangles = ShareGraph.from_dict({1: {"a", "c"}, 2: {"a", "b"}, 3: {"b", "c"},
+                                              4: {"d", "f"}, 5: {"d", "e"}, 6: {"e", "f"}})
+        assert not two_triangles.is_cycle()
 
     def test_is_clique(self):
         assert ShareGraph.from_placement(clique_placement(4)).is_clique()
@@ -143,6 +149,17 @@ class TestStructure:
         with pytest.raises(ConfigurationError):
             graph.spanning_tree(1)
 
+    def test_single_and_two_replica_graphs(self):
+        alone = ShareGraph.from_dict({7: {"a"}})
+        assert alone.is_connected() and alone.is_tree() and not alone.is_cycle()
+        assert alone.connected_components() == [frozenset({7})]
+        assert alone.spanning_tree(7) == {}
+        pair = ShareGraph.from_dict({1: {"a"}, 2: {"a"}})
+        assert pair.is_tree() and not pair.is_cycle() and pair.spanning_tree(2) == {1: 2}
+        apart = ShareGraph.from_dict({1: {"a"}, 2: {"b"}})
+        assert not apart.is_connected() and not apart.is_tree()
+        assert apart.connected_components() == [frozenset({1}), frozenset({2})]
+
     def test_to_networkx_carries_register_labels(self, figure5_graph):
         nxg = figure5_graph.to_networkx()
         assert nxg.edges[(3, 4)]["registers"] == ["z"]
@@ -155,6 +172,60 @@ class TestStructure:
     def test_describe_lists_adjacencies(self, figure3_graph):
         text = figure3_graph.describe()
         assert "1 <-> 2" in text and "3 <-> 4" in text
+
+
+@st.composite
+def sparse_placements(draw):
+    """1..8 replicas with scattered ids; registers on 1..3 of them, so the
+    share graph is often disconnected; an idle replica gets a private one."""
+    ids = sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=8)))
+    stores = {rid: set() for rid in ids}
+    for index in range(draw(st.integers(0, len(ids) + 3))):
+        for owner in draw(st.sets(st.sampled_from(ids), min_size=1, max_size=3)):
+            stores[owner].add(f"r{index}")
+    for rid, registers in stores.items():
+        if not registers:
+            registers.add(f"own{rid}")
+    return RegisterPlacement.from_dict(stores)
+
+
+class TestConnectivityMatchesNetworkx:
+    """The BFS answers agree with networkx on the same undirected graph."""
+
+    @staticmethod
+    def oracle(placement: RegisterPlacement) -> nx.Graph:
+        graph = nx.Graph()
+        graph.add_nodes_from(placement.replica_ids)
+        graph.add_edges_from(
+            (a, b) for a in placement.replica_ids for b in placement.replica_ids
+            if a < b and placement.shared_registers(a, b)
+        )
+        return graph
+
+    @settings(max_examples=300, deadline=None)
+    @given(placement=sparse_placements(), data=st.data())
+    def test_against_networkx(self, placement, data):
+        graph = ShareGraph.from_placement(placement)
+        oracle = self.oracle(placement)
+        connected = nx.is_connected(oracle)
+        assert graph.is_connected() == connected
+        assert graph.connected_components() == [
+            frozenset(c) for c in nx.connected_components(oracle)
+        ]
+        assert graph.is_tree() == nx.is_tree(oracle)
+        n = oracle.number_of_nodes()
+        assert graph.is_cycle() == (
+            n >= 3 and connected and oracle.number_of_edges() == n
+            and max(d for _, d in oracle.degree()) == 2
+        )
+        root = data.draw(st.sampled_from(placement.replica_ids))
+        if not connected:
+            with pytest.raises(ConfigurationError):
+                graph.spanning_tree(root)
+            return
+        assert list(graph.spanning_tree(root).items()) == [
+            (child, parent) for parent, child in nx.bfs_edges(oracle, root, sort_neighbors=sorted)
+        ]
 
 
 class TestCycleEnumeration:
